@@ -72,15 +72,20 @@ impl Storage for MemStore {
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
+    // True when `new` made the directory; only then does drop remove it.
+    created_dir: bool,
     keys: std::collections::HashSet<PageKey>,
 }
 
 impl FileStore {
-    /// Create (or reuse) a spill directory.
+    /// Create (or reuse) a spill directory. A directory this call creates
+    /// is removed again on drop if it is empty by then; one that already
+    /// existed is left in place.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
+        let created_dir = !dir.is_dir();
         std::fs::create_dir_all(&dir)?;
-        Ok(FileStore { dir, keys: std::collections::HashSet::new() })
+        Ok(FileStore { dir, created_dir, keys: std::collections::HashSet::new() })
     }
 
     fn path(&self, key: PageKey) -> PathBuf {
@@ -98,7 +103,17 @@ impl Storage for FileStore {
     }
 
     fn write(&mut self, key: PageKey, data: Bytes) -> io::Result<()> {
-        std::fs::write(self.path(key), &data)?;
+        let path = self.path(key);
+        match std::fs::write(&path, &data) {
+            // Another store that created this directory dropped while it was
+            // empty and took it along: it is ours to re-create and remove now.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(&self.dir)?;
+                self.created_dir = true;
+                std::fs::write(&path, &data)?;
+            }
+            other => other?,
+        }
         self.keys.insert(key);
         Ok(())
     }
@@ -117,10 +132,15 @@ impl Storage for FileStore {
 
 impl Drop for FileStore {
     fn drop(&mut self) {
-        // Best-effort cleanup of spill files; the directory may be shared.
+        // Best-effort cleanup of spill files.
         let keys: Vec<PageKey> = self.keys.iter().copied().collect();
         for k in keys {
             let _ = self.remove(k);
+        }
+        // Non-recursive, so a directory someone else still writes to
+        // survives; a pre-existing one may be shared and is never touched.
+        if self.created_dir {
+            let _ = std::fs::remove_dir(&self.dir);
         }
     }
 }
@@ -169,12 +189,41 @@ mod tests {
 
     #[test]
     fn file_store_cleans_up_on_drop() {
-        let dir = std::env::temp_dir().join("dmml_filestore_drop");
+        let dir = std::env::temp_dir().join(format!("dmml_filestore_drop_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         {
             let mut s = FileStore::new(&dir).unwrap();
             s.write(key(9), Bytes::from_static(b"temp")).unwrap();
         }
-        let residual = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(residual, 0, "spill files must be removed on drop");
+        assert!(!dir.exists(), "a store removes the spill files and the directory it created");
+
+        // A directory that was already there may be shared: emptied of this
+        // store's files, but left in place.
+        std::fs::create_dir_all(&dir).unwrap();
+        {
+            let mut s = FileStore::new(&dir).unwrap();
+            s.write(key(9), Bytes::from_static(b"temp")).unwrap();
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "spill files removed on drop");
+
+        // Two stores on one directory, the creator dropping first while the
+        // directory is empty: the survivor re-creates it on its next write
+        // and removes it in turn.
+        std::fs::remove_dir(&dir).unwrap();
+        let creator = FileStore::new(&dir).unwrap();
+        let mut sharer = FileStore::new(&dir).unwrap();
+        drop(creator);
+        sharer.write(key(9), Bytes::from_static(b"late")).unwrap();
+        assert_eq!(sharer.read(key(9)).unwrap().unwrap(), Bytes::from_static(b"late"));
+        drop(sharer);
+        assert!(!dir.exists());
+
+        // A created directory holding someone else's file survives too.
+        {
+            let _s = FileStore::new(&dir).unwrap();
+            std::fs::write(dir.join("foreign"), b"x").unwrap();
+        }
+        assert!(dir.join("foreign").exists(), "drop never deletes what it did not write");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -385,9 +385,10 @@ pub fn analyze_program(
 ///   value (merged by the dedup pass into a single counted diagnostic per
 ///   node) — the exact step and node are in the message.
 /// * `H203` ([`codes::REORDER_AVOIDS_SPILL`]) — the plan had to spill
-///   (blocked nodes), but a peak-minimizing schedule
-///   ([`min_peak_order`](crate::liveness::min_peak_order)) certifiably fits
-///   the budget entirely in memory.
+///   (blocked nodes), but planning with
+///   [`reorder`](crate::physical::PlanOptions::reorder) — the
+///   peak-minimizing schedule — certifiably fits the budget entirely in
+///   memory.
 ///
 /// An unbounded budget, or a program whose sizes do not fully propagate
 /// (those errors are already reported), returns the plain [`analyze`]
@@ -399,8 +400,8 @@ pub fn analyze_with_memory(
     degree: usize,
     budget: crate::memory::MemoryBudget,
 ) -> AnalysisReport {
-    use crate::liveness::{certify_plan, certify_schedule, min_peak_order, Schedule};
-    use crate::physical::{plan_with_degree, plan_with_memory, Kernel};
+    use crate::liveness::{certify_plan, certify_schedule, Schedule};
+    use crate::physical::{plan, Kernel, PlanOptions};
 
     let mut report = analyze(graph, root, inputs);
     let Some(limit) = budget.get() else {
@@ -410,8 +411,11 @@ pub fn analyze_with_memory(
     if reachable.iter().any(|id| !report.sizes.contains_key(id)) {
         return report;
     }
-    let plan = plan_with_memory(graph, root, &report.sizes, degree, budget);
-    let cert = certify_plan(graph, root, &plan, &report.sizes, budget);
+    let opts = PlanOptions { degree, budget, ..PlanOptions::new(&report.sizes) };
+    let planned =
+        |opts: &PlanOptions| plan(graph, root, opts).expect("a propagated size map always plans");
+    let phys = planned(&opts);
+    let cert = certify_plan(graph, root, &phys, &report.sizes, budget);
     if !cert.fits() {
         for su in &cert.timeline {
             if su.live_bytes <= limit {
@@ -441,13 +445,13 @@ pub fn analyze_with_memory(
             });
         }
     } else {
-        let spilled = plan.nodes_with(Kernel::Blocked).len();
+        let spilled = phys.nodes_with(Kernel::Blocked).len();
         if spilled > 0 {
-            let base = plan_with_degree(graph, root, &report.sizes, degree);
-            let order = min_peak_order(graph, root, &report.sizes, &base);
+            let re_plan = planned(&PlanOptions { reorder: true, ..opts });
+            let order = re_plan.order().unwrap_or_default().to_vec();
             let sched = Schedule::from_order(graph, order);
-            let re = certify_schedule(graph, &sched, &base, &report.sizes, budget);
-            if re.fits() {
+            let re = certify_schedule(graph, &sched, &re_plan, &report.sizes, budget);
+            if re_plan.nodes_with(Kernel::Blocked).is_empty() && re.fits() {
                 report.diagnostics.push(Diagnostic {
                     severity: Severity::Hint,
                     node: root,
@@ -456,7 +460,7 @@ pub fn analyze_with_memory(
                     message: format!(
                         "the plan spills {spilled} node(s) under the {limit} B budget, but a \
                          peak-minimizing schedule fits in memory (certified peak {} B); plan with \
-                         plan_with_memory_reordered and run it via eval_schedule",
+                         `reorder: true` in PlanOptions and run the plan's order() via eval_schedule",
                         re.peak_bytes,
                     ),
                 });
@@ -479,7 +483,8 @@ pub fn analyze_with_memory(
 ///   static model's threshold decisions
 ///   ([`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD),
 ///   rewrite cost ratios) are unreliable for that kernel on this machine;
-///   plan with [`plan_with_profile`](crate::physical::plan_with_profile).
+///   pass the model to [`plan`](crate::physical::plan) as
+///   [`PlanOptions::cost`](crate::physical::PlanOptions::cost).
 ///
 /// An empty model, or a program whose sizes do not fully propagate (those
 /// errors are already reported), returns the plain [`analyze`] report.
@@ -498,7 +503,13 @@ pub fn analyze_with_cost(
     if reachable.iter().any(|id| !report.sizes.contains_key(id)) {
         return report;
     }
-    let plan = crate::physical::plan_with_profile(graph, root, &report.sizes, degree, model);
+    let opts = crate::physical::PlanOptions {
+        degree,
+        cost: Some(model),
+        ..crate::physical::PlanOptions::new(&report.sizes)
+    };
+    let plan =
+        crate::physical::plan(graph, root, &opts).expect("a propagated size map always plans");
     let costs = crate::cost::node_costs(graph, root, &report.sizes, &plan, model);
     for id in reachable {
         let Some(c) = costs.get(&id) else { continue };
@@ -517,7 +528,8 @@ pub fn analyze_with_cost(
                 message: format!(
                     "calibrated cost of {op} on the {} kernel is {ratio:.2}x the static \
                      estimate ({cal} ns vs {} ns for {} flops): the static cost model is \
-                     stale for this kernel on this machine; prefer plan_with_profile",
+                     stale for this kernel on this machine; pass the CostModel to plan as \
+                     PlanOptions::cost",
                     c.family, c.static_ns, c.flops,
                 ),
             });
@@ -1167,6 +1179,11 @@ mod tests {
         assert_eq!(hints.len(), 1, "{}", r.render(&g));
         assert_eq!(hints[0].node, root);
         assert!(hints[0].message.contains("peak-minimizing"), "{}", hints[0].message);
+        assert!(
+            hints[0].message.contains("`reorder: true` in PlanOptions"),
+            "{}",
+            hints[0].message
+        );
         assert!(r.diagnostics.iter().all(|d| d.code != codes::PLAN_EXCEEDS_BUDGET));
     }
 
@@ -1224,6 +1241,7 @@ mod tests {
         assert_eq!(hints.len(), 1, "{}", r.render(&g));
         assert_eq!(hints[0].node, cp);
         assert!(hints[0].message.contains("stale"), "{}", hints[0].message);
+        assert!(hints[0].message.contains("PlanOptions::cost"), "{}", hints[0].message);
 
         // Within DRIFT_FACTOR (2 GFLOP/s): silent.
         let mut store = dm_obs::ProfileStore::new();

@@ -36,7 +36,7 @@ use crate::expr::{Graph, NodeId, Op};
 use crate::liveness::{certify_plan, PlanCertificate};
 use crate::memory::MemoryBudget;
 use crate::parser::{self, ParseError};
-use crate::physical::{plan_with_memory_profile, PhysicalPlan};
+use crate::physical::{plan, PhysicalPlan, PlanOptions};
 use crate::rewrite::{optimize, RewriteStats};
 use crate::size::{InputSizes, SizeError};
 use std::collections::HashMap;
@@ -286,10 +286,9 @@ impl From<SizeError> for CompileError {
 }
 
 /// The full compile pipeline, once: parse → logical rewrites → size
-/// propagation → physical selection
-/// ([`plan_with_memory_profile`] — calibrated serial/parallel crossover
-/// plus certify-and-block memory fitting) → certification. This is the
-/// expensive path a [`PlanCache`] hit skips entirely.
+/// propagation → physical selection ([`plan`] — calibrated serial/parallel
+/// crossover plus certify-and-block memory fitting) → certification. This
+/// is the expensive path a [`PlanCache`] hit skips entirely.
 pub fn compile(
     src: &str,
     inputs: &InputSizes,
@@ -300,7 +299,8 @@ pub fn compile(
     let (raw, raw_root) = parser::parse(src)?;
     let (graph, root, rewrites) = optimize(&raw, raw_root, inputs)?;
     let sizes = crate::size::propagate(&graph, root, inputs)?;
-    let plan = plan_with_memory_profile(&graph, root, &sizes, degree, budget, model);
+    let opts = PlanOptions { degree, budget, cost: Some(model), ..PlanOptions::new(&sizes) };
+    let plan = plan(&graph, root, &opts)?;
     let certificate = if graph.reachable(root).iter().all(|id| sizes.contains_key(id)) {
         Some(certify_plan(&graph, root, &plan, &sizes, budget))
     } else {

@@ -11,11 +11,12 @@
 //! estimates into *nanoseconds*, dividing by the measured GFLOP/s where
 //! enough samples exist and falling back to the static
 //! [`STATIC_GFLOPS`] assumption where they don't. The calibrated figures
-//! feed [`plan_with_profile`](crate::physical::plan_with_profile) (a
-//! measured serial-vs-parallel crossover replacing the fixed
-//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)),
-//! [`explain_with_profile`](crate::explain::explain_with_profile), and the
-//! analyzer's H204 staleness hint.
+//! feed [`plan`](crate::physical::plan) (as
+//! [`PlanOptions::cost`](crate::physical::PlanOptions::cost): a measured
+//! serial-vs-parallel crossover replacing the fixed
+//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)), the cost
+//! table of [`explain`](crate::explain::explain), and the analyzer's H204
+//! staleness hint.
 //!
 //! Closing the loop end to end:
 //!
@@ -40,7 +41,7 @@
 //!
 //! // Calibrate + re-cost: the model turns flops into observed nanoseconds.
 //! let model = CostModel::new(store);
-//! let plan = physical::plan_with_inputs(&g, root, &sizes).unwrap();
+//! let plan = physical::plan(&g, root, &physical::PlanOptions::new(&sizes)).unwrap();
 //! let calibrated = dm_lang::cost::calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
 //! assert!(calibrated > 0);
 //! ```
@@ -71,7 +72,7 @@ pub struct CostModel {
 
 /// Per-node cost breakdown: the flop estimate and its static and calibrated
 /// nanosecond prices. Produced by [`node_costs`]; rendered by
-/// [`explain_with_profile`](crate::explain::explain_with_profile).
+/// [`explain`](crate::explain::explain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCost {
     /// Estimated flops ([`node_flops`]).
@@ -234,7 +235,7 @@ pub fn calibrated_cost(
 mod tests {
     use super::*;
     use crate::expr::AggOp;
-    use crate::physical::{plan_with_inputs, plan_with_inputs_degree};
+    use crate::physical::{plan, PlanOptions};
 
     fn glm() -> (Graph, NodeId, InputSizes) {
         let mut g = Graph::new();
@@ -260,7 +261,7 @@ mod tests {
     #[test]
     fn empty_model_prices_exactly_static() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let model = CostModel::default();
         let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
@@ -270,7 +271,7 @@ mod tests {
     #[test]
     fn calibration_divides_by_observed_throughput() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let infos = propagate(&g, root, &sizes).unwrap();
         // crossprod on 1000x20: 2 * 20000 * 20 = 800_000 flops, fused family.
         let cp_flops = 800_000u64;
@@ -294,7 +295,7 @@ mod tests {
     #[test]
     fn below_min_samples_falls_back_to_static() {
         let (g, root, sizes) = glm();
-        let plan = plan_with_inputs(&g, root, &sizes).unwrap();
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let model = CostModel::new(store_with("crossprod", "fused", 800_000, 4.0, 2));
         let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
@@ -308,14 +309,14 @@ mod tests {
             Op::Agg(_, c) => *c,
             _ => unreachable!(),
         };
-        let serial = plan_with_inputs(&g, root, &sizes).unwrap();
+        let serial = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         assert_eq!(node_family(&g, cp, &serial), "fused");
         assert_eq!(node_family(&g, root, &serial), "dense");
 
         // At degree 4 with a big input, crossprod plans parallel.
         let mut big = InputSizes::new();
         big.declare("X", 100_000, 200, 1.0);
-        let par = plan_with_inputs_degree(&g, root, &big, 4).unwrap();
+        let par = plan(&g, root, &PlanOptions { degree: 4, ..PlanOptions::new(&big) }).unwrap();
         assert_eq!(node_family(&g, cp, &par), "parallel");
     }
 

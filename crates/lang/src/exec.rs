@@ -281,11 +281,10 @@ impl<'g> Executor<'g> {
 
     /// New executor honoring a physical plan. Nodes the plan marked
     /// [`Kernel::Parallel`] run the multi-threaded kernels at the plan's
-    /// degree (see [`plan_with_degree`](crate::physical::plan_with_degree));
-    /// nodes marked [`Kernel::Blocked`] stream tiles through a spill pool
-    /// sized to the plan's memory budget (see
-    /// [`plan_with_memory`](crate::physical::plan_with_memory)); everything
-    /// else keeps the serial dispatch.
+    /// degree; nodes marked [`Kernel::Blocked`] stream tiles through a spill
+    /// pool sized to the plan's memory budget (see
+    /// [`plan`](crate::physical::plan) for both); everything else keeps the
+    /// serial dispatch.
     pub fn with_plan(graph: &'g Graph, plan: PhysicalPlan) -> Self {
         let mut ex = Executor::new(graph);
         ex.degree = plan.degree();
@@ -1152,6 +1151,7 @@ fn max_of(m: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::PlanOptions;
     use crate::rewrite::optimize;
     use crate::size::InputSizes;
 
@@ -1263,7 +1263,7 @@ mod tests {
         let mut sizes = InputSizes::new();
         sizes.declare("S", 50, 20, 0.05);
         sizes.declare("v", 20, 1, 1.0);
-        let plan = crate::physical::plan_with_inputs(&g, s, &sizes).unwrap();
+        let plan = crate::physical::plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
         assert_eq!(plan.kernel(xi), Kernel::Sparse);
         let mut ex = Executor::with_plan(&g, plan);
         let got = ex.eval(s, &env).unwrap().as_scalar().unwrap();
@@ -1362,7 +1362,7 @@ mod tests {
         let tr = g.transpose(si);
         let mut sizes = InputSizes::new();
         sizes.declare("S", 50, 20, 0.05);
-        let plan = crate::physical::plan_with_inputs(&g, tr, &sizes).unwrap();
+        let plan = crate::physical::plan(&g, tr, &PlanOptions::new(&sizes)).unwrap();
         let mut env = Env::new();
         env.bind("S", Matrix::Dense(sp));
         let mut ex = Executor::with_plan(&g, plan).profiled();
@@ -1417,7 +1417,9 @@ mod tests {
 
         let mut serial = Executor::new(&g);
         let expect = serial.eval(all, &env).unwrap();
-        let plan = crate::physical::plan_with_inputs_degree(&g, all, &sizes, 4).unwrap();
+        let plan =
+            crate::physical::plan(&g, all, &PlanOptions { degree: 4, ..PlanOptions::new(&sizes) })
+                .unwrap();
         assert_eq!(plan.kernel(mm), Kernel::Parallel);
         assert_eq!(plan.kernel(cp), Kernel::Parallel);
         let mut par_ex = Executor::with_plan(&g, plan);
@@ -1440,7 +1442,9 @@ mod tests {
         env.bind("X", Matrix::Dense(x));
         let mut sizes = InputSizes::new();
         sizes.declare("X", 400, 300, 1.0);
-        let plan = crate::physical::plan_with_inputs_degree(&g, cp, &sizes, 2).unwrap();
+        let plan =
+            crate::physical::plan(&g, cp, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) })
+                .unwrap();
         let mut ex = Executor::with_plan(&g, plan).profiled();
         ex.eval(cp, &env).unwrap();
         assert_eq!(ex.profile().unwrap().node(cp).unwrap().kernel, Some(KernelChoice::Parallel));

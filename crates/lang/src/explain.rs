@@ -2,10 +2,10 @@
 //! and a post-run runtime profile, modeled on the surveyed declarative ML
 //! systems' plan/statistics output.
 
+use crate::cost::CostModel;
 use crate::exec::{ExecProfile, KernelChoice};
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
-use crate::memory::MemoryBudget;
-use crate::physical::{plan, plan_with_degree, plan_with_memory, PhysicalPlan};
+use crate::physical::{plan, PhysicalPlan, PlanOptions, Sizes};
 use crate::size::{propagate, InputSizes, Shape, SizeInfo};
 use dm_buffer::PoolStats;
 use dm_obs::fmt_ns;
@@ -58,13 +58,9 @@ pub fn op_site(graph: &Graph, id: NodeId) -> std::borrow::Cow<'static, str> {
     })
 }
 
-fn annotation(
-    id: NodeId,
-    sizes: Option<&HashMap<NodeId, SizeInfo>>,
-    plan: Option<&PhysicalPlan>,
-) -> String {
+fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan) -> String {
     let mut parts: Vec<String> = Vec::new();
-    if let Some(info) = sizes.and_then(|s| s.get(&id)) {
+    if let Some(info) = sizes.get(&id) {
         match info.shape {
             Shape::Scalar => parts.push("scalar".into()),
             Shape::Matrix { rows, cols } => {
@@ -73,14 +69,8 @@ fn annotation(
             }
         }
     }
-    if let Some(p) = plan {
-        parts.push(format!("{}", p.kernel(id)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("  [{}]", parts.join(", "))
-    }
+    parts.push(format!("{}", plan.kernel(id)));
+    format!("  [{}]", parts.join(", "))
 }
 
 #[allow(clippy::too_many_arguments)] // recursive renderer threads layout + annotation state
@@ -91,8 +81,7 @@ fn render_tree(
     is_last: bool,
     is_root: bool,
     seen: &mut HashSet<NodeId>,
-    sizes: Option<&HashMap<NodeId, SizeInfo>>,
-    plan: Option<&PhysicalPlan>,
+    planned: Option<(&HashMap<NodeId, SizeInfo>, &PhysicalPlan)>,
     out: &mut String,
 ) {
     let connector = if is_root {
@@ -109,7 +98,8 @@ fn render_tree(
         let _ = writeln!(out, "{connector}%{id} {label} (shared, printed above)");
         return;
     }
-    let _ = writeln!(out, "{connector}%{id} {label}{}", annotation(id, sizes, plan));
+    let note = planned.map_or_else(String::new, |(sizes, plan)| annotation(id, sizes, plan));
+    let _ = writeln!(out, "{connector}%{id} {label}{note}");
     let children = graph.op(id).children();
     let child_prefix = if is_root {
         String::new()
@@ -120,106 +110,55 @@ fn render_tree(
     };
     for (i, &c) in children.iter().enumerate() {
         let last = i + 1 == children.len();
-        render_tree(graph, c, &child_prefix, last, false, seen, sizes, plan, out);
+        render_tree(graph, c, &child_prefix, last, false, seen, planned, out);
     }
 }
 
 /// Render the DAG rooted at `root` as a text tree, one node per line, shared
-/// subtrees printed once and referenced thereafter. No size or kernel
-/// annotations — see [`explain_with`] for the annotated form.
-pub fn explain(graph: &Graph, root: NodeId) -> String {
+/// subtrees printed once and referenced thereafter.
+///
+/// `None` renders the bare tree. With options, the program is planned by
+/// [`plan`] under exactly those options and every node is annotated with its
+/// propagated shape, sparsity estimate and kernel (`parallel` and `blocked`
+/// included); when sizes do not propagate (undeclared inputs) the
+/// annotations are silently omitted rather than failing the render. Two
+/// sections follow from what the options carry:
+///
+/// * a bounded `budget` appends the plan's
+///   [`PlanCertificate`](crate::liveness::PlanCertificate) — the
+///   fits/exceeds verdict plus the step-by-step live-set timeline, over the
+///   plan's own order when it was reordered;
+/// * a `cost` model appends a per-node cost table: estimated flops, the
+///   static nanosecond price, the calibrated price where the model holds
+///   enough samples (`-` otherwise), and the priced kernel family. Nodes
+///   whose calibrated price disagrees with the static one by more than
+///   [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are marked `<- drift` — the
+///   same condition the analyzer reports as H204.
+pub fn explain(graph: &Graph, root: NodeId, opts: Option<&PlanOptions>) -> String {
+    let planned = opts.and_then(|o| {
+        let sizes = o.sizes.resolve(graph, root).ok()?;
+        let phys =
+            plan(graph, root, &PlanOptions { sizes: Sizes::Propagated(&sizes), ..*o }).ok()?;
+        Some((o, sizes, phys))
+    });
     let mut out = String::new();
-    let mut seen = HashSet::new();
-    render_tree(graph, root, "", true, true, &mut seen, None, None, &mut out);
-    out
-}
-
-/// Render the DAG as a text tree annotated with propagated shapes, sparsity
-/// estimates, and planned kernels. When size propagation fails (undeclared
-/// inputs), annotations are silently omitted rather than failing the render.
-pub fn explain_with(graph: &Graph, root: NodeId, inputs: &InputSizes) -> String {
-    let sizes = propagate(graph, root, inputs).ok();
-    let phys = sizes.as_ref().map(|s| plan(graph, root, s));
-    let mut out = String::new();
-    let mut seen = HashSet::new();
-    render_tree(graph, root, "", true, true, &mut seen, sizes.as_ref(), phys.as_ref(), &mut out);
-    out
-}
-
-/// [`explain_with`], but planning at the given degree of parallelism: nodes
-/// whose estimated flops clear the parallel threshold are annotated
-/// `parallel` instead of `dense` (see
-/// [`plan_with_degree`]).
-pub fn explain_with_degree(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-) -> String {
-    let sizes = propagate(graph, root, inputs).ok();
-    let phys = sizes.as_ref().map(|s| plan_with_degree(graph, root, s, degree));
-    let mut out = String::new();
-    let mut seen = HashSet::new();
-    render_tree(graph, root, "", true, true, &mut seen, sizes.as_ref(), phys.as_ref(), &mut out);
-    out
-}
-
-/// [`explain_with_degree`], but also planning under a memory budget: nodes
-/// the liveness certifier forces out-of-core are annotated `blocked` — they
-/// will stream tiles through the spill pool (see [`plan_with_memory`]).
-/// When the budget is bounded and sizes propagate, the plan's
-/// [`PlanCertificate`](crate::liveness::PlanCertificate) is appended under
-/// the tree: the fits/exceeds verdict plus the step-by-step live-set
-/// timeline. An unbounded budget renders exactly what
-/// [`explain_with_degree`] renders.
-pub fn explain_with_memory(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    budget: MemoryBudget,
-) -> String {
-    let sizes = propagate(graph, root, inputs).ok();
-    let phys = sizes.as_ref().map(|s| plan_with_memory(graph, root, s, degree, budget));
-    let mut out = String::new();
-    let mut seen = HashSet::new();
-    render_tree(graph, root, "", true, true, &mut seen, sizes.as_ref(), phys.as_ref(), &mut out);
-    if budget.get().is_some() {
-        if let (Some(sizes), Some(plan)) = (sizes.as_ref(), phys.as_ref()) {
-            let cert = crate::liveness::certify_plan(graph, root, plan, sizes, budget);
-            out.push('\n');
-            out.push_str(&cert.render(graph));
-        }
-    }
-    out
-}
-
-/// [`explain_with_degree`] with a calibrated physical plan and an appended
-/// per-node cost table: the plan comes from
-/// [`plan_with_profile`](crate::physical::plan_with_profile) (measured
-/// serial-vs-parallel crossover), and each compute node's line in the table
-/// shows estimated flops, the static nanosecond price, the calibrated price
-/// where the model holds enough samples (`-` otherwise), and the priced
-/// kernel family. Nodes whose calibrated price disagrees with the static one
-/// by more than [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are marked
-/// `<- drift` — the same condition the analyzer reports as H204.
-pub fn explain_with_profile(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    model: &crate::cost::CostModel,
-) -> String {
-    let sizes = propagate(graph, root, inputs).ok();
-    let phys =
-        sizes.as_ref().map(|s| crate::physical::plan_with_profile(graph, root, s, degree, model));
-    let mut out = String::new();
-    let mut seen = HashSet::new();
-    render_tree(graph, root, "", true, true, &mut seen, sizes.as_ref(), phys.as_ref(), &mut out);
-    let (Some(sizes), Some(plan)) = (sizes.as_ref(), phys.as_ref()) else {
+    let annotations = planned.as_ref().map(|(_, sizes, phys)| (&**sizes, phys));
+    render_tree(graph, root, "", true, true, &mut HashSet::new(), annotations, &mut out);
+    let Some((opts, sizes, phys)) = &planned else {
         return out;
     };
-    let costs = crate::cost::node_costs(graph, root, sizes, plan, model);
+    let reachable = graph.reachable(root);
+    if opts.budget.get().is_some() && reachable.iter().all(|id| sizes.contains_key(id)) {
+        let order = phys.order().map_or(reachable, <[NodeId]>::to_vec);
+        let sched = crate::liveness::Schedule::from_order(graph, order);
+        let cert = crate::liveness::certify_schedule(graph, &sched, phys, sizes, opts.budget);
+        out.push('\n');
+        out.push_str(&cert.render(graph));
+    }
+    let Some(model) = opts.cost else {
+        return out;
+    };
+    let costs = crate::cost::node_costs(graph, root, sizes, phys, model);
     let mut ids: Vec<NodeId> = costs.keys().copied().collect();
     ids.sort_unstable();
     let _ = writeln!(out, "\ncost table (static {} GFLOP/s baseline):", crate::cost::STATIC_GFLOPS);
@@ -254,29 +193,29 @@ pub fn explain_with_profile(
 /// Render a post-run `-stats`-style report from an execution profile: total
 /// wall time, the `top_k` heaviest operators by self time (with kernel choice
 /// and output shape), estimated-vs-actual sparsity drift beyond
-/// [`SPARSITY_DRIFT_THRESHOLD`], and memoization totals.
+/// [`SPARSITY_DRIFT_THRESHOLD`], parallel and out-of-core dispatch totals,
+/// and memoization totals. Two optional sections:
+///
+/// * `spill` — the executor's spill-pool counters
+///   ([`Executor::ooc_pool_stats`](crate::exec::Executor::ooc_pool_stats))
+///   append the pool's spill / fault / eviction traffic;
+/// * `cost` — the executed plan and a [`CostModel`] append a cost-model
+///   accuracy table: for every profiled compute node, the *estimated* ns
+///   (static flop price), the *calibrated* ns (the model's
+///   measured-throughput price, `-` below the sample threshold), and the
+///   *observed* ns this run actually spent — the three columns whose
+///   convergence is the whole point of the observe→calibrate→re-cost loop.
+///   Nodes where calibrated and static disagree by more than
+///   [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are marked
+///   `<- drift (H204)`.
 pub fn profile_report(
     graph: &Graph,
     root: NodeId,
     profile: &ExecProfile,
     inputs: &InputSizes,
     top_k: usize,
-) -> String {
-    profile_report_with_spill(graph, root, profile, inputs, top_k, None)
-}
-
-/// [`profile_report`] with a spill section: pass the executor's spill-pool
-/// counters ([`Executor::ooc_pool_stats`](crate::exec::Executor::ooc_pool_stats))
-/// to append blocked-kernel totals and the pool's spill / fault / eviction
-/// traffic. `None` (or a run with no blocked dispatch) renders the plain
-/// report.
-pub fn profile_report_with_spill(
-    graph: &Graph,
-    root: NodeId,
-    profile: &ExecProfile,
-    inputs: &InputSizes,
-    top_k: usize,
     spill: Option<&PoolStats>,
+    cost: Option<(&PhysicalPlan, &CostModel)>,
 ) -> String {
     let mut out = String::new();
     let total_ns = profile.total_self_ns();
@@ -324,7 +263,8 @@ pub fn profile_report_with_spill(
     }
 
     // Estimated vs actual sparsity drift.
-    if let Ok(sizes) = propagate(graph, root, inputs) {
+    let sizes = propagate(graph, root, inputs).ok();
+    if let Some(sizes) = &sizes {
         let mut drifted: Vec<(NodeId, f64, f64)> = Vec::new();
         for (id, ns) in profile.nodes() {
             if let Some(info) = sizes.get(&id) {
@@ -396,31 +336,11 @@ pub fn profile_report_with_spill(
     let evals: u64 = profile.nodes().map(|(_, n)| n.evals).sum();
     let hits: u64 = profile.nodes().map(|(_, n)| n.memo_hits).sum();
     let _ = writeln!(out, "memoization: {evals} node evals, {hits} memo hits");
-    out
-}
 
-/// [`profile_report`] plus a cost-model accuracy section: for every profiled
-/// compute node, the *estimated* ns (static flop price), the *calibrated* ns
-/// (the loaded [`CostModel`](crate::cost::CostModel)'s measured-throughput
-/// price, `-` below the sample threshold), and the *observed* ns this run
-/// actually spent — the three columns whose convergence is the whole point
-/// of the observe→calibrate→re-cost loop. Nodes where calibrated and static
-/// disagree by more than [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are
-/// marked `<- drift (H204)`.
-pub fn profile_report_with_cost(
-    graph: &Graph,
-    root: NodeId,
-    profile: &ExecProfile,
-    inputs: &InputSizes,
-    top_k: usize,
-    plan: &PhysicalPlan,
-    model: &crate::cost::CostModel,
-) -> String {
-    let mut out = profile_report(graph, root, profile, inputs, top_k);
-    let Ok(infos) = propagate(graph, root, inputs) else {
+    let (Some((plan, model)), Some(infos)) = (cost, &sizes) else {
         return out;
     };
-    let costs = crate::cost::node_costs(graph, root, &infos, plan, model);
+    let costs = crate::cost::node_costs(graph, root, infos, plan, model);
     let mut ids: Vec<NodeId> = profile
         .nodes()
         .filter(|(id, ns)| ns.evals > 0 && costs.get(id).is_some_and(|c| c.flops > 0))
@@ -459,6 +379,7 @@ pub fn profile_report_with_cost(
 mod tests {
     use super::*;
     use crate::exec::{Env, Executor};
+    use crate::memory::MemoryBudget;
     use crate::rewrite::optimize;
     use dm_matrix::{Dense, Matrix};
 
@@ -477,19 +398,19 @@ mod tests {
         let x = g.input("X");
         let t = g.transpose(x);
         let add = g.ewise(EwiseOp::Add, t, t);
-        let txt = explain(&g, add);
+        let txt = explain(&g, add, None);
         assert_eq!(txt.matches("shared, printed above").count(), 1, "{txt}");
         // Three distinct nodes plus one shared reference.
         assert_eq!(txt.lines().count(), 4, "{txt}");
     }
 
     #[test]
-    fn explain_with_annotates_shapes_and_kernels() {
+    fn planned_explain_annotates_shapes_and_kernels() {
         let (g, s) = glm_graph();
         let mut sizes = InputSizes::new();
         sizes.declare("X", 1000, 20, 0.05);
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let txt = explain_with(&og, root, &sizes);
+        let txt = explain(&og, root, Some(&PlanOptions::new(&sizes)));
         assert!(txt.contains("crossprod"), "{txt}");
         assert!(txt.contains("1000x20"), "{txt}");
         assert!(txt.contains("sp 0.05"), "{txt}");
@@ -507,19 +428,19 @@ mod tests {
 `-- %1 crossprod  [20x20, sp 1.00, dense]
     `-- %0 input X  [1000x20, sp 1.00, dense]
 ";
-        assert_eq!(explain_with(&og, root, &sizes), expected);
+        assert_eq!(explain(&og, root, Some(&PlanOptions::new(&sizes))), expected);
     }
 
     #[test]
-    fn explain_with_degree_annotates_parallel_kernels() {
+    fn explain_at_a_degree_annotates_parallel_kernels() {
         let (g, s) = glm_graph();
         let mut sizes = InputSizes::new();
         sizes.declare("X", 100_000, 200, 1.0);
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let txt = explain_with_degree(&og, root, &sizes, 4);
+        let serial = PlanOptions::new(&sizes);
+        let txt = explain(&og, root, Some(&PlanOptions { degree: 4, ..serial }));
         assert!(txt.contains("parallel"), "{txt}");
-        // Degree 1 renders exactly what explain_with renders.
-        assert_eq!(explain_with_degree(&og, root, &sizes, 1), explain_with(&og, root, &sizes));
+        assert!(!explain(&og, root, Some(&serial)).contains("parallel"));
     }
 
     #[test]
@@ -530,31 +451,32 @@ mod tests {
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(400, 300, |r, c| ((r + c) % 7) as f64)));
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let plan = crate::physical::plan_with_inputs_degree(&og, root, &sizes, 2).unwrap();
+        let plan = plan(&og, root, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) }).unwrap();
         let mut ex = Executor::with_plan(&og, plan).profiled();
         ex.eval(root, &env).unwrap();
-        let txt = profile_report(&og, root, ex.profile().unwrap(), &sizes, 5);
+        let txt = profile_report(&og, root, ex.profile().unwrap(), &sizes, 5, None, None);
         assert!(txt.contains("parallel kernels: 1 evals"), "{txt}");
         assert!(txt.contains("kernel parallel"), "{txt}");
     }
 
     #[test]
-    fn explain_with_memory_appends_the_certificate() {
+    fn bounded_budget_appends_the_certificate() {
         let (g, s) = glm_graph();
         let mut sizes = InputSizes::new();
         sizes.declare("X", 100_000, 200, 1.0);
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let txt = explain_with_memory(&og, root, &sizes, 1, MemoryBudget::bytes(1 << 20));
+        let budget = MemoryBudget::bytes(1 << 20);
+        let txt = explain(&og, root, Some(&PlanOptions { budget, ..PlanOptions::new(&sizes) }));
         assert!(txt.contains("blocked"), "{txt}");
         assert!(txt.contains("memory certificate: plan fits"), "{txt}");
         assert!(txt.contains("live-set timeline:"), "{txt}");
-        // An unbounded budget renders the plain degree plan, no certificate.
-        let txt = explain_with_memory(&og, root, &sizes, 1, MemoryBudget::unbounded());
+        // An unbounded budget renders the plain plan, no certificate.
+        let txt = explain(&og, root, Some(&PlanOptions::new(&sizes)));
         assert!(!txt.contains("memory certificate"), "{txt}");
     }
 
     #[test]
-    fn explain_with_profile_appends_the_cost_table() {
+    fn cost_model_appends_the_cost_table() {
         let (g, s) = glm_graph();
         let mut sizes = InputSizes::new();
         sizes.declare("X", 1000, 20, 1.0);
@@ -566,26 +488,35 @@ mod tests {
             store.record("crossprod", "fused", 800_000, 100_000); // 8 GFLOP/s
         }
         let model = crate::cost::CostModel::new(store);
-        let txt = explain_with_profile(&og, root, &sizes, 1, &model);
+        let txt = explain(
+            &og,
+            root,
+            Some(&PlanOptions { cost: Some(&model), ..PlanOptions::new(&sizes) }),
+        );
         assert!(txt.contains("cost table"), "{txt}");
         assert!(txt.contains("crossprod"), "{txt}");
         assert!(txt.contains("<- drift"), "{txt}");
         // The empty model still renders the table, calibrated column dashed.
-        let txt = explain_with_profile(&og, root, &sizes, 1, &crate::cost::CostModel::default());
+        let empty = CostModel::default();
+        let txt = explain(
+            &og,
+            root,
+            Some(&PlanOptions { cost: Some(&empty), ..PlanOptions::new(&sizes) }),
+        );
         assert!(txt.contains("cost table"), "{txt}");
         assert!(txt.contains(" -  "), "{txt}");
         assert!(!txt.contains("<- drift"), "{txt}");
     }
 
     #[test]
-    fn profile_report_with_cost_shows_all_three_columns() {
+    fn profile_report_cost_section_shows_all_three_columns() {
         let (g, s) = glm_graph();
         let mut sizes = InputSizes::new();
         sizes.declare("X", 1000, 20, 1.0);
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(1000, 20, |r, c| ((r + c) % 5) as f64)));
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let plan = crate::physical::plan_with_inputs(&og, root, &sizes).unwrap();
+        let plan = plan(&og, root, &PlanOptions::new(&sizes)).unwrap();
 
         // Observe a real run, then price with the model it produced.
         let mut store = dm_obs::ProfileStore::new();
@@ -597,8 +528,8 @@ mod tests {
         let model = crate::cost::CostModel::new(store);
         let mut ex = Executor::with_plan(&og, plan.clone()).profiled();
         ex.eval(root, &env).unwrap();
-        let txt =
-            profile_report_with_cost(&og, root, ex.profile().unwrap(), &sizes, 5, &plan, &model);
+        let cost = Some((&plan, &model));
+        let txt = profile_report(&og, root, ex.profile().unwrap(), &sizes, 5, None, cost);
         assert!(txt.contains("cost model (estimated vs calibrated vs observed)"), "{txt}");
         assert!(txt.contains("est "), "{txt}");
         assert!(txt.contains("cal "), "{txt}");
@@ -613,9 +544,9 @@ mod tests {
     }
 
     #[test]
-    fn explain_without_sizes_omits_annotations() {
+    fn bare_explain_omits_annotations() {
         let (g, s) = glm_graph();
-        let txt = explain(&g, s);
+        let txt = explain(&g, s, None);
         assert!(!txt.contains('['), "{txt}");
         assert!(txt.contains("matmul"), "{txt}");
     }
@@ -629,7 +560,7 @@ mod tests {
         env.bind("X", Matrix::Dense(Dense::from_fn(30, 4, |r, c| (r + c) as f64)));
         let mut ex = Executor::new(&g).profiled();
         ex.eval(s, &env).unwrap();
-        let txt = profile_report(&g, s, ex.profile().unwrap(), &sizes, 3);
+        let txt = profile_report(&g, s, ex.profile().unwrap(), &sizes, 3, None, None);
         assert!(txt.contains("runtime report"), "{txt}");
         assert!(txt.contains("heavy hitters (top 3"), "{txt}");
         assert!(txt.contains("memoization: 4 node evals"), "{txt}");
@@ -648,7 +579,7 @@ mod tests {
         env.bind("X", Matrix::Dense(Dense::from_fn(10, 10, |r, c| if r == c { 1.0 } else { 0.0 })));
         let mut ex = Executor::new(&g).profiled();
         ex.eval(t, &env).unwrap();
-        let txt = profile_report(&g, t, ex.profile().unwrap(), &sizes, 5);
+        let txt = profile_report(&g, t, ex.profile().unwrap(), &sizes, 5, None, None);
         assert!(txt.contains("sparsity drift"), "{txt}");
         assert!(txt.contains("est 1.00 actual 0.10"), "{txt}");
     }

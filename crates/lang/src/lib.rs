@@ -48,18 +48,13 @@ pub use cache::{
 };
 pub use cost::{calibrated_cost, CostModel, NodeCost};
 pub use exec::{Env, ExecError, ExecProfile, Executor, KernelChoice, NodeStats, Val};
-pub use explain::{
-    explain, explain_with, explain_with_degree, explain_with_memory, explain_with_profile,
-    profile_report, profile_report_with_cost, profile_report_with_spill,
-};
+pub use explain::{explain, profile_report};
 pub use expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 pub use liveness::{
     certify_plan, certify_schedule, footprint, min_peak_order, NodeFootprint, PlanCertificate,
     Schedule, StepUsage, Verdict,
 };
 pub use memory::{MemoryBudget, MEM_BUDGET_ENV};
-pub use rewrite::{
-    estimated_cost, optimize, optimize_traced, optimize_traced_calibrated, RewriteStats,
-    RewriteTrace,
-};
+pub use physical::{plan, PlanOptions};
+pub use rewrite::{estimated_cost, optimize, optimize_traced, RewriteStats, RewriteTrace};
 pub use size::{Shape, SizeInfo};

@@ -291,8 +291,8 @@ impl PlanCertificate {
     }
 
     /// Render the verdict and the live-set timeline as text (the section
-    /// [`explain_with_memory`](crate::explain::explain_with_memory) appends
-    /// under the plan tree). Peak step marked `*`, over-budget steps `!`.
+    /// [`explain`](crate::explain::explain) appends under the plan tree for
+    /// a bounded budget). Peak step marked `*`, over-budget steps `!`.
     pub fn render(&self, graph: &Graph) -> String {
         let mut out = String::new();
         match self.verdict {
@@ -353,8 +353,8 @@ impl PlanCertificate {
 /// [`PlanCertificate`] whose verdict is either [`Verdict::Fits`] or the
 /// exact first step/node over budget. Nodes missing from `sizes` are
 /// treated as free — callers wanting sound certificates should check
-/// coverage first (as [`plan_with_memory`](crate::physical::plan_with_memory)
-/// does, falling back to per-node checks).
+/// coverage first (as [`plan`](crate::physical::plan) does, falling back to
+/// per-node checks).
 pub fn certify_plan(
     graph: &Graph,
     root: NodeId,
@@ -515,7 +515,7 @@ pub fn min_peak_order(
 mod tests {
     use super::*;
     use crate::expr::EwiseOp;
-    use crate::physical::{plan_with_degree, plan_with_memory};
+    use crate::physical::{plan, PlanOptions};
     use crate::size::{propagate, InputSizes};
 
     #[test]
@@ -558,7 +558,7 @@ mod tests {
         let y = g.input("Y");
         let z = g.ewise(EwiseOp::Add, x, y);
         let sizes = propagate(&g, z, &inputs).unwrap();
-        let plan = plan_with_degree(&g, z, &sizes, 1);
+        let plan = plan(&g, z, &PlanOptions::new(&sizes)).unwrap();
         let budget = MemoryBudget::bytes(200_000);
         let cert = certify_plan(&g, z, &plan, &sizes, budget);
         assert!(!cert.fits(), "3 x 80 KB live > 200 KB");
@@ -581,7 +581,7 @@ mod tests {
         let cp = g.push(Op::CrossProd(x));
         let sizes = propagate(&g, cp, &inputs).unwrap();
         let budget = MemoryBudget::bytes(1 << 20);
-        let plan = plan_with_memory(&g, cp, &sizes, 1, budget);
+        let plan = plan(&g, cp, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
         assert_eq!(plan.kernel(cp), Kernel::Blocked);
         let cert = certify_plan(&g, cp, &plan, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
@@ -601,7 +601,7 @@ mod tests {
         let x = g.input("X");
         let z = g.ewise(EwiseOp::Add, x, x);
         let sizes = propagate(&g, z, &inputs).unwrap();
-        let plan = plan_with_degree(&g, z, &sizes, 1);
+        let plan = plan(&g, z, &PlanOptions::new(&sizes)).unwrap();
         let cert = certify_plan(&g, z, &plan, &sizes, MemoryBudget::bytes(100_000));
         let txt = cert.render(&g);
         assert!(txt.contains("EXCEEDS"), "{txt}");
@@ -632,7 +632,7 @@ mod tests {
         let r = g.matmul(a, b);
         let root = g.ewise(EwiseOp::Add, x, r);
         let sizes = propagate(&g, root, &inputs).unwrap();
-        let plan = plan_with_degree(&g, root, &sizes, 1);
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
 
         let dfs = Schedule::new(&g, root);
         let dfs_cert = certify_schedule(&g, &dfs, &plan, &sizes, MemoryBudget::unbounded());
@@ -658,7 +658,7 @@ mod tests {
         let mm = g.matmul(t, x); // x shared by t and mm
         let s = g.agg(AggOp::Sum, mm);
         let sizes = propagate(&g, s, &inputs).unwrap();
-        let plan = plan_with_degree(&g, s, &sizes, 1);
+        let plan = plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
         let order = min_peak_order(&g, s, &sizes, &plan);
         assert_eq!(order.len(), 4, "each node exactly once: {order:?}");
         let pos: HashMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();

@@ -11,11 +11,12 @@
 //! The budget comes from one of two places, in precedence order:
 //!
 //! 1. An explicit API value — [`MemoryBudget::bytes`] passed to
-//!    [`plan_with_memory`](crate::physical::plan_with_memory) or
+//!    [`plan`](crate::physical::plan) as
+//!    [`PlanOptions::budget`](crate::physical::PlanOptions::budget) or to
 //!    [`Executor::with_memory_budget`](crate::exec::Executor::with_memory_budget).
 //! 2. The `DMML_MEM_BUDGET` environment variable (read by
 //!    [`MemoryBudget::from_env`] and
-//!    [`plan_with_inputs_auto`](crate::physical::plan_with_inputs_auto)),
+//!    [`PlanOptions::from_env`](crate::physical::PlanOptions::from_env)),
 //!    accepting a byte count with an optional binary suffix: `67108864`,
 //!    `64m`, `1g`, `512k`.
 //!

@@ -1,14 +1,22 @@
-//! Physical operator selection: dense vs. sparse kernels per logical op.
+//! Physical operator selection: one entry point, [`plan`], assigns a kernel
+//! to every logical op.
 //!
-//! The selection mirrors the surveyed compilers' LOP assignment: propagated
-//! sparsity estimates pick the kernel family, with a crossover threshold
-//! calibrated by experiment E6.
+//! The selection mirrors the surveyed compilers' LOP assignment and runs as
+//! one pipeline: propagated sparsity estimates pick the dense or sparse
+//! family (crossover calibrated by experiment E6), dense nodes with a
+//! multi-threaded kernel upgrade to [`Kernel::Parallel`] where that pays,
+//! and under a bounded [`MemoryBudget`] the liveness certifier downgrades
+//! nodes to [`Kernel::Blocked`] until the plan's peak live set fits.
+//! [`PlanOptions`] carries everything the pipeline is parameterized by.
 
+use crate::cost::CostModel;
 use crate::expr::{Graph, NodeId, Op};
 use crate::memory::MemoryBudget;
-use crate::size::{InputSizes, SizeInfo};
+use crate::size::{InputSizes, SizeError, SizeInfo};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::LazyLock;
 
 /// Kernel family chosen for one operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,14 +27,14 @@ pub enum Kernel {
     Sparse,
     /// Scalar computation (constants, folded aggregates).
     Scalar,
-    /// Multi-threaded dense kernel (`dm_matrix::par`), chosen when the
-    /// estimated flop count clears [`PAR_FLOP_THRESHOLD`] and the plan was
-    /// built with a degree above one.
+    /// Multi-threaded dense kernel (`dm_matrix::par`), chosen when the plan
+    /// was built with a degree above one and the serial-vs-parallel
+    /// crossover (measured, or [`PAR_FLOP_THRESHOLD`]) favors it.
     Parallel,
-    /// Blocked out-of-core kernel (`dm_buffer::ooc`), chosen by
-    /// [`plan_with_memory`] when an operand or the output is estimated to
-    /// exceed the memory budget: tiles stream through a buffer pool instead
-    /// of being held resident at once.
+    /// Blocked out-of-core kernel (`dm_buffer::ooc`), chosen by [`plan`]
+    /// under a bounded budget when the certified live set would otherwise
+    /// exceed it: tiles stream through a buffer pool instead of being held
+    /// resident at once.
     Blocked,
 }
 
@@ -48,6 +56,7 @@ pub struct PhysicalPlan {
     kernels: HashMap<NodeId, Kernel>,
     degree: usize,
     mem_budget: Option<usize>,
+    order: Option<Vec<NodeId>>,
 }
 
 impl PhysicalPlan {
@@ -57,18 +66,24 @@ impl PhysicalPlan {
         self.kernels.get(&id).copied().unwrap_or(Kernel::Dense)
     }
 
-    /// Degree of parallelism the plan was built for (at least 1). Plans from
-    /// [`plan`] are serial; [`plan_with_degree`] records its degree here so
-    /// the executor dispatches [`Kernel::Parallel`] nodes accordingly.
+    /// Degree of parallelism the plan was built for (at least 1); the
+    /// executor dispatches [`Kernel::Parallel`] nodes at this degree.
     pub fn degree(&self) -> usize {
         self.degree.max(1)
     }
 
-    /// The memory budget (bytes) the plan was built under, when
-    /// [`plan_with_memory`] chose [`Kernel::Blocked`] nodes; `None` for
+    /// The memory budget (bytes) the plan was built under; `None` for
     /// unbounded plans. The executor sizes its spill pool from this.
     pub fn mem_budget(&self) -> Option<usize> {
         self.mem_budget
+    }
+
+    /// The evaluation order the plan was fitted to, when it was built with
+    /// [`PlanOptions::reorder`]: run it with
+    /// [`Executor::eval_schedule`](crate::exec::Executor::eval_schedule).
+    /// `None` means the executor's default depth-first order.
+    pub fn order(&self) -> Option<&[NodeId]> {
+        self.order.as_deref()
     }
 
     /// Number of planned nodes.
@@ -90,6 +105,114 @@ impl PhysicalPlan {
     }
 }
 
+/// Where [`plan`] takes per-node sizes from. Both `&InputSizes` and a
+/// propagated `&HashMap<NodeId, SizeInfo>` convert into it.
+#[derive(Debug, Clone, Copy)]
+pub enum Sizes<'a> {
+    /// Declared input shapes; they are propagated over the DAG first, and a
+    /// propagation failure (undeclared input, shape mismatch) fails the call.
+    Declared(&'a InputSizes),
+    /// An already-propagated map, for callers that propagated anyway. Nodes
+    /// missing from it plan dense, and under a bounded budget a partial map
+    /// replaces the certifier with the per-node oversize rule.
+    Propagated(&'a HashMap<NodeId, SizeInfo>),
+}
+
+impl<'a> Sizes<'a> {
+    /// The per-node size map: borrowed as is, or propagated from the
+    /// declarations.
+    pub(crate) fn resolve(
+        self,
+        graph: &Graph,
+        root: NodeId,
+    ) -> Result<Cow<'a, HashMap<NodeId, SizeInfo>>, SizeError> {
+        match self {
+            Sizes::Declared(inputs) => crate::size::propagate(graph, root, inputs).map(Cow::Owned),
+            Sizes::Propagated(map) => Ok(Cow::Borrowed(map)),
+        }
+    }
+}
+
+impl Default for Sizes<'_> {
+    /// No declared inputs: enough for constant-only programs.
+    fn default() -> Self {
+        static NONE: LazyLock<InputSizes> = LazyLock::new(InputSizes::new);
+        Sizes::Declared(&NONE)
+    }
+}
+
+impl<'a> From<&'a InputSizes> for Sizes<'a> {
+    fn from(inputs: &'a InputSizes) -> Self {
+        Sizes::Declared(inputs)
+    }
+}
+
+impl<'a> From<&'a HashMap<NodeId, SizeInfo>> for Sizes<'a> {
+    fn from(map: &'a HashMap<NodeId, SizeInfo>) -> Self {
+        Sizes::Propagated(map)
+    }
+}
+
+/// Everything [`plan`] is parameterized by. The default is the serial,
+/// unbounded, statically costed plan; set only the fields that differ:
+///
+/// ```
+/// use dm_lang::physical::{plan, Kernel, PlanOptions};
+/// use dm_lang::{parser, size::InputSizes, MemoryBudget};
+///
+/// let (g, root) = parser::parse("sum(X + X)").unwrap();
+/// let mut sizes = InputSizes::new();
+/// sizes.declare("X", 512, 512, 1.0); // 2 MiB
+/// let budget = MemoryBudget::bytes(1 << 20);
+/// let p = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+/// assert_eq!(p.nodes_with(Kernel::Blocked).len(), 1, "the add streams its operand");
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PlanOptions<'a> {
+    /// Declared input sizes or an already-propagated size map.
+    pub sizes: Sizes<'a>,
+    /// Degree of parallelism; 0 and 1 both mean serial. Above one, dense
+    /// nodes with a multi-threaded kernel may upgrade to
+    /// [`Kernel::Parallel`].
+    pub degree: usize,
+    /// Cap on the plan's certified peak live set. When bounded, nodes are
+    /// downgraded to [`Kernel::Blocked`] until the certificate fits.
+    pub budget: MemoryBudget,
+    /// Measured kernel throughputs. Where the model prices both the serial
+    /// and the parallel family of a node at its size class, the upgrade
+    /// compares the two prices; elsewhere, and with `None`, the static
+    /// [`PAR_FLOP_THRESHOLD`] decides.
+    pub cost: Option<&'a CostModel>,
+    /// Fit the plan to the peak-minimizing schedule
+    /// ([`min_peak_order`](crate::liveness::min_peak_order)) instead of the
+    /// default depth-first order, and record it as [`PhysicalPlan::order`].
+    /// The reordered schedule often fits a budget in memory that the
+    /// default order could only meet by spilling.
+    pub reorder: bool,
+}
+
+impl<'a> PlanOptions<'a> {
+    /// The default options over the given sizes.
+    pub fn new(sizes: impl Into<Sizes<'a>>) -> Self {
+        PlanOptions { sizes: sizes.into(), ..Self::default() }
+    }
+
+    /// The machine defaults: degree from `DMML_THREADS` / the core count
+    /// ([`dm_par::default_degree`]) and budget from `DMML_MEM_BUDGET`
+    /// ([`MemoryBudget::from_env`]). The cost model is borrowed, so the
+    /// caller loads it: pass [`CostModel::from_env`]`().as_ref()` to let the
+    /// profile under `DMML_PROFILE_DIR` steer the serial-vs-parallel
+    /// crossover, closing the adaptive loop.
+    pub fn from_env(sizes: impl Into<Sizes<'a>>, cost: Option<&'a CostModel>) -> Self {
+        PlanOptions {
+            degree: dm_par::default_degree(),
+            budget: MemoryBudget::from_env(),
+            cost,
+            ..Self::new(sizes)
+        }
+    }
+}
+
 /// Sparsity below which sparse kernels win for multiply-like ops.
 ///
 /// CSR row iteration costs roughly `2·nnz` flops plus index traffic versus the
@@ -98,37 +221,6 @@ impl PhysicalPlan {
 /// conservative 0.2.
 pub const SPARSE_THRESHOLD: f64 = 0.2;
 
-/// Assign kernels to every node reachable from `root`, given propagated sizes.
-pub fn plan(graph: &Graph, root: NodeId, sizes: &HashMap<NodeId, SizeInfo>) -> PhysicalPlan {
-    let mut kernels = HashMap::new();
-    for id in graph.reachable(root) {
-        let info = sizes.get(&id);
-        let k = match graph.op(id) {
-            Op::Const(_) => Kernel::Scalar,
-            Op::Agg(_, _) | Op::SumSq(_) => {
-                // Aggregates produce small outputs; the kernel choice follows
-                // the *input* representation.
-                let child = graph.op(id).children()[0];
-                sparsity_kernel(sizes.get(&child))
-            }
-            Op::MatMul(a, _) | Op::Tmv(a, _) | Op::CrossProd(a) => sparsity_kernel(sizes.get(a)),
-            Op::Input(_) | Op::Transpose(_) | Op::Ewise(_, _, _) | Op::Unary(_, _) => {
-                sparsity_kernel(info)
-            }
-        };
-        kernels.insert(id, k);
-    }
-    PhysicalPlan { kernels, degree: 1, mem_budget: None }
-}
-
-fn sparsity_kernel(info: Option<&SizeInfo>) -> Kernel {
-    match info {
-        Some(i) if matches!(i.shape, crate::size::Shape::Scalar) => Kernel::Scalar,
-        Some(i) if i.sparsity < SPARSE_THRESHOLD => Kernel::Sparse,
-        _ => Kernel::Dense,
-    }
-}
-
 /// Estimated flops below which serial dense kernels beat the multi-threaded
 /// ones: at ~1 Gflop/s-per-core effective throughput, 16M flops is in the
 /// tens of milliseconds — comfortably above the scoped-pool spawn + partition
@@ -136,10 +228,100 @@ fn sparsity_kernel(info: Option<&SizeInfo>) -> Kernel {
 /// far below it.
 pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 
+/// Assign a kernel to every node reachable from `root`.
+///
+/// 1. **Representation.** Propagated sparsity picks [`Kernel::Sparse`] below
+///    [`SPARSE_THRESHOLD`], [`Kernel::Dense`] otherwise; aggregates and
+///    multiplies follow their (first) operand, scalars are
+///    [`Kernel::Scalar`].
+/// 2. **Parallelism**, at a degree above one: a dense node with a
+///    multi-threaded kernel upgrades to [`Kernel::Parallel`] when the cost
+///    model's measured parallel price beats its serial one, or — where the
+///    model cannot price both — when its estimated flops clear
+///    [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices never upgrade, so
+///    small inputs keep the exact serial dispatch at any degree.
+/// 3. **Memory**, under a bounded budget: the liveness certifier
+///    ([`certify_schedule`](crate::liveness::certify_schedule)) accounts for
+///    composite peaks — several individually-fitting values live at one
+///    step — and each round the blockable node at the peak whose downgrade
+///    to [`Kernel::Blocked`] shrinks the certified peak the most is taken,
+///    until the plan fits. When no downgrade helps, or the size map is
+///    partial, every blockable node with an operand or output larger than
+///    the budget streams, and the certificate honestly reports `Exceeds`.
+///    Sparse and scalar choices are never touched.
+///
+/// Fails only when [`Sizes::Declared`] inputs do not propagate.
+pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalPlan, SizeError> {
+    let sizes = opts.sizes.resolve(graph, root)?;
+    let sizes = &*sizes;
+    let reachable = graph.reachable(root);
+    let kernels = reachable.iter().map(|&id| (id, representation(graph, id, sizes))).collect();
+    let mut p = PhysicalPlan {
+        kernels,
+        degree: opts.degree.max(1),
+        mem_budget: opts.budget.get(),
+        order: None,
+    };
+
+    if p.degree > 1 {
+        for &id in &reachable {
+            if p.kernel(id) != Kernel::Dense || !parallelizable(graph.op(id)) {
+                continue;
+            }
+            let flops = node_flops(graph, id, sizes);
+            let measured = opts.cost.and_then(|model| {
+                let op = crate::explain::op_label(graph, id);
+                // The serial price is what dispatch would classify this node
+                // as without the upgrade (fused for crossprod/tmv/sumSq).
+                let serial = crate::cost::node_family(graph, id, &p);
+                Some(
+                    model.calibrated_ns(&op, "parallel", flops)?
+                        < model.calibrated_ns(&op, serial, flops)?,
+                )
+            });
+            if measured.unwrap_or(flops >= PAR_FLOP_THRESHOLD) {
+                p.kernels.insert(id, Kernel::Parallel);
+            }
+        }
+    }
+
+    let mut order = reachable;
+    if let Some(limit) = opts.budget.get() {
+        if order.iter().all(|id| sizes.contains_key(id)) {
+            if opts.reorder {
+                order = crate::liveness::min_peak_order(graph, root, sizes, &p);
+            }
+            let sched = crate::liveness::Schedule::from_order(graph, order.clone());
+            fit_plan_to_schedule(graph, &sched, sizes, limit, &mut p);
+        } else {
+            apply_per_node_blocking(graph, &order, sizes, limit, &mut p);
+        }
+    }
+    p.order = opts.reorder.then_some(order);
+    Ok(p)
+}
+
+fn representation(graph: &Graph, id: NodeId, sizes: &HashMap<NodeId, SizeInfo>) -> Kernel {
+    let of = |n: NodeId| match sizes.get(&n) {
+        Some(i) if matches!(i.shape, crate::size::Shape::Scalar) => Kernel::Scalar,
+        Some(i) if i.sparsity < SPARSE_THRESHOLD => Kernel::Sparse,
+        _ => Kernel::Dense,
+    };
+    match graph.op(id) {
+        Op::Const(_) => Kernel::Scalar,
+        // Aggregates produce small outputs and multiplies are driven by
+        // their left operand: the kernel follows the *input* representation.
+        Op::Agg(_, a) | Op::SumSq(a) | Op::MatMul(a, _) | Op::Tmv(a, _) | Op::CrossProd(a) => {
+            of(*a)
+        }
+        Op::Input(_) | Op::Transpose(_) | Op::Ewise(_, _, _) | Op::Unary(_, _) => of(id),
+    }
+}
+
 /// Estimated flops executed by a single node given propagated sizes — the
 /// per-node term of [`estimated_cost`](crate::rewrite::estimated_cost), also
-/// used by [`plan_with_degree`] to decide serial vs. parallel dispatch.
-/// Nodes with no size information estimate 0.
+/// what [`plan`] weighs against [`PAR_FLOP_THRESHOLD`]. Nodes with no size
+/// information estimate 0.
 pub fn node_flops(graph: &Graph, id: NodeId, infos: &HashMap<NodeId, SizeInfo>) -> u128 {
     use crate::size::Shape;
     let nnz = |id: NodeId| -> u128 {
@@ -191,91 +373,6 @@ fn parallelizable(op: &Op) -> bool {
     )
 }
 
-/// [`plan`], then upgrade dense nodes to [`Kernel::Parallel`] where a
-/// multi-threaded kernel exists and the estimated flop count clears
-/// [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices are never upgraded
-/// (the sparse kernels have no parallel implementation), and a degree of
-/// one returns the serial plan unchanged — so small inputs keep the exact
-/// serial dispatch and cost profile.
-pub fn plan_with_degree(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-) -> PhysicalPlan {
-    let mut p = plan(graph, root, sizes);
-    p.degree = degree.max(1);
-    if p.degree == 1 {
-        return p;
-    }
-    for id in graph.reachable(root) {
-        if p.kernel(id) == Kernel::Dense
-            && parallelizable(graph.op(id))
-            && node_flops(graph, id, sizes) >= PAR_FLOP_THRESHOLD
-        {
-            p.kernels.insert(id, Kernel::Parallel);
-        }
-    }
-    p
-}
-
-/// [`plan_with_degree`] with a *calibrated* serial-vs-parallel crossover:
-/// where the loaded [`CostModel`](crate::cost::CostModel) holds enough
-/// samples for both the serial family (dense/fused) and the parallel family
-/// of a candidate node at its size class, the upgrade decision compares the
-/// two measured prices directly — parallel wins iff its calibrated
-/// nanoseconds beat serial's — instead of trusting the fixed
-/// [`PAR_FLOP_THRESHOLD`]. Nodes the profile can't price on both sides keep
-/// the static threshold rule, so an empty model reproduces
-/// [`plan_with_degree`] exactly.
-pub fn plan_with_profile(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    model: &crate::cost::CostModel,
-) -> PhysicalPlan {
-    let mut p = plan(graph, root, sizes);
-    p.degree = degree.max(1);
-    if p.degree == 1 {
-        return p;
-    }
-    for id in graph.reachable(root) {
-        if p.kernel(id) != Kernel::Dense || !parallelizable(graph.op(id)) {
-            continue;
-        }
-        let flops = node_flops(graph, id, sizes);
-        let op = crate::explain::op_label(graph, id);
-        // The serial price is what dispatch would classify this node as
-        // without the upgrade (fused for crossprod/tmv/sumSq, dense else).
-        let serial_family = crate::cost::node_family(graph, id, &p);
-        let serial = model.calibrated_ns(&op, serial_family, flops);
-        let parallel = model.calibrated_ns(&op, "parallel", flops);
-        let upgrade = match (serial, parallel) {
-            // Both families measured at this size: trust the observations.
-            (Some(s), Some(par)) => par < s,
-            // Not enough evidence: the static threshold stands.
-            _ => flops >= PAR_FLOP_THRESHOLD,
-        };
-        if upgrade {
-            p.kernels.insert(id, Kernel::Parallel);
-        }
-    }
-    p
-}
-
-/// Convenience: propagate sizes then [`plan_with_profile`].
-pub fn plan_with_inputs_profile(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    model: &crate::cost::CostModel,
-) -> Result<PhysicalPlan, crate::size::SizeError> {
-    let sizes = crate::size::propagate(graph, root, inputs)?;
-    Ok(plan_with_profile(graph, root, &sizes, degree, model))
-}
-
 /// True for ops with a blocked out-of-core kernel in `dm_buffer::ooc`.
 fn blockable(op: &Op) -> bool {
     matches!(
@@ -298,69 +395,12 @@ fn dense_bytes(info: Option<&SizeInfo>) -> usize {
     }
 }
 
-/// [`plan_with_degree`], then use the liveness certifier
-/// ([`certify_schedule`](crate::liveness::certify_schedule)) to downgrade
-/// dense and parallel choices to [`Kernel::Blocked`] until the plan's
-/// certified peak live set fits the budget.
-///
-/// Unlike the earlier per-node check (kept as
-/// [`plan_with_memory_per_node`]), the certifier accounts for *composite*
-/// peaks — several individually-fitting values live at the same step — and
-/// blocks only as many nodes as the peak requires: each round it trial-blocks
-/// the blockable nodes implicated at the peak step and keeps the upgrade
-/// that shrinks the certified peak the most, stopping when the plan fits.
-/// When no upgrade helps — a certified fit is unreachable — it finishes with
-/// the per-node rule so oversized operands still stream, and the certificate
-/// honestly reports `Exceeds`.
-/// Sparse and scalar choices are never touched — the sparse kernels already
-/// hold only non-zeros — and an unbounded budget returns the degree plan
-/// unchanged. When any reachable node is missing from `sizes`, the certifier
-/// has nothing sound to add and the per-node fallback runs instead.
-pub fn plan_with_memory(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    budget: MemoryBudget,
-) -> PhysicalPlan {
-    let mut p = plan_with_degree(graph, root, sizes, degree);
-    let Some(limit) = budget.get() else {
-        return p;
-    };
-    p.mem_budget = Some(limit);
-    let reachable = graph.reachable(root);
-    if reachable.iter().any(|id| !sizes.contains_key(id)) {
-        apply_per_node_blocking(graph, &reachable, sizes, limit, &mut p);
-        return p;
-    }
-    let sched = crate::liveness::Schedule::from_order(graph, reachable);
-    fit_plan_to_schedule(graph, &sched, sizes, budget, &mut p);
-    p
-}
-
-/// The pre-certifier blocking rule: a blockable node goes
-/// [`Kernel::Blocked`] when its own output or any operand alone exceeds the
-/// budget. Kept as the fallback for incomplete size information (where the
-/// liveness certifier cannot run) and for callers wanting the cheap local
-/// check; it misses composite peaks — see
+/// The local blocking rule: a blockable node goes [`Kernel::Blocked`] when
+/// its own output or any operand alone exceeds the budget. The fallback for
+/// partial size maps (where the certifier cannot run) and for plans no
+/// single downgrade can make fit; it misses composite peaks — see
 /// `certifier_counts_composite_peaks_the_per_node_check_misses` in
 /// [`crate::liveness`].
-pub fn plan_with_memory_per_node(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    budget: MemoryBudget,
-) -> PhysicalPlan {
-    let mut p = plan_with_degree(graph, root, sizes, degree);
-    let Some(limit) = budget.get() else {
-        return p;
-    };
-    p.mem_budget = Some(limit);
-    apply_per_node_blocking(graph, &graph.reachable(root), sizes, limit, &mut p);
-    p
-}
-
 fn apply_per_node_blocking(
     graph: &Graph,
     reachable: &[NodeId],
@@ -383,22 +423,20 @@ fn apply_per_node_blocking(
 
 /// Certifier-driven fixed point: upgrade blockable nodes to
 /// [`Kernel::Blocked`] one at a time — greedily, by largest certified-peak
-/// reduction — until the plan fits `budget` over `sched` or no candidate
-/// improves the peak. Candidates each round are the blockable dense/parallel
-/// nodes implicated at the peak step: the node executing there, or any
-/// consumer of a value live there (blocking a consumer turns its operands
-/// into streamed, pool-resident values).
-pub(crate) fn fit_plan_to_schedule(
+/// reduction — until the plan fits `limit` bytes over `sched` or no
+/// candidate improves the peak. Candidates each round are the blockable
+/// dense/parallel nodes implicated at the peak step: the node executing
+/// there, or any consumer of a value live there (blocking a consumer turns
+/// its operands into streamed, pool-resident values).
+fn fit_plan_to_schedule(
     graph: &Graph,
     sched: &crate::liveness::Schedule,
     sizes: &HashMap<NodeId, SizeInfo>,
-    budget: MemoryBudget,
+    limit: usize,
     p: &mut PhysicalPlan,
 ) {
     use crate::liveness::{certify_schedule, Verdict};
-    let Some(limit) = budget.get() else {
-        return;
-    };
+    let budget = MemoryBudget::bytes(limit);
     loop {
         let cert = certify_schedule(graph, sched, p, sizes, budget);
         let Verdict::Exceeds { .. } = cert.verdict else {
@@ -432,7 +470,7 @@ pub(crate) fn fit_plan_to_schedule(
             // No single upgrade shrinks the peak any further: a certified
             // fit is out of reach (the certificate will report Exceeds). So
             // oversized operands still stream rather than being held whole,
-            // finish with the per-node rule — the pre-certifier behavior.
+            // finish with the per-node rule.
             _ => {
                 apply_per_node_blocking(graph, sched.order(), sizes, limit, p);
                 return;
@@ -441,130 +479,22 @@ pub(crate) fn fit_plan_to_schedule(
     }
 }
 
-/// [`plan_with_memory`] over a peak-minimizing schedule instead of the
-/// default depth-first order: computes
-/// [`min_peak_order`](crate::liveness::min_peak_order), fits the plan to
-/// *that* schedule, and returns both. Run the result with
-/// [`Executor::eval_schedule`](crate::exec::Executor::eval_schedule) — the
-/// reordered schedule often fits a budget in memory that the default order
-/// could only meet by spilling.
-pub fn plan_with_memory_reordered(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    budget: MemoryBudget,
-) -> (PhysicalPlan, Vec<NodeId>) {
-    let mut p = plan_with_degree(graph, root, sizes, degree);
-    let Some(limit) = budget.get() else {
-        return (p, graph.reachable(root));
-    };
-    p.mem_budget = Some(limit);
-    let reachable = graph.reachable(root);
-    if reachable.iter().any(|id| !sizes.contains_key(id)) {
-        apply_per_node_blocking(graph, &reachable, sizes, limit, &mut p);
-        return (p, reachable);
-    }
-    let order = crate::liveness::min_peak_order(graph, root, sizes, &p);
-    let sched = crate::liveness::Schedule::from_order(graph, order.clone());
-    fit_plan_to_schedule(graph, &sched, sizes, budget, &mut p);
-    (p, order)
-}
-
-/// [`plan_with_memory`] whose serial-vs-parallel upgrades come from
-/// [`plan_with_profile`]'s calibrated crossover instead of the static
-/// [`PAR_FLOP_THRESHOLD`], then the same certify-and-block fitting. An
-/// empty model reproduces [`plan_with_memory`] exactly; a model holding
-/// fresh measurements (e.g. after a kernel-speed change shifts where
-/// parallel stops paying) moves the upgrade decision with them.
-pub fn plan_with_memory_profile(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    budget: MemoryBudget,
-    model: &crate::cost::CostModel,
-) -> PhysicalPlan {
-    let mut p = plan_with_profile(graph, root, sizes, degree, model);
-    let Some(limit) = budget.get() else {
-        return p;
-    };
-    p.mem_budget = Some(limit);
-    let reachable = graph.reachable(root);
-    if reachable.iter().any(|id| !sizes.contains_key(id)) {
-        apply_per_node_blocking(graph, &reachable, sizes, limit, &mut p);
-        return p;
-    }
-    let sched = crate::liveness::Schedule::from_order(graph, reachable);
-    fit_plan_to_schedule(graph, &sched, sizes, budget, &mut p);
-    p
-}
-
-/// Convenience: propagate sizes then [`plan_with_memory`].
-pub fn plan_with_inputs_memory(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    budget: MemoryBudget,
-) -> Result<PhysicalPlan, crate::size::SizeError> {
-    let sizes = crate::size::propagate(graph, root, inputs)?;
-    Ok(plan_with_memory(graph, root, &sizes, degree, budget))
-}
-
-/// Convenience: propagate sizes then plan.
-pub fn plan_with_inputs(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-) -> Result<PhysicalPlan, crate::size::SizeError> {
-    let sizes = crate::size::propagate(graph, root, inputs)?;
-    Ok(plan(graph, root, &sizes))
-}
-
-/// Convenience: propagate sizes then [`plan_with_degree`]. Pass
-/// [`dm_par::default_degree`] to honor `DMML_THREADS` / the machine's core
-/// count.
-pub fn plan_with_inputs_degree(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-) -> Result<PhysicalPlan, crate::size::SizeError> {
-    let sizes = crate::size::propagate(graph, root, inputs)?;
-    Ok(plan_with_degree(graph, root, &sizes, degree))
-}
-
-/// Plan at the machine defaults: degree from `DMML_THREADS` / the core
-/// count (see [`dm_par::default_degree`]), memory budget from
-/// `DMML_MEM_BUDGET` (see
-/// [`MemoryBudget::from_env`](crate::memory::MemoryBudget::from_env)), and
-/// — when `DMML_PROFILE_DIR` names a readable kernel profile — the
-/// calibrated serial-vs-parallel crossover of [`plan_with_profile`] in
-/// place of the static threshold, closing the adaptive loop: measured
-/// kernel throughput from earlier runs steers the next plan. With neither
-/// variable set this is identical to [`plan_with_inputs_degree`].
-pub fn plan_with_inputs_auto(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-) -> Result<PhysicalPlan, crate::size::SizeError> {
-    let sizes = crate::size::propagate(graph, root, inputs)?;
-    let model = crate::cost::CostModel::from_env().unwrap_or_default();
-    Ok(plan_with_memory_profile(
-        graph,
-        root,
-        &sizes,
-        dm_par::default_degree(),
-        MemoryBudget::from_env(),
-        &model,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::AggOp;
+
+    /// Plan over declared inputs at the given degree, budget and cost model.
+    fn plan_at(
+        g: &Graph,
+        root: NodeId,
+        s: &InputSizes,
+        degree: usize,
+        budget: MemoryBudget,
+        cost: Option<&CostModel>,
+    ) -> PhysicalPlan {
+        plan(g, root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(s) }).unwrap()
+    }
 
     fn inputs() -> InputSizes {
         let mut s = InputSizes::new();
@@ -580,7 +510,7 @@ mod tests {
         let d = g.input("D");
         let v = g.input("v");
         let mm = g.matmul(d, v);
-        let p = plan_with_inputs(&g, mm, &inputs()).unwrap();
+        let p = plan(&g, mm, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(mm), Kernel::Dense);
         assert_eq!(p.kernel(d), Kernel::Dense);
     }
@@ -591,7 +521,7 @@ mod tests {
         let s = g.input("S");
         let v = g.input("v");
         let mm = g.matmul(s, v);
-        let p = plan_with_inputs(&g, mm, &inputs()).unwrap();
+        let p = plan(&g, mm, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(mm), Kernel::Sparse);
         assert_eq!(p.kernel(s), Kernel::Sparse);
     }
@@ -601,13 +531,13 @@ mod tests {
         let mut g = Graph::new();
         let s = g.input("S");
         let sum = g.agg(AggOp::Sum, s);
-        let p = plan_with_inputs(&g, sum, &inputs()).unwrap();
+        let p = plan(&g, sum, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(sum), Kernel::Sparse);
 
         let mut g = Graph::new();
         let d = g.input("D");
         let sum = g.agg(AggOp::Sum, d);
-        let p = plan_with_inputs(&g, sum, &inputs()).unwrap();
+        let p = plan(&g, sum, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(sum), Kernel::Dense);
     }
 
@@ -615,7 +545,7 @@ mod tests {
     fn scalar_nodes_marked() {
         let mut g = Graph::new();
         let c = g.constant(2.0);
-        let p = plan_with_inputs(&g, c, &inputs()).unwrap();
+        let p = plan(&g, c, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(c), Kernel::Scalar);
     }
 
@@ -625,7 +555,7 @@ mod tests {
         let mut g = Graph::new();
         let s = g.input("S");
         let had = g.ewise(crate::expr::EwiseOp::Mul, s, s);
-        let p = plan_with_inputs(&g, had, &inputs()).unwrap();
+        let p = plan(&g, had, &PlanOptions::new(&inputs())).unwrap();
         assert_eq!(p.kernel(had), Kernel::Sparse);
     }
 
@@ -646,7 +576,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_degree(&g, cp, &s, 4).unwrap();
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), None);
         assert_eq!(p.kernel(cp), Kernel::Parallel);
         assert_eq!(p.degree(), 4);
         // Inputs are not compute nodes; they stay dense.
@@ -661,7 +591,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_degree(&g, cp, &s, 8).unwrap();
+        let p = plan_at(&g, cp, &s, 8, MemoryBudget::unbounded(), None);
         assert_eq!(p.kernel(cp), Kernel::Dense);
     }
 
@@ -672,7 +602,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("S");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_degree(&g, cp, &s, 8).unwrap();
+        let p = plan_at(&g, cp, &s, 8, MemoryBudget::unbounded(), None);
         assert_eq!(p.kernel(cp), Kernel::Sparse);
     }
 
@@ -683,7 +613,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_degree(&g, cp, &s, 1).unwrap();
+        let p = plan_at(&g, cp, &s, 1, MemoryBudget::unbounded(), None);
         assert_eq!(p.kernel(cp), Kernel::Dense);
         assert_eq!(p.degree(), 1);
     }
@@ -698,7 +628,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_memory(&g, cp, &s, 4, MemoryBudget::bytes(1 << 20)).unwrap();
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::bytes(1 << 20), None);
         assert_eq!(p.kernel(cp), Kernel::Blocked);
         assert_eq!(p.mem_budget(), Some(1 << 20));
         // Inputs are not compute nodes; they are never blocked.
@@ -712,7 +642,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let p = plan_with_inputs_memory(&g, cp, &s, 4, MemoryBudget::unbounded()).unwrap();
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), None);
         assert_eq!(p.kernel(cp), Kernel::Parallel);
         assert_eq!(p.mem_budget(), None);
     }
@@ -725,13 +655,13 @@ mod tests {
         let mut g = Graph::new();
         let sp = g.input("S");
         let cp = g.push(crate::expr::Op::CrossProd(sp));
-        let p = plan_with_inputs_memory(&g, cp, &s, 4, MemoryBudget::bytes(1 << 20)).unwrap();
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::bytes(1 << 20), None);
         assert_eq!(p.kernel(cp), Kernel::Sparse, "sparse kernels already stream non-zeros");
 
         let mut g = Graph::new();
         let d = g.input("D");
         let dd = g.ewise(crate::expr::EwiseOp::Add, d, d);
-        let p = plan_with_inputs_memory(&g, dd, &s, 4, MemoryBudget::bytes(1 << 20)).unwrap();
+        let p = plan_at(&g, dd, &s, 4, MemoryBudget::bytes(1 << 20), None);
         assert_eq!(p.kernel(dd), Kernel::Dense, "fits the budget, stays in memory");
     }
 
@@ -744,7 +674,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cs = g.agg(AggOp::ColSums, x);
-        let p = plan_with_inputs_memory(&g, cs, &s, 1, MemoryBudget::bytes(1 << 20)).unwrap();
+        let p = plan_at(&g, cs, &s, 1, MemoryBudget::bytes(1 << 20), None);
         assert_eq!(p.kernel(cs), Kernel::Blocked);
         assert_eq!(p.degree(), 1, "blocked selection is independent of degree");
     }
@@ -767,16 +697,18 @@ mod tests {
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(1_300_000);
 
-        let old = plan_with_memory_per_node(&g, root, &sizes, 1, budget);
+        let unfitted = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let mut per_node = unfitted.clone();
+        apply_per_node_blocking(&g, &g.reachable(root), &sizes, 1_300_000, &mut per_node);
         assert_eq!(
-            old.nodes_with(Kernel::Blocked),
+            per_node.nodes_with(Kernel::Blocked),
             Vec::<NodeId>::new(),
             "per-node check is blind"
         );
-        let old_cert = crate::liveness::certify_plan(&g, root, &old, &sizes, budget);
-        assert!(!old_cert.fits(), "3 x 512 KB live at the add > 1.3 MB");
+        let unfitted_cert = crate::liveness::certify_plan(&g, root, &unfitted, &sizes, budget);
+        assert!(!unfitted_cert.fits(), "3 x 512 KB live at the add > 1.3 MB");
 
-        let new = plan_with_memory(&g, root, &sizes, 1, budget);
+        let new = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
         assert_eq!(new.kernel(z), Kernel::Blocked, "the add streams its operands");
         let cert = crate::liveness::certify_plan(&g, root, &new, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
@@ -793,7 +725,7 @@ mod tests {
         let root = g.agg(AggOp::Sum, x);
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(100_000);
-        let p = plan_with_memory(&g, root, &sizes, 1, budget);
+        let p = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
         assert_eq!(p.nodes_with(Kernel::Blocked), Vec::<NodeId>::new());
         let cert = crate::liveness::certify_plan(&g, root, &p, &sizes, budget);
         assert!(!cert.fits());
@@ -802,7 +734,7 @@ mod tests {
     #[test]
     fn reordered_planner_avoids_blocking_where_the_schedule_suffices() {
         // root = X + (A %*% B): the default DFS order holds X under the
-        // matmul's transient and exceeds a 5 MB budget, so plan_with_memory
+        // matmul's transient and exceeds a 5 MB budget, so the default plan
         // must spill; the peak-minimizing order drains the matmul first and
         // fits without a single blocked node.
         let mut s = InputSizes::new();
@@ -818,10 +750,13 @@ mod tests {
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(5_000_000);
 
-        let dfs = plan_with_memory(&g, root, &sizes, 1, budget);
+        let opts = PlanOptions { budget, ..PlanOptions::new(&sizes) };
+        let dfs = plan(&g, root, &opts).unwrap();
+        assert_eq!(dfs.order(), None);
         assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
 
-        let (re, order) = plan_with_memory_reordered(&g, root, &sizes, 1, budget);
+        let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
+        let order = re.order().expect("a reordered plan carries its order").to_vec();
         assert_eq!(order, vec![a, b, r, x, root]);
         assert_eq!(re.nodes_with(Kernel::Blocked), Vec::<NodeId>::new(), "reorder fits in memory");
         let sched = crate::liveness::Schedule::from_order(&g, order);
@@ -849,11 +784,11 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
-        let sizes = crate::size::propagate(&g, cp, &s).unwrap();
         let model = crate::cost::CostModel::default();
         for degree in [1, 4] {
-            let static_plan = plan_with_degree(&g, cp, &sizes, degree);
-            let profiled = plan_with_profile(&g, cp, &sizes, degree, &model);
+            let opts = PlanOptions { degree, ..PlanOptions::new(&s) };
+            let static_plan = plan(&g, cp, &opts).unwrap();
+            let profiled = plan(&g, cp, &PlanOptions { cost: Some(&model), ..opts }).unwrap();
             for id in g.reachable(cp) {
                 assert_eq!(profiled.kernel(id), static_plan.kernel(id));
             }
@@ -878,20 +813,20 @@ mod tests {
             ("crossprod", "fused", flops, 4.0),
             ("crossprod", "parallel", flops, 2.0),
         ]);
-        let p = plan_with_profile(&g, cp, &sizes, 4, &serial_wins);
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&serial_wins));
         assert_eq!(p.kernel(cp), Kernel::Dense, "measured serial beats parallel");
 
         let parallel_wins = model_with(&[
             ("crossprod", "fused", flops, 2.0),
             ("crossprod", "parallel", flops, 6.0),
         ]);
-        let p = plan_with_profile(&g, cp, &sizes, 4, &parallel_wins);
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&parallel_wins));
         assert_eq!(p.kernel(cp), Kernel::Parallel, "measured parallel beats serial");
 
         // One-sided evidence keeps the static threshold decision (upgrade,
         // since 8e9 >= PAR_FLOP_THRESHOLD).
         let one_sided = model_with(&[("crossprod", "fused", flops, 4.0)]);
-        let p = plan_with_profile(&g, cp, &sizes, 4, &one_sided);
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&one_sided));
         assert_eq!(p.kernel(cp), Kernel::Parallel);
     }
 
@@ -910,7 +845,7 @@ mod tests {
             ("crossprod", "fused", flops, 1.0),
             ("crossprod", "parallel", flops, 3.0),
         ]);
-        let p = plan_with_profile(&g, cp, &sizes, 4, &m);
+        let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&m));
         assert_eq!(p.kernel(cp), Kernel::Parallel);
     }
 
@@ -931,19 +866,17 @@ mod tests {
             ("crossprod", "parallel", flops, 2.0),
         ]);
 
-        let unbounded =
-            plan_with_memory_profile(&g, cp, &sizes, 4, MemoryBudget::unbounded(), &serial_wins);
+        let unbounded = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&serial_wins));
         assert_eq!(unbounded.kernel(cp), Kernel::Dense, "measured serial beats parallel");
 
-        let tight =
-            plan_with_memory_profile(&g, cp, &sizes, 4, MemoryBudget::bytes(1 << 20), &serial_wins);
+        let tight = plan_at(&g, cp, &s, 4, MemoryBudget::bytes(1 << 20), Some(&serial_wins));
         assert_eq!(tight.kernel(cp), Kernel::Blocked, "oversized operand still streams");
 
-        // An empty model reproduces plan_with_memory exactly.
+        // An empty model reproduces the model-free plan exactly.
         let empty = crate::cost::CostModel::default();
         for budget in [MemoryBudget::unbounded(), MemoryBudget::bytes(1 << 20)] {
-            let composed = plan_with_memory_profile(&g, cp, &sizes, 4, budget, &empty);
-            let plain = plan_with_memory(&g, cp, &sizes, 4, budget);
+            let composed = plan_at(&g, cp, &s, 4, budget, Some(&empty));
+            let plain = plan_at(&g, cp, &s, 4, budget, None);
             for id in g.reachable(cp) {
                 assert_eq!(composed.kernel(id), plain.kernel(id));
             }

@@ -2,6 +2,7 @@
 //! patterns, constant folding, and matrix-chain reordering.
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
+use crate::physical::PlanOptions;
 use crate::size::{propagate, InputSizes, Shape, SizeError};
 use dm_obs::{elapsed_ns, Recorder};
 use std::collections::HashMap;
@@ -281,9 +282,8 @@ pub struct RewriteTrace {
     pub cost_before: Option<u128>,
     /// Estimated flops after rewriting.
     pub cost_after: Option<u128>,
-    /// Calibrated cost (ns) of the DAG as written, when
-    /// [`optimize_traced_calibrated`] ran with a loaded
-    /// [`CostModel`](crate::cost::CostModel).
+    /// Calibrated cost (ns) of the DAG as written, when [`optimize_traced`]
+    /// ran with a loaded [`CostModel`](crate::cost::CostModel).
     pub calibrated_before_ns: Option<u128>,
     /// Calibrated cost (ns) after rewriting.
     pub calibrated_after_ns: Option<u128>,
@@ -302,7 +302,7 @@ impl RewriteTrace {
     }
 
     /// Calibrated cost ratio `after / before` in observed nanoseconds, when
-    /// [`optimize_traced_calibrated`] priced both sides. Where this and
+    /// [`optimize_traced`] priced both sides. Where this and
     /// [`cost_ratio`](Self::cost_ratio) disagree, the machine disagrees with
     /// the flop model about what the rewrites bought.
     pub fn calibrated_ratio(&self) -> Option<f64> {
@@ -342,47 +342,36 @@ impl RewriteTrace {
 }
 
 /// [`optimize`], plus a [`RewriteTrace`] carrying before/after cost estimates
-/// and the optimizer's own wall time. Cost estimation failure (undeclared
-/// inputs) degrades to `None` costs rather than failing the optimization.
+/// and the optimizer's own wall time. With a calibrated
+/// [`CostModel`](crate::cost::CostModel) the trace's
+/// `calibrated_before_ns`/`calibrated_after_ns` also price both DAGs in
+/// measured-throughput nanoseconds (serial plans at the model's observed
+/// GFLOP/s). Either estimate failing (undeclared inputs) degrades to `None`
+/// costs rather than failing the optimization.
 pub fn optimize_traced(
     graph: &Graph,
     root: NodeId,
     sizes: &InputSizes,
+    model: Option<&crate::cost::CostModel>,
 ) -> Result<(Graph, NodeId, RewriteTrace), SizeError> {
     let t0 = Instant::now();
     let cost_before = estimated_cost(graph, root, sizes).ok();
     let (g, new_root, stats) = optimize(graph, root, sizes)?;
     let cost_after = estimated_cost(&g, new_root, sizes).ok();
+    let wall_ns = elapsed_ns(t0);
+    let price = |gr: &Graph, rt: NodeId| -> Option<u128> {
+        let model = model?;
+        let plan = crate::physical::plan(gr, rt, &PlanOptions::new(sizes)).ok()?;
+        crate::cost::calibrated_cost(gr, rt, sizes, &plan, model).ok()
+    };
     let trace = RewriteTrace {
         stats,
         cost_before,
         cost_after,
-        calibrated_before_ns: None,
-        calibrated_after_ns: None,
-        wall_ns: elapsed_ns(t0),
+        calibrated_before_ns: price(graph, root),
+        calibrated_after_ns: price(&g, new_root),
+        wall_ns,
     };
-    Ok((g, new_root, trace))
-}
-
-/// [`optimize_traced`], additionally pricing the before/after DAGs with a
-/// calibrated [`CostModel`](crate::cost::CostModel): the trace's
-/// `calibrated_before_ns`/`calibrated_after_ns` carry measured-throughput
-/// nanosecond estimates (serial plans at the model's observed GFLOP/s),
-/// alongside the static flop figures. Calibration failure degrades to `None`
-/// exactly as static cost estimation does.
-pub fn optimize_traced_calibrated(
-    graph: &Graph,
-    root: NodeId,
-    sizes: &InputSizes,
-    model: &crate::cost::CostModel,
-) -> Result<(Graph, NodeId, RewriteTrace), SizeError> {
-    let (g, new_root, mut trace) = optimize_traced(graph, root, sizes)?;
-    let price = |gr: &Graph, rt: NodeId| -> Option<u128> {
-        let plan = crate::physical::plan_with_inputs(gr, rt, sizes).ok()?;
-        crate::cost::calibrated_cost(gr, rt, sizes, &plan, model).ok()
-    };
-    trace.calibrated_before_ns = price(graph, root);
-    trace.calibrated_after_ns = price(&g, new_root);
     Ok((g, new_root, trace))
 }
 
@@ -730,11 +719,19 @@ mod tests {
         let t = g.transpose(x);
         let mm = g.matmul(t, x);
         let s = g.agg(AggOp::Sum, mm);
-        let (_, _, trace) = optimize_traced(&g, s, &sizes()).unwrap();
+        let (_, _, trace) = optimize_traced(&g, s, &sizes(), None).unwrap();
         assert_eq!(trace.stats.crossprod_fused, 1);
         let (before, after) = (trace.cost_before.unwrap(), trace.cost_after.unwrap());
         assert!(after < before, "expected fused plan cheaper: {after} vs {before}");
         assert!(trace.cost_ratio().unwrap() < 1.0);
+        assert_eq!(trace.calibrated_ratio(), None, "no model, no calibrated prices");
+
+        // An empty model prices every flop at the static rate, so the
+        // calibrated ratio repeats the flop ratio.
+        let model = crate::cost::CostModel::default();
+        let (_, _, trace) = optimize_traced(&g, s, &sizes(), Some(&model)).unwrap();
+        assert_eq!(trace.calibrated_before_ns, Some(before));
+        assert_eq!(trace.calibrated_after_ns, Some(after));
     }
 
     #[test]
@@ -743,7 +740,7 @@ mod tests {
         let x = g.input("Undeclared");
         let t = g.transpose(x);
         let tt = g.transpose(t);
-        let (_, _, trace) = optimize_traced(&g, tt, &InputSizes::new()).unwrap();
+        let (_, _, trace) = optimize_traced(&g, tt, &InputSizes::new(), None).unwrap();
         assert_eq!(trace.stats.double_transpose, 1);
         assert_eq!(trace.cost_before, None);
         assert_eq!(trace.cost_ratio(), None);
@@ -756,7 +753,7 @@ mod tests {
         let x = g.input("X");
         let t = g.transpose(x);
         let mm = g.matmul(t, x);
-        let (_, _, trace) = optimize_traced(&g, mm, &sizes()).unwrap();
+        let (_, _, trace) = optimize_traced(&g, mm, &sizes(), None).unwrap();
         let reg = StatsRegistry::new();
         trace.record(&reg);
         let rep = reg.report();

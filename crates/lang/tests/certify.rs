@@ -7,7 +7,7 @@
 use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan_with_degree, plan_with_memory, plan_with_memory_per_node, Kernel};
+use dm_lang::physical::{plan, Kernel, PlanOptions};
 use dm_lang::size::InputSizes;
 use dm_lang::{certify_plan, Verdict};
 use dm_matrix::{Dense, Matrix};
@@ -85,13 +85,13 @@ proptest! {
         let expect = scalar_bits(&plain.eval(root, &env).unwrap());
 
         // The unbounded plan's certified peak calibrates the budgets.
-        let base = plan_with_degree(&g, root, &infos, 1);
+        let base = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
         let unbounded = certify_plan(&g, root, &base, &infos, MemoryBudget::unbounded());
         prop_assert!(unbounded.peak_bytes > 0);
 
         for denom in [1usize, 2, 4] {
             let budget = MemoryBudget::bytes((unbounded.peak_bytes / denom).max(1));
-            let plan = plan_with_memory(&g, root, &infos, 1, budget);
+            let plan = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
             let cert = certify_plan(&g, root, &plan, &infos, budget);
             if denom == 1 {
                 // The full-peak budget needs no blocking at all.
@@ -119,9 +119,9 @@ proptest! {
     }
 }
 
-/// The ISSUE's acceptance scenario end to end: every node individually fits
-/// the budget (the per-node check plans nothing out-of-core) but the
-/// composite peak exceeds it; the certifier-driven planner produces a plan
+/// The composite-peak scenario end to end: every node individually fits
+/// the budget (so the unfitted plan, like any per-node check, streams
+/// nothing) but the composite peak exceeds it; the certifier-driven planner produces a plan
 /// certified to fit, and that plan executes identically to the in-memory
 /// run while honoring the pool bound.
 #[test]
@@ -137,22 +137,24 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     let infos = dm_lang::size::propagate(&g, root, &sizes).unwrap();
     let budget = MemoryBudget::bytes(1_300_000);
 
-    // Per-node check: every value is under 1.3 MB, so nothing is blocked and
-    // the certificate pins the exact step where the live set overflows.
-    let old = plan_with_memory_per_node(&g, root, &infos, 1, budget);
-    assert!(old.nodes_with(Kernel::Blocked).is_empty());
-    let old_cert = certify_plan(&g, root, &old, &infos, budget);
-    match old_cert.verdict {
+    // The plan before memory fitting: every value is under 1.3 MB, so no
+    // node is oversized on its own, and the certificate pins the exact step
+    // where the live set overflows.
+    let unfitted = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+    assert!(unfitted.nodes_with(Kernel::Blocked).is_empty());
+    assert!(infos.values().all(|i| 8 * i.shape.rows() * i.shape.cols() <= 1_300_000));
+    let unfitted_cert = certify_plan(&g, root, &unfitted, &infos, budget);
+    match unfitted_cert.verdict {
         Verdict::Exceeds { step, node, live_bytes } => {
             assert_eq!(node, z, "the add is where three 512 KB values coexist");
             assert_eq!(step, 2);
             assert_eq!(live_bytes, 3 * 256 * 256 * 8);
         }
-        Verdict::Fits => panic!("per-node plan must not certify"),
+        Verdict::Fits => panic!("the unfitted plan must not certify"),
     }
 
     // Certifier-driven planner: blocks the add, certifies the fit.
-    let new = plan_with_memory(&g, root, &infos, 1, budget);
+    let new = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
     assert_eq!(new.kernel(z), Kernel::Blocked);
     let cert = certify_plan(&g, root, &new, &infos, budget);
     assert!(cert.fits(), "{}", cert.render(&g));
@@ -169,8 +171,7 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     assert!(cert.peak_bytes >= stats.peak_used);
 }
 
-/// A reordered schedule from `plan_with_memory_reordered` runs through
-/// `eval_schedule` and matches the default-order result, while avoiding the
+/// The order a `reorder` plan carries runs through `eval_schedule` and matches the default-order result, while avoiding the
 /// spill the DFS order required.
 #[test]
 fn reordered_schedule_executes_without_spilling() {
@@ -188,10 +189,12 @@ fn reordered_schedule_executes_without_spilling() {
     let infos = dm_lang::size::propagate(&g, root, &sizes).unwrap();
     let budget = MemoryBudget::bytes(5_100_000);
 
-    let dfs = plan_with_memory(&g, root, &infos, 1, budget);
+    let opts = PlanOptions { budget, ..PlanOptions::new(&infos) };
+    let dfs = plan(&g, root, &opts).unwrap();
     assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
-    let (re, order) = dm_lang::physical::plan_with_memory_reordered(&g, root, &infos, 1, budget);
+    let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
     assert!(re.nodes_with(Kernel::Blocked).is_empty(), "reordered plan fits in memory");
+    let order = re.order().expect("a reordered plan carries its order").to_vec();
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(256, 256, 5)));

@@ -22,13 +22,10 @@
 //! that file over `golden_plans.txt`.
 
 use dm_lang::cost::{node_family, CostModel};
-use dm_lang::explain::{explain_with_memory, explain_with_profile, op_label};
+use dm_lang::explain::{explain, op_label};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{
-    node_flops, plan_with_memory, plan_with_memory_profile, plan_with_memory_reordered,
-    PhysicalPlan, PAR_FLOP_THRESHOLD,
-};
+use dm_lang::physical::{node_flops, plan, PhysicalPlan, PlanOptions, PAR_FLOP_THRESHOLD};
 use dm_lang::size::{InputSizes, SizeInfo};
 use dm_lang::{optimize, parser};
 use std::collections::HashMap;
@@ -41,12 +38,10 @@ fn planned(
     sizes: &HashMap<NodeId, SizeInfo>,
     degree: usize,
     budget: MemoryBudget,
-    model: Option<&CostModel>,
+    cost: Option<&CostModel>,
 ) -> PhysicalPlan {
-    match model {
-        None => plan_with_memory(&s.graph, s.root, sizes, degree, budget),
-        Some(m) => plan_with_memory_profile(&s.graph, s.root, sizes, degree, budget, m),
-    }
+    plan(&s.graph, s.root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(sizes) })
+        .expect("plans")
 }
 
 fn reordered(
@@ -55,15 +50,19 @@ fn reordered(
     degree: usize,
     budget: MemoryBudget,
 ) -> (PhysicalPlan, Vec<NodeId>) {
-    plan_with_memory_reordered(&s.graph, s.root, sizes, degree, budget)
+    let opts = PlanOptions { degree, budget, reorder: true, ..PlanOptions::new(sizes) };
+    let p = plan(&s.graph, s.root, &opts).expect("plans");
+    let order = p.order().expect("a reordered plan carries its order").to_vec();
+    (p, order)
 }
 
 fn explain_memory(s: &Scenario, degree: usize, budget: MemoryBudget) -> String {
-    explain_with_memory(&s.graph, s.root, &s.inputs, degree, budget)
+    explain(&s.graph, s.root, Some(&PlanOptions { degree, budget, ..PlanOptions::new(&s.inputs) }))
 }
 
 fn explain_cost(s: &Scenario, degree: usize, model: &CostModel) -> String {
-    explain_with_profile(&s.graph, s.root, &s.inputs, degree, model)
+    let opts = PlanOptions { degree, cost: Some(model), ..PlanOptions::new(&s.inputs) };
+    explain(&s.graph, s.root, Some(&opts))
 }
 
 // ---- Scenarios ------------------------------------------------------------

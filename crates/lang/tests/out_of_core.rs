@@ -4,10 +4,10 @@
 //! honor the `DMML_MEM_BUDGET` environment variable.
 
 use dm_lang::exec::{Env, ExecError, Executor, KernelChoice, Val};
-use dm_lang::explain::{explain_with_memory, profile_report_with_spill};
+use dm_lang::explain::{explain, profile_report};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan_with_inputs_memory, Kernel};
+use dm_lang::physical::{plan, Kernel, PhysicalPlan, PlanOptions};
 use dm_lang::size::InputSizes;
 use dm_matrix::{Dense, Matrix};
 use proptest::prelude::*;
@@ -36,6 +36,12 @@ fn program() -> Program {
     let s2 = g.agg(AggOp::Sum, cp);
     let root = g.ewise(EwiseOp::Add, s1, s2);
     Program { graph: g, y, z, cs, cp, root }
+}
+
+/// Plan the program over declared inputs at a degree, under a byte budget.
+fn plan_under(p: &Program, sizes: &InputSizes, degree: usize, budget: usize) -> PhysicalPlan {
+    let budget = MemoryBudget::bytes(budget);
+    plan(&p.graph, p.root, &PlanOptions { degree, budget, ..PlanOptions::new(sizes) }).unwrap()
 }
 
 fn dense_input(rows: usize, cols: usize, salt: u64) -> Dense {
@@ -89,9 +95,7 @@ proptest! {
         let mut in_mem = Executor::new(&p.graph);
         let expect = in_mem.eval(p.root, &env).unwrap();
 
-        let plan =
-            plan_with_inputs_memory(&p.graph, p.root, &sizes, degree, MemoryBudget::bytes(budget))
-                .unwrap();
+        let plan = plan_under(&p, &sizes, degree, budget);
         for id in [p.y, p.z, p.cs, p.cp] {
             prop_assert_eq!(plan.kernel(id), Kernel::Blocked, "node {} must go out-of-core", id);
         }
@@ -134,7 +138,8 @@ fn blocked_budget_smaller_than_one_tile_is_a_clean_error() {
     env.bind("X", Matrix::Dense(dense_input(2, 4096, 1)));
     let mut sizes = InputSizes::new();
     sizes.declare("X", 2, 4096, 1.0);
-    let plan = plan_with_inputs_memory(&g, z, &sizes, 1, MemoryBudget::bytes(8 << 10)).unwrap();
+    let budget = MemoryBudget::bytes(8 << 10);
+    let plan = plan(&g, z, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
     assert_eq!(plan.kernel(z), Kernel::Blocked);
     let mut ex = Executor::with_plan(&g, plan);
     match ex.eval(z, &env) {
@@ -155,30 +160,25 @@ fn explain_and_profile_show_out_of_core_nodes() {
     sizes.declare("B", k, m, 1.0);
     let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
 
-    let txt = explain_with_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::bytes(budget));
+    let at_degree_2 = PlanOptions { degree: 2, ..PlanOptions::new(&sizes) };
+    let bounded = PlanOptions { budget: MemoryBudget::bytes(budget), ..at_degree_2 };
+    let txt = explain(&p.graph, p.root, Some(&bounded));
     assert!(txt.contains("blocked"), "explain must annotate OOC nodes:\n{txt}");
     // Unbounded budget renders the ordinary degree plan.
-    let unbounded = explain_with_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::unbounded());
+    let unbounded = explain(&p.graph, p.root, Some(&at_degree_2));
     assert!(!unbounded.contains("blocked"), "{unbounded}");
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(n, k, 3)));
     env.bind("B", Matrix::Dense(dense_input(k, m, 11)));
-    let plan =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 2, MemoryBudget::bytes(budget)).unwrap();
+    let plan = plan_under(&p, &sizes, 2, budget);
     let mut ex = Executor::with_plan(&p.graph, plan).profiled();
     ex.eval(p.root, &env).unwrap();
     assert_eq!(ex.profile().unwrap().node(p.y).unwrap().kernel, Some(KernelChoice::Blocked));
 
     let spill = ex.ooc_pool_stats();
-    let report = profile_report_with_spill(
-        &p.graph,
-        p.root,
-        ex.profile().unwrap(),
-        &sizes,
-        5,
-        spill.as_ref(),
-    );
+    let profile = ex.profile().unwrap();
+    let report = profile_report(&p.graph, p.root, profile, &sizes, 5, spill.as_ref(), None);
     assert!(report.contains("out-of-core kernels: 4 evals"), "{report}");
     assert!(report.contains("spill pool:"), "{report}");
     assert!(report.contains("kernel blocked"), "{report}");
@@ -196,8 +196,7 @@ fn record_stats_forwards_spill_counters() {
     sizes.declare("X", n, k, 1.0);
     sizes.declare("B", k, m, 1.0);
     let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
-    let plan =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 1, MemoryBudget::bytes(budget)).unwrap();
+    let plan = plan_under(&p, &sizes, 1, budget);
     let mut ex = Executor::with_plan(&p.graph, plan);
     ex.eval(p.root, &env).unwrap();
     let reg = StatsRegistry::new();
@@ -209,7 +208,7 @@ fn record_stats_forwards_spill_counters() {
     assert!(rep.counter("lang.exec.ooc.evictions").unwrap_or(0) > 0);
 }
 
-/// `DMML_MEM_BUDGET` drives `plan_with_inputs_auto`, with the explicit API
+/// `DMML_MEM_BUDGET` drives `PlanOptions::from_env`, with the explicit API
 /// taking precedence. This test owns the env var: nothing else in this
 /// process reads it concurrently.
 #[test]
@@ -219,21 +218,66 @@ fn mem_budget_env_var_drives_auto_planning() {
     sizes.declare("X", 4096, 512, 1.0); // 16 MB
     sizes.declare("B", 512, 1024, 1.0);
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
-    let auto = dm_lang::physical::plan_with_inputs_auto(&p.graph, p.root, &sizes).unwrap();
+    let model = dm_lang::CostModel::from_env();
+    let auto = plan(&p.graph, p.root, &PlanOptions::from_env(&sizes, model.as_ref())).unwrap();
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
     assert_eq!(auto.kernel(p.y), Kernel::Blocked);
     assert_eq!(auto.mem_budget(), Some(1 << 20));
 
     // Unset: auto planning stays unbounded.
-    let auto = dm_lang::physical::plan_with_inputs_auto(&p.graph, p.root, &sizes).unwrap();
+    let auto = plan(&p.graph, p.root, &PlanOptions::from_env(&sizes, model.as_ref())).unwrap();
     assert_eq!(auto.mem_budget(), None);
     assert_ne!(auto.kernel(p.y), Kernel::Blocked);
 
     // Explicit API beats whatever the environment says.
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
-    let explicit =
-        plan_with_inputs_memory(&p.graph, p.root, &sizes, 1, MemoryBudget::unbounded()).unwrap();
+    let explicit = plan(&p.graph, p.root, &PlanOptions::new(&sizes)).unwrap();
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
     assert_eq!(explicit.mem_budget(), None);
     assert_ne!(explicit.kernel(p.y), Kernel::Blocked);
+}
+
+/// This process's executor spill directories (`dmml_spill_<pid>_<seq>`)
+/// currently present in the temp dir.
+fn spill_dirs() -> std::collections::BTreeSet<String> {
+    let prefix = format!("dmml_spill_{}_", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir lists")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
+}
+
+/// A blocked eval creates a private spill directory; dropping the executor
+/// must take it away again, not leave one empty directory per executor.
+#[test]
+fn dropping_a_blocked_executor_removes_its_spill_directory() {
+    let p = program();
+    let (n, k, m) = (128, 24, 48);
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(dense_input(n, k, 13)));
+    env.bind("B", Matrix::Dense(dense_input(k, m, 17)));
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", n, k, 1.0);
+    sizes.declare("B", k, m, 1.0);
+    let plan = plan_under(&p, &sizes, 1, 8 * (n * k + k * m + 2 * n * m) / 4);
+
+    // Other tests of this binary run blocked evals on other threads, so a
+    // round only counts when exactly one directory appeared during it: that
+    // one is this executor's.
+    for _ in 0..100 {
+        let before = spill_dirs();
+        let mut ex = Executor::with_plan(&p.graph, plan.clone());
+        ex.eval(p.root, &env).unwrap();
+        assert!(ex.ooc_pool_stats().is_some(), "the eval went through the spill pool");
+        let during = spill_dirs();
+        let mut appeared = during.difference(&before);
+        let (Some(mine), None) = (appeared.next(), appeared.next()) else {
+            continue;
+        };
+        drop(ex);
+        assert!(!spill_dirs().contains(mine), "{mine} outlived its executor");
+        return;
+    }
+    panic!("never saw a round with exactly one new spill directory");
 }

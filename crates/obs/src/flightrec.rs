@@ -8,7 +8,7 @@
 //! a [`RequestRecord`] with its per-phase latency breakdown
 //! ([`Phase`]), plan-cache key and hit/miss, byte counts, kernel summary,
 //! calibrated-vs-actual cost, and its full span buffer (the per-request
-//! slice of the [`trace`](crate::trace) ring), so a Chrome trace of any
+//! slice of the [`trace`] ring), so a Chrome trace of any
 //! recent request can be rendered on demand — no restart, no `DMML_TRACE`.
 //!
 //! Requests slower than the configured threshold (`DMML_SERVE_SLOW_MS`, or a
@@ -135,7 +135,7 @@ impl Phase {
 /// immutable once recorded (the recorder hands out `Arc`s).
 #[derive(Debug, Clone)]
 pub struct RequestRecord {
-    /// Server-assigned request id (also the trace id of its span tree).
+    /// Server-assigned request id, dense per recorder.
     pub id: u64,
     /// Tenant the request authenticated as.
     pub tenant: String,
@@ -165,8 +165,8 @@ pub struct RequestRecord {
     pub certified_peak: u64,
     /// Marked slow at record time (explicit or self-tuned threshold).
     pub slow: bool,
-    /// The request's retained span buffer: every trace event whose trace id
-    /// equals [`id`](RequestRecord::id), extracted from the global ring.
+    /// The request's retained span buffer: every event of the trace rooted
+    /// at the request's root span, extracted from the global ring.
     pub events: Vec<TraceEvent>,
 }
 
@@ -301,15 +301,17 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Allocate the next request id. Ids are dense, process-unique, and
-    /// double as the trace id of the request's span tree.
+    /// Allocate the next request id. Ids are dense and unique per recorder,
+    /// not per process: every recorder starts at 1. A request's span tree
+    /// is therefore keyed by a trace id of its own, minted by
+    /// [`trace`]'s process-wide counter when the root span opens.
     pub fn next_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The slow-capture bar in nanoseconds right now: the explicit
     /// threshold when configured, otherwise the observed p99 once
-    /// [`SELF_TUNE_MIN_SAMPLES`] requests have completed (`None` before
+    /// `SELF_TUNE_MIN_SAMPLES` (64) requests have completed (`None` before
     /// that — nothing is slow until there is a distribution to be slow
     /// *against*).
     pub fn slow_threshold_ns(&self) -> Option<u64> {

@@ -47,7 +47,7 @@ use dm_lang::size::InputSizes;
 use dm_matrix::{Dense, Matrix};
 use dm_obs::flightrec::{FlightRecorder, Phase, RequestRecord};
 use dm_obs::profile::ProfileStore;
-use dm_obs::trace::{self, SpanHandle};
+use dm_obs::trace;
 use dm_obs::{Recorder, StatsRegistry};
 use dm_par::WorkerPool;
 use std::collections::BTreeSet;
@@ -86,11 +86,6 @@ pub const SERVE_SLOW_MS_ENV: &str = dm_obs::flightrec::SLOW_MS_ENV;
 /// `DMML_SERVE_FLIGHT_CAP` — flight-recorder recent-ring capacity in
 /// records (default [`dm_obs::flightrec::DEFAULT_FLIGHT_CAP`]).
 pub const SERVE_FLIGHT_CAP_ENV: &str = dm_obs::flightrec::FLIGHT_CAP_ENV;
-
-/// High bit marking per-request trace ids, so the ids the flight recorder
-/// mints never collide with the trace ids auto-assigned to root spans
-/// opened elsewhere in the process (which count up from 1).
-const REQ_TRACE_BIT: u64 = 1 << 63;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
@@ -201,7 +196,7 @@ struct Shared {
 struct ReqCtx {
     rec: RequestRecord,
     spans: trace::LocalSpans,
-    root: Option<SpanHandle>,
+    root: Option<trace::SpanHandle>,
 }
 
 /// Allocator of disjoint spill-pool matrix-id namespaces for concurrent
@@ -469,22 +464,19 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
     let started = Instant::now();
     let reg = shared.registry.as_ref();
     let rid = shared.flight.next_id();
-    let trace_id = rid | REQ_TRACE_BIT;
     let mut ctx =
         ReqCtx { rec: RequestRecord::new(rid, ""), spans: trace::LocalSpans::new(), root: None };
     ctx.rec.bytes_in = raw.len() as u64;
     let write_res;
     {
-        // Root span of this request's trace: opening as a child of the
-        // synthetic handle (trace = rid | bit, parent span = 0) pins the
-        // trace id to the request id, so the whole tree — including spans
-        // opened by the executor and instants from leaf crates on this
-        // thread — is extractable by rid when the request completes.
-        let mut root = trace::Span::child_of(
-            Some(SpanHandle { trace: trace_id, span: 0 }),
-            "serve.request",
-            "serve",
-        );
+        // Root span of this request's trace. A root gets its trace id from
+        // the process-wide counter in `dm_obs::trace`, so the whole tree —
+        // including spans opened by the executor and instants from leaf
+        // crates on this thread — is extractable when the request completes
+        // without touching any other request's events. The rid cannot be
+        // the trace id: rids are dense per server, and two servers in one
+        // process (tests, embedded use) share the trace buffers.
+        let mut root = trace::Span::child_of(None, "serve.request", "serve");
         root.arg("rid", rid);
         ctx.root = root.handle();
         let resp = handle_request(shared, raw, &mut ctx);
@@ -512,7 +504,7 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
         write_res = write_frame(stream, &payload);
         ctx.rec.phase_ns[Phase::Encode.index()] += t0.elapsed().as_nanos() as u64;
     }
-    let ReqCtx { mut rec, mut spans, .. } = ctx;
+    let ReqCtx { mut rec, mut spans, root: ctx_root } = ctx;
     spans.flush();
     rec.total_ns = started.elapsed().as_nanos() as u64;
     for p in Phase::ALL {
@@ -525,7 +517,9 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
     // The root span has dropped and the phase batch is flushed, so the full
     // tree is in the buffers; drain this request's slice into its record
     // (keeping the global ring lean).
-    rec.events = trace::extract_trace(trace_id);
+    if let Some(root) = ctx_root {
+        rec.events = trace::extract_trace(root.trace);
+    }
     shared.flight.record(rec);
     write_res
 }

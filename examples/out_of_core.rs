@@ -17,8 +17,8 @@
 use dmml::buffer::{ooc, panel_rows_for, BlockStore, BufferPool, SharedBufferPool};
 use dmml::buffer::{policy::PolicyKind, storage::FileStore};
 use dmml::lang::{
-    exec::Env, explain_with_memory, parser, physical::plan_with_inputs_memory,
-    profile_report_with_spill, size::InputSizes, Executor, MemoryBudget,
+    exec::Env, explain, parser, plan, profile_report, size::InputSizes, Executor, MemoryBudget,
+    PlanOptions,
 };
 use dmml::matrix::{ops, Matrix};
 
@@ -73,9 +73,10 @@ fn main() {
     sizes.declare("X", x.rows(), x.cols(), 1.0);
     let budget = MemoryBudget::bytes(1 << 20); // 1 MiB; X alone is 4 MiB
     println!("executor plan under a {budget} budget (set DMML_MEM_BUDGET for the same effect):");
-    println!("{}", explain_with_memory(&graph, root, &sizes, 2, budget));
+    let opts = PlanOptions { degree: 2, budget, ..PlanOptions::new(&sizes) };
+    println!("{}", explain(&graph, root, Some(&opts)));
 
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 2, budget).unwrap();
+    let plan = plan(&graph, root, &opts).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x.clone()));
     let mut exec = Executor::with_plan(&graph, plan).profiled();
@@ -90,6 +91,6 @@ fn main() {
     let spill = exec.ooc_pool_stats();
     println!(
         "{}",
-        profile_report_with_spill(&graph, root, exec.profile().unwrap(), &sizes, 5, spill.as_ref())
+        profile_report(&graph, root, exec.profile().unwrap(), &sizes, 5, spill.as_ref(), None)
     );
 }

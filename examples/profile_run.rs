@@ -14,10 +14,9 @@
 use dmml::buffer::{policy::PolicyKind, storage::MemStore};
 use dmml::compress::planner::{compression_report, plan_traced, CompressionConfig};
 use dmml::lang::cost::CostModel;
-use dmml::lang::physical::plan_with_inputs_profile;
 use dmml::lang::rewrite::optimize_traced;
 use dmml::lang::size::InputSizes;
-use dmml::lang::{explain_with, parser, profile_report};
+use dmml::lang::{explain, parser, plan, profile_report, PlanOptions};
 use dmml::modelsel::search::grid_search;
 use dmml::modelsel::SearchTrace;
 use dmml::obs::serve::MetricsServer;
@@ -43,10 +42,10 @@ fn main() {
     sizes.declare("w", d, 1, 1.0);
     sizes.declare("y", n, 1, 1.0);
 
-    let (g, r, rtrace) = optimize_traced(&graph, root, &sizes).expect("optimizes");
+    let (g, r, rtrace) = optimize_traced(&graph, root, &sizes, None).expect("optimizes");
     rtrace.record(reg.as_ref());
     println!("=== explain (optimized plan) ===");
-    print!("{}", explain_with(&g, r, &sizes));
+    print!("{}", explain(&g, r, Some(&PlanOptions::new(&sizes))));
     match (rtrace.cost_before, rtrace.cost_after, rtrace.cost_ratio()) {
         (Some(b), Some(a), Some(ratio)) => {
             println!(
@@ -59,7 +58,8 @@ fn main() {
     // With DMML_PROFILE_DIR set and profiles from a previous run on disk,
     // price the same plan through the calibrated model for comparison.
     if let Some(model) = CostModel::from_env() {
-        let plan = plan_with_inputs_profile(&g, r, &sizes, 1, &model).expect("plans");
+        let opts = PlanOptions { cost: Some(&model), ..PlanOptions::new(&sizes) };
+        let plan = plan(&g, r, &opts).expect("plans");
         let cal = dmml::lang::calibrated_cost(&g, r, &sizes, &plan, &model).expect("prices");
         let est = dmml::lang::estimated_cost(&g, r, &sizes).expect("prices");
         println!(
@@ -84,7 +84,7 @@ fn main() {
     exec.record_stats(reg.as_ref());
     println!("\n=== runtime report ===");
     let profile = exec.profile().expect("profiling was enabled");
-    print!("{}", profile_report(&g, r, profile, &sizes, 5));
+    print!("{}", profile_report(&g, r, profile, &sizes, 5, None, None));
     if let Some(m) = grad.as_dense() {
         println!("gradient norm: {:.4}", m.data().iter().map(|v| v * v).sum::<f64>().sqrt());
     }

@@ -16,8 +16,7 @@
 //! a scraper can fetch.
 
 use dmml::lang::{
-    exec::Env, explain_with_memory, parser, physical::plan_with_inputs_memory, size::InputSizes,
-    Executor, MemoryBudget,
+    exec::Env, explain, parser, plan, size::InputSizes, Executor, MemoryBudget, PlanOptions,
 };
 use dmml::matrix::Matrix;
 use dmml::obs::{export, serve::MetricsServer, trace, StatsRegistry};
@@ -53,9 +52,10 @@ fn main() {
     // exceeds the budget and is planned blocked, so the pool must spill.
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
     println!("degree 4, budget {budget} (50% of the input matrix):");
-    println!("{}", explain_with_memory(&graph, root, &sizes, 4, budget));
+    let opts = PlanOptions { degree: 4, budget, ..PlanOptions::new(&sizes) };
+    println!("{}", explain(&graph, root, Some(&opts)));
 
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 4, budget).unwrap();
+    let plan = plan(&graph, root, &opts).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
     let mut exec = Executor::with_plan(&graph, plan).profiled().traced();

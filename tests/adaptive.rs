@@ -1,13 +1,13 @@
 //! End-to-end acceptance of the adaptive cost feedback loop (ISSUE 7):
 //! observe (profiled execution → persisted kernel profiles), calibrate
 //! (`CostModel` over the persisted store), re-cost (`calibrated_cost`,
-//! `plan_with_profile`) — with results bit-identical to the uncalibrated
+//! `PlanOptions::cost`) — with results bit-identical to the uncalibrated
 //! plan — plus the live `/metrics` scrape endpoint serving the run's
 //! `lang.exec.node_self_ns` quantiles.
 
 use dm_lang::cost::{static_ns, CostModel};
 use dm_lang::exec::{Env, Executor};
-use dm_lang::physical::{plan_with_inputs_degree, plan_with_inputs_profile};
+use dm_lang::physical::{plan, PlanOptions};
 use dm_lang::size::InputSizes;
 use dm_lang::{estimated_cost, parser};
 use dm_matrix::{Dense, Matrix};
@@ -48,12 +48,13 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // --- Run 1: observe. Explicit APIs rather than DMML_PROFILE_DIR (env
     // vars are process-global and these tests run in parallel); the env
     // wiring is covered by `env_profile_dir_saves_on_drop`.
-    let plan = plan_with_inputs_degree(&graph, root, &sizes, 2).unwrap();
+    let at_degree_2 = PlanOptions { degree: 2, ..PlanOptions::new(&sizes) };
+    let plan1 = plan(&graph, root, &at_degree_2).unwrap();
     let mut store = ProfileStore::new();
     let baseline = {
         let mut first = None;
         for _ in 0..dm_obs::profile::MIN_SAMPLES {
-            let mut ex = Executor::with_plan(&graph, plan.clone()).profiled();
+            let mut ex = Executor::with_plan(&graph, plan1.clone()).profiled();
             let v = ex.eval(root, &env).unwrap().as_scalar().unwrap();
             ex.record_kernel_profiles(&mut store);
             first.get_or_insert(v);
@@ -67,7 +68,7 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // --- Run 2: calibrate + re-cost from the persisted store.
     let model = CostModel::load(&dir).unwrap();
     assert!(!model.is_empty(), "second run sees the persisted profile");
-    let plan2 = plan_with_inputs_profile(&graph, root, &sizes, 2, &model).unwrap();
+    let plan2 = plan(&graph, root, &PlanOptions { cost: Some(&model), ..at_degree_2 }).unwrap();
     let calibrated = dm_lang::calibrated_cost(&graph, root, &sizes, &plan2, &model).unwrap();
     let est = estimated_cost(&graph, root, &sizes).unwrap();
     assert_ne!(
@@ -147,7 +148,8 @@ fn corrupt_profiles_degrade_to_the_static_model() {
     // Degradation: the empty model prices exactly static, and planning
     // still works — no panic anywhere on the path.
     let model = CostModel::default();
-    let plan = plan_with_inputs_profile(&graph, root, &sizes, 2, &model).unwrap();
+    let opts = PlanOptions { degree: 2, cost: Some(&model), ..PlanOptions::new(&sizes) };
+    let plan = plan(&graph, root, &opts).unwrap();
     let cal = dm_lang::calibrated_cost(&graph, root, &sizes, &plan, &model).unwrap();
     assert_eq!(cal, static_ns(estimated_cost(&graph, root, &sizes).unwrap()));
 

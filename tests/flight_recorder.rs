@@ -7,6 +7,7 @@
 //! `/metrics` scrape — all without restarting the server or setting
 //! `DMML_TRACE`.
 
+use dmml::obs::flightrec::RequestRecord;
 use dmml::obs::json;
 use dmml::obs::serve::MetricsServer;
 use dmml::obs::StatsRegistry;
@@ -31,6 +32,22 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     s.read_to_string(&mut buf).unwrap();
     let (head, body) = buf.split_once("\r\n\r\n").expect("HTTP response has a header block");
     (head.to_owned(), body.to_owned())
+}
+
+/// The record of a request the client already has the response to. The
+/// record is deposited just after the response frame is flushed, so the
+/// client can observe the response first — poll briefly.
+fn recorded(server: &ScoringServer, rid: u64) -> Result<Arc<RequestRecord>, String> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(r) = server.flight().get(rid) {
+            return Ok(r);
+        }
+        if std::time::Instant::now() > deadline {
+            return Err(format!("rid {rid} never recorded"));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// Every `B` must close with a matching `E` per tid — the structural
@@ -133,14 +150,7 @@ fn slow_request_is_captured_with_phases_and_chrome_trace() {
         }
         let (_, rid_n) = c.request_with_rid(&score_req("acme")).unwrap();
         let rid_n = rid_n.unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let rec_n = loop {
-            if let Some(r) = server.flight().get(rid_n) {
-                break r;
-            }
-            assert!(std::time::Instant::now() < deadline, "rid {rid_n} never recorded");
-            std::thread::sleep(Duration::from_millis(5));
-        };
+        let rec_n = recorded(&server, rid_n).unwrap_or_else(|e| panic!("{e}"));
         best_ratio = best_ratio.max(rec_n.phase_sum_ns() as f64 / rec_n.total_ns as f64);
     }
     assert!(
@@ -231,4 +241,58 @@ fn self_tuned_threshold_reports_absent_before_samples() {
     assert_eq!(doc.get("self_tuned"), Some(&json::Json::Bool(true)), "{body}");
     metrics.shutdown();
     server.shutdown();
+}
+
+/// Two servers in one process both hand out rids from 1 while sharing the
+/// process-global trace buffers. Each request's retained trace must hold
+/// its own executor spans and none of the other server's — a trace id
+/// derived from the rid let whichever request finished first drain the
+/// other's spans mid-flight.
+#[test]
+fn servers_sharing_a_process_keep_their_span_trees_apart() {
+    // One program per server, told apart by an executor span only it opens.
+    let sides = [("sum(exp(X))", "exec.exp", "exec.abs"), ("sum(abs(X))", "exec.abs", "exec.exp")];
+    let servers = [0, 1].map(|_| {
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap()
+    });
+    let barrier = std::sync::Barrier::new(2);
+    // Both sides issue request k at the same moment, so the two servers hold
+    // the same rid in flight together. A failed round is noted, never a
+    // panic: the other side is waiting at the barrier.
+    let side = |server: &ScoringServer, (program, own, foreign): (&str, &str, &str)| {
+        let data: Vec<f64> = (0..N * D).map(|i| (i % 5) as f64 * 0.25).collect();
+        let req = Request::score("acme", program).matrix("X", N, D, data);
+        let mut client = ScoringClient::connect(server.addr()).unwrap();
+        let mut problems = Vec::new();
+        for round in 1..=40 {
+            barrier.wait();
+            let rec = client
+                .request_with_rid(&req)
+                .and_then(|(_, rid)| rid.ok_or_else(|| "no rid".to_owned()))
+                .and_then(|rid| recorded(server, rid));
+            match rec {
+                Ok(rec) => {
+                    let names: Vec<&str> = rec.events.iter().map(|e| &*e.name).collect();
+                    if rec.id != round || !names.contains(&own) || names.contains(&foreign) {
+                        problems.push(format!("{program} round {round} rid {}: {names:?}", rec.id));
+                    }
+                }
+                Err(e) => problems.push(format!("{program} round {round}: {e}")),
+            }
+        }
+        problems
+    };
+    let problems = std::thread::scope(|scope| {
+        let other = scope.spawn(|| side(&servers[1], sides[1]));
+        let mut problems = side(&servers[0], sides[0]);
+        problems.extend(other.join().expect("client thread"));
+        problems
+    });
+    for server in servers {
+        server.shutdown();
+    }
+    assert!(
+        problems.is_empty(),
+        "a trace lacks its own exec span or holds the other's: {problems:#?}"
+    );
 }

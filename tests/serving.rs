@@ -8,7 +8,7 @@
 
 use dmml::lang::exec::{Env, Executor};
 use dmml::lang::parser;
-use dmml::lang::physical::{plan_with_inputs_degree, Kernel};
+use dmml::lang::physical::{plan, Kernel, PlanOptions};
 use dmml::lang::size::InputSizes;
 use dmml::matrix::{Dense, Matrix};
 use dmml::obs::serve::MetricsServer;
@@ -31,7 +31,7 @@ fn direct_eval(seed: usize) -> f64 {
     let (graph, root) = parser::parse(PROGRAM).unwrap();
     let mut sizes = InputSizes::new();
     sizes.declare("X", N, D, 1.0);
-    let plan = plan_with_inputs_degree(&graph, root, &sizes, 1).unwrap();
+    let plan = plan(&graph, root, &PlanOptions::new(&sizes)).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(Dense::from_vec(N, D, x_data(seed)).unwrap()));
     let got = Executor::with_plan(&graph, plan).eval(root, &env).unwrap();
@@ -143,14 +143,8 @@ fn over_budget_request_is_admitted_as_blocked() {
     let (graph, root) = parser::parse("sum(X %*% X)").unwrap();
     let mut sizes = InputSizes::new();
     sizes.declare("X", n, n, 1.0);
-    let sizemap = dmml::lang::size::propagate(&graph, root, &sizes).unwrap();
-    let plan = dmml::lang::physical::plan_with_memory(
-        &graph,
-        root,
-        &sizemap,
-        1,
-        dmml::lang::memory::MemoryBudget::bytes(96 * 1024),
-    );
+    let budget = dmml::lang::memory::MemoryBudget::bytes(96 * 1024);
+    let plan = plan(&graph, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
     assert!(!plan.nodes_with(Kernel::Blocked).is_empty());
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(Dense::from_vec(n, n, data).unwrap()));

@@ -4,9 +4,7 @@
 //! and buffer-pool spill instants — all well-formed and strictly nested per
 //! thread.
 
-use dmml::lang::{
-    exec::Env, parser, physical::plan_with_inputs_memory, size::InputSizes, Executor, MemoryBudget,
-};
+use dmml::lang::{exec::Env, parser, plan, size::InputSizes, Executor, MemoryBudget, PlanOptions};
 use dmml::matrix::Matrix;
 use dmml::obs::{json, trace};
 use std::sync::{Mutex, MutexGuard};
@@ -29,7 +27,8 @@ fn traced_run_covers_exec_par_and_buffer_on_one_timeline() {
     // 50% of the input: X-sized operands overflow the budget, forcing
     // blocked kernels and pool spills.
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
-    let plan = plan_with_inputs_memory(&graph, root, &sizes, 4, budget).unwrap();
+    let opts = PlanOptions { degree: 4, budget, ..PlanOptions::new(&sizes) };
+    let plan = plan(&graph, root, &opts).unwrap();
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
