@@ -400,7 +400,7 @@ pub fn analyze_with_memory(
     degree: usize,
     budget: crate::memory::MemoryBudget,
 ) -> AnalysisReport {
-    use crate::liveness::{certify_plan, certify_schedule, Schedule};
+    use crate::liveness::certify_plan;
     use crate::physical::{plan, Kernel, PlanOptions};
 
     let mut report = analyze(graph, root, inputs);
@@ -448,9 +448,7 @@ pub fn analyze_with_memory(
         let spilled = phys.nodes_with(Kernel::Blocked).len();
         if spilled > 0 {
             let re_plan = planned(&PlanOptions { reorder: true, ..opts });
-            let order = re_plan.order().unwrap_or_default().to_vec();
-            let sched = Schedule::from_order(graph, order);
-            let re = certify_schedule(graph, &sched, &re_plan, &report.sizes, budget);
+            let re = certify_plan(graph, root, &re_plan, &report.sizes, budget);
             if re_plan.nodes_with(Kernel::Blocked).is_empty() && re.fits() {
                 report.diagnostics.push(Diagnostic {
                     severity: Severity::Hint,
@@ -495,6 +493,8 @@ pub fn analyze_with_cost(
     degree: usize,
     model: &crate::cost::CostModel,
 ) -> AnalysisReport {
+    use crate::physical::{plan, PlanOptions};
+
     let mut report = analyze(graph, root, inputs);
     if model.is_empty() {
         return report;
@@ -503,13 +503,8 @@ pub fn analyze_with_cost(
     if reachable.iter().any(|id| !report.sizes.contains_key(id)) {
         return report;
     }
-    let opts = crate::physical::PlanOptions {
-        degree,
-        cost: Some(model),
-        ..crate::physical::PlanOptions::new(&report.sizes)
-    };
-    let plan =
-        crate::physical::plan(graph, root, &opts).expect("a propagated size map always plans");
+    let opts = PlanOptions { degree, cost: Some(model), ..PlanOptions::new(&report.sizes) };
+    let plan = plan(graph, root, &opts).expect("a propagated size map always plans");
     let costs = crate::cost::node_costs(graph, root, &report.sizes, &plan, model);
     for id in reachable {
         let Some(c) = costs.get(&id) else { continue };

@@ -147,11 +147,9 @@ pub fn explain(graph: &Graph, root: NodeId, opts: Option<&PlanOptions>) -> Strin
     let Some((opts, sizes, phys)) = &planned else {
         return out;
     };
-    let reachable = graph.reachable(root);
-    if opts.budget.get().is_some() && reachable.iter().all(|id| sizes.contains_key(id)) {
-        let order = phys.order().map_or(reachable, <[NodeId]>::to_vec);
-        let sched = crate::liveness::Schedule::from_order(graph, order);
-        let cert = crate::liveness::certify_schedule(graph, &sched, phys, sizes, opts.budget);
+    if opts.budget.get().is_some() && graph.reachable(root).iter().all(|id| sizes.contains_key(id))
+    {
+        let cert = crate::liveness::certify_plan(graph, root, phys, sizes, opts.budget);
         out.push('\n');
         out.push_str(&cert.render(graph));
     }

@@ -346,7 +346,9 @@ impl PlanCertificate {
     }
 }
 
-/// Certify `plan` over the default depth-first schedule from `root`.
+/// Certify `plan` over the schedule it runs: the order it carries when it
+/// was built with [`reorder`](crate::physical::PlanOptions::reorder), the
+/// default depth-first schedule from `root` otherwise.
 ///
 /// Walks the schedule, sums the modeled live bytes at every step (see the
 /// module docs for the abstract machine), and returns a
@@ -362,7 +364,11 @@ pub fn certify_plan(
     sizes: &HashMap<NodeId, SizeInfo>,
     budget: MemoryBudget,
 ) -> PlanCertificate {
-    certify_schedule(graph, &Schedule::new(graph, root), plan, sizes, budget)
+    let sched = match plan.order() {
+        Some(order) => Schedule::from_order(graph, order.to_vec()),
+        None => Schedule::new(graph, root),
+    };
+    certify_schedule(graph, &sched, plan, sizes, budget)
 }
 
 /// [`certify_plan`] over an explicit schedule (e.g. from

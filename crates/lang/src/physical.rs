@@ -756,12 +756,12 @@ mod tests {
         assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
 
         let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
-        let order = re.order().expect("a reordered plan carries its order").to_vec();
-        assert_eq!(order, vec![a, b, r, x, root]);
+        assert_eq!(re.order(), Some(&[a, b, r, x, root][..]));
         assert_eq!(re.nodes_with(Kernel::Blocked), Vec::<NodeId>::new(), "reorder fits in memory");
-        let sched = crate::liveness::Schedule::from_order(&g, order);
-        let cert = crate::liveness::certify_schedule(&g, &sched, &re, &sizes, budget);
+        // Certified over the order the plan carries, not the DFS one.
+        let cert = crate::liveness::certify_plan(&g, root, &re, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
+        assert_eq!(cert.timeline.iter().map(|s| s.node).collect::<Vec<_>>(), [a, b, r, x, root]);
     }
 
     /// A model with `n` samples of the given GFLOP/s for (op, family) at

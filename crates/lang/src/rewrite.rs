@@ -2,7 +2,7 @@
 //! patterns, constant folding, and matrix-chain reordering.
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
-use crate::physical::PlanOptions;
+use crate::physical::{plan, PlanOptions};
 use crate::size::{propagate, InputSizes, Shape, SizeError};
 use dm_obs::{elapsed_ns, Recorder};
 use std::collections::HashMap;
@@ -361,7 +361,7 @@ pub fn optimize_traced(
     let wall_ns = elapsed_ns(t0);
     let price = |gr: &Graph, rt: NodeId| -> Option<u128> {
         let model = model?;
-        let plan = crate::physical::plan(gr, rt, &PlanOptions::new(sizes)).ok()?;
+        let plan = plan(gr, rt, &PlanOptions::new(sizes)).ok()?;
         crate::cost::calibrated_cost(gr, rt, sizes, &plan, model).ok()
     };
     let trace = RewriteTrace {

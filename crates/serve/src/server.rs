@@ -504,7 +504,7 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
         write_res = write_frame(stream, &payload);
         ctx.rec.phase_ns[Phase::Encode.index()] += t0.elapsed().as_nanos() as u64;
     }
-    let ReqCtx { mut rec, mut spans, root: ctx_root } = ctx;
+    let ReqCtx { mut rec, mut spans, root } = ctx;
     spans.flush();
     rec.total_ns = started.elapsed().as_nanos() as u64;
     for p in Phase::ALL {
@@ -517,7 +517,7 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
     // The root span has dropped and the phase batch is flushed, so the full
     // tree is in the buffers; drain this request's slice into its record
     // (keeping the global ring lean).
-    if let Some(root) = ctx_root {
+    if let Some(root) = root {
         rec.events = trace::extract_trace(root.trace);
     }
     shared.flight.record(rec);
