@@ -550,6 +550,70 @@ mod tests {
         assert_eq!(data[2], f64::NEG_INFINITY);
     }
 
+    /// The text layout is frozen: these are the bytes the parent of the
+    /// slab-frame change produced for the same inputs, so a JSON-only client
+    /// (and `perf_ledger`'s replay of the text functions) sees no difference.
+    #[test]
+    fn text_encoding_is_pinned_byte_for_byte() {
+        let req = Request::score("acme-1", "W %*% x")
+            .matrix("W", 2, 2, vec![1.5, -0.25, 1e-7, 3.0])
+            .matrix("x", 2, 1, vec![0.1, -0.0])
+            .matrix("e", 0, 3, vec![])
+            .scalar("alpha", f64::NAN)
+            .scalar("b\"eta", -2.5)
+            .batched();
+        assert_eq!(
+            encode_request(&req),
+            concat!(
+                r#"{"tenant":"acme-1","cmd":"score","program":"W %*% x","inputs":{"#,
+                r#""W":{"rows":2,"cols":2,"data":[1.5,-0.25,0.0000001,3]},"#,
+                r#""x":{"rows":2,"cols":1,"data":[0.1,-0]},"#,
+                r#""e":{"rows":0,"cols":3,"data":[]},"#,
+                r#""alpha":{"scalar":"NaN"},"b\"eta":{"scalar":-2.5}},"batch":true}"#
+            )
+        );
+        assert_eq!(encode_request(&Request::ping("t")), r#"{"tenant":"t","cmd":"ping"}"#);
+        assert_eq!(encode_response(&Response::Pong), r#"{"ok":true,"kind":"pong"}"#);
+        assert_eq!(
+            encode_response(&Response::Error { error: "bad \"x\"\n".to_owned() }),
+            r#"{"ok":false,"error":"bad \"x\"\n"}"#
+        );
+        let scalar = Response::Score {
+            result: ScoreResult::Scalar(f64::NEG_INFINITY),
+            cache_hit: true,
+            batched: false,
+            blocked_nodes: 0,
+        };
+        assert_eq!(
+            encode_response(&scalar),
+            r#"{"ok":true,"kind":"scalar","value":"-Infinity","cache":"hit","batched":false,"blocked_nodes":0}"#
+        );
+        let matrix = Response::Score {
+            result: ScoreResult::Matrix { rows: 1, cols: 3, data: vec![1.0, 2.5e10, f64::INFINITY] },
+            cache_hit: false,
+            batched: true,
+            blocked_nodes: 2,
+        };
+        assert_eq!(
+            encode_response(&matrix),
+            concat!(
+                r#"{"ok":true,"kind":"matrix","rows":1,"cols":3,"data":[1,25000000000,"Infinity"],"#,
+                r#""cache":"miss","batched":true,"blocked_nodes":2}"#
+            )
+        );
+        assert_eq!(
+            encode_response_with_rid(&matrix, 42),
+            concat!(
+                r#"{"ok":true,"kind":"matrix","rows":1,"cols":3,"data":[1,25000000000,"Infinity"],"#,
+                r#""cache":"miss","batched":true,"blocked_nodes":2,"rid":42}"#
+            )
+        );
+        assert_eq!(
+            encode_response_with_rid(&Response::Pong, 7),
+            r#"{"ok":true,"kind":"pong","rid":7}"#
+        );
+    }
+
     #[test]
     fn malformed_requests_are_rejected() {
         assert!(decode_request("{}").is_err(), "missing tenant");
