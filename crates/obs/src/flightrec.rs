@@ -156,6 +156,10 @@ pub struct RequestRecord {
     pub bytes_in: u64,
     /// Response frame size in bytes.
     pub bytes_out: u64,
+    /// Payload layout the request arrived in and the response went out in:
+    /// `"text"` (JSON numbers) or `"slab"` (raw `f64`s). A megabyte of
+    /// `bytes_in` under `"text"` is a client that should be sending slabs.
+    pub layout: &'static str,
     /// Kernel summary from the plan (op/kernel pairs), empty if unavailable.
     pub kernel_summary: String,
     /// Calibrated cost-model estimate for the executed plan, in
@@ -185,6 +189,7 @@ impl RequestRecord {
             total_ns: 0,
             bytes_in: 0,
             bytes_out: 0,
+            layout: "text",
             kernel_summary: String::new(),
             est_cost_ns: 0,
             certified_peak: 0,
@@ -220,10 +225,11 @@ impl RequestRecord {
         }
         let _ = write!(
             out,
-            ",\"total_ns\":{},\"bytes_in\":{},\"bytes_out\":{},\"est_cost_ns\":{},\"certified_peak\":{},\"kernels\":\"{}\"",
+            ",\"total_ns\":{},\"bytes_in\":{},\"bytes_out\":{},\"layout\":\"{}\",\"est_cost_ns\":{},\"certified_peak\":{},\"kernels\":\"{}\"",
             self.total_ns,
             self.bytes_in,
             self.bytes_out,
+            self.layout,
             self.est_cost_ns,
             self.certified_peak,
             escape_json(&self.kernel_summary),

@@ -6,8 +6,7 @@
 //! the examples and end-to-end tests.
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, response_rid, write_frame, Request, Response,
-    ScoreResult,
+    decode_response_frame, read_frame, request_frame, write_frame, Request, Response, ScoreResult,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -21,12 +20,15 @@ impl ScoringClient {
     /// Connect to a server address.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        // Latency over throughput: frames are small and request/response.
+        // Latency over throughput: traffic is strictly request/response.
         let _ = stream.set_nodelay(true);
         Ok(ScoringClient { stream })
     }
 
-    /// Send one request and wait for its response.
+    /// Send one request and wait for its response. A request carrying many
+    /// matrix values goes out as a slab frame (raw `f64`s), a small one as
+    /// JSON text — [`request_frame`] decides from the request itself, and
+    /// the server answers in kind.
     pub fn request(&mut self, req: &Request) -> Result<Response, String> {
         self.request_with_rid(req).map(|(resp, _)| resp)
     }
@@ -35,11 +37,11 @@ impl ScoringClient {
     /// the handle into the server's flight recorder (`/debug/requests`,
     /// `/debug/trace?id=`). `None` when talking to a server predating ids.
     pub fn request_with_rid(&mut self, req: &Request) -> Result<(Response, Option<u64>), String> {
-        write_frame(&mut self.stream, &encode_request(req)).map_err(|e| format!("send: {e}"))?;
+        write_frame(&mut self.stream, &request_frame(req)).map_err(|e| format!("send: {e}"))?;
         let raw = read_frame(&mut self.stream)
             .map_err(|e| format!("recv: {e}"))?
             .ok_or("server closed the connection")?;
-        Ok((decode_response(&raw)?, response_rid(&raw)))
+        decode_response_frame(&raw)
     }
 
     /// Convenience: issue a `score` and unwrap the result value, turning

@@ -30,8 +30,8 @@
 
 use crate::batch::{Batcher, Joined};
 use crate::protocol::{
-    decode_request, encode_response_with_rid, read_frame, write_frame, Cmd, InputValue, Request,
-    Response, ScoreResult,
+    decode_request_frame, read_frame, response_frame, write_frame, Cmd, InputValue, Layout,
+    Request, Response, ScoreResult, FRAME_PREFIX_BYTES,
 };
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::session::SessionLedger;
@@ -460,13 +460,17 @@ fn time_phase<T>(ctx: &mut ReqCtx, p: Phase, f: impl FnOnce() -> T) -> T {
 /// extracted span tree — into the flight recorder. The returned error is
 /// the socket write failing (connection torn down); the request is recorded
 /// either way, so even a request whose client vanished stays diagnosable.
-fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::Result<()> {
+fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &[u8]) -> io::Result<()> {
     let started = Instant::now();
     let reg = shared.registry.as_ref();
     let rid = shared.flight.next_id();
     let mut ctx =
         ReqCtx { rec: RequestRecord::new(rid, ""), spans: trace::LocalSpans::new(), root: None };
     ctx.rec.bytes_in = raw.len() as u64;
+    // The response goes back in the layout the request came in, so a client
+    // that only speaks JSON text never meets a slab.
+    let layout = Layout::of(raw);
+    ctx.rec.layout = layout.name();
     let write_res;
     {
         // Root span of this request's trace. A root gets its trace id from
@@ -496,12 +500,12 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &str) -> io::R
             ctx.rec.error = Some(error.clone());
         }
         root.arg("tenant", ctx.rec.tenant.clone());
-        let payload = time_phase(&mut ctx, Phase::Encode, || encode_response_with_rid(&resp, rid));
-        ctx.rec.bytes_out = payload.len() as u64;
+        let frame = time_phase(&mut ctx, Phase::Encode, || response_frame(&resp, rid, layout));
+        ctx.rec.bytes_out = (frame.len() - FRAME_PREFIX_BYTES) as u64;
         // The frame write counts as encode time too: a response stuck in a
         // slow client's socket shows up attributed, not as mystery gap.
         let t0 = Instant::now();
-        write_res = write_frame(stream, &payload);
+        write_res = write_frame(stream, &frame);
         ctx.rec.phase_ns[Phase::Encode.index()] += t0.elapsed().as_nanos() as u64;
     }
     let ReqCtx { mut rec, mut spans, root } = ctx;
@@ -530,10 +534,10 @@ fn valid_tenant(t: &str) -> bool {
         && t.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-fn handle_request(shared: &Arc<Shared>, raw: &str, ctx: &mut ReqCtx) -> Response {
+fn handle_request(shared: &Arc<Shared>, raw: &[u8], ctx: &mut ReqCtx) -> Response {
     let reg = shared.registry.as_ref();
     reg.add("serve.requests", 1);
-    let req = match time_phase(ctx, Phase::Decode, || decode_request(raw)) {
+    let req = match time_phase(ctx, Phase::Decode, || decode_request_frame(raw)) {
         Ok(r) => r,
         Err(e) => {
             reg.add("serve.errors", 1);
@@ -547,7 +551,7 @@ fn handle_request(shared: &Arc<Shared>, raw: &str, ctx: &mut ReqCtx) -> Response
     ctx.rec.tenant = req.tenant.clone();
     let resp = match req.cmd {
         Cmd::Ping => Response::Pong,
-        Cmd::Score => handle_score(shared, &req, ctx),
+        Cmd::Score => handle_score(shared, req, ctx),
     };
     if matches!(resp, Response::Error { .. }) {
         reg.add("serve.errors", 1);
@@ -591,7 +595,7 @@ fn measured_sparsity(data: &[f64]) -> f64 {
     data.iter().filter(|v| **v != 0.0).count() as f64 / data.len() as f64
 }
 
-fn handle_score(shared: &Arc<Shared>, req: &Request, ctx: &mut ReqCtx) -> Response {
+fn handle_score(shared: &Arc<Shared>, mut req: Request, ctx: &mut ReqCtx) -> Response {
     let reg = shared.registry.as_ref();
     // Plan-cache lookup phase: classify the bound inputs, parse for the
     // structural hash (cheap, linear in the text), and probe the LRU —
@@ -670,11 +674,11 @@ fn handle_score(shared: &Arc<Shared>, req: &Request, ctx: &mut ReqCtx) -> Respon
     reg.gauge_set("serve.admission.waiting", shared.ledger.waiting() as u64);
     reg.gauge_set("serve.admission.in_flight_bytes", shared.ledger.in_flight_bytes() as u64);
 
-    let (result, batched) = match try_batched(shared, req, &prog, &key, ctx) {
+    let (result, batched) = match try_batched(shared, &mut req, &prog, &key, ctx) {
         Some(r) => r,
         None => {
             let out =
-                time_phase(ctx, Phase::Execute, || execute(shared, &prog, build_env(&req.inputs)));
+                time_phase(ctx, Phase::Execute, || execute(shared, &prog, build_env(req.inputs)));
             match out {
                 Ok(v) => (val_to_result(v), false),
                 Err(e) => return Response::Error { error: e },
@@ -740,17 +744,18 @@ fn insert_cache(shared: &Arc<Shared>, key: PlanKey, prog: Arc<CompiledProgram>) 
     reg.gauge_set("serve.plan_cache.size", cache.len() as u64);
 }
 
-fn build_env(inputs: &[(String, InputValue)]) -> Env {
+/// Bind a request's inputs, moving each matrix's values into the
+/// environment: a decoded request is consumed by its execution, never copied.
+fn build_env(inputs: Vec<(String, InputValue)>) -> Env {
     let mut env = Env::new();
     for (name, v) in inputs {
         match v {
             InputValue::Matrix { rows, cols, data } => {
-                let d = Dense::from_vec(*rows, *cols, data.clone())
-                    .expect("length validated at decode");
-                env.bind(name, Matrix::Dense(d));
+                let d = Dense::from_vec(rows, cols, data).expect("length validated at decode");
+                env.bind(&name, Matrix::Dense(d));
             }
             InputValue::Scalar(x) => {
-                env.bind_scalar(name, *x);
+                env.bind_scalar(&name, x);
             }
         }
     }
@@ -790,8 +795,12 @@ fn val_to_result(v: Val) -> Result<ScoreResult, String> {
     Ok(match v {
         Val::Scalar(s) => ScoreResult::Scalar(s),
         Val::Matrix(m) => {
-            let d = m.to_dense();
-            ScoreResult::Matrix { rows: d.rows(), cols: d.cols(), data: d.data().to_vec() }
+            let d = match m {
+                Matrix::Dense(d) => d,
+                Matrix::Sparse(s) => s.to_dense(),
+            };
+            let (rows, cols) = d.shape();
+            ScoreResult::Matrix { rows, cols, data: d.into_vec() }
         }
     })
 }
@@ -838,7 +847,7 @@ fn guard_hash(bytes: &[u8]) -> u64 {
 #[allow(clippy::type_complexity)]
 fn try_batched(
     shared: &Arc<Shared>,
-    req: &Request,
+    req: &mut Request,
     prog: &Arc<CompiledProgram>,
     key: &PlanKey,
     ctx: &mut ReqCtx,
@@ -888,12 +897,17 @@ fn try_batched(
     let gkey = guard_hash(&guard);
     let m = *rows;
     let reg = shared.registry.as_ref();
-    match shared.batcher.join(gkey, &guard, data.clone()) {
+    let joined = shared.batcher.join(gkey, &guard, data.clone());
+    // Committed to the batched path: whichever role this request got, its
+    // inputs move into the one environment built below and nothing reads
+    // them afterwards (the batched column travels separately, above).
+    let inputs = std::mem::take(&mut req.inputs);
+    match joined {
         Joined::Solo(col) => {
             // Group was full or guarded against us: run the same column
             // individually.
             let out = time_phase(ctx, Phase::Execute, || {
-                let mut env = build_env(&req.inputs);
+                let mut env = build_env(inputs);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, 1, col).expect("shape")));
                 execute(shared, prog, env).and_then(val_to_result)
             });
@@ -928,7 +942,7 @@ fn try_batched(
                         stacked[i * k + j] = *v;
                     }
                 }
-                let mut env = build_env(&req.inputs);
+                let mut env = build_env(inputs);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, k, stacked).expect("shape")));
                 execute(shared, prog, env).and_then(|v| {
                     let Val::Matrix(mat) = v else {

@@ -16,7 +16,8 @@ value a parseable float, every name matching `[a-zA-Z_:][a-zA-Z0-9_:]*`);
 
 With `--debug` the flight-recorder endpoints are validated too:
 `/debug/requests` and `/debug/slow` must be HTTP 200 `application/json`
-with their required fields, and `/debug/trace?id=` must serve a Chrome
+with their required fields (each record's frame `layout` is `text` or
+`slab`), and `/debug/trace?id=` must serve a Chrome
 trace for a recorded id (404 for an unknown one). Only meaningful
 against a server that mounts a flight recorder (the scoring server);
 plain `trace_run` invocations must not pass `--debug`.
@@ -78,9 +79,13 @@ def check_debug(addr: str) -> None:
         raise SystemExit("/debug/requests: 'requests' is not a list")
     for rec in reqs["requests"]:
         require_fields("/debug/requests", rec,
-                       ["id", "tenant", "total_ns", "phases", "cache_hit"])
+                       ["id", "tenant", "total_ns", "phases", "cache_hit",
+                        "bytes_in", "bytes_out", "layout"])
         if not isinstance(rec["phases"], dict):
             raise SystemExit("/debug/requests: record 'phases' is not an object")
+        if rec["layout"] not in ("text", "slab"):
+            raise SystemExit(f"/debug/requests: record layout {rec['layout']!r}, "
+                             "want 'text' or 'slab'")
 
     slow = fetch_json(addr, "/debug/slow")
     require_fields("/debug/slow", slow,
@@ -100,7 +105,8 @@ def check_debug(addr: str) -> None:
     except urllib.error.HTTPError as e:
         if e.code != 404:
             raise SystemExit(f"/debug/trace with unknown id: HTTP {e.code}, want 404")
-    print(f"ok: /debug/requests ({len(reqs['requests'])} records), "
+    slabs = sum(rec["layout"] == "slab" for rec in reqs["requests"])
+    print(f"ok: /debug/requests ({len(reqs['requests'])} records, {slabs} slab), "
           f"/debug/slow ({len(slow['slow'])} slow), "
           f"/debug/trace ({traced} events)")
 

@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
 """Multi-tenant load generator for the scoring server (`dm-serve`).
 
-Speaks the server's length-prefixed JSON protocol (4-byte big-endian
-frame length, then a UTF-8 JSON request — see
-`crates/serve/src/protocol.rs`) with N concurrent tenants, each on its own
-connection. Every tenant scores the same program family with
-tenant-specific data, alternating two input size classes so the run
-exercises plan-cache hits AND misses, and optionally marks requests
-batchable so concurrent vector scorings coalesce.
+Speaks the server's length-prefixed protocol (4-byte big-endian frame
+length, then a UTF-8 JSON request — see `crates/serve/src/protocol.rs`)
+with N concurrent tenants, each on its own connection. Every tenant scores
+the same program family with tenant-specific data, alternating two input
+size classes so the run exercises plan-cache hits AND misses, and
+optionally marks requests batchable so concurrent vector scorings
+coalesce.
+
+With `--rows R --cols C` every request is instead one `X %*% v` scoring of
+an R x C model, and — exactly as the Rust client decides — a request whose
+matrices total 16 384 values or more goes out as a **slab frame**: the same
+JSON document as a header, with each matrix's values as raw little-endian
+f64 after it. This file is the format's second implementation, so the
+server's slab decoder is exercised by bytes its own encoder did not
+produce; the scores that come back are checked against X.v computed here.
 
 Two ways to point it at a server, both stdlib-only:
 
@@ -33,9 +41,12 @@ Usage:
       cargo run --release --example scoring_server
   scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 8 --requests 50 --batch
   scripts/loadgen.py --addr 127.0.0.1:7878 --metrics 127.0.0.1:9100 --slow 50
+  scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 2 --requests 10 \\
+      --rows 64 --cols 2048
 """
 
 import argparse
+import array
 import json
 import os
 import socket
@@ -49,12 +60,73 @@ import urllib.request
 BANNER = "scoring listening on "
 
 
-def send_frame(sock: socket.socket, payload: str) -> None:
-    raw = payload.encode("utf-8")
-    sock.sendall(struct.pack(">I", len(raw)) + raw)
+# The slab frame layout of crates/serve/src/protocol.rs.
+SLAB_MAGIC = 0xD5
+SLAB_VERSION = 1
+SLAB_PREAMBLE = struct.Struct("<BBI")  # magic, version, header byte length
+SLAB_MIN_ELEMS = 16384
 
 
-def recv_frame(sock: socket.socket) -> str:
+def to_wire(slab: array.array) -> bytes:
+    """The slab is little-endian on every host, so a big-endian one swaps."""
+    if sys.byteorder == "big":
+        slab = array.array("d", slab)
+        slab.byteswap()
+    return slab.tobytes()
+
+
+def from_wire(raw: bytes) -> array.array:
+    slab = array.array("d")
+    slab.frombytes(raw)
+    if sys.byteorder == "big":
+        slab.byteswap()
+    return slab
+
+
+def encode_payload(req: dict) -> bytes:
+    """A request's frame payload: JSON text, or a slab frame when its
+    matrices total SLAB_MIN_ELEMS values or more."""
+    inputs = req.get("inputs", {})
+    if sum(len(m.get("data", ())) for m in inputs.values()) < SLAB_MIN_ELEMS:
+        return json.dumps(req).encode("utf-8")
+    slab = array.array("d")
+    header = dict(req, inputs={})
+    for name, m in inputs.items():
+        if "data" in m:
+            # References tile the slab in document order.
+            header["inputs"][name] = dict(m, data={"slab": len(slab)})
+            slab.extend(m["data"])
+        else:
+            header["inputs"][name] = m
+    text = json.dumps(header).encode("utf-8")
+    return SLAB_PREAMBLE.pack(SLAB_MAGIC, SLAB_VERSION, len(text)) + text + to_wire(slab)
+
+
+def decode_payload(body: bytes) -> dict:
+    """A response's frame payload as a dict, whichever layout it came in
+    (the server answers in the layout of the request)."""
+    if body[:1] != bytes([SLAB_MAGIC]):
+        return json.loads(body.decode("utf-8"))
+    _, version, text_len = SLAB_PREAMBLE.unpack_from(body)
+    if version != SLAB_VERSION:
+        raise ValueError(f"slab frame version {version}")
+    text_end = SLAB_PREAMBLE.size + text_len
+    resp = json.loads(body[SLAB_PREAMBLE.size:text_end].decode("utf-8"))
+    ref = resp.get("data")
+    if isinstance(ref, dict):
+        slab = from_wire(body[text_end:])
+        n = resp["rows"] * resp["cols"]
+        if ref["slab"] != 0 or n != len(slab):
+            raise ValueError(f"slab reference {ref} x {n} does not tile {len(slab)} values")
+        resp["data"] = slab.tolist()
+    return resp
+
+
+def send_frame(sock: socket.socket, payload: bytes) -> None:
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+
+
+def recv_frame(sock: socket.socket) -> bytes:
     header = b""
     while len(header) < 4:
         chunk = sock.recv(4 - len(header))
@@ -62,13 +134,13 @@ def recv_frame(sock: socket.socket) -> str:
             raise ConnectionError("server closed mid-header")
         header += chunk
     (n,) = struct.unpack(">I", header)
-    body = b""
+    body = bytearray()
     while len(body) < n:
-        chunk = sock.recv(min(65536, n - len(body)))
+        chunk = sock.recv(min(1 << 20, n - len(body)))
         if not chunk:
             raise ConnectionError("server closed mid-frame")
         body += chunk
-    return body.decode("utf-8")
+    return bytes(body)
 
 
 def score_request(tenant: str, seq: int, batch: bool) -> dict:
@@ -97,6 +169,30 @@ def score_request(tenant: str, seq: int, batch: bool) -> dict:
     return req
 
 
+# (rows, cols, seq parity) -> (request inputs, expected X.v). Two datasets
+# per shape, shared by every tenant thread: building 131 072 floats in pure
+# Python per request would measure the generator, not the server.
+_WIDE = {}
+
+
+def wide_request(tenant: str, seq: int, rows: int, cols: int):
+    """One `X %*% v` scoring of a rows x cols model, with the scores a
+    correct server must return."""
+    key = (rows, cols, seq % 2)
+    if key not in _WIDE:
+        x = [((i * 13 + key[2] * 7) % 23) * 0.31 - 2.0 for i in range(rows * cols)]
+        v = [((i * 5 + key[2]) % 11) * 0.17 - 0.6 for i in range(cols)]
+        want = [sum(a * b for a, b in zip(x[r * cols:(r + 1) * cols], v)) for r in range(rows)]
+        inputs = {
+            "X": {"rows": rows, "cols": cols, "data": x},
+            "v": {"rows": cols, "cols": 1, "data": v},
+        }
+        _WIDE[key] = (inputs, want)
+    inputs, want = _WIDE[key]
+    req = {"tenant": tenant, "cmd": "score", "program": "X %*% v", "inputs": inputs}
+    return req, want
+
+
 class TenantStats:
     def __init__(self):
         self.latencies_ms = []
@@ -108,18 +204,24 @@ class TenantStats:
 
 
 def run_tenant(addr, tenant: str, requests: int, batch: bool, stats: TenantStats,
-               slow_ms=None) -> None:
+               slow_ms=None, shape=None) -> None:
     try:
         with socket.create_connection(addr, timeout=30) as sock:
-            send_frame(sock, json.dumps({"tenant": tenant, "cmd": "ping"}))
-            pong = json.loads(recv_frame(sock))
+            send_frame(sock, encode_payload({"tenant": tenant, "cmd": "ping"}))
+            pong = decode_payload(recv_frame(sock))
             if pong.get("kind") != "pong":
                 stats.errors.append(f"bad pong: {pong}")
                 return
             for seq in range(requests):
+                want = None
+                if shape:
+                    req, want = wide_request(tenant, seq, *shape)
+                else:
+                    req = score_request(tenant, seq, batch)
+                payload = encode_payload(req)
                 t0 = time.monotonic()
-                send_frame(sock, json.dumps(score_request(tenant, seq, batch)))
-                resp = json.loads(recv_frame(sock))
+                send_frame(sock, payload)
+                resp = decode_payload(recv_frame(sock))
                 lat_ms = (time.monotonic() - t0) * 1e3
                 stats.latencies_ms.append(lat_ms)
                 rid = resp.get("rid")  # server-assigned flight-recorder id
@@ -131,9 +233,16 @@ def run_tenant(addr, tenant: str, requests: int, batch: bool, stats: TenantStats
                 if resp.get("kind") != "matrix" or "data" not in resp:
                     stats.errors.append(f"seq {seq} rid {rid}: malformed response {resp}")
                     continue
+                # Summation order may differ from the server's kernel by ulps.
+                if want is not None and not (
+                        len(resp["data"]) == len(want)
+                        and all(abs(g - w) <= 1e-9 * max(1.0, abs(w))
+                                for g, w in zip(resp["data"], want))):
+                    stats.errors.append(f"seq {seq} rid {rid}: wrong scores")
+                    continue
                 stats.cache_hits += resp.get("cache") == "hit"
                 stats.batched += bool(resp.get("batched"))
-    except (OSError, ConnectionError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, struct.error) as e:
         stats.errors.append(f"{type(e).__name__}: {e}")
 
 
@@ -181,10 +290,11 @@ def print_slow_breakdown(metrics_addr: str, slow, total_requests: int) -> None:
 
 
 def run_load(addr, tenants: int, requests: int, batch: bool,
-             slow_ms=None, metrics_addr=None) -> int:
+             slow_ms=None, metrics_addr=None, shape=None) -> int:
     per_tenant = {f"tenant-{i}": TenantStats() for i in range(tenants)}
     threads = [
-        threading.Thread(target=run_tenant, args=(addr, name, requests, batch, st, slow_ms))
+        threading.Thread(target=run_tenant,
+                         args=(addr, name, requests, batch, st, slow_ms, shape))
         for name, st in per_tenant.items()
     ]
     t0 = time.monotonic()
@@ -252,6 +362,10 @@ def main() -> int:
     ap.add_argument("--tenants", type=int, default=4)
     ap.add_argument("--requests", type=int, default=25, help="requests per tenant")
     ap.add_argument("--batch", action="store_true", help="mark requests batchable")
+    ap.add_argument("--rows", type=int, help="with --cols: score one `X %%*%% v` of a "
+                    "ROWS x COLS model per request, as a slab frame once it holds "
+                    f"{SLAB_MIN_ELEMS} values, and check the scores")
+    ap.add_argument("--cols", type=int)
     ap.add_argument("--addr", help="host:port of a running server")
     ap.add_argument("--slow", type=float, metavar="MS",
                     help="report requests slower than MS milliseconds; with "
@@ -262,12 +376,15 @@ def main() -> int:
     ap.add_argument("--spawn", nargs=argparse.REMAINDER,
                     help="command to start a server (everything after --spawn)")
     args = ap.parse_args()
+    if (args.rows is None) != (args.cols is None) or (args.rows and args.batch):
+        ap.error("--rows and --cols go together, and without --batch")
+    shape = (args.rows, args.cols) if args.rows else None
 
     if args.spawn:
         proc, addr = spawn_server(args.spawn)
         try:
             return run_load(addr, args.tenants, args.requests, args.batch,
-                            args.slow, args.metrics)
+                            args.slow, args.metrics, shape)
         finally:
             proc.terminate()
             try:
@@ -278,7 +395,7 @@ def main() -> int:
     elif args.addr:
         host, _, port = args.addr.rpartition(":")
         return run_load((host, int(port)), args.tenants, args.requests, args.batch,
-                        args.slow, args.metrics)
+                        args.slow, args.metrics, shape)
     else:
         ap.error("one of --addr or --spawn is required")
     return 2

@@ -4,18 +4,24 @@
 //! on the `serve.plan_cache.hit` counter), an over-budget request is
 //! admitted with `Kernel::Blocked` kernels instead of being rejected, and
 //! everything is observable on a live `/metrics` scrape with per-tenant
-//! latency quantiles.
+//! latency quantiles. ISSUE 14 adds the slab wire layout: a wide scoring
+//! sent as raw `f64`s equals both direct evaluation and the same request
+//! sent as hand-written JSON text, a JSON client is answered in JSON, and
+//! the layout switches exactly at the size threshold.
 
 use dmml::lang::exec::{Env, Executor};
 use dmml::lang::parser;
 use dmml::lang::physical::{plan, Kernel, PlanOptions};
 use dmml::lang::size::InputSizes;
 use dmml::matrix::{Dense, Matrix};
+use dmml::obs::flightrec::RequestRecord;
 use dmml::obs::serve::MetricsServer;
 use dmml::obs::StatsRegistry;
+use dmml::serve::protocol::{decode_response, encode_request};
 use dmml::serve::{Request, Response, ScoreResult, ScoringClient, ScoringServer, ServeConfig};
 use std::io::{Read as _, Write as _};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const PROGRAM: &str = "sum(t(X) %*% (X + X))";
 const N: usize = 60;
@@ -229,5 +235,122 @@ fn batched_scoring_matches_direct_evaluation() {
             );
         }
     }
+    server.shutdown();
+}
+
+/// The flight record of a request whose response the client already holds
+/// (the record lands just after the response is flushed — poll briefly).
+fn recorded(server: &ScoringServer, rid: u64) -> Arc<RequestRecord> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(rec) = server.flight().get(rid) {
+            return rec;
+        }
+        assert!(Instant::now() < deadline, "rid {rid} never recorded");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn bits(data: &[f64]) -> Vec<u64> {
+    data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The wide scoring of `serve_wide_hot`, three ways: `ScoringClient` (which
+/// sends 64x2048 values as a slab frame), a raw socket speaking only JSON
+/// text, and the executor with no server at all. All three agree bit for
+/// bit, and each client is answered in the layout it spoke.
+#[test]
+fn wide_scoring_agrees_across_slab_text_and_direct_evaluation() {
+    let (rows, cols) = (64usize, 2048usize);
+    // Awkward values on purpose: full mantissas, a subnormal, a negative zero.
+    let mut x: Vec<f64> =
+        (0..rows * cols).map(|i| ((i * 2654435761) % 1000003) as f64 / 7919.0 - 63.0).collect();
+    x[5] = f64::MIN_POSITIVE / 8.0;
+    x[6] = -0.0;
+    let v: Vec<f64> = (0..cols).map(|i| ((i * 40503) % 9973) as f64 / 1237.0 - 4.0).collect();
+    let req = Request::score("wide", "X %*% v").matrix("X", rows, cols, x.clone()).matrix(
+        "v",
+        cols,
+        1,
+        v.clone(),
+    );
+
+    let (graph, root) = parser::parse("X %*% v").unwrap();
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(Dense::from_vec(rows, cols, x).unwrap()));
+    env.bind("v", Matrix::Dense(Dense::from_vec(cols, 1, v).unwrap()));
+    let direct = Executor::new(&graph).eval(root, &env).unwrap().as_dense().unwrap();
+
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let mut client = ScoringClient::connect(server.addr()).unwrap();
+    let (resp, rid) = client.request_with_rid(&req).unwrap();
+    let Response::Score { result: ScoreResult::Matrix { data: via_slab, .. }, .. } = resp else {
+        panic!("expected a matrix score, got {resp:?}");
+    };
+    assert_eq!(bits(&via_slab), bits(direct.data()), "slab path differs from direct evaluation");
+    let slab_rec = recorded(&server, rid.expect("responses carry a rid"));
+    assert_eq!(slab_rec.layout, "slab");
+    assert!(
+        (slab_rec.bytes_in as usize) < 8 * (rows * cols + cols) + 512,
+        "a slab request is its values plus a small header, not {} bytes",
+        slab_rec.bytes_in
+    );
+
+    // A client that knows nothing of slabs: length prefix + JSON text.
+    let text = encode_request(&req);
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(&(text.len() as u32).to_be_bytes()).unwrap();
+    raw.write_all(text.as_bytes()).unwrap();
+    let mut len = [0u8; 4];
+    raw.read_exact(&mut len).unwrap();
+    let mut reply = vec![0u8; u32::from_be_bytes(len) as usize];
+    raw.read_exact(&mut reply).unwrap();
+    let reply = String::from_utf8(reply).expect("a text request is answered in text");
+    assert!(reply.starts_with("{\"ok\":true,\"kind\":\"matrix\""), "{reply}");
+    let Response::Score { result: ScoreResult::Matrix { data: via_text, .. }, cache_hit, .. } =
+        decode_response(&reply).unwrap()
+    else {
+        panic!("expected a matrix score, got {reply}");
+    };
+    assert_eq!(bits(&via_text), bits(&via_slab), "text and slab requests scored differently");
+    assert!(cache_hit, "both layouts decode to the same request, hence the same plan key");
+    let text_rid = dmml::serve::protocol::response_rid(&reply).unwrap();
+    let text_rec = recorded(&server, text_rid);
+    assert_eq!(text_rec.layout, "text");
+    assert_eq!(text_rec.bytes_in as usize, text.len());
+    assert_eq!(text_rec.plan_key, slab_rec.plan_key);
+
+    drop((client, raw));
+    server.shutdown();
+}
+
+/// The layout is a function of the request's size and nothing else: one
+/// value under the threshold travels as text, one at it as a slab.
+#[test]
+fn layout_switches_at_the_size_threshold() {
+    // `SLAB_MIN_ELEMS` in crates/serve/src/protocol.rs (private there).
+    const SLAB_MIN_ELEMS: usize = 16_384;
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let mut client = ScoringClient::connect(server.addr()).unwrap();
+    let mut record_of = |elems: usize| {
+        let req = Request::score("edge", "sum(X)").matrix("X", 1, elems, vec![1.0; elems]);
+        let (resp, rid) = client.request_with_rid(&req).unwrap();
+        let Response::Score { result: ScoreResult::Scalar(sum), .. } = resp else {
+            panic!("expected a scalar score, got {resp:?}");
+        };
+        assert_eq!(sum, elems as f64);
+        recorded(&server, rid.unwrap())
+    };
+    let under = record_of(SLAB_MIN_ELEMS - 1);
+    assert_eq!(under.layout, "text");
+    // "1," per value, and nothing like 8 bytes each.
+    assert!((under.bytes_in as usize) < 3 * SLAB_MIN_ELEMS, "{}", under.bytes_in);
+    let at = record_of(SLAB_MIN_ELEMS);
+    assert_eq!(at.layout, "slab");
+    let overhead = at.bytes_in as usize - 8 * SLAB_MIN_ELEMS;
+    assert!(overhead < 256, "slab request = 8 bytes per value + a small header, not +{overhead}");
+    drop(client);
     server.shutdown();
 }
