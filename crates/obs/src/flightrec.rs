@@ -66,7 +66,8 @@ const SHARDS: usize = 8;
 /// match the `serve.phase.<name>` histogram sites in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Frame read + JSON parse of the request body.
+    /// Decoding the request payload: the JSON parse, plus reading every
+    /// matrix value (from text, or by copy from a slab).
     Decode,
     /// Plan-cache probe (key construction + LRU lookup).
     CacheLookup,

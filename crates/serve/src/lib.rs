@@ -2,8 +2,9 @@
 //!
 //! The multi-tenant scoring server: the long-lived process that turns the
 //! workspace's compile-once pipeline into the paper's "deploy to a
-//! million users" story. Declarative DMML programs arrive over a
-//! length-prefixed JSON protocol ([`protocol`]), compile **once** through
+//! million users" story. Declarative DMML programs arrive in
+//! length-prefixed frames — JSON text, or for large inputs the same JSON
+//! header plus a raw `f64` slab ([`protocol`]) — compile **once** through
 //! the full pipeline (parse → rewrite → size propagation → calibrated
 //! physical selection → peak-memory certification), and land in a shared
 //! plan cache ([`dm_lang::cache`]) keyed by (program hash, input size

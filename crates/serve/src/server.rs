@@ -9,8 +9,9 @@
 //! 1. **accept** — a dedicated thread accepts TCP connections and hands
 //!    each one to a [`dm_par::WorkerPool`] worker, which serves frames
 //!    off that connection until the client hangs up.
-//! 2. **parse** — the frame decodes to a [`Request`]; the program text
-//!    parses to an expression DAG (cheap, linear in the text).
+//! 2. **parse** — the frame decodes to a [`Request`], whichever of the two
+//!    payload layouts it arrived in (nothing past this step can tell); the
+//!    program text parses to an expression DAG (cheap, linear in the text).
 //! 3. **plan-cache probe** — the request's [`PlanKey`] (structural
 //!    program hash + per-input size classes and sparsity buckets) probes
 //!    the shared LRU. A hit skips rewriting, size propagation, physical
@@ -26,7 +27,8 @@
 //!    deadline (see [`crate::batch`]).
 //! 6. **execute / respond** — a fresh [`Executor`] runs the cached plan;
 //!    stats and kernel profiles flow into the shared registry and profile
-//!    store; the result frames back to the client bit-exactly.
+//!    store; the result frames back to the client bit-exactly, in the
+//!    layout of the request.
 
 use crate::batch::{Batcher, Joined};
 use crate::protocol::{
