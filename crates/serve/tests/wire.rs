@@ -138,6 +138,13 @@ fn slab_payload(version: u8, text_len: u32, header: &str, slab: &[u8]) -> Vec<u8
     p
 }
 
+/// A hand-assembled payload behind its length prefix.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
+}
+
 fn values(n: usize) -> Vec<u8> {
     (0..n).flat_map(|i| (i as f64).to_le_bytes()).collect()
 }
@@ -229,9 +236,7 @@ fn hostile_frames_get_a_clean_error_and_the_connection_survives() {
         assert!(err.contains(needle), "{what}: {err}");
         // ...and so does the server, in the layout the frame claimed, without
         // giving up on the connection.
-        let mut frame = (bad.len() as u32).to_be_bytes().to_vec();
-        frame.extend_from_slice(bad);
-        write_frame(&mut conn, &frame).unwrap();
+        write_frame(&mut conn, &framed(bad)).unwrap();
         let reply = read_frame(&mut conn).unwrap().unwrap_or_else(|| panic!("{what}: hung up"));
         assert_eq!(Layout::of(&reply), Layout::of(bad), "{what}");
         let (resp, rid) = decode_response_frame(&reply).unwrap();
@@ -244,9 +249,7 @@ fn hostile_frames_get_a_clean_error_and_the_connection_survives() {
     let (pong, _) = decode_response_frame(&read_frame(&mut conn).unwrap().unwrap()).unwrap();
     assert_eq!(pong, Response::Pong);
     let good = slab_payload(1, x_2x2.len() as u32, &x_2x2, &values(4));
-    let mut frame = (good.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(&good);
-    write_frame(&mut conn, &frame).unwrap();
+    write_frame(&mut conn, &framed(&good)).unwrap();
     let (resp, _) = decode_response_frame(&read_frame(&mut conn).unwrap().unwrap()).unwrap();
     let Response::Score { result: ScoreResult::Matrix { data, .. }, .. } = resp else {
         panic!("a small hand-written slab frame is a valid request: {resp:?}");
