@@ -1,0 +1,219 @@
+//! One cross-schedule test: every dense operator computes the same bits
+//! serially (`dm_matrix::ops`), in parallel (`dm_matrix::par`) and out of
+//! core (`dm_buffer::ooc`) under a pool that evicts.
+//!
+//! The three schedules share one kernel body per operator
+//! (`dm_matrix::kernel`) and differ only in how they cut row panels and fold
+//! partials, so this table is the whole cross-tier contract: panel heights
+//! that divide, straddle and exceed `ROW_BLOCK`, degrees that do and do not
+//! divide the work, degenerate shapes, exact zeros and `-0.0` (the gemm zero
+//! skip and the gevm scalar skip), and a `B` with one non-finite panel (gemm
+//! then mixes the packed and the reference body).
+
+use dm_buffer::policy::PolicyKind;
+use dm_buffer::storage::MemStore;
+use dm_buffer::SharedBufferPool;
+use dm_buffer::{ooc, panel_bytes, store_bytes, BlockStore, BufferPool, PoolError};
+use dm_matrix::{ops, par, Dense};
+
+type Pool = SharedBufferPool<MemStore>;
+type Store = BlockStore<MemStore>;
+
+const PAR_DEGREES: [usize; 3] = [2, 3, 8];
+const OOC_DEGREES: [usize; 3] = [1, 2, 4];
+const PANEL_HEIGHTS: [usize; 4] = [128, 700, 1024, 1500];
+const OUT: u64 = 99;
+
+/// The operands every operator of one case reads: `x` (and `y`, its
+/// elementwise partner), gemm's `b`, gemv's `v` and gevm's `u`.
+struct Case {
+    name: String,
+    x: Dense,
+    y: Dense,
+    b: Dense,
+    v: Vec<f64>,
+    u: Vec<f64>,
+}
+
+/// Deterministic values with exact zeros and `-0.0` mixed in.
+fn sample(rows: usize, cols: usize, seed: usize) -> Dense {
+    Dense::from_fn(rows, cols, |r, c| match (r * 7 + c * 3 + seed) % 13 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => ((r * 31 + c * 17 + seed) % 23) as f64 * 0.37 - 3.0,
+    })
+}
+
+fn case(name: &str, rows: usize, cols: usize, b_cols: usize) -> Case {
+    let skip = |i: usize, x: f64| match i % 5 {
+        0 => 0.0,
+        1 => -0.0,
+        _ => x,
+    };
+    Case {
+        name: format!("{name} {rows}x{cols}"),
+        x: sample(rows, cols, 1),
+        y: sample(rows, cols, 2),
+        b: sample(cols, b_cols, 3),
+        v: (0..cols).map(|i| skip(i + 2, i as f64 * 0.21 - 1.0)).collect(),
+        u: (0..rows).map(|i| skip(i, ((i % 29) as f64) * 0.11 - 1.5)).collect(),
+    }
+}
+
+fn cases() -> Vec<Case> {
+    let mut cases: Vec<Case> =
+        [(0, 3), (1, 3), (3, 1), (0, 0), (1, 1)].map(|(r, c)| case("edge", r, c, 2)).into();
+    cases.push(case("tall", 3000, 9, 5));
+    // Deep enough that B spans two panels at height 128; the second holds
+    // the non-finite values, so gemm runs the packed body on the first and
+    // the reference body on the second.
+    let mut deep = case("deep", 1600, 140, 7);
+    deep.b.set(130, 3, f64::INFINITY);
+    deep.b.set(135, 5, f64::NAN);
+    cases.push(deep);
+    cases
+}
+
+/// The case's operands tiled into one pool.
+struct Stores {
+    x: Store,
+    y: Store,
+    b: Store,
+}
+
+type Bits = Vec<u64>;
+
+fn bits(data: &[f64]) -> Bits {
+    data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Materialize an output store and drop its tiles.
+fn collect(out: Store) -> Result<Bits, PoolError> {
+    let d = out.to_dense()?;
+    out.discard()?;
+    Ok(bits(d.data()))
+}
+
+/// An operator run out of core over the case's stores at a degree.
+type OocRun = fn(&Stores, &Case, usize) -> Result<Bits, PoolError>;
+
+/// One operator under each schedule; `None` where the schedule has no such
+/// operator (no parallel elementwise map, no out-of-core gevm or sum_sq).
+struct Operator {
+    name: &'static str,
+    serial: fn(&Case) -> Bits,
+    par: Option<fn(&Case, usize) -> Bits>,
+    ooc: Option<OocRun>,
+}
+
+fn mul(x: f64, y: f64) -> f64 {
+    x * y
+}
+
+fn affine(x: f64) -> f64 {
+    x * 2.5 - 1.0
+}
+
+fn operators() -> [Operator; 8] {
+    [
+        Operator {
+            name: "gemv",
+            serial: |c| bits(&ops::gemv(&c.x, &c.v)),
+            par: Some(|c, d| bits(&par::gemv(&c.x, &c.v, d))),
+            ooc: Some(|s, c, d| Ok(bits(&ooc::gemv(&s.x, &c.v, d)?))),
+        },
+        Operator {
+            name: "gevm",
+            serial: |c| bits(&ops::gevm(&c.u, &c.x)),
+            par: Some(|c, d| bits(&par::gevm(&c.u, &c.x, d))),
+            ooc: None,
+        },
+        Operator {
+            name: "gemm",
+            serial: |c| bits(ops::gemm(&c.x, &c.b).data()),
+            par: Some(|c, d| bits(par::gemm(&c.x, &c.b, d).data())),
+            ooc: Some(|s, _, d| collect(ooc::gemm(&s.x, &s.b, OUT, d)?)),
+        },
+        Operator {
+            name: "crossprod",
+            serial: |c| bits(ops::crossprod(&c.x).data()),
+            par: Some(|c, d| bits(par::crossprod(&c.x, d).data())),
+            ooc: Some(|s, _, d| Ok(bits(ooc::crossprod(&s.x, d)?.data()))),
+        },
+        Operator {
+            name: "col_sums",
+            serial: |c| bits(&ops::col_sums(&c.x)),
+            par: Some(|c, d| bits(&par::col_sums(&c.x, d))),
+            ooc: Some(|s, _, d| Ok(bits(&ooc::col_sums(&s.x, d)?))),
+        },
+        Operator {
+            name: "sum_sq",
+            serial: |c| bits(&[ops::sum_sq(&c.x)]),
+            par: Some(|c, d| bits(&[par::sum_sq(&c.x, d)])),
+            ooc: None,
+        },
+        Operator {
+            name: "ewise",
+            serial: |c| bits(ops::mul(&c.x, &c.y).data()),
+            par: None,
+            ooc: Some(|s, _, d| collect(ooc::ewise(&s.x, &s.y, mul, OUT, d)?)),
+        },
+        Operator {
+            name: "map",
+            serial: |c| bits(c.x.map(affine).data()),
+            par: None,
+            ooc: Some(|s, _, d| collect(ooc::map(&s.x, affine, OUT, d)?)),
+        },
+    ]
+}
+
+fn assert_same(got: &Bits, want: &Bits, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    if let Some(i) = got.iter().zip(want).position(|(g, w)| g != w) {
+        let (g, w) = (f64::from_bits(got[i]), f64::from_bits(want[i]));
+        panic!("{what}: element {i} is {g:e}, serial has {w:e}");
+    }
+}
+
+/// A pool that holds half of the case's working set (its operands plus the
+/// largest output) — but never less than the three panels one gemm or ewise
+/// worker pins at once. Also says whether that working set must evict.
+fn evicting_pool(c: &Case, h: usize) -> (Pool, bool) {
+    let (rows, cols) = (c.x.rows(), c.x.cols());
+    let out = store_bytes(rows, cols.max(c.b.cols()), h);
+    let working_set = 2 * store_bytes(rows, cols, h) + store_bytes(cols, c.b.cols(), h) + out;
+    let widest = cols.max(c.b.cols());
+    let one_worker = 3 * panel_bytes(h.min(rows.max(cols)), widest);
+    let capacity = (working_set / 2).max(one_worker);
+    let pool = BufferPool::new(capacity, PolicyKind::Lru, MemStore::default());
+    (SharedBufferPool::new(pool), working_set > capacity)
+}
+
+#[test]
+fn every_operator_computes_the_same_bits_under_every_schedule() {
+    let operators = operators();
+    for c in cases() {
+        let want: Vec<Bits> = operators.iter().map(|op| (op.serial)(&c)).collect();
+        for (op, want) in operators.iter().zip(&want) {
+            let Some(run) = op.par else { continue };
+            for d in PAR_DEGREES {
+                assert_same(&run(&c, d), want, &format!("{} {}: par degree {d}", op.name, c.name));
+            }
+        }
+        for h in PANEL_HEIGHTS {
+            let (pool, evicts) = evicting_pool(&c, h);
+            assert!(evicts || c.name.starts_with("edge"), "{}: the pool must evict", c.name);
+            let load = |id, m: &Dense| BlockStore::from_dense(&pool, id, m, h).unwrap();
+            let s = Stores { x: load(1, &c.x), y: load(2, &c.y), b: load(3, &c.b) };
+            for (op, want) in operators.iter().zip(&want) {
+                let Some(run) = op.ooc else { continue };
+                for d in OOC_DEGREES {
+                    let what = format!("{} {}: ooc panel {h} degree {d}", op.name, c.name);
+                    assert_same(&run(&s, &c, d).expect(&what), want, &what);
+                }
+            }
+            assert!(!evicts || pool.stats().evictions > 0, "{}: panel {h} never evicted", c.name);
+            pool.audit_quiescent().unwrap();
+        }
+    }
+}

@@ -11,6 +11,7 @@ use dm_buffer::{
 };
 use dm_matrix::{ops, par, sparse, Csr, Dense, Matrix};
 use dm_obs::{elapsed_ns, trace, Recorder};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -500,15 +501,61 @@ impl<'g> Executor<'g> {
         self.plan.as_ref().map_or(Kernel::Dense, |p| p.kernel(id))
     }
 
-    /// Degree to run node `id` at: the executor degree for parallel-planned
-    /// nodes, 1 (serial) otherwise. Also counts parallel dispatches.
-    fn node_degree(&mut self, id: NodeId) -> usize {
-        if self.kernel(id) == Kernel::Parallel && self.degree > 1 {
-            self.stats.par_nodes += 1;
-            self.degree
-        } else {
-            1
+    /// Where node `id`'s dense operator runs: blocked when the plan chose
+    /// [`Kernel::Blocked`] and a budget is in effect, parallel when it chose
+    /// [`Kernel::Parallel`] and the degree is above one, serial otherwise.
+    fn schedule(&self, id: NodeId) -> Schedule {
+        match (self.kernel(id), self.mem_budget) {
+            (Kernel::Blocked, Some(budget)) => Schedule::Blocked(budget),
+            (Kernel::Parallel, _) if self.degree > 1 => Schedule::Parallel(self.degree),
+            _ => Schedule::Serial,
         }
+    }
+
+    /// The degree node `id` runs an in-memory kernel at (1 unless it is
+    /// scheduled parallel). Counts parallel dispatches.
+    fn in_memory_degree(&mut self, id: NodeId) -> usize {
+        match self.schedule(id) {
+            Schedule::Parallel(degree) => {
+                self.stats.par_nodes += 1;
+                degree
+            }
+            _ => 1,
+        }
+    }
+
+    /// Run node `id`'s dense operator under its schedule: `in_memory` at the
+    /// node's in-memory degree or, when blocked, `blocked` over `operands`
+    /// tiled into the spill pool, given a fresh matrix id for an output
+    /// store and the executor degree. The operand tiles are discarded
+    /// afterwards; an output store is the closure's to [`collect`].
+    fn run<T>(
+        &mut self,
+        id: NodeId,
+        operands: &[&Dense],
+        in_memory: impl FnOnce(usize) -> T,
+        blocked: impl FnOnce(&[Tiles], u64, usize) -> Result<T, PoolError>,
+    ) -> Result<T, ExecError> {
+        let Schedule::Blocked(budget) = self.schedule(id) else {
+            return Ok(in_memory(self.in_memory_degree(id)));
+        };
+        self.stats.ooc_nodes += 1;
+        let pool = self.spill_pool(budget);
+        let err = |e: PoolError| ooc_err(id, e);
+        let base = self.ooc_ids(operands.len() as u64 + 1);
+        let tiles = (base..)
+            .zip(operands)
+            .map(|(matrix, m)| {
+                let rows = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
+                BlockStore::from_dense(&pool, matrix, m, rows)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(err)?;
+        let out = blocked(&tiles, base + operands.len() as u64, self.degree).map_err(err)?;
+        for t in tiles {
+            t.discard().map_err(err)?;
+        }
+        Ok(out)
     }
 
     /// Evaluate the node, then cross-check the runtime value's dimensions
@@ -659,11 +706,10 @@ impl<'g> Executor<'g> {
     /// itself plus the (already memoized) representations of its operands and
     /// output.
     fn kernel_choice(&self, id: NodeId, out: &Val) -> KernelChoice {
-        if self.kernel(id) == Kernel::Blocked && self.mem_budget.is_some() {
-            return KernelChoice::Blocked;
-        }
-        if self.kernel(id) == Kernel::Parallel && self.degree > 1 {
-            return KernelChoice::Parallel;
+        match self.schedule(id) {
+            Schedule::Blocked(_) => return KernelChoice::Blocked,
+            Schedule::Parallel(_) => return KernelChoice::Parallel,
+            Schedule::Serial => {}
         }
         let op = self.graph.op(id);
         match op {
@@ -723,33 +769,43 @@ impl<'g> Executor<'g> {
                         mb.rows()
                     )));
                 }
-                if let Some(budget) = self.blocked_budget(id) {
-                    return self.blocked_matmul(id, &ma, &mb, budget);
-                }
+                // Sparse kernels serve sparse operands unless the node streams.
+                let sparse_ok = !matches!(self.schedule(id), Schedule::Blocked(_));
                 // Vector shapes dispatch to mv/vm kernels.
                 if mb.cols() == 1 {
                     let v: Vec<f64> = (0..mb.rows()).map(|r| mb.get(r, 0)).collect();
-                    self.stats.flops += 2
-                        * (match &ma {
-                            Matrix::Dense(d) => d.rows() * d.cols(),
-                            Matrix::Sparse(s) => s.nnz(),
-                        }) as u64;
                     let out = match &ma {
-                        Matrix::Dense(d) => par::gemv(d, &v, self.node_degree(id)),
-                        _ => ma.gemv(&v),
+                        Matrix::Sparse(s) if sparse_ok => {
+                            self.stats.flops += 2 * s.nnz() as u64;
+                            ma.gemv(&v)
+                        }
+                        _ => {
+                            let d = dense(&ma);
+                            self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
+                            self.run(
+                                id,
+                                &[&d],
+                                |deg| par::gemv(&d, &v, deg),
+                                |t, _, deg| ooc::gemv(&t[0], &v, deg),
+                            )?
+                        }
                     };
                     return Ok(Val::Matrix(Matrix::Dense(Dense::column(&out))));
                 }
                 let out = match (&ma, &mb) {
-                    (Matrix::Sparse(sa), Matrix::Dense(db)) => {
+                    (Matrix::Sparse(sa), Matrix::Dense(db)) if sparse_ok => {
                         self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
                         sparse::spmm_dense(sa, db)
                     }
                     _ => {
-                        let da = ma.to_dense();
-                        let db = mb.to_dense();
+                        let (da, db) = (ma.to_dense(), mb.to_dense());
                         self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
-                        par::gemm(&da, &db, self.node_degree(id))
+                        self.run(
+                            id,
+                            &[&da, &db],
+                            |deg| par::gemm(&da, &db, deg),
+                            |t, out, deg| collect(ooc::gemm(&t[0], &t[1], out, deg)?),
+                        )?
                     }
                 };
                 Ok(Val::Matrix(Matrix::Dense(out)))
@@ -806,12 +862,14 @@ impl<'g> Executor<'g> {
                         Matrix::Sparse(s) => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
                     },
                     AggOp::ColSums => {
-                        let cs = match (&m, self.blocked_budget(id)) {
-                            (Matrix::Dense(d), Some(budget)) => {
-                                self.blocked_col_sums(id, d, budget)?
-                            }
-                            (Matrix::Dense(d), None) => par::col_sums(d, self.node_degree(id)),
-                            (Matrix::Sparse(s), _) => {
+                        let cs = match &m {
+                            Matrix::Dense(d) => self.run(
+                                id,
+                                &[d],
+                                |deg| par::col_sums(d, deg),
+                                |t, _, deg| ooc::col_sums(&t[0], deg),
+                            )?,
+                            Matrix::Sparse(s) => {
                                 let ones = vec![1.0; s.rows()];
                                 sparse::spvm(&ones, s)
                             }
@@ -837,23 +895,19 @@ impl<'g> Executor<'g> {
             Op::CrossProd(a) => {
                 let v = self.eval(a, env)?;
                 let m = v.as_dense().ok_or_else(|| type_err("crossprod needs a matrix".into()))?;
-                match (self.kernel(id), self.blocked_budget(id)) {
-                    (Kernel::Sparse, _) => {
-                        let s = Csr::from_dense(&m);
-                        self.stats.flops += 2 * (s.nnz() * m.cols()) as u64;
-                        Ok(Val::Matrix(Matrix::Dense(sparse::sp_crossprod(&s))))
-                    }
-                    (_, Some(budget)) => {
-                        self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
-                        let out = self.blocked_crossprod(id, &m, budget)?;
-                        Ok(Val::Matrix(Matrix::Dense(out)))
-                    }
-                    _ => {
-                        self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
-                        let deg = self.node_degree(id);
-                        Ok(Val::Matrix(Matrix::Dense(par::crossprod(&m, deg))))
-                    }
+                if self.kernel(id) == Kernel::Sparse {
+                    let s = Csr::from_dense(&m);
+                    self.stats.flops += 2 * (s.nnz() * m.cols()) as u64;
+                    return Ok(Val::Matrix(Matrix::Dense(sparse::sp_crossprod(&s))));
                 }
+                self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
+                let out = self.run(
+                    id,
+                    &[&m],
+                    |deg| par::crossprod(&m, deg),
+                    |t, _, deg| ooc::crossprod(&t[0], deg),
+                )?;
+                Ok(Val::Matrix(Matrix::Dense(out)))
             }
             Op::Tmv(a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
@@ -871,7 +925,7 @@ impl<'g> Executor<'g> {
                         Matrix::Sparse(s) => s.nnz(),
                     }) as u64;
                 let out = match &ma {
-                    Matrix::Dense(d) => par::gevm(&v, d, self.node_degree(id)),
+                    Matrix::Dense(d) => par::gevm(&v, d, self.in_memory_degree(id)),
                     _ => ma.vecmat(&v),
                 };
                 Ok(Val::Matrix(Matrix::Dense(Dense::column(&out))))
@@ -882,7 +936,7 @@ impl<'g> Executor<'g> {
                     Val::Scalar(s) => Ok(Val::Scalar(s * s)),
                     Val::Matrix(Matrix::Dense(d)) => {
                         self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                        Ok(Val::Scalar(par::sum_sq(&d, self.node_degree(id))))
+                        Ok(Val::Scalar(par::sum_sq(&d, self.in_memory_degree(id))))
                     }
                     Val::Matrix(Matrix::Sparse(s)) => {
                         self.stats.flops += 2 * s.nnz() as u64;
@@ -902,24 +956,8 @@ impl<'g> Executor<'g> {
         };
         match (va, vb) {
             (Val::Scalar(a), Val::Scalar(b)) => Ok(Val::Scalar(f(a, b))),
-            (Val::Matrix(m), Val::Scalar(s)) => {
-                let d = m.to_dense();
-                self.stats.flops += (d.rows() * d.cols()) as u64;
-                if let Some(budget) = self.blocked_budget(id) {
-                    let out = self.blocked_map(id, &d, move |v| f(v, s), budget)?;
-                    return Ok(Val::Matrix(Matrix::Dense(out)));
-                }
-                Ok(Val::Matrix(Matrix::Dense(d.map(|v| f(v, s)))))
-            }
-            (Val::Scalar(s), Val::Matrix(m)) => {
-                let d = m.to_dense();
-                self.stats.flops += (d.rows() * d.cols()) as u64;
-                if let Some(budget) = self.blocked_budget(id) {
-                    let out = self.blocked_map(id, &d, move |v| f(s, v), budget)?;
-                    return Ok(Val::Matrix(Matrix::Dense(out)));
-                }
-                Ok(Val::Matrix(Matrix::Dense(d.map(|v| f(s, v)))))
-            }
+            (Val::Matrix(m), Val::Scalar(s)) => self.broadcast(id, &m, move |v| f(v, s)),
+            (Val::Scalar(s), Val::Matrix(m)) => self.broadcast(id, &m, move |v| f(s, v)),
             (Val::Matrix(ma), Val::Matrix(mb)) => {
                 if ma.rows() != mb.rows() || ma.cols() != mb.cols() {
                     return Err(ExecError::Type {
@@ -935,156 +973,36 @@ impl<'g> Executor<'g> {
                 }
                 let (da, db) = (ma.to_dense(), mb.to_dense());
                 self.stats.flops += (da.rows() * da.cols()) as u64;
-                if let Some(budget) = self.blocked_budget(id) {
-                    let out = self.blocked_ewise(id, &da, &db, f, budget)?;
-                    return Ok(Val::Matrix(Matrix::Dense(out)));
-                }
-                let out = match e {
+                let in_memory = |_| match e {
                     EwiseOp::Add => ops::add(&da, &db),
                     EwiseOp::Sub => ops::sub(&da, &db),
                     EwiseOp::Mul => ops::mul(&da, &db),
                     EwiseOp::Div => ops::div(&da, &db),
                 };
+                let out = self.run(id, &[&da, &db], in_memory, |t, out, deg| {
+                    collect(ooc::ewise(&t[0], &t[1], f, out, deg)?)
+                })?;
                 Ok(Val::Matrix(Matrix::Dense(out)))
             }
         }
     }
 
-    /// Budget for node `id` when (and only when) the plan chose
-    /// [`Kernel::Blocked`] for it and a budget is in effect.
-    fn blocked_budget(&self, id: NodeId) -> Option<usize> {
-        if self.kernel(id) == Kernel::Blocked {
-            self.mem_budget
-        } else {
-            None
-        }
-    }
-
-    /// `a * b` through the blocked kernels: operands are tiled into the
-    /// spill pool and streamed panel-by-panel, bit-identical to the
-    /// in-memory dense path.
-    fn blocked_matmul(
+    /// Matrix-scalar broadcast: `f` over every element of `m`.
+    fn broadcast(
         &mut self,
         id: NodeId,
-        ma: &Matrix,
-        mb: &Matrix,
-        budget: usize,
-    ) -> Result<Val, ExecError> {
-        self.stats.ooc_nodes += 1;
-        let da = ma.to_dense();
-        let pool = self.spill_pool(budget);
-        let err = |e: PoolError| ooc_err(id, e);
-        if mb.cols() == 1 {
-            let v: Vec<f64> = (0..mb.rows()).map(|r| mb.get(r, 0)).collect();
-            self.stats.flops += 2 * (da.rows() * da.cols()) as u64;
-            let pr = panel_rows_for(da.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-            let sa = BlockStore::from_dense(&pool, self.ooc_ids(1), &da, pr).map_err(err)?;
-            let out = ooc::gemv(&sa, &v, self.degree).map_err(err)?;
-            sa.discard().map_err(err)?;
-            return Ok(Val::Matrix(Matrix::Dense(Dense::column(&out))));
-        }
-        let db = mb.to_dense();
-        self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
-        let base = self.ooc_ids(3);
-        let sa = BlockStore::from_dense(
-            &pool,
-            base,
-            &da,
-            panel_rows_for(da.cols(), budget, crate::memory::OOC_PANEL_DENOM),
-        )
-        .map_err(err)?;
-        let sb = BlockStore::from_dense(
-            &pool,
-            base + 1,
-            &db,
-            panel_rows_for(db.cols(), budget, crate::memory::OOC_PANEL_DENOM),
-        )
-        .map_err(err)?;
-        let sout = ooc::gemm(&sa, &sb, base + 2, self.degree).map_err(err)?;
-        let out = sout.to_dense().map_err(err)?;
-        for s in [sa, sb, sout] {
-            s.discard().map_err(err)?;
-        }
-        Ok(Val::Matrix(Matrix::Dense(out)))
-    }
-
-    /// `t(a) * a` through the blocked crossprod kernel.
-    fn blocked_crossprod(
-        &mut self,
-        id: NodeId,
-        m: &Dense,
-        budget: usize,
-    ) -> Result<Dense, ExecError> {
-        self.stats.ooc_nodes += 1;
-        let pool = self.spill_pool(budget);
-        let err = |e: PoolError| ooc_err(id, e);
-        let pr = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-        let sa = BlockStore::from_dense(&pool, self.ooc_ids(1), m, pr).map_err(err)?;
-        let out = ooc::crossprod(&sa, self.degree).map_err(err)?;
-        sa.discard().map_err(err)?;
-        Ok(out)
-    }
-
-    /// Column sums through the blocked reduction kernel.
-    fn blocked_col_sums(
-        &mut self,
-        id: NodeId,
-        m: &Dense,
-        budget: usize,
-    ) -> Result<Vec<f64>, ExecError> {
-        self.stats.ooc_nodes += 1;
-        let pool = self.spill_pool(budget);
-        let err = |e: PoolError| ooc_err(id, e);
-        let pr = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-        let sa = BlockStore::from_dense(&pool, self.ooc_ids(1), m, pr).map_err(err)?;
-        let out = ooc::col_sums(&sa, self.degree).map_err(err)?;
-        sa.discard().map_err(err)?;
-        Ok(out)
-    }
-
-    /// Matrix ⊕ matrix through the blocked elementwise kernel.
-    fn blocked_ewise(
-        &mut self,
-        id: NodeId,
-        da: &Dense,
-        db: &Dense,
-        f: impl Fn(f64, f64) -> f64 + Sync,
-        budget: usize,
-    ) -> Result<Dense, ExecError> {
-        self.stats.ooc_nodes += 1;
-        let pool = self.spill_pool(budget);
-        let err = |e: PoolError| ooc_err(id, e);
-        let pr = panel_rows_for(da.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-        let base = self.ooc_ids(3);
-        let sa = BlockStore::from_dense(&pool, base, da, pr).map_err(err)?;
-        let sb = BlockStore::from_dense(&pool, base + 1, db, pr).map_err(err)?;
-        let sout = ooc::ewise(&sa, &sb, f, base + 2, self.degree).map_err(err)?;
-        let out = sout.to_dense().map_err(err)?;
-        for s in [sa, sb, sout] {
-            s.discard().map_err(err)?;
-        }
-        Ok(out)
-    }
-
-    /// Matrix-scalar / unary broadcast through the blocked map kernel.
-    fn blocked_map(
-        &mut self,
-        id: NodeId,
-        m: &Dense,
+        m: &Matrix,
         f: impl Fn(f64) -> f64 + Sync,
-        budget: usize,
-    ) -> Result<Dense, ExecError> {
-        self.stats.ooc_nodes += 1;
-        let pool = self.spill_pool(budget);
-        let err = |e: PoolError| ooc_err(id, e);
-        let pr = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-        let base = self.ooc_ids(2);
-        let sa = BlockStore::from_dense(&pool, base, m, pr).map_err(err)?;
-        let sout = ooc::map(&sa, f, base + 1, self.degree).map_err(err)?;
-        let out = sout.to_dense().map_err(err)?;
-        sa.discard().map_err(err)?;
-        sout.discard().map_err(err)?;
-        Ok(out)
+    ) -> Result<Val, ExecError> {
+        let d = m.to_dense();
+        self.stats.flops += (d.rows() * d.cols()) as u64;
+        let out = self.run(
+            id,
+            &[&d],
+            |_| d.map(&f),
+            |t, out, deg| collect(ooc::map(&t[0], &f, out, deg)?),
+        )?;
+        Ok(Val::Matrix(Matrix::Dense(out)))
     }
 }
 
@@ -1113,6 +1031,36 @@ impl Drop for Executor<'_> {
                 }
             }
         }
+    }
+}
+
+/// Where a dense operator runs: one kernel body (`dm_matrix::kernel`)
+/// under one of three placements.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// In memory on the calling thread.
+    Serial,
+    /// In memory on this many workers (`dm_matrix::par`).
+    Parallel(usize),
+    /// Streamed through a spill pool capped by this budget (`dm_buffer::ooc`).
+    Blocked(usize),
+}
+
+/// Operand tiles in the executor's spill pool.
+type Tiles = BlockStore<Box<dyn Storage>>;
+
+/// Materialize a blocked operator's output store and drop its tiles.
+fn collect(out: Tiles) -> Result<Dense, PoolError> {
+    let d = out.to_dense()?;
+    out.discard()?;
+    Ok(d)
+}
+
+/// Borrow a dense matrix, densify a sparse one.
+fn dense(m: &Matrix) -> Cow<'_, Dense> {
+    match m {
+        Matrix::Dense(d) => Cow::Borrowed(d),
+        Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
     }
 }
 

@@ -5,9 +5,10 @@
 //! This crate provides the numeric foundation that every other component of the
 //! system builds on: row-major dense matrices ([`Dense`]), compressed sparse row
 //! matrices ([`Csr`]) with a COO builder ([`Coo`]), a unifying [`Matrix`] enum used
-//! by the physical-operator layer of `dm-lang`, block-partitioned matrices
-//! ([`block::BlockMatrix`]) in the style of SystemML's distributed representation,
-//! and direct/iterative solvers (Cholesky, Householder QR, conjugate gradient).
+//! by the physical-operator layer of `dm-lang`, the dense operators' kernel bodies
+//! ([`kernel`]) that the serial ([`ops`]) and parallel ([`par`]) schedules share with
+//! `dm-buffer`'s out-of-core one, and direct/iterative solvers (Cholesky,
+//! Householder QR, conjugate gradient).
 //!
 //! ## Conventions
 //!
@@ -30,9 +31,9 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod dense;
 pub mod error;
+pub mod kernel;
 pub mod lu;
 pub mod ops;
 pub mod pack;
@@ -40,7 +41,6 @@ pub mod par;
 pub mod solve;
 pub mod sparse;
 
-pub use block::BlockMatrix;
 pub use dense::Dense;
 pub use error::MatrixError;
 pub use sparse::{Coo, Csr};

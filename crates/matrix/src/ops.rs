@@ -192,11 +192,7 @@ pub fn col_means(a: &Dense) -> Vec<f64> {
             *v /= n as f64;
         }
     }
-    out_or_zero(s)
-}
-
-fn out_or_zero(v: Vec<f64>) -> Vec<f64> {
-    v
+    s
 }
 
 /// Column variances (population, divide by n); zero-row matrices yield zeros.

@@ -44,7 +44,8 @@
 //! `±0.0 * b == ±0.0` (finite `b`) to a non-`-0.0` value is an exact
 //! identity. Only non-finite `B` values distinguish the two kernels
 //! (`0.0 * inf == NaN`), so callers check [`all_finite`] on `B` and fall
-//! back to the reference kernel otherwise — exact bit-identity in all cases.
+//! back to the reference kernel ([`crate::kernel::gemm_ref`]) otherwise —
+//! exact bit-identity in all cases.
 
 use std::ops::Range;
 
@@ -122,6 +123,27 @@ impl PackedB {
     /// The `jt`-th packed `NR`-column tile (`kc * NR` elements).
     fn tile(&self, jt: usize) -> &[f64] {
         &self.data[jt * self.kc * NR..(jt + 1) * self.kc * NR]
+    }
+}
+
+/// Pack rows `0..k` of the row-major `b` (`n_cols` wide) into `slab` one
+/// `KC x NC` slab at a time and hand each slab with its `k` range to `f`.
+/// Slabs come `k`-ascending within each column block, the order that keeps
+/// every output element's sum in strictly increasing `k`. `slab` is
+/// caller-owned scratch, so a caller packing many `B` panels allocates once.
+pub fn for_each_slab(
+    slab: &mut PackedB,
+    b: &[f64],
+    n_cols: usize,
+    k: usize,
+    mut f: impl FnMut(&PackedB, Range<usize>),
+) {
+    for jc in (0..n_cols).step_by(NC) {
+        for pc in (0..k).step_by(KC) {
+            let kr = pc..(pc + KC).min(k);
+            slab.pack(b, n_cols, kr.clone(), jc..(jc + NC).min(n_cols));
+            f(slab, kr);
+        }
     }
 }
 
@@ -305,17 +327,11 @@ mod tests {
 
     fn packed_gemm(a: &[f64], b: &[f64], m: usize, k_dim: usize, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; m * n];
-        let mut bpack = PackedB::default();
         let mut apack = Vec::new();
-        for jc in (0..n).step_by(NC) {
-            let j1 = (jc + NC).min(n);
-            for pc in (0..k_dim).step_by(KC) {
-                let p1 = (pc + KC).min(k_dim);
-                bpack.pack(b, n, pc..p1, jc..j1);
-                let view = AView { data: a, stride: k_dim, rows: 0..m, kcols: pc..p1 };
-                gemm_packed_rows(&view, &bpack, &mut out, n, &mut apack);
-            }
-        }
+        for_each_slab(&mut PackedB::default(), b, n, k_dim, |slab, kcols| {
+            let view = AView { data: a, stride: k_dim, rows: 0..m, kcols };
+            gemm_packed_rows(&view, slab, &mut out, n, &mut apack);
+        });
         out
     }
 
@@ -367,17 +383,11 @@ mod tests {
         // Compute only rows 10..25 the way a parallel worker would.
         let rows = 10..25usize;
         let mut out = vec![0.0; rows.len() * n];
-        let mut bpack = PackedB::default();
         let mut apack = Vec::new();
-        for jc in (0..n).step_by(NC) {
-            let j1 = (jc + NC).min(n);
-            for pc in (0..k_dim).step_by(KC) {
-                let p1 = (pc + KC).min(k_dim);
-                bpack.pack(&b, n, pc..p1, jc..j1);
-                let view = AView { data: &a, stride: k_dim, rows: rows.clone(), kcols: pc..p1 };
-                gemm_packed_rows(&view, &bpack, &mut out, n, &mut apack);
-            }
-        }
+        for_each_slab(&mut PackedB::default(), &b, n, k_dim, |slab, kcols| {
+            let view = AView { data: &a, stride: k_dim, rows: rows.clone(), kcols };
+            gemm_packed_rows(&view, slab, &mut out, n, &mut apack);
+        });
         for (oi, r) in rows.enumerate() {
             assert_eq!(&out[oi * n..(oi + 1) * n], &want[r * n..(r + 1) * n], "row {r}");
         }

@@ -1,23 +1,18 @@
-//! Multi-threaded dense kernels: row-partitioned products and fixed-block
-//! reductions over the `dm-par` scoped pool.
+//! Multi-threaded schedules over the dense kernel bodies of
+//! [`crate::kernel`], on the `dm-par` scoped pool.
 //!
-//! Every kernel here is **bit-identical to its serial counterpart in
-//! [`crate::ops`] at every degree**, by one of two constructions:
-//!
-//! * *Row-partitioned* kernels ([`gemv`], [`gemm`]) assign disjoint output
-//!   rows to workers; each output element is computed by exactly the code the
-//!   serial kernel runs, so no floating-point operation is reordered. For
-//!   gemm the workers additionally share one packed `B` slab per cache block
-//!   (see [`crate::pack`]) rather than each re-streaming `B` from memory.
-//! * *Reduction* kernels ([`gevm`], [`col_sums`], [`sum_sq`], [`crossprod`])
-//!   decompose into fixed-size blocks ([`ROW_BLOCK`] rows / [`ELEM_BLOCK`]
-//!   elements — never a function of the degree) and fold partials in block
-//!   order. The serial versions in `ops` execute the *same* decomposition at
-//!   degree 1, so the fold tree — and therefore every result bit — matches.
+//! Each function only cuts an in-memory matrix into row panels and folds
+//! partials; the arithmetic is the shared body, which is why every result is
+//! bit-identical to [`crate::ops`] (the degree-1 instance) at every degree —
+//! the argument is in [`crate::kernel`]. Row-local operators ([`gemv`],
+//! [`gemm`]) give each worker a contiguous chunk of output rows; reductions
+//! ([`gevm`], [`col_sums`], [`crossprod`], [`sum_sq`]) cut the input into
+//! fixed [`ROW_BLOCK`]-row or [`ELEM_BLOCK`]-element blocks and fold the
+//! partials in block order. [`gemm`] packs each `B` slab once
+//! ([`crate::pack`]) and shares it read-only across the workers.
 
 use crate::dense::Dense;
-use crate::ops::{dot, dot2};
-use crate::pack;
+use crate::{kernel, pack};
 use dm_par::{for_each_slice_mut, reduce_blocks};
 use std::ops::Range;
 
@@ -32,50 +27,9 @@ pub const ROW_BLOCK: usize = 1024;
 /// Fixed element-block size for flat reductions (sum of squares).
 pub const ELEM_BLOCK: usize = 16 * 1024;
 
-/// Cache tile width (columns of `B` / the output) for the reference gemm
-/// tile kernel ([`gemm_rows_naive`]).
-const TILE_J: usize = 128;
-
-/// Cache tile depth (rows of `B` / the inner dimension) for the reference
-/// gemm tile kernel. A `TILE_K x TILE_J` panel of `B` (128 KiB) is reused
-/// across every output row a worker owns.
-const TILE_K: usize = 128;
-
-/// The reference gemm tile kernel: computes rows `rows` of `a * b` into
-/// `out` (a buffer of exactly `rows.len() * b.cols()` elements, assumed
-/// zeroed), skipping `a[i][k] == 0.0` entries.
-///
-/// This is the kernel every faster path is pinned against bit-for-bit. The
-/// packed path ([`crate::pack`]) replaces it whenever `B` is finite; this
-/// one remains as the dispatch target for non-finite `B`, where the zero
-/// skip is observable (`0.0 * inf == NaN`).
-///
-/// Loop order is `jb -> kb -> i -> k -> j`: for any fixed output element
-/// the `k` accumulation order is strictly increasing, so the result is
-/// bit-identical to the naive `ikj` loop.
-pub(crate) fn gemm_rows_naive(a: &Dense, b: &Dense, out: &mut [f64], rows: Range<usize>) {
-    let k_dim = a.cols();
-    let n_cols = b.cols();
-    debug_assert_eq!(out.len(), rows.len() * n_cols);
-    for j0 in (0..n_cols).step_by(TILE_J) {
-        let j1 = (j0 + TILE_J).min(n_cols);
-        for k0 in (0..k_dim).step_by(TILE_K) {
-            let k1 = (k0 + TILE_K).min(k_dim);
-            for (oi, i) in rows.clone().enumerate() {
-                let arow = &a.row(i)[k0..k1];
-                let orow = &mut out[oi * n_cols + j0..oi * n_cols + j1];
-                for (kk, &aik) in arow.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &b.row(k0 + kk)[j0..j1];
-                    for (o, &bkj) in orow.iter_mut().zip(brow) {
-                        *o += aik * bkj;
-                    }
-                }
-            }
-        }
-    }
+/// Rows `r` of `m` as one panel.
+fn rows(m: &Dense, r: Range<usize>) -> &[f64] {
+    &m.data()[r.start * m.cols()..r.end * m.cols()]
 }
 
 /// Row-partitioned matrix-vector product `m * v` at the given degree.
@@ -91,44 +45,20 @@ pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
         m.cols()
     );
     let mut out = vec![0.0; m.rows()];
-    for_each_slice_mut(&mut out, 1, degree, |rows, chunk| {
-        gemv_rows(m, v, chunk, rows);
+    for_each_slice_mut(&mut out, 1, degree, |r, chunk| {
+        kernel::gemv(rows(m, r), m.cols(), v, chunk);
     });
     out
 }
 
-/// Paired-row gemv tile: two output rows share one streaming pass over `v`,
-/// each accumulated with exactly the fold of [`dot`] (via [`dot2`]), so
-/// every element is bit-identical to the one-row-at-a-time loop.
-pub(crate) fn gemv_rows(m: &Dense, v: &[f64], out: &mut [f64], rows: Range<usize>) {
-    debug_assert_eq!(out.len(), rows.len());
-    let base = rows.start;
-    let mut r = rows.start;
-    while r + 1 < rows.end {
-        let (d0, d1) = dot2(m.row(r), m.row(r + 1), v);
-        out[r - base] = d0;
-        out[r + 1 - base] = d1;
-        r += 2;
-    }
-    if r < rows.end {
-        out[r - base] = dot(m.row(r), v);
-    }
-}
-
-/// Row-partitioned matrix-matrix product `a * b` at the given degree,
-/// through the packed register-tiled kernel of [`crate::pack`].
+/// Row-partitioned matrix-matrix product `a * b` at the given degree.
 ///
 /// Each `KC x NC` slab of `B` is packed **once** and shared read-only by
-/// every worker, which then computes its owned output rows against the hot
-/// slab — instead of each thread re-streaming `B` from cold memory. Because
-/// workers own disjoint output rows and the microkernel preserves the
-/// per-element `k` order, results are bit-identical to serial at every
-/// degree.
-///
-/// When `B` contains non-finite values the product falls back to the
-/// reference tile kernel with the `a[i][k] == 0.0` skip
-/// (`gemm_rows_naive`), whose skip semantics are observable there — see
-/// [`crate::pack`] for the equivalence argument.
+/// every worker, which computes its own output rows against the hot slab
+/// with the packed microkernel — instead of each thread re-streaming `B`
+/// from cold memory. When `B` holds non-finite values the workers run the
+/// reference body [`kernel::gemm_ref`] instead, whose `a[i][k] == 0.0` skip
+/// is observable there (see [`crate::pack`]).
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -142,31 +72,23 @@ pub fn gemm(a: &Dense, b: &Dense, degree: usize) -> Dense {
         b.rows(),
         b.cols()
     );
-    let mut out = Dense::zeros(a.rows(), b.cols());
-    let (n_cols, k_dim) = (b.cols(), a.cols());
-    if a.rows() == 0 || n_cols == 0 {
+    let (k, n) = (a.cols(), b.cols());
+    let mut out = Dense::zeros(a.rows(), n);
+    if out.data().is_empty() {
         return out;
     }
     if !pack::all_finite(b.data()) {
-        for_each_slice_mut(out.data_mut(), n_cols, degree, |rows, chunk| {
-            gemm_rows_naive(a, b, chunk, rows);
+        for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
+            kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), chunk);
         });
         return out;
     }
-    let mut bpack = pack::PackedB::default();
-    for jc in (0..n_cols).step_by(pack::NC) {
-        let j1 = (jc + pack::NC).min(n_cols);
-        for pc in (0..k_dim).step_by(pack::KC) {
-            let p1 = (pc + pack::KC).min(k_dim);
-            bpack.pack(b.data(), n_cols, pc..p1, jc..j1);
-            let shared_b = &bpack;
-            for_each_slice_mut(out.data_mut(), n_cols, degree, |rows, chunk| {
-                let mut apack = Vec::new();
-                let view = pack::AView { data: a.data(), stride: k_dim, rows, kcols: pc..p1 };
-                pack::gemm_packed_rows(&view, shared_b, chunk, n_cols, &mut apack);
-            });
-        }
-    }
+    pack::for_each_slab(&mut pack::PackedB::default(), b.data(), n, k, |slab, kcols| {
+        for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
+            let view = pack::AView { data: a.data(), stride: k, rows: r, kcols: kcols.clone() };
+            pack::gemm_packed_rows(&view, slab, chunk, n, &mut Vec::new());
+        });
+    });
     out
 }
 
@@ -182,197 +104,66 @@ pub fn gevm(v: &[f64], m: &Dense, degree: usize) -> Vec<f64> {
         v.len(),
         m.rows()
     );
-    reduce_blocks(
-        m.rows(),
-        ROW_BLOCK,
-        degree,
-        |rows| {
-            // Paired rows: one pass over `part` applies two axpys. The two
-            // `+=` statements stay separate per element, so element j sees
-            // row r's product before row r+1's — exactly the one-row-at-a-
-            // time order. The per-row `s == 0.0` skip is preserved.
-            let mut part = vec![0.0; m.cols()];
-            let mut r = rows.start;
-            while r + 1 < rows.end {
-                let (s0, s1) = (v[r], v[r + 1]);
-                if s0 != 0.0 && s1 != 0.0 {
-                    for ((o, &x0), &x1) in part.iter_mut().zip(m.row(r)).zip(m.row(r + 1)) {
-                        *o += s0 * x0;
-                        *o += s1 * x1;
-                    }
-                } else {
-                    if s0 != 0.0 {
-                        axpy_row(&mut part, s0, m.row(r));
-                    }
-                    if s1 != 0.0 {
-                        axpy_row(&mut part, s1, m.row(r + 1));
-                    }
-                }
-                r += 2;
-            }
-            if r < rows.end && v[r] != 0.0 {
-                axpy_row(&mut part, v[r], m.row(r));
-            }
-            part
-        },
-        add_assign_vec,
-    )
-    .unwrap_or_else(|| vec![0.0; m.cols()])
+    reduce_rows(m, m.cols(), degree, |r, panel, part| kernel::gevm(panel, &v[r], part))
 }
 
 /// Column sums as a fixed-block row reduction.
 pub fn col_sums(a: &Dense, degree: usize) -> Vec<f64> {
-    reduce_blocks(
-        a.rows(),
-        ROW_BLOCK,
-        degree,
-        |rows| {
-            let mut part = vec![0.0; a.cols()];
-            for r in rows {
-                for (o, &v) in part.iter_mut().zip(a.row(r)) {
-                    *o += v;
-                }
-            }
-            part
-        },
-        add_assign_vec,
-    )
-    .unwrap_or_else(|| vec![0.0; a.cols()])
+    reduce_rows(a, a.cols(), degree, |_, panel, part| kernel::col_sums(panel, part))
 }
 
 /// Sum of squares as a fixed-block flat reduction.
 pub fn sum_sq(a: &Dense, degree: usize) -> f64 {
     let data = a.data();
-    reduce_blocks(
-        data.len(),
-        ELEM_BLOCK,
-        degree,
-        |r| data[r].iter().map(|v| v * v).sum::<f64>(),
-        |a, b| a + b,
-    )
-    .unwrap_or(0.0)
+    reduce_blocks(data.len(), ELEM_BLOCK, degree, |r| kernel::sum_sq(&data[r]), |a, b| a + b)
+        .unwrap_or(0.0)
 }
 
 /// Self-transpose product `m^T * m` as a fixed-block row reduction over
-/// per-block upper-triangular partials, mirrored once at the end.
+/// upper-triangular partials, mirrored once at the end.
 pub fn crossprod(m: &Dense, degree: usize) -> Dense {
     let d = m.cols();
-    let mut out = reduce_blocks(
+    let mut out =
+        reduce_rows(m, d * d, degree, |_, panel, part| kernel::crossprod_upper(panel, d, part));
+    kernel::mirror_upper(d, &mut out);
+    Dense::from_vec(d, d, out).expect("d x d")
+}
+
+/// The reduction schedule: each fixed [`ROW_BLOCK`] block of `m` is one
+/// panel, run by `body` (given its row range) into a zeroed `len`-element
+/// partial; partials fold in block order.
+fn reduce_rows(
+    m: &Dense,
+    len: usize,
+    degree: usize,
+    body: impl Fn(Range<usize>, &[f64], &mut [f64]) + Sync,
+) -> Vec<f64> {
+    reduce_blocks(
         m.rows(),
         ROW_BLOCK,
         degree,
-        |rows| {
-            let mut part = Dense::zeros(d, d);
-            for r in rows {
-                let row = m.row(r);
-                for (i, &vi) in row.iter().enumerate() {
-                    if vi == 0.0 {
-                        continue;
-                    }
-                    // Slices instead of enumerate().skip(i): same adds in
-                    // the same order, but the zip over two contiguous
-                    // slices autovectorizes.
-                    let prow = &mut part.data_mut()[i * d + i..(i + 1) * d];
-                    for (o, &vj) in prow.iter_mut().zip(&row[i..]) {
-                        *o += vi * vj;
-                    }
-                }
-            }
+        |r| {
+            let mut part = vec![0.0; len];
+            body(r.clone(), rows(m, r), &mut part);
             part
         },
         |mut acc, part| {
-            for (o, &p) in acc.data_mut().iter_mut().zip(part.data()) {
-                *o += p;
-            }
+            kernel::add_into(&mut acc, &part);
             acc
         },
     )
-    .unwrap_or_else(|| Dense::zeros(d, d));
-    // Mirror to the lower triangle.
-    for i in 0..d {
-        for j in (i + 1)..d {
-            let v = out.get(i, j);
-            out.set(j, i, v);
-        }
-    }
-    out
-}
-
-/// Unit-stride `part += s * row` (one row of a gevm partial).
-#[inline]
-fn axpy_row(part: &mut [f64], s: f64, row: &[f64]) {
-    for (o, &x) in part.iter_mut().zip(row) {
-        *o += s * x;
-    }
-}
-
-fn add_assign_vec(mut acc: Vec<f64>, part: Vec<f64>) -> Vec<f64> {
-    for (o, p) in acc.iter_mut().zip(part) {
-        *o += p;
-    }
-    acc
+    .unwrap_or_else(|| vec![0.0; len])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
 
     fn big(rows: usize, cols: usize) -> Dense {
         Dense::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) % 23) as f64 * 0.37 - 3.0)
     }
 
     const DEGREES: [usize; 4] = [1, 2, 3, 8];
-
-    #[test]
-    fn gemv_bit_identical_to_serial() {
-        let m = big(1500, 9);
-        let v: Vec<f64> = (0..9).map(|i| (i as f64) * 0.21 - 1.0).collect();
-        let serial = ops::gemv(&m, &v);
-        for deg in DEGREES {
-            assert_eq!(gemv(&m, &v, deg), serial, "degree {deg}");
-        }
-    }
-
-    #[test]
-    fn gemm_bit_identical_to_serial() {
-        let a = big(300, 150);
-        let b = big(150, 170);
-        let serial = ops::gemm(&a, &b);
-        for deg in DEGREES {
-            assert_eq!(gemm(&a, &b, deg), serial, "degree {deg}");
-        }
-    }
-
-    #[test]
-    fn reductions_bit_identical_to_serial() {
-        let m = big(3000, 7);
-        let v: Vec<f64> = (0..3000).map(|i| ((i % 29) as f64) * 0.11 - 1.5).collect();
-        for deg in DEGREES {
-            assert_eq!(col_sums(&m, deg), ops::col_sums(&m), "col_sums degree {deg}");
-            assert_eq!(sum_sq(&m, deg).to_bits(), ops::sum_sq(&m).to_bits(), "sum_sq {deg}");
-            assert_eq!(gevm(&v, &m, deg), ops::gevm(&v, &m), "gevm degree {deg}");
-            assert_eq!(crossprod(&m, deg), ops::crossprod(&m), "crossprod degree {deg}");
-        }
-    }
-
-    #[test]
-    fn edge_shapes() {
-        for (r, c) in [(0usize, 3usize), (1, 3), (3, 1), (0, 0), (1, 1)] {
-            let m = big(r, c);
-            let v = vec![0.5; c];
-            let u = vec![0.25; r];
-            for deg in DEGREES {
-                assert_eq!(gemv(&m, &v, deg), ops::gemv(&m, &v), "{r}x{c} deg {deg}");
-                assert_eq!(gevm(&u, &m, deg), ops::gevm(&u, &m), "{r}x{c} deg {deg}");
-                assert_eq!(col_sums(&m, deg), ops::col_sums(&m), "{r}x{c} deg {deg}");
-                assert_eq!(sum_sq(&m, deg), ops::sum_sq(&m), "{r}x{c} deg {deg}");
-                assert_eq!(crossprod(&m, deg), ops::crossprod(&m), "{r}x{c} deg {deg}");
-                let b = big(c, 2);
-                assert_eq!(gemm(&m, &b, deg), ops::gemm(&m, &b), "{r}x{c} deg {deg}");
-            }
-        }
-    }
 
     #[test]
     #[should_panic(expected = "gemm dimension mismatch")]
@@ -387,6 +178,23 @@ mod tests {
         }
     }
 
+    // The untiled ikj loop with the zero skip: the semantics both gemm
+    // paths (and the cache tiles of `kernel::gemm_ref`) must reproduce.
+    fn reference(a: &Dense, b: &Dense) -> Vec<f64> {
+        let n = b.cols();
+        let mut out = vec![0.0; a.rows() * n];
+        for (arow, orow) in a.data().chunks_exact(a.cols()).zip(out.chunks_exact_mut(n)) {
+            for (&aik, brow) in arow.iter().zip(b.data().chunks_exact(n)) {
+                if aik != 0.0 {
+                    for (o, &bkj) in orow.iter_mut().zip(brow) {
+                        *o += aik * bkj;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn gemm_zero_skip_equivalence_with_finite_b() {
         // A with exact zeros: the packed path drops the a[i][k] == 0.0 skip,
@@ -397,8 +205,7 @@ mod tests {
             a.set(r, (r * 7) % 30, -0.0);
         }
         let b = big(30, 25);
-        let mut reference = vec![0.0; 40 * 25];
-        gemm_rows_naive(&a, &b, &mut reference, 0..40);
+        let reference = reference(&a, &b);
         for deg in DEGREES {
             assert_bits(&gemm(&a, &b, deg), &reference, "degree");
         }
@@ -407,17 +214,19 @@ mod tests {
     #[test]
     fn gemm_non_finite_b_routes_through_reference_kernel() {
         // 0.0 * inf == NaN makes the zero skip observable, so non-finite B
-        // must reproduce the reference kernel's bits at every degree.
-        let mut a = big(24, 18);
+        // must reproduce the reference kernel's bits at every degree. The
+        // inner and output widths cross the reference body's cache tiles.
+        let mut a = big(24, 300);
         for r in 0..24 {
-            a.set(r, r % 18, 0.0);
+            a.set(r, r % 300, 0.0);
+            a.set(r, 150 + r, 0.0);
         }
-        let mut b = big(18, 15);
+        let mut b = big(300, 260);
         b.set(5, 5, f64::INFINITY);
         b.set(7, 3, f64::NAN);
-        b.set(2, 9, f64::NEG_INFINITY);
-        let mut reference = vec![0.0; 24 * 15];
-        gemm_rows_naive(&a, &b, &mut reference, 0..24);
+        b.set(170, 200, f64::NEG_INFINITY);
+        b.set(150, 130, f64::INFINITY);
+        let reference = reference(&a, &b);
         for deg in DEGREES {
             assert_bits(&gemm(&a, &b, deg), &reference, "degree");
         }

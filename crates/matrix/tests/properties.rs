@@ -130,22 +130,6 @@ proptest! {
     }
 
     #[test]
-    fn block_matrix_round_trip(m in dense_matrix(15), bs in 1usize..6) {
-        let b = dm_matrix::BlockMatrix::from_dense(&m, bs);
-        prop_assert_eq!(b.to_dense(), m);
-    }
-
-    #[test]
-    fn block_gemv_agrees(m in dense_matrix(15), bs in 1usize..6) {
-        let v: Vec<f64> = (0..m.cols()).map(|i| i as f64 * 0.25 - 1.0).collect();
-        let b = dm_matrix::BlockMatrix::from_dense(&m, bs);
-        let expect = ops::gemv(&m, &v);
-        for (x, y) in b.gemv(&v).iter().zip(&expect) {
-            prop_assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn hcat_slice_inverse(a in dense_matrix(8)) {
         let h = a.hcat(&a);
         let left = h.slice(0, a.rows(), 0, a.cols());

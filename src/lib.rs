@@ -57,7 +57,7 @@ pub mod prelude {
     pub use dm_compress::{CompressedMatrix, Encoding};
     pub use dm_factorized::{DimTable, NormalizedMatrix};
     pub use dm_lang::{analyze, AnalysisReport, Diagnostic, Env, Executor, Graph, Severity};
-    pub use dm_matrix::{BlockMatrix, Coo, Csr, Dense, Matrix};
+    pub use dm_matrix::{Coo, Csr, Dense, Matrix};
     pub use dm_ml::glm::{Family, GdConfig};
     pub use dm_ml::linreg::{LinearRegression, Solver};
     pub use dm_ml::logreg::{LogRegConfig, LogisticRegression};

@@ -150,35 +150,26 @@ fn declarative_layer_scores_trained_model() {
     assert!(rss < 1e-12, "noiseless data fits exactly");
 }
 
-/// Block matrices round-trip through the buffer pool and still compute.
+/// A matrix round-trips through an evicting buffer pool as row panels and
+/// still computes: the out-of-core gemv returns the in-memory bits.
 #[test]
 fn block_matrix_through_buffer_pool() {
-    use dmml::buffer::{policy::PolicyKind, storage::MemStore};
+    use dmml::buffer::{ooc, panel_bytes, policy::PolicyKind, storage::MemStore};
+    use dmml::buffer::{BlockStore, SharedBufferPool};
     let x = dmml::data::matgen::dense_uniform(64, 32, -1.0, 1.0, 21);
-    let bm = BlockMatrix::from_dense(&x, 16);
-    // Pool holds only 4 of the 8 blocks at a time.
-    let block_bytes = 16 * 16 * 8 + 16;
-    let mut pool = BufferPool::new(4 * block_bytes, PolicyKind::Lru, MemStore::default());
-    for (id, b) in bm.iter_blocks() {
-        pool.put(PageKey::new(9, id.0 as u32, id.1 as u32), b.clone()).unwrap();
-    }
+    // Eight panels of 8 rows; the pool holds only 4 of them at a time.
+    let pool = BufferPool::new(4 * panel_bytes(8, 32), PolicyKind::Lru, MemStore::default());
+    let pool = SharedBufferPool::new(pool);
+    let store = BlockStore::from_dense(&pool, 9, &x, 8).unwrap();
     assert!(pool.stats().evictions > 0, "pressure must evict");
 
-    // Reassemble the matrix by faulting blocks back in and compare gemv.
+    // Fault the panels back in through the blocked gemv and compare bits.
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     let v: Vec<f64> = (0..32).map(|i| i as f64 * 0.1).collect();
-    let mut out = vec![0.0; 64];
-    for (id, _) in bm.iter_blocks() {
-        let blk = pool.get(PageKey::new(9, id.0 as u32, id.1 as u32)).unwrap().unwrap();
-        let r0 = id.0 * 16;
-        let c0 = id.1 * 16;
-        let seg = &v[c0..c0 + blk.cols()];
-        let part = dmml::matrix::ops::gemv(&blk, seg);
-        for (o, p) in out[r0..r0 + blk.rows()].iter_mut().zip(part) {
-            *o += p;
-        }
+    let expect = bits(dmml::matrix::ops::gemv(&x, &v));
+    for degree in [1, 2] {
+        assert_eq!(bits(ooc::gemv(&store, &v, degree).unwrap()), expect, "degree {degree}");
     }
-    let expect = dmml::matrix::ops::gemv(&x, &v);
-    for (a, b) in out.iter().zip(&expect) {
-        assert!((a - b).abs() < 1e-9);
-    }
+    assert_eq!(store.to_dense().unwrap(), x);
+    pool.audit_quiescent().unwrap();
 }
