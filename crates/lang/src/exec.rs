@@ -1,5 +1,19 @@
 //! The interpreter: executes an optimized DAG over bound inputs with
 //! physical-kernel dispatch and per-node memoization.
+//!
+//! Values are shared, never copied. A matrix [`Val`] holds an
+//! `Arc<Matrix>`, so binding an input, inserting into the memo and serving a
+//! memo hit are pointer copies, and every operator borrows its operands as
+//! `&Dense` (densifying only a sparse operand) instead of taking a copy.
+//! Matrix bytes are allocated in two places only:
+//!
+//! - a kernel's output, wrapped once in `Arc::new`;
+//! - a real representation change: a sparse operand densified for a dense
+//!   kernel, an `Input` or `CrossProd` the plan put on [`Kernel::Sparse`]
+//!   converting dense to CSR, and `Transpose`, which materialises its result.
+//!
+//! Staging a blocked operand into the spill pool writes its panels, which is
+//! the out-of-core schedule's own data movement, not a value copy.
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::memory::MemoryBudget;
@@ -15,13 +29,15 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// A runtime value: matrix (dense or sparse) or scalar.
+/// A runtime value: matrix (dense or sparse) or scalar. Cloning a `Val`
+/// copies a pointer, never a matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Val {
-    /// Matrix value.
-    Matrix(Matrix),
+    /// Matrix value, shared by the environment, the memo and every consumer.
+    Matrix(Arc<Matrix>),
     /// Scalar value.
     Scalar(f64),
 }
@@ -36,13 +52,23 @@ impl Val {
         }
     }
 
-    /// Unwrap (and densify) a matrix.
+    /// An owned, densified copy of a matrix.
     pub fn as_dense(&self) -> Option<Dense> {
         match self {
             Val::Matrix(m) => Some(m.to_dense()),
             Val::Scalar(_) => None,
         }
     }
+}
+
+/// Wrap a freshly computed dense output.
+fn dense_val(d: Dense) -> Val {
+    Val::Matrix(Arc::new(Matrix::Dense(d)))
+}
+
+/// Wrap a freshly computed column-vector output without copying it.
+fn column_val(v: Vec<f64>) -> Val {
+    dense_val(Dense::from_vec(v.len(), 1, v).expect("n x 1 holds n values"))
 }
 
 /// Execution errors.
@@ -94,9 +120,10 @@ impl Env {
         Self::default()
     }
 
-    /// Bind a matrix input.
-    pub fn bind(&mut self, name: &str, m: Matrix) -> &mut Self {
-        self.map.insert(name.to_owned(), Val::Matrix(m));
+    /// Bind a matrix input: a `Matrix` moves behind a new `Arc`, an
+    /// `Arc<Matrix>` stays shared with the caller. Evaluation never copies it.
+    pub fn bind(&mut self, name: &str, m: impl Into<Arc<Matrix>>) -> &mut Self {
+        self.map.insert(name.to_owned(), Val::Matrix(m.into()));
         self
     }
 
@@ -717,12 +744,9 @@ impl<'g> Executor<'g> {
             Op::Const(_) => return KernelChoice::Scalar,
             _ => {}
         }
-        let sparse_out = matches!(out, Val::Matrix(Matrix::Sparse(_)));
-        let sparse_operand = op
-            .children()
-            .iter()
-            .any(|c| matches!(self.memo.get(c), Some(Val::Matrix(Matrix::Sparse(_)))));
-        if sparse_out || sparse_operand {
+        let sparse = |v: &Val| matches!(v, Val::Matrix(m) if !m.is_dense());
+        let sparse_operand = op.children().iter().any(|c| self.memo.get(c).is_some_and(sparse));
+        if sparse(out) || sparse_operand {
             KernelChoice::Sparse
         } else if matches!(out, Val::Scalar(_)) && op.children().is_empty() {
             KernelChoice::Scalar
@@ -733,34 +757,39 @@ impl<'g> Executor<'g> {
 
     fn eval_uncached(&mut self, id: NodeId, env: &Env) -> Result<Val, ExecError> {
         let type_err = |message: String| ExecError::Type { node: id, message };
-        match self.graph.op(id).clone() {
-            Op::Input(name) => {
-                let v = env.get(&name).ok_or(ExecError::UnboundInput(name.clone()))?.clone();
+        match *self.graph.op(id) {
+            Op::Input(ref name) => {
+                let v = env.get(name).ok_or_else(|| ExecError::UnboundInput(name.clone()))?;
                 // Honor the physical plan's representation choice for inputs.
-                if let (Val::Matrix(m), Kernel::Sparse) = (&v, self.kernel(id)) {
+                if let (Val::Matrix(m), Kernel::Sparse) = (v, self.kernel(id)) {
                     if m.is_dense() {
-                        return Ok(Val::Matrix(Matrix::Sparse(m.to_csr())));
+                        return Ok(Val::Matrix(Arc::new(Matrix::Sparse(m.to_csr()))));
                     }
                 }
-                Ok(v)
+                Ok(v.clone())
             }
             Op::Const(v) => Ok(Val::Scalar(v)),
-            Op::Transpose(a) => match self.eval(a, env)? {
-                Val::Scalar(v) => Ok(Val::Scalar(v)),
-                Val::Matrix(Matrix::Dense(d)) => {
-                    self.stats.flops += (d.rows() * d.cols()) as u64;
-                    Ok(Val::Matrix(Matrix::Dense(d.transpose())))
-                }
-                Val::Matrix(Matrix::Sparse(s)) => {
-                    self.stats.flops += s.nnz() as u64;
-                    Ok(Val::Matrix(Matrix::Sparse(s.transpose())))
-                }
-            },
+            Op::Transpose(a) => {
+                let m = match self.eval(a, env)? {
+                    Val::Scalar(v) => return Ok(Val::Scalar(v)),
+                    Val::Matrix(m) => m,
+                };
+                let t = match &*m {
+                    Matrix::Dense(d) => {
+                        self.stats.flops += (d.rows() * d.cols()) as u64;
+                        Matrix::Dense(d.transpose())
+                    }
+                    Matrix::Sparse(s) => {
+                        self.stats.flops += s.nnz() as u64;
+                        Matrix::Sparse(s.transpose())
+                    }
+                };
+                Ok(Val::Matrix(Arc::new(t)))
+            }
             Op::MatMul(a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
-                let (ma, mb) = match (va, vb) {
-                    (Val::Matrix(ma), Val::Matrix(mb)) => (ma, mb),
-                    _ => return Err(type_err("matmul requires matrix operands".into())),
+                let (Val::Matrix(ma), Val::Matrix(mb)) = (&va, &vb) else {
+                    return Err(type_err("matmul requires matrix operands".into()));
                 };
                 if ma.cols() != mb.rows() {
                     return Err(type_err(format!(
@@ -773,14 +802,14 @@ impl<'g> Executor<'g> {
                 let sparse_ok = !matches!(self.schedule(id), Schedule::Blocked(_));
                 // Vector shapes dispatch to mv/vm kernels.
                 if mb.cols() == 1 {
-                    let v: Vec<f64> = (0..mb.rows()).map(|r| mb.get(r, 0)).collect();
-                    let out = match &ma {
+                    let v = column(mb);
+                    let out = match &**ma {
                         Matrix::Sparse(s) if sparse_ok => {
                             self.stats.flops += 2 * s.nnz() as u64;
                             ma.gemv(&v)
                         }
                         _ => {
-                            let d = dense(&ma);
+                            let d = dense(ma);
                             self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
                             self.run(
                                 id,
@@ -790,15 +819,15 @@ impl<'g> Executor<'g> {
                             )?
                         }
                     };
-                    return Ok(Val::Matrix(Matrix::Dense(Dense::column(&out))));
+                    return Ok(column_val(out));
                 }
-                let out = match (&ma, &mb) {
+                let out = match (&**ma, &**mb) {
                     (Matrix::Sparse(sa), Matrix::Dense(db)) if sparse_ok => {
                         self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
                         sparse::spmm_dense(sa, db)
                     }
                     _ => {
-                        let (da, db) = (ma.to_dense(), mb.to_dense());
+                        let (da, db) = (dense(ma), dense(mb));
                         self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
                         self.run(
                             id,
@@ -808,11 +837,11 @@ impl<'g> Executor<'g> {
                         )?
                     }
                 };
-                Ok(Val::Matrix(Matrix::Dense(out)))
+                Ok(dense_val(out))
             }
             Op::Ewise(e, a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
-                self.ewise(id, e, va, vb)
+                self.ewise(id, e, &va, &vb)
             }
             Op::Unary(u, a) => {
                 let f = |x: f64| match u {
@@ -821,48 +850,47 @@ impl<'g> Executor<'g> {
                     UnaryOp::Sqrt => x.sqrt(),
                     UnaryOp::Abs => x.abs(),
                 };
-                match self.eval(a, env)? {
-                    Val::Scalar(s) => Ok(Val::Scalar(f(s))),
-                    Val::Matrix(m) => {
-                        // sqrt/abs preserve zeros, so sparse stays sparse;
-                        // exp/log densify and run on the dense form.
-                        let zero_preserving = matches!(u, UnaryOp::Sqrt | UnaryOp::Abs);
-                        match (m, zero_preserving) {
-                            (Matrix::Sparse(s), true) => {
-                                self.stats.flops += s.nnz() as u64;
-                                let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
-                                for (r, c, v) in s.iter() {
-                                    coo.push(r, c, f(v)).expect("indices in range");
-                                }
-                                Ok(Val::Matrix(Matrix::Sparse(coo.to_csr())))
-                            }
-                            (m, _) => {
-                                let d = m.to_dense();
-                                self.stats.flops += (d.rows() * d.cols()) as u64;
-                                Ok(Val::Matrix(Matrix::Dense(d.map(f))))
-                            }
+                let m = match self.eval(a, env)? {
+                    Val::Scalar(s) => return Ok(Val::Scalar(f(s))),
+                    Val::Matrix(m) => m,
+                };
+                // sqrt/abs preserve zeros, so sparse stays sparse; exp/log
+                // densify and run on the dense form.
+                let zero_preserving = matches!(u, UnaryOp::Sqrt | UnaryOp::Abs);
+                match &*m {
+                    Matrix::Sparse(s) if zero_preserving => {
+                        self.stats.flops += s.nnz() as u64;
+                        let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
+                        for (r, c, v) in s.iter() {
+                            coo.push(r, c, f(v)).expect("indices in range");
                         }
+                        Ok(Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr()))))
+                    }
+                    m => {
+                        let d = dense(m);
+                        self.stats.flops += (d.rows() * d.cols()) as u64;
+                        Ok(dense_val(d.map(f)))
                     }
                 }
             }
             Op::Agg(aop, a) => {
                 let v = self.eval(a, env)?;
-                let m = match v {
-                    Val::Scalar(s) => return Ok(Val::Scalar(s)),
-                    Val::Matrix(m) => m,
+                let m = match &v {
+                    Val::Scalar(s) => return Ok(Val::Scalar(*s)),
+                    Val::Matrix(m) => &**m,
                 };
                 // Dense aggregates read every cell; sparse ones only stored entries.
-                self.stats.flops += match &m {
+                self.stats.flops += match m {
                     Matrix::Dense(d) => (d.rows() * d.cols()) as u64,
                     Matrix::Sparse(s) => s.nnz() as u64,
                 };
                 Ok(match aop {
-                    AggOp::Sum => match &m {
+                    AggOp::Sum => match m {
                         Matrix::Dense(d) => Val::Scalar(ops::sum(d)),
                         Matrix::Sparse(s) => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
                     },
                     AggOp::ColSums => {
-                        let cs = match &m {
+                        let cs = match m {
                             Matrix::Dense(d) => self.run(
                                 id,
                                 &[d],
@@ -874,31 +902,29 @@ impl<'g> Executor<'g> {
                                 sparse::spvm(&ones, s)
                             }
                         };
-                        let mut out = Dense::zeros(1, cs.len());
-                        out.row_mut(0).copy_from_slice(&cs);
-                        Val::Matrix(Matrix::Dense(out))
+                        dense_val(Dense::from_vec(1, cs.len(), cs).expect("1 x n holds n values"))
                     }
-                    AggOp::RowSums => {
-                        let rs = match &m {
-                            Matrix::Dense(d) => ops::row_sums(d),
-                            Matrix::Sparse(s) => {
-                                let ones = vec![1.0; s.cols()];
-                                sparse::spmv(s, &ones)
-                            }
-                        };
-                        Val::Matrix(Matrix::Dense(Dense::column(&rs)))
-                    }
-                    AggOp::Min => Val::Scalar(min_of(&m)),
-                    AggOp::Max => Val::Scalar(max_of(&m)),
+                    AggOp::RowSums => column_val(match m {
+                        Matrix::Dense(d) => ops::row_sums(d),
+                        Matrix::Sparse(s) => {
+                            let ones = vec![1.0; s.cols()];
+                            sparse::spmv(s, &ones)
+                        }
+                    }),
+                    AggOp::Min => Val::Scalar(min_of(m)),
+                    AggOp::Max => Val::Scalar(max_of(m)),
                 })
             }
             Op::CrossProd(a) => {
                 let v = self.eval(a, env)?;
-                let m = v.as_dense().ok_or_else(|| type_err("crossprod needs a matrix".into()))?;
+                let Val::Matrix(m) = &v else {
+                    return Err(type_err("crossprod needs a matrix".into()));
+                };
+                let m = dense(m);
                 if self.kernel(id) == Kernel::Sparse {
                     let s = Csr::from_dense(&m);
                     self.stats.flops += 2 * (s.nnz() * m.cols()) as u64;
-                    return Ok(Val::Matrix(Matrix::Dense(sparse::sp_crossprod(&s))));
+                    return Ok(dense_val(sparse::sp_crossprod(&s)));
                 }
                 self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
                 let out = self.run(
@@ -907,47 +933,46 @@ impl<'g> Executor<'g> {
                     |deg| par::crossprod(&m, deg),
                     |t, _, deg| ooc::crossprod(&t[0], deg),
                 )?;
-                Ok(Val::Matrix(Matrix::Dense(out)))
+                Ok(dense_val(out))
             }
             Op::Tmv(a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
-                let (ma, mb) = match (va, vb) {
-                    (Val::Matrix(ma), Val::Matrix(mb)) => (ma, mb),
-                    _ => return Err(type_err("tmv requires matrix operands".into())),
+                let (Val::Matrix(ma), Val::Matrix(mb)) = (&va, &vb) else {
+                    return Err(type_err("tmv requires matrix operands".into()));
                 };
                 if mb.cols() != 1 || ma.rows() != mb.rows() {
                     return Err(type_err("tmv requires X (n x d) and v (n x 1)".into()));
                 }
-                let v: Vec<f64> = (0..mb.rows()).map(|r| mb.get(r, 0)).collect();
-                self.stats.flops += 2
-                    * (match &ma {
-                        Matrix::Dense(d) => d.rows() * d.cols(),
-                        Matrix::Sparse(s) => s.nnz(),
-                    }) as u64;
-                let out = match &ma {
-                    Matrix::Dense(d) => par::gevm(&v, d, self.in_memory_degree(id)),
-                    _ => ma.vecmat(&v),
-                };
-                Ok(Val::Matrix(Matrix::Dense(Dense::column(&out))))
-            }
-            Op::SumSq(a) => {
-                let v = self.eval(a, env)?;
-                match v {
-                    Val::Scalar(s) => Ok(Val::Scalar(s * s)),
-                    Val::Matrix(Matrix::Dense(d)) => {
+                let v = column(mb);
+                let out = match &**ma {
+                    Matrix::Dense(d) => {
                         self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                        Ok(Val::Scalar(par::sum_sq(&d, self.in_memory_degree(id))))
+                        par::gevm(&v, d, self.in_memory_degree(id))
                     }
-                    Val::Matrix(Matrix::Sparse(s)) => {
+                    Matrix::Sparse(s) => {
+                        self.stats.flops += 2 * s.nnz() as u64;
+                        ma.vecmat(&v)
+                    }
+                };
+                Ok(column_val(out))
+            }
+            Op::SumSq(a) => match self.eval(a, env)? {
+                Val::Scalar(s) => Ok(Val::Scalar(s * s)),
+                Val::Matrix(m) => match &*m {
+                    Matrix::Dense(d) => {
+                        self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
+                        Ok(Val::Scalar(par::sum_sq(d, self.in_memory_degree(id))))
+                    }
+                    Matrix::Sparse(s) => {
                         self.stats.flops += 2 * s.nnz() as u64;
                         Ok(Val::Scalar(s.iter().map(|(_, _, v)| v * v).sum()))
                     }
-                }
-            }
+                },
+            },
         }
     }
 
-    fn ewise(&mut self, id: NodeId, e: EwiseOp, va: Val, vb: Val) -> Result<Val, ExecError> {
+    fn ewise(&mut self, id: NodeId, e: EwiseOp, va: &Val, vb: &Val) -> Result<Val, ExecError> {
         let f = |x: f64, y: f64| match e {
             EwiseOp::Add => x + y,
             EwiseOp::Sub => x - y,
@@ -955,9 +980,9 @@ impl<'g> Executor<'g> {
             EwiseOp::Div => x / y,
         };
         match (va, vb) {
-            (Val::Scalar(a), Val::Scalar(b)) => Ok(Val::Scalar(f(a, b))),
-            (Val::Matrix(m), Val::Scalar(s)) => self.broadcast(id, &m, move |v| f(v, s)),
-            (Val::Scalar(s), Val::Matrix(m)) => self.broadcast(id, &m, move |v| f(s, v)),
+            (&Val::Scalar(a), &Val::Scalar(b)) => Ok(Val::Scalar(f(a, b))),
+            (Val::Matrix(m), &Val::Scalar(s)) => self.broadcast(id, m, move |v| f(v, s)),
+            (&Val::Scalar(s), Val::Matrix(m)) => self.broadcast(id, m, move |v| f(s, v)),
             (Val::Matrix(ma), Val::Matrix(mb)) => {
                 if ma.rows() != mb.rows() || ma.cols() != mb.cols() {
                     return Err(ExecError::Type {
@@ -971,7 +996,7 @@ impl<'g> Executor<'g> {
                         ),
                     });
                 }
-                let (da, db) = (ma.to_dense(), mb.to_dense());
+                let (da, db) = (dense(ma), dense(mb));
                 self.stats.flops += (da.rows() * da.cols()) as u64;
                 let in_memory = |_| match e {
                     EwiseOp::Add => ops::add(&da, &db),
@@ -982,7 +1007,7 @@ impl<'g> Executor<'g> {
                 let out = self.run(id, &[&da, &db], in_memory, |t, out, deg| {
                     collect(ooc::ewise(&t[0], &t[1], f, out, deg)?)
                 })?;
-                Ok(Val::Matrix(Matrix::Dense(out)))
+                Ok(dense_val(out))
             }
         }
     }
@@ -994,7 +1019,7 @@ impl<'g> Executor<'g> {
         m: &Matrix,
         f: impl Fn(f64) -> f64 + Sync,
     ) -> Result<Val, ExecError> {
-        let d = m.to_dense();
+        let d = dense(m);
         self.stats.flops += (d.rows() * d.cols()) as u64;
         let out = self.run(
             id,
@@ -1002,7 +1027,7 @@ impl<'g> Executor<'g> {
             |_| d.map(&f),
             |t, out, deg| collect(ooc::map(&t[0], &f, out, deg)?),
         )?;
-        Ok(Val::Matrix(Matrix::Dense(out)))
+        Ok(dense_val(out))
     }
 }
 
@@ -1061,6 +1086,15 @@ fn dense(m: &Matrix) -> Cow<'_, Dense> {
     match m {
         Matrix::Dense(d) => Cow::Borrowed(d),
         Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
+    }
+}
+
+/// The values of an n x 1 operand: a dense column's contiguous storage is
+/// borrowed, a sparse one is materialised.
+fn column(m: &Matrix) -> Cow<'_, [f64]> {
+    match m {
+        Matrix::Dense(d) => Cow::Borrowed(d.data()),
+        Matrix::Sparse(s) => Cow::Owned((0..s.rows()).map(|r| s.get(r, 0)).collect()),
     }
 }
 

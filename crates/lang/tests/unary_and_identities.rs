@@ -1,6 +1,6 @@
 //! Tests for elementwise unary functions and algebraic-identity rewrites.
 
-use dm_lang::exec::{Env, Executor};
+use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::{Graph, Op, UnaryOp};
 use dm_lang::parser;
 use dm_lang::rewrite::optimize;
@@ -38,9 +38,9 @@ fn sqrt_on_sparse_preserves_sparsity() {
     let mut env = Env::new();
     env.bind("S", Matrix::Sparse(Csr::from_dense(&d)));
     let mut ex = Executor::new(&g);
-    let out = ex.eval(r, &env).unwrap();
-    match out {
-        dm_lang::exec::Val::Matrix(Matrix::Sparse(sp)) => {
+    let Val::Matrix(m) = ex.eval(r, &env).unwrap() else { panic!("sqrt(S) is a matrix") };
+    match &*m {
+        Matrix::Sparse(sp) => {
             assert_eq!(sp.nnz(), 2, "sqrt must keep the sparse representation");
             assert_eq!(sp.get(0, 0), 2.0);
             assert_eq!(sp.get(1, 1), 3.0);

@@ -793,14 +793,20 @@ fn execute(shared: &Arc<Shared>, prog: &CompiledProgram, env: Env) -> Result<Val
     Ok(out)
 }
 
+/// Take a result matrix out of its `Arc`. The executor that shared it is
+/// gone by now, so a dense result moves out without a copy.
+fn into_dense(m: Arc<Matrix>) -> Dense {
+    match Arc::unwrap_or_clone(m) {
+        Matrix::Dense(d) => d,
+        Matrix::Sparse(s) => s.to_dense(),
+    }
+}
+
 fn val_to_result(v: Val) -> Result<ScoreResult, String> {
     Ok(match v {
         Val::Scalar(s) => ScoreResult::Scalar(s),
         Val::Matrix(m) => {
-            let d = match m {
-                Matrix::Dense(d) => d,
-                Matrix::Sparse(s) => s.to_dense(),
-            };
+            let d = into_dense(m);
             let (rows, cols) = d.shape();
             ScoreResult::Matrix { rows, cols, data: d.into_vec() }
         }
@@ -950,7 +956,7 @@ fn try_batched(
                     let Val::Matrix(mat) = v else {
                         return Err("batched program did not yield a matrix".to_owned());
                     };
-                    let d = mat.to_dense();
+                    let d = into_dense(mat);
                     if d.cols() != k {
                         return Err(format!(
                             "batched result has {} columns, expected {k}",
@@ -1015,6 +1021,34 @@ mod tests {
         sizes2.declare("x", 4, 4, 1.0);
         let p = compile("(W %*% x) + x", &sizes2, 1, MemoryBudget::unbounded(), &model).unwrap();
         assert_eq!(batchable_input(&p), None);
+    }
+
+    #[test]
+    fn solo_result_leaves_without_a_copy() {
+        let server =
+            ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+        let mut sizes = InputSizes::new();
+        sizes.declare("W", 64, 8, 1.0);
+        sizes.declare("x", 8, 1, 1.0);
+        let model = &server.shared.model;
+        let prog = compile("W %*% x", &sizes, 1, MemoryBudget::unbounded(), model).unwrap();
+        let w = (0..512).map(f64::from).collect();
+        let env = build_env(vec![
+            ("W".to_owned(), InputValue::Matrix { rows: 64, cols: 8, data: w }),
+            ("x".to_owned(), InputValue::Matrix { rows: 8, cols: 1, data: vec![1.0; 8] }),
+        ]);
+        let out = execute(&server.shared, &prog, env).unwrap();
+        let Val::Matrix(m) = &out else { panic!("W %*% x is a matrix") };
+        // The executor and its memo are gone: the caller holds the only
+        // reference, so the result's buffer is the response's buffer.
+        assert_eq!(Arc::strong_count(m), 1);
+        let Matrix::Dense(d) = &**m else { panic!("gemv yields a dense column") };
+        let executor_ptr = d.data().as_ptr();
+        let Ok(ScoreResult::Matrix { data, .. }) = val_to_result(out) else {
+            panic!("matrix result")
+        };
+        assert_eq!(data.as_ptr(), executor_ptr);
+        server.shutdown();
     }
 
     #[test]
