@@ -14,6 +14,17 @@
 //!
 //! Staging a blocked operand into the spill pool writes its panels, which is
 //! the out-of-core schedule's own data movement, not a value copy.
+//!
+//! One aggregate is fused at run time, with no `Op` of its own: `sum(f(A))`
+//! for a unary `f` (exp, log, sqrt, abs) whose `f(A)` node has no other
+//! consumer folds `f` over `A` in one pass and never materializes `f(A)`.
+//! When `A` is an unshared dense `X %*% W` that runs in memory, `A` is not
+//! materialized either: it streams in `ROW_BLOCK`-row panels
+//! ([`par::gemm_map_sum`]). Consumers are counted once per executor, from
+//! the first node it evaluates; a node with another consumer, or already in
+//! the memo (say, after [`Executor::eval_schedule`] primed it), takes the
+//! unfused path. Both paths add the same values in the same order, so the
+//! bits match (`crates/lang/tests/fused_sum.rs`).
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::memory::MemoryBudget;
@@ -255,6 +266,9 @@ pub struct Executor<'g> {
     ooc_pool: Option<SharedBufferPool<Box<dyn Storage>>>,
     next_ooc_matrix: u64,
     memo: HashMap<NodeId, Val>,
+    // Consumers per node, counted once from the first node evaluated;
+    // `sum(f(A))` fuses only over unshared nodes (see `fused_sum`).
+    consumers: Option<Vec<usize>>,
     stats: ExecStats,
     profile: Option<ExecProfile>,
     // Per-recursion-frame accumulator of children wall time, so self time
@@ -297,6 +311,7 @@ impl<'g> Executor<'g> {
             ooc_pool: None,
             next_ooc_matrix: 0,
             memo: HashMap::new(),
+            consumers: None,
             stats: ExecStats::default(),
             profile: profile_to_env.then(ExecProfile::default),
             child_ns_stack: Vec::new(),
@@ -636,6 +651,9 @@ impl<'g> Executor<'g> {
 
     /// Evaluate the node, reusing memoized results for shared subtrees.
     pub fn eval(&mut self, id: NodeId, env: &Env) -> Result<Val, ExecError> {
+        if self.consumers.is_none() {
+            self.consumers = Some(consumer_counts(self.graph, id));
+        }
         let tracing = self.tracing && trace::is_enabled();
         if let Some(v) = self.memo.get(&id) {
             self.stats.memo_hits += 1;
@@ -788,132 +806,24 @@ impl<'g> Executor<'g> {
             }
             Op::MatMul(a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
-                let (Val::Matrix(ma), Val::Matrix(mb)) = (&va, &vb) else {
-                    return Err(type_err("matmul requires matrix operands".into()));
-                };
-                if ma.cols() != mb.rows() {
-                    return Err(type_err(format!(
-                        "matmul inner dims {} vs {}",
-                        ma.cols(),
-                        mb.rows()
-                    )));
-                }
-                // Sparse kernels serve sparse operands unless the node streams.
-                let sparse_ok = !matches!(self.schedule(id), Schedule::Blocked(_));
-                // Vector shapes dispatch to mv/vm kernels.
-                if mb.cols() == 1 {
-                    let v = column(mb);
-                    let out = match &**ma {
-                        Matrix::Sparse(s) if sparse_ok => {
-                            self.stats.flops += 2 * s.nnz() as u64;
-                            ma.gemv(&v)
-                        }
-                        _ => {
-                            let d = dense(ma);
-                            self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                            self.run(
-                                id,
-                                &[&d],
-                                |deg| par::gemv(&d, &v, deg),
-                                |t, _, deg| ooc::gemv(&t[0], &v, deg),
-                            )?
-                        }
-                    };
-                    return Ok(column_val(out));
-                }
-                let out = match (&**ma, &**mb) {
-                    (Matrix::Sparse(sa), Matrix::Dense(db)) if sparse_ok => {
-                        self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
-                        sparse::spmm_dense(sa, db)
-                    }
-                    _ => {
-                        let (da, db) = (dense(ma), dense(mb));
-                        self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
-                        self.run(
-                            id,
-                            &[&da, &db],
-                            |deg| par::gemm(&da, &db, deg),
-                            |t, out, deg| collect(ooc::gemm(&t[0], &t[1], out, deg)?),
-                        )?
-                    }
-                };
-                Ok(dense_val(out))
+                self.matmul(id, &va, &vb)
             }
             Op::Ewise(e, a, b) => {
                 let (va, vb) = (self.eval(a, env)?, self.eval(b, env)?);
                 self.ewise(id, e, &va, &vb)
             }
             Op::Unary(u, a) => {
-                let f = |x: f64| match u {
-                    UnaryOp::Exp => x.exp(),
-                    UnaryOp::Log => x.ln(),
-                    UnaryOp::Sqrt => x.sqrt(),
-                    UnaryOp::Abs => x.abs(),
-                };
-                let m = match self.eval(a, env)? {
-                    Val::Scalar(s) => return Ok(Val::Scalar(f(s))),
-                    Val::Matrix(m) => m,
-                };
-                // sqrt/abs preserve zeros, so sparse stays sparse; exp/log
-                // densify and run on the dense form.
-                let zero_preserving = matches!(u, UnaryOp::Sqrt | UnaryOp::Abs);
-                match &*m {
-                    Matrix::Sparse(s) if zero_preserving => {
-                        self.stats.flops += s.nnz() as u64;
-                        let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
-                        for (r, c, v) in s.iter() {
-                            coo.push(r, c, f(v)).expect("indices in range");
-                        }
-                        Ok(Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr()))))
-                    }
-                    m => {
-                        let d = dense(m);
-                        self.stats.flops += (d.rows() * d.cols()) as u64;
-                        Ok(dense_val(d.map(f)))
-                    }
-                }
+                let v = self.eval(a, env)?;
+                Ok(self.unary(u, v))
             }
             Op::Agg(aop, a) => {
-                let v = self.eval(a, env)?;
-                let m = match &v {
-                    Val::Scalar(s) => return Ok(Val::Scalar(*s)),
-                    Val::Matrix(m) => &**m,
-                };
-                // Dense aggregates read every cell; sparse ones only stored entries.
-                self.stats.flops += match m {
-                    Matrix::Dense(d) => (d.rows() * d.cols()) as u64,
-                    Matrix::Sparse(s) => s.nnz() as u64,
-                };
-                Ok(match aop {
-                    AggOp::Sum => match m {
-                        Matrix::Dense(d) => Val::Scalar(ops::sum(d)),
-                        Matrix::Sparse(s) => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
-                    },
-                    AggOp::ColSums => {
-                        let cs = match m {
-                            Matrix::Dense(d) => self.run(
-                                id,
-                                &[d],
-                                |deg| par::col_sums(d, deg),
-                                |t, _, deg| ooc::col_sums(&t[0], deg),
-                            )?,
-                            Matrix::Sparse(s) => {
-                                let ones = vec![1.0; s.rows()];
-                                sparse::spvm(&ones, s)
-                            }
-                        };
-                        dense_val(Dense::from_vec(1, cs.len(), cs).expect("1 x n holds n values"))
+                if aop == AggOp::Sum {
+                    if let Some(v) = self.fused_sum(id, a, env)? {
+                        return Ok(v);
                     }
-                    AggOp::RowSums => column_val(match m {
-                        Matrix::Dense(d) => ops::row_sums(d),
-                        Matrix::Sparse(s) => {
-                            let ones = vec![1.0; s.cols()];
-                            sparse::spmv(s, &ones)
-                        }
-                    }),
-                    AggOp::Min => Val::Scalar(min_of(m)),
-                    AggOp::Max => Val::Scalar(max_of(m)),
-                })
+                }
+                let v = self.eval(a, env)?;
+                self.aggregate(id, aop, &v)
             }
             Op::CrossProd(a) => {
                 let v = self.eval(a, env)?;
@@ -970,6 +880,196 @@ impl<'g> Executor<'g> {
                 },
             },
         }
+    }
+
+    fn matmul(&mut self, id: NodeId, va: &Val, vb: &Val) -> Result<Val, ExecError> {
+        let type_err = |message: String| ExecError::Type { node: id, message };
+        let (Val::Matrix(ma), Val::Matrix(mb)) = (va, vb) else {
+            return Err(type_err("matmul requires matrix operands".into()));
+        };
+        if ma.cols() != mb.rows() {
+            return Err(type_err(format!("matmul inner dims {} vs {}", ma.cols(), mb.rows())));
+        }
+        // Sparse kernels serve sparse operands unless the node streams.
+        let sparse_ok = !matches!(self.schedule(id), Schedule::Blocked(_));
+        // Vector shapes dispatch to mv/vm kernels.
+        if mb.cols() == 1 {
+            let v = column(mb);
+            let out = match &**ma {
+                Matrix::Sparse(s) if sparse_ok => {
+                    self.stats.flops += 2 * s.nnz() as u64;
+                    ma.gemv(&v)
+                }
+                _ => {
+                    let d = dense(ma);
+                    self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
+                    self.run(
+                        id,
+                        &[&d],
+                        |deg| par::gemv(&d, &v, deg),
+                        |t, _, deg| ooc::gemv(&t[0], &v, deg),
+                    )?
+                }
+            };
+            return Ok(column_val(out));
+        }
+        let out = match (&**ma, &**mb) {
+            (Matrix::Sparse(sa), Matrix::Dense(db)) if sparse_ok => {
+                self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
+                sparse::spmm_dense(sa, db)
+            }
+            _ => {
+                let (da, db) = (dense(ma), dense(mb));
+                self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
+                self.run(
+                    id,
+                    &[&da, &db],
+                    |deg| par::gemm(&da, &db, deg),
+                    |t, out, deg| collect(ooc::gemm(&t[0], &t[1], out, deg)?),
+                )?
+            }
+        };
+        Ok(dense_val(out))
+    }
+
+    fn unary(&mut self, u: UnaryOp, v: Val) -> Val {
+        let f = unary_fn(u);
+        let m = match v {
+            Val::Scalar(s) => return Val::Scalar(f(s)),
+            Val::Matrix(m) => m,
+        };
+        // sqrt/abs preserve zeros, so sparse stays sparse; exp/log
+        // densify and run on the dense form.
+        let zero_preserving = matches!(u, UnaryOp::Sqrt | UnaryOp::Abs);
+        match &*m {
+            Matrix::Sparse(s) if zero_preserving => {
+                self.stats.flops += s.nnz() as u64;
+                let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
+                for (r, c, v) in s.iter() {
+                    coo.push(r, c, f(v)).expect("indices in range");
+                }
+                Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr())))
+            }
+            m => {
+                let d = dense(m);
+                self.stats.flops += (d.rows() * d.cols()) as u64;
+                dense_val(d.map(f))
+            }
+        }
+    }
+
+    fn aggregate(&mut self, id: NodeId, aop: AggOp, v: &Val) -> Result<Val, ExecError> {
+        let m = match v {
+            Val::Scalar(s) => return Ok(Val::Scalar(*s)),
+            Val::Matrix(m) => &**m,
+        };
+        // Dense aggregates read every cell; sparse ones only stored entries.
+        self.stats.flops += match m {
+            Matrix::Dense(d) => (d.rows() * d.cols()) as u64,
+            Matrix::Sparse(s) => s.nnz() as u64,
+        };
+        Ok(match aop {
+            AggOp::Sum => match m {
+                Matrix::Dense(d) => Val::Scalar(ops::sum(d)),
+                Matrix::Sparse(s) => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
+            },
+            AggOp::ColSums => {
+                let cs = match m {
+                    Matrix::Dense(d) => self.run(
+                        id,
+                        &[d],
+                        |deg| par::col_sums(d, deg),
+                        |t, _, deg| ooc::col_sums(&t[0], deg),
+                    )?,
+                    Matrix::Sparse(s) => {
+                        let ones = vec![1.0; s.rows()];
+                        sparse::spvm(&ones, s)
+                    }
+                };
+                dense_val(Dense::from_vec(1, cs.len(), cs).expect("1 x n holds n values"))
+            }
+            AggOp::RowSums => column_val(match m {
+                Matrix::Dense(d) => ops::row_sums(d),
+                Matrix::Sparse(s) => {
+                    let ones = vec![1.0; s.cols()];
+                    sparse::spmv(s, &ones)
+                }
+            }),
+            AggOp::Min => Val::Scalar(min_of(m)),
+            AggOp::Max => Val::Scalar(max_of(m)),
+        })
+    }
+
+    /// True when node `id` may be evaluated inside its one consumer instead
+    /// of through the memo: exactly one reachable node reads it and it has
+    /// not been evaluated yet.
+    fn fusable(&self, id: NodeId) -> bool {
+        self.consumers.as_ref().is_some_and(|c| c[id] == 1) && !self.memo.contains_key(&id)
+    }
+
+    /// `sum(f(A))` for the `sum` node `id` over `fa = f(A)`, in one pass
+    /// that never materializes `f(A)`; `None` when `fa` is not a unary
+    /// function or is shared, memoized or profiled (the profile times each
+    /// node on its own), and the unfused path evaluates it.
+    ///
+    /// `A` is evaluated as usual, then `f` is folded over its cells into
+    /// one sum from [`Iterator::sum`]'s identity: the adds of
+    /// `ops::sum(&A.map(f))`, so the bits are the same. When `A` is itself
+    /// an unshared, unevaluated matmul of two dense matrices that would run
+    /// in memory, not even `A` is materialized: [`par::gemm_map_sum`]
+    /// streams it in `ROW_BLOCK`-row panels with the same fold. Neither
+    /// fused node enters the memo; the stats count them as evaluated and
+    /// charge their flops, as the unfused path would.
+    fn fused_sum(&mut self, id: NodeId, fa: NodeId, env: &Env) -> Result<Option<Val>, ExecError> {
+        let Op::Unary(u, a) = *self.graph.op(fa) else { return Ok(None) };
+        if self.profile.is_some() || !self.fusable(fa) {
+            return Ok(None);
+        }
+        self.stats.nodes_evaluated += 1;
+        let f = unary_fn(u);
+        let v = match *self.graph.op(a) {
+            Op::MatMul(x, w) if self.fusable(a) => {
+                let (vx, vw) = (self.eval(x, env)?, self.eval(w, env)?);
+                self.stats.nodes_evaluated += 1;
+                if let Some(sum) = self.streamed_gemm_sum(a, f, &vx, &vw) {
+                    return Ok(Some(Val::Scalar(sum)));
+                }
+                self.matmul(a, &vx, &vw)?
+            }
+            _ => self.eval(a, env)?,
+        };
+        if let Val::Matrix(m) = &v {
+            if let Matrix::Dense(d) = &**m {
+                self.stats.flops += 2 * d.data().len() as u64;
+                return Ok(Some(Val::Scalar(d.data().iter().map(|&x| f(x)).sum())));
+            }
+        }
+        let fv = self.unary(u, v);
+        self.aggregate(id, AggOp::Sum, &fv).map(Some)
+    }
+
+    /// `sum(f(X %*% W))` through [`par::gemm_map_sum`] when matmul node `id`
+    /// would run the dense gemm in memory on these operands; `None` for a
+    /// sparse operand, a vector `W`, a blocked node or mismatched shapes.
+    fn streamed_gemm_sum(
+        &mut self,
+        id: NodeId,
+        f: impl Fn(f64) -> f64 + Sync,
+        vx: &Val,
+        vw: &Val,
+    ) -> Option<f64> {
+        let (Val::Matrix(mx), Val::Matrix(mw)) = (vx, vw) else { return None };
+        let (Matrix::Dense(x), Matrix::Dense(w)) = (&**mx, &**mw) else { return None };
+        if x.cols() != w.rows()
+            || w.cols() == 1
+            || matches!(self.schedule(id), Schedule::Blocked(_))
+        {
+            return None;
+        }
+        let (m, k, n) = (x.rows(), x.cols(), w.cols());
+        // The matmul's flops, then the unary's and the sum's.
+        self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
+        Some(par::gemm_map_sum(x, w, f, self.in_memory_degree(id)))
     }
 
     fn ewise(&mut self, id: NodeId, e: EwiseOp, va: &Val, vb: &Val) -> Result<Val, ExecError> {
@@ -1079,6 +1179,27 @@ fn collect(out: Tiles) -> Result<Dense, PoolError> {
     let d = out.to_dense()?;
     out.discard()?;
     Ok(d)
+}
+
+/// The scalar function of a unary op.
+fn unary_fn(u: UnaryOp) -> impl Fn(f64) -> f64 + Copy + Sync {
+    move |x: f64| match u {
+        UnaryOp::Exp => x.exp(),
+        UnaryOp::Log => x.ln(),
+        UnaryOp::Sqrt => x.sqrt(),
+        UnaryOp::Abs => x.abs(),
+    }
+}
+
+/// How many nodes reachable from `root` read each node of `graph`.
+fn consumer_counts(graph: &Graph, root: NodeId) -> Vec<usize> {
+    let mut counts = vec![0; graph.len()];
+    for id in graph.reachable(root) {
+        for c in graph.op(id).children() {
+            counts[c] += 1;
+        }
+    }
+    counts
 }
 
 /// Borrow a dense matrix, densify a sparse one.

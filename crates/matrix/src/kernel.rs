@@ -28,8 +28,11 @@
 //! Gemm's finite-`B` path is the packed microkernel of [`crate::pack`]; the
 //! reference loop here ([`gemm_ref`]) is what non-finite panels run, where
 //! its `a[i][k] == 0.0` skip is observable (see `pack`'s equivalence proof).
+//! Crossprod follows the same split per panel: an all-finite panel runs on
+//! the same register tile, a panel holding `NaN`/`inf` runs the skip loop.
 
 use crate::ops::{dot, dot2};
+use crate::pack::{self, Isa};
 use std::ops::Range;
 
 /// Row `r` of a panel `cols` wide.
@@ -101,11 +104,28 @@ pub fn col_sums(panel: &[f64], part: &mut [f64]) {
 }
 
 /// `part += row^T * row` over the upper triangle of the `d x d` partial,
-/// for every row of the panel (`d` wide), skipping zero row entries. The
-/// slice-zip runs the same adds as an `i <= j` double loop, at unit stride.
+/// for every row of the panel (`d` wide); entries below the diagonal are
+/// not touched.
+///
+/// An all-finite panel runs on gemm's register tile
+/// ([`pack`]): tiles over the upper triangle, both operand
+/// slivers read in place from the panel rows, rows `k`-ascending. A panel
+/// holding `NaN`/`inf` runs the row loop below, which skips zero row
+/// entries; the skip is only observable there (`0.0 * inf == NaN`), by
+/// `pack`'s zero-skip argument, so both paths give every element the same
+/// bits. The row loop's slice-zip runs the same adds as an `i <= j` double
+/// loop, at unit stride.
 pub fn crossprod_upper(panel: &[f64], d: usize, part: &mut [f64]) {
+    crossprod_upper_on(Isa::detect(), panel, d, part);
+}
+
+/// [`crossprod_upper`] with the register tile of instantiation `isa`.
+pub(crate) fn crossprod_upper_on(isa: Isa, panel: &[f64], d: usize, part: &mut [f64]) {
     if d == 0 {
         return;
+    }
+    if pack::all_finite(panel) {
+        return pack::crossprod_tiles(isa, panel, d, part);
     }
     for row in panel.chunks_exact(d) {
         for (i, &vi) in row.iter().enumerate() {

@@ -1,22 +1,55 @@
-//! Packed, register-tiled gemm building blocks (the classic GEBP scheme).
+//! Packed, register-tiled gemm and crossprod building blocks (the classic
+//! GEBP scheme).
 //!
 //! Dense matrix multiply is restructured around three levels of blocking,
 //! sized so each operand lives in the cache level that can feed the
 //! innermost loop:
 //!
 //! * A [`KC`]`x`[`NC`] slab of `B` is packed once into [`PackedB`]:
-//!   contiguous [`NR`]-column tiles, `k`-major within each tile, zero-padded
+//!   contiguous `NR`-column tiles, `k`-major within each tile, zero-padded
 //!   to a full `NR` width. The slab is read-only after packing, so *all*
 //!   workers of a parallel gemm share one copy instead of re-streaming `B`
 //!   from cold memory per thread.
-//! * An [`MC`]`x`[`KC`] block of `A` is packed into [`MR`]-row micro-panels,
+//! * An [`MC`]`x`[`KC`] block of `A` is packed into `MR`-row micro-panels,
 //!   `k`-major, zero-padded to `MR` rows, so the microkernel reads both
 //!   operands at unit stride.
-//! * The [`MR`]`x`[`NR`] microkernel keeps the output tile in a local
+//! * The `MR x NR` microkernel keeps the output tile in a local
 //!   `[[f64; NR]; MR]` array. The bounds are compile-time constants and the
 //!   loop body is branch-free, which is what lets LLVM promote the tile to
-//!   vector registers and autovectorize the FMA chain — no `unsafe`, no
-//!   intrinsics.
+//!   vector registers and vectorize the multiply-add chain — no intrinsics.
+//!
+//! Crossprod (`X^T X`) runs on the same microkernel: both operands of a
+//! tile are slivers of the same panel rows, contiguous in each row, so
+//! [`crate::kernel::crossprod_upper`] reads them in place with no packing.
+//!
+//! # Instantiations
+//!
+//! The driver is written once, generic over the tile, and compiled twice:
+//!
+//! * **portable** — `MR x NR = 2 x 12`, the x86-64 baseline (SSE2): 24
+//!   accumulators in 12 of the 16 `xmm` registers. With the `B` row and the
+//!   two broadcast `A` values that is more than 16, and its `k` loop spills
+//!   four registers per step; it is the fallback for CPUs without AVX2;
+//! * **AVX2** — `4 x 8`, the same source under
+//!   `#[target_feature(enable = "avx2")]`: 32 accumulators in 8 of the 16
+//!   `ymm` registers, leaving room for the `B` row and the broadcast `A`
+//!   value.
+//!
+//! Each kernel call picks the AVX2 instantiation when
+//! `is_x86_feature_detected!("avx2")` says the CPU has it. Calling a
+//! `#[target_feature]` function is the crate's one `unsafe` block, guarded
+//! by that same check. A [`PackedB`] records the instantiation it was packed
+//! for, since the tile width is its layout.
+//!
+//! **Register-fit rule.** A tile's accumulators plus one `B` row and the
+//! broadcast `A` value must fit the 16 vector registers, or LLVM spills
+//! `acc` to the stack inside the `k` loop. A spilled tile is not just
+//! slower, it is unpredictable: a 4x12 AVX2 tile (12 accumulators + 3 `B`
+//! vectors + 1) spilled, and the same evaluation on it (crossprod and gemm
+//! of an 8192x256 `X`, 2-vCPU Sapphire Rapids) ran 76 ms in one caller
+//! against 41 ms in an equivalent caller of the same binary, depending on
+//! the stack depth it was called at. 4x8 does not spill, and its `k` loop
+//! touches no stack slot.
 //!
 //! # Bit-identity contract
 //!
@@ -34,6 +67,12 @@
 //! * The `jc`/`ic`/`jr`/`ir` loops only partition *disjoint* output
 //!   elements; they can be reordered freely without touching any sum.
 //!
+//! The instantiations cannot differ in a bit either. Each `acc += a * b` is
+//! a multiply rounded to `f64` and then an add rounded to `f64`, whatever
+//! the vector width: FMA is not enabled, and Rust never contracts `a * b +
+//! c` into one fused operation on its own. Tile shape only changes which
+//! output elements share a register, never the adds an element sees.
+//!
 //! The one deliberate deviation from the reference loop is the `a[i][k] ==
 //! 0.0` skip: the reference kernels skip zero `A` entries, the microkernel
 //! must not branch per element. Dropping the skip is a **bit-exact** rewrite
@@ -45,24 +84,14 @@
 //! identity. Only non-finite `B` values distinguish the two kernels
 //! (`0.0 * inf == NaN`), so callers check [`all_finite`] on `B` and fall
 //! back to the reference kernel ([`crate::kernel::gemm_ref`]) otherwise —
-//! exact bit-identity in all cases.
+//! exact bit-identity in all cases. Crossprod's `B` is its own panel, so it
+//! gates on the whole panel.
 
 use std::ops::Range;
 
-/// Microkernel tile height (rows of `A` / the output held in registers).
-///
-/// `MR x NR = 24` accumulators fill the 16 SSE2 `xmm` registers of the
-/// portable x86-64 baseline without spilling (measured: 2x12 beats 4x8 by
-/// ~2x there, and still autovectorizes to wide FMA under
-/// `-C target-cpu=native`).
-pub const MR: usize = 2;
-
-/// Microkernel tile width (columns of `B` / the output held in registers).
-pub const NR: usize = 12;
-
 /// Cache-block depth (the `k` extent of packed `A` and `B` slabs); sized so
-/// an `MR x KC` micro-panel of `A` (8 KiB) stays in L1 while a `KC x NR`
-/// tile of `B` (48 KiB) streams from L2.
+/// an `MR x KC` micro-panel of `A` (8-16 KiB) stays in L1 while a `KC x NR`
+/// tile of `B` (32-48 KiB) streams from L2.
 pub const KC: usize = 512;
 
 /// Cache-block height (rows of `A` packed per block, reused across all of
@@ -73,6 +102,93 @@ pub const MC: usize = 128;
 /// sized for the shared outer cache).
 pub const NC: usize = 512;
 
+/// The portable instantiation's register tile (`MR x NR`).
+const PORTABLE_MR: usize = 2;
+const PORTABLE_NR: usize = 12;
+
+/// The AVX2 instantiation's register tile (`MR x NR`).
+const AVX2_MR: usize = 4;
+const AVX2_NR: usize = 8;
+
+/// A compiled instantiation of the microkernel driver: the register tile
+/// and the instruction set it is compiled for (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    /// The portable baseline build, 2x12 tile.
+    Portable,
+    /// The AVX2 build, 4x8 tile; only ever made when the CPU has AVX2.
+    Avx2,
+}
+
+impl Isa {
+    /// The instantiation kernels run on this CPU.
+    pub(crate) fn detect() -> Isa {
+        if avx2_detected() {
+            Isa::Avx2
+        } else {
+            Isa::Portable
+        }
+    }
+
+    /// Every instantiation this CPU can run: the hook tests use to pin each
+    /// one to the same bits.
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Isa> {
+        let mut all = vec![Isa::Portable];
+        if avx2_detected() {
+            all.push(Isa::Avx2);
+        }
+        all
+    }
+
+    /// Tile width: the column count of a packed `B` tile.
+    pub(crate) const fn nr(self) -> usize {
+        match self {
+            Isa::Portable => PORTABLE_NR,
+            Isa::Avx2 => AVX2_NR,
+        }
+    }
+
+    /// Run `body` compiled for this instantiation.
+    fn run(self, body: impl Tiled) {
+        match self {
+            Isa::Portable => body.run::<PORTABLE_MR, PORTABLE_NR>(),
+            Isa::Avx2 => {
+                assert!(avx2_detected(), "the AVX2 instantiation needs a CPU with AVX2");
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `run_avx2`'s only requirement is a CPU with AVX2,
+                // which the assertion above has just checked.
+                unsafe {
+                    run_avx2(body)
+                }
+            }
+        }
+    }
+}
+
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// A kernel body written once over an `MR x NR` register tile, which
+/// [`Isa::run`] instantiates. Implementations and everything they call down
+/// to [`microkernel`] are `#[inline(always)]`, so the whole loop nest is
+/// generated inside [`run_avx2`]'s `#[target_feature]` context.
+trait Tiled {
+    fn run<const MR: usize, const NR: usize>(self);
+}
+
+/// The AVX2 instantiation: the same source as the portable one, compiled
+/// with AVX2 enabled (and FMA not, so no multiply-add is fused).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(body: impl Tiled) {
+    body.run::<AVX2_MR, AVX2_NR>();
+}
+
 /// True if every element is finite (no `NaN`/`inf`). Gemm callers use this
 /// on `B` to choose between the branch-free packed path and the reference
 /// kernel with the `a[i][k] == 0.0` skip (see the module docs for why the
@@ -81,31 +197,45 @@ pub fn all_finite(data: &[f64]) -> bool {
     data.iter().all(|v| v.is_finite())
 }
 
-/// A packed `KC x NC` slab of `B`: [`NR`]-column tiles, `k`-major within
-/// each tile, zero-padded to full `NR` width. Immutable after [`pack`];
-/// sharable by reference across parallel workers.
+/// A packed `KC x NC` slab of `B`: `NR`-column tiles, `k`-major within
+/// each tile, zero-padded to full `NR` width, where `NR` is the tile width
+/// of the instantiation the slab is packed for (the one this CPU runs, for
+/// a default slab). Immutable after [`pack`]; sharable by reference across
+/// parallel workers.
 ///
 /// [`pack`]: PackedB::pack
-#[derive(Default)]
 pub struct PackedB {
     data: Vec<f64>,
     kc: usize,
     jcols: Range<usize>,
+    isa: Isa,
+}
+
+impl Default for PackedB {
+    fn default() -> Self {
+        PackedB::new(Isa::detect())
+    }
 }
 
 impl PackedB {
+    /// An empty slab for instantiation `isa`.
+    pub(crate) fn new(isa: Isa) -> Self {
+        PackedB { data: Vec::new(), kc: 0, jcols: 0..0, isa }
+    }
+
     /// Pack rows `kr` and columns `jcols` of the row-major matrix `b`
     /// (`n_cols` columns wide), replacing any previous contents.
     pub fn pack(&mut self, b: &[f64], n_cols: usize, kr: Range<usize>, jcols: Range<usize>) {
+        let nr = self.nr();
         self.data.clear();
         self.kc = kr.len();
         self.jcols = jcols.clone();
-        self.data.reserve(jcols.len().div_ceil(NR) * NR * self.kc);
-        for jr in (jcols.start..jcols.end).step_by(NR) {
-            let jw = (jr + NR).min(jcols.end) - jr;
+        self.data.reserve(jcols.len().div_ceil(nr) * nr * self.kc);
+        for jr in (jcols.start..jcols.end).step_by(nr) {
+            let jw = (jr + nr).min(jcols.end) - jr;
             for k in kr.clone() {
                 self.data.extend_from_slice(&b[k * n_cols + jr..k * n_cols + jr + jw]);
-                self.data.extend(std::iter::repeat_n(0.0, NR - jw));
+                self.data.extend(std::iter::repeat_n(0.0, nr - jw));
             }
         }
     }
@@ -120,9 +250,15 @@ impl PackedB {
         self.kc
     }
 
-    /// The `jt`-th packed `NR`-column tile (`kc * NR` elements).
+    /// Tile width: the columns of `B` per packed tile.
+    pub fn nr(&self) -> usize {
+        self.isa.nr()
+    }
+
+    /// The `jt`-th packed tile (`kc * nr` elements).
     fn tile(&self, jt: usize) -> &[f64] {
-        &self.data[jt * self.kc * NR..(jt + 1) * self.kc * NR]
+        let len = self.kc * self.nr();
+        &self.data[jt * len..(jt + 1) * len]
     }
 }
 
@@ -163,7 +299,8 @@ pub struct AView<'a> {
 
 /// Pack the view's rows into `MR`-row micro-panels, `k`-major, zero-padded
 /// to `MR` rows. `dst` is cleared and reused.
-fn pack_a_block(a: &AView<'_>, rows: Range<usize>, dst: &mut Vec<f64>) {
+#[inline(always)]
+fn pack_a_block<const MR: usize>(a: &AView<'_>, rows: Range<usize>, dst: &mut Vec<f64>) {
     dst.clear();
     let kc = a.kcols.len();
     dst.reserve(rows.len().div_ceil(MR) * MR * kc);
@@ -178,12 +315,15 @@ fn pack_a_block(a: &AView<'_>, rows: Range<usize>, dst: &mut Vec<f64>) {
     }
 }
 
-/// The register-tiled inner loop: `acc[i][j] += a[i][k] * b[k][j]` for `k`
-/// in `0..kc`, reading both packed panels at unit stride. Constant bounds
-/// and no branches: LLVM keeps `acc` in vector registers.
-#[inline]
-fn microkernel(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
+/// The register-tiled inner loop: `acc[i][j] += a[i] * b[j]` for each
+/// `(a, b)` step, in order. Constant bounds and no branches: LLVM keeps
+/// `acc` in vector registers.
+#[inline(always)]
+fn microkernel<'s, const MR: usize, const NR: usize>(
+    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    acc: &mut [[f64; NR]; MR],
+) {
+    for (av, bv) in steps {
         for i in 0..MR {
             let aik = av[i];
             for j in 0..NR {
@@ -193,12 +333,22 @@ fn microkernel(kc: usize, ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
     }
 }
 
+/// The `k` steps of one packed `A` micro-panel against one packed `B` tile.
+#[inline(always)]
+fn packed_steps<'s, const MR: usize, const NR: usize>(
+    kc: usize,
+    ap: &'s [f64],
+    bp: &'s [f64],
+) -> impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])> {
+    ap.as_chunks::<MR>().0.iter().zip(bp.as_chunks::<NR>().0).take(kc)
+}
+
 /// Full `MR x NR` tile: load the output tile, accumulate one `KC` slab,
 /// store it back. The load/store loops have compile-time bounds — keeping
 /// them separate from [`edge_tile`]'s dynamic bounds is what lets LLVM
 /// promote `acc` to registers on this hot path.
-#[inline]
-fn full_tile(
+#[inline(always)]
+fn full_tile<const MR: usize, const NR: usize>(
     kc: usize,
     ap: &[f64],
     bp: &[f64],
@@ -212,7 +362,7 @@ fn full_tile(
         let src = &out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + NR];
         accr.copy_from_slice(src);
     }
-    microkernel(kc, ap, bp, &mut acc);
+    microkernel(packed_steps(kc, ap, bp), &mut acc);
     for (i, accr) in acc.iter().enumerate() {
         let dst = &mut out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + NR];
         dst.copy_from_slice(accr);
@@ -222,7 +372,8 @@ fn full_tile(
 /// Partial tile at the right/bottom matrix edge: same accumulation, dynamic
 /// `iw x jw` bounds. Padded lanes compute on packed zeros and are never
 /// stored.
-fn edge_tile(
+#[inline(always)]
+fn edge_tile<const MR: usize, const NR: usize>(
     kc: usize,
     ap: &[f64],
     bp: &[f64],
@@ -236,7 +387,7 @@ fn edge_tile(
         let src = &out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + jw];
         accr[..jw].copy_from_slice(src);
     }
-    microkernel(kc, ap, bp, &mut acc);
+    microkernel(packed_steps(kc, ap, bp), &mut acc);
     for (i, accr) in acc.iter().enumerate().take(iw) {
         let dst = &mut out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + jw];
         dst.copy_from_slice(&accr[..jw]);
@@ -244,7 +395,7 @@ fn edge_tile(
 }
 
 /// Accumulate `out[rows x jcols] += A[rows, kcols] * B[kcols, jcols]` for
-/// one packed `B` slab.
+/// one packed `B` slab, on the instantiation the slab was packed for.
 ///
 /// `out` is row-major with stride `out_stride` and holds `a.rows.len()`
 /// rows starting at row `a.rows.start` of the full product (columns are
@@ -262,29 +413,141 @@ pub fn gemm_packed_rows(
     out_stride: usize,
     apack: &mut Vec<f64>,
 ) {
-    let kc = a.kcols.len();
-    debug_assert_eq!(kc, bp.kc());
+    debug_assert_eq!(a.kcols.len(), bp.kc());
     debug_assert!(out.len() >= a.rows.len().saturating_sub(1) * out_stride);
-    let (j0, j1) = (bp.jcols.start, bp.jcols.end);
-    let n_jr = (j1 - j0).div_ceil(NR);
-    for i0 in (a.rows.start..a.rows.end).step_by(MC) {
-        let i1 = (i0 + MC).min(a.rows.end);
-        pack_a_block(a, i0..i1, apack);
-        let n_ir = (i1 - i0).div_ceil(MR);
-        for jt in 0..n_jr {
-            let btile = bp.tile(jt);
-            let jr = j0 + jt * NR;
-            let jw = (jr + NR).min(j1) - jr;
-            for it in 0..n_ir {
-                let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
-                let ir = i0 + it * MR;
-                let iw = (ir + MR).min(i1) - ir;
-                let r0 = ir - a.rows.start;
-                if iw == MR && jw == NR {
-                    full_tile(kc, ap, btile, out, out_stride, r0, jr);
-                } else {
-                    edge_tile(kc, ap, btile, out, out_stride, (r0, jr), (iw, jw));
+    bp.isa.run(GemmRows { a, bp, out, out_stride, apack });
+}
+
+/// [`gemm_packed_rows`]'s loop nest, as a [`Tiled`] body.
+struct GemmRows<'r, 'a> {
+    a: &'r AView<'a>,
+    bp: &'r PackedB,
+    out: &'r mut [f64],
+    out_stride: usize,
+    apack: &'r mut Vec<f64>,
+}
+
+impl Tiled for GemmRows<'_, '_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let GemmRows { a, bp, out, out_stride, apack } = self;
+        debug_assert_eq!(bp.nr(), NR);
+        let kc = a.kcols.len();
+        let (j0, j1) = (bp.jcols.start, bp.jcols.end);
+        let n_jr = (j1 - j0).div_ceil(NR);
+        for i0 in (a.rows.start..a.rows.end).step_by(MC) {
+            let i1 = (i0 + MC).min(a.rows.end);
+            pack_a_block::<MR>(a, i0..i1, apack);
+            let n_ir = (i1 - i0).div_ceil(MR);
+            for jt in 0..n_jr {
+                let btile = bp.tile(jt);
+                let jr = j0 + jt * NR;
+                let jw = (jr + NR).min(j1) - jr;
+                for it in 0..n_ir {
+                    let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
+                    let ir = i0 + it * MR;
+                    let iw = (ir + MR).min(i1) - ir;
+                    let r0 = ir - a.rows.start;
+                    if iw == MR && jw == NR {
+                        full_tile::<MR, NR>(kc, ap, btile, out, out_stride, r0, jr);
+                    } else {
+                        edge_tile::<MR, NR>(kc, ap, btile, out, out_stride, (r0, jr), (iw, jw));
+                    }
                 }
+            }
+        }
+    }
+}
+
+/// `part += panel^T * panel` over the upper triangle of the `d x d`
+/// partial, on `isa`'s register tile, for a panel of all-finite values
+/// (`d` wide). Tiles walk the panel's rows `k`-ascending, read-modify-writing
+/// `part` once per [`KC`]-row chunk, so each element sees the same adds, in
+/// the same order, as the row-at-a-time loop without the zero skip. Both
+/// operand slivers are contiguous in each row and are read in place:
+/// nothing is packed or allocated. Entries below the diagonal are not
+/// touched.
+pub(crate) fn crossprod_tiles(isa: Isa, panel: &[f64], d: usize, part: &mut [f64]) {
+    debug_assert!(all_finite(panel));
+    isa.run(CrossprodTiles { panel, d, part });
+}
+
+/// [`crossprod_tiles`]'s loop nest, as a [`Tiled`] body.
+struct CrossprodTiles<'r> {
+    panel: &'r [f64],
+    d: usize,
+    part: &'r mut [f64],
+}
+
+impl Tiled for CrossprodTiles<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let CrossprodTiles { panel, d, part } = self;
+        for chunk in panel.chunks(KC * d) {
+            for i0 in (0..d).step_by(MR) {
+                // The first column tile that reaches the diagonal.
+                for j0 in (i0 / NR * NR..d).step_by(NR) {
+                    if i0 + MR <= d && j0 + NR <= d {
+                        crossprod_tile::<MR, NR>(chunk, d, part, i0, j0);
+                    } else {
+                        crossprod_edge(chunk, d, part, i0..(i0 + MR).min(d), j0..(j0 + NR).min(d));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One full `MR x NR` crossprod tile at `(i0, j0)` over the rows of
+/// `chunk`. A tile that straddles the diagonal computes its lower entries
+/// too (they start from whatever `part` holds there) but stores only
+/// `j >= i`.
+#[inline(always)]
+fn crossprod_tile<const MR: usize, const NR: usize>(
+    chunk: &[f64],
+    d: usize,
+    part: &mut [f64],
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (i, accr) in acc.iter_mut().enumerate() {
+        let src = &part[(i0 + i) * d + j0..(i0 + i) * d + j0 + NR];
+        accr.copy_from_slice(src);
+    }
+    let steps = chunk.chunks_exact(d).map(|row| {
+        let a: &[f64; MR] = row[i0..].first_chunk().expect("i0 + MR <= d");
+        let b: &[f64; NR] = row[j0..].first_chunk().expect("j0 + NR <= d");
+        (a, b)
+    });
+    microkernel(steps, &mut acc);
+    // A select, not a branch: every row stores whole, like `full_tile`.
+    for (i, accr) in acc.iter().enumerate() {
+        let dst = &mut part[(i0 + i) * d + j0..(i0 + i) * d + j0 + NR];
+        for (j, (o, &v)) in dst.iter_mut().zip(accr).enumerate() {
+            *o = if j0 + j >= i0 + i { v } else { *o };
+        }
+    }
+}
+
+/// A crossprod tile at the matrix fringe (`rows x cols` narrower than the
+/// register tile): the same adds per element, one row at a time.
+fn crossprod_edge(
+    chunk: &[f64],
+    d: usize,
+    part: &mut [f64],
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    for row in chunk.chunks_exact(d) {
+        for i in rows.clone() {
+            let lo = cols.start.max(i);
+            if lo >= cols.end {
+                continue;
+            }
+            let vi = row[i];
+            for (o, &vj) in part[i * d + lo..i * d + cols.end].iter_mut().zip(&row[lo..cols.end]) {
+                *o += vi * vj;
             }
         }
     }
@@ -293,6 +556,8 @@ pub fn gemm_packed_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::ROW_BLOCK;
+    use crate::Dense;
 
     // The serial reference loop every kernel is pinned against: strictly
     // increasing k, left-associated, with the zero skip.
@@ -337,21 +602,24 @@ mod tests {
 
     #[test]
     fn packed_layout_is_k_major_and_zero_padded() {
-        // 3x5 B, one slab: two tiles of NR cols (5 < NR, so one padded tile).
-        let b: Vec<f64> = (0..15).map(|i| i as f64 + 1.0).collect();
-        let mut p = PackedB::default();
-        p.pack(&b, 5, 0..3, 0..5);
-        assert_eq!(p.kc(), 3);
-        // k-major: row k of the tile holds b[k][0..5] then NR-5 zeros.
-        assert_eq!(&p.tile(0)[..5], &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(&p.tile(0)[5..NR], &[0.0; NR - 5]);
-        assert_eq!(&p.tile(0)[NR..NR + 5], &[6.0, 7.0, 8.0, 9.0, 10.0]);
+        for isa in Isa::available() {
+            // 3x5 B, one slab: 5 columns fit one tile of every width, padded.
+            let b: Vec<f64> = (0..15).map(|i| i as f64 + 1.0).collect();
+            let mut p = PackedB::new(isa);
+            p.pack(&b, 5, 0..3, 0..5);
+            let nr = p.nr();
+            assert_eq!(p.kc(), 3);
+            // k-major: row k of the tile holds b[k][0..5] then nr-5 zeros.
+            assert_eq!(&p.tile(0)[..5], &[1.0, 2.0, 3.0, 4.0, 5.0]);
+            assert!(p.tile(0)[5..nr].iter().all(|&v| v == 0.0), "{isa:?}");
+            assert_eq!(&p.tile(0)[nr..nr + 5], &[6.0, 7.0, 8.0, 9.0, 10.0]);
+        }
     }
 
     #[test]
     fn bit_identical_across_shapes() {
         // Degenerate and non-multiple-of-tile shapes, including dims that
-        // straddle MR/NR/KC/MC boundaries.
+        // straddle every instantiation's MR/NR and KC/MC.
         for (m, k_dim, n) in [
             (0, 3, 4),
             (1, 1, 1),
@@ -360,7 +628,7 @@ mod tests {
             (3, 5, 1),
             (5, 0, 4),
             (17, 23, 29),
-            (MR + 1, KC + 3, NR + 1),
+            (5, KC + 3, 13),
             (MC + 5, 33, NC / 8 + 7),
         ] {
             let a = fill(m * k_dim, 1);
@@ -390,6 +658,105 @@ mod tests {
         });
         for (oi, r) in rows.enumerate() {
             assert_eq!(&out[oi * n..(oi + 1) * n], &want[r * n..(r + 1) * n], "row {r}");
+        }
+    }
+
+    /// Values with exact `0.0` and `-0.0` mixed in (what the zero-skip
+    /// argument hinges on).
+    fn signed_zeros(rows: usize, cols: usize, seed: usize) -> Dense {
+        Dense::from_fn(rows, cols, |r, c| match (r * 7 + c * 3 + seed) % 13 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((r * 31 + c * 17 + seed) % 23) as f64 * 0.37 - 3.0,
+        })
+    }
+
+    /// The fixed-block crossprod reduction with the row loop's zero skip:
+    /// the semantics every instantiation must reproduce, including on
+    /// panels that hold `NaN`/`inf`.
+    fn reference_crossprod(x: &Dense) -> Vec<f64> {
+        let d = x.cols();
+        let mut acc: Option<Vec<f64>> = None;
+        for block in x.data().chunks((ROW_BLOCK * d).max(1)) {
+            let mut part = vec![0.0; d * d];
+            for row in block.chunks_exact(d) {
+                for i in 0..d {
+                    if row[i] != 0.0 {
+                        for j in i..d {
+                            part[i * d + j] += row[i] * row[j];
+                        }
+                    }
+                }
+            }
+            acc = Some(match acc {
+                None => part,
+                Some(mut a) => {
+                    a.iter_mut().zip(&part).for_each(|(a, p)| *a += p);
+                    a
+                }
+            });
+        }
+        let mut out = acc.unwrap_or_else(|| vec![0.0; d * d]);
+        crate::kernel::mirror_upper(d, &mut out);
+        out
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        if let Some(i) = got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+            panic!("{what}: element {i} is {:e}, reference has {:e}", got[i], want[i]);
+        }
+    }
+
+    #[test]
+    fn every_instantiation_computes_the_reference_bits() {
+        // (rows, cols, b_cols): dims around both tiles' MR (2, 4) and NR
+        // (12, 8), degenerate shapes, a tall panel and one deeper than KC,
+        // plus `poison`ed cases whose B (for gemm) and first row block (for
+        // crossprod) hold inf/NaN.
+        let shapes = [
+            (0, 3, 2),
+            (1, 3, 2),
+            (3, 1, 2),
+            (3, 0, 2),
+            (0, 0, 2),
+            (1, 1, 1),
+            (2, 12, 12),
+            (5, 9, 13),
+            (7, 13, 3),
+            (17, 23, 29),
+            (40, 40, 40),
+            (3000, 9, 5),
+            (1600, 140, 7),
+            (600, KC + 5, 17),
+        ];
+        for poison in [false, true] {
+            for (rows, cols, b_cols) in shapes {
+                let mut x = signed_zeros(rows, cols, 1);
+                let mut b = signed_zeros(cols, b_cols, 3);
+                if poison && rows > 2 && cols > 1 && b_cols > 1 {
+                    // Each non-finite value meets a zero it would multiply
+                    // without the skip: x[0][cols/2] against B's row
+                    // cols/2, x[1][0] against x[1][cols-1].
+                    x.set(0, cols / 2, 0.0);
+                    x.set(1, 0, -0.0);
+                    x.set(1, cols - 1, f64::INFINITY);
+                    x.set(2, 0, f64::NAN);
+                    b.set(cols / 2, 1, f64::NEG_INFINITY);
+                    b.set(cols - 1, 0, f64::NAN);
+                }
+                let gemm_want = naive_gemm(x.data(), b.data(), rows, cols, b_cols);
+                let cross_want = reference_crossprod(&x);
+                for isa in Isa::available() {
+                    for degree in [1, 3] {
+                        let what = format!("{isa:?} {rows}x{cols}x{b_cols} degree {degree}");
+                        let got = crate::par::gemm_on(isa, &x, &b, degree);
+                        assert_bits(got.data(), &gemm_want, &format!("gemm {what}"));
+                        let got = crate::par::crossprod_on(isa, &x, degree);
+                        assert_bits(got.data(), &cross_want, &format!("crossprod {what}"));
+                    }
+                }
+            }
         }
     }
 

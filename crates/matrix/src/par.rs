@@ -9,9 +9,12 @@
 //! ([`gevm`], [`col_sums`], [`crossprod`], [`sum_sq`]) cut the input into
 //! fixed [`ROW_BLOCK`]-row or [`ELEM_BLOCK`]-element blocks and fold the
 //! partials in block order. [`gemm`] packs each `B` slab once
-//! ([`crate::pack`]) and shares it read-only across the workers.
+//! ([`crate::pack`]) and shares it read-only across the workers;
+//! [`gemm_map_sum`] hands each worker one [`ROW_BLOCK`]-row panel of the
+//! product at a time and folds the mapped panels in row order.
 
 use crate::dense::Dense;
+use crate::pack::{Isa, PackedB};
 use crate::{kernel, pack};
 use dm_par::{for_each_slice_mut, reduce_blocks};
 use std::ops::Range;
@@ -63,15 +66,12 @@ pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm(a: &Dense, b: &Dense, degree: usize) -> Dense {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "gemm dimension mismatch: {}x{} * {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+    gemm_on(Isa::detect(), a, b, degree)
+}
+
+/// [`gemm`] on the register tile of instantiation `isa`.
+pub(crate) fn gemm_on(isa: Isa, a: &Dense, b: &Dense, degree: usize) -> Dense {
+    assert_gemm_dims(a, b);
     let (k, n) = (a.cols(), b.cols());
     let mut out = Dense::zeros(a.rows(), n);
     if out.data().is_empty() {
@@ -83,13 +83,82 @@ pub fn gemm(a: &Dense, b: &Dense, degree: usize) -> Dense {
         });
         return out;
     }
-    pack::for_each_slab(&mut pack::PackedB::default(), b.data(), n, k, |slab, kcols| {
+    pack::for_each_slab(&mut PackedB::new(isa), b.data(), n, k, |slab, kcols| {
         for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
             let view = pack::AView { data: a.data(), stride: k, rows: r, kcols: kcols.clone() };
             pack::gemm_packed_rows(&view, slab, chunk, n, &mut Vec::new());
         });
     });
     out
+}
+
+fn assert_gemm_dims(a: &Dense, b: &Dense) {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "gemm dimension mismatch: {}x{} * {}x{}",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+}
+
+/// `sum(f(a * b))` without materializing `a * b`, bit-identical to
+/// `ops::sum(&gemm(a, b, _).map(f))`.
+///
+/// The product is computed in [`ROW_BLOCK`]-row panels, `degree` panels at
+/// a time, one per worker: each worker runs the gemm body on its rows (the
+/// rows of a product are independent, so a panel has the product's bits)
+/// and applies `f` in place. The caller then folds the panels in row order
+/// into one running sum that starts from [`Iterator::sum`]'s identity — the
+/// sequence of adds of summing the whole mapped product. Each worker keeps
+/// its panel, packed-`A` block and `B` slab across waves, so the extra
+/// memory is `degree` panels, not the product.
+///
+/// # Panics
+/// Panics if `a.cols() != b.rows()`.
+pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(f64) -> f64 + Sync, degree: usize) -> f64 {
+    assert_gemm_dims(a, b);
+    let (k, n) = (a.cols(), b.cols());
+    let finite = pack::all_finite(b.data());
+    let panels = a.rows().div_ceil(ROW_BLOCK);
+    let width = degree.clamp(1, panels.max(1));
+    let mut workers: Vec<PanelScratch> =
+        std::iter::repeat_with(PanelScratch::default).take(width).collect();
+    let mut acc: f64 = std::iter::empty::<f64>().sum();
+    for first in (0..panels).step_by(width) {
+        let wave = &mut workers[..(panels - first).min(width)];
+        for_each_slice_mut(wave, 1, width, |slots, scratch| {
+            for (s, p) in scratch.iter_mut().zip(slots) {
+                let r = (first + p) * ROW_BLOCK..((first + p + 1) * ROW_BLOCK).min(a.rows());
+                s.out.clear();
+                s.out.resize(r.len() * n, 0.0);
+                if finite {
+                    pack::for_each_slab(&mut s.slab, b.data(), n, k, |slab, kcols| {
+                        let view =
+                            pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
+                        pack::gemm_packed_rows(&view, slab, &mut s.out, n, &mut s.apack);
+                    });
+                } else {
+                    kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut s.out);
+                }
+                s.out.iter_mut().for_each(|v| *v = f(*v));
+            }
+        });
+        for s in wave.iter() {
+            acc = s.out.iter().fold(acc, |sum, &v| sum + v);
+        }
+    }
+    acc
+}
+
+/// One [`gemm_map_sum`] worker's buffers, reused across its panels.
+#[derive(Default)]
+struct PanelScratch {
+    out: Vec<f64>,
+    apack: Vec<f64>,
+    slab: PackedB,
 }
 
 /// Vector-matrix product `v^T * m` as a fixed-block row reduction.
@@ -122,9 +191,15 @@ pub fn sum_sq(a: &Dense, degree: usize) -> f64 {
 /// Self-transpose product `m^T * m` as a fixed-block row reduction over
 /// upper-triangular partials, mirrored once at the end.
 pub fn crossprod(m: &Dense, degree: usize) -> Dense {
+    crossprod_on(Isa::detect(), m, degree)
+}
+
+/// [`crossprod`] on the register tile of instantiation `isa`.
+pub(crate) fn crossprod_on(isa: Isa, m: &Dense, degree: usize) -> Dense {
     let d = m.cols();
-    let mut out =
-        reduce_rows(m, d * d, degree, |_, panel, part| kernel::crossprod_upper(panel, d, part));
+    let mut out = reduce_rows(m, d * d, degree, |_, panel, part| {
+        kernel::crossprod_upper_on(isa, panel, d, part)
+    });
     kernel::mirror_upper(d, &mut out);
     Dense::from_vec(d, d, out).expect("d x d")
 }
@@ -208,6 +283,52 @@ mod tests {
         let reference = reference(&a, &b);
         for deg in DEGREES {
             assert_bits(&gemm(&a, &b, deg), &reference, "degree");
+        }
+    }
+
+    #[test]
+    fn zero_column_matrices_at_every_degree() {
+        let m = Dense::zeros(3, 0);
+        for deg in DEGREES {
+            assert_eq!(gemv(&m, &[], deg), vec![0.0; 3]);
+            assert_eq!(gevm(&[1.0, 2.0, 3.0], &m, deg), Vec::<f64>::new());
+            assert_eq!(col_sums(&m, deg), Vec::<f64>::new());
+            assert_eq!(sum_sq(&m, deg).to_bits(), 0.0f64.to_bits());
+            assert_eq!(crossprod(&m, deg), Dense::zeros(0, 0));
+            assert_eq!(gemm(&m, &Dense::zeros(0, 2), deg), Dense::zeros(3, 2));
+        }
+    }
+
+    #[test]
+    fn gemm_map_sum_matches_summing_the_mapped_product() {
+        // Row counts below, at and across ROW_BLOCK; f that maps to -0.0
+        // (the sum's identity matters for an empty or all -0.0 product).
+        // A is non-negative with exact zeros and one B entry goes to -inf:
+        // that selects the reference body, and exp keeps the sum finite
+        // only where its zero skip applies.
+        let neg_zero = |_: f64| -0.0;
+        for rows in [0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7] {
+            let a = Dense::from_fn(rows, 13, |r, c| {
+                if (r + c) % 5 == 0 {
+                    0.0
+                } else {
+                    ((r * 31 + c * 17) % 23) as f64 * 0.1
+                }
+            });
+            let mut b = Dense::from_fn(13, 9, |r, c| ((r + c * 3) % 11) as f64 * 0.05);
+            for finite in [true, false] {
+                if !finite {
+                    b.set(4, 2, f64::NEG_INFINITY);
+                }
+                let product = gemm(&a, &b, 1);
+                for f in [f64::exp, f64::abs, neg_zero] {
+                    let want = crate::ops::sum(&product.map(f));
+                    for degree in [1, 2, 3] {
+                        let got = gemm_map_sum(&a, &b, f, degree);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{rows} rows, degree {degree}");
+                    }
+                }
+            }
         }
     }
 

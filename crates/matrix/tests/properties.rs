@@ -1,6 +1,6 @@
 //! Property-based tests for the matrix substrate.
 
-use dm_matrix::{ops, par, solve, Coo, Csr, Dense};
+use dm_matrix::{ops, solve, Coo, Csr, Dense};
 use proptest::prelude::*;
 
 /// Strategy: a dense matrix with bounded shape and values, plus a sparsity knob.
@@ -136,79 +136,5 @@ proptest! {
         let right = h.slice(0, a.rows(), a.cols(), 2 * a.cols());
         prop_assert_eq!(&left, &a);
         prop_assert_eq!(&right, &a);
-    }
-}
-
-/// Strategy: a dense matrix whose shape may be degenerate (zero rows or
-/// columns, single row, single column) — the edge cases a row-partitioner
-/// must survive.
-fn maybe_empty_matrix(max_dim: usize) -> impl Strategy<Value = Dense> {
-    (0..=max_dim, 0..=max_dim).prop_flat_map(|(r, c)| {
-        proptest::collection::vec(-100.0..100.0f64, r * c)
-            .prop_map(move |data| Dense::from_vec(r, c, data).unwrap())
-    })
-}
-
-/// Degrees every parallel kernel is exercised at: serial, the smallest real
-/// split, and the machine's core count.
-fn sweep_degrees() -> [usize; 3] {
-    [1, 2, std::thread::available_parallelism().map_or(4, |n| n.get()).max(3)]
-}
-
-proptest! {
-    // The parallel kernels promise bit-identical results to the serial ops at
-    // every degree: partitions are fixed-size blocks folded in index order,
-    // never degree-dependent, so `assert_eq!` on raw f64s is the contract.
-    #[test]
-    fn par_gemv_bit_identical(m in maybe_empty_matrix(10)) {
-        let v: Vec<f64> = (0..m.cols()).map(|i| i as f64 * 0.7 - 2.0).collect();
-        let serial = ops::gemv(&m, &v);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(&par::gemv(&m, &v, deg), &serial, "degree {}", deg);
-        }
-    }
-
-    #[test]
-    fn par_gemm_bit_identical((r, k, c) in (0usize..7, 0usize..7, 0usize..7),
-                              seed in 0u64..1000) {
-        let a = Dense::from_fn(r, k, |i, j| ((i * 13 + j * 7 + seed as usize) % 29) as f64 - 11.0);
-        let b = Dense::from_fn(k, c, |i, j| ((i * 5 + j * 17 + seed as usize) % 31) as f64 - 13.0);
-        let serial = ops::gemm(&a, &b);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(par::gemm(&a, &b, deg).data(), serial.data(), "degree {}", deg);
-        }
-    }
-
-    #[test]
-    fn par_gevm_bit_identical(m in maybe_empty_matrix(10)) {
-        let v: Vec<f64> = (0..m.rows()).map(|i| i as f64 * 0.3 - 1.0).collect();
-        let serial = ops::gevm(&v, &m);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(&par::gevm(&v, &m, deg), &serial, "degree {}", deg);
-        }
-    }
-
-    #[test]
-    fn par_col_sums_bit_identical(m in maybe_empty_matrix(12)) {
-        let serial = ops::col_sums(&m);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(&par::col_sums(&m, deg), &serial, "degree {}", deg);
-        }
-    }
-
-    #[test]
-    fn par_sum_sq_bit_identical(m in maybe_empty_matrix(12)) {
-        let serial = ops::sum_sq(&m);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(par::sum_sq(&m, deg).to_bits(), serial.to_bits(), "degree {}", deg);
-        }
-    }
-
-    #[test]
-    fn par_crossprod_bit_identical(m in maybe_empty_matrix(9)) {
-        let serial = ops::crossprod(&m);
-        for deg in sweep_degrees() {
-            prop_assert_eq!(par::crossprod(&m, deg).data(), serial.data(), "degree {}", deg);
-        }
     }
 }
