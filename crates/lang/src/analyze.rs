@@ -458,7 +458,7 @@ pub fn analyze_with_memory(
                     message: format!(
                         "the plan spills {spilled} node(s) under the {limit} B budget, but a \
                          peak-minimizing schedule fits in memory (certified peak {} B); plan with \
-                         `reorder: true` in PlanOptions and run the plan's order() via eval_schedule",
+                         `reorder: true` in PlanOptions and the executor runs that order",
                         re.peak_bytes,
                     ),
                 });

@@ -5,7 +5,7 @@
 //! a byte is allocated. This module is that discipline for the dm-lang
 //! executor. Given a graph, a physical plan, and propagated sizes, it
 //! derives the execution [`Schedule`] (topological order plus per-value
-//! last-use steps, accounting for memoized reuse), runs an abstract memory
+//! last-use steps, accounting for shared reads), runs an abstract memory
 //! interpretation over it, and produces a [`PlanCertificate`]: either a
 //! proof that the plan's peak live set fits the [`MemoryBudget`], or the
 //! exact step and node where it first exceeds it.
@@ -13,9 +13,9 @@
 //! ## The abstract machine
 //!
 //! The certificate models an executor that materializes each value at the
-//! step that produces it and frees it after its last consumer — the
-//! streaming ideal the blocked kernels implement, and the admission-control
-//! contract for ROADMAP #2. Per step, resident bytes are:
+//! step that produces it and frees it after its last consumer — which is
+//! how [`Executor::eval`](crate::exec::Executor::eval) runs a plan, and the
+//! admission-control contract for ROADMAP #2. Per step, resident bytes are:
 //!
 //! * every live non-streaming value, at its representation's footprint
 //!   (dense cells, CSR triples for sparse-planned producers, 8 bytes for
@@ -61,7 +61,7 @@ pub struct Schedule {
 impl Schedule {
     /// The executor's default schedule: depth-first post-order from `root`
     /// (exactly [`Graph::reachable`]), shared nodes evaluated once at their
-    /// first visit and served from the memo thereafter.
+    /// first visit and read from the executor's value table thereafter.
     pub fn new(graph: &Graph, root: NodeId) -> Self {
         Self::from_order(graph, graph.reachable(root))
     }
@@ -449,7 +449,7 @@ pub fn certify_schedule(
 /// result holds afterwards) first, so big transients happen while few
 /// sibling results are held — the Sethi–Ullman register-count argument
 /// applied to bytes. Shared nodes are costed once and emitted at their
-/// first visit, matching the executor's memoization.
+/// first visit: the executor runs each node once per eval.
 pub fn min_peak_order(
     graph: &Graph,
     root: NodeId,

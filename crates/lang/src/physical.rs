@@ -79,9 +79,9 @@ impl PhysicalPlan {
     }
 
     /// The evaluation order the plan was fitted to, when it was built with
-    /// [`PlanOptions::reorder`]: run it with
-    /// [`Executor::eval_schedule`](crate::exec::Executor::eval_schedule).
-    /// `None` means the executor's default depth-first order.
+    /// [`PlanOptions::reorder`]. [`Executor::eval`](crate::exec::Executor::eval)
+    /// of the plan's root runs it; `None` means the executor's default
+    /// depth-first order.
     pub fn order(&self) -> Option<&[NodeId]> {
         self.order.as_deref()
     }

@@ -171,8 +171,8 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     assert!(cert.peak_bytes >= stats.peak_used);
 }
 
-/// The order a `reorder` plan carries runs through `eval_schedule` and matches the default-order result, while avoiding the
-/// spill the DFS order required.
+/// A `reorder` plan runs its certified order through plain `eval`, matches
+/// the default-order result, and avoids the spill the DFS order required.
 #[test]
 fn reordered_schedule_executes_without_spilling() {
     let mut sizes = InputSizes::new();
@@ -194,7 +194,7 @@ fn reordered_schedule_executes_without_spilling() {
     assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
     let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
     assert!(re.nodes_with(Kernel::Blocked).is_empty(), "reordered plan fits in memory");
-    let order = re.order().expect("a reordered plan carries its order").to_vec();
+    assert_eq!(re.order(), Some(&[a, b, r, x, add, root][..]), "the matmul drains before X");
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(256, 256, 5)));
@@ -203,7 +203,7 @@ fn reordered_schedule_executes_without_spilling() {
     let mut plain = Executor::new(&g);
     let expect = scalar_bits(&plain.eval(root, &env).unwrap());
     let mut ex = Executor::with_plan(&g, re);
-    let got = scalar_bits(&ex.eval_schedule(&order, &env).unwrap());
+    let got = scalar_bits(&ex.eval(root, &env).unwrap());
     assert_eq!(got, expect);
     assert!(ex.ooc_pool_stats().is_none(), "no blocked kernel, no spill pool");
 }

@@ -1039,7 +1039,7 @@ mod tests {
         ]);
         let out = execute(&server.shared, &prog, env).unwrap();
         let Val::Matrix(m) = &out else { panic!("W %*% x is a matrix") };
-        // The executor and its memo are gone: the caller holds the only
+        // The eval's value table is gone: the caller holds the only
         // reference, so the result's buffer is the response's buffer.
         assert_eq!(Arc::strong_count(m), 1);
         let Matrix::Dense(d) = &**m else { panic!("gemv yields a dense column") };
