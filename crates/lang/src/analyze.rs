@@ -1132,15 +1132,16 @@ mod tests {
 
     #[test]
     fn budget_overflow_warns_with_step_provenance_and_merged_counts() {
-        // sum(exp(X)) has no blockable operator: the planner cannot help, so
+        // max(exp(X)) has no blockable operator: the planner cannot help, so
         // W103 fires. X is the largest live value at two over-budget steps;
-        // the dedup pass merges them into one counted diagnostic.
+        // the dedup pass merges them into one counted diagnostic. (Under a
+        // `sum`, exp(X) would fuse and never be live.)
         let mut i = InputSizes::new();
         i.declare("X", 256, 256, 1.0); // 512 KB
         let mut g = Graph::new();
         let x = g.input("X");
         let u = g.unary(UnaryOp::Exp, x);
-        let root = g.agg(AggOp::Sum, u);
+        let root = g.agg(AggOp::Max, u);
         let r = analyze_with_memory(&g, root, &i, 1, crate::memory::MemoryBudget::bytes(400_000));
         let w: Vec<_> =
             r.diagnostics.iter().filter(|d| d.code == codes::PLAN_EXCEEDS_BUDGET).collect();

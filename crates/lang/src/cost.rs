@@ -46,8 +46,9 @@
 //! assert!(calibrated > 0);
 //! ```
 
-use crate::expr::{Graph, NodeId, Op};
-use crate::physical::{node_flops, PhysicalPlan};
+use crate::exec::KernelChoice;
+use crate::expr::{AggOp, Graph, NodeId, Op};
+use crate::physical::{node_flops, Kernel, PhysicalPlan};
 use crate::size::{propagate, InputSizes, SizeError, SizeInfo};
 use dm_obs::profile::{ProfileError, ProfileStore};
 use std::collections::HashMap;
@@ -163,24 +164,28 @@ pub fn static_ns(flops: u128) -> u128 {
     (flops as f64 / STATIC_GFLOPS).ceil() as u128
 }
 
-/// The kernel family node `id` will be priced (and profiled) under, mirroring
-/// the executor's dispatch classification
-/// ([`KernelChoice`](crate::exec::KernelChoice)) from static plan
-/// information: blocked and parallel follow the plan (when a budget/degree
-/// makes them effective), fused operators and constants classify by op, and
-/// the rest follow the plan's dense/sparse choice.
+/// The kernel family node `id` will be priced (and profiled) under: the
+/// [`KernelChoice`] name from the one classification that the planner, the
+/// cost table and the executor share.
 pub fn node_family(graph: &Graph, id: NodeId, plan: &PhysicalPlan) -> &'static str {
-    use crate::physical::Kernel;
-    match plan.kernel(id) {
-        Kernel::Blocked if plan.mem_budget().is_some() => return "blocked",
-        Kernel::Parallel if plan.degree() > 1 => return "parallel",
-        _ => {}
-    }
-    match graph.op(id) {
-        Op::CrossProd(_) | Op::Tmv(..) | Op::SumSq(_) => "fused",
-        Op::Const(_) => "scalar",
-        _ if plan.kernel(id) == Kernel::Sparse => "sparse",
-        _ => "dense",
+    family(graph, id, plan).name()
+}
+
+/// The kernel family of node `id` under `plan`, the one classification the
+/// planner, the cost table and the executor share. Blocked needs a budget and
+/// parallel a degree above one; then the fused operators (`crossprod`, `tmv`,
+/// `sumSq`, and a `sum` that computes fused nodes) and constants classify by
+/// op, and the rest follow the plan's dense/sparse choice, which the
+/// executor refines with the values it sees.
+pub(crate) fn family(graph: &Graph, id: NodeId, plan: &PhysicalPlan) -> KernelChoice {
+    match (plan.kernel(id), graph.op(id)) {
+        (Kernel::Blocked, _) if plan.mem_budget().is_some() => KernelChoice::Blocked,
+        (Kernel::Parallel, _) if plan.degree() > 1 => KernelChoice::Parallel,
+        (_, Op::CrossProd(_) | Op::Tmv(..) | Op::SumSq(_)) => KernelChoice::Fused,
+        (_, &Op::Agg(AggOp::Sum, a)) if plan.fused_into(a) == Some(id) => KernelChoice::Fused,
+        (_, Op::Const(_)) => KernelChoice::Scalar,
+        (Kernel::Sparse, _) => KernelChoice::Sparse,
+        _ => KernelChoice::Dense,
     }
 }
 
@@ -234,7 +239,6 @@ pub fn calibrated_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::AggOp;
     use crate::physical::{plan, PlanOptions};
 
     fn glm() -> (Graph, NodeId, InputSizes) {

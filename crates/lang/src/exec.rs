@@ -26,15 +26,16 @@
 //! Staging a blocked operand into the spill pool writes its panels, which is
 //! the out-of-core schedule's own data movement, not a value copy.
 //!
-//! One aggregate is fused at run time, with no `Op` of its own: `sum(f(A))`
-//! for a unary `f` (exp, log, sqrt, abs) whose `f(A)` node has no other
-//! consumer folds `f` over `A` in one pass and never materializes `f(A)`.
-//! When `A` is an unshared dense `X %*% W` that runs in memory, `A` is not
-//! materialized either: it streams in `ROW_BLOCK`-row panels
-//! ([`par::gemm_map_sum`]). A fused node produces nothing at its own step,
-//! so its operands stay live until the fusing `sum` step reads them. A node
-//! with another consumer takes the unfused path, and a profiled executor
-//! never fuses: it times every node on its own. Both paths add the same
+//! The plan decides fusion ([`plan`](crate::physical::plan), step 3), and
+//! every executor runs what its plan fused, profiled and traced ones
+//! included. A fused `f(A)` under `sum(f(A))` produces nothing at its own
+//! step: the `sum` step folds `f` over a dense `A` in one pass, and maps a
+//! sparse one before summing it. A fused `X %*% W` is not materialized
+//! either: the `sum` step streams it in `ROW_BLOCK`-row panels
+//! ([`par::gemm_map_sum`]), unless the operands it meets are not both dense,
+//! when it computes the product first. The fused nodes' operands stay live
+//! until the `sum` step reads them. Evaluating a fused node itself, or any
+//! root without a plan, takes the unfused path. Both paths add the same
 //! values in the same order, so the bits match
 //! (`crates/lang/tests/fused_sum.rs`).
 
@@ -181,16 +182,19 @@ pub struct ExecStats {
     pub ooc_nodes: u64,
 }
 
-/// Which kernel family actually ran for one node, as observed at dispatch.
+/// Which kernel family ran for one node: the plan's
+/// ([`cost::node_family`](crate::cost::node_family)), with the dense/sparse
+/// split observed at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
     /// Dense row-major kernel.
     Dense,
     /// CSR sparse kernel (a sparse operand or output drove dispatch).
     Sparse,
-    /// A fused operator (`crossprod`, `tmv`, `sumSq`).
+    /// A fused operator (`crossprod`, `tmv`, `sumSq`), or a `sum` computing
+    /// the nodes its plan fused into it.
     Fused,
-    /// Scalar-only computation.
+    /// A constant.
     Scalar,
     /// Multi-threaded dense kernel (`dm_matrix::par`).
     Parallel,
@@ -272,9 +276,8 @@ impl ExecProfile {
 /// DAG interpreter: walks a schedule, freeing each value at its last use.
 pub struct Executor<'g> {
     graph: &'g Graph,
-    plan: Option<PhysicalPlan>,
-    degree: usize,
-    mem_budget: Option<usize>,
+    // `with_degree` and `with_memory_budget` override its degree and budget.
+    plan: PhysicalPlan,
     // Spill pool shared by every blocked kernel of this executor, created
     // lazily on the first out-of-core dispatch.
     ooc_pool: Option<SharedBufferPool<Box<dyn Storage>>>,
@@ -293,8 +296,19 @@ pub struct Executor<'g> {
 }
 
 impl<'g> Executor<'g> {
-    /// New executor with default (dense) kernel choices.
+    /// New executor with default (dense) kernel choices: the default plan,
+    /// every node dense and serial, nothing fused.
     pub fn new(graph: &'g Graph) -> Self {
+        Executor::with_plan(graph, PhysicalPlan::default())
+    }
+
+    /// New executor honoring a physical plan. Nodes the plan marked
+    /// [`Kernel::Parallel`] run the multi-threaded kernels at the plan's
+    /// degree; nodes marked [`Kernel::Blocked`] stream tiles through a spill
+    /// pool sized to the plan's memory budget (see
+    /// [`plan`](crate::physical::plan) for both); nodes it fused run inside
+    /// their `sum`'s step; everything else keeps the serial dispatch.
+    pub fn with_plan(graph: &'g Graph, plan: PhysicalPlan) -> Self {
         // DMML_TRACE=<path> turns tracing on for every executor in the
         // process and writes the Chrome trace to <path> when this executor
         // is dropped.
@@ -309,9 +323,7 @@ impl<'g> Executor<'g> {
         let profile_to_env = dm_obs::profile::env_profile_dir().is_some();
         Executor {
             graph,
-            plan: None,
-            degree: 1,
-            mem_budget: None,
+            plan,
             ooc_pool: None,
             next_ooc_matrix: 0,
             stats: ExecStats::default(),
@@ -322,31 +334,17 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// New executor honoring a physical plan. Nodes the plan marked
-    /// [`Kernel::Parallel`] run the multi-threaded kernels at the plan's
-    /// degree; nodes marked [`Kernel::Blocked`] stream tiles through a spill
-    /// pool sized to the plan's memory budget (see
-    /// [`plan`](crate::physical::plan) for both); everything else keeps the
-    /// serial dispatch.
-    pub fn with_plan(graph: &'g Graph, plan: PhysicalPlan) -> Self {
-        let mut ex = Executor::new(graph);
-        ex.degree = plan.degree();
-        ex.mem_budget = plan.mem_budget();
-        ex.plan = Some(plan);
-        ex
-    }
-
     /// Override the degree of parallelism used for [`Kernel::Parallel`]
     /// nodes (the parallel kernels are bit-identical to the serial ones at
     /// every degree, so this only affects wall time).
     pub fn with_degree(mut self, degree: usize) -> Self {
-        self.degree = degree.max(1);
+        self.plan.degree = degree.max(1);
         self
     }
 
     /// The degree of parallelism in effect for parallel-planned nodes.
     pub fn degree(&self) -> usize {
-        self.degree
+        self.plan.degree()
     }
 
     /// Override the memory budget for [`Kernel::Blocked`] nodes. An
@@ -354,13 +352,13 @@ impl<'g> Executor<'g> {
     /// in-memory dense kernels (which compute the identical bits — the
     /// budget only bounds residency).
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.mem_budget = budget.get();
+        self.plan.mem_budget = budget.get();
         self
     }
 
     /// The memory budget (bytes) in effect for blocked-planned nodes.
     pub fn mem_budget(&self) -> Option<usize> {
-        self.mem_budget
+        self.plan.mem_budget()
     }
 
     /// The spill pool backing blocked kernels, once one has run. Exposes
@@ -488,9 +486,9 @@ impl<'g> Executor<'g> {
         rec.add("lang.exec.memo_hits", self.stats.memo_hits);
         rec.add("lang.exec.flops", self.stats.flops);
         rec.add("lang.exec.par_nodes", self.stats.par_nodes);
-        rec.gauge_set("lang.exec.par_degree", self.degree as u64);
+        rec.gauge_set("lang.exec.par_degree", self.degree() as u64);
         rec.add("lang.exec.ooc_nodes", self.stats.ooc_nodes);
-        if let Some(budget) = self.mem_budget {
+        if let Some(budget) = self.mem_budget() {
             rec.gauge_set("lang.exec.mem_budget", budget as u64);
         }
         if let Some(pool) = &self.ooc_pool {
@@ -539,37 +537,29 @@ impl<'g> Executor<'g> {
         }
     }
 
-    fn kernel(&self, id: NodeId) -> Kernel {
-        self.plan.as_ref().map_or(Kernel::Dense, |p| p.kernel(id))
-    }
-
-    /// Where node `id`'s dense operator runs: blocked when the plan chose
-    /// [`Kernel::Blocked`] and a budget is in effect, parallel when it chose
-    /// [`Kernel::Parallel`] and the degree is above one, serial otherwise.
-    fn schedule(&self, id: NodeId) -> Schedule {
-        match (self.kernel(id), self.mem_budget) {
-            (Kernel::Blocked, Some(budget)) => Schedule::Blocked(budget),
-            (Kernel::Parallel, _) if self.degree > 1 => Schedule::Parallel(self.degree),
-            _ => Schedule::Serial,
-        }
+    /// Node `id`'s kernel family under the plan
+    /// ([`cost::family`](crate::cost::family)). It places the node's dense
+    /// operator: streamed through the spill pool under the budget when
+    /// blocked, on the plan's degree of workers when parallel, serial
+    /// otherwise. Each kernel body (`dm_matrix::kernel`) runs under all three.
+    fn family(&self, id: NodeId) -> KernelChoice {
+        crate::cost::family(self.graph, id, &self.plan)
     }
 
     /// The degree node `id` runs an in-memory kernel at (1 unless it is
-    /// scheduled parallel). Counts parallel dispatches.
+    /// parallel). Counts parallel dispatches.
     fn in_memory_degree(&mut self, id: NodeId) -> usize {
-        match self.schedule(id) {
-            Schedule::Parallel(degree) => {
-                self.stats.par_nodes += 1;
-                degree
-            }
-            _ => 1,
+        if self.family(id) != KernelChoice::Parallel {
+            return 1;
         }
+        self.stats.par_nodes += 1;
+        self.plan.degree()
     }
 
-    /// Run node `id`'s dense operator under its schedule: `in_memory` at the
-    /// node's in-memory degree or, when blocked, `blocked` over `operands`
-    /// tiled into the spill pool, given a fresh matrix id for an output
-    /// store and the executor degree. The operand tiles are discarded
+    /// Run node `id`'s dense operator where its family places it:
+    /// `in_memory` at the node's in-memory degree or, when blocked, `blocked`
+    /// over `operands` tiled into the spill pool, given a fresh matrix id for
+    /// an output store and the executor degree. The operand tiles are discarded
     /// afterwards; an output store is the closure's to [`collect`].
     fn run<T>(
         &mut self,
@@ -578,7 +568,8 @@ impl<'g> Executor<'g> {
         in_memory: impl FnOnce(usize) -> T,
         blocked: impl FnOnce(&[Tiles], u64, usize) -> Result<T, PoolError>,
     ) -> Result<T, ExecError> {
-        let Schedule::Blocked(budget) = self.schedule(id) else {
+        let (KernelChoice::Blocked, Some(budget)) = (self.family(id), self.plan.mem_budget())
+        else {
             return Ok(in_memory(self.in_memory_degree(id)));
         };
         self.stats.ooc_nodes += 1;
@@ -593,7 +584,7 @@ impl<'g> Executor<'g> {
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(err)?;
-        let out = blocked(&tiles, base + operands.len() as u64, self.degree).map_err(err)?;
+        let out = blocked(&tiles, base + operands.len() as u64, self.degree()).map_err(err)?;
         for t in tiles {
             t.discard().map_err(err)?;
         }
@@ -636,11 +627,11 @@ impl<'g> Executor<'g> {
     /// plan carries one for `root`, the depth-first post-order
     /// [`Graph::reachable`] otherwise.
     pub fn eval(&mut self, root: NodeId, env: &Env) -> Result<Val, ExecError> {
-        let order = match self.plan.as_ref().and_then(PhysicalPlan::order) {
+        let order = match self.plan.order() {
             Some(order) if order.last() == Some(&root) => order.to_vec(),
             _ => self.graph.reachable(root),
         };
-        let mut table = ValueTable::new(self.graph, &order, self.profile.is_none());
+        let mut table = ValueTable::new(self.graph, &order, &self.plan);
         for &id in &order {
             if !table.fused[id] {
                 let val = self.step(id, env, &mut table)?;
@@ -676,7 +667,16 @@ impl<'g> Executor<'g> {
         let val = self.op(id, env, table)?;
         let ns = elapsed_ns(t0);
         let flops = self.stats.flops - flops_before;
-        let kernel = self.kernel_choice(id, sparse_operand, &val);
+        // The planned family, with the dense/sparse split taken from the
+        // values: a sparse operand or output ran the CSR kernels whatever the
+        // plan estimated.
+        let kernel = match self.family(id) {
+            KernelChoice::Dense | KernelChoice::Sparse if sparse_operand || is_sparse(&val) => {
+                KernelChoice::Sparse
+            }
+            KernelChoice::Sparse => KernelChoice::Dense,
+            family => family,
+        };
         let (rows, cols) = dims(&val);
         if let Some(s) = &mut span {
             s.arg("kernel", kernel.name());
@@ -724,29 +724,6 @@ impl<'g> Executor<'g> {
         val.expect("a schedule runs operands before their readers")
     }
 
-    /// Classify the kernel family that served node `id`, inferred from the op
-    /// itself, whether an operand was sparse, and the output's representation.
-    fn kernel_choice(&self, id: NodeId, sparse_operand: bool, out: &Val) -> KernelChoice {
-        match self.schedule(id) {
-            Schedule::Blocked(_) => return KernelChoice::Blocked,
-            Schedule::Parallel(_) => return KernelChoice::Parallel,
-            Schedule::Serial => {}
-        }
-        let op = self.graph.op(id);
-        match op {
-            Op::CrossProd(_) | Op::Tmv(..) | Op::SumSq(_) => return KernelChoice::Fused,
-            Op::Const(_) => return KernelChoice::Scalar,
-            _ => {}
-        }
-        if is_sparse(out) || sparse_operand {
-            KernelChoice::Sparse
-        } else if matches!(out, Val::Scalar(_)) && op.children().is_empty() {
-            KernelChoice::Scalar
-        } else {
-            KernelChoice::Dense
-        }
-    }
-
     /// Node `id`'s operator over its operands, read from `table`.
     fn op(&mut self, id: NodeId, env: &Env, table: &mut ValueTable) -> Result<Val, ExecError> {
         let type_err = |message: String| ExecError::Type { node: id, message };
@@ -754,7 +731,7 @@ impl<'g> Executor<'g> {
             Op::Input(ref name) => {
                 let v = env.get(name).ok_or_else(|| ExecError::UnboundInput(name.clone()))?;
                 // Honor the physical plan's representation choice for inputs.
-                if let (Val::Matrix(m), Kernel::Sparse) = (v, self.kernel(id)) {
+                if let (Val::Matrix(m), Kernel::Sparse) = (v, self.plan.kernel(id)) {
                     if m.is_dense() {
                         return Ok(Val::Matrix(Arc::new(Matrix::Sparse(m.to_csr()))));
                     }
@@ -802,7 +779,7 @@ impl<'g> Executor<'g> {
                     return Err(type_err("crossprod needs a matrix".into()));
                 };
                 let m = dense(m);
-                if self.kernel(id) == Kernel::Sparse {
+                if self.plan.kernel(id) == Kernel::Sparse {
                     let s = Csr::from_dense(&m);
                     self.stats.flops += 2 * (s.nnz() * m.cols()) as u64;
                     return Ok(dense_val(sparse::sp_crossprod(&s)));
@@ -862,7 +839,7 @@ impl<'g> Executor<'g> {
             return Err(type_err(format!("matmul inner dims {} vs {}", ma.cols(), mb.rows())));
         }
         // Sparse kernels serve sparse operands unless the node streams.
-        let sparse_ok = !matches!(self.schedule(id), Schedule::Blocked(_));
+        let sparse_ok = self.family(id) != KernelChoice::Blocked;
         // Vector shapes dispatch to mv/vm kernels.
         if mb.cols() == 1 {
             let v = column(mb);
@@ -971,16 +948,16 @@ impl<'g> Executor<'g> {
         })
     }
 
-    /// `sum(f(A))` for the `sum` node `id` over the fused `fa = f(A)` (see
-    /// [`ValueTable::new`]), in one pass that never materializes `f(A)`.
+    /// `sum(f(A))` for the `sum` node `id` over the fused `fa = f(A)`, in one
+    /// pass that never materializes `f(A)`.
     ///
     /// `A` is read as usual, then `f` is folded over its cells into one sum
     /// from [`Iterator::sum`]'s identity: the adds of
-    /// `ops::sum(&A.map(f))`, so the bits are the same. When `A` is itself a
-    /// fused matmul of two dense matrices that would run in memory, not even
-    /// `A` is materialized: [`par::gemm_map_sum`] streams it in
-    /// `ROW_BLOCK`-row panels with the same fold. The stats count the fused
-    /// nodes as evaluated and charge their flops, as the unfused path would.
+    /// `ops::sum(&A.map(f))`, so the bits are the same. When `A` is a fused
+    /// matmul of two dense matrices, not even `A` is materialized:
+    /// [`par::gemm_map_sum`] streams it in `ROW_BLOCK`-row panels with the
+    /// same fold. The stats count the fused nodes as evaluated and charge
+    /// their flops, as the unfused path would.
     fn fused_sum(
         &mut self,
         id: NodeId,
@@ -994,45 +971,28 @@ impl<'g> Executor<'g> {
             Op::MatMul(x, w) if table.fused[a] => {
                 let (vx, vw) = (self.read(table, x), self.read(table, w));
                 self.stats.nodes_evaluated += 1;
-                if let Some(sum) = self.streamed_gemm_sum(a, f, &vx, &vw) {
-                    return Ok(Val::Scalar(sum));
+                // The plan fused a dense product wider than one column;
+                // values that are not one (a sparse binding, mismatched
+                // shapes) take the matmul's own path.
+                if let (Some(x), Some(w)) = (dense_of(&vx), dense_of(&vw)) {
+                    if x.cols() == w.rows() && w.cols() > 1 {
+                        let (m, k, n) = (x.rows(), x.cols(), w.cols());
+                        // The matmul's flops, then the unary's and the sum's.
+                        self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
+                        let degree = self.in_memory_degree(a);
+                        return Ok(Val::Scalar(par::gemm_map_sum(x, w, f, degree)));
+                    }
                 }
                 self.matmul(a, &vx, &vw)?
             }
             _ => self.read(table, a),
         };
-        if let Val::Matrix(m) = &v {
-            if let Matrix::Dense(d) = &**m {
-                self.stats.flops += 2 * d.data().len() as u64;
-                return Ok(Val::Scalar(d.data().iter().map(|&x| f(x)).sum()));
-            }
+        if let Some(d) = dense_of(&v) {
+            self.stats.flops += 2 * d.data().len() as u64;
+            return Ok(Val::Scalar(d.data().iter().map(|&x| f(x)).sum()));
         }
         let fv = self.unary(u, v);
         self.aggregate(id, AggOp::Sum, &fv)
-    }
-
-    /// `sum(f(X %*% W))` through [`par::gemm_map_sum`] when matmul node `id`
-    /// would run the dense gemm in memory on these operands; `None` for a
-    /// sparse operand, a vector `W`, a blocked node or mismatched shapes.
-    fn streamed_gemm_sum(
-        &mut self,
-        id: NodeId,
-        f: impl Fn(f64) -> f64 + Sync,
-        vx: &Val,
-        vw: &Val,
-    ) -> Option<f64> {
-        let (Val::Matrix(mx), Val::Matrix(mw)) = (vx, vw) else { return None };
-        let (Matrix::Dense(x), Matrix::Dense(w)) = (&**mx, &**mw) else { return None };
-        if x.cols() != w.rows()
-            || w.cols() == 1
-            || matches!(self.schedule(id), Schedule::Blocked(_))
-        {
-            return None;
-        }
-        let (m, k, n) = (x.rows(), x.cols(), w.cols());
-        // The matmul's flops, then the unary's and the sum's.
-        self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
-        Some(par::gemm_map_sum(x, w, f, self.in_memory_degree(id)))
     }
 
     fn ewise(&mut self, id: NodeId, e: EwiseOp, va: &Val, vb: &Val) -> Result<Val, ExecError> {
@@ -1122,18 +1082,6 @@ impl Drop for Executor<'_> {
     }
 }
 
-/// Where a dense operator runs: one kernel body (`dm_matrix::kernel`)
-/// under one of three placements.
-#[derive(Debug, Clone, Copy)]
-enum Schedule {
-    /// In memory on the calling thread.
-    Serial,
-    /// In memory on this many workers (`dm_matrix::par`).
-    Parallel(usize),
-    /// Streamed through a spill pool capped by this budget (`dm_buffer::ooc`).
-    Blocked(usize),
-}
-
 /// Operand tiles in the executor's spill pool.
 type Tiles = BlockStore<Box<dyn Storage>>;
 
@@ -1160,31 +1108,21 @@ struct ValueTable {
     vals: Vec<Option<Val>>,
     /// Reads still to come per node: its consumer edges in the schedule.
     reads: Vec<usize>,
-    /// Nodes a fused `sum` computes inside its own step; they produce
-    /// nothing at theirs.
+    /// Nodes the plan fused into a scheduled `sum`, which computes them
+    /// inside its own step; they produce nothing at theirs.
     fused: Vec<bool>,
 }
 
 impl ValueTable {
-    /// An empty table for `order`. With `fuse`, each `sum(f(A))` whose
-    /// `f(A)` has no other reader marks `f(A)` fused, and its `A` too when
-    /// that is a matmul with no other reader.
-    fn new(graph: &Graph, order: &[NodeId], fuse: bool) -> Self {
-        let mut reads = vec![0; graph.len()];
-        for &id in order {
-            for c in graph.op(id).children() {
-                reads[c] += 1;
-            }
-        }
-        let mut fused = vec![false; graph.len()];
-        for &id in order {
-            let Op::Agg(AggOp::Sum, fa) = *graph.op(id) else { continue };
-            let Op::Unary(_, a) = *graph.op(fa) else { continue };
-            if fuse && reads[fa] == 1 {
-                fused[fa] = true;
-                fused[a] = reads[a] == 1 && matches!(graph.op(a), Op::MatMul(..));
-            }
-        }
+    /// An empty table for `order`. A `sum` is scheduled when it is the root
+    /// or has a reader.
+    fn new(graph: &Graph, order: &[NodeId], plan: &PhysicalPlan) -> Self {
+        let reads = graph.reads(order);
+        let root = *order.last().expect("a schedule ends at its root");
+        let covered = plan.covers(root);
+        let fused = (0..graph.len())
+            .map(|n| covered && plan.fused_into(n).is_some_and(|s| s == root || reads[s] > 0))
+            .collect();
         ValueTable { vals: vec![None; graph.len()], reads, fused }
     }
 }
@@ -1194,6 +1132,15 @@ fn dims(v: &Val) -> (usize, usize) {
     match v {
         Val::Scalar(_) => (1, 1),
         Val::Matrix(m) => (m.rows(), m.cols()),
+    }
+}
+
+/// The dense matrix a value holds, if it holds one.
+fn dense_of(v: &Val) -> Option<&Dense> {
+    let Val::Matrix(m) = v else { return None };
+    match &**m {
+        Matrix::Dense(d) => Some(d),
+        Matrix::Sparse(_) => None,
     }
 }
 
@@ -1577,6 +1524,38 @@ mod tests {
         assert_eq!(ex.degree(), 6);
         let ex = Executor::new(&g).with_degree(0);
         assert_eq!(ex.degree(), 1);
+    }
+
+    #[test]
+    fn a_fused_node_evaluated_as_a_sub_root_yields_its_value() {
+        // sum(exp(X %*% W)): the plan fuses exp and the product into the sum.
+        let mut g = Graph::new();
+        let (xi, wi) = (g.input("X"), g.input("W"));
+        let xw = g.matmul(xi, wi);
+        let e = g.unary(UnaryOp::Exp, xw);
+        let s = g.agg(AggOp::Sum, e);
+        let mut sizes = InputSizes::new();
+        sizes.declare("X", 3, 2, 1.0);
+        sizes.declare("W", 2, 2, 1.0);
+        let plan = crate::physical::plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
+        assert_eq!((plan.fused_into(e), plan.fused_into(xw)), (Some(s), Some(s)));
+        let w = Dense::from_rows(&[&[0.5, -1.0], &[0.25, 0.0]]);
+        let mut env = env();
+        env.bind("W", Matrix::Dense(w.clone()));
+        let want = ops::gemm(&x(), &w).map(f64::exp);
+
+        // A fused node as the root has no `sum` to run it: it runs itself.
+        let mut ex = Executor::with_plan(&g, plan).profiled();
+        assert_eq!(ex.eval(e, &env).unwrap().as_dense().unwrap().data(), want.data());
+        assert_eq!(ex.profile().unwrap().node(xw).unwrap().kernel, Some(KernelChoice::Dense));
+        // The plan's root still fuses both into the sum's step.
+        let before = ex.profile().unwrap().node(xw).unwrap().evals;
+        let got = ex.eval(s, &env).unwrap().as_scalar().unwrap();
+        assert_eq!(got.to_bits(), ops::sum(&want).to_bits());
+        let p = ex.profile().unwrap();
+        assert_eq!(p.node(xw).unwrap().evals, before, "the product has no step of its own");
+        assert_eq!(p.node(e).unwrap().evals, 1, "nor has exp");
+        assert_eq!(p.node(s).unwrap().kernel, Some(KernelChoice::Fused));
     }
 
     #[test]

@@ -70,6 +70,9 @@ fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan
         }
     }
     parts.push(format!("{}", plan.kernel(id)));
+    if let Some(sum) = plan.fused_into(id) {
+        parts.push(format!("fused into %{sum}"));
+    }
     format!("  [{}]", parts.join(", "))
 }
 
@@ -120,7 +123,8 @@ fn render_tree(
 /// `None` renders the bare tree. With options, the program is planned by
 /// [`plan`] under exactly those options and every node is annotated with its
 /// propagated shape, sparsity estimate and kernel (`parallel` and `blocked`
-/// included); when sizes do not propagate (undeclared inputs) the
+/// included), and a node the plan fused names the `sum` that computes it
+/// (`fused into %7`); when sizes do not propagate (undeclared inputs) the
 /// annotations are silently omitted rather than failing the render. Two
 /// sections follow from what the options carry:
 ///

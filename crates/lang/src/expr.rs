@@ -246,6 +246,18 @@ impl Graph {
         visit(self, root, &mut seen, &mut order);
         order
     }
+
+    /// How often the nodes of `order` read each node, indexed by node: one
+    /// read per operand edge, so `X + X` reads `X` twice.
+    pub(crate) fn reads(&self, order: &[NodeId]) -> Vec<usize> {
+        let mut reads = vec![0; self.nodes.len()];
+        for &id in order {
+            for c in self.op(id).children() {
+                reads[c] += 1;
+            }
+        }
+        reads
+    }
 }
 
 impl fmt::Display for Graph {

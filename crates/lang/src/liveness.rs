@@ -24,6 +24,12 @@
 //!   [`Kernel::Blocked`] — contribute nothing outside their consumers'
 //!   steps: they live in the spill pool, on disk, or in the source the
 //!   blocked kernel reads panel-by-panel;
+//! * **fused nodes** run inside their `sum`'s step
+//!   ([`plan`](crate::physical::plan), step 3), and their operands stay live
+//!   until it: a fused `f(A)` is never materialized (over a sparse-planned
+//!   `A` it is charged as built, since that step maps `A` first), and a
+//!   fused `X %*% W` holds only its `degree` streamed `ROW_BLOCK`-row
+//!   panels, at that step;
 //! * at a blocked node's own step, a **pool term**: the bytes its operand
 //!   and output [`BlockStore`](dm_buffer::BlockStore)s would charge the
 //!   pool (dense cells plus [`FRAME_OVERHEAD`](dm_buffer::FRAME_OVERHEAD)
@@ -47,6 +53,7 @@ use crate::memory::{spill_pool_capacity, MemoryBudget, OOC_PANEL_DENOM};
 use crate::physical::{Kernel, PhysicalPlan};
 use crate::size::{Shape, SizeInfo};
 use dm_buffer::{panel_bytes, panel_rows_for, store_bytes};
+use dm_matrix::par::ROW_BLOCK;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -381,27 +388,47 @@ pub fn certify_schedule(
     budget: MemoryBudget,
 ) -> PlanCertificate {
     let limit = budget.get();
-
+    let order = sched.order();
+    // A node the plan fused runs inside its `sum`'s step: its operands are
+    // read, and so live, until then.
+    let covered = order.last().is_some_and(|&root| plan.covers(root));
+    let fused_step =
+        |n: NodeId| plan.fused_into(n).filter(|_| covered).and_then(|s| sched.step_of(s));
+    let run_step: Vec<usize> =
+        order.iter().enumerate().map(|(i, &n)| fused_step(n).unwrap_or(i)).collect();
+    let mut last_use: HashMap<NodeId, usize> =
+        order.iter().copied().zip(run_step.clone()).collect();
     // Streaming values — every consumer reads them panel-by-panel through
     // the pool — are never materialized; their bytes are the consumers'
     // pool terms.
     let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &n in sched.order() {
+    for (&n, &step) in order.iter().zip(&run_step) {
         for c in graph.op(n).children() {
             consumers.entry(c).or_default().push(n);
+            last_use.entry(c).and_modify(|lu| *lu = (*lu).max(step));
         }
     }
-    let resident: HashMap<NodeId, usize> = sched
-        .order()
+    let resident: HashMap<NodeId, usize> = order
         .iter()
         .map(|&v| {
             let streams = consumers
                 .get(&v)
                 .is_some_and(|cs| cs.iter().all(|&c| plan.kernel(c) == Kernel::Blocked));
-            let bytes = if streams {
-                0
-            } else {
-                sizes.get(&v).map_or(0, |info| materialized_bytes(plan.kernel(v), info))
+            let bytes = match (sizes.get(&v), fused_step(v), graph.op(v)) {
+                (Some(info), None, _) if !streams => materialized_bytes(plan.kernel(v), info),
+                // A fused `f(A)` is never built, unless its `sum` step meets a
+                // sparse `A` and maps it first.
+                (Some(info), Some(_), &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
+                    materialized_bytes(plan.kernel(v), info)
+                }
+                // A fused product is streamed `degree` row panels at a time,
+                // what `par::gemm_map_sum` holds.
+                (Some(info), Some(_), Op::MatMul(..)) => {
+                    let degree = if plan.kernel(v) == Kernel::Parallel { plan.degree() } else { 1 };
+                    let rows = info.shape.rows().min(degree.saturating_mul(ROW_BLOCK));
+                    dense_value_bytes(rows, info.shape.cols())
+                }
+                _ => 0,
             };
             (v, bytes)
         })
@@ -410,11 +437,11 @@ pub fn certify_schedule(
     let mut timeline = Vec::with_capacity(sched.len());
     let mut peak = (0usize, 0usize);
     let mut first_exceed: Option<(usize, NodeId, usize)> = None;
-    for (step, &n) in sched.order().iter().enumerate() {
+    for (step, &n) in order.iter().enumerate() {
         let mut live = Vec::new();
         let mut total = 0usize;
-        for &v in &sched.order()[..=step] {
-            if sched.last_use[&v] >= step {
+        for (&v, &made) in order.iter().zip(&run_step) {
+            if made <= step && last_use[&v] >= step {
                 let b = resident[&v];
                 if b > 0 {
                     live.push((v, b));
@@ -520,7 +547,7 @@ pub fn min_peak_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::EwiseOp;
+    use crate::expr::{EwiseOp, UnaryOp};
     use crate::physical::{plan, PlanOptions};
     use crate::size::{propagate, InputSizes};
 
@@ -597,6 +624,47 @@ mod tests {
         let cp_step = &cert.timeline[1];
         assert_eq!(cp_step.pool_bytes, spill_pool_capacity(1 << 20));
         assert_eq!(cp_step.live_bytes, cp_step.pool_bytes + 200 * 200 * 8);
+    }
+
+    #[test]
+    fn fused_nodes_are_charged_their_streamed_panels_only() {
+        // The inproc_dense program at degree 2. X %*% W and exp(X %*% W) are
+        // 8 MiB each; the sum step streams the product two 1 MiB panels at a
+        // time and folds exp over them.
+        let mut inputs = InputSizes::new();
+        inputs.declare("X", 8192, 256, 1.0);
+        inputs.declare("W", 256, 128, 1.0);
+        inputs.declare("y", 8192, 1, 1.0);
+        let src = "sum(abs(t(X) %*% X)) + sum(exp(X %*% W)) + sum(abs(t(X) %*% y))";
+        let (g, root) = crate::parser::parse(src).unwrap();
+        let (g, root, _) = crate::rewrite::optimize(&g, root, &inputs).unwrap();
+        let sizes = propagate(&g, root, &inputs).unwrap();
+        let plan = plan(&g, root, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) }).unwrap();
+        let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
+        let (x, w, product) = (8192 * 256 * 8, 256 * 128 * 8, 8192 * 128 * 8);
+        let panels = 2 * ROW_BLOCK * 128 * 8;
+        // At the sum's step: X, W, the panels, the first sum and this one.
+        assert_eq!(cert.peak_bytes, x + w + panels + 2 * 8, "{}", cert.render(&g));
+        // Both products charged whole peak at X, both and the first sum.
+        assert!(x + 2 * product + 8 - cert.peak_bytes >= 12 << 20);
+    }
+
+    #[test]
+    fn a_fused_map_over_a_sparse_operand_is_charged_as_built() {
+        // sum(exp(S)) over a CSR S: the sum step maps S before summing it.
+        let mut inputs = InputSizes::new();
+        inputs.declare("S", 1000, 100, 0.01);
+        let mut g = Graph::new();
+        let s = g.input("S");
+        let e = g.unary(UnaryOp::Exp, s);
+        let root = g.agg(AggOp::Sum, e);
+        let sizes = propagate(&g, root, &inputs).unwrap();
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        assert_eq!((plan.kernel(s), plan.fused_into(e)), (Kernel::Sparse, Some(root)));
+        let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
+        let built = materialized_bytes(plan.kernel(e), &sizes[&e]);
+        assert!(!cert.timeline[1].live.iter().any(|&(v, _)| v == e), "{}", cert.render(&g));
+        assert!(cert.timeline[2].live.contains(&(e, built)), "{}", cert.render(&g));
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! one pipeline: propagated sparsity estimates pick the dense or sparse
 //! family (crossover calibrated by experiment E6), dense nodes with a
 //! multi-threaded kernel upgrade to [`Kernel::Parallel`] where that pays,
-//! and under a bounded [`MemoryBudget`] the liveness certifier downgrades
-//! nodes to [`Kernel::Blocked`] until the plan's peak live set fits.
+//! `sum(f(A))` patterns fuse into their `sum`, and under a bounded
+//! [`MemoryBudget`] the liveness certifier downgrades nodes to
+//! [`Kernel::Blocked`] until the plan's peak live set fits.
 //! [`PlanOptions`] carries everything the pipeline is parameterized by.
 
 use crate::cost::CostModel;
-use crate::expr::{Graph, NodeId, Op};
+use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::memory::MemoryBudget;
 use crate::size::{InputSizes, SizeError, SizeInfo};
 use std::borrow::Cow;
@@ -54,8 +55,10 @@ impl fmt::Display for Kernel {
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalPlan {
     kernels: HashMap<NodeId, Kernel>,
-    degree: usize,
-    mem_budget: Option<usize>,
+    /// Each fused node, mapped to the `sum` whose step computes it.
+    fused: HashMap<NodeId, NodeId>,
+    pub(crate) degree: usize,
+    pub(crate) mem_budget: Option<usize>,
     order: Option<Vec<NodeId>>,
 }
 
@@ -84,6 +87,19 @@ impl PhysicalPlan {
     /// depth-first order.
     pub fn order(&self) -> Option<&[NodeId]> {
         self.order.as_deref()
+    }
+
+    /// The `sum` whose step computes node `id` when the plan fused `id` into
+    /// it (see [`plan`]); the fused node produces nothing at its own step.
+    pub(crate) fn fused_into(&self, id: NodeId) -> Option<NodeId> {
+        self.fused.get(&id).copied()
+    }
+
+    /// True when `root` is a planned node. A schedule ending there reads
+    /// each node at most as often as the plan's own does, so a fused node
+    /// keeps its `sum` as only reader whenever that `sum` is scheduled.
+    pub(crate) fn covers(&self, root: NodeId) -> bool {
+        self.kernels.contains_key(&root)
     }
 
     /// Number of planned nodes.
@@ -240,7 +256,14 @@ pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 ///    model cannot price both — when its estimated flops clear
 ///    [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices never upgrade, so
 ///    small inputs keep the exact serial dispatch at any degree.
-/// 3. **Memory**, under a bounded budget: the liveness certifier
+/// 3. **Fusion**: in a `sum(f(A))` whose unary `f(A)` has no other reader,
+///    `f(A)` fuses into the `sum`, which folds `f` over `A` in one pass.
+///    When `A` is an unshared `X %*% W` on
+///    [`Kernel::Dense`] or [`Kernel::Parallel`], over a non-sparse `W` and
+///    wider than one column, it fuses too: the `sum` streams it in row
+///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
+///    node keeps its kernel.
+/// 4. **Memory**, under a bounded budget: the liveness certifier
 ///    ([`certify_schedule`](crate::liveness::certify_schedule)) accounts for
 ///    composite peaks — several individually-fitting values live at one
 ///    step — and each round the blockable node at the peak whose downgrade
@@ -248,7 +271,8 @@ pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 ///    until the plan fits. When no downgrade helps, or the size map is
 ///    partial, every blockable node with an operand or output larger than
 ///    the budget streams, and the certificate honestly reports `Exceeds`.
-///    Sparse and scalar choices are never touched.
+///    Sparse and scalar choices are never touched, and a blocked matmul no
+///    longer fuses.
 ///
 /// Fails only when [`Sizes::Declared`] inputs do not propagate.
 pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalPlan, SizeError> {
@@ -258,6 +282,7 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
     let kernels = reachable.iter().map(|&id| (id, representation(graph, id, sizes))).collect();
     let mut p = PhysicalPlan {
         kernels,
+        fused: HashMap::new(),
         degree: opts.degree.max(1),
         mem_budget: opts.budget.get(),
         order: None,
@@ -285,6 +310,7 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
         }
     }
 
+    fuse(graph, &reachable, sizes, &mut p);
     let mut order = reachable;
     if let Some(limit) = opts.budget.get() {
         if order.iter().all(|id| sizes.contains_key(id)) {
@@ -299,6 +325,34 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
     }
     p.order = opts.reorder.then_some(order);
     Ok(p)
+}
+
+/// Record the fused nodes of `order` (step 3 of [`plan`]), each mapped to
+/// its `sum`.
+fn fuse(graph: &Graph, order: &[NodeId], sizes: &HashMap<NodeId, SizeInfo>, p: &mut PhysicalPlan) {
+    let reads = graph.reads(order);
+    for &sum in order {
+        let Op::Agg(AggOp::Sum, fa) = *graph.op(sum) else { continue };
+        let Op::Unary(_, a) = *graph.op(fa) else { continue };
+        if reads[fa] != 1 {
+            continue;
+        }
+        p.fused.insert(fa, sum);
+        if let Op::MatMul(_, w) = *graph.op(a) {
+            let streams = matches!(p.kernel(a), Kernel::Dense | Kernel::Parallel)
+                && p.kernel(w) != Kernel::Sparse
+                && sizes.get(&a).is_some_and(|i| i.shape.cols() > 1);
+            if reads[a] == 1 && streams {
+                p.fused.insert(a, sum);
+            }
+        }
+    }
+}
+
+/// Move node `id` to [`Kernel::Blocked`]; a blocked matmul does not fuse.
+fn block(p: &mut PhysicalPlan, id: NodeId) {
+    p.kernels.insert(id, Kernel::Blocked);
+    p.fused.remove(&id);
 }
 
 fn representation(graph: &Graph, id: NodeId, sizes: &HashMap<NodeId, SizeInfo>) -> Kernel {
@@ -365,20 +419,13 @@ pub fn node_flops(graph: &Graph, id: NodeId, infos: &HashMap<NodeId, SizeInfo>) 
 fn parallelizable(op: &Op) -> bool {
     matches!(
         op,
-        Op::MatMul(..)
-            | Op::CrossProd(_)
-            | Op::Tmv(..)
-            | Op::SumSq(_)
-            | Op::Agg(crate::expr::AggOp::ColSums, _)
+        Op::MatMul(..) | Op::CrossProd(_) | Op::Tmv(..) | Op::SumSq(_) | Op::Agg(AggOp::ColSums, _)
     )
 }
 
 /// True for ops with a blocked out-of-core kernel in `dm_buffer::ooc`.
 fn blockable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::MatMul(..) | Op::CrossProd(_) | Op::Ewise(..) | Op::Agg(crate::expr::AggOp::ColSums, _)
-    )
+    matches!(op, Op::MatMul(..) | Op::CrossProd(_) | Op::Ewise(..) | Op::Agg(AggOp::ColSums, _))
 }
 
 /// Dense in-memory footprint of a node's value in bytes, per propagated
@@ -416,7 +463,7 @@ fn apply_per_node_blocking(
             .chain(graph.op(id).children().iter().copied())
             .any(|n| dense_bytes(sizes.get(&n)) > limit);
         if oversized {
-            p.kernels.insert(id, Kernel::Blocked);
+            block(p, id);
         }
     }
 }
@@ -457,16 +504,14 @@ fn fit_plan_to_schedule(
                 continue;
             }
             let mut trial = p.clone();
-            trial.kernels.insert(c, Kernel::Blocked);
+            block(&mut trial, c);
             let tc = certify_schedule(graph, sched, &trial, sizes, budget);
             if best.is_none_or(|(bp, _)| tc.peak_bytes < bp) {
                 best = Some((tc.peak_bytes, c));
             }
         }
         match best {
-            Some((new_peak, c)) if new_peak < cert.peak_bytes => {
-                p.kernels.insert(c, Kernel::Blocked);
-            }
+            Some((new_peak, c)) if new_peak < cert.peak_bytes => block(p, c),
             // No single upgrade shrinks the peak any further: a certified
             // fit is out of reach (the certificate will report Exceeds). So
             // oversized operands still stream rather than being held whole,

@@ -1,5 +1,6 @@
-//! `sum(f(A))` runs as one fused pass in the executor, and must return the
-//! bits of the unfused evaluation.
+//! `sum(f(A))` runs as one fused pass when the plan fuses it, and must
+//! return the bits of the unfused evaluation, in every executor the plan
+//! runs on: plain, and profiled and traced as the scoring server builds it.
 //!
 //! The unfused paths are forced by giving a node a second consumer.
 //! Sharing `f(A)` runs the materializing path: `f(A)` is computed, stored
@@ -39,6 +40,9 @@ enum Config {
     Degree(usize),
     /// Serial under a budget of a quarter of X: the matmul runs blocked.
     Blocked,
+    /// At degree 2 on the server's executor: `Executor::with_plan(..)
+    /// .profiled().traced()`.
+    Served,
 }
 
 struct Case {
@@ -139,6 +143,7 @@ fn sum_bits(c: &Case, f: UnaryOp, shared: Shared, config: Config) -> u64 {
     sizes.declare("W", COLS, OUT, 1.0);
     let opts = match config {
         Config::Degree(degree) => PlanOptions { degree, ..PlanOptions::new(&sizes) },
+        Config::Served => PlanOptions { degree: 2, ..PlanOptions::new(&sizes) },
         Config::Blocked => PlanOptions {
             budget: MemoryBudget::bytes(ROWS * COLS * 8 / 4),
             ..PlanOptions::new(&sizes)
@@ -150,7 +155,7 @@ fn sum_bits(c: &Case, f: UnaryOp, shared: Shared, config: Config) -> u64 {
     let dense_kernel = match config {
         Config::Blocked => Kernel::Blocked,
         Config::Degree(1) => Kernel::Dense,
-        Config::Degree(_) => Kernel::Parallel,
+        Config::Degree(_) | Config::Served => Kernel::Parallel,
     };
     if c.x_sparsity == 1.0 {
         assert_eq!(plan.kernel(product), dense_kernel, "{what}");
@@ -160,15 +165,26 @@ fn sum_bits(c: &Case, f: UnaryOp, shared: Shared, config: Config) -> u64 {
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(c.x.clone()));
     env.bind("W", Matrix::Dense(c.w.clone()));
-    let bits =
-        Executor::with_plan(&g, plan).eval(root, &env).unwrap().as_scalar().unwrap().to_bits();
+    let executor = Executor::with_plan(&g, plan);
+    let mut executor = match config {
+        Config::Served => executor.without_env_sinks().profiled().traced(),
+        _ => executor,
+    };
+    let bits = executor.eval(root, &env).unwrap().as_scalar().unwrap().to_bits();
     assert!(f64::from_bits(bits).is_finite(), "{what}: {}", f64::from_bits(bits));
+    if shared == Shared::Nothing && c.x_sparsity == 1.0 {
+        if let Some(profile) = executor.profile() {
+            // The streamed product has no step of its own.
+            assert!(profile.node(product).is_none(), "{what}: the product ran at its own step");
+        }
+    }
     bits
 }
 
 #[test]
 fn fused_sum_returns_the_unfused_bits() {
-    let configs = [Config::Degree(1), Config::Degree(2), Config::Degree(4), Config::Blocked];
+    let configs =
+        [Config::Degree(1), Config::Degree(2), Config::Degree(4), Config::Blocked, Config::Served];
     for c in cases() {
         for &f in c.fs {
             let want = sum_bits(&c, f, Shared::Mapped, Config::Degree(1));

@@ -7,7 +7,10 @@
 //!   `sum` has read it, so the second is computed without it;
 //! - `exp(X) + ((A %*% B) %*% C)`: the reordered plan computes the big
 //!   `A %*% B` before `exp(X)` exists, where depth-first order holds
-//!   `exp(X)` across it.
+//!   `exp(X)` across it;
+//! - `sum(exp(X %*% W))`: the plan fuses the product and `exp` into the
+//!   `sum`, and the certificate charges the streamed panels the eval
+//!   really holds instead of either 8 MiB value.
 //!
 //! The counter is process-wide, so the tests serialize through one lock.
 
@@ -18,6 +21,7 @@ use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{plan, Kernel, PlanOptions};
 use dm_lang::size::{propagate, InputSizes};
 use dm_matrix::pack::{KC, MC, NC};
+use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{Dense, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
@@ -201,4 +205,54 @@ fn a_reordered_plan_runs_its_lower_peak_order() {
         "the reordered plan peaked at {re_high} B, depth-first at {dfs_high} B: \
          less than half of exp(X)'s {held} B apart"
     );
+}
+
+#[test]
+fn a_streamed_product_is_certified_at_its_panels() {
+    // X %*% W and exp(X %*% W) are 8 MiB each; a panel of the product is
+    // ROW_BLOCK rows, 1 MiB.
+    const N: usize = 8192;
+    const K: usize = 64;
+    const M: usize = 128;
+    let _guard = lock();
+    let mut g = Graph::new();
+    let (x, w) = (g.input("X"), g.input("W"));
+    let product = g.matmul(x, w);
+    let mapped = g.unary(UnaryOp::Exp, product);
+    let root = g.agg(AggOp::Sum, mapped);
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", N, K, 1.0);
+    sizes.declare("W", K, M, 1.0);
+    let infos = propagate(&g, root, &sizes).unwrap();
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(input(N, K, 0)));
+    env.bind("W", Matrix::Dense(input(K, M, 1)));
+    let inputs = bytes(N, K) + bytes(K, M);
+    let mut bits = Vec::new();
+    for degree in [1, 2] {
+        let p = plan(&g, root, &PlanOptions { degree, ..PlanOptions::new(&infos) }).unwrap();
+        let certified = certify_plan(&g, root, &p, &infos, MemoryBudget::unbounded()).peak_bytes;
+        // The inputs, `degree` panels and the scalar result: neither product.
+        let panels = degree * bytes(ROW_BLOCK, M);
+        assert_eq!(certified, inputs + panels + size_of::<f64>(), "degree {degree}");
+        let mut ex = Executor::with_plan(&g, p);
+        let (out, high_water) = measure(|| ex.eval(root, &env).unwrap());
+        bits.push(out.as_scalar().unwrap().to_bits());
+        println!(
+            "sum(exp(X %*% W)) at degree {degree}: high water {high_water} B, certified {certified} \
+             B of which {inputs} B inputs bound before the eval"
+        );
+        // The inputs were allocated before the eval started; the rest of the
+        // certificate is what the eval allocates, up to each worker's pack
+        // scratch, which the certificate does not model.
+        assert!(certified >= high_water, "certified {certified} B, observed {high_water} B");
+        assert!(
+            high_water <= certified - inputs + degree * PACK_SCRATCH,
+            "observed {high_water} B over the certified {} B and {degree} x {PACK_SCRATCH} B \
+             of pack scratch",
+            certified - inputs
+        );
+        assert!(high_water >= panels, "observed {high_water} B: the panels were not all held");
+    }
+    assert_eq!(bits[0], bits[1], "the degree changes no bits");
 }

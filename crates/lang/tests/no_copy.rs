@@ -3,7 +3,8 @@
 //! not even produce `X %*% W`. A byte-counting global allocator pins it —
 //! one eval allocates less than a single `X %*% W`, itself half the size of
 //! the input — while every reader of `X` shares the caller's allocation.
-//! This file owns that never-materialized property of the fused sum.
+//! This file owns that never-materialized property of the fused sum, for a
+//! plain executor and for the profiled, traced one a scoring server builds.
 //!
 //! This file holds one test on purpose: the counter is process-wide, so a
 //! second test running concurrently would add its bytes to the measurement.
@@ -112,6 +113,23 @@ fn eval_allocates_less_than_one_product_and_memo_hits_share() {
     assert!(
         allocated < xw_bytes,
         "one eval allocated {allocated} bytes, at least one {xw_bytes}-byte X %*% W"
+    );
+
+    // The server's executor runs the same plan: profiling and tracing time
+    // its steps without unfusing them. Its first eval grows the process's
+    // trace buffer, so the second one is measured.
+    let served = || {
+        Executor::with_plan(&prog.graph, prog.plan.clone()).without_env_sinks().profiled().traced()
+    };
+    served().eval(prog.root, &env).unwrap();
+    let mut traced = served();
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let traced_out = traced.eval(prog.root, &env).unwrap();
+    let allocated = ALLOCATED.load(Ordering::Relaxed) - before;
+    assert_eq!(traced_out, out, "profiling and tracing change no bits");
+    assert!(
+        allocated < xw_bytes,
+        "a profiled, traced eval allocated {allocated} bytes, at least one {xw_bytes}-byte X %*% W"
     );
 
     // Shared reads are pointer copies: every read of X but the last shared

@@ -53,7 +53,7 @@ use dm_obs::trace;
 use dm_obs::{Recorder, StatsRegistry};
 use dm_par::WorkerPool;
 use std::collections::BTreeSet;
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -397,7 +397,7 @@ impl Drop for ScoringServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBool>) {
     let pool = WorkerPool::new(shared.cfg.workers, "serve");
     loop {
         let stream = match listener.accept() {
@@ -420,21 +420,64 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) 
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let shared = Arc::clone(shared);
-        pool.submit(move || handle_connection(stream, &shared));
+        let (shared, stop) = (Arc::clone(shared), Arc::clone(stop));
+        pool.submit(move || handle_connection(stream, &shared, &stop));
     }
     // WorkerPool drop drains connections already handed to workers.
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // An idle or wedged client must not pin a worker forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
+/// How long an idle or wedged client may hold a worker: idle between
+/// frames, stalled inside one, or not reading its response.
+const STALL_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How often a connection idle between frames checks the stop flag, which
+/// bounds how long shutdown waits on it.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBool) {
+    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let _ = stream.set_write_timeout(Some(STALL_TIMEOUT));
     // Scoring responses must not sit in Nagle's buffer waiting for ACKs.
     let _ = stream.set_nodelay(true);
-    while let Ok(Some(raw)) = read_frame(&mut stream) {
+    loop {
+        let mut conn = Patient { stream: &stream, stop, between_frames: true };
+        let Ok(Some(raw)) = read_frame(&mut conn) else { break };
         if serve_frame(shared, &mut stream, &raw).is_err() {
             break;
+        }
+    }
+}
+
+/// A connection's reads as [`read_frame`] sees them. Each socket read waits
+/// at most `IDLE_POLL`, and a read retries until a byte arrives or
+/// `STALL_TIMEOUT` passes without one. Between frames a stopping server
+/// reads as the client hanging up, so shutdown never waits on an idle
+/// client; inside a frame the stall timeout holds.
+struct Patient<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+    between_frames: bool,
+}
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let since = Instant::now();
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+                        && since.elapsed() < STALL_TIMEOUT =>
+                {
+                    if self.between_frames && self.stop.load(Ordering::SeqCst) {
+                        return Ok(0);
+                    }
+                }
+                Ok(n) => {
+                    self.between_frames = false;
+                    return Ok(n);
+                }
+                err => return err,
+            }
         }
     }
 }

@@ -354,3 +354,25 @@ fn layout_switches_at_the_size_threshold() {
     drop(client);
     server.shutdown();
 }
+
+/// An idle client does not hold up shutdown: a connection waiting between
+/// frames notices the stop flag within a poll interval instead of sitting
+/// out the 60 s stall timeout. A client that pauses between frames for
+/// several poll intervals is still served.
+#[test]
+fn shutdown_with_an_idle_client_connected_returns_promptly() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let mut paused = ScoringClient::connect(server.addr()).unwrap();
+    paused.ping("acme").unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    paused.ping("acme").unwrap();
+
+    // Both connections now wait for their next frame on a worker.
+    let _idle = std::net::TcpStream::connect(server.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let t = Instant::now();
+    server.shutdown();
+    let took = t.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?} with idle clients connected");
+}
