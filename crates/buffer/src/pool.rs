@@ -5,7 +5,7 @@ use crate::codec;
 use crate::policy::{make_policy, Policy, PolicyKind};
 use crate::storage::Storage;
 use dm_matrix::Dense;
-use dm_obs::{trace, Recorder};
+use dm_obs::trace;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -112,35 +112,6 @@ struct Frame {
     dirty: bool,
 }
 
-// Pre-formatted recorder site names, so mirroring an event is one atomic
-// add with no per-event allocation.
-struct RecorderSites {
-    hit: String,
-    miss: String,
-    eviction: String,
-    absent: String,
-    pin: String,
-    used: String,
-    spill_bytes: String,
-    fault_bytes: String,
-}
-
-impl RecorderSites {
-    fn new(kind: PolicyKind) -> Self {
-        let p = format!("buffer.pool.{kind}");
-        RecorderSites {
-            hit: format!("{p}.hit"),
-            miss: format!("{p}.miss"),
-            eviction: format!("{p}.eviction"),
-            absent: format!("{p}.absent"),
-            pin: format!("{p}.pin"),
-            used: format!("{p}.used_bytes"),
-            spill_bytes: format!("{p}.spill_bytes"),
-            fault_bytes: format!("{p}.fault_bytes"),
-        }
-    }
-}
-
 /// A byte-budgeted cache of dense blocks over a backing store.
 pub struct BufferPool<S: Storage> {
     capacity: usize,
@@ -150,7 +121,6 @@ pub struct BufferPool<S: Storage> {
     kind: PolicyKind,
     storage: S,
     stats: PoolStats,
-    recorder: Option<(Box<dyn Recorder>, RecorderSites)>,
 }
 
 fn block_bytes(b: &Dense) -> usize {
@@ -168,18 +138,7 @@ impl<S: Storage> BufferPool<S> {
             kind,
             storage,
             stats: PoolStats::default(),
-            recorder: None,
         }
-    }
-
-    /// Mirror pool events into `rec` under `buffer.pool.<policy>.*` sites
-    /// (hit, miss, eviction, absent, pin, used_bytes). A disabled recorder is
-    /// dropped here, so the hot path stays untouched when observability is
-    /// off.
-    pub fn with_recorder(mut self, rec: Box<dyn Recorder>) -> Self {
-        self.recorder =
-            if rec.is_enabled() { Some((rec, RecorderSites::new(self.kind))) } else { None };
-        self
     }
 
     /// The eviction policy this pool was built with.
@@ -211,19 +170,10 @@ impl<S: Storage> BufferPool<S> {
         }
     }
 
-    fn record(&self, site: impl Fn(&RecorderSites) -> &str) {
-        if let Some((rec, sites)) = &self.recorder {
-            rec.add(site(sites), 1);
-        }
-    }
-
     // Track the resident-bytes high-water mark; call after every change to
     // `used`.
     fn note_used(&mut self) {
         self.stats.peak_used = self.stats.peak_used.max(self.used);
-        if let Some((rec, sites)) = &self.recorder {
-            rec.gauge_set(&sites.used, self.used as u64);
-        }
     }
 
     /// Pool capacity in bytes.
@@ -261,14 +211,10 @@ impl<S: Storage> BufferPool<S> {
         self.policy.remove(victim);
         self.used -= frame.bytes;
         self.stats.evictions += 1;
-        self.record(|s| &s.eviction);
         Self::trace_page("buffer.evict", victim);
         if frame.dirty {
             let data = codec::encode_dense(&frame.block);
             self.stats.spilled_bytes += data.len() as u64;
-            if let Some((rec, sites)) = &self.recorder {
-                rec.add(&sites.spill_bytes, data.len() as u64);
-            }
             Self::trace_page_bytes("buffer.spill", victim, data.len());
             self.storage.write(victim, data).map_err(|e| PoolError::Io(e.to_string()))?;
         }
@@ -306,7 +252,6 @@ impl<S: Storage> BufferPool<S> {
     pub fn get(&mut self, key: PageKey) -> Result<Option<Arc<Dense>>, PoolError> {
         if let Some(frame) = self.frames.get(&key) {
             self.stats.hits += 1;
-            self.record(|s| &s.hit);
             let block = Arc::clone(&frame.block);
             self.policy.touch(key);
             return Ok(Some(block));
@@ -314,11 +259,7 @@ impl<S: Storage> BufferPool<S> {
         match self.storage.read(key).map_err(|e| PoolError::Io(e.to_string()))? {
             Some(bytes) => {
                 self.stats.misses += 1;
-                self.record(|s| &s.miss);
                 self.stats.faulted_bytes += bytes.len() as u64;
-                if let Some((rec, sites)) = &self.recorder {
-                    rec.add(&sites.fault_bytes, bytes.len() as u64);
-                }
                 Self::trace_page_bytes("buffer.fault", key, bytes.len());
                 let block = codec::decode_dense(bytes).ok_or(PoolError::Corrupt(key))?;
                 let nbytes = block_bytes(&block);
@@ -336,7 +277,6 @@ impl<S: Storage> BufferPool<S> {
             }
             None => {
                 self.stats.absent += 1;
-                self.record(|s| &s.absent);
                 Ok(None)
             }
         }
@@ -349,7 +289,6 @@ impl<S: Storage> BufferPool<S> {
         if block.is_some() {
             self.frames.get_mut(&key).expect("resident after get").pins += 1;
             self.stats.pins += 1;
-            self.record(|s| &s.pin);
             Self::trace_page("buffer.pin", key);
         }
         Ok(block)
@@ -730,10 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn recorder_mirrors_pool_events() {
-        use dm_obs::StatsRegistry;
-        let reg = Arc::new(StatsRegistry::new());
-        let mut p = pool(2, PolicyKind::Lru).with_recorder(Box::new(Arc::clone(&reg)));
+    fn stats_count_every_pool_event() {
+        let mut p = pool(2, PolicyKind::Lru);
         p.put(key(1), block(1.0)).unwrap();
         p.put(key(2), block(2.0)).unwrap();
         p.put(key(3), block(3.0)).unwrap(); // eviction
@@ -742,20 +679,14 @@ mod tests {
         p.get(key(42)).unwrap(); // absent
         p.pin(key(1)).unwrap().unwrap();
         p.unpin(key(1)).unwrap();
-        let rep = reg.report();
+        let s = p.stats();
         // Two hits: the explicit get(2) plus pin(1)'s internal get.
-        assert_eq!(rep.counter("buffer.pool.lru.hit"), Some(2));
-        assert_eq!(rep.counter("buffer.pool.lru.miss"), Some(1), "{rep}");
-        assert_eq!(rep.counter("buffer.pool.lru.eviction"), Some(2));
-        assert_eq!(rep.counter("buffer.pool.lru.absent"), Some(1));
-        assert_eq!(rep.counter("buffer.pool.lru.pin"), Some(1));
-        assert_eq!(rep.gauge("buffer.pool.lru.used_bytes").map(|(_, peak)| peak), Some(288));
-    }
-
-    #[test]
-    fn disabled_recorder_is_dropped() {
-        let p = pool(2, PolicyKind::Lru).with_recorder(Box::new(dm_obs::NoopRecorder));
-        assert!(p.recorder.is_none());
+        assert_eq!(s.hits, 2);
+        assert_eq!(s.misses, 1, "{s:?}");
+        assert_eq!(s.evictions, 2);
+        assert_eq!(s.absent, 1);
+        assert_eq!(s.pins, 1);
+        assert_eq!(s.peak_used, 288);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::estimate::{estimate_group, estimate_sizes, sample_rows, GroupStats};
 use crate::matrix::CompressedMatrix;
 use crate::Encoding;
 use dm_matrix::Dense;
-use dm_obs::{elapsed_ns, Recorder};
+use dm_obs::{elapsed_ns, StatsRegistry};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -90,14 +90,11 @@ pub struct PlanTrace {
 }
 
 impl PlanTrace {
-    /// Push the trace into a [`Recorder`] under the `compress.plan.*` sites.
-    pub fn record(&self, rec: &dyn Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
+    /// Push the trace into `rec` under the `compress.plan.*` sites.
+    pub fn record(&self, rec: &StatsRegistry) {
         rec.add("compress.plan.merges", self.merges.len() as u64);
         rec.add("compress.plan.demotions", self.demoted.len() as u64);
-        rec.record_duration_ns("compress.plan.wall", self.wall_ns);
+        rec.record_histogram("compress.plan.wall", self.wall_ns);
     }
 }
 
@@ -359,14 +356,13 @@ mod tests {
 
     #[test]
     fn trace_records_into_registry() {
-        use dm_obs::StatsRegistry;
         let m = Dense::from_fn(1000, 2, |r, _| (r % 3) as f64);
         let (_, trace) = plan_traced(&m, &CompressionConfig::default());
         let reg = StatsRegistry::new();
         trace.record(&reg);
         let rep = reg.report();
         assert!(rep.counter("compress.plan.merges").is_some());
-        assert!(rep.duration("compress.plan.wall").is_some());
+        assert_eq!(rep.histogram("compress.plan.wall").unwrap().count, 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use dm_buffer::{
     ooc, panel_rows_for, BlockStore, BufferPool, PoolError, PoolStats, SharedBufferPool,
 };
 use dm_matrix::{ops, par, sparse, Csr, Dense, Matrix};
-use dm_obs::{elapsed_ns, trace, Recorder};
+use dm_obs::{elapsed_ns, trace, StatsRegistry};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -476,12 +476,10 @@ impl<'g> Executor<'g> {
         self.stats
     }
 
-    /// Push this execution's aggregate statistics into a [`Recorder`] under
-    /// the `lang.exec.*` sites.
-    pub fn record_stats(&self, rec: &dyn Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
+    /// Push this execution's aggregate statistics into `rec` under the
+    /// `lang.exec.*` sites. Timings (`eval_wall`, `kernel.<family>`) are
+    /// nanosecond histograms.
+    pub fn record_stats(&self, rec: &StatsRegistry) {
         rec.add("lang.exec.nodes_evaluated", self.stats.nodes_evaluated);
         rec.add("lang.exec.memo_hits", self.stats.memo_hits);
         rec.add("lang.exec.flops", self.stats.flops);
@@ -501,13 +499,13 @@ impl<'g> Executor<'g> {
             rec.add("lang.exec.ooc.pins", ps.pins);
         }
         if let Some(p) = &self.profile {
-            rec.record_duration_ns("lang.exec.eval_wall", p.total_self_ns());
+            rec.record_histogram("lang.exec.eval_wall", p.total_self_ns());
             // Per-kernel-family self times: comparing `lang.exec.kernel.dense`
             // against `lang.exec.kernel.parallel` across runs is how per-kernel
             // speedup is derived (see EXPERIMENTS.md E13).
             for (_, ns) in p.nodes() {
                 if let Some(k) = ns.kernel {
-                    rec.record_duration_ns(&format!("lang.exec.kernel.{k}"), ns.self_ns);
+                    rec.record_histogram(&format!("lang.exec.kernel.{k}"), ns.self_ns);
                 }
                 // Latency distribution across nodes: the report's p50/p95/p99
                 // show whether wall time is spread evenly or dominated by a
@@ -1428,8 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn record_stats_forwards_to_recorder() {
-        use dm_obs::StatsRegistry;
+    fn record_stats_forwards_to_registry() {
         let mut g = Graph::new();
         let xi = g.input("X");
         let s = g.agg(AggOp::Sum, xi);
@@ -1439,9 +1436,7 @@ mod tests {
         ex.record_stats(&reg);
         let rep = reg.report();
         assert_eq!(rep.counter("lang.exec.nodes_evaluated"), Some(2));
-        assert!(rep.duration("lang.exec.eval_wall").is_some());
-        // A disabled recorder is a single branch.
-        ex.record_stats(&dm_obs::NoopRecorder);
+        assert_eq!(rep.histogram("lang.exec.eval_wall").unwrap().count, 1);
     }
 
     #[test]
@@ -1490,7 +1485,6 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_recorded_in_stats_and_profile() {
-        use dm_obs::StatsRegistry;
         let x = Dense::from_fn(400, 300, |r, c| ((r + c) % 5) as f64);
         let mut g = Graph::new();
         let xi = g.input("X");
@@ -1510,7 +1504,7 @@ mod tests {
         let rep = reg.report();
         assert_eq!(rep.counter("lang.exec.par_nodes"), Some(1));
         assert_eq!(rep.gauge("lang.exec.par_degree").map(|(cur, _)| cur), Some(2));
-        assert!(rep.duration("lang.exec.kernel.parallel").is_some());
+        assert!(rep.histogram("lang.exec.kernel.parallel").is_some());
     }
 
     #[test]

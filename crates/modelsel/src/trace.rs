@@ -3,7 +3,7 @@
 //! workspace stats registry.
 
 use crate::search::Params;
-use dm_obs::{elapsed_ns, fmt_ns, Recorder};
+use dm_obs::{elapsed_ns, fmt_ns, StatsRegistry};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -84,16 +84,13 @@ impl SearchTrace {
         self.entries.lock().iter().map(|e| e.wall_ns).sum()
     }
 
-    /// Push the trace into a [`Recorder`]: one `modelsel.search.fit` duration
-    /// event per evaluation plus a `modelsel.search.evals` counter.
-    pub fn record(&self, rec: &dyn Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
+    /// Push the trace into `rec`: one `modelsel.search.fit` histogram
+    /// sample per evaluation plus a `modelsel.search.evals` counter.
+    pub fn record(&self, rec: &StatsRegistry) {
         let entries = self.entries.lock();
         rec.add("modelsel.search.evals", entries.len() as u64);
         for e in entries.iter() {
-            rec.record_duration_ns("modelsel.search.fit", e.wall_ns);
+            rec.record_histogram("modelsel.search.fit", e.wall_ns);
         }
     }
 
@@ -178,14 +175,12 @@ mod tests {
 
     #[test]
     fn record_pushes_durations() {
-        use dm_obs::StatsRegistry;
         let trace = SearchTrace::new();
         grid_search(&space(), trace.wrap(|p, _| p.get("lr")));
         let reg = StatsRegistry::new();
         trace.record(&reg);
         let rep = reg.report();
         assert_eq!(rep.counter("modelsel.search.evals"), Some(3));
-        assert_eq!(rep.duration("modelsel.search.fit").unwrap().count, 3);
-        trace.record(&dm_obs::NoopRecorder);
+        assert_eq!(rep.histogram("modelsel.search.fit").unwrap().count, 3);
     }
 }

@@ -57,10 +57,9 @@ fn push_histogram_text(out: &mut String, name: &str, h: &HistogramSnapshot) {
 }
 
 /// Render the full report in the Prometheus text exposition format:
-/// counters as `counter`, gauges as `gauge` (with a `_peak` companion),
-/// duration accumulators as `_count` / `_sum_ns` / `_min_ns` / `_max_ns`
-/// series, histograms as `summary` metrics carrying p50/p95/p99 quantile
-/// labels.
+/// counters as `counter`, gauges as `gauge` (with a `_peak` companion), and
+/// histograms — every timing included — as `summary` metrics carrying
+/// p50/p95/p99 quantile labels plus `_sum` and `_count`.
 pub fn prometheus_text(report: &StatsReport) -> String {
     let mut out = String::new();
     let mut names = NameDeduper::default();
@@ -76,17 +75,6 @@ pub fn prometheus_text(report: &StatsReport) -> String {
         let _ = writeln!(out, "# TYPE {name}_peak gauge");
         let _ = writeln!(out, "{name}_peak {peak}");
     }
-    for (site, d) in report.durations() {
-        let name = names.claim(site);
-        let _ = writeln!(out, "# TYPE {name}_count counter");
-        let _ = writeln!(out, "{name}_count {}", d.count);
-        let _ = writeln!(out, "# TYPE {name}_sum_ns counter");
-        let _ = writeln!(out, "{name}_sum_ns {}", d.total_ns);
-        let _ = writeln!(out, "# TYPE {name}_min_ns gauge");
-        let _ = writeln!(out, "{name}_min_ns {}", d.min_ns);
-        let _ = writeln!(out, "# TYPE {name}_max_ns gauge");
-        let _ = writeln!(out, "{name}_max_ns {}", d.max_ns);
-    }
     for (site, h) in report.histograms() {
         let name = names.claim(site);
         push_histogram_text(&mut out, &name, h);
@@ -95,9 +83,8 @@ pub fn prometheus_text(report: &StatsReport) -> String {
 }
 
 /// Render the full report as one JSON document:
-/// `{"counters":{...},"gauges":{site:{"current","peak"}},"durations":{site:
-/// {"count","total_ns","min_ns","max_ns"}},"histograms":{site:{"count",
-/// "sum","min","max","p50","p95","p99"}}}`. Parseable back with
+/// `{"counters":{...},"gauges":{site:{"current","peak"}},"histograms":{site:
+/// {"count","sum","min","max","p50","p95","p99"}}}`. Parseable back with
 /// [`json::parse`](crate::json::parse).
 pub fn stats_json(report: &StatsReport) -> String {
     let mut out = String::from("{");
@@ -114,21 +101,6 @@ pub fn stats_json(report: &StatsReport) -> String {
             out.push(',');
         }
         let _ = write!(out, "\"{}\":{{\"current\":{cur},\"peak\":{peak}}}", escape_json(site));
-    }
-    out.push_str("},\"durations\":{");
-    for (i, (site, d)) in report.durations().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
-            escape_json(site),
-            d.count,
-            d.total_ns,
-            d.min_ns,
-            d.max_ns
-        );
     }
     out.push_str("},\"histograms\":{");
     for (i, (site, h)) in report.histograms().iter().enumerate() {
@@ -163,7 +135,7 @@ mod tests {
         reg.counter("pool.hit").add(42);
         reg.gauge("mem.used").set(100);
         reg.gauge("mem.used").set(64);
-        reg.duration("exec.eval").record_ns(1_500);
+        reg.record_histogram("exec.eval", 1_500);
         let h = reg.histogram("exec.node_self_ns");
         for v in [100u64, 200, 300] {
             h.record(v);
@@ -178,8 +150,9 @@ mod tests {
         assert!(text.contains("dmml_pool_hit 42"), "{text}");
         assert!(text.contains("dmml_mem_used 64"), "{text}");
         assert!(text.contains("dmml_mem_used_peak 100"), "{text}");
+        assert!(text.contains("# TYPE dmml_exec_eval summary"), "{text}");
         assert!(text.contains("dmml_exec_eval_count 1"), "{text}");
-        assert!(text.contains("dmml_exec_eval_sum_ns 1500"), "{text}");
+        assert!(text.contains("dmml_exec_eval_sum 1500"), "{text}");
         assert!(text.contains("# TYPE dmml_exec_node_self_ns summary"), "{text}");
         assert!(text.contains("dmml_exec_node_self_ns{quantile=\"0.5\"}"), "{text}");
         assert!(text.contains("dmml_exec_node_self_ns_count 3"), "{text}");
@@ -193,8 +166,8 @@ mod tests {
         let g = v.get("gauges").unwrap().get("mem.used").unwrap();
         assert_eq!(g.get("current").unwrap().as_f64(), Some(64.0));
         assert_eq!(g.get("peak").unwrap().as_f64(), Some(100.0));
-        let d = v.get("durations").unwrap().get("exec.eval").unwrap();
-        assert_eq!(d.get("total_ns").unwrap().as_f64(), Some(1500.0));
+        let d = v.get("histograms").unwrap().get("exec.eval").unwrap();
+        assert_eq!(d.get("sum").unwrap().as_f64(), Some(1500.0));
         let h = v.get("histograms").unwrap().get("exec.node_self_ns").unwrap();
         assert_eq!(h.get("count").unwrap().as_f64(), Some(3.0));
         assert!(h.get("p99").unwrap().as_f64().unwrap() >= h.get("p50").unwrap().as_f64().unwrap());
@@ -254,7 +227,7 @@ mod tests {
         reg.counter("pool.hit").add(42);
         reg.counter("weird site-name.0").add(1);
         reg.gauge("mem.used").set(64);
-        reg.duration("exec.eval").record_ns(1_500);
+        reg.record_histogram("exec.eval", 1_500);
         let h = reg.histogram("lang.exec.node_self_ns");
         for v in [100u64, 200, 300, 5_000] {
             h.record(v);
@@ -268,7 +241,7 @@ mod tests {
                 let kind = parts.next().expect("TYPE line has a kind");
                 assert!(is_valid_metric_name(name), "bad metric name {name:?} in {line:?}");
                 assert!(
-                    matches!(kind, "counter" | "gauge" | "summary" | "histogram" | "untyped"),
+                    matches!(kind, "counter" | "gauge" | "summary"),
                     "bad metric kind {kind:?} in {line:?}"
                 );
                 assert!(parts.next().is_none(), "trailing tokens in {line:?}");

@@ -2,12 +2,11 @@
 //!
 //! The workspace-wide observability layer, modeled on the introspection
 //! machinery of the surveyed declarative ML systems (`explain` plans,
-//! `-stats` runtime reports, and fine-grained lineage tracing): a
-//! dependency-free stats registry of atomic counters, high-water-mark
-//! gauges, duration accumulators, and log-linear latency histograms
-//! ([`LogHistogram`], p50/p95/p99 with ≤6.25% relative error), plus a
-//! pluggable [`Recorder`] trait whose no-op default makes instrumented hot
-//! paths cost (nearly) nothing when observability is disabled.
+//! `-stats` runtime reports, and fine-grained lineage tracing). It has one
+//! metrics sink, the [`StatsRegistry`]: a dependency-free registry of atomic
+//! counters, high-water-mark gauges and log-linear histograms
+//! ([`LogHistogram`], p50/p95/p99 with ≤6.25% relative error). Every timing
+//! is a histogram of nanoseconds.
 //!
 //! The [`trace`] module adds structured tracing on top: RAII [`trace::Span`]s
 //! with trace/span/parent ids collected into sharded process-global buffers,
@@ -22,31 +21,28 @@
 //! size-class) throughput profiles that downstream cost models divide flop
 //! counts by.
 //!
-//! Instrumented components come in two flavors:
-//!
-//! * **Handle-based** — a call site asks the [`StatsRegistry`] once for a
-//!   labeled [`Counter`] / [`Gauge`] / [`DurationStat`] handle and then
-//!   updates it with single atomic operations, no map lookup on the hot path.
-//! * **Recorder-based** — a component stores a `Box<dyn Recorder>` (default
-//!   [`NoopRecorder`]) and emits events through it; pass a
-//!   [`StatsRegistry`]-backed recorder to collect them. Components should
-//!   cache [`Recorder::is_enabled`] so the disabled path is one boolean test.
+//! A hot call site asks the registry once for a [`Counter`] / [`Gauge`] /
+//! [`LogHistogram`] handle and then updates it with relaxed atomic
+//! operations, no map lookup. A component that publishes a summary after
+//! the fact (`Executor::record_stats`, the rewrite and compression traces)
+//! takes `&StatsRegistry` and records by site name through
+//! [`StatsRegistry::add`], [`StatsRegistry::gauge_set`] and
+//! [`StatsRegistry::record_histogram`]. A caller that wants no metrics
+//! simply does not call it.
 //!
 //! ```
-//! use dm_obs::{StatsRegistry, Timer};
-//! use std::sync::Arc;
+//! use dm_obs::{elapsed_ns, StatsRegistry};
+//! use std::time::Instant;
 //!
-//! let reg = Arc::new(StatsRegistry::new());
+//! let reg = StatsRegistry::new();
 //! let hits = reg.counter("pool.hit");
 //! hits.add(3);
-//! let wall = reg.duration("exec.eval");
-//! {
-//!     let _t = Timer::start(&wall);
-//!     // ... timed work ...
-//! }
+//! let t0 = Instant::now();
+//! // ... timed work ...
+//! reg.record_histogram("exec.eval", elapsed_ns(t0));
 //! let report = reg.report();
 //! assert_eq!(report.counter("pool.hit"), Some(3));
-//! assert!(report.duration("exec.eval").is_some());
+//! assert_eq!(report.histogram("exec.eval").unwrap().count, 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +52,6 @@ pub mod flightrec;
 pub mod histogram;
 pub mod json;
 pub mod profile;
-pub mod recorder;
 pub mod registry;
 pub mod serve;
 pub mod stats;
@@ -65,7 +60,6 @@ pub mod trace;
 pub use flightrec::{FlightRecorder, Phase, RequestRecord};
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use profile::{ProfileError, ProfileStore};
-pub use recorder::{timed, NoopRecorder, Recorder};
 pub use registry::{StatsRegistry, StatsReport};
 pub use serve::MetricsServer;
-pub use stats::{elapsed_ns, fmt_ns, Counter, DurationSnapshot, DurationStat, Gauge, Timer};
+pub use stats::{elapsed_ns, fmt_ns, Counter, Gauge};

@@ -2,23 +2,24 @@
 //! sorted, renderable report.
 
 use crate::histogram::{HistogramSnapshot, LogHistogram};
-use crate::stats::{fmt_ns, Counter, DurationSnapshot, DurationStat, Gauge};
+use crate::stats::{fmt_ns, Counter, Gauge};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// A registry of named [`Counter`]s, [`Gauge`]s, [`DurationStat`]s, and
-/// [`LogHistogram`]s.
+/// A registry of named [`Counter`]s, [`Gauge`]s and [`LogHistogram`]s: the
+/// one sink every instrumented layer records into. Timings are histograms.
 ///
 /// Metric handles are `Arc`s: a call site looks its handle up once (taking a
-/// short mutex) and afterwards updates it lock-free. Site names are
+/// short mutex) and afterwards updates it lock-free, or records by name
+/// through [`add`](Self::add), [`gauge_set`](Self::gauge_set) and
+/// [`record_histogram`](Self::record_histogram). Site names are
 /// dot-separated paths (`"buffer.lru.hit"`, `"lang.exec.eval"`); the report
 /// sorts lexicographically, so related metrics group together.
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    durations: Mutex<BTreeMap<String, Arc<DurationStat>>>,
     histograms: Mutex<BTreeMap<String, Arc<LogHistogram>>>,
 }
 
@@ -40,18 +41,27 @@ impl StatsRegistry {
         Arc::clone(map.entry(site.to_owned()).or_default())
     }
 
-    /// Get or create the duration accumulator named `site`.
-    pub fn duration(&self, site: &str) -> Arc<DurationStat> {
-        let mut map = self.durations.lock().expect("stats registry poisoned");
-        Arc::clone(map.entry(site.to_owned()).or_default())
-    }
-
     /// Get or create the latency histogram named `site`. Histograms are
     /// log-linear ([`LogHistogram`]): p50/p95/p99 in the report are within
     /// 6.25% of the true sample values at any magnitude.
     pub fn histogram(&self, site: &str) -> Arc<LogHistogram> {
         let mut map = self.histograms.lock().expect("stats registry poisoned");
         Arc::clone(map.entry(site.to_owned()).or_default())
+    }
+
+    /// Add `delta` to the counter at `site`.
+    pub fn add(&self, site: &str, delta: u64) {
+        self.counter(site).add(delta);
+    }
+
+    /// Set the gauge at `site` (the gauge tracks its own peak).
+    pub fn gauge_set(&self, site: &str, value: u64) {
+        self.gauge(site).set(value);
+    }
+
+    /// Record one sample into the histogram at `site`.
+    pub fn record_histogram(&self, site: &str, value: u64) {
+        self.histogram(site).record(value);
     }
 
     /// Snapshot every metric into a sorted report.
@@ -70,13 +80,6 @@ impl StatsRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), (v.get(), v.peak())))
             .collect();
-        let durations = self
-            .durations
-            .lock()
-            .expect("stats registry poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
         let histograms = self
             .histograms
             .lock()
@@ -84,7 +87,7 @@ impl StatsRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
-        StatsReport { counters, gauges, durations, histograms }
+        StatsReport { counters, gauges, histograms }
     }
 
     /// Reset every registered metric to its empty state (handles stay
@@ -98,9 +101,6 @@ impl StatsRegistry {
         }
         for g in self.gauges.lock().expect("stats registry poisoned").values() {
             g.reset();
-        }
-        for d in self.durations.lock().expect("stats registry poisoned").values() {
-            d.reset();
         }
         for h in self.histograms.lock().expect("stats registry poisoned").values() {
             h.reset();
@@ -117,7 +117,6 @@ impl StatsRegistry {
 pub struct StatsReport {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, (u64, u64))>, // (current, peak)
-    durations: Vec<(String, DurationSnapshot)>,
     histograms: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -130,11 +129,6 @@ impl StatsReport {
     /// `(current, peak)` of a gauge, if registered.
     pub fn gauge(&self, site: &str) -> Option<(u64, u64)> {
         self.gauges.iter().find(|(k, _)| k == site).map(|(_, v)| *v)
-    }
-
-    /// Snapshot of a duration accumulator, if registered.
-    pub fn duration(&self, site: &str) -> Option<DurationSnapshot> {
-        self.durations.iter().find(|(k, _)| k == site).map(|(_, v)| *v)
     }
 
     /// Snapshot of a latency histogram, if registered.
@@ -152,23 +146,14 @@ impl StatsReport {
         &self.gauges
     }
 
-    /// All duration accumulators, sorted by site.
-    pub fn durations(&self) -> &[(String, DurationSnapshot)] {
-        &self.durations
-    }
-
     /// All latency histograms, sorted by site.
     pub fn histograms(&self) -> &[(String, HistogramSnapshot)] {
         &self.histograms
     }
 
-    /// True when no metric was ever registered — the signature of a run under
-    /// the no-op recorder.
+    /// True when no metric was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.durations.is_empty()
-            && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -187,20 +172,6 @@ impl fmt::Display for StatsReport {
             writeln!(f, "gauges (current / peak):")?;
             for (site, (cur, peak)) in &self.gauges {
                 writeln!(f, "  {site:<40} {cur:>12} / {peak}")?;
-            }
-        }
-        if !self.durations.is_empty() {
-            writeln!(f, "timings (count, total, mean, min..max):")?;
-            for (site, s) in &self.durations {
-                writeln!(
-                    f,
-                    "  {site:<40} {:>6}x {:>10} {:>10} {}..{}",
-                    s.count,
-                    fmt_ns(s.total_ns),
-                    fmt_ns(s.mean_ns()),
-                    fmt_ns(s.min_ns),
-                    fmt_ns(s.max_ns),
-                )?;
             }
         }
         if !self.histograms.is_empty() {
@@ -237,18 +208,31 @@ mod tests {
     }
 
     #[test]
+    fn by_name_methods_update_the_handles() {
+        let r = StatsRegistry::new();
+        let c = r.counter("c");
+        r.add("c", 2);
+        r.gauge_set("g", 7);
+        r.record_histogram("h", 100);
+        assert_eq!(c.get(), 2);
+        let rep = r.report();
+        assert_eq!(rep.gauge("g"), Some((7, 7)));
+        assert_eq!(rep.histogram("h").unwrap().sum, 100);
+    }
+
+    #[test]
     fn report_is_sorted_and_queryable() {
         let r = StatsRegistry::new();
         r.counter("b.two").incr();
         r.counter("a.one").add(7);
         r.gauge("mem").set(100);
         r.gauge("mem").set(40);
-        r.duration("t").record_ns(500);
+        r.record_histogram("t", 500);
         let rep = r.report();
         let names: Vec<&str> = rep.counters().iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(names, vec!["a.one", "b.two"]);
         assert_eq!(rep.gauge("mem"), Some((40, 100)));
-        assert_eq!(rep.duration("t").unwrap().count, 1);
+        assert_eq!(rep.histogram("t").unwrap().count, 1);
         assert_eq!(rep.counter("missing"), None);
         let text = rep.to_string();
         assert!(text.contains("a.one") && text.contains("40 / 100"));
@@ -263,15 +247,15 @@ mod tests {
 
     #[test]
     fn reset_zeroes_but_keeps_handles_live() {
+        // `reset` clears the process-global trace state too.
+        let _g = crate::trace::tests::lock();
         let r = StatsRegistry::new();
         let c = r.counter("n");
         c.add(9);
-        r.duration("d").record_ns(10);
         let h = r.histogram("lat");
         h.record(1_000);
         r.reset();
         assert_eq!(r.report().counter("n"), Some(0));
-        assert_eq!(r.report().duration("d").unwrap().count, 0);
         // Histograms reset too — back-to-back runs must not bleed samples.
         assert_eq!(r.report().histogram("lat").unwrap().count, 0);
         c.incr();

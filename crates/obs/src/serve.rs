@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use dm_obs::{Recorder, StatsRegistry};
+//! use dm_obs::StatsRegistry;
 //! use dm_obs::serve::MetricsServer;
 //!
 //! let reg = Arc::new(StatsRegistry::new());
@@ -258,7 +258,6 @@ fn read_request_path(stream: &mut TcpStream) -> std::io::Result<Option<String>> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
 
     fn fetch(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();

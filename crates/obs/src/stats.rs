@@ -1,5 +1,6 @@
-//! The metric primitives: atomic counters, high-water-mark gauges, and
-//! histogram-free duration accumulators with RAII timers.
+//! The metric primitives: atomic counters and high-water-mark gauges, plus
+//! the nanosecond helpers timing sites share. Timings themselves are
+//! [`LogHistogram`](crate::LogHistogram)s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -75,125 +76,6 @@ impl Gauge {
     }
 }
 
-/// A histogram-free duration accumulator: count, total, min, and max in four
-/// atomics. Mean is derived at snapshot time. Deliberately no buckets — the
-/// overhead budget for always-on instrumentation is a handful of relaxed
-/// atomic ops per event.
-#[derive(Debug)]
-pub struct DurationStat {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Default for DurationStat {
-    fn default() -> Self {
-        DurationStat {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl DurationStat {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one event of `nanos` nanoseconds.
-    pub fn record_ns(&self, nanos: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(nanos, Ordering::Relaxed);
-        self.min_ns.fetch_min(nanos, Ordering::Relaxed);
-        self.max_ns.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Consistent-enough point-in-time copy of the accumulator. (Each field
-    /// is read independently; concurrent writers can skew mean vs. min/max
-    /// by a partial event, which is acceptable for statistics.)
-    pub fn snapshot(&self) -> DurationSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        let total_ns = self.total_ns.load(Ordering::Relaxed);
-        let min = self.min_ns.load(Ordering::Relaxed);
-        DurationSnapshot {
-            count,
-            total_ns,
-            min_ns: if count == 0 { 0 } else { min },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset to empty.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of a [`DurationStat`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurationSnapshot {
-    /// Events recorded.
-    pub count: u64,
-    /// Sum of all event durations, nanoseconds.
-    pub total_ns: u64,
-    /// Shortest event (0 when empty).
-    pub min_ns: u64,
-    /// Longest event.
-    pub max_ns: u64,
-}
-
-impl DurationSnapshot {
-    /// Mean event duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// RAII timer: measures from construction and records into a
-/// [`DurationStat`] on drop (or explicitly via [`Timer::stop`]).
-#[derive(Debug)]
-pub struct Timer<'a> {
-    target: Option<&'a DurationStat>,
-    start: Instant,
-}
-
-impl<'a> Timer<'a> {
-    /// Start timing into `stat`.
-    pub fn start(stat: &'a DurationStat) -> Self {
-        Timer { target: Some(stat), start: Instant::now() }
-    }
-
-    /// A timer that records nowhere — lets call sites keep one code path
-    /// whether or not profiling is on.
-    pub fn disabled() -> Timer<'static> {
-        Timer { target: None, start: Instant::now() }
-    }
-
-    /// Stop now, record, and return the elapsed nanoseconds.
-    pub fn stop(mut self) -> u64 {
-        let elapsed = elapsed_ns(self.start);
-        if let Some(t) = self.target.take() {
-            t.record_ns(elapsed);
-        }
-        elapsed
-    }
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        if let Some(t) = self.target.take() {
-            t.record_ns(elapsed_ns(self.start));
-        }
-    }
-}
-
 /// Nanoseconds since `start`, saturating at `u64::MAX` (584 years).
 pub fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -236,35 +118,6 @@ mod tests {
         assert_eq!(g.peak(), 10);
         g.reset();
         assert_eq!((g.get(), g.peak()), (0, 0));
-    }
-
-    #[test]
-    fn duration_stat_min_max_mean() {
-        let d = DurationStat::new();
-        assert_eq!(d.snapshot(), DurationSnapshot::default());
-        d.record_ns(10);
-        d.record_ns(30);
-        let s = d.snapshot();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.total_ns, 40);
-        assert_eq!(s.min_ns, 10);
-        assert_eq!(s.max_ns, 30);
-        assert_eq!(s.mean_ns(), 20);
-    }
-
-    #[test]
-    fn timer_records_on_drop_and_stop() {
-        let d = DurationStat::new();
-        {
-            let _t = Timer::start(&d);
-        }
-        let t = Timer::start(&d);
-        let ns = t.stop();
-        let s = d.snapshot();
-        assert_eq!(s.count, 2);
-        assert!(s.total_ns >= ns);
-        // Disabled timers never record.
-        let _ = Timer::disabled();
     }
 
     #[test]

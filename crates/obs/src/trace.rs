@@ -300,19 +300,15 @@ pub fn dropped_events() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// Publish the drop counter into a recorder as `obs.trace.dropped`. Safe to
-/// call repeatedly (e.g. once per served request): only the events dropped
-/// since the previous publish are added, so the recorder-side counter tracks
-/// the cumulative total instead of double-counting.
-pub fn record_dropped(rec: &dyn crate::Recorder) {
-    static PUBLISHED: AtomicU64 = AtomicU64::new(0);
-    if !rec.is_enabled() {
-        return;
-    }
+/// Publish the process's drop total into `reg` as the gauge
+/// `obs.trace.dropped`. Idempotent: every call sets the same process-wide
+/// total, so any number of registries (one per server) each read the full
+/// count, however often they publish. Until the first drop the gauge is not
+/// created, so a per-request publish costs no registry lookup.
+pub fn record_dropped(reg: &crate::StatsRegistry) {
     let total = dropped_events();
-    let prev = PUBLISHED.swap(total, Ordering::Relaxed);
-    if total > prev {
-        rec.add("obs.trace.dropped", total - prev);
+    if total > 0 {
+        reg.gauge_set("obs.trace.dropped", total);
     }
 }
 
@@ -590,14 +586,12 @@ pub fn worker_busy_snapshot() -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Publish the per-worker busy-time counters into a recorder under
-/// `par.worker.<i>.busy_ns` sites.
-pub fn record_worker_busy(rec: &dyn crate::Recorder) {
-    if !rec.is_enabled() {
-        return;
-    }
+/// Publish each worker's cumulative busy time into `reg` as the gauge
+/// `par.worker.<i>.busy_ns`. Idempotent like [`record_dropped`]: a second
+/// call sets the same totals again.
+pub fn record_worker_busy(reg: &crate::StatsRegistry) {
     for (i, ns) in worker_busy_snapshot() {
-        rec.add(&format!("par.worker.{i}.busy_ns"), ns);
+        reg.gauge_set(&format!("par.worker.{i}.busy_ns"), ns);
     }
 }
 
@@ -764,7 +758,7 @@ pub fn write_env_trace() -> Option<std::io::Result<String>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::MutexGuard;
 
@@ -898,9 +892,6 @@ mod tests {
         worker_busy_add(3, 7);
         let snap = worker_busy_snapshot();
         assert_eq!(snap, vec![(0, 150), (3, 7)]);
-        let reg = crate::StatsRegistry::new();
-        record_worker_busy(&reg);
-        assert_eq!(reg.report().counter("par.worker.0.busy_ns"), Some(150));
         clear();
         assert!(worker_busy_snapshot().is_empty());
     }
@@ -926,6 +917,35 @@ mod tests {
         assert_eq!(evs.last().unwrap().arg("i").as_deref(), Some("9"));
         assert_eq!(dropped_events() - before, 6);
         set_max_events(DEFAULT_MAX_EVENTS);
+    }
+
+    #[test]
+    fn publishers_set_process_totals_in_every_registry() {
+        let _g = lock();
+        set_enabled(true);
+        clear();
+        set_max_events(SHARDS);
+        for _ in 0..5 {
+            let _s = Span::enter("spin", "test");
+        }
+        set_enabled(false);
+        set_max_events(DEFAULT_MAX_EVENTS);
+        clear();
+        worker_busy_add(1, 40);
+        // Two registries in one process (two servers) each read the full
+        // totals, and publishing again does not change them.
+        let (a, b) = (crate::StatsRegistry::new(), crate::StatsRegistry::new());
+        for reg in [&a, &b, &a] {
+            record_dropped(reg);
+            record_worker_busy(reg);
+        }
+        let total = dropped_events();
+        assert!(total >= 4, "a one-slot ring drops at least 4 of 5 spans");
+        for rep in [a.report(), b.report()] {
+            assert_eq!(rep.gauge("obs.trace.dropped").map(|(cur, _)| cur), Some(total));
+            assert_eq!(rep.gauge("par.worker.1.busy_ns").map(|(cur, _)| cur), Some(40));
+        }
+        clear();
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Integration tests for the stats layer: atomicity of concurrent updates
-//! and the zero-footprint guarantee of the no-op recorder.
+//! Integration tests for the stats layer: atomicity of concurrent updates.
 
-use dm_obs::{NoopRecorder, Recorder, StatsRegistry};
+use dm_obs::StatsRegistry;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -52,34 +51,4 @@ proptest! {
         let (_, peak) = reg.report().gauge("t.peak").unwrap();
         prop_assert_eq!(peak, values.iter().copied().max().unwrap());
     }
-}
-
-#[test]
-fn noop_recorder_leaves_registry_reports_empty() {
-    // Instrumenting through the no-op recorder must not create any sites:
-    // a registry in the same process stays completely empty.
-    let reg = StatsRegistry::new();
-    let rec = NoopRecorder;
-    assert!(!rec.is_enabled());
-    rec.add("x.counter", 5);
-    rec.gauge_set("x.gauge", 7);
-    rec.record_duration_ns("x.wall", 1_000);
-    let report = reg.report();
-    assert_eq!(report.counter("x.counter"), None);
-    assert_eq!(report.gauge("x.gauge"), None);
-    assert!(report.duration("x.wall").is_none());
-    assert_eq!(report.to_string(), StatsRegistry::new().report().to_string());
-}
-
-#[test]
-fn registry_backed_recorder_round_trips_through_arc() {
-    // The blanket Arc<R: Recorder> impl lets components own a boxed recorder
-    // while the caller keeps the registry for reading.
-    let reg = Arc::new(StatsRegistry::new());
-    let boxed: Box<dyn Recorder> = Box::new(Arc::clone(&reg));
-    assert!(boxed.is_enabled());
-    boxed.add("arc.counter", 2);
-    boxed.record_duration_ns("arc.wall", 500);
-    assert_eq!(reg.report().counter("arc.counter"), Some(2));
-    assert_eq!(reg.report().duration("arc.wall").unwrap().count, 1);
 }

@@ -50,7 +50,7 @@ use dm_matrix::{Dense, Matrix};
 use dm_obs::flightrec::{FlightRecorder, Phase, RequestRecord};
 use dm_obs::profile::ProfileStore;
 use dm_obs::trace;
-use dm_obs::{Recorder, StatsRegistry};
+use dm_obs::StatsRegistry;
 use dm_par::WorkerPool;
 use std::collections::BTreeSet;
 use std::io::{self, Read};

@@ -1,7 +1,8 @@
 //! The observability layer end to end: optimize and execute a GLM gradient
 //! with profiling on, print the annotated `explain` tree and the `-stats`
-//! style runtime report, then drive the buffer pool and the compression
-//! planner with the same stats registry attached and dump everything it saw.
+//! style runtime report, then drive the buffer pool (which counts its own
+//! events in `PoolStats`) and the compression planner, and dump everything
+//! the stats registry saw.
 //!
 //! Run with: `cargo run --release --example profile_run`
 //!
@@ -90,8 +91,7 @@ fn main() {
     }
 
     // ---- 2. Buffer pool under a skewed block trace ----
-    let mut pool = dmml::buffer::BufferPool::new(64 * 1024, PolicyKind::Lru, MemStore::default())
-        .with_recorder(Box::new(Arc::clone(&reg)));
+    let mut pool = dmml::buffer::BufferPool::new(64 * 1024, PolicyKind::Lru, MemStore::default());
     let num_blocks = 32;
     for b in 0..num_blocks {
         pool.put(PageKey::new(0, b as u32, 0), Dense::identity(16)).expect("fits or evicts");
@@ -102,10 +102,12 @@ fn main() {
     let ps = pool.stats();
     println!("\n=== buffer pool ({} policy) ===", pool.policy_kind());
     println!(
-        "hits {}  misses {}  evictions {}  hit rate {:.1}%  peak bytes {}",
+        "hits {}  misses {}  evictions {}  absent {}  pins {}  hit rate {:.1}%  peak bytes {}",
         ps.hits,
         ps.misses,
         ps.evictions,
+        ps.absent,
+        ps.pins,
         100.0 * ps.hit_rate(),
         ps.peak_used,
     );

@@ -11,8 +11,11 @@ Two modes, both stdlib-only (CI has no network beyond localhost):
 
 Validation: `/metrics` must return HTTP 200 with a Prometheus text
 exposition (`# TYPE` comments and `name[{labels}] value` samples, every
-value a parseable float, every name matching `[a-zA-Z_:][a-zA-Z0-9_:]*`);
-`/stats.json` must return HTTP 200 with a JSON object. Exit 0 on success.
+value a parseable float, every name matching `[a-zA-Z_:][a-zA-Z0-9_:]*`)
+whose families are all counter, gauge or summary, each declared once,
+with every summary carrying its p50/p95/p99 quantiles, `_sum` and
+`_count`; `/stats.json` must return HTTP 200 with a JSON object. Exit 0
+on success.
 
 With `--debug` the flight-recorder endpoints are validated too:
 `/debug/requests` and `/debug/slow` must be HTTP 200 `application/json`
@@ -111,9 +114,21 @@ def check_debug(addr: str) -> None:
           f"/debug/trace ({traced} events)")
 
 
+KINDS = ("counter", "gauge", "summary")
+QUANTILES = {"0.5", "0.95", "0.99"}
+QUANTILE_RE = re.compile(r'quantile="([^"]*)"')
+
+
 def check_prometheus(body: str) -> int:
-    """Validate exposition-format conformance; return the sample count."""
+    """Validate exposition-format conformance; return the sample count.
+
+    Beyond the line syntax: every `# TYPE` is counter, gauge or summary,
+    no family is declared twice, and every summary carries its three
+    quantile lines (0.5, 0.95, 0.99) plus `_sum` and `_count`.
+    """
     samples = 0
+    kinds = {}
+    parts_seen = {}  # summary family -> set of quantiles / "sum" / "count"
     for line in body.splitlines():
         if not line.strip():
             continue
@@ -122,6 +137,14 @@ def check_prometheus(body: str) -> int:
             if parts[:2] == ["#", "TYPE"]:
                 if len(parts) != 4 or not NAME_RE.match(parts[2]):
                     raise SystemExit(f"malformed TYPE comment: {line!r}")
+                name, kind = parts[2], parts[3]
+                if kind not in KINDS:
+                    raise SystemExit(f"TYPE {kind!r} is not one of {KINDS}: {line!r}")
+                if name in kinds:
+                    raise SystemExit(f"family {name} declared twice")
+                kinds[name] = kind
+                if kind == "summary":
+                    parts_seen[name] = set()
             continue
         m = SAMPLE_RE.match(line)
         if not m:
@@ -131,6 +154,20 @@ def check_prometheus(body: str) -> int:
         except ValueError:
             raise SystemExit(f"unparseable sample value: {line!r}")
         samples += 1
+        name = m.group(1)
+        if kinds.get(name) == "summary":
+            q = QUANTILE_RE.search(m.group(2) or "")
+            if q:
+                parts_seen[name].add(q.group(1))
+        elif name not in kinds:
+            for suffix in ("sum", "count"):
+                base = name[: -len(suffix) - 1]
+                if name.endswith("_" + suffix) and base in parts_seen:
+                    parts_seen[base].add(suffix)
+    for name, seen in parts_seen.items():
+        missing = sorted((QUANTILES | {"sum", "count"}) - seen)
+        if missing:
+            raise SystemExit(f"summary {name} lacks {missing}")
     return samples
 
 

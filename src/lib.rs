@@ -62,7 +62,7 @@ pub mod prelude {
     pub use dm_ml::linreg::{LinearRegression, Solver};
     pub use dm_ml::logreg::{LogRegConfig, LogisticRegression};
     pub use dm_modelsel::{ModelRegistry, ParamSpace, Params};
-    pub use dm_obs::{LogHistogram, StatsRegistry, Timer};
+    pub use dm_obs::{LogHistogram, StatsRegistry};
     pub use dm_pipeline::transform::{Pipeline, StandardScaler, Transformer};
     pub use dm_rel::{Table, Value};
 }

@@ -376,3 +376,86 @@ fn shutdown_with_an_idle_client_connected_returns_promptly() {
     let took = t.elapsed();
     assert!(took < Duration::from_secs(1), "shutdown took {took:?} with idle clients connected");
 }
+
+/// The runbook's alerting table, read from the operator's manual itself.
+const OPERATIONS: &str = include_str!("../docs/OPERATIONS.md");
+
+/// `(metric name, type)` for every literal name in the Metric column of
+/// OPERATIONS.md's "Serving metrics worth alerting on" table. `<phase>`
+/// expands over the request phases and `<id>` to `tenant`; wildcard rows
+/// (`…_*`) are skipped.
+fn runbook_metrics(tenant: &str) -> Vec<(String, String)> {
+    let table = OPERATIONS
+        .split("Serving metrics worth alerting on:")
+        .nth(1)
+        .expect("OPERATIONS.md has the serving metrics table");
+    let mut out = Vec::new();
+    for row in table.lines().skip_while(|l| !l.starts_with('|')).take_while(|l| l.starts_with('|'))
+    {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let (metric, kind) = (cells[1], cells[2]);
+        for name in metric.split('`').skip(1).step_by(2) {
+            if !name.starts_with("dmml_") || name.contains('*') {
+                continue;
+            }
+            let names: Vec<String> = if name.contains("<phase>") {
+                dmml::obs::Phase::ALL.iter().map(|p| name.replace("<phase>", p.name())).collect()
+            } else {
+                vec![name.replace("<id>", tenant)]
+            };
+            out.extend(names.into_iter().map(|n| (n, kind.to_owned())));
+        }
+    }
+    out
+}
+
+/// The live exposition of a scoring session holds only counter, gauge and
+/// summary families; the executor's timings are summaries; and every
+/// runbook metric that scoring produces is exported under the type the
+/// runbook gives it.
+#[test]
+fn live_exposition_matches_the_runbook() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let mut c = ScoringClient::connect(server.addr()).unwrap();
+    for seed in 0..3 {
+        assert!(matches!(c.request(&score_req("acme", seed)).unwrap(), Response::Score { .. }));
+    }
+    // One rejected request, so the error counter exists too.
+    let bad = c.request(&score_req("no spaces allowed", 0)).unwrap();
+    assert!(matches!(bad, Response::Error { .. }), "{bad:?}");
+    let text = dmml::obs::export::prometheus_text(&server.registry().report());
+    server.shutdown();
+
+    let types: std::collections::HashMap<&str, &str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| l.split_once(' ').expect("TYPE line has a kind"))
+        .collect();
+    for (name, kind) in &types {
+        assert!(matches!(*kind, "counter" | "gauge" | "summary"), "{name} is a {kind}:\n{text}");
+    }
+    assert_eq!(types.get("dmml_lang_exec_eval_wall"), Some(&"summary"), "{text}");
+    assert!(
+        types.iter().any(|(n, k)| n.starts_with("dmml_lang_exec_kernel_") && *k == "summary"),
+        "no kernel-family summary in:\n{text}"
+    );
+
+    // Rows whose events plain scoring does not produce.
+    let event_only = [
+        "admission_queued",
+        "batch_",
+        "drift",
+        "accept_errors",
+        "tenant_overflow",
+        "trace_dropped",
+    ];
+    let runbook = runbook_metrics("acme");
+    assert!(runbook.len() >= 15, "table parse found only {runbook:?}");
+    for (name, kind) in runbook {
+        if event_only.iter().any(|e| name.contains(e)) {
+            continue;
+        }
+        assert_eq!(types.get(name.as_str()), Some(&kind.as_str()), "runbook {name}:\n{text}");
+    }
+}
