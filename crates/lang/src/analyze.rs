@@ -17,7 +17,6 @@
 //! | `W103` | warning | certified peak live set exceeds the memory budget even after blocking (see [`analyze_with_memory`]) |
 //! | `H201` | hint | dead node: unreachable from the root |
 //! | `H202` | hint | missed fusion: a pattern the rewriter would fuse (`crossprod`, `tmv`, `sumSq`, double transpose) |
-//! | `H203` | hint | the budget forces spilling, but a peak-minimizing schedule fits in memory |
 //! | `H204` | hint | stale cost model: the calibrated price disagrees with the static estimate by more than 4x (see [`analyze_with_cost`]) |
 //!
 //! Findings with the same code on the same node are merged into one
@@ -44,7 +43,6 @@
 //! optimizer bugs into loud panics in every test that exercises a rewrite.
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
-use crate::parser::{self, ParseError};
 use crate::rewrite::{collect_chain_leaves, optimal_chain_cost, original_chain_cost};
 use crate::size::{infer_node, propagate, InputSizes, Shape, SizeError, SizeInfo};
 use std::collections::HashMap;
@@ -90,9 +88,6 @@ pub mod codes {
     pub const DEAD_NODE: &str = "H201";
     /// Pattern the rewriter would fuse.
     pub const MISSED_FUSION: &str = "H202";
-    /// The budget forces spilling, but a peak-minimizing schedule fits the
-    /// whole computation in memory.
-    pub const REORDER_AVOIDS_SPILL: &str = "H203";
     /// The calibrated cost model disagrees with the static flop estimate by
     /// more than [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) for a kernel —
     /// the static model is stale for this machine.
@@ -365,16 +360,6 @@ pub fn analyze(graph: &Graph, root: NodeId, inputs: &InputSizes) -> AnalysisRepo
     report
 }
 
-/// Parse an R-like program and lint it in one step.
-pub fn analyze_program(
-    src: &str,
-    inputs: &InputSizes,
-) -> Result<(AnalysisReport, Graph, NodeId), ParseError> {
-    let (graph, root) = parser::parse(src)?;
-    let report = analyze(&graph, root, inputs);
-    Ok((report, graph, root))
-}
-
 /// [`analyze`], then plan under `budget`, certify the plan with the liveness
 /// analysis ([`crate::liveness`]), and extend the report with the
 /// admission-control findings:
@@ -384,11 +369,6 @@ pub fn analyze_program(
 ///   one finding per offending step, anchored at the step's largest live
 ///   value (merged by the dedup pass into a single counted diagnostic per
 ///   node) — the exact step and node are in the message.
-/// * `H203` ([`codes::REORDER_AVOIDS_SPILL`]) — the plan had to spill
-///   (blocked nodes), but planning with
-///   [`reorder`](crate::physical::PlanOptions::reorder) — the
-///   peak-minimizing schedule — certifiably fits the budget entirely in
-///   memory.
 ///
 /// An unbounded budget, or a program whose sizes do not fully propagate
 /// (those errors are already reported), returns the plain [`analyze`]
@@ -401,7 +381,7 @@ pub fn analyze_with_memory(
     budget: crate::memory::MemoryBudget,
 ) -> AnalysisReport {
     use crate::liveness::certify_plan;
-    use crate::physical::{plan, Kernel, PlanOptions};
+    use crate::physical::{plan, PlanOptions};
 
     let mut report = analyze(graph, root, inputs);
     let Some(limit) = budget.get() else {
@@ -412,9 +392,7 @@ pub fn analyze_with_memory(
         return report;
     }
     let opts = PlanOptions { degree, budget, ..PlanOptions::new(&report.sizes) };
-    let planned =
-        |opts: &PlanOptions| plan(graph, root, opts).expect("a propagated size map always plans");
-    let phys = planned(&opts);
+    let phys = plan(graph, root, &opts).expect("a propagated size map always plans");
     let cert = certify_plan(graph, root, &phys, &report.sizes, budget);
     if !cert.fits() {
         for su in &cert.timeline {
@@ -443,26 +421,6 @@ pub fn analyze_with_memory(
                     crate::memory::MEM_BUDGET_ENV,
                 ),
             });
-        }
-    } else {
-        let spilled = phys.nodes_with(Kernel::Blocked).len();
-        if spilled > 0 {
-            let re_plan = planned(&PlanOptions { reorder: true, ..opts });
-            let re = certify_plan(graph, root, &re_plan, &report.sizes, budget);
-            if re_plan.nodes_with(Kernel::Blocked).is_empty() && re.fits() {
-                report.diagnostics.push(Diagnostic {
-                    severity: Severity::Hint,
-                    node: root,
-                    code: codes::REORDER_AVOIDS_SPILL,
-                    count: 1,
-                    message: format!(
-                        "the plan spills {spilled} node(s) under the {limit} B budget, but a \
-                         peak-minimizing schedule fits in memory (certified peak {} B); plan with \
-                         `reorder: true` in PlanOptions and the executor runs that order",
-                        re.peak_bytes,
-                    ),
-                });
-            }
         }
     }
     dedupe_diagnostics(&mut report.diagnostics);
@@ -1054,13 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_program_integrates_with_parser() {
-        let (report, graph, _root) = analyze_program("sum(X %*% X)", &inputs()).expect("parses");
-        assert_eq!(report.error_count(), 1, "{}", report.render(&graph));
-        assert_eq!(report.diagnostics[0].code, codes::SHAPE_MISMATCH);
-    }
-
-    #[test]
     fn report_renders_with_provenance() {
         let mut g = Graph::new();
         let c = g.constant(-1.0);
@@ -1151,36 +1102,6 @@ mod tests {
         assert!(at_x.to_string().contains("(x2)"), "{at_x}");
         assert!(at_x.message.contains("step 0"), "{}", at_x.message);
         assert!(w.iter().any(|d| d.node == u && d.count == 1), "{}", r.render(&g));
-        // Hints never fire alongside an over-budget verdict.
-        assert!(r.diagnostics.iter().all(|d| d.code != codes::REORDER_AVOIDS_SPILL));
-    }
-
-    #[test]
-    fn reorder_hint_fires_when_a_schedule_avoids_the_spill() {
-        // root = X + (A %*% B) under 5 MB: the DFS plan must block the
-        // matmul, but evaluating the matmul subtree first fits in memory.
-        let mut i = InputSizes::new();
-        i.declare("X", 256, 256, 1.0);
-        i.declare("A", 256, 1024, 1.0);
-        i.declare("B", 1024, 256, 1.0);
-        let mut g = Graph::new();
-        let x = g.input("X");
-        let a = g.input("A");
-        let b = g.input("B");
-        let r_mm = g.matmul(a, b);
-        let root = g.ewise(EwiseOp::Add, x, r_mm);
-        let r = analyze_with_memory(&g, root, &i, 1, crate::memory::MemoryBudget::bytes(5_000_000));
-        let hints: Vec<_> =
-            r.diagnostics.iter().filter(|d| d.code == codes::REORDER_AVOIDS_SPILL).collect();
-        assert_eq!(hints.len(), 1, "{}", r.render(&g));
-        assert_eq!(hints[0].node, root);
-        assert!(hints[0].message.contains("peak-minimizing"), "{}", hints[0].message);
-        assert!(
-            hints[0].message.contains("`reorder: true` in PlanOptions"),
-            "{}",
-            hints[0].message
-        );
-        assert!(r.diagnostics.iter().all(|d| d.code != codes::PLAN_EXCEEDS_BUDGET));
     }
 
     #[test]
@@ -1195,8 +1116,7 @@ mod tests {
 
     #[test]
     fn fitting_plans_get_no_memory_findings() {
-        // The planner's blocked plan fits: no W103; a spill is required in
-        // *every* order (the operand simply doesn't fit), so no H203 either.
+        // The planner's blocked plan fits: no W103.
         let mut i = InputSizes::new();
         i.declare("X", 100_000, 200, 1.0); // 160 MB
         let mut g = Graph::new();
@@ -1208,16 +1128,11 @@ mod tests {
             "{}",
             r.render(&g)
         );
-        assert!(
-            r.diagnostics.iter().all(|d| d.code != codes::REORDER_AVOIDS_SPILL),
-            "{}",
-            r.render(&g)
-        );
     }
 
     #[test]
     fn stale_cost_model_hint_fires_on_drift() {
-        // crossprod on 1000x20 = 8e5 flops. A model that measured the fused
+        // crossprod on 1000x20 = 4e5 flops. A model that measured the fused
         // kernel at 8 GFLOP/s disagrees with the 1 GFLOP/s static assumption
         // by 8x > DRIFT_FACTOR: H204 fires on the crossprod node only.
         let mut i = InputSizes::new();
@@ -1228,7 +1143,7 @@ mod tests {
         let root = g.agg(AggOp::Sum, cp);
         let mut store = dm_obs::ProfileStore::new();
         for _ in 0..5 {
-            store.record("crossprod", "fused", 800_000, 100_000); // 8 GFLOP/s
+            store.record("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
         }
         let model = crate::cost::CostModel::new(store);
         let r = analyze_with_cost(&g, root, &i, 1, &model);
@@ -1242,7 +1157,7 @@ mod tests {
         // Within DRIFT_FACTOR (2 GFLOP/s): silent.
         let mut store = dm_obs::ProfileStore::new();
         for _ in 0..5 {
-            store.record("crossprod", "fused", 800_000, 400_000); // 2 GFLOP/s
+            store.record("crossprod", "fused", 400_000, 200_000); // 2 GFLOP/s
         }
         let r = analyze_with_cost(&g, root, &i, 1, &crate::cost::CostModel::new(store));
         assert!(r.diagnostics.iter().all(|d| d.code != codes::COST_MODEL_STALE));

@@ -277,8 +277,9 @@ mod tests {
         let (g, root, sizes) = glm();
         let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let infos = propagate(&g, root, &sizes).unwrap();
-        // crossprod on 1000x20: 2 * 20000 * 20 = 800_000 flops, fused family.
-        let cp_flops = 800_000u64;
+        // crossprod on 1000x20: the upper triangle, 20000 * 20 = 400_000
+        // flops, fused family.
+        let cp_flops = 400_000u64;
         // Measured 4 GFLOP/s, 4x faster than the static assumption.
         let model = CostModel::new(store_with("crossprod", "fused", cp_flops, 4.0, 5));
         let costs = node_costs(&g, root, &infos, &plan, &model);
@@ -300,10 +301,77 @@ mod tests {
     fn below_min_samples_falls_back_to_static() {
         let (g, root, sizes) = glm();
         let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
-        let model = CostModel::new(store_with("crossprod", "fused", 800_000, 4.0, 2));
+        let model = CostModel::new(store_with("crossprod", "fused", 400_000, 4.0, 2));
         let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
         assert_eq!(cal, static_ns(est), "2 samples < MIN_SAMPLES -> static");
+    }
+
+    #[test]
+    fn priced_flops_are_the_flops_each_step_counts() {
+        // One profiled eval over dense inputs reaching every dense kernel:
+        // each step's flops are its node's estimate plus the estimates of
+        // the nodes fused into it, so a profile sample and a price agree
+        // on the size class.
+        use crate::exec::{Env, Executor};
+        use crate::expr::{EwiseOp, UnaryOp};
+        use dm_matrix::{Dense, Matrix};
+        let mut g = Graph::new();
+        let (x, w, v, y) = (g.input("X"), g.input("W"), g.input("v"), g.input("y"));
+        let cp = g.push(Op::CrossProd(x));
+        let tmv = g.push(Op::Tmv(x, y));
+        let sum_sq = g.push(Op::SumSq(x));
+        let gemm = g.matmul(x, w);
+        let gemv = g.matmul(x, v);
+        let tr = g.transpose(x);
+        let streamed = g.matmul(x, w);
+        let mapped = g.unary(UnaryOp::Exp, streamed);
+        let fused = g.agg(AggOp::Sum, mapped);
+        let col_sums = g.agg(AggOp::ColSums, x);
+        let row_sums = g.agg(AggOp::RowSums, x);
+        // Every scalar joins a matrix by broadcast: a scalar ⊕ scalar step
+        // counts no flops.
+        let mut acc = g.ewise(EwiseOp::Mul, cp, cp);
+        let scalars = [
+            sum_sq,
+            fused,
+            g.agg(AggOp::Sum, tmv),
+            g.agg(AggOp::Max, gemm),
+            g.agg(AggOp::Min, gemv),
+            g.agg(AggOp::Sum, tr),
+            g.agg(AggOp::Max, col_sums),
+            g.agg(AggOp::Min, row_sums),
+        ];
+        for s in scalars {
+            acc = g.ewise(EwiseOp::Add, acc, s);
+        }
+        let mut sizes = InputSizes::new();
+        let mut env = Env::new();
+        for (name, rows, cols) in [("X", 40, 6), ("W", 6, 3), ("v", 6, 1), ("y", 40, 1)] {
+            sizes.declare(name, rows, cols, 1.0);
+            let m = Dense::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.1 - 0.5);
+            env.bind(name, Matrix::Dense(m));
+        }
+        let infos = propagate(&g, acc, &sizes).unwrap();
+        let plan = plan(&g, acc, &PlanOptions::new(&sizes)).unwrap();
+        assert_eq!(plan.fused_into(streamed), Some(fused));
+        let mut ex = Executor::with_plan(&g, plan.clone()).profiled();
+        ex.eval(acc, &env).unwrap();
+        let profile = ex.profile().unwrap();
+        for id in g.reachable(acc) {
+            let Some(step) = profile.node(id) else {
+                assert!(plan.fused_into(id).is_some(), "%{id} ran no step of its own");
+                continue;
+            };
+            let priced: u128 = g
+                .reachable(acc)
+                .into_iter()
+                .filter(|&n| n == id || plan.fused_into(n) == Some(id))
+                .map(|n| node_flops(&g, n, &infos))
+                .sum();
+            let op = crate::explain::op_label(&g, id);
+            assert_eq!(step.self_flops as u128, priced, "%{id} {op}");
+        }
     }
 
     #[test]
@@ -326,7 +394,7 @@ mod tests {
 
     #[test]
     fn staleness_trips_only_beyond_drift_factor() {
-        let flops = 800_000u64;
+        let flops = 400_000u64;
         // 2x off: not stale. 8x off: stale (both directions).
         let m2 = CostModel::new(store_with("crossprod", "fused", flops, 2.0, 5));
         assert!(!m2.is_stale("crossprod", "fused", flops as u128));

@@ -1,16 +1,16 @@
 //! The interpreter: executes an optimized DAG over bound inputs with
 //! physical-kernel dispatch, one schedule step at a time.
 //!
-//! [`Executor::eval`] is one loop over a schedule: the order a
-//! [`reorder`](crate::physical::PlanOptions::reorder) plan carries
-//! ([`PhysicalPlan::order`]) when the plan was built for the evaluated root,
-//! the depth-first post-order [`Graph::reachable`] otherwise. Each step reads
-//! its operands from a value table that lives for that one eval and stores
-//! its result there. A value is freed at its last use: the table counts each
-//! value's remaining reads from the consumer edges of the schedule, and the
-//! last reader takes the value out instead of sharing it. This is the
-//! machine [`liveness::certify_plan`](crate::liveness::certify_plan) models:
-//! a fixed order that frees each value after its last consumer.
+//! [`Executor::eval`] is one loop over a [`Schedule`]: the one the plan
+//! carries ([`PhysicalPlan::schedule`]) when it ends at the evaluated root,
+//! the depth-first one from that root otherwise. Each step reads its
+//! operands from a value table that lives for that one eval and stores its
+//! result there. A value is freed at its last use: the table starts from
+//! the schedule's read counts, and the last reader takes the value out
+//! instead of sharing it. This is the machine
+//! [`liveness::certify_plan`](crate::liveness::certify_plan) models over the
+//! same schedule: a fixed order that frees each value after its last
+//! consumer.
 //!
 //! Values are shared, never copied. A matrix [`Val`] holds an
 //! `Arc<Matrix>`, so binding an input, storing a result and serving a shared
@@ -40,6 +40,7 @@
 //! (`crates/lang/tests/fused_sum.rs`).
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
+use crate::liveness::Schedule;
 use crate::memory::MemoryBudget;
 use crate::physical::{Kernel, PhysicalPlan};
 use dm_buffer::policy::PolicyKind;
@@ -276,7 +277,7 @@ impl ExecProfile {
 /// DAG interpreter: walks a schedule, freeing each value at its last use.
 pub struct Executor<'g> {
     graph: &'g Graph,
-    // `with_degree` and `with_memory_budget` override its degree and budget.
+    // `with_memory_budget` overrides its budget.
     plan: PhysicalPlan,
     // Spill pool shared by every blocked kernel of this executor, created
     // lazily on the first out-of-core dispatch.
@@ -332,14 +333,6 @@ impl<'g> Executor<'g> {
             trace_to_env,
             profile_to_env,
         }
-    }
-
-    /// Override the degree of parallelism used for [`Kernel::Parallel`]
-    /// nodes (the parallel kernels are bit-identical to the serial ones at
-    /// every degree, so this only affects wall time).
-    pub fn with_degree(mut self, degree: usize) -> Self {
-        self.plan.degree = degree.max(1);
-        self
     }
 
     /// The degree of parallelism in effect for parallel-planned nodes.
@@ -621,16 +614,12 @@ impl<'g> Executor<'g> {
 
     /// Evaluate `root`: one step per node of the schedule, each reading its
     /// operands from a value table that frees every value at its last read.
-    /// The schedule is the plan's [`order`](PhysicalPlan::order) when the
-    /// plan carries one for `root`, the depth-first post-order
-    /// [`Graph::reachable`] otherwise.
+    /// The schedule is the plan's [`schedule`](PhysicalPlan::schedule) when
+    /// it ends at `root`, the depth-first one from `root` otherwise.
     pub fn eval(&mut self, root: NodeId, env: &Env) -> Result<Val, ExecError> {
-        let order = match self.plan.order() {
-            Some(order) if order.last() == Some(&root) => order.to_vec(),
-            _ => self.graph.reachable(root),
-        };
-        let mut table = ValueTable::new(self.graph, &order, &self.plan);
-        for &id in &order {
+        let sched = self.plan.schedule_for(self.graph, root);
+        let mut table = ValueTable::new(&sched);
+        for &id in sched.order() {
             if !table.fused[id] {
                 let val = self.step(id, env, &mut table)?;
                 table.vals[id] = Some(val);
@@ -1112,16 +1101,10 @@ struct ValueTable {
 }
 
 impl ValueTable {
-    /// An empty table for `order`. A `sum` is scheduled when it is the root
-    /// or has a reader.
-    fn new(graph: &Graph, order: &[NodeId], plan: &PhysicalPlan) -> Self {
-        let reads = graph.reads(order);
-        let root = *order.last().expect("a schedule ends at its root");
-        let covered = plan.covers(root);
-        let fused = (0..graph.len())
-            .map(|n| covered && plan.fused_into(n).is_some_and(|s| s == root || reads[s] > 0))
-            .collect();
-        ValueTable { vals: vec![None; graph.len()], reads, fused }
+    /// An empty table for `sched`, with its read counts and fused marks.
+    fn new(sched: &Schedule) -> Self {
+        let reads = sched.read_counts().to_vec();
+        ValueTable { vals: vec![None; reads.len()], reads, fused: sched.fused().to_vec() }
     }
 }
 
@@ -1505,19 +1488,6 @@ mod tests {
         assert_eq!(rep.counter("lang.exec.par_nodes"), Some(1));
         assert_eq!(rep.gauge("lang.exec.par_degree").map(|(cur, _)| cur), Some(2));
         assert!(rep.histogram("lang.exec.kernel.parallel").is_some());
-    }
-
-    #[test]
-    fn with_degree_overrides_plan_degree() {
-        let g = {
-            let mut g = Graph::new();
-            g.input("X");
-            g
-        };
-        let ex = Executor::new(&g).with_degree(6);
-        assert_eq!(ex.degree(), 6);
-        let ex = Executor::new(&g).with_degree(0);
-        assert_eq!(ex.degree(), 1);
     }
 
     #[test]

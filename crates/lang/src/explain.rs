@@ -131,7 +131,7 @@ fn render_tree(
 /// * a bounded `budget` appends the plan's
 ///   [`PlanCertificate`](crate::liveness::PlanCertificate) — the
 ///   fits/exceeds verdict plus the step-by-step live-set timeline, over the
-///   plan's own order when it was reordered;
+///   order the planner picked;
 /// * a `cost` model appends a per-node cost table: estimated flops, the
 ///   static nanosecond price, the calibrated price where the model holds
 ///   enough samples (`-` otherwise), and the priced kernel family. Nodes
@@ -487,7 +487,7 @@ mod tests {
         // flagged.
         let mut store = dm_obs::ProfileStore::new();
         for _ in 0..5 {
-            store.record("crossprod", "fused", 800_000, 100_000); // 8 GFLOP/s
+            store.record("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
         }
         let model = crate::cost::CostModel::new(store);
         let txt = explain(

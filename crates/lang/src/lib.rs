@@ -40,8 +40,8 @@ pub mod rewrite;
 pub mod size;
 
 pub use analyze::{
-    analyze, analyze_program, analyze_with_cost, analyze_with_memory, verify_rewrite,
-    AnalysisReport, Diagnostic, RewriteCheckError, Severity,
+    analyze, analyze_with_cost, analyze_with_memory, verify_rewrite, AnalysisReport, Diagnostic,
+    RewriteCheckError, Severity,
 };
 pub use cache::{
     compile, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,

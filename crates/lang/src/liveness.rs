@@ -5,10 +5,11 @@
 //! a byte is allocated. This module is that discipline for the dm-lang
 //! executor. Given a graph, a physical plan, and propagated sizes, it
 //! derives the execution [`Schedule`] (topological order plus per-value
-//! last-use steps, accounting for shared reads), runs an abstract memory
-//! interpretation over it, and produces a [`PlanCertificate`]: either a
-//! proof that the plan's peak live set fits the [`MemoryBudget`], or the
-//! exact step and node where it first exceeds it.
+//! last-use steps, accounting for shared reads and fusion), runs an
+//! abstract memory interpretation over it, and produces a
+//! [`PlanCertificate`]: either a proof that the plan's peak live set fits
+//! the [`MemoryBudget`], or the exact step and node where it first exceeds
+//! it.
 //!
 //! ## The abstract machine
 //!
@@ -46,7 +47,8 @@
 //! [`min_peak_order`] is the schedule half of the story: a Sethi–Ullman
 //! style reordering that evaluates high-transient-peak subtrees before
 //! high-hold siblings, often fitting a budget in memory that the default
-//! depth-first order could only meet by spilling (the linter's `H203`).
+//! depth-first order could only meet by spilling. Under a bounded budget
+//! [`plan`](crate::physical::plan) fits both orders and keeps the better.
 
 use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::memory::{spill_pool_capacity, MemoryBudget, OOC_PANEL_DENOM};
@@ -57,41 +59,58 @@ use dm_matrix::par::ROW_BLOCK;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// A topological execution order with per-value lifetime information.
-#[derive(Debug, Clone)]
+/// The one lifetime analysis: a topological execution order and, per node,
+/// what the planner's fitting loop, the certifier and the executor read of
+/// it under the plan's fusion decisions. [`plan`](crate::physical::plan)
+/// builds it once and [`PhysicalPlan::schedule`] carries it.
+#[derive(Debug, Clone, Default)]
 pub struct Schedule {
     order: Vec<NodeId>,
-    step_of: HashMap<NodeId, usize>,
-    last_use: HashMap<NodeId, usize>,
+    /// Per node: the step that computes it, its `sum`'s when fused; `None`
+    /// off the schedule.
+    step: Vec<Option<usize>>,
+    /// Per node: the last step that reads it, its own when nothing does.
+    last_use: Vec<usize>,
+    /// Per node: its consumer edges in the schedule, so `X + X` reads `X`
+    /// twice.
+    reads: Vec<usize>,
+    /// Per node: computed inside the step of the `sum` the plan fused it
+    /// into, producing nothing at its own.
+    fused: Vec<bool>,
 }
 
 impl Schedule {
-    /// The executor's default schedule: depth-first post-order from `root`
-    /// (exactly [`Graph::reachable`]), shared nodes evaluated once at their
-    /// first visit and read from the executor's value table thereafter.
-    pub fn new(graph: &Graph, root: NodeId) -> Self {
-        Self::from_order(graph, graph.reachable(root))
-    }
-
-    /// A schedule over an explicit topological `order` (children before
-    /// parents), e.g. one produced by [`min_peak_order`].
-    pub fn from_order(graph: &Graph, order: Vec<NodeId>) -> Self {
-        let step_of: HashMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        // A value's last use is its latest consumer's step; values nothing
-        // consumes (the root) live from their own step to the end of their
-        // own step.
-        let mut last_use: HashMap<NodeId, usize> =
-            order.iter().map(|&n| (n, step_of[&n])).collect();
+    /// The schedule running `order` (children before parents, ending at its
+    /// root) under `plan`. A node the plan fused into a scheduled `sum` runs
+    /// at that `sum`'s step, so its operands live until then; one whose
+    /// `sum` is off the schedule (a fused node evaluated as a root) runs at
+    /// its own step.
+    pub fn new(graph: &Graph, order: Vec<NodeId>, plan: &PhysicalPlan) -> Self {
+        let mut step = vec![None; graph.len()];
+        for (i, &n) in order.iter().enumerate() {
+            step[n] = Some(i);
+        }
+        // A schedule ending at a planned node reads each node at most as
+        // often as the plan's own does, so a fused node keeps its `sum` as
+        // only reader whenever that `sum` is scheduled.
+        let covered = order.last().is_some_and(|&root| plan.covers(root));
+        let mut fused = vec![false; graph.len()];
         for &n in &order {
-            let step = step_of[&n];
-            for c in graph.op(n).children() {
-                if let Some(lu) = last_use.get_mut(&c) {
-                    *lu = (*lu).max(step);
-                }
+            if let Some(sum) = plan.fused_into(n).filter(|&s| covered && step[s].is_some()) {
+                fused[n] = true;
+                step[n] = step[sum];
             }
         }
-        Schedule { order, step_of, last_use }
+        let mut reads = vec![0; graph.len()];
+        let mut last_use: Vec<usize> = step.iter().map(|s| s.unwrap_or(0)).collect();
+        for &n in &order {
+            let at = step[n].expect("a scheduled node has a step");
+            for c in graph.op(n).children() {
+                reads[c] += 1;
+                last_use[c] = last_use[c].max(at);
+            }
+        }
+        Schedule { order, step, last_use, reads, fused }
     }
 
     /// Number of steps (= scheduled nodes).
@@ -109,25 +128,25 @@ impl Schedule {
         &self.order
     }
 
-    /// The step at which a node executes.
+    /// The step that computes a node: its own, or its `sum`'s when fused.
     pub fn step_of(&self, id: NodeId) -> Option<usize> {
-        self.step_of.get(&id).copied()
+        self.step.get(id).copied().flatten()
     }
 
-    /// The last step at which a node's value is read (its own step when
-    /// nothing consumes it).
+    /// The last step at which a node's value is read (the step that
+    /// computes it when nothing consumes it).
     pub fn last_use(&self, id: NodeId) -> Option<usize> {
-        self.last_use.get(&id).copied()
+        self.step_of(id).map(|_| self.last_use[id])
     }
 
-    /// The values live during `step`: produced at or before it, last used
-    /// at or after it.
-    pub fn live_at(&self, step: usize) -> Vec<NodeId> {
-        self.order[..=step.min(self.order.len().saturating_sub(1))]
-            .iter()
-            .copied()
-            .filter(|&v| self.last_use[&v] >= step)
-            .collect()
+    /// Consumer edges per node, indexed by node.
+    pub(crate) fn read_counts(&self) -> &[usize] {
+        &self.reads
+    }
+
+    /// Fused marks per node, indexed by node.
+    pub(crate) fn fused(&self) -> &[bool] {
+        &self.fused
     }
 }
 
@@ -353,9 +372,9 @@ impl PlanCertificate {
     }
 }
 
-/// Certify `plan` over the schedule it runs: the order it carries when it
-/// was built with [`reorder`](crate::physical::PlanOptions::reorder), the
-/// default depth-first schedule from `root` otherwise.
+/// Certify `plan` over the schedule it runs from `root`: its own
+/// [`schedule`](PhysicalPlan::schedule) when that ends at `root`, the
+/// depth-first one from `root` otherwise.
 ///
 /// Walks the schedule, sums the modeled live bytes at every step (see the
 /// module docs for the abstract machine), and returns a
@@ -371,15 +390,11 @@ pub fn certify_plan(
     sizes: &HashMap<NodeId, SizeInfo>,
     budget: MemoryBudget,
 ) -> PlanCertificate {
-    let sched = match plan.order() {
-        Some(order) => Schedule::from_order(graph, order.to_vec()),
-        None => Schedule::new(graph, root),
-    };
-    certify_schedule(graph, &sched, plan, sizes, budget)
+    certify_schedule(graph, &plan.schedule_for(graph, root), plan, sizes, budget)
 }
 
-/// [`certify_plan`] over an explicit schedule (e.g. from
-/// [`min_peak_order`]).
+/// [`certify_plan`] over an explicit schedule, built with [`Schedule::new`]
+/// from `plan` (e.g. over a [`min_peak_order`]).
 pub fn certify_schedule(
     graph: &Graph,
     sched: &Schedule,
@@ -389,48 +404,35 @@ pub fn certify_schedule(
 ) -> PlanCertificate {
     let limit = budget.get();
     let order = sched.order();
-    // A node the plan fused runs inside its `sum`'s step: its operands are
-    // read, and so live, until then.
-    let covered = order.last().is_some_and(|&root| plan.covers(root));
-    let fused_step =
-        |n: NodeId| plan.fused_into(n).filter(|_| covered).and_then(|s| sched.step_of(s));
-    let run_step: Vec<usize> =
-        order.iter().enumerate().map(|(i, &n)| fused_step(n).unwrap_or(i)).collect();
-    let mut last_use: HashMap<NodeId, usize> =
-        order.iter().copied().zip(run_step.clone()).collect();
     // Streaming values — every consumer reads them panel-by-panel through
     // the pool — are never materialized; their bytes are the consumers'
-    // pool terms.
-    let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for (&n, &step) in order.iter().zip(&run_step) {
+    // pool terms. A value any in-memory consumer reads is held.
+    let mut held = vec![false; graph.len()];
+    for &n in order.iter().filter(|&&n| plan.kernel(n) != Kernel::Blocked) {
         for c in graph.op(n).children() {
-            consumers.entry(c).or_default().push(n);
-            last_use.entry(c).and_modify(|lu| *lu = (*lu).max(step));
+            held[c] = true;
         }
     }
-    let resident: HashMap<NodeId, usize> = order
+    let resident: Vec<usize> = order
         .iter()
         .map(|&v| {
-            let streams = consumers
-                .get(&v)
-                .is_some_and(|cs| cs.iter().all(|&c| plan.kernel(c) == Kernel::Blocked));
-            let bytes = match (sizes.get(&v), fused_step(v), graph.op(v)) {
-                (Some(info), None, _) if !streams => materialized_bytes(plan.kernel(v), info),
+            let streams = sched.reads[v] > 0 && !held[v];
+            match (sizes.get(&v), sched.fused[v], graph.op(v)) {
+                (Some(info), false, _) if !streams => materialized_bytes(plan.kernel(v), info),
                 // A fused `f(A)` is never built, unless its `sum` step meets a
                 // sparse `A` and maps it first.
-                (Some(info), Some(_), &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
+                (Some(info), true, &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
                     materialized_bytes(plan.kernel(v), info)
                 }
                 // A fused product is streamed `degree` row panels at a time,
                 // what `par::gemm_map_sum` holds.
-                (Some(info), Some(_), Op::MatMul(..)) => {
+                (Some(info), true, Op::MatMul(..)) => {
                     let degree = if plan.kernel(v) == Kernel::Parallel { plan.degree() } else { 1 };
                     let rows = info.shape.rows().min(degree.saturating_mul(ROW_BLOCK));
                     dense_value_bytes(rows, info.shape.cols())
                 }
                 _ => 0,
-            };
-            (v, bytes)
+            }
         })
         .collect();
 
@@ -440,13 +442,11 @@ pub fn certify_schedule(
     for (step, &n) in order.iter().enumerate() {
         let mut live = Vec::new();
         let mut total = 0usize;
-        for (&v, &made) in order.iter().zip(&run_step) {
-            if made <= step && last_use[&v] >= step {
-                let b = resident[&v];
-                if b > 0 {
-                    live.push((v, b));
-                    total = total.saturating_add(b);
-                }
+        for (&v, &b) in order.iter().zip(&resident) {
+            let made = sched.step[v].is_some_and(|made| made <= step);
+            if b > 0 && made && sched.last_use[v] >= step {
+                live.push((v, b));
+                total = total.saturating_add(b);
             }
         }
         let pool = match limit {
@@ -558,13 +558,31 @@ mod tests {
         let x = g.input("X");
         let t = g.transpose(x);
         let add = g.ewise(EwiseOp::Add, t, t);
-        let s = Schedule::new(&g, add);
+        let s = Schedule::new(&g, g.reachable(add), &PhysicalPlan::default());
         assert_eq!(s.order(), &[x, t, add]);
         assert_eq!(s.last_use(x), Some(s.step_of(t).unwrap()));
         assert_eq!(s.last_use(t), Some(s.step_of(add).unwrap()));
         assert_eq!(s.last_use(add), Some(2), "the root lives to its own step");
-        assert_eq!(s.live_at(1), vec![x, t]);
-        assert_eq!(s.live_at(2), vec![t, add]);
+        assert_eq!((s.read_counts()[x], s.read_counts()[t], s.read_counts()[add]), (1, 2, 0));
+    }
+
+    #[test]
+    fn a_fused_node_runs_and_holds_its_operand_to_its_sums_step() {
+        // sum(exp(X)): the plan fuses exp into the sum, so X is read at the
+        // sum's step. Evaluated as a root, exp runs at its own step.
+        let mut inputs = InputSizes::new();
+        inputs.declare("X", 10, 10, 1.0);
+        let mut g = Graph::new();
+        let x = g.input("X");
+        let e = g.unary(UnaryOp::Exp, x);
+        let root = g.agg(AggOp::Sum, e);
+        let plan = plan(&g, root, &PlanOptions::new(&inputs)).unwrap();
+        let s = plan.schedule();
+        assert_eq!(s.order(), &[x, e, root]);
+        assert_eq!((s.step_of(e), s.last_use(x), s.last_use(e)), (Some(2), Some(2), Some(2)));
+        assert_eq!((s.fused()[e], s.read_counts()[e]), (true, 1));
+        let sub = plan.schedule_for(&g, e);
+        assert_eq!((sub.step_of(e), sub.last_use(x), sub.fused()[e]), (Some(1), Some(1), false));
     }
 
     #[test]
@@ -708,12 +726,12 @@ mod tests {
         let sizes = propagate(&g, root, &inputs).unwrap();
         let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
 
-        let dfs = Schedule::new(&g, root);
+        let dfs = Schedule::new(&g, g.reachable(root), &plan);
         let dfs_cert = certify_schedule(&g, &dfs, &plan, &sizes, MemoryBudget::unbounded());
 
         let order = min_peak_order(&g, root, &sizes, &plan);
         assert_eq!(order, vec![a, b, r, x, root], "matmul chain drains before X loads");
-        let re = Schedule::from_order(&g, order);
+        let re = Schedule::new(&g, order, &plan);
         let re_cert = certify_schedule(&g, &re, &plan, &sizes, MemoryBudget::unbounded());
 
         // DFS: X + A + B + R live at the matmul step. Reordered: A + B + R.

@@ -12,12 +12,13 @@
 
 use crate::cost::CostModel;
 use crate::expr::{AggOp, Graph, NodeId, Op};
+use crate::liveness::{certify_plan, certify_schedule, min_peak_order, Schedule, Verdict};
 use crate::memory::MemoryBudget;
 use crate::size::{InputSizes, SizeError, SizeInfo};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 /// Kernel family chosen for one operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +58,10 @@ pub struct PhysicalPlan {
     kernels: HashMap<NodeId, Kernel>,
     /// Each fused node, mapped to the `sum` whose step computes it.
     fused: HashMap<NodeId, NodeId>,
-    pub(crate) degree: usize,
+    degree: usize,
     pub(crate) mem_budget: Option<usize>,
-    order: Option<Vec<NodeId>>,
+    /// Shared, since the server clones the plan per request.
+    schedule: Arc<Schedule>,
 }
 
 impl PhysicalPlan {
@@ -81,12 +83,27 @@ impl PhysicalPlan {
         self.mem_budget
     }
 
-    /// The evaluation order the plan was fitted to, when it was built with
-    /// [`PlanOptions::reorder`]. [`Executor::eval`](crate::exec::Executor::eval)
-    /// of the plan's root runs it; `None` means the executor's default
-    /// depth-first order.
-    pub fn order(&self) -> Option<&[NodeId]> {
-        self.order.as_deref()
+    /// The schedule [`plan`] fitted the plan to: the depth-first order, or
+    /// under a bounded budget the peak-minimizing one when that fits better
+    /// ([`plan`], step 4), with every value's lifetime under the plan's
+    /// fusion. [`Executor::eval`](crate::exec::Executor::eval) of the plan's
+    /// root runs it. Empty for a plan `plan` did not build.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// The schedule evaluating `root` under this plan: the plan's own when
+    /// it ends at `root`, else the depth-first one from `root`.
+    pub(crate) fn schedule_for(&self, graph: &Graph, root: NodeId) -> Arc<Schedule> {
+        if self.schedule.order().last() == Some(&root) {
+            return Arc::clone(&self.schedule);
+        }
+        Arc::new(Schedule::new(graph, graph.reachable(root), self))
+    }
+
+    /// Schedule `order` under the plan's current fusion decisions.
+    fn reschedule(&mut self, graph: &Graph, order: Vec<NodeId>) {
+        self.schedule = Arc::new(Schedule::new(graph, order, self));
     }
 
     /// The `sum` whose step computes node `id` when the plan fused `id` into
@@ -199,12 +216,6 @@ pub struct PlanOptions<'a> {
     /// compares the two prices; elsewhere, and with `None`, the static
     /// [`PAR_FLOP_THRESHOLD`] decides.
     pub cost: Option<&'a CostModel>,
-    /// Fit the plan to the peak-minimizing schedule
-    /// ([`min_peak_order`](crate::liveness::min_peak_order)) instead of the
-    /// default depth-first order, and record it as [`PhysicalPlan::order`].
-    /// The reordered schedule often fits a budget in memory that the
-    /// default order could only meet by spilling.
-    pub reorder: bool,
 }
 
 impl<'a> PlanOptions<'a> {
@@ -264,7 +275,7 @@ pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 ///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
 ///    node keeps its kernel.
 /// 4. **Memory**, under a bounded budget: the liveness certifier
-///    ([`certify_schedule`](crate::liveness::certify_schedule)) accounts for
+///    ([`certify_schedule`]) accounts for
 ///    composite peaks — several individually-fitting values live at one
 ///    step — and each round the blockable node at the peak whose downgrade
 ///    to [`Kernel::Blocked`] shrinks the certified peak the most is taken,
@@ -272,7 +283,11 @@ pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 ///    partial, every blockable node with an operand or output larger than
 ///    the budget streams, and the certificate honestly reports `Exceeds`.
 ///    Sparse and scalar choices are never touched, and a blocked matmul no
-///    longer fuses.
+///    longer fuses. Over a complete size map the plan is fitted twice, to
+///    the depth-first order and to the peak-minimizing
+///    [`min_peak_order`]; the second fit
+///    is kept only when it blocks fewer nodes, or as many at a strictly
+///    lower certified peak. An unbounded plan keeps the depth-first order.
 ///
 /// Fails only when [`Sizes::Declared`] inputs do not propagate.
 pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalPlan, SizeError> {
@@ -285,7 +300,7 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
         fused: HashMap::new(),
         degree: opts.degree.max(1),
         mem_budget: opts.budget.get(),
-        order: None,
+        schedule: Arc::default(),
     };
 
     if p.degree > 1 {
@@ -310,28 +325,32 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
         }
     }
 
-    fuse(graph, &reachable, sizes, &mut p);
-    let mut order = reachable;
-    if let Some(limit) = opts.budget.get() {
-        if order.iter().all(|id| sizes.contains_key(id)) {
-            if opts.reorder {
-                order = crate::liveness::min_peak_order(graph, root, sizes, &p);
-            }
-            let sched = crate::liveness::Schedule::from_order(graph, order.clone());
-            fit_plan_to_schedule(graph, &sched, sizes, limit, &mut p);
-        } else {
-            apply_per_node_blocking(graph, &order, sizes, limit, &mut p);
-        }
+    // Fusion reads the unfused schedule's read counts, which fusion does
+    // not change.
+    p.reschedule(graph, reachable);
+    fuse(graph, sizes, &mut p);
+    let Some(limit) = opts.budget.get() else { return Ok(p) };
+    if !p.schedule.order().iter().all(|id| sizes.contains_key(id)) {
+        apply_per_node_blocking(graph, sizes, limit, &mut p);
+        return Ok(p);
     }
-    p.order = opts.reorder.then_some(order);
-    Ok(p)
+    let mut low = p.clone();
+    low.reschedule(graph, min_peak_order(graph, root, sizes, &p));
+    fit_plan_to_schedule(graph, sizes, limit, &mut p);
+    fit_plan_to_schedule(graph, sizes, limit, &mut low);
+    let fit = |q: &PhysicalPlan| {
+        let peak = certify_plan(graph, root, q, sizes, opts.budget).peak_bytes;
+        (q.nodes_with(Kernel::Blocked).len(), peak)
+    };
+    Ok(if fit(&low) < fit(&p) { low } else { p })
 }
 
-/// Record the fused nodes of `order` (step 3 of [`plan`]), each mapped to
-/// its `sum`.
-fn fuse(graph: &Graph, order: &[NodeId], sizes: &HashMap<NodeId, SizeInfo>, p: &mut PhysicalPlan) {
-    let reads = graph.reads(order);
-    for &sum in order {
+/// Record the fused nodes of the plan's schedule (step 3 of [`plan`]), each
+/// mapped to its `sum`, and reschedule under them.
+fn fuse(graph: &Graph, sizes: &HashMap<NodeId, SizeInfo>, p: &mut PhysicalPlan) {
+    let sched = Arc::clone(&p.schedule);
+    let reads = sched.read_counts();
+    for &sum in sched.order() {
         let Op::Agg(AggOp::Sum, fa) = *graph.op(sum) else { continue };
         let Op::Unary(_, a) = *graph.op(fa) else { continue };
         if reads[fa] != 1 {
@@ -347,12 +366,16 @@ fn fuse(graph: &Graph, order: &[NodeId], sizes: &HashMap<NodeId, SizeInfo>, p: &
             }
         }
     }
+    p.reschedule(graph, sched.order().to_vec());
 }
 
-/// Move node `id` to [`Kernel::Blocked`]; a blocked matmul does not fuse.
-fn block(p: &mut PhysicalPlan, id: NodeId) {
+/// Move node `id` to [`Kernel::Blocked`]; a blocked matmul does not fuse,
+/// so un-fusing it reschedules the plan.
+fn block(graph: &Graph, p: &mut PhysicalPlan, id: NodeId) {
     p.kernels.insert(id, Kernel::Blocked);
-    p.fused.remove(&id);
+    if p.fused.remove(&id).is_some() {
+        p.reschedule(graph, p.schedule.order().to_vec());
+    }
 }
 
 fn representation(graph: &Graph, id: NodeId, sizes: &HashMap<NodeId, SizeInfo>) -> Kernel {
@@ -409,7 +432,10 @@ pub fn node_flops(graph: &Graph, id: NodeId, infos: &HashMap<NodeId, SizeInfo>) 
         Op::Unary(_, a) | Op::Agg(_, a) => nnz(*a),
         Op::CrossProd(a) => {
             let a_cols = infos.get(a).map_or(0, |i| i.shape.cols()) as u128;
-            2 * nnz(*a) * a_cols
+            // The dense kernel computes the upper triangle: half the
+            // products of the sparse kernel's full pass.
+            let sparse = infos.get(a).is_some_and(|i| i.sparsity < SPARSE_THRESHOLD);
+            (if sparse { 2 } else { 1 }) * nnz(*a) * a_cols
         }
         Op::Tmv(a, _) | Op::SumSq(a) => 2 * nnz(*a),
     }
@@ -450,12 +476,12 @@ fn dense_bytes(info: Option<&SizeInfo>) -> usize {
 /// [`crate::liveness`].
 fn apply_per_node_blocking(
     graph: &Graph,
-    reachable: &[NodeId],
     sizes: &HashMap<NodeId, SizeInfo>,
     limit: usize,
     p: &mut PhysicalPlan,
 ) {
-    for &id in reachable {
+    let sched = Arc::clone(&p.schedule);
+    for &id in sched.order() {
         if !matches!(p.kernel(id), Kernel::Dense | Kernel::Parallel) || !blockable(graph.op(id)) {
             continue;
         }
@@ -463,61 +489,59 @@ fn apply_per_node_blocking(
             .chain(graph.op(id).children().iter().copied())
             .any(|n| dense_bytes(sizes.get(&n)) > limit);
         if oversized {
-            block(p, id);
+            block(graph, p, id);
         }
     }
 }
 
 /// Certifier-driven fixed point: upgrade blockable nodes to
 /// [`Kernel::Blocked`] one at a time — greedily, by largest certified-peak
-/// reduction — until the plan fits `limit` bytes over `sched` or no
+/// reduction — until the plan fits `limit` bytes over its schedule or no
 /// candidate improves the peak. Candidates each round are the blockable
 /// dense/parallel nodes implicated at the peak step: the node executing
 /// there, or any consumer of a value live there (blocking a consumer turns
 /// its operands into streamed, pool-resident values).
 fn fit_plan_to_schedule(
     graph: &Graph,
-    sched: &crate::liveness::Schedule,
     sizes: &HashMap<NodeId, SizeInfo>,
     limit: usize,
     p: &mut PhysicalPlan,
 ) {
-    use crate::liveness::{certify_schedule, Verdict};
     let budget = MemoryBudget::bytes(limit);
     loop {
-        let cert = certify_schedule(graph, sched, p, sizes, budget);
+        let cert = certify_schedule(graph, &p.schedule, p, sizes, budget);
         let Verdict::Exceeds { .. } = cert.verdict else {
             return;
         };
         let peak = &cert.timeline[cert.peak_step];
-        let live_at_peak: std::collections::HashSet<NodeId> =
+        let peak_live: std::collections::HashSet<NodeId> =
             peak.live.iter().map(|&(v, _)| v).collect();
         let exec_at_peak = peak.node;
         let mut best: Option<(usize, NodeId)> = None;
-        for &c in sched.order() {
+        for &c in p.schedule.order() {
             if !matches!(p.kernel(c), Kernel::Dense | Kernel::Parallel) || !blockable(graph.op(c)) {
                 continue;
             }
-            let relevant = c == exec_at_peak
-                || graph.op(c).children().iter().any(|ch| live_at_peak.contains(ch));
+            let relevant =
+                c == exec_at_peak || graph.op(c).children().iter().any(|ch| peak_live.contains(ch));
             if !relevant {
                 continue;
             }
             let mut trial = p.clone();
-            block(&mut trial, c);
-            let tc = certify_schedule(graph, sched, &trial, sizes, budget);
+            block(graph, &mut trial, c);
+            let tc = certify_schedule(graph, &trial.schedule, &trial, sizes, budget);
             if best.is_none_or(|(bp, _)| tc.peak_bytes < bp) {
                 best = Some((tc.peak_bytes, c));
             }
         }
         match best {
-            Some((new_peak, c)) if new_peak < cert.peak_bytes => block(p, c),
+            Some((new_peak, c)) if new_peak < cert.peak_bytes => block(graph, p, c),
             // No single upgrade shrinks the peak any further: a certified
             // fit is out of reach (the certificate will report Exceeds). So
             // oversized operands still stream rather than being held whole,
             // finish with the per-node rule.
             _ => {
-                apply_per_node_blocking(graph, sched.order(), sizes, limit, p);
+                apply_per_node_blocking(graph, sizes, limit, p);
                 return;
             }
         }
@@ -614,8 +638,8 @@ mod tests {
 
     #[test]
     fn large_dense_ops_upgrade_to_parallel() {
-        // crossprod on 100_000 x 200 dense: 2 * 2e7 * 200 = 8e9 flops, far
-        // above the threshold.
+        // crossprod on 100_000 x 200 dense: 2e7 * 200 = 4e9 flops, far above
+        // the threshold.
         let mut s = InputSizes::new();
         s.declare("X", 100_000, 200, 1.0);
         let mut g = Graph::new();
@@ -630,7 +654,7 @@ mod tests {
 
     #[test]
     fn small_dense_ops_stay_serial_at_any_degree() {
-        // The E5 shape: 1000 x 20 crossprod is 8e5 flops, below threshold.
+        // The E5 shape: 1000 x 20 crossprod is 4e5 flops, below threshold.
         let mut s = InputSizes::new();
         s.declare("X", 1000, 20, 1.0);
         let mut g = Graph::new();
@@ -744,7 +768,7 @@ mod tests {
 
         let unfitted = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let mut per_node = unfitted.clone();
-        apply_per_node_blocking(&g, &g.reachable(root), &sizes, 1_300_000, &mut per_node);
+        apply_per_node_blocking(&g, &sizes, 1_300_000, &mut per_node);
         assert_eq!(
             per_node.nodes_with(Kernel::Blocked),
             Vec::<NodeId>::new(),
@@ -777,11 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn reordered_planner_avoids_blocking_where_the_schedule_suffices() {
-        // root = X + (A %*% B): the default DFS order holds X under the
-        // matmul's transient and exceeds a 5 MB budget, so the default plan
-        // must spill; the peak-minimizing order drains the matmul first and
-        // fits without a single blocked node.
+    fn planner_picks_the_order_that_avoids_blocking() {
+        // root = X + (A %*% B): the depth-first order holds X under the
+        // matmul's transient and exceeds a 5 MB budget, so fitted to it the
+        // plan must spill; the peak-minimizing order drains the matmul
+        // first and fits without a single blocked node, so the planner
+        // keeps that one.
         let mut s = InputSizes::new();
         s.declare("X", 256, 256, 1.0);
         s.declare("A", 256, 1024, 1.0);
@@ -795,14 +820,21 @@ mod tests {
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(5_000_000);
 
-        let opts = PlanOptions { budget, ..PlanOptions::new(&sizes) };
-        let dfs = plan(&g, root, &opts).unwrap();
-        assert_eq!(dfs.order(), None);
-        assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
+        // The unbounded plan keeps the depth-first order, which exceeds the
+        // budget unless something streams.
+        let dfs = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        assert_eq!(dfs.schedule().order(), &[x, a, b, r, root]);
+        let mut fitted = dfs.clone();
+        fit_plan_to_schedule(&g, &sizes, 5_000_000, &mut fitted);
+        assert!(!fitted.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
 
-        let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
-        assert_eq!(re.order(), Some(&[a, b, r, x, root][..]));
-        assert_eq!(re.nodes_with(Kernel::Blocked), Vec::<NodeId>::new(), "reorder fits in memory");
+        let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+        assert_eq!(re.schedule().order(), &[a, b, r, x, root]);
+        assert_eq!(
+            re.nodes_with(Kernel::Blocked),
+            Vec::<NodeId>::new(),
+            "the order fits in memory"
+        );
         // Certified over the order the plan carries, not the DFS one.
         let cert = crate::liveness::certify_plan(&g, root, &re, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
@@ -843,7 +875,7 @@ mod tests {
 
     #[test]
     fn calibrated_crossover_overrides_the_flop_threshold() {
-        // crossprod on 100_000 x 200: 8e9 flops, far above the static
+        // crossprod on 100_000 x 200: 4e9 flops, far above the static
         // threshold — but measurements say serial (fused) is faster than
         // parallel at this size, so the calibrated plan stays serial.
         let mut s = InputSizes::new();
@@ -869,7 +901,7 @@ mod tests {
         assert_eq!(p.kernel(cp), Kernel::Parallel, "measured parallel beats serial");
 
         // One-sided evidence keeps the static threshold decision (upgrade,
-        // since 8e9 >= PAR_FLOP_THRESHOLD).
+        // since 4e9 >= PAR_FLOP_THRESHOLD).
         let one_sided = model_with(&[("crossprod", "fused", flops, 4.0)]);
         let p = plan_at(&g, cp, &s, 4, MemoryBudget::unbounded(), Some(&one_sided));
         assert_eq!(p.kernel(cp), Kernel::Parallel);
@@ -877,7 +909,7 @@ mod tests {
 
     #[test]
     fn calibrated_crossover_can_parallelize_below_the_threshold() {
-        // 1000 x 20 crossprod is 8e5 flops — statically serial — but if the
+        // 1000 x 20 crossprod is 4e5 flops — statically serial — but if the
         // profile proves parallel faster at that size, the plan upgrades.
         let mut s = InputSizes::new();
         s.declare("X", 1000, 20, 1.0);

@@ -1,11 +1,12 @@
 //! Certification acceptance: the static liveness certificate is a sound
 //! upper bound on the executor's observed spill-pool peak, across random
 //! DAGs and budget fractions, with bit-identical results and clean pool
-//! audits; and the certifier-driven planner fixes the composite-peak blind
-//! spot of the per-node check end to end.
+//! audits; the executor runs exactly the schedule the certificate walks;
+//! and the certifier-driven planner fixes the composite-peak blind spot of
+//! the per-node check end to end.
 
 use dm_lang::exec::{Env, Executor, Val};
-use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op};
+use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{plan, Kernel, PlanOptions};
 use dm_lang::size::InputSizes;
@@ -26,7 +27,7 @@ fn dense_input(rows: usize, cols: usize, salt: u64) -> Dense {
 
 /// A random same-shape DAG over two inputs, closed off by every blocked
 /// kernel family: crossprod, a gemm-shaped matmul, colSums, and scalar
-/// aggregation at the root.
+/// aggregation at the root, plus a `sum(abs(..))` term the plan fuses.
 fn random_dag(codes: &[(u8, u8, u8)]) -> (Graph, NodeId) {
     let mut g = Graph::new();
     let x = g.input("X");
@@ -48,7 +49,10 @@ fn random_dag(codes: &[(u8, u8, u8)]) -> (Graph, NodeId) {
     let cs = g.agg(AggOp::ColSums, mm);
     let s_cs = g.agg(AggOp::Sum, cs);
     let s_mm = g.agg(AggOp::Sum, mm);
-    let root = g.ewise(EwiseOp::Add, s_cs, s_mm);
+    let abs = g.unary(UnaryOp::Abs, last);
+    let s_abs = g.agg(AggOp::Sum, abs);
+    let sums = g.ewise(EwiseOp::Add, s_cs, s_mm);
+    let root = g.ewise(EwiseOp::Add, sums, s_abs);
     (g, root)
 }
 
@@ -64,7 +68,8 @@ proptest! {
 
     /// For random DAGs at 100% / 50% / 25% of the unbounded certified peak:
     /// the static peak bounds the observed pool peak, blocked execution is
-    /// bit-identical to in-memory, and the pool audits clean.
+    /// bit-identical to in-memory, the pool audits clean, and the executor
+    /// runs a step for exactly the schedule's unfused nodes.
     #[test]
     fn static_peak_bounds_observed_pool_peak(
         rows in 64usize..200,
@@ -98,9 +103,22 @@ proptest! {
                 prop_assert!(cert.fits(), "{}", cert.render(&g));
                 prop_assert_eq!(plan.nodes_with(Kernel::Blocked), Vec::<NodeId>::new());
             }
-            let mut ex = Executor::with_plan(&g, plan);
+            let sched = plan.schedule().clone();
+            let mut ex = Executor::with_plan(&g, plan).profiled();
             let got = scalar_bits(&ex.eval(root, &env).unwrap());
             prop_assert_eq!(got, expect, "budgeted run must be bit-identical (denom {})", denom);
+            // A node runs at its own step unless the plan fused it into a
+            // `sum`; every scheduled node counts as evaluated once.
+            let mut unfused: Vec<NodeId> = (0..sched.len())
+                .filter(|&step| sched.step_of(sched.order()[step]) == Some(step))
+                .map(|step| sched.order()[step])
+                .collect();
+            let mut stepped: Vec<NodeId> = ex.profile().unwrap().nodes().map(|(n, _)| n).collect();
+            unfused.sort_unstable();
+            stepped.sort_unstable();
+            prop_assert!(unfused.len() < sched.len(), "the sum(abs(..)) term fuses");
+            prop_assert_eq!(stepped, unfused);
+            prop_assert_eq!(ex.stats().nodes_evaluated, sched.len() as u64);
 
             if let Some(stats) = ex.ooc_pool_stats() {
                 prop_assert!(
@@ -171,8 +189,9 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     assert!(cert.peak_bytes >= stats.peak_used);
 }
 
-/// A `reorder` plan runs its certified order through plain `eval`, matches
-/// the default-order result, and avoids the spill the DFS order required.
+/// Under a budget the depth-first order exceeds, the planner picks the
+/// peak-minimizing order; plain `eval` runs it, matches the depth-first
+/// result, and needs no spill.
 #[test]
 fn reordered_schedule_executes_without_spilling() {
     let mut sizes = InputSizes::new();
@@ -189,12 +208,13 @@ fn reordered_schedule_executes_without_spilling() {
     let infos = dm_lang::size::propagate(&g, root, &sizes).unwrap();
     let budget = MemoryBudget::bytes(5_100_000);
 
-    let opts = PlanOptions { budget, ..PlanOptions::new(&infos) };
-    let dfs = plan(&g, root, &opts).unwrap();
-    assert!(!dfs.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
-    let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
+    // The unbounded plan keeps the depth-first order, over budget in memory.
+    let dfs = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+    assert_eq!(dfs.schedule().order(), &[x, a, b, r, add, root]);
+    assert!(!certify_plan(&g, root, &dfs, &infos, budget).fits(), "DFS order must spill");
+    let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
     assert!(re.nodes_with(Kernel::Blocked).is_empty(), "reordered plan fits in memory");
-    assert_eq!(re.order(), Some(&[a, b, r, x, add, root][..]), "the matmul drains before X");
+    assert_eq!(re.schedule().order(), &[a, b, r, x, add, root], "the matmul drains before X");
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(256, 256, 5)));

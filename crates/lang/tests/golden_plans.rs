@@ -14,8 +14,8 @@
 //! Per cell the file records `mem_budget()`, every node's kernel, and — where
 //! an `explain` rendering of that cell exists — its full text: tree plus
 //! memory certificate for the model-free cells, tree plus cost table for the
-//! unbounded cells with a model. Model-free cells also record the min-peak
-//! reordered plan and its order.
+//! unbounded cells with a model. Model-free cells also record the
+//! evaluation order the planner chose.
 //!
 //! On a mismatch the test writes what it computed next to the build outputs
 //! and names the first differing line; to accept an intended change, copy
@@ -31,7 +31,7 @@ use dm_lang::{optimize, parser};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-// ---- The only four functions that know the planner's entry points --------
+// ---- The only three functions that know the planner's entry points -------
 
 fn planned(
     s: &Scenario,
@@ -42,18 +42,6 @@ fn planned(
 ) -> PhysicalPlan {
     plan(&s.graph, s.root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(sizes) })
         .expect("plans")
-}
-
-fn reordered(
-    s: &Scenario,
-    sizes: &HashMap<NodeId, SizeInfo>,
-    degree: usize,
-    budget: MemoryBudget,
-) -> (PhysicalPlan, Vec<NodeId>) {
-    let opts = PlanOptions { degree, budget, reorder: true, ..PlanOptions::new(sizes) };
-    let p = plan(&s.graph, s.root, &opts).expect("plans");
-    let order = p.order().expect("a reordered plan carries its order").to_vec();
-    (p, order)
 }
 
 fn explain_memory(s: &Scenario, degree: usize, budget: MemoryBudget) -> String {
@@ -198,9 +186,7 @@ fn render() -> String {
                     let _ = writeln!(out, "kernels: {}", kernels_line(&s, &plan));
                     match model {
                         None => {
-                            let (re, order) = reordered(&s, &sizes, degree, budget);
-                            let _ = writeln!(out, "reordered: {order:?}");
-                            let _ = writeln!(out, "reordered kernels: {}", kernels_line(&s, &re));
+                            let _ = writeln!(out, "order: {:?}", plan.schedule().order());
                             let _ = writeln!(out, "explain:");
                             out.push_str(&explain_memory(&s, degree, budget));
                         }

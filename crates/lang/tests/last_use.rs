@@ -1,13 +1,13 @@
-//! The executor frees each value after its last reader and runs the order a
-//! `reorder: true` plan was certified for. A counting global allocator
+//! The executor frees each value after its last reader and runs the order
+//! its plan was certified for. A counting global allocator
 //! tracks live bytes (allocated minus freed) and their high-water mark
 //! during one `eval`, so both show up as bytes:
 //!
 //! - `sum(A %*% B) + sum(C %*% D)`: the first product is freed once its
 //!   `sum` has read it, so the second is computed without it;
-//! - `exp(X) + ((A %*% B) %*% C)`: the reordered plan computes the big
-//!   `A %*% B` before `exp(X)` exists, where depth-first order holds
-//!   `exp(X)` across it;
+//! - `exp(X) + ((A %*% B) %*% C)`: under a budget the planner picks the
+//!   order that computes the big `A %*% B` before `exp(X)` exists, where
+//!   depth-first order holds `exp(X)` across it;
 //! - `sum(exp(X %*% W))`: the plan fuses the product and `exp` into the
 //!   `sum`, and the certificate charges the streamed panels the eval
 //!   really holds instead of either 8 MiB value.
@@ -151,7 +151,7 @@ fn transient_under_hold() -> (Graph, NodeId) {
 }
 
 #[test]
-fn a_reordered_plan_runs_its_lower_peak_order() {
+fn a_bounded_plan_runs_its_lower_peak_order() {
     // exp(X), (A %*% B) %*% C and the result are 1 MiB each; A %*% B is
     // 4 MiB.
     const N: usize = 512;
@@ -166,14 +166,14 @@ fn a_reordered_plan_runs_its_lower_peak_order() {
     sizes.declare("B", K, M, 1.0);
     sizes.declare("C", M, P, 1.0);
     let infos = propagate(&g, root, &sizes).unwrap();
-    // Roomy enough that neither order needs a blocked kernel.
+    // Roomy enough that neither order needs a blocked kernel, so the
+    // planner keeps the lower certified peak. The unbounded plan keeps the
+    // depth-first order.
     let budget = MemoryBudget::bytes(1 << 30);
-    let opts = PlanOptions { budget, ..PlanOptions::new(&infos) };
-    let dfs = plan(&g, root, &opts).unwrap();
-    let re = plan(&g, root, &PlanOptions { reorder: true, ..opts }).unwrap();
-    assert!(
-        dfs.nodes_with(Kernel::Blocked).is_empty() && re.nodes_with(Kernel::Blocked).is_empty()
-    );
+    let dfs = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+    let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
+    assert!(re.nodes_with(Kernel::Blocked).is_empty());
+    assert_ne!(re.schedule().order(), dfs.schedule().order());
     let dfs_cert = certify_plan(&g, root, &dfs, &infos, budget).peak_bytes;
     let re_cert = certify_plan(&g, root, &re, &infos, budget).peak_bytes;
     assert!(re_cert < dfs_cert, "certified peaks: reordered {re_cert} B, depth-first {dfs_cert} B");
@@ -183,14 +183,13 @@ fn a_reordered_plan_runs_its_lower_peak_order() {
     env.bind("A", Matrix::Dense(input(N, K, 1)));
     env.bind("B", Matrix::Dense(input(K, M, 2)));
     env.bind("C", Matrix::Dense(input(M, P, 3)));
-    let run = |plan| {
-        let mut ex = Executor::with_plan(&g, plan);
+    let run = |mut ex: Executor| {
         let (out, high_water) = measure(|| ex.eval(root, &env).unwrap());
         let Val::Matrix(m) = out else { panic!("a matrix root") };
         (m.to_dense().data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), high_water)
     };
-    let (dfs_bits, dfs_high) = run(dfs);
-    let (re_bits, re_high) = run(re);
+    let (dfs_bits, dfs_high) = run(Executor::new(&g));
+    let (re_bits, re_high) = run(Executor::with_plan(&g, re));
     assert_eq!(re_bits, dfs_bits, "the order changes no bits");
     println!(
         "exp(X) + ((A %*% B) %*% C): high water depth-first {dfs_high} B, reordered {re_high} B \
