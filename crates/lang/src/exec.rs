@@ -138,6 +138,8 @@ impl std::error::Error for ExecError {}
 #[derive(Debug, Clone, Default)]
 pub struct Env {
     map: HashMap<String, Val>,
+    /// Non-zero counts the binder already took ([`Env::bind_counted`]).
+    nnz: HashMap<String, usize>,
 }
 
 impl Env {
@@ -149,18 +151,37 @@ impl Env {
     /// Bind a matrix input: a `Matrix` moves behind a new `Arc`, an
     /// `Arc<Matrix>` stays shared with the caller. Evaluation never copies it.
     pub fn bind(&mut self, name: &str, m: impl Into<Arc<Matrix>>) -> &mut Self {
+        self.nnz.remove(name);
         self.map.insert(name.to_owned(), Val::Matrix(m.into()));
+        self
+    }
+
+    /// Bind a matrix input together with its non-zero count (`v != 0.0`),
+    /// which the binder took while producing it — a decoder counting as it
+    /// converts. A [`profiled`](Executor::profiled) run reports the input's
+    /// sparsity from `nnz` instead of scanning the matrix again.
+    pub fn bind_counted(&mut self, name: &str, m: impl Into<Arc<Matrix>>, nnz: usize) -> &mut Self {
+        let m = m.into();
+        debug_assert_eq!(m.nnz(), nnz, "bind_counted({name}) was given a wrong count");
+        self.bind(name, m);
+        self.nnz.insert(name.to_owned(), nnz);
         self
     }
 
     /// Bind a scalar input.
     pub fn bind_scalar(&mut self, name: &str, v: f64) -> &mut Self {
+        self.nnz.remove(name);
         self.map.insert(name.to_owned(), Val::Scalar(v));
         self
     }
 
     fn get(&self, name: &str) -> Option<&Val> {
         self.map.get(name)
+    }
+
+    /// The count [`bind_counted`](Self::bind_counted) recorded for `name`.
+    fn nnz(&self, name: &str) -> Option<usize> {
+        self.nnz.get(name).copied()
     }
 }
 
@@ -435,8 +456,13 @@ impl<'g> Executor<'g> {
     }
 
     /// Enable per-node profiling (wall time, kernel dispatch, output shape
-    /// and sparsity). Profiling reads the clock and counts non-zeros per
-    /// node, so enable it for diagnosis runs, not benchmark baselines.
+    /// and sparsity). Each step then reads the clock twice and counts its
+    /// output's non-zeros: a pass over a dense output, free for a sparse
+    /// one, none for an input bound with [`Env::bind_counted`]. The scoring
+    /// server profiles every request; its inputs arrive counted, so a
+    /// `serve_wide_hot` request pays the clock reads and one scan of its
+    /// 64-value result. A plan that materializes large intermediates pays a
+    /// pass over each of them.
     pub fn profiled(mut self) -> Self {
         self.profile = Some(ExecProfile::default());
         self
@@ -680,7 +706,14 @@ impl<'g> Executor<'g> {
             node.out_rows = rows;
             node.out_cols = cols;
             node.out_sparsity = match &val {
-                Val::Matrix(m) if rows * cols > 0 => m.nnz() as f64 / (rows * cols) as f64,
+                Val::Matrix(m) if rows * cols > 0 => {
+                    // An input bound with its count is not scanned again.
+                    let counted = match self.graph.op(id) {
+                        Op::Input(name) => env.nnz(name),
+                        _ => None,
+                    };
+                    counted.unwrap_or_else(|| m.nnz()) as f64 / (rows * cols) as f64
+                }
                 Val::Matrix(_) => 0.0,
                 Val::Scalar(_) => 1.0,
             };
@@ -1343,6 +1376,32 @@ mod tests {
         let bad = g.matmul(xi, xi);
         let mut ex = Executor::new(&g);
         assert!(matches!(ex.eval(bad, &env()), Err(ExecError::Type { .. })));
+    }
+
+    #[test]
+    fn a_counted_input_profiles_at_its_count() {
+        let mut g = Graph::new();
+        let xi = g.input("X");
+        let t = g.transpose(xi);
+        let eye = || Matrix::Dense(Dense::from_fn(10, 10, |r, c| if r == c { 1.0 } else { 0.0 }));
+        let mut env = Env::new();
+        env.bind_counted("X", eye(), 10);
+        let mut ex = Executor::new(&g).profiled();
+        ex.eval(t, &env).unwrap();
+        assert_eq!(ex.profile().unwrap().node(xi).unwrap().out_sparsity, 0.1);
+        // `bind` over a counted name drops the count: the new matrix is
+        // scanned, not reported at the old one's.
+        env.bind("X", Matrix::Dense(Dense::from_fn(10, 10, |_, _| 1.0)));
+        let mut ex = Executor::new(&g).profiled();
+        ex.eval(t, &env).unwrap();
+        assert_eq!(ex.profile().unwrap().node(xi).unwrap().out_sparsity, 1.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "wrong count")]
+    fn a_wrong_count_is_caught_in_debug_builds() {
+        Env::new().bind_counted("X", Matrix::Dense(x()), 5);
     }
 
     #[test]

@@ -66,8 +66,9 @@ const SHARDS: usize = 8;
 /// match the `serve.phase.<name>` histogram sites in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Decoding the request payload: the JSON parse, plus reading every
-    /// matrix value (from text, or by copy from a slab).
+    /// Receiving and decoding the request payload, from its length prefix
+    /// on: the JSON parse, plus reading every matrix value (from text, or
+    /// off the socket as a slab streams in).
     Decode,
     /// Plan-cache probe (key construction + LRU lookup).
     CacheLookup,
@@ -151,7 +152,7 @@ pub struct RequestRecord {
     pub error: Option<String>,
     /// Per-phase wall time, indexed by [`Phase::index`].
     pub phase_ns: [u64; Phase::COUNT],
-    /// End-to-end wall time (read first byte → response flushed).
+    /// End-to-end wall time (length prefix read → response flushed).
     pub total_ns: u64,
     /// Request frame size in bytes.
     pub bytes_in: u64,

@@ -6,7 +6,7 @@
 //! the examples and end-to-end tests.
 
 use crate::protocol::{
-    decode_response_frame, read_frame, request_frame, write_frame, Request, Response, ScoreResult,
+    decode_response_frame, read_frame, write_request_frame, Request, Response, ScoreResult,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -26,9 +26,10 @@ impl ScoringClient {
     }
 
     /// Send one request and wait for its response. A request carrying many
-    /// matrix values goes out as a slab frame (raw `f64`s), a small one as
-    /// JSON text — [`request_frame`] decides from the request itself, and
-    /// the server answers in kind.
+    /// matrix values goes out as a slab frame (raw `f64`s), converted and
+    /// written a chunk at a time, a small one as JSON text in one write.
+    /// The size of the request alone decides, and the server answers in
+    /// kind.
     pub fn request(&mut self, req: &Request) -> Result<Response, String> {
         self.request_with_rid(req).map(|(resp, _)| resp)
     }
@@ -37,7 +38,7 @@ impl ScoringClient {
     /// the handle into the server's flight recorder (`/debug/requests`,
     /// `/debug/trace?id=`). `None` when talking to a server predating ids.
     pub fn request_with_rid(&mut self, req: &Request) -> Result<(Response, Option<u64>), String> {
-        write_frame(&mut self.stream, &request_frame(req)).map_err(|e| format!("send: {e}"))?;
+        write_request_frame(&mut self.stream, req).map_err(|e| format!("send: {e}"))?;
         let raw = read_frame(&mut self.stream)
             .map_err(|e| format!("recv: {e}"))?
             .ok_or("server closed the connection")?;

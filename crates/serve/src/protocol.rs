@@ -67,8 +67,14 @@
 //!   the last one ends at its end — so no two matrices overlap and no slab
 //!   byte goes unreferenced.
 //!
-//! Decoding is then the small header parse, those checks, and one copy
-//! (`chunks_exact(8)` → `f64::from_le_bytes`) per matrix.
+//! A slab never sits in memory as a whole. A reader checks the references
+//! against the slab length the frame's length prefix implies, then reads
+//! each matrix's values straight off the stream into its `Vec<f64>`, through
+//! a fixed 32 KiB chunk buffer, counting non-zeros as it converts
+//! ([`read_request_frame`]). A writer converts and writes the slab chunk by
+//! chunk the same way, so the client and the server never build a
+//! frame-sized buffer either. Prefix, preamble and header go out in the
+//! first write.
 //!
 //! Which layout a request uses is decided from the request alone:
 //! [`request_frame`] writes a slab frame iff its matrices total at least
@@ -79,7 +85,9 @@
 //! Both layouts are written and read by **one** codec: a request writer, a
 //! response writer and the two matching readers, each taking an optional
 //! slab. [`encode_request`] / [`decode_request`] / [`encode_response`] /
-//! [`decode_response`] are those same functions with no slab.
+//! [`decode_response`] are those same functions with no slab. Whether the
+//! bytes come from a socket or from memory, one frame writer and one slab
+//! reader move them.
 
 use dm_obs::json::{escape_json, parse, Json};
 use std::fmt::Write as _;
@@ -101,6 +109,9 @@ const SLAB_PREAMBLE_BYTES: usize = 6;
 /// A request whose matrices total at least this many values goes out as a
 /// slab frame (128 KiB of values; the reasoning is in DESIGN.md).
 const SLAB_MIN_ELEMS: usize = 16_384;
+/// Bytes of slab converted per step, on either end. Fixed, so no buffer
+/// grows with the frame; a multiple of 8, so a chunk holds whole values.
+pub(crate) const CHUNK_BYTES: usize = 32 << 10;
 
 /// Which of the two payload layouts a frame uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +157,16 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// (the peer hung up between requests); errors on truncation mid-frame or
 /// an oversized length.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let Some(len) = read_frame_len(r)? else { return Ok(None) };
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
+}
+
+/// Read one frame's length prefix: the payload length, at most
+/// [`MAX_FRAME_BYTES`]. `Ok(None)` on a clean EOF at a frame boundary; errors
+/// on truncation inside the prefix or an oversized length.
+pub fn read_frame_len(r: &mut impl Read) -> io::Result<Option<usize>> {
     let mut len = [0u8; FRAME_PREFIX_BYTES];
     // Distinguish "no more frames" (EOF before the first length byte)
     // from "truncated frame" (EOF inside one).
@@ -164,9 +185,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length exceeds cap"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    Ok(Some(len))
 }
 
 /// One named input binding in a scoring request.
@@ -342,21 +361,36 @@ struct SlabSink<'a> {
     elems: usize,
 }
 
-/// The slab of a frame being decoded, handed out front to back.
+/// The slab of a frame being decoded, read front to back off the frame's
+/// stream: a socket or an in-memory payload.
 struct SlabSource<'a> {
-    /// The slab's bytes; a multiple of 8 long.
-    bytes: &'a [u8],
+    /// The rest of the payload, which is exactly the slab.
+    src: &'a mut dyn Read,
+    /// Values in the slab, from the length prefix: every reference is
+    /// checked against it before anything sized by the header is allocated.
+    len: usize,
     /// Values referenced so far — the only offset the next reference may
     /// name.
     next: usize,
+    /// Bytes on their way from `src` to a matrix: `CHUNK_BYTES`, or the
+    /// whole slab when it is smaller.
+    chunk: Vec<u8>,
+    /// The I/O error that ended a [`take`](Self::take). It unwinds the
+    /// decode as an error string; the caller reports this instead.
+    failed: Option<io::Error>,
 }
 
-impl SlabSource<'_> {
-    /// The `n` values at element `offset`. Requiring `offset == next` is
-    /// what makes the references tile the slab: two cannot overlap and none
-    /// can skip bytes.
-    fn take(&mut self, offset: usize, n: usize) -> Result<Vec<f64>, String> {
-        let len = self.bytes.len() / 8;
+impl<'a> SlabSource<'a> {
+    fn new(src: &'a mut dyn Read, len: usize) -> Self {
+        let chunk = vec![0; CHUNK_BYTES.min(len * 8)];
+        SlabSource { src, len, next: 0, chunk, failed: None }
+    }
+
+    /// The `n` values at element `offset` and how many of them are non-zero.
+    /// Requiring `offset == next` is what makes the references tile the
+    /// slab: two cannot overlap and none can skip bytes.
+    fn take(&mut self, offset: usize, n: usize) -> Result<(Vec<f64>, usize), String> {
+        let len = self.len;
         if offset != self.next {
             return Err(format!(
                 "slab offset {offset} where {} was expected (references tile the slab in order)",
@@ -368,15 +402,32 @@ impl SlabSource<'_> {
             .filter(|end| *end <= len)
             .ok_or_else(|| format!("slab reference {offset}+{n} runs past the slab ({len})"))?;
         self.next = end;
-        Ok(self.bytes[offset * 8..end * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes")))
-            .collect())
+        let mut values = Vec::with_capacity(n);
+        let mut nnz = 0;
+        while values.len() < n {
+            let want = self.chunk.len().min((n - values.len()) * 8);
+            let bytes = &mut self.chunk[..want];
+            if let Err(e) = self.src.read_exact(bytes) {
+                let msg = format!("reading the slab: {e}");
+                self.failed = Some(e);
+                return Err(msg);
+            }
+            // Converted and counted while the chunk is hot, as two loops
+            // that each vectorize.
+            let at = values.len();
+            values.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+            );
+            nnz += values[at..].iter().filter(|v| **v != 0.0).count();
+        }
+        Ok((values, nnz))
     }
 
     /// Every slab value must have been referenced.
-    fn finish(self) -> Result<(), String> {
-        let len = self.bytes.len() / 8;
+    fn finish(&self) -> Result<(), String> {
+        let len = self.len;
         if self.next != len {
             return Err(format!("{} of {len} slab values are not referenced", len - self.next));
         }
@@ -407,16 +458,22 @@ fn write_data<'a>(out: &mut String, data: &'a [f64], slab: Option<&mut SlabSink<
     }
 }
 
-/// The one place a matrix's `n` values are read: parsed from an inline
-/// array in a text frame, copied out of the slab in a slab frame. Each
-/// layout rejects the other's form.
-fn read_data(j: &Json, n: usize, slab: Option<&mut SlabSource>) -> Result<Vec<f64>, String> {
+/// The one place a matrix's `n` values are read, with their non-zero count:
+/// parsed from an inline array in a text frame, read off the slab in a slab
+/// frame. Each layout rejects the other's form.
+fn read_data(
+    j: &Json,
+    n: usize,
+    slab: Option<&mut SlabSource>,
+) -> Result<(Vec<f64>, usize), String> {
     match (j, slab) {
         (Json::Arr(items), None) => {
             if items.len() != n {
                 return Err(format!("data length {} != rows*cols {n}", items.len()));
             }
-            items.iter().map(json_f64).collect()
+            let data = items.iter().map(json_f64).collect::<Result<Vec<_>, _>>()?;
+            let nnz = data.iter().filter(|v| **v != 0.0).count();
+            Ok((data, nnz))
         }
         (_, Some(slab)) => {
             let at = j.get("slab").ok_or("data in a slab frame must be {\"slab\": offset}")?;
@@ -427,13 +484,13 @@ fn read_data(j: &Json, n: usize, slab: Option<&mut SlabSource>) -> Result<Vec<f6
     }
 }
 
-/// The `rows`, `cols` and `data` of one matrix object; `what` names it in
-/// errors.
+/// The `rows`, `cols` and `data` of one matrix object, and the non-zero
+/// count of its data; `what` names it in errors.
 fn read_matrix(
     j: &Json,
     what: &str,
     slab: Option<&mut SlabSource>,
-) -> Result<(usize, usize, Vec<f64>), String> {
+) -> Result<(usize, usize, Vec<f64>, usize), String> {
     let field = |k: &str| j.get(k).ok_or_else(|| format!("{what} missing {k}"));
     let rows = json_usize(field("rows")?, "rows")?;
     let cols = json_usize(field("cols")?, "cols")?;
@@ -443,8 +500,8 @@ fn read_matrix(
     let n = rows
         .checked_mul(cols)
         .ok_or_else(|| format!("{what}: rows*cols overflows ({rows} x {cols})"))?;
-    let data = read_data(field("data")?, n, slab).map_err(|e| format!("{what}: {e}"))?;
-    Ok((rows, cols, data))
+    let (data, nnz) = read_data(field("data")?, n, slab).map_err(|e| format!("{what}: {e}"))?;
+    Ok((rows, cols, data, nnz))
 }
 
 /// Write a request's JSON document — the whole payload of a text frame, the
@@ -488,8 +545,12 @@ fn write_request<'a>(out: &mut String, req: &'a Request, mut slab: Option<&mut S
     out.push('}');
 }
 
-/// Read a request out of its parsed document.
-fn read_request(j: &Json, mut slab: Option<&mut SlabSource>) -> Result<Request, String> {
+/// Read a request out of its parsed document, with each input's non-zero
+/// count (see [`Received`]).
+fn read_request(
+    j: &Json,
+    mut slab: Option<&mut SlabSource>,
+) -> Result<(Request, Vec<usize>), String> {
     let tenant = j.get("tenant").and_then(Json::as_str).ok_or("missing tenant")?.to_owned();
     let cmd = match j.get("cmd").and_then(Json::as_str) {
         Some("score") | None => Cmd::Score,
@@ -498,21 +559,26 @@ fn read_request(j: &Json, mut slab: Option<&mut SlabSource>) -> Result<Request, 
     };
     let program = j.get("program").and_then(Json::as_str).unwrap_or("").to_owned();
     let mut inputs = Vec::new();
+    let mut nnz = Vec::new();
     if let Some(obj) = j.get("inputs") {
         for (name, v) in obj.as_obj().ok_or("inputs must be an object")? {
-            let value = match v.get("scalar") {
-                Some(s) => InputValue::Scalar(json_f64(s)?),
+            let (value, count) = match v.get("scalar") {
+                Some(s) => {
+                    let x = json_f64(s)?;
+                    (InputValue::Scalar(x), usize::from(x != 0.0))
+                }
                 None => {
-                    let (rows, cols, data) =
+                    let (rows, cols, data, count) =
                         read_matrix(v, &format!("input {name:?}"), slab.as_deref_mut())?;
-                    InputValue::Matrix { rows, cols, data }
+                    (InputValue::Matrix { rows, cols, data }, count)
                 }
             };
             inputs.push((name.clone(), value));
+            nnz.push(count);
         }
     }
     let batch = matches!(j.get("batch"), Some(Json::Bool(true)));
-    Ok(Request { tenant, cmd, program, inputs, batch })
+    Ok((Request { tenant, cmd, program, inputs, batch }, nnz))
 }
 
 /// Write a response's JSON document, with the server-assigned request id as
@@ -573,7 +639,7 @@ fn read_response(j: &Json, slab: Option<&mut SlabSource>) -> Result<Response, St
         Some("pong") => return Ok(Response::Pong),
         Some("scalar") => ScoreResult::Scalar(json_f64(j.get("value").ok_or("missing value")?)?),
         Some("matrix") => {
-            let (rows, cols, data) = read_matrix(j, "result", slab)?;
+            let (rows, cols, data, _) = read_matrix(j, "result", slab)?;
             ScoreResult::Matrix { rows, cols, data }
         }
         _ => return Err("missing kind".to_owned()),
@@ -595,83 +661,193 @@ fn rid_of(j: &Json) -> Option<u64> {
     (n >= 0.0 && n.fract() == 0.0).then_some(n as u64)
 }
 
-/// Build one complete frame — length prefix included — in a single buffer.
-/// `body` writes the JSON document, and is lent a slab sink when the layout
-/// has a slab.
-fn build_frame<'a>(
-    layout: Layout,
-    body: impl FnOnce(&mut String, Option<&mut SlabSink<'a>>),
-) -> Vec<u8> {
-    let lead = match layout {
-        Layout::Text => FRAME_PREFIX_BYTES,
-        Layout::Slab => FRAME_PREFIX_BYTES + SLAB_PREAMBLE_BYTES,
-    };
-    // The document is written behind placeholders for the bytes that
-    // precede it, so prefix, preamble and text share one allocation with
-    // nothing shifted or re-copied. NUL is valid UTF-8; every placeholder is
-    // overwritten below.
-    let mut text = "\0".repeat(lead);
-    let mut sink = SlabSink::default();
-    body(&mut text, (layout == Layout::Slab).then_some(&mut sink));
-    let text_len = text.len() - lead;
-    let mut frame = text.into_bytes();
-    if layout == Layout::Slab {
-        // Lengths past u32 saturate; `write_frame` refuses such a frame.
-        let text_len = u32::try_from(text_len).unwrap_or(u32::MAX);
-        frame[FRAME_PREFIX_BYTES] = SLAB_MAGIC;
-        frame[FRAME_PREFIX_BYTES + 1] = SLAB_VERSION;
-        frame[FRAME_PREFIX_BYTES + 2..lead].copy_from_slice(&text_len.to_le_bytes());
-        let mut at = frame.len();
-        frame.resize(at + sink.elems * 8, 0);
-        for part in sink.parts {
-            let end = at + part.len() * 8;
-            for (dst, v) in frame[at..end].chunks_exact_mut(8).zip(part) {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            at = end;
-        }
-    }
-    let payload_len = u32::try_from(frame.len() - FRAME_PREFIX_BYTES).unwrap_or(u32::MAX);
-    frame[..FRAME_PREFIX_BYTES].copy_from_slice(&payload_len.to_be_bytes());
-    frame
+/// One complete frame, ready to write: the length prefix, the preamble (in
+/// the slab layout) and the JSON document in `head`, and the matrices whose
+/// values follow as the slab.
+struct Frame<'a> {
+    head: Vec<u8>,
+    parts: Vec<&'a [f64]>,
+    /// Payload bytes: everything after the length prefix.
+    payload_len: usize,
 }
 
-/// Decode a frame payload of either layout: split off the slab if there is
-/// one, parse the document, run `read` over both, and check the slab was
-/// used up.
+impl<'a> Frame<'a> {
+    /// `body` writes the JSON document, and is lent a slab sink when the
+    /// layout has a slab.
+    fn new(layout: Layout, body: impl FnOnce(&mut String, Option<&mut SlabSink<'a>>)) -> Self {
+        let lead = match layout {
+            Layout::Text => FRAME_PREFIX_BYTES,
+            Layout::Slab => FRAME_PREFIX_BYTES + SLAB_PREAMBLE_BYTES,
+        };
+        // The document is written behind placeholders for the bytes that
+        // precede it, so prefix, preamble and text share one allocation with
+        // nothing shifted or re-copied. NUL is valid UTF-8; every placeholder is
+        // overwritten below.
+        let mut text = "\0".repeat(lead);
+        let mut sink = SlabSink::default();
+        body(&mut text, (layout == Layout::Slab).then_some(&mut sink));
+        let text_len = text.len() - lead;
+        let mut head = text.into_bytes();
+        if layout == Layout::Slab {
+            // Lengths past u32 saturate; `send` refuses such a frame.
+            let text_len = u32::try_from(text_len).unwrap_or(u32::MAX);
+            head[FRAME_PREFIX_BYTES] = SLAB_MAGIC;
+            head[FRAME_PREFIX_BYTES + 1] = SLAB_VERSION;
+            head[FRAME_PREFIX_BYTES + 2..lead].copy_from_slice(&text_len.to_le_bytes());
+        }
+        let payload_len = head.len() - FRAME_PREFIX_BYTES + sink.elems * 8;
+        let prefix = u32::try_from(payload_len).unwrap_or(u32::MAX);
+        head[..FRAME_PREFIX_BYTES].copy_from_slice(&prefix.to_be_bytes());
+        Frame { head, parts: sink.parts, payload_len }
+    }
+
+    /// Write the frame to `w`: the head and the first values in one write
+    /// (two writes would put the prefix alone in a TCP segment and stall
+    /// ~40 ms on Nagle's algorithm colliding with the peer's delayed ACK),
+    /// then the rest of the slab one chunk at a time, each converted just
+    /// before it goes out. The buffer never holds more than the head and one
+    /// chunk.
+    fn write_to(self, w: &mut dyn Write) -> io::Result<()> {
+        let Frame { head: mut buf, parts, payload_len } = self;
+        let mut at = buf.len();
+        if FRAME_PREFIX_BYTES + payload_len > at {
+            buf.resize(at + CHUNK_BYTES, 0);
+        }
+        for mut part in parts {
+            while !part.is_empty() {
+                let (now, later) = part.split_at(((buf.len() - at) / 8).min(part.len()));
+                for (dst, v) in buf[at..at + now.len() * 8].chunks_exact_mut(8).zip(now) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                at += now.len() * 8;
+                part = later;
+                if buf.len() - at < 8 {
+                    w.write_all(&buf[..at])?;
+                    at = 0;
+                }
+            }
+        }
+        if at > 0 {
+            w.write_all(&buf[..at])?;
+        }
+        w.flush()
+    }
+
+    /// Write the frame to a stream, refusing one over [`MAX_FRAME_BYTES`]
+    /// before a byte of it is written. Returns the payload's length.
+    fn send(self, w: &mut dyn Write) -> io::Result<usize> {
+        let len = self.payload_len;
+        if len > MAX_FRAME_BYTES {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
+        }
+        self.write_to(w)?;
+        Ok(len)
+    }
+
+    fn into_vec(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_PREFIX_BYTES + self.payload_len);
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
+        out
+    }
+}
+
+/// Check a slab payload's preamble — its first `SLAB_PREAMBLE_BYTES`, or
+/// all of a shorter `len`-byte payload — and return the header's and the
+/// slab's byte lengths.
+fn slab_lengths(head: &[u8], len: usize) -> Result<(usize, usize), String> {
+    let [_, version, l0, l1, l2, l3] = *head else {
+        return Err("slab frame shorter than its preamble".to_owned());
+    };
+    if version != SLAB_VERSION {
+        return Err(format!("unknown slab frame version {version}"));
+    }
+    let text_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let rest = len - SLAB_PREAMBLE_BYTES;
+    if text_len > rest {
+        return Err(format!("text_len {text_len} runs past the payload ({rest} bytes left)"));
+    }
+    let slab_bytes = rest - text_len;
+    if !slab_bytes.is_multiple_of(8) {
+        return Err(format!("slab length {slab_bytes} is not a multiple of 8"));
+    }
+    Ok((text_len, slab_bytes))
+}
+
+/// Parse a frame's JSON document and run `read` over it.
+fn read_document<T>(
+    text: &[u8],
+    slab: Option<&mut SlabSource>,
+    read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
+) -> Result<T, String> {
+    let text = std::str::from_utf8(text).map_err(|_| "frame text is not UTF-8")?;
+    read(&parse(text)?, slab)
+}
+
+/// Read a payload of `len` bytes off `r` and decode it with `read`. A text
+/// payload is read whole and parsed. A slab payload's header is read and
+/// parsed, and `read` then takes each matrix off `r` as the document
+/// references it; the slab's length follows from `len`, so each reference
+/// is checked before the values it names are allocated or read. An invalid
+/// payload is read to its end, so `r` stands at the next frame. Returns the
+/// payload's layout with the outcome; `Err` only when `r` fails or ends
+/// inside the payload.
+fn read_payload<T>(
+    r: &mut dyn Read,
+    len: usize,
+    read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
+) -> io::Result<(Layout, Result<T, String>)> {
+    let mut r = r.take(len as u64);
+    let mut head = [0u8; SLAB_PREAMBLE_BYTES];
+    let head = &mut head[..len.min(SLAB_PREAMBLE_BYTES)];
+    r.read_exact(head)?;
+    let layout = Layout::of(head);
+    let out = match layout {
+        Layout::Text => {
+            let mut payload = vec![0; len];
+            payload[..head.len()].copy_from_slice(head);
+            r.read_exact(&mut payload[head.len()..])?;
+            read_document(&payload, None, read)
+        }
+        Layout::Slab => match slab_lengths(head, len) {
+            Ok((text_len, slab_bytes)) => {
+                let mut text = vec![0; text_len];
+                r.read_exact(&mut text)?;
+                let mut slab = SlabSource::new(&mut r, slab_bytes / 8);
+                let out = read_document(&text, Some(&mut slab), read);
+                if let Some(e) = slab.failed.take() {
+                    return Err(e);
+                }
+                out.and_then(|v| slab.finish().map(|()| v))
+            }
+            Err(e) => Err(e),
+        },
+    };
+    if out.is_err() {
+        io::copy(&mut r, &mut io::sink())?;
+    }
+    Ok((layout, out))
+}
+
+/// Decode an in-memory payload of either layout.
 fn decode_payload<T>(
     payload: &[u8],
     read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
 ) -> Result<T, String> {
-    let (text, mut slab) = match Layout::of(payload) {
-        Layout::Text => (payload, None),
-        Layout::Slab => {
-            let [_, version, l0, l1, l2, l3, rest @ ..] = payload else {
-                return Err("slab frame shorter than its preamble".to_owned());
-            };
-            if *version != SLAB_VERSION {
-                return Err(format!("unknown slab frame version {version}"));
-            }
-            let text_len = u32::from_le_bytes([*l0, *l1, *l2, *l3]) as usize;
-            if text_len > rest.len() {
-                return Err(format!(
-                    "text_len {text_len} runs past the payload ({} bytes left)",
-                    rest.len()
-                ));
-            }
-            let (text, bytes) = rest.split_at(text_len);
-            if bytes.len() % 8 != 0 {
-                return Err(format!("slab length {} is not a multiple of 8", bytes.len()));
-            }
-            (text, Some(SlabSource { bytes, next: 0 }))
-        }
-    };
-    let text = std::str::from_utf8(text).map_err(|_| "frame text is not UTF-8")?;
-    let out = read(&parse(text)?, slab.as_mut())?;
-    if let Some(slab) = slab {
-        slab.finish()?;
-    }
-    Ok(out)
+    // A slice holds every byte `read_payload` asks for, so it cannot fail.
+    read_payload(&mut &payload[..], payload.len(), read)
+        .map_or_else(|e| Err(e.to_string()), |(_, out)| out)
+}
+
+/// A request payload as [`read_request_frame`] read it off a stream.
+#[derive(Debug)]
+pub struct Received {
+    /// The payload's layout, which the response must use.
+    pub layout: Layout,
+    /// The request and each input's non-zero count, in `inputs` order, or
+    /// why the payload is not a valid request. A matrix counts its values
+    /// with `v != 0.0`, so `-0.0` counts as zero and a NaN as non-zero; a
+    /// scalar counts as one value.
+    pub request: Result<(Request, Vec<usize>), String>,
 }
 
 /// Encode a request to its text-frame payload.
@@ -683,7 +859,7 @@ pub fn encode_request(req: &Request) -> String {
 
 /// Decode a text-frame request payload.
 pub fn decode_request(raw: &str) -> Result<Request, String> {
-    read_request(&parse(raw)?, None)
+    read_request(&parse(raw)?, None).map(|(req, _)| req)
 }
 
 /// Encode a response (without a request id) to its text-frame payload.
@@ -705,10 +881,9 @@ pub fn response_rid(raw: &str) -> Option<u64> {
     rid_of(&parse(raw).ok()?)
 }
 
-/// The complete frame for a request, ready for [`write_frame`]: a slab
-/// frame iff the request's matrices total at least `SLAB_MIN_ELEMS` values,
-/// a text frame otherwise.
-pub fn request_frame(req: &Request) -> Vec<u8> {
+/// A request's frame: a slab frame iff the request's matrices total at
+/// least `SLAB_MIN_ELEMS` values, a text frame otherwise.
+fn frame_of_request(req: &Request) -> Frame<'_> {
     let elems: usize = req
         .inputs
         .iter()
@@ -718,18 +893,59 @@ pub fn request_frame(req: &Request) -> Vec<u8> {
         })
         .sum();
     let layout = if elems >= SLAB_MIN_ELEMS { Layout::Slab } else { Layout::Text };
-    build_frame(layout, |out, slab| write_request(out, req, slab))
+    Frame::new(layout, |out, slab| write_request(out, req, slab))
+}
+
+/// The complete frame for a request, ready for [`write_frame`]: a slab
+/// frame iff the request's matrices total at least `SLAB_MIN_ELEMS` values,
+/// a text frame otherwise.
+pub fn request_frame(req: &Request) -> Vec<u8> {
+    frame_of_request(req).into_vec()
+}
+
+/// Write a request's frame — the bytes of [`request_frame`] — to `w`,
+/// converting the slab a chunk at a time, so no frame-sized buffer is
+/// built. Refuses a frame over [`MAX_FRAME_BYTES`] before writing a byte.
+/// Returns the payload's length.
+pub(crate) fn write_request_frame(w: &mut dyn Write, req: &Request) -> io::Result<usize> {
+    frame_of_request(req).send(w)
 }
 
 /// Decode a received request payload of either layout.
 pub fn decode_request_frame(payload: &[u8]) -> Result<Request, String> {
-    decode_payload(payload, read_request)
+    decode_payload(payload, read_request).map(|(req, _)| req)
+}
+
+/// Read a request payload of `len` bytes (as [`read_frame_len`] returned
+/// it) off `r` and decode it. A text payload is read whole and parsed; a
+/// slab payload's header is read and parsed, and then each matrix's values
+/// go from `r` straight into its `Vec<f64>` through a fixed chunk buffer,
+/// counted as they are converted. The request equals what
+/// [`decode_request_frame`] makes of the same bytes.
+///
+/// An invalid payload is read to its end and dropped, so `r` stands at the
+/// next frame, and [`Received::request`] says what is wrong. `Err` means
+/// `r` failed, or ended inside the payload; where it stands is then unknown.
+pub fn read_request_frame(r: &mut dyn Read, len: usize) -> io::Result<Received> {
+    let (layout, request) = read_payload(r, len, read_request)?;
+    Ok(Received { layout, request })
 }
 
 /// The complete frame for a response carrying request id `rid`, in the
 /// layout of the request it answers.
 pub fn response_frame(resp: &Response, rid: u64, layout: Layout) -> Vec<u8> {
-    build_frame(layout, |out, slab| write_response(out, resp, Some(rid), slab))
+    Frame::new(layout, |out, slab| write_response(out, resp, Some(rid), slab)).into_vec()
+}
+
+/// Write a response's frame — the bytes of [`response_frame`] — to `w` as
+/// [`write_request_frame`] writes a request's. Returns the payload's length.
+pub(crate) fn write_response_frame(
+    w: &mut dyn Write,
+    resp: &Response,
+    rid: u64,
+    layout: Layout,
+) -> io::Result<usize> {
+    Frame::new(layout, |out, slab| write_response(out, resp, Some(rid), slab)).send(w)
 }
 
 /// Decode a received response payload of either layout, along with its

@@ -32,8 +32,8 @@
 
 use crate::batch::{Batcher, Joined};
 use crate::protocol::{
-    decode_request_frame, read_frame, response_frame, write_frame, Cmd, InputValue, Layout,
-    Request, Response, ScoreResult, FRAME_PREFIX_BYTES,
+    read_frame_len, read_request_frame, write_response_frame, Cmd, InputValue, Received, Request,
+    Response, ScoreResult, CHUNK_BYTES,
 };
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::session::SessionLedger;
@@ -53,7 +53,7 @@ use dm_obs::trace;
 use dm_obs::StatsRegistry;
 use dm_par::WorkerPool;
 use std::collections::BTreeSet;
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -434,21 +434,27 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(60);
 /// bounds how long shutdown waits on it.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBool) {
+fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(Some(STALL_TIMEOUT));
     // Scoring responses must not sit in Nagle's buffer waiting for ACKs.
     let _ = stream.set_nodelay(true);
+    // One socket read usually brings a small frame's prefix and payload
+    // together; a slab's chunk-sized reads bypass the buffer.
+    let mut conn = BufReader::with_capacity(
+        CHUNK_BYTES,
+        Patient { stream: &stream, stop, between_frames: true },
+    );
     loop {
-        let mut conn = Patient { stream: &stream, stop, between_frames: true };
-        let Ok(Some(raw)) = read_frame(&mut conn) else { break };
-        if serve_frame(shared, &mut stream, &raw).is_err() {
+        conn.get_mut().between_frames = true;
+        let Ok(Some(len)) = read_frame_len(&mut conn) else { break };
+        if serve_frame(shared, &stream, &mut conn, len).is_err() {
             break;
         }
     }
 }
 
-/// A connection's reads as [`read_frame`] sees them. Each socket read waits
+/// A connection's reads as the frame reader sees them. Each socket read waits
 /// at most `IDLE_POLL`, and a read retries until a byte arrives or
 /// `STALL_TIMEOUT` passes without one. Between frames a stopping server
 /// reads as the client hanging up, so shutdown never waits on an idle
@@ -499,24 +505,29 @@ fn time_phase<T>(ctx: &mut ReqCtx, p: Phase, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Serve one framed request end to end: assign its id, open its root span,
-/// handle it, encode + write the response (rid included), and deposit the
-/// completed [`RequestRecord`] — phase breakdown, byte counts, and its
-/// extracted span tree — into the flight recorder. The returned error is
-/// the socket write failing (connection torn down); the request is recorded
-/// either way, so even a request whose client vanished stays diagnosable.
-fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &[u8]) -> io::Result<()> {
+/// Serve one framed request end to end, once its `len`-byte payload's
+/// length prefix is in: assign its id, open its root span, receive and
+/// decode the payload off `conn`, handle it, write the response (rid
+/// included), and deposit the completed [`RequestRecord`] — phase
+/// breakdown, byte counts, and its extracted span tree — into the flight
+/// recorder. The returned error is the socket failing (connection torn
+/// down), on either read or write; the request is recorded either way, so
+/// even a request whose client vanished stays diagnosable.
+fn serve_frame(
+    shared: &Arc<Shared>,
+    mut stream: &TcpStream,
+    conn: &mut dyn Read,
+    len: usize,
+) -> io::Result<()> {
+    // Receiving the payload is part of the request: the clock starts at
+    // the length prefix, and the decode phase covers the receive.
     let started = Instant::now();
     let reg = shared.registry.as_ref();
     let rid = shared.flight.next_id();
     let mut ctx =
         ReqCtx { rec: RequestRecord::new(rid, ""), spans: trace::LocalSpans::new(), root: None };
-    ctx.rec.bytes_in = raw.len() as u64;
-    // The response goes back in the layout the request came in, so a client
-    // that only speaks JSON text never meets a slab.
-    let layout = Layout::of(raw);
-    ctx.rec.layout = layout.name();
-    let write_res;
+    ctx.rec.bytes_in = len as u64;
+    let io_res;
     {
         // Root span of this request's trace. A root gets its trace id from
         // the process-wide counter in `dm_obs::trace`, so the whole tree —
@@ -528,30 +539,41 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &[u8]) -> io::
         let mut root = trace::Span::child_of(None, "serve.request", "serve");
         root.arg("rid", rid);
         ctx.root = root.handle();
-        let resp = handle_request(shared, raw, &mut ctx);
-        // `serve.latency_ns` keeps its pre-flight-recorder boundaries —
-        // decode through scoring, excluding response encode and the socket
-        // write — so dashboards and E17 stay comparable across versions.
-        // The record's `total_ns` below is the full end-to-end time.
-        let handling_ns = started.elapsed().as_nanos() as u64;
-        shared.latency_hist.record(handling_ns);
-        if !ctx.rec.tenant.is_empty() {
-            reg.record_histogram(
-                &format!("serve.tenant.{}.latency_ns", tenant_series(shared, &ctx.rec.tenant)),
-                handling_ns,
-            );
-        }
-        if let Response::Error { error } = &resp {
-            ctx.rec.error = Some(error.clone());
-        }
-        root.arg("tenant", ctx.rec.tenant.clone());
-        let frame = time_phase(&mut ctx, Phase::Encode, || response_frame(&resp, rid, layout));
-        ctx.rec.bytes_out = (frame.len() - FRAME_PREFIX_BYTES) as u64;
-        // The frame write counts as encode time too: a response stuck in a
-        // slow client's socket shows up attributed, not as mystery gap.
-        let t0 = Instant::now();
-        write_res = write_frame(stream, &frame);
-        ctx.rec.phase_ns[Phase::Encode.index()] += t0.elapsed().as_nanos() as u64;
+        reg.add("serve.requests", 1);
+        let received = time_phase(&mut ctx, Phase::Decode, || read_request_frame(conn, len));
+        io_res = match received {
+            Ok(Received { layout, request }) => {
+                // The response goes back in the layout the request came in,
+                // so a client that only speaks JSON text never meets a slab.
+                ctx.rec.layout = layout.name();
+                let resp = handle_request(shared, request, &mut ctx);
+                // `serve.latency_ns` runs from the length prefix through
+                // scoring, excluding response encode and the socket write.
+                // The record's `total_ns` below is the full end-to-end time.
+                let handling_ns = started.elapsed().as_nanos() as u64;
+                shared.latency_hist.record(handling_ns);
+                if !ctx.rec.tenant.is_empty() {
+                    let series = tenant_series(shared, &ctx.rec.tenant);
+                    reg.record_histogram(&format!("serve.tenant.{series}.latency_ns"), handling_ns);
+                }
+                if let Response::Error { error } = &resp {
+                    ctx.rec.error = Some(error.clone());
+                }
+                root.arg("tenant", ctx.rec.tenant.clone());
+                // The frame write counts as encode time too: a response stuck
+                // in a slow client's socket shows up attributed, not as
+                // mystery gap.
+                time_phase(&mut ctx, Phase::Encode, || {
+                    write_response_frame(&mut stream, &resp, rid, layout)
+                })
+                .map(|written| ctx.rec.bytes_out = written as u64)
+            }
+            Err(e) => {
+                reg.add("serve.errors", 1);
+                ctx.rec.error = Some(format!("recv: {e}"));
+                Err(e)
+            }
+        };
     }
     let ReqCtx { mut rec, mut spans, root } = ctx;
     spans.flush();
@@ -570,7 +592,7 @@ fn serve_frame(shared: &Arc<Shared>, stream: &mut TcpStream, raw: &[u8]) -> io::
         rec.events = trace::extract_trace(root.trace);
     }
     shared.flight.record(rec);
-    write_res
+    io_res
 }
 
 fn valid_tenant(t: &str) -> bool {
@@ -579,10 +601,14 @@ fn valid_tenant(t: &str) -> bool {
         && t.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-fn handle_request(shared: &Arc<Shared>, raw: &[u8], ctx: &mut ReqCtx) -> Response {
+/// Answer a received request, or the reason its payload is not one.
+fn handle_request(
+    shared: &Arc<Shared>,
+    request: Result<(Request, Vec<usize>), String>,
+    ctx: &mut ReqCtx,
+) -> Response {
     let reg = shared.registry.as_ref();
-    reg.add("serve.requests", 1);
-    let req = match time_phase(ctx, Phase::Decode, || decode_request_frame(raw)) {
+    let (req, nnz) = match request {
         Ok(r) => r,
         Err(e) => {
             reg.add("serve.errors", 1);
@@ -596,7 +622,7 @@ fn handle_request(shared: &Arc<Shared>, raw: &[u8], ctx: &mut ReqCtx) -> Respons
     ctx.rec.tenant = req.tenant.clone();
     let resp = match req.cmd {
         Cmd::Ping => Response::Pong,
-        Cmd::Score => handle_score(shared, req, ctx),
+        Cmd::Score => handle_score(shared, req, &nnz, ctx),
     };
     if matches!(resp, Response::Error { .. }) {
         reg.add("serve.errors", 1);
@@ -632,15 +658,15 @@ fn admit_tenant_series(tracked: &mut BTreeSet<String>, cap: usize, tenant: &str)
     false
 }
 
-/// Measure a bound input's non-zero fraction for the sparsity bucket.
-fn measured_sparsity(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 1.0;
-    }
-    data.iter().filter(|v| **v != 0.0).count() as f64 / data.len() as f64
-}
-
-fn handle_score(shared: &Arc<Shared>, mut req: Request, ctx: &mut ReqCtx) -> Response {
+/// `nnz` is each input's non-zero count, taken while the frame was decoded
+/// (see [`Received`]): the sparsity buckets of the plan key and the
+/// executor's input profile read it instead of scanning the values again.
+fn handle_score(
+    shared: &Arc<Shared>,
+    mut req: Request,
+    nnz: &[usize],
+    ctx: &mut ReqCtx,
+) -> Response {
     let reg = shared.registry.as_ref();
     // Plan-cache lookup phase: classify the bound inputs, parse for the
     // structural hash (cheap, linear in the text), and probe the LRU —
@@ -648,10 +674,11 @@ fn handle_score(shared: &Arc<Shared>, mut req: Request, ctx: &mut ReqCtx) -> Res
     let mut sizes = InputSizes::new();
     let lookup = time_phase(ctx, Phase::CacheLookup, || {
         let mut classes = Vec::with_capacity(req.inputs.len());
-        for (name, v) in &req.inputs {
+        for ((name, v), &nnz) in req.inputs.iter().zip(nnz) {
             match v {
                 InputValue::Matrix { rows, cols, data } => {
-                    let sp = measured_sparsity(data);
+                    // An empty matrix declares dense, as it always has.
+                    let sp = if data.is_empty() { 1.0 } else { nnz as f64 / data.len() as f64 };
                     sizes.declare(name, *rows, *cols, sp);
                     classes.push(InputClass::new(name, *rows, *cols, sp));
                 }
@@ -719,11 +746,12 @@ fn handle_score(shared: &Arc<Shared>, mut req: Request, ctx: &mut ReqCtx) -> Res
     reg.gauge_set("serve.admission.waiting", shared.ledger.waiting() as u64);
     reg.gauge_set("serve.admission.in_flight_bytes", shared.ledger.in_flight_bytes() as u64);
 
-    let (result, batched) = match try_batched(shared, &mut req, &prog, &key, ctx) {
+    let (result, batched) = match try_batched(shared, &mut req, nnz, &prog, &key, ctx) {
         Some(r) => r,
         None => {
-            let out =
-                time_phase(ctx, Phase::Execute, || execute(shared, &prog, build_env(req.inputs)));
+            let out = time_phase(ctx, Phase::Execute, || {
+                execute(shared, &prog, build_env(req.inputs, nnz))
+            });
             match out {
                 Ok(v) => (val_to_result(v), false),
                 Err(e) => return Response::Error { error: e },
@@ -791,13 +819,14 @@ fn insert_cache(shared: &Arc<Shared>, key: PlanKey, prog: Arc<CompiledProgram>) 
 
 /// Bind a request's inputs, moving each matrix's values into the
 /// environment: a decoded request is consumed by its execution, never copied.
-fn build_env(inputs: Vec<(String, InputValue)>) -> Env {
+/// Each matrix carries its decode-time non-zero count from `nnz`.
+fn build_env(inputs: Vec<(String, InputValue)>, nnz: &[usize]) -> Env {
     let mut env = Env::new();
-    for (name, v) in inputs {
+    for ((name, v), &nnz) in inputs.into_iter().zip(nnz) {
         match v {
             InputValue::Matrix { rows, cols, data } => {
                 let d = Dense::from_vec(rows, cols, data).expect("length validated at decode");
-                env.bind(&name, Matrix::Dense(d));
+                env.bind_counted(&name, Matrix::Dense(d), nnz);
             }
             InputValue::Scalar(x) => {
                 env.bind_scalar(&name, x);
@@ -899,6 +928,7 @@ fn guard_hash(bytes: &[u8]) -> u64 {
 fn try_batched(
     shared: &Arc<Shared>,
     req: &mut Request,
+    nnz: &[usize],
     prog: &Arc<CompiledProgram>,
     key: &PlanKey,
     ctx: &mut ReqCtx,
@@ -958,7 +988,7 @@ fn try_batched(
             // Group was full or guarded against us: run the same column
             // individually.
             let out = time_phase(ctx, Phase::Execute, || {
-                let mut env = build_env(inputs);
+                let mut env = build_env(inputs, nnz);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, 1, col).expect("shape")));
                 execute(shared, prog, env).and_then(val_to_result)
             });
@@ -993,7 +1023,7 @@ fn try_batched(
                         stacked[i * k + j] = *v;
                     }
                 }
-                let mut env = build_env(inputs);
+                let mut env = build_env(inputs, nnz);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, k, stacked).expect("shape")));
                 execute(shared, prog, env).and_then(|v| {
                     let Val::Matrix(mat) = v else {
@@ -1076,10 +1106,13 @@ mod tests {
         let model = &server.shared.model;
         let prog = compile("W %*% x", &sizes, 1, MemoryBudget::unbounded(), model).unwrap();
         let w = (0..512).map(f64::from).collect();
-        let env = build_env(vec![
-            ("W".to_owned(), InputValue::Matrix { rows: 64, cols: 8, data: w }),
-            ("x".to_owned(), InputValue::Matrix { rows: 8, cols: 1, data: vec![1.0; 8] }),
-        ]);
+        let env = build_env(
+            vec![
+                ("W".to_owned(), InputValue::Matrix { rows: 64, cols: 8, data: w }),
+                ("x".to_owned(), InputValue::Matrix { rows: 8, cols: 1, data: vec![1.0; 8] }),
+            ],
+            &[511, 8],
+        );
         let out = execute(&server.shared, &prog, env).unwrap();
         let Val::Matrix(m) = &out else { panic!("W %*% x is a matrix") };
         // The eval's value table is gone: the caller holds the only
@@ -1092,12 +1125,6 @@ mod tests {
         };
         assert_eq!(data.as_ptr(), executor_ptr);
         server.shutdown();
-    }
-
-    #[test]
-    fn measured_sparsity_counts_nonzeros() {
-        assert_eq!(measured_sparsity(&[0.0, 1.0, 0.0, 2.0]), 0.5);
-        assert_eq!(measured_sparsity(&[]), 1.0);
     }
 
     #[test]

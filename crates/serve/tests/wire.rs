@@ -1,32 +1,24 @@
 //! The wire format from the outside: slab frames round-trip every bit
-//! pattern, both layouts decode to the same request, and a hostile frame of
-//! either layout gets a clean `bad request: …` on a connection that stays
-//! usable (ROADMAP item 5, first slice).
+//! pattern, both layouts decode to the same request however the bytes are
+//! split across reads, a hostile frame of either layout gets a clean
+//! `bad request: …` on a connection that stays usable, and a client that
+//! hangs up inside a frame costs only its own connection.
 
 use dm_obs::StatsRegistry;
 use dm_serve::protocol::{
     decode_request, decode_request_frame, decode_response_frame, encode_request, read_frame,
-    request_frame, response_frame, write_frame, Layout, FRAME_PREFIX_BYTES,
+    read_frame_len, read_request_frame, request_frame, response_frame, write_frame, Layout,
+    FRAME_PREFIX_BYTES,
 };
-use dm_serve::{InputValue, Request, Response, ScoreResult, ScoringServer, ServeConfig};
+use dm_serve::{
+    InputValue, Request, Response, ScoreResult, ScoringClient, ScoringServer, ServeConfig,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-
-/// The matrices of a request as (name, rows, cols, value bits): `==` on
-/// `f64` cannot see a NaN payload or the sign of zero.
-fn matrix_bits(req: &Request) -> Vec<(String, usize, usize, Vec<u64>)> {
-    req.inputs
-        .iter()
-        .filter_map(|(name, v)| match v {
-            InputValue::Matrix { rows, cols, data } => {
-                Some((name.clone(), *rows, *cols, data.iter().map(|x| x.to_bits()).collect()))
-            }
-            InputValue::Scalar(_) => None,
-        })
-        .collect()
-}
+use std::time::{Duration, Instant};
 
 /// Doubles weighted towards the patterns decimal text loses or mangles.
 fn any_bits() -> BoxedStrategy<f64> {
@@ -73,6 +65,40 @@ fn payload(frame: &[u8]) -> &[u8] {
     &frame[FRAME_PREFIX_BYTES..]
 }
 
+/// Everything a request carries, with values as bits: `==` on `f64` cannot
+/// see a NaN payload or the sign of zero, and a NaN is not equal to itself.
+fn request_bits(req: &Request) -> String {
+    let inputs: Vec<(String, Vec<u64>)> = req
+        .inputs
+        .iter()
+        .map(|(name, v)| match v {
+            InputValue::Matrix { rows, cols, data } => {
+                (format!("{name} {rows}x{cols}"), data.iter().map(|x| x.to_bits()).collect())
+            }
+            InputValue::Scalar(x) => (format!("{name} scalar"), vec![x.to_bits()]),
+        })
+        .collect();
+    format!("{:?} {:?} {:?} {} {inputs:?}", req.tenant, req.cmd, req.program, req.batch)
+}
+
+/// A stream that hands out its bytes a few at a time: each `read` returns
+/// the next of `steps` bytes (cycling), or fewer at the end.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    steps: &'a [usize],
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.steps[self.reads % self.steps.len()].min(buf.len()).min(self.bytes.len());
+        self.reads += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -85,8 +111,7 @@ proptest! {
         let frame = request_frame(&req);
         prop_assert_eq!(Layout::of(payload(&frame)), Layout::Slab);
         let back = decode_request_frame(payload(&frame)).unwrap();
-        prop_assert_eq!(matrix_bits(&back), matrix_bits(&req));
-        prop_assert_eq!((&back.tenant, &back.program, back.batch), (&req.tenant, &req.program, true));
+        prop_assert_eq!(request_bits(&back), request_bits(&req));
         // Re-encoding what was decoded gives the same bytes.
         prop_assert_eq!(request_frame(&back), frame);
     }
@@ -119,13 +144,50 @@ proptest! {
     }
 
     #[test]
+    fn fragmented_delivery_decodes_as_the_whole_payload(
+        small in matrices(any_bits()),
+        filler in vec(any_bits(), 128 * 128),
+        scalar in any_bits(),
+        steps in vec(1usize..=97, 1..6),
+    ) {
+        let mut text = Request::score("t-1", "A0").scalar("s", scalar);
+        for (i, (rows, cols, data)) in small.iter().enumerate() {
+            text = text.matrix(&format!("A{i}"), *rows, *cols, data.clone());
+        }
+        for (req, layout) in [(text, Layout::Text), (slab_sized(&small, filler.clone()), Layout::Slab)] {
+            // The frame, then a ping: the reader must stop at the boundary.
+            let frame = request_frame(&req);
+            let stream = [frame.clone(), request_frame(&Request::ping("t"))].concat();
+            let mut r = Trickle { bytes: &stream, steps: &steps, reads: 0 };
+            let len = read_frame_len(&mut r).unwrap().unwrap();
+            let got = read_request_frame(&mut r, len).unwrap();
+            prop_assert_eq!(got.layout, layout);
+            let (back, nnz) = got.request.unwrap();
+            let whole = decode_request_frame(payload(&frame)).unwrap();
+            prop_assert_eq!(request_bits(&back), request_bits(&whole));
+            let want: Vec<usize> = back
+                .inputs
+                .iter()
+                .map(|(_, v)| match v {
+                    InputValue::Matrix { data, .. } => data.iter().filter(|x| **x != 0.0).count(),
+                    InputValue::Scalar(x) => usize::from(*x != 0.0),
+                })
+                .collect();
+            prop_assert_eq!(nnz, want);
+            let len = read_frame_len(&mut r).unwrap().unwrap();
+            let ping = read_request_frame(&mut r, len).unwrap().request.unwrap().0;
+            prop_assert_eq!(ping, Request::ping("t"));
+            prop_assert_eq!(read_frame_len(&mut r).unwrap(), None);
+        }
+    }
+
+    #[test]
     fn slab_and_text_decodes_agree(small in matrices(text_safe())) {
         // A plain filler: a random double can print as 300 digits of text.
         let req = slab_sized(&small, (0..128 * 128).map(|i| (i % 9) as f64 * 0.125).collect());
         let from_slab = decode_request_frame(payload(&request_frame(&req))).unwrap();
         let from_text = decode_request(&encode_request(&req)).unwrap();
-        prop_assert_eq!(matrix_bits(&from_slab), matrix_bits(&from_text));
-        prop_assert_eq!(&from_slab, &from_text);
+        prop_assert_eq!(request_bits(&from_slab), request_bits(&from_text));
     }
 }
 
@@ -230,19 +292,23 @@ fn hostile_frames_get_a_clean_error_and_the_connection_survives() {
     let server =
         ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
     let mut conn = TcpStream::connect(server.addr()).unwrap();
+    let ping = request_frame(&Request::ping("t"));
     for (what, bad, needle) in &cases {
         // The decoder alone rejects it...
         let err = decode_request_frame(bad).expect_err(what);
         assert!(err.contains(needle), "{what}: {err}");
         // ...and so does the server, in the layout the frame claimed, without
-        // giving up on the connection.
-        write_frame(&mut conn, &framed(bad)).unwrap();
+        // giving up on the connection. A ping rides in the same write: the
+        // server must skip exactly the bad frame's bytes to answer it.
+        conn.write_all(&[framed(bad), ping.clone()].concat()).unwrap();
         let reply = read_frame(&mut conn).unwrap().unwrap_or_else(|| panic!("{what}: hung up"));
         assert_eq!(Layout::of(&reply), Layout::of(bad), "{what}");
         let (resp, rid) = decode_response_frame(&reply).unwrap();
         let Response::Error { error } = resp else { panic!("{what}: accepted as {resp:?}") };
         assert!(error.starts_with("bad request: ") && error.contains(needle), "{what}: {error}");
         assert!(rid.is_some(), "{what}: errors carry a rid too");
+        let reply = read_frame(&mut conn).unwrap().unwrap_or_else(|| panic!("{what}: no pong"));
+        assert_eq!(decode_response_frame(&reply).unwrap().0, Response::Pong, "{what}");
     }
     // The same connection still serves a well-formed request of each layout.
     write_frame(&mut conn, &request_frame(&Request::ping("t"))).unwrap();
@@ -259,4 +325,38 @@ fn hostile_frames_get_a_clean_error_and_the_connection_survives() {
     // Close first: shutdown waits for open connections.
     drop(conn);
     server.shutdown();
+}
+
+#[test]
+fn a_client_that_hangs_up_mid_slab_costs_only_its_connection() {
+    // One worker: a fresh connection is served only once the abandoned
+    // one's worker has returned.
+    let cfg = ServeConfig { workers: 1, ..ServeConfig::for_tests() };
+    let server = ScoringServer::start(cfg, Arc::new(StatsRegistry::new())).unwrap();
+    let (rows, cols) = (64, 2048);
+    let req = Request::score("t", "X %*% v")
+        .matrix("X", rows, cols, vec![0.5; rows * cols])
+        .matrix("v", cols, 1, vec![1.0; cols]);
+    let frame = request_frame(&req);
+    let slab_at = frame.len() - (rows * cols + cols) * 8;
+    {
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        // The prefix, preamble and header, and half of the slab.
+        conn.write_all(&frame[..slab_at + (rows * cols + cols) * 4]).unwrap();
+    }
+    let mut client = ScoringClient::connect(server.addr()).unwrap();
+    client.ping("t").unwrap();
+    let Ok(ScoreResult::Matrix { data, .. }) = client.score(&req) else {
+        panic!("the whole request is served on a fresh connection");
+    };
+    assert_eq!(data, vec![1024.0; rows]);
+    // The abandoned request is on record as failed at the receive.
+    let recs = server.flight().recent(8);
+    let lost = recs.iter().find(|r| r.error.as_deref().is_some_and(|e| e.starts_with("recv: ")));
+    let lost = lost.unwrap_or_else(|| panic!("no record of the abandoned frame"));
+    assert_eq!(lost.bytes_in as usize, frame.len() - FRAME_PREFIX_BYTES);
+    drop(client);
+    let t0 = Instant::now();
+    server.shutdown();
+    assert!(t0.elapsed() < Duration::from_secs(2), "shutdown took {:?}", t0.elapsed());
 }

@@ -16,6 +16,8 @@ JSON document as a header, with each matrix's values as raw little-endian
 f64 after it. This file is the format's second implementation, so the
 server's slab decoder is exercised by bytes its own encoder did not
 produce; the scores that come back are checked against X.v computed here.
+With `--fragment N` every frame goes out in N-byte pieces, so the server's
+streaming reader meets frames cut at arbitrary points.
 
 Two ways to point it at a server, both stdlib-only:
 
@@ -42,7 +44,7 @@ Usage:
   scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 8 --requests 50 --batch
   scripts/loadgen.py --addr 127.0.0.1:7878 --metrics 127.0.0.1:9100 --slow 50
   scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 2 --requests 10 \\
-      --rows 64 --cols 2048
+      --rows 64 --cols 2048 --fragment 4096
 """
 
 import argparse
@@ -122,8 +124,17 @@ def decode_payload(body: bytes) -> dict:
     return resp
 
 
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def send_frame(sock: socket.socket, payload: bytes, fragment=None) -> None:
+    """Send one frame: in one `sendall`, or with `fragment` in pieces of
+    that many bytes, each its own send, so the server's reader sees the
+    frame arrive split at arbitrary points (a value, the header, even the
+    length prefix cut in two)."""
+    frame = struct.pack(">I", len(payload)) + payload
+    if not fragment:
+        sock.sendall(frame)
+        return
+    for at in range(0, len(frame), fragment):
+        sock.sendall(frame[at:at + fragment])
 
 
 def recv_frame(sock: socket.socket) -> bytes:
@@ -204,10 +215,13 @@ class TenantStats:
 
 
 def run_tenant(addr, tenant: str, requests: int, batch: bool, stats: TenantStats,
-               slow_ms=None, shape=None) -> None:
+               slow_ms=None, shape=None, fragment=None) -> None:
     try:
         with socket.create_connection(addr, timeout=30) as sock:
-            send_frame(sock, encode_payload({"tenant": tenant, "cmd": "ping"}))
+            if fragment:
+                # Without this, Nagle's algorithm would merge the pieces.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            send_frame(sock, encode_payload({"tenant": tenant, "cmd": "ping"}), fragment)
             pong = decode_payload(recv_frame(sock))
             if pong.get("kind") != "pong":
                 stats.errors.append(f"bad pong: {pong}")
@@ -220,7 +234,7 @@ def run_tenant(addr, tenant: str, requests: int, batch: bool, stats: TenantStats
                     req = score_request(tenant, seq, batch)
                 payload = encode_payload(req)
                 t0 = time.monotonic()
-                send_frame(sock, payload)
+                send_frame(sock, payload, fragment)
                 resp = decode_payload(recv_frame(sock))
                 lat_ms = (time.monotonic() - t0) * 1e3
                 stats.latencies_ms.append(lat_ms)
@@ -290,11 +304,11 @@ def print_slow_breakdown(metrics_addr: str, slow, total_requests: int) -> None:
 
 
 def run_load(addr, tenants: int, requests: int, batch: bool,
-             slow_ms=None, metrics_addr=None, shape=None) -> int:
+             slow_ms=None, metrics_addr=None, shape=None, fragment=None) -> int:
     per_tenant = {f"tenant-{i}": TenantStats() for i in range(tenants)}
     threads = [
         threading.Thread(target=run_tenant,
-                         args=(addr, name, requests, batch, st, slow_ms, shape))
+                         args=(addr, name, requests, batch, st, slow_ms, shape, fragment))
         for name, st in per_tenant.items()
     ]
     t0 = time.monotonic()
@@ -366,6 +380,9 @@ def main() -> int:
                     "ROWS x COLS model per request, as a slab frame once it holds "
                     f"{SLAB_MIN_ELEMS} values, and check the scores")
     ap.add_argument("--cols", type=int)
+    ap.add_argument("--fragment", type=int, metavar="N",
+                    help="send every frame in N-byte pieces, one send each, "
+                         "so the server reads frames split at arbitrary points")
     ap.add_argument("--addr", help="host:port of a running server")
     ap.add_argument("--slow", type=float, metavar="MS",
                     help="report requests slower than MS milliseconds; with "
@@ -379,12 +396,14 @@ def main() -> int:
     if (args.rows is None) != (args.cols is None) or (args.rows and args.batch):
         ap.error("--rows and --cols go together, and without --batch")
     shape = (args.rows, args.cols) if args.rows else None
+    if args.fragment is not None and args.fragment < 1:
+        ap.error("--fragment takes a positive byte count")
 
     if args.spawn:
         proc, addr = spawn_server(args.spawn)
         try:
             return run_load(addr, args.tenants, args.requests, args.batch,
-                            args.slow, args.metrics, shape)
+                            args.slow, args.metrics, shape, args.fragment)
         finally:
             proc.terminate()
             try:
@@ -395,7 +414,7 @@ def main() -> int:
     elif args.addr:
         host, _, port = args.addr.rpartition(":")
         return run_load((host, int(port)), args.tenants, args.requests, args.batch,
-                        args.slow, args.metrics, shape)
+                        args.slow, args.metrics, shape, args.fragment)
     else:
         ap.error("one of --addr or --spawn is required")
     return 2
