@@ -53,7 +53,7 @@ fn print_table() {
     );
     for &tr in &[1usize, 5, 20, 100, 500] {
         let (nm, y) = build(tr);
-        let x = nm.materialize();
+        let x = nm.decompress();
         let w: Vec<f64> = (0..nm.cols()).map(|i| (i as f64).cos() * 0.1).collect();
         let tf = dm_bench::time_mean(5, || epoch_factorized(&nm, &y, &w));
         let tm = dm_bench::time_mean(5, || epoch_materialized(&x, &y, &w));
@@ -76,7 +76,7 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     for &tr in &[1usize, 100] {
         let (nm, y) = build(tr);
-        let x = nm.materialize();
+        let x = nm.decompress();
         let w: Vec<f64> = (0..nm.cols()).map(|i| (i as f64).cos() * 0.1).collect();
         g.bench_function(format!("factorized_tr{tr}"), |b| {
             b.iter(|| epoch_factorized(&nm, &y, &w))

@@ -44,7 +44,7 @@ fn build(dim_rows: usize, seed: u64) -> (Variant, Variant, JoinProfile) {
         vec![dm_factorized::DimTable::new(d.dim.clone(), d.fk.clone()).expect("keys")],
     )
     .expect("schema");
-    let joined = nm.materialize();
+    let joined = nm.decompress();
 
     // FK-only representation: fact features + one-hot FK.
     let fk_only = d.fact.hcat(&fk_one_hot(&d.fk, dim_rows));

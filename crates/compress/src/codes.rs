@@ -110,6 +110,24 @@ impl CodeArray {
             }
         }
     }
+
+    /// Call `f(row, code)` for each row in `rows`, in row order, matching on
+    /// the code width once as [`gather_add`](Self::gather_add) does.
+    #[inline]
+    pub(crate) fn for_each(&self, rows: std::ops::Range<usize>, mut f: impl FnMut(usize, usize)) {
+        let start = rows.start;
+        match self {
+            CodeArray::U8(v) => {
+                v[rows].iter().enumerate().for_each(|(i, &c)| f(start + i, c.into()))
+            }
+            CodeArray::U16(v) => {
+                v[rows].iter().enumerate().for_each(|(i, &c)| f(start + i, c.into()))
+            }
+            CodeArray::U32(v) => {
+                v[rows].iter().enumerate().for_each(|(i, &c)| f(start + i, c as usize))
+            }
+        }
+    }
 }
 
 /// Iterator over a [`CodeArray`].

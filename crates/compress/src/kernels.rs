@@ -7,8 +7,12 @@
 //! O(n * width).
 
 use crate::group::ColGroup;
-use dm_matrix::ops;
+use dm_matrix::{kernel, ops, Dense};
 use std::ops::Range;
+
+/// Rows of the other group decompressed at a time when neither group of a
+/// crossprod pair can be read by row (OLE or RLE on both sides).
+const PANEL_ROWS: usize = 256;
 
 /// Accumulate this group's contribution to `out += M[:, cols] * v[cols]`.
 pub fn gemv_into(g: &ColGroup, v: &[f64], out: &mut [f64]) {
@@ -83,9 +87,19 @@ pub fn gemv_range_into(g: &ColGroup, v: &[f64], out: &mut [f64], rows: Range<usi
             }
         }
         ColGroup::Uncompressed { cols, data } => {
+            // Rows in pairs, one pass over `vc` per pair; each row still gets
+            // `out += dot(row, vc)`, `dot2` having `dot`'s fold.
             let vc: Vec<f64> = cols.iter().map(|&c| v[c]).collect();
-            for (o, r) in out.iter_mut().zip(rows) {
-                *o += ops::dot(data.row(r), &vc);
+            let mut pairs = out.chunks_exact_mut(2);
+            let mut r = rows.start;
+            for pair in &mut pairs {
+                let (a, b) = ops::dot2(data.row(r), data.row(r + 1), &vc);
+                pair[0] += a;
+                pair[1] += b;
+                r += 2;
+            }
+            if let [last] = pairs.into_remainder() {
+                *last += ops::dot(data.row(r), &vc);
             }
         }
     }
@@ -152,37 +166,71 @@ pub fn vecmat_local(g: &ColGroup, v: &[f64], scratch: &mut Vec<f64>) -> Vec<f64>
 /// resized to the group's dictionary size). Dictionary encodings only; the
 /// uncompressed fallback has no tuples.
 fn tuple_sums(g: &ColGroup, v: &[f64], scratch: &mut Vec<f64>) {
+    scratch.clear();
+    scratch.resize(dictionary(g).1.num_tuples(), 0.0);
     match g {
-        ColGroup::Ddc { dict, codes, .. } => {
-            scratch.clear();
-            scratch.resize(dict.num_tuples(), 0.0);
-            for (r, code) in codes.iter().enumerate() {
-                scratch[code as usize] += v[r];
-            }
-        }
-        ColGroup::Ole { dict, offsets, .. } => {
-            scratch.clear();
-            scratch.resize(dict.num_tuples(), 0.0);
-            for (t, offs) in offsets.iter().enumerate() {
+        ColGroup::Ddc { codes, .. } => codes.for_each(0..v.len(), |r, t| scratch[t] += v[r]),
+        ColGroup::Ole { offsets, .. } => {
+            for (s, offs) in scratch.iter_mut().zip(offsets) {
                 let mut acc = 0.0;
                 for &r in offs {
                     acc += v[r as usize];
                 }
-                scratch[t] = acc;
+                *s = acc;
             }
         }
-        ColGroup::Rle { dict, runs, .. } => {
-            scratch.clear();
-            scratch.resize(dict.num_tuples(), 0.0);
-            for (t, rs) in runs.iter().enumerate() {
+        ColGroup::Rle { runs, .. } => {
+            for (s, rs) in scratch.iter_mut().zip(runs) {
                 let mut acc = 0.0;
                 for &(start, len) in rs {
                     for &x in &v[start as usize..(start + len) as usize] {
                         acc += x;
                     }
                 }
-                scratch[t] = acc;
+                *s = acc;
             }
+        }
+        ColGroup::Uncompressed { .. } => unreachable!("uncompressed groups have no tuples"),
+    }
+}
+
+/// Call `f(tuple, row)` for every row in `rows` that holds a stored tuple
+/// of dictionary group `g`: every row for DDC, in row order; OLE and RLE
+/// rows tuple by tuple, skipping the elided all-zero tuple.
+fn for_each_member(g: &ColGroup, rows: Range<usize>, mut f: impl FnMut(usize, usize)) {
+    match g {
+        ColGroup::Ddc { codes, .. } => codes.for_each(rows, |r, t| f(t, r)),
+        ColGroup::Ole { offsets, .. } => {
+            let (start, end) = (rows.start as u32, rows.end as u32);
+            for (t, offs) in offsets.iter().enumerate() {
+                let lo = offs.partition_point(|&r| r < start);
+                let hi = lo + offs[lo..].partition_point(|&r| r < end);
+                offs[lo..hi].iter().for_each(|&r| f(t, r as usize));
+            }
+        }
+        ColGroup::Rle { runs, .. } => {
+            for (t, rs) in runs.iter().enumerate() {
+                for &(start, len) in rs {
+                    let run = start as usize..(start + len) as usize;
+                    (run.start.max(rows.start)..run.end.min(rows.end)).for_each(|r| f(t, r));
+                }
+            }
+        }
+        ColGroup::Uncompressed { .. } => unreachable!("uncompressed groups have no tuples"),
+    }
+}
+
+/// How many rows hold each stored tuple of dictionary group `g`.
+fn tuple_counts(g: &ColGroup) -> Vec<usize> {
+    match g {
+        ColGroup::Ddc { dict, codes, .. } => {
+            let mut counts = vec![0usize; dict.num_tuples()];
+            codes.for_each(0..codes.len(), |_, t| counts[t] += 1);
+            counts
+        }
+        ColGroup::Ole { offsets, .. } => offsets.iter().map(|o| o.len()).collect(),
+        ColGroup::Rle { runs, .. } => {
+            runs.iter().map(|rs| rs.iter().map(|&(_, l)| l as usize).sum()).collect()
         }
         ColGroup::Uncompressed { .. } => unreachable!("uncompressed groups have no tuples"),
     }
@@ -240,28 +288,107 @@ pub fn col_sums_local(g: &ColGroup) -> Vec<f64> {
 /// Shared body of [`col_sums_into`] and [`col_sums_local`]: scatter per-tuple
 /// counts either to global column indices or to local group positions.
 fn col_sums_into_indexed(g: &ColGroup, out: &mut [f64], local: bool) {
-    let counts: Vec<usize> = match g {
-        ColGroup::Ddc { dict, codes, .. } => {
-            let mut counts = vec![0usize; dict.num_tuples()];
-            for code in codes.iter() {
-                counts[code as usize] += 1;
-            }
-            counts
-        }
-        ColGroup::Ole { offsets, .. } => offsets.iter().map(|o| o.len()).collect(),
-        ColGroup::Rle { runs, .. } => {
-            runs.iter().map(|rs| rs.iter().map(|&(_, l)| l as usize).sum()).collect()
-        }
-        ColGroup::Uncompressed { .. } => unreachable!("handled by callers"),
-    };
     let (cols, dict) = dictionary(g);
-    for (t, &n) in counts.iter().enumerate() {
+    for (t, &n) in tuple_counts(g).iter().enumerate() {
         if n == 0 {
             continue;
         }
         for (j, (&c, &tv)) in cols.iter().zip(dict.tuple(t)).enumerate() {
             let idx = if local { j } else { c };
             out[idx] += n as f64 * tv;
+        }
+    }
+}
+
+/// Write group `g`'s diagonal block of `MᵀM` into `out`: the dense
+/// crossprod of an uncompressed block, `Rᵀ diag(counts) R` of a dictionary.
+pub(crate) fn crossprod_diag_into(g: &ColGroup, out: &mut Dense) {
+    let cols = g.cols();
+    let w = cols.len();
+    let block = match g {
+        ColGroup::Uncompressed { data, .. } => ops::crossprod(data).into_vec(),
+        _ => {
+            let dict = dictionary(g).1;
+            let mut block = vec![0.0; w * w];
+            for (t, &n) in tuple_counts(g).iter().enumerate().filter(|(_, &n)| n > 0) {
+                let tuple = dict.tuple(t);
+                for (i, &x) in tuple.iter().enumerate() {
+                    let s = n as f64 * x;
+                    for (o, &y) in block[i * w + i..(i + 1) * w].iter_mut().zip(&tuple[i..]) {
+                        *o += s * y;
+                    }
+                }
+            }
+            kernel::mirror_upper(w, &mut block);
+            block
+        }
+    };
+    put_block(out, cols, cols, &block);
+}
+
+/// Write the off-diagonal blocks of `MᵀM` for two distinct groups into
+/// `out`. A dictionary side sums the other side's rows per tuple into an
+/// `n_tuples x w_other` matrix, and its dictionary's transpose times that
+/// matrix is the block. The other side is read by row when it is dense or
+/// DDC, else [`PANEL_ROWS`] rows at a time; two dense sides multiply row
+/// by row. Nothing `rows`-sized is allocated.
+pub(crate) fn crossprod_pair_into(a: &ColGroup, b: &ColGroup, out: &mut Dense) {
+    use ColGroup::{Ddc, Ole, Rle, Uncompressed as Uc};
+    let (key, other) = match (a, b) {
+        (Uc { .. }, Ddc { .. } | Ole { .. } | Rle { .. })
+        | (Ddc { .. }, Ole { .. } | Rle { .. }) => (b, a),
+        _ => (a, b),
+    };
+    let (wk, wo) = (key.cols().len(), other.cols().len());
+    let n = key.num_rows();
+    let mut block = vec![0.0; wk * wo];
+    if let (Uc { data: x, .. }, Uc { data: y, .. }) = (key, other) {
+        for r in 0..n {
+            for (i, &xv) in x.row(r).iter().enumerate() {
+                for (o, &yv) in block[i * wo..(i + 1) * wo].iter_mut().zip(y.row(r)) {
+                    *o += xv * yv;
+                }
+            }
+        }
+        return put_block(out, key.cols(), other.cols(), &block);
+    }
+    let dict = dictionary(key).1;
+    let mut agg = vec![0.0; dict.num_tuples() * wo];
+    let mut add = |t: usize, row: &[f64]| kernel::add_into(&mut agg[t * wo..(t + 1) * wo], row);
+    match other {
+        Uc { data, .. } => for_each_member(key, 0..n, |t, r| add(t, data.row(r))),
+        Ddc { dict: od, codes, .. } => {
+            for_each_member(key, 0..n, |t, r| add(t, od.tuple(codes.get(r) as usize)))
+        }
+        _ => {
+            let od = dictionary(other).1;
+            let mut panel = vec![0.0; PANEL_ROWS * wo];
+            for start in (0..n).step_by(PANEL_ROWS) {
+                let rows = start..(start + PANEL_ROWS).min(n);
+                panel.fill(0.0);
+                for_each_member(other, rows.clone(), |t, r| {
+                    panel[(r - start) * wo..][..wo].copy_from_slice(od.tuple(t))
+                });
+                for_each_member(key, rows, |t, r| add(t, &panel[(r - start) * wo..][..wo]));
+            }
+        }
+    }
+    for (t, sums) in agg.chunks_exact(wo.max(1)).enumerate() {
+        for (i, &xv) in dict.tuple(t).iter().enumerate() {
+            for (o, &s) in block[i * wo..(i + 1) * wo].iter_mut().zip(sums) {
+                *o += xv * s;
+            }
+        }
+    }
+    put_block(out, key.cols(), other.cols(), &block);
+}
+
+/// Write a `rows.len() x cols.len()` block and its transpose into `out`.
+fn put_block(out: &mut Dense, rows: &[usize], cols: &[usize], block: &[f64]) {
+    for (&r, vals) in rows.iter().zip(block.chunks_exact(cols.len().max(1))) {
+        for (&c, &v) in cols.iter().zip(vals) {
+            out.set(r, c, v);
+            out.set(c, r, v);
         }
     }
 }

@@ -281,24 +281,18 @@ impl CompressedMatrix {
         out
     }
 
-    /// `M^T M` (Gram matrix) computed column-block-wise on compressed data by
-    /// running one [`CompressedMatrix::vecmat`] per decompressed column.
-    ///
-    /// This mirrors the CLA strategy of expressing higher-level ops through
-    /// the MV/VM primitives rather than a bespoke kernel.
+    /// `M^T M` (Gram matrix) computed block-wise over pairs of column groups,
+    /// without decompressing: a dictionary group's diagonal block is
+    /// `Rᵀ diag(counts) R`, and a block it shares with another group sums the
+    /// other group's rows per tuple first. Extra memory is a few
+    /// dictionary-sized blocks, never `rows x cols`.
     pub fn crossprod(&self) -> Dense {
         let mut out = Dense::zeros(self.cols, self.cols);
-        // Decompress one column at a time to bound memory.
-        let mut colbuf = Dense::zeros(self.rows, self.cols);
-        // A single full decompress would also work, but per-group column
-        // extraction keeps peak memory at one dense column.
-        for g in &self.groups {
-            g.decompress_into(&mut colbuf);
-        }
-        for c in 0..self.cols {
-            let col = colbuf.col_vec(c);
-            let row = self.vecmat(&col);
-            out.row_mut(c).copy_from_slice(&row);
+        for (i, a) in self.groups.iter().enumerate() {
+            kernels::crossprod_diag_into(a, &mut out);
+            for b in &self.groups[i + 1..] {
+                kernels::crossprod_pair_into(a, b, &mut out);
+            }
         }
         out
     }
@@ -408,6 +402,27 @@ mod tests {
         let cm = CompressedMatrix::compress(&m, &CompressionConfig::default());
         let expect = ops::crossprod(&m);
         assert!(cm.crossprod().approx_eq(&expect, 1e-6));
+    }
+
+    #[test]
+    fn crossprod_every_encoding_pair_across_panels() {
+        // 700 rows span several decompressed panels of an OLE/RLE pair;
+        // co-coded groups make every block wider than one column.
+        let m = mixed(700);
+        let expect = ops::crossprod(&m);
+        let all = [Encoding::Ddc, Encoding::Ole, Encoding::Rle, Encoding::Uncompressed];
+        for ea in all {
+            for eb in all {
+                let groups = vec![group::encode(&m, &[3, 0], ea), group::encode(&m, &[1, 2], eb)];
+                let cm = CompressedMatrix::from_parts(700, 4, groups).unwrap();
+                let got = cm.crossprod();
+                assert!(
+                    got.approx_eq(&expect, 1e-6),
+                    "{ea:?} x {eb:?}: {}",
+                    got.max_abs_diff(&expect)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests: compression must be lossless and kernels must agree
 //! with their dense counterparts for arbitrary matrices and plans.
 
+use dm_compress::group::encode;
 use dm_compress::{planner::CompressionConfig, CompressedMatrix, Encoding};
 use dm_matrix::{ops, Dense};
 use proptest::prelude::*;
@@ -157,6 +158,33 @@ proptest! {
             let serial = cm.gemv(&v);
             for deg in sweep_degrees() {
                 prop_assert_eq!(&cm.gemv_with(&v, deg), &serial, "{:?} degree {}", enc, deg);
+            }
+        }
+    }
+}
+
+proptest! {
+    // The group-pair crossprod has one arm per encoding pair (dense × dense,
+    // a dictionary side aggregating dense, DDC or panel-decompressed rows).
+    // Interleaved columns make every block scatter to non-contiguous places.
+    #[test]
+    fn crossprod_agrees_for_every_encoding_pair(m in matrix()) {
+        let all = [Encoding::Ddc, Encoding::Ole, Encoding::Rle, Encoding::Uncompressed];
+        let even: Vec<usize> = (0..m.cols()).step_by(2).collect();
+        let odd: Vec<usize> = (1..m.cols()).step_by(2).collect();
+        let expect = ops::crossprod(&m);
+        for ea in all {
+            for eb in all {
+                let mut groups = vec![encode(&m, &even, ea)];
+                if !odd.is_empty() {
+                    groups.push(encode(&m, &odd, eb));
+                }
+                let cm = CompressedMatrix::from_parts(m.rows(), m.cols(), groups).unwrap();
+                let got = cm.crossprod();
+                prop_assert!(
+                    got.approx_eq(&expect, 1e-8),
+                    "{:?} x {:?}: max diff {}", ea, eb, got.max_abs_diff(&expect)
+                );
             }
         }
     }

@@ -29,7 +29,7 @@ pub fn train_materialized(
     family: Family,
     cfg: &GdConfig,
 ) -> Result<GlmFit, MlError> {
-    let x = nm.materialize();
+    let x = nm.decompress();
     glm::train_gd(
         |w| dm_matrix::ops::gemv(&x, w),
         |r| dm_matrix::ops::tmv(&x, r),

@@ -11,6 +11,7 @@
 //! safe.
 
 use crate::schema::NormalizedMatrix;
+use dm_compress::ColGroup;
 
 /// Inputs to the join-avoidance decision for one dimension table.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,16 +67,19 @@ pub fn risk_rule(p: &JoinProfile, rows_per_dof: f64) -> Decision {
     }
 }
 
-/// Profile every dimension table of a normalized matrix.
+/// Profile every dimension table of a normalized matrix (its DDC groups:
+/// a table's rows are the dictionary's tuples). A table with no feature
+/// columns has no group, so it gets no profile.
 pub fn profile_tables(nm: &NormalizedMatrix) -> Vec<JoinProfile> {
-    nm.tables
-        .iter()
-        .map(|t| JoinProfile {
+    let profile = |g: &ColGroup| match g {
+        ColGroup::Ddc { dict, .. } => Some(JoinProfile {
             fact_rows: nm.rows(),
-            dim_rows: t.features.rows(),
-            dim_features: t.features.cols(),
-        })
-        .collect()
+            dim_rows: dict.num_tuples(),
+            dim_features: dict.width(),
+        }),
+        _ => None,
+    };
+    nm.groups().iter().filter_map(profile).collect()
 }
 
 /// Replace a dimension table's features with a dummy-coded (one-hot) foreign

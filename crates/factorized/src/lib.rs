@@ -5,11 +5,15 @@
 //!
 //! Three techniques, each a module:
 //!
-//! * [`schema`] / [`morpheus`] — a **normalized matrix**: the feature matrix of
-//!   a star-schema join kept as (fact-table features, per-dimension features,
-//!   foreign-key maps). Linear-algebra operators (`gemv`, `vecmat`,
-//!   `crossprod`) are rewritten to push computation through the join,
-//!   touching each dimension row once instead of once per matching fact row.
+//! * [`schema`] — a **normalized matrix**: the feature matrix of a
+//!   star-schema join, stored as a [`dm_compress::CompressedMatrix`]. The
+//!   fact-table features are one uncompressed column group; each dimension
+//!   table is one DDC group whose codes are the foreign keys and whose
+//!   dictionary is the dimension's feature block. Pushing linear algebra
+//!   through the join (Morpheus's rewrites) is then CLA's per-tuple
+//!   pre-aggregation: `gemv`, `vecmat`, `col_sums` and `crossprod` are
+//!   `dm-compress`'s kernels and touch each dimension row once instead of
+//!   once per matching fact row.
 //! * [`glm`] — **factorized GLM learning**: gradient-descent training of
 //!   linear/logistic models whose per-epoch cost is
 //!   `O(n·d_S + Σ n_k·d_k)` instead of `O(n·d)` over the materialized join.
@@ -26,14 +30,13 @@
 //! let r = Dense::from_rows(&[&[10.0], &[20.0]]);
 //! let nm = NormalizedMatrix::new(s, vec![DimTable::new(r, vec![0, 1, 0, 1]).unwrap()]).unwrap();
 //! let w = [1.0, 1.0];
-//! assert_eq!(nm.gemv(&w), dm_matrix::ops::gemv(&nm.materialize(), &w));
+//! assert_eq!(nm.gemv(&w), dm_matrix::ops::gemv(&nm.decompress(), &w));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod glm;
 pub mod hamlet;
-pub mod morpheus;
 pub mod schema;
 
 pub use schema::{DimTable, FactorizedError, NormalizedMatrix};

@@ -789,18 +789,32 @@ fn read_document<T>(
 /// references it; the slab's length follows from `len`, so each reference
 /// is checked before the values it names are allocated or read. An invalid
 /// payload is read to its end, so `r` stands at the next frame. Returns the
-/// payload's layout with the outcome; `Err` only when `r` fails or ends
-/// inside the payload.
+/// payload's layout with the outcome, the layout also when `r` fails or
+/// ends inside the payload (`Text` if that happens before the preamble is
+/// in).
 fn read_payload<T>(
     r: &mut dyn Read,
     len: usize,
     read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
-) -> io::Result<(Layout, Result<T, String>)> {
+) -> (Layout, io::Result<Result<T, String>>) {
     let mut r = r.take(len as u64);
     let mut head = [0u8; SLAB_PREAMBLE_BYTES];
     let head = &mut head[..len.min(SLAB_PREAMBLE_BYTES)];
-    r.read_exact(head)?;
+    if let Err(e) = r.read_exact(head) {
+        return (Layout::Text, Err(e));
+    }
     let layout = Layout::of(head);
+    (layout, read_body(&mut r, head, layout, len, read))
+}
+
+/// The rest of [`read_payload`], once the preamble `head` is in.
+fn read_body<T>(
+    r: &mut io::Take<&mut dyn Read>,
+    head: &[u8],
+    layout: Layout,
+    len: usize,
+    read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
+) -> io::Result<Result<T, String>> {
     let out = match layout {
         Layout::Text => {
             let mut payload = vec![0; len];
@@ -812,7 +826,7 @@ fn read_payload<T>(
             Ok((text_len, slab_bytes)) => {
                 let mut text = vec![0; text_len];
                 r.read_exact(&mut text)?;
-                let mut slab = SlabSource::new(&mut r, slab_bytes / 8);
+                let mut slab = SlabSource::new(r, slab_bytes / 8);
                 let out = read_document(&text, Some(&mut slab), read);
                 if let Some(e) = slab.failed.take() {
                     return Err(e);
@@ -823,9 +837,9 @@ fn read_payload<T>(
         },
     };
     if out.is_err() {
-        io::copy(&mut r, &mut io::sink())?;
+        io::copy(r, &mut io::sink())?;
     }
-    Ok((layout, out))
+    Ok(out)
 }
 
 /// Decode an in-memory payload of either layout.
@@ -834,20 +848,21 @@ fn decode_payload<T>(
     read: impl FnOnce(&Json, Option<&mut SlabSource>) -> Result<T, String>,
 ) -> Result<T, String> {
     // A slice holds every byte `read_payload` asks for, so it cannot fail.
-    read_payload(&mut &payload[..], payload.len(), read)
-        .map_or_else(|e| Err(e.to_string()), |(_, out)| out)
+    read_payload(&mut &payload[..], payload.len(), read).1.unwrap_or_else(|e| Err(e.to_string()))
 }
 
 /// A request payload as [`read_request_frame`] read it off a stream.
 #[derive(Debug)]
 pub struct Received {
-    /// The payload's layout, which the response must use.
+    /// The payload's layout, which the response must use; `Text` when the
+    /// stream failed before the preamble was in.
     pub layout: Layout,
     /// The request and each input's non-zero count, in `inputs` order, or
-    /// why the payload is not a valid request. A matrix counts its values
+    /// why the payload is not a valid request; the outer `Err` when the
+    /// stream failed or ended inside the payload. A matrix counts its values
     /// with `v != 0.0`, so `-0.0` counts as zero and a NaN as non-zero; a
     /// scalar counts as one value.
-    pub request: Result<(Request, Vec<usize>), String>,
+    pub request: io::Result<Result<(Request, Vec<usize>), String>>,
 }
 
 /// Encode a request to its text-frame payload.
@@ -924,11 +939,12 @@ pub fn decode_request_frame(payload: &[u8]) -> Result<Request, String> {
 /// [`decode_request_frame`] makes of the same bytes.
 ///
 /// An invalid payload is read to its end and dropped, so `r` stands at the
-/// next frame, and [`Received::request`] says what is wrong. `Err` means
-/// `r` failed, or ended inside the payload; where it stands is then unknown.
-pub fn read_request_frame(r: &mut dyn Read, len: usize) -> io::Result<Received> {
-    let (layout, request) = read_payload(r, len, read_request)?;
-    Ok(Received { layout, request })
+/// next frame, and [`Received::request`] says what is wrong. An `Err` there
+/// means `r` failed, or ended inside the payload; where it stands is then
+/// unknown, and [`Received::layout`] still says which layout was lost.
+pub fn read_request_frame(r: &mut dyn Read, len: usize) -> Received {
+    let (layout, request) = read_payload(r, len, read_request);
+    Received { layout, request }
 }
 
 /// The complete frame for a response carrying request id `rid`, in the

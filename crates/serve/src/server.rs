@@ -540,12 +540,14 @@ fn serve_frame(
         root.arg("rid", rid);
         ctx.root = root.handle();
         reg.add("serve.requests", 1);
-        let received = time_phase(&mut ctx, Phase::Decode, || read_request_frame(conn, len));
-        io_res = match received {
-            Ok(Received { layout, request }) => {
+        let Received { layout, request } =
+            time_phase(&mut ctx, Phase::Decode, || read_request_frame(conn, len));
+        // A frame lost mid-receive is on record in its layout too.
+        ctx.rec.layout = layout.name();
+        io_res = match request {
+            Ok(request) => {
                 // The response goes back in the layout the request came in,
                 // so a client that only speaks JSON text never meets a slab.
-                ctx.rec.layout = layout.name();
                 let resp = handle_request(shared, request, &mut ctx);
                 // `serve.latency_ns` runs from the length prefix through
                 // scoring, excluding response encode and the socket write.

@@ -160,9 +160,9 @@ proptest! {
             let stream = [frame.clone(), request_frame(&Request::ping("t"))].concat();
             let mut r = Trickle { bytes: &stream, steps: &steps, reads: 0 };
             let len = read_frame_len(&mut r).unwrap().unwrap();
-            let got = read_request_frame(&mut r, len).unwrap();
+            let got = read_request_frame(&mut r, len);
             prop_assert_eq!(got.layout, layout);
-            let (back, nnz) = got.request.unwrap();
+            let (back, nnz) = got.request.unwrap().unwrap();
             let whole = decode_request_frame(payload(&frame)).unwrap();
             prop_assert_eq!(request_bits(&back), request_bits(&whole));
             let want: Vec<usize> = back
@@ -175,7 +175,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(nnz, want);
             let len = read_frame_len(&mut r).unwrap().unwrap();
-            let ping = read_request_frame(&mut r, len).unwrap().request.unwrap().0;
+            let ping = read_request_frame(&mut r, len).request.unwrap().unwrap().0;
             prop_assert_eq!(ping, Request::ping("t"));
             prop_assert_eq!(read_frame_len(&mut r).unwrap(), None);
         }
@@ -355,6 +355,7 @@ fn a_client_that_hangs_up_mid_slab_costs_only_its_connection() {
     let lost = recs.iter().find(|r| r.error.as_deref().is_some_and(|e| e.starts_with("recv: ")));
     let lost = lost.unwrap_or_else(|| panic!("no record of the abandoned frame"));
     assert_eq!(lost.bytes_in as usize, frame.len() - FRAME_PREFIX_BYTES);
+    assert_eq!(lost.layout, "slab", "the lost frame is recorded in the layout it came in");
     drop(client);
     let t0 = Instant::now();
     server.shutdown();

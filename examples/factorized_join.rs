@@ -34,17 +34,20 @@ fn main() {
         nm.redundancy_ratio()
     );
 
-    // Morpheus-style operators agree with the materialized join.
+    // The join is a compressed matrix (fact block dense, dimension table
+    // one DDC group): CLA's gemv pushes through it and agrees with the
+    // materialized join.
     let w: Vec<f64> = (0..nm.cols()).map(|i| (i as f64 * 0.1).sin()).collect();
     let t0 = Instant::now();
     let fact_gemv = nm.gemv(&w);
     let fact_time = t0.elapsed();
     let t1 = Instant::now();
-    let mat = nm.materialize();
+    let mat = nm.decompress();
     let mat_gemv = dmml::matrix::ops::gemv(&mat, &w);
     let mat_time = t1.elapsed();
     let max_diff = fact_gemv.iter().zip(&mat_gemv).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
     println!("gemv: factorized {fact_time:?} vs materialize+dense {mat_time:?} (max diff {max_diff:.1e})");
+    assert!(max_diff < 1e-9, "factorized gemv disagrees with the materialized join");
 
     // Train linear regression both ways with identical GD settings.
     let gd = GdConfig { learning_rate: 0.1, max_iter: 200, tol: 1e-9, ..Default::default() };
@@ -63,6 +66,7 @@ fn main() {
         f_fit.iterations
     );
     println!("  identical iterates: max weight gap {weight_gap:.1e}");
+    assert!(weight_gap < 1e-9, "factorized and materialized GD must take the same iterates");
     println!(
         "  speedup {:.1}x at tuple ratio {:.0}",
         m_time.as_secs_f64() / f_time.as_secs_f64().max(1e-12),

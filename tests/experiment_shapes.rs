@@ -174,7 +174,7 @@ fn e9_join_avoidance_accuracy_gap() {
             vec![DimTable::new(d.dim.clone(), d.fk.clone()).unwrap()],
         )
         .unwrap();
-        let joined = nm.materialize();
+        let joined = nm.decompress();
         let fk_only = d.fact.hcat(&fk_one_hot(&d.fk, dim_rows));
         let acc = |x: &Dense| {
             let cfg = LogRegConfig { learning_rate: 0.5, max_iter: 300, tol: 0.0, l2: 1e-3 };
