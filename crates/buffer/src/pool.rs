@@ -5,11 +5,10 @@ use crate::codec;
 use crate::policy::{make_policy, Policy, PolicyKind};
 use crate::storage::Storage;
 use dm_matrix::Dense;
-use dm_obs::trace;
-use parking_lot::Mutex;
+use dm_obs::{lock, trace};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Identifies one block: owning matrix id plus tile coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -261,7 +260,8 @@ impl<S: Storage> BufferPool<S> {
                 self.stats.misses += 1;
                 self.stats.faulted_bytes += bytes.len() as u64;
                 Self::trace_page_bytes("buffer.fault", key, bytes.len());
-                let block = codec::decode_dense(bytes).ok_or(PoolError::Corrupt(key))?;
+                let block = codec::decode_dense(&bytes).ok_or(PoolError::Corrupt(key))?;
+                drop(bytes); // a lent page borrows the store that make_room spills into
                 let nbytes = block_bytes(&block);
                 self.make_room(nbytes)?;
                 let arc = Arc::new(block);
@@ -411,12 +411,12 @@ impl<S: Storage> SharedBufferPool<S> {
 
     /// Insert a block.
     pub fn put(&self, key: PageKey, block: Dense) -> Result<(), PoolError> {
-        self.inner.lock().put(key, block)
+        lock(&self.inner).put(key, block)
     }
 
     /// Fetch a block.
     pub fn get(&self, key: PageKey) -> Result<Option<Arc<Dense>>, PoolError> {
-        self.inner.lock().get(key)
+        lock(&self.inner).get(key)
     }
 
     /// Pin a page and return an RAII guard that releases the pin on drop.
@@ -427,60 +427,60 @@ impl<S: Storage> SharedBufferPool<S> {
     /// panic, so pins can never leak across an operator. Returns
     /// `Ok(None)` for unknown keys.
     pub fn pin(&self, key: PageKey) -> Result<Option<PinGuard<S>>, PoolError> {
-        let block = self.inner.lock().pin(key)?;
+        let block = lock(&self.inner).pin(key)?;
         Ok(block.map(|block| PinGuard { pool: self.clone(), key, block }))
     }
 
     /// Release one pin on a page (prefer letting a [`PinGuard`] drop).
     pub fn unpin(&self, key: PageKey) -> Result<(), PoolError> {
-        self.inner.lock().unpin(key)
+        lock(&self.inner).unpin(key)
     }
 
     /// Drop a page from the pool and the backing store; see
     /// [`BufferPool::discard`].
     pub fn discard(&self, key: PageKey) -> Result<(), PoolError> {
-        self.inner.lock().discard(key)
+        lock(&self.inner).discard(key)
     }
 
     /// Flush every dirty resident block to storage.
     pub fn flush(&self) -> Result<(), PoolError> {
-        self.inner.lock().flush()
+        lock(&self.inner).flush()
     }
 
     /// Pool capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity()
+        lock(&self.inner).capacity()
     }
 
     /// Bytes currently used by resident frames.
     pub fn used(&self) -> usize {
-        self.inner.lock().used()
+        lock(&self.inner).used()
     }
 
     /// Number of resident frames.
     pub fn resident(&self) -> usize {
-        self.inner.lock().resident()
+        lock(&self.inner).resident()
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats()
+        lock(&self.inner).stats()
     }
 
     /// Reset the counters (between experiment phases).
     pub fn reset_stats(&self) {
-        self.inner.lock().reset_stats()
+        lock(&self.inner).reset_stats()
     }
 
     /// Run the pool's consistency audit; see [`BufferPool::audit`].
     pub fn audit(&self) -> Result<AuditReport, AuditError> {
-        self.inner.lock().audit()
+        lock(&self.inner).audit()
     }
 
     /// [`audit`](Self::audit) plus the no-outstanding-pins requirement; see
     /// [`BufferPool::audit_quiescent`].
     pub fn audit_quiescent(&self) -> Result<AuditReport, AuditError> {
-        self.inner.lock().audit_quiescent()
+        lock(&self.inner).audit_quiescent()
     }
 }
 
@@ -763,6 +763,26 @@ mod tests {
     }
 
     #[test]
+    fn spilled_page_bytes_are_pinned() {
+        // rows u64 | cols u64 | f64 values, all little-endian: spill files
+        // written by earlier builds must keep faulting back in.
+        let page = Dense::from_rows(&[&[1.5, -0.0, f64::INFINITY], &[1e-300, -2.0, f64::NAN]]);
+        let mut p = BufferPool::new(block_bytes(&page), PolicyKind::Lru, MemStore::default());
+        p.put(key(1), page.clone()).unwrap();
+        p.put(key(2), Dense::zeros(2, 3)).unwrap(); // spills key 1
+        let spilled = p.storage().read(key(1)).unwrap().expect("spilled");
+        let hex: String = spilled.iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = concat!(
+            "02000000000000000300000000000000000000000000f83f0000000000000080000000000000f07f",
+            "59f3f8c21f6ea50100000000000000c0000000000000f87f",
+        );
+        assert_eq!(hex, pinned);
+        let back = p.get(key(1)).unwrap().expect("faults back");
+        let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&page));
+    }
+
+    #[test]
     fn discard_frees_budget_and_storage() {
         let mut p = pool(2, PolicyKind::Lru);
         p.put(key(1), block(1.0)).unwrap();
@@ -793,6 +813,34 @@ mod tests {
         }
         shared.audit_quiescent().unwrap();
         assert!(shared.pin(key(99)).unwrap().is_none(), "absent key pins nothing");
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves_the_next_caller() {
+        // A store whose write panics poisons the shared pool's mutex mid-spill.
+        struct PanickingStore;
+        impl Storage for PanickingStore {
+            fn read(&self, _: PageKey) -> std::io::Result<Option<std::borrow::Cow<'_, [u8]>>> {
+                Ok(None)
+            }
+            fn write(&mut self, _: PageKey, _: Vec<u8>) -> std::io::Result<()> {
+                panic!("spill device failed")
+            }
+            fn remove(&mut self, _: PageKey) -> std::io::Result<()> {
+                Ok(())
+            }
+            fn len(&self) -> usize {
+                0
+            }
+        }
+        let shared = SharedBufferPool::new(BufferPool::new(144, PolicyKind::Lru, PanickingStore));
+        shared.put(key(1), block(1.0)).unwrap();
+        let writer = shared.clone();
+        assert!(std::thread::spawn(move || writer.put(key(2), block(2.0))).join().is_err());
+        assert!(shared.inner.is_poisoned());
+        shared.put(key(3), block(3.0)).unwrap();
+        assert_eq!(shared.get(key(3)).unwrap().expect("resident").get(0, 0), 3.0);
+        shared.audit_quiescent().unwrap();
     }
 
     #[test]

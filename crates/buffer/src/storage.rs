@@ -1,17 +1,18 @@
 //! Backing stores the buffer pool spills evicted blocks to.
 
 use crate::pool::PageKey;
-use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
 
 /// A key-value store of serialized blocks.
 pub trait Storage: Send {
-    /// Read the bytes for a key, if present.
-    fn read(&self, key: PageKey) -> io::Result<Option<Bytes>>;
+    /// Read the bytes for a key, if present: lent when the store holds them
+    /// in memory, owned when it had to read them in.
+    fn read(&self, key: PageKey) -> io::Result<Option<Cow<'_, [u8]>>>;
     /// Write (or overwrite) the bytes for a key.
-    fn write(&mut self, key: PageKey, data: Bytes) -> io::Result<()>;
+    fn write(&mut self, key: PageKey, data: Vec<u8>) -> io::Result<()>;
     /// Remove a key, if present.
     fn remove(&mut self, key: PageKey) -> io::Result<()>;
     /// Number of stored keys (for tests and accounting).
@@ -25,11 +26,11 @@ pub trait Storage: Send {
 // A boxed store is itself a store, so callers that pick MemStore vs FileStore
 // at runtime (the executor's spill pool) can use `BufferPool<Box<dyn Storage>>`.
 impl Storage for Box<dyn Storage> {
-    fn read(&self, key: PageKey) -> io::Result<Option<Bytes>> {
+    fn read(&self, key: PageKey) -> io::Result<Option<Cow<'_, [u8]>>> {
         (**self).read(key)
     }
 
-    fn write(&mut self, key: PageKey, data: Bytes) -> io::Result<()> {
+    fn write(&mut self, key: PageKey, data: Vec<u8>) -> io::Result<()> {
         (**self).write(key, data)
     }
 
@@ -45,15 +46,15 @@ impl Storage for Box<dyn Storage> {
 /// In-memory backing store (default for tests and benchmarks).
 #[derive(Debug, Default)]
 pub struct MemStore {
-    map: HashMap<PageKey, Bytes>,
+    map: HashMap<PageKey, Vec<u8>>,
 }
 
 impl Storage for MemStore {
-    fn read(&self, key: PageKey) -> io::Result<Option<Bytes>> {
-        Ok(self.map.get(&key).cloned())
+    fn read(&self, key: PageKey) -> io::Result<Option<Cow<'_, [u8]>>> {
+        Ok(self.map.get(&key).map(|page| Cow::Borrowed(&page[..])))
     }
 
-    fn write(&mut self, key: PageKey, data: Bytes) -> io::Result<()> {
+    fn write(&mut self, key: PageKey, data: Vec<u8>) -> io::Result<()> {
         self.map.insert(key, data);
         Ok(())
     }
@@ -94,15 +95,14 @@ impl FileStore {
 }
 
 impl Storage for FileStore {
-    fn read(&self, key: PageKey) -> io::Result<Option<Bytes>> {
+    fn read(&self, key: PageKey) -> io::Result<Option<Cow<'_, [u8]>>> {
         if !self.keys.contains(&key) {
             return Ok(None);
         }
-        let data = std::fs::read(self.path(key))?;
-        Ok(Some(Bytes::from(data)))
+        Ok(Some(Cow::Owned(std::fs::read(self.path(key))?)))
     }
 
-    fn write(&mut self, key: PageKey, data: Bytes) -> io::Result<()> {
+    fn write(&mut self, key: PageKey, data: Vec<u8>) -> io::Result<()> {
         let path = self.path(key);
         match std::fs::write(&path, &data) {
             // Another store that created this directory dropped while it was
@@ -157,8 +157,8 @@ mod tests {
     fn mem_store_round_trip() {
         let mut s = MemStore::default();
         assert!(s.is_empty());
-        s.write(key(1), Bytes::from_static(b"abc")).unwrap();
-        assert_eq!(s.read(key(1)).unwrap().unwrap(), Bytes::from_static(b"abc"));
+        s.write(key(1), b"abc".to_vec()).unwrap();
+        assert_eq!(s.read(key(1)).unwrap().unwrap()[..], b"abc"[..]);
         assert_eq!(s.read(key(2)).unwrap(), None);
         assert_eq!(s.len(), 1);
         s.remove(key(1)).unwrap();
@@ -169,8 +169,8 @@ mod tests {
     fn file_store_round_trip() {
         let dir = std::env::temp_dir().join("dmml_filestore_test");
         let mut s = FileStore::new(&dir).unwrap();
-        s.write(key(3), Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(s.read(key(3)).unwrap().unwrap(), Bytes::from_static(b"hello"));
+        s.write(key(3), b"hello".to_vec()).unwrap();
+        assert_eq!(s.read(key(3)).unwrap().unwrap()[..], b"hello"[..]);
         assert_eq!(s.read(key(4)).unwrap(), None);
         s.remove(key(3)).unwrap();
         assert_eq!(s.read(key(3)).unwrap(), None);
@@ -181,9 +181,9 @@ mod tests {
     fn file_store_overwrite() {
         let dir = std::env::temp_dir().join("dmml_filestore_test2");
         let mut s = FileStore::new(&dir).unwrap();
-        s.write(key(1), Bytes::from_static(b"v1")).unwrap();
-        s.write(key(1), Bytes::from_static(b"v2")).unwrap();
-        assert_eq!(s.read(key(1)).unwrap().unwrap(), Bytes::from_static(b"v2"));
+        s.write(key(1), b"v1".to_vec()).unwrap();
+        s.write(key(1), b"v2".to_vec()).unwrap();
+        assert_eq!(s.read(key(1)).unwrap().unwrap()[..], b"v2"[..]);
         assert_eq!(s.len(), 1);
     }
 
@@ -193,7 +193,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut s = FileStore::new(&dir).unwrap();
-            s.write(key(9), Bytes::from_static(b"temp")).unwrap();
+            s.write(key(9), b"temp".to_vec()).unwrap();
         }
         assert!(!dir.exists(), "a store removes the spill files and the directory it created");
 
@@ -202,7 +202,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         {
             let mut s = FileStore::new(&dir).unwrap();
-            s.write(key(9), Bytes::from_static(b"temp")).unwrap();
+            s.write(key(9), b"temp".to_vec()).unwrap();
         }
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "spill files removed on drop");
 
@@ -213,8 +213,8 @@ mod tests {
         let creator = FileStore::new(&dir).unwrap();
         let mut sharer = FileStore::new(&dir).unwrap();
         drop(creator);
-        sharer.write(key(9), Bytes::from_static(b"late")).unwrap();
-        assert_eq!(sharer.read(key(9)).unwrap().unwrap(), Bytes::from_static(b"late"));
+        sharer.write(key(9), b"late".to_vec()).unwrap();
+        assert_eq!(sharer.read(key(9)).unwrap().unwrap()[..], b"late"[..]);
         drop(sharer);
         assert!(!dir.exists());
 

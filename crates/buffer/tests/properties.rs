@@ -101,7 +101,7 @@ proptest! {
         if seed_vals.len() < n { return Ok(()); }
         let m = Dense::from_vec(rows, cols, seed_vals[..n].to_vec()).unwrap();
         let enc = dm_buffer::codec::encode_dense(&m);
-        let dec = dm_buffer::codec::decode_dense(enc).unwrap();
+        let dec = dm_buffer::codec::decode_dense(&enc).unwrap();
         prop_assert_eq!(dec, m);
     }
 }

@@ -39,35 +39,10 @@ use crate::parser::{self, ParseError};
 use crate::physical::{plan, PhysicalPlan, PlanOptions};
 use crate::rewrite::{optimize, RewriteStats};
 use crate::size::{InputSizes, SizeError};
+use dm_obs::fnv::Fnv1a;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a over byte chunks.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
 
 /// Structural hash of the DAG reachable from `root`: node ids are remapped
 /// to their position in topological order, so two graphs with the same
@@ -78,7 +53,7 @@ pub fn program_hash(graph: &Graph, root: NodeId) -> u64 {
     let order = graph.reachable(root);
     let pos: HashMap<NodeId, u64> =
         order.iter().enumerate().map(|(i, &id)| (id, i as u64)).collect();
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for &id in &order {
         let op = graph.op(id);
         // One tag byte per op variant, then the variant's payload.
@@ -104,7 +79,7 @@ pub fn program_hash(graph: &Graph, root: NodeId) -> u64 {
             h.write_u64(pos[&c]);
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Ceil-log2 size class of a dimension: 0 and 1 map to class 0, then each
@@ -465,6 +440,14 @@ mod tests {
         assert_eq!(program_hash(&g1, r1), program_hash(&g2, r2));
         let (g3, r3) = parser::parse("sum(v %*% X)").unwrap();
         assert_ne!(program_hash(&g1, r1), program_hash(&g3, r3));
+    }
+
+    #[test]
+    fn program_hash_is_pinned() {
+        // Plan keys hash with the shared FNV-1a; moving the value would turn
+        // every warm cache cold on upgrade.
+        let (g, r) = parser::parse("sum(t(X) %*% (X %*% v)) + 2").unwrap();
+        assert_eq!(program_hash(&g, r), 0xadb5_7c26_f81f_892c);
     }
 
     #[test]

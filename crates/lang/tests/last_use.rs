@@ -83,7 +83,7 @@ const PACK_SCRATCH: usize = (KC * (NC + 12) + MC * KC) * size_of::<f64>();
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    dm_obs::lock(&LOCK)
 }
 
 /// The high-water mark of live bytes during `f`, above those live when it

@@ -7,8 +7,9 @@
 //! matrices ([`Csr`]) with a COO builder ([`Coo`]), a unifying [`Matrix`] enum used
 //! by the physical-operator layer of `dm-lang`, the dense operators' kernel bodies
 //! ([`kernel`]) that the serial ([`ops`]) and parallel ([`par`]) schedules share with
-//! `dm-buffer`'s out-of-core one, and direct/iterative solvers (Cholesky,
-//! Householder QR, conjugate gradient).
+//! `dm-buffer`'s out-of-core one, direct/iterative solvers (Cholesky,
+//! Householder QR, conjugate gradient), and the little-endian reader and
+//! dense-block layout ([`le`]) that spill pages and CLA blobs are written in.
 //!
 //! ## Conventions
 //!
@@ -34,6 +35,7 @@
 pub mod dense;
 pub mod error;
 pub mod kernel;
+pub mod le;
 pub mod lu;
 pub mod ops;
 pub mod pack;

@@ -1,16 +1,19 @@
 //! A model registry with parameters, metrics, and lineage, persisted as
 //! JSON lines.
 //!
-//! Serialization is hand-rolled (the workspace builds offline, without
-//! serde): records write as one JSON object per line with sorted map keys,
-//! and load parses with a small recursive-descent reader that rejects
-//! malformed lines. Floats round-trip exactly via Rust's shortest-repr
-//! formatting.
+//! Records are written and read with [`dm_obs::json`]: one JSON object per
+//! line with sorted map keys, floats in the scoring wire's f64 dialect
+//! (shortest round-trip decimal; NaN and ±∞ as sentinel strings), so every
+//! value round-trips bit-exactly. `load` rejects malformed lines.
 
+use dm_obs::json::{escape_json, fmt_f64, json_f64, json_usize, parse, Json};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
+
+/// The largest id a saved record can hold (the bound of [`json_usize`]).
+const MAX_ID: u64 = 1 << 53;
 
 /// Registry persistence failures.
 #[derive(Debug)]
@@ -82,6 +85,11 @@ impl ModelRegistry {
     }
 
     /// Register a model, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// If `parent` is above 2^53: saved ids are JSON numbers, and `load`
+    /// reads only integers an f64 holds exactly.
     pub fn register(
         &mut self,
         name: &str,
@@ -90,6 +98,7 @@ impl ModelRegistry {
         parent: Option<u64>,
         tags: Vec<String>,
     ) -> u64 {
+        assert!(parent.is_none_or(|p| p <= MAX_ID), "parent id {parent:?} is above 2^53");
         let id = self.records.len() as u64;
         self.records.push(ModelRecord { id, name: name.to_owned(), params, metrics, parent, tags });
         id
@@ -149,7 +158,7 @@ impl ModelRegistry {
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RegistryError> {
         let mut f = std::fs::File::create(path)?;
         for r in &self.records {
-            writeln!(f, "{}", json::record_to_line(r))?;
+            writeln!(f, "{}", record_to_line(r))?;
         }
         Ok(())
     }
@@ -164,7 +173,7 @@ impl ModelRegistry {
             if line.is_empty() {
                 continue;
             }
-            let rec = json::record_from_line(&line)
+            let rec = record_from_line(&line)
                 .map_err(|message| RegistryError::Malformed { line: i + 1, message })?;
             records.push(rec);
         }
@@ -172,305 +181,56 @@ impl ModelRegistry {
     }
 }
 
-/// Minimal JSON encode/decode for [`ModelRecord`] lines.
-mod json {
-    use super::ModelRecord;
-    use std::collections::HashMap;
+/// One record as one JSON line.
+fn record_to_line(r: &ModelRecord) -> String {
+    let parent = r.parent.map_or_else(|| "null".to_owned(), |p| p.to_string());
+    let tags: Vec<String> = r.tags.iter().map(|t| format!("\"{}\"", escape_json(t))).collect();
+    format!(
+        "{{\"id\":{},\"name\":\"{}\",\"params\":{},\"metrics\":{},\"parent\":{parent},\"tags\":[{}]}}",
+        r.id,
+        escape_json(&r.name),
+        map_json(&r.params),
+        map_json(&r.metrics),
+        tags.join(",")
+    )
+}
 
-    pub fn record_to_line(r: &ModelRecord) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"id\":");
-        out.push_str(&r.id.to_string());
-        out.push_str(",\"name\":");
-        write_string(&mut out, &r.name);
-        out.push_str(",\"params\":");
-        write_map(&mut out, &r.params);
-        out.push_str(",\"metrics\":");
-        write_map(&mut out, &r.metrics);
-        out.push_str(",\"parent\":");
-        match r.parent {
-            Some(p) => out.push_str(&p.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"tags\":[");
-        for (i, t) in r.tags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_string(&mut out, t);
-        }
-        out.push_str("]}");
-        out
-    }
+fn map_json(m: &HashMap<String, f64>) -> String {
+    // Sorted keys: HashMap iteration order is nondeterministic, and stable
+    // output makes saved files diffable.
+    let mut entries: Vec<(&String, &f64)> = m.iter().collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    let fields: Vec<String> =
+        entries.iter().map(|(k, v)| format!("\"{}\":{}", escape_json(k), fmt_f64(**v))).collect();
+    format!("{{{}}}", fields.join(","))
+}
 
-    fn write_string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
+fn record_from_line(line: &str) -> Result<ModelRecord, String> {
+    let j = parse(line)?;
+    let field = |name: &str| j.get(name).ok_or_else(|| format!("missing field {name:?}"));
+    let id = json_usize(field("id")?, "field \"id\"")? as u64;
+    let name = field("name")?.as_str().ok_or("field \"name\" must be a string")?.to_owned();
+    let params = read_map(field("params")?)?;
+    let metrics = read_map(field("metrics")?)?;
+    let parent = match field("parent")? {
+        Json::Null => None,
+        p => Some(json_usize(p, "field \"parent\"")? as u64),
+    };
+    let tags = field("tags")?
+        .as_arr()
+        .ok_or("field \"tags\" must be an array")?
+        .iter()
+        .map(|t| t.as_str().map(str::to_owned).ok_or_else(|| "tags must be strings".to_owned()))
+        .collect::<Result<_, _>>()?;
+    Ok(ModelRecord { id, name, params, metrics, parent, tags })
+}
 
-    fn write_map(out: &mut String, m: &HashMap<String, f64>) {
-        // Sorted keys: HashMap iteration order is nondeterministic, and
-        // stable output makes saved files diffable.
-        let mut keys: Vec<&String> = m.keys().collect();
-        keys.sort();
-        out.push('{');
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_string(out, k);
-            out.push(':');
-            // `{:?}` prints the shortest representation that parses back to
-            // the identical f64, so round-trips are exact.
-            out.push_str(&format!("{:?}", m[*k]));
-        }
-        out.push('}');
-    }
-
-    /// Parsed JSON value. Numbers keep their raw text so integers round-trip
-    /// without a float detour.
-    enum Value {
-        Null,
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    pub fn record_from_line(line: &str) -> Result<ModelRecord, String> {
-        let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
-        let Value::Obj(fields) = v else {
-            return Err("record must be a JSON object".into());
-        };
-        let field = |name: &str| -> Result<&Value, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {name:?}"))
-        };
-
-        let id = as_u64(field("id")?).ok_or("field \"id\" must be an unsigned integer")?;
-        let Value::Str(name) = field("name")? else {
-            return Err("field \"name\" must be a string".into());
-        };
-        let params = as_map(field("params")?)?;
-        let metrics = as_map(field("metrics")?)?;
-        let parent = match field("parent")? {
-            Value::Null => None,
-            v => Some(as_u64(v).ok_or("field \"parent\" must be null or an unsigned integer")?),
-        };
-        let Value::Arr(tag_vals) = field("tags")? else {
-            return Err("field \"tags\" must be an array".into());
-        };
-        let mut tags = Vec::with_capacity(tag_vals.len());
-        for t in tag_vals {
-            let Value::Str(s) = t else {
-                return Err("tags must be strings".into());
-            };
-            tags.push(s.clone());
-        }
-
-        Ok(ModelRecord { id, name: name.clone(), params, metrics, parent, tags })
-    }
-
-    fn as_u64(v: &Value) -> Option<u64> {
-        match v {
-            Value::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_map(v: &Value) -> Result<HashMap<String, f64>, String> {
-        let Value::Obj(entries) = v else {
-            return Err("expected a JSON object of numbers".into());
-        };
-        let mut out = HashMap::with_capacity(entries.len());
-        for (k, v) in entries {
-            let Value::Num(raw) = v else {
-                return Err(format!("value for {k:?} must be a number"));
-            };
-            let n: f64 = raw.parse().map_err(|_| format!("bad number {raw:?}"))?;
-            out.insert(k.clone(), n);
-        }
-        Ok(out)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                Some(&c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                let val = self.value()?;
-                fields.push((key, val));
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.bytes.get(self.pos) == Some(&b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.bytes.get(self.pos) {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(format!("expected string at byte {}", self.pos));
-            }
-            self.pos += 1;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                // Surrogates never appear in our own output;
-                                // map unpaired ones to the replacement char.
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                self.pos += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 character (input is a &str, so
-                        // boundaries are valid).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| "invalid utf-8")?;
-                        let c = rest.chars().next().unwrap();
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while matches!(
-                self.bytes.get(self.pos),
-                Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            ) {
-                self.pos += 1;
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-            raw.parse::<f64>().map_err(|_| format!("bad number {raw:?}"))?;
-            Ok(Value::Num(raw.to_owned()))
-        }
-    }
+fn read_map(j: &Json) -> Result<HashMap<String, f64>, String> {
+    let entries = j.as_obj().ok_or("expected a JSON object of numbers")?;
+    entries
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), json_f64(v).map_err(|e| format!("value for {k:?}: {e}"))?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -519,11 +279,18 @@ mod tests {
         let mut reg = ModelRegistry::new();
         reg.register("a", params(0.1), metrics(0.9), None, vec!["exp1".into()]);
         reg.register("b", params(0.2), metrics(0.7), Some(0), vec![]);
+        reg.register("orphan", params(0.3), metrics(0.5), Some(MAX_ID), vec![]); // largest id
         let path = std::env::temp_dir().join("dmml_registry_test.jsonl");
         reg.save(&path).unwrap();
         let back = ModelRegistry::load(&path).unwrap();
         assert_eq!(back.records(), reg.records());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "above 2^53")]
+    fn parent_ids_load_cannot_read_are_refused() {
+        ModelRegistry::new().register("m", params(0.1), metrics(0.9), Some(MAX_ID + 1), vec![]);
     }
 
     #[test]
@@ -539,6 +306,59 @@ mod tests {
         let back = ModelRegistry::load(&path).unwrap();
         assert_eq!(back.records(), reg.records());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_values_survive_save_and_load() {
+        // Written as the wire's sentinel strings: a NaN metric used to save a
+        // line that `load` rejected.
+        let mut reg = ModelRegistry::new();
+        let p = HashMap::from([("lr".to_owned(), f64::INFINITY), ("l2".into(), f64::NEG_INFINITY)]);
+        let m = HashMap::from([("loss".to_owned(), f64::NAN), ("r2".into(), -0.0)]);
+        reg.register("diverged", p, m, None, vec![]);
+        let path = std::env::temp_dir().join("dmml_registry_non_finite.jsonl");
+        reg.save(&path).unwrap();
+        let back = ModelRegistry::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let bits = |m: &HashMap<String, f64>| {
+            let mut v: Vec<(String, u64)> =
+                m.iter().map(|(k, x)| (k.clone(), x.to_bits())).collect();
+            v.sort();
+            v
+        };
+        let (before, after) = (&reg.records()[0], &back.records()[0]);
+        assert_eq!(bits(&after.params), bits(&before.params));
+        assert_eq!(bits(&after.metrics), bits(&before.metrics));
+    }
+
+    #[test]
+    fn files_written_by_the_earlier_codec_still_load() {
+        // Lines as the registry's earlier private codec wrote them, with
+        // `{:?}` floats (`3.0`, `1e-308`).
+        let lines = concat!(
+            r#"{"id":0,"name":"root","params":{},"metrics":{},"parent":null,"tags":[]}"#,
+            "\n",
+            r#"{"id":1,"name":"glm \"v2\"\\\u0001","params":{"int-like":3.0,"lr":0.1,"#,
+            r#""neg":-0.30000000000000004,"tiny":1e-308},"metrics":{"acc":0.9375,"loss":-0.0},"#,
+            r#""parent":0,"tags":["exp1","t\ta"]}"#,
+            "\n"
+        );
+        let path = std::env::temp_dir().join("dmml_registry_earlier_codec.jsonl");
+        std::fs::write(&path, lines).unwrap();
+        let back = ModelRegistry::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let params = [("int-like", 3.0), ("lr", 0.1), ("neg", -0.1 - 0.2), ("tiny", 1e-308)];
+        let glm = ModelRecord {
+            id: 1,
+            name: "glm \"v2\"\\\u{1}".into(),
+            params: params.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+            metrics: HashMap::from([("acc".to_owned(), 0.9375), ("loss".into(), -0.0)]),
+            parent: Some(0),
+            tags: vec!["exp1".into(), "t\ta".into()],
+        };
+        assert_eq!(back.records()[1], glm);
+        assert_eq!(back.records()[1].metrics["loss"].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.lineage(1).len(), 2);
     }
 
     #[test]

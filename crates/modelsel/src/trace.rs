@@ -3,9 +3,9 @@
 //! workspace stats registry.
 
 use crate::search::Params;
-use dm_obs::{elapsed_ns, fmt_ns, StatsRegistry};
-use parking_lot::Mutex;
+use dm_obs::{elapsed_ns, fmt_ns, lock, StatsRegistry};
 use std::fmt::Write as _;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One timed trainer invocation.
@@ -54,7 +54,7 @@ impl SearchTrace {
         move |p: &Params, budget: f64| {
             let t0 = Instant::now();
             let score = trainer(p, budget);
-            self.entries.lock().push(TraceEntry {
+            lock(&self.entries).push(TraceEntry {
                 params: p.clone(),
                 budget,
                 score,
@@ -66,28 +66,28 @@ impl SearchTrace {
 
     /// Number of evaluations observed.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 
     /// True when no evaluations were observed.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        lock(&self.entries).is_empty()
     }
 
     /// Snapshot of all entries, in execution order.
     pub fn entries(&self) -> Vec<TraceEntry> {
-        self.entries.lock().clone()
+        lock(&self.entries).clone()
     }
 
     /// Total wall time across all observed evaluations.
     pub fn total_wall_ns(&self) -> u64 {
-        self.entries.lock().iter().map(|e| e.wall_ns).sum()
+        lock(&self.entries).iter().map(|e| e.wall_ns).sum()
     }
 
     /// Push the trace into `rec`: one `modelsel.search.fit` histogram
     /// sample per evaluation plus a `modelsel.search.evals` counter.
     pub fn record(&self, rec: &StatsRegistry) {
-        let entries = self.entries.lock();
+        let entries = lock(&self.entries);
         rec.add("modelsel.search.evals", entries.len() as u64);
         for e in entries.iter() {
             rec.record_histogram("modelsel.search.fit", e.wall_ns);
@@ -97,7 +97,7 @@ impl SearchTrace {
     /// Render a search-trace report: evaluation count, total fit time, and
     /// the `top_k` configurations by score with their budgets and timings.
     pub fn report(&self, top_k: usize) -> String {
-        let entries = self.entries.lock();
+        let entries = lock(&self.entries);
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -1,8 +1,13 @@
-//! A minimal JSON codec for the machine-readable exporters and the tests
-//! that schema-check their output. Not a general-purpose library: it parses
-//! the subset the exporters emit (objects, arrays, strings with standard
-//! escapes, f64 numbers, booleans, null) with no streaming and no
-//! serde-style derive.
+//! The workspace's one JSON codec: the machine-readable exporters, the
+//! scoring wire's documents, the model registry's lines, and the tests that
+//! schema-check them all write with [`escape_json`] and [`fmt_f64`] and read
+//! with [`parse`]. Not a general-purpose library: it parses objects, arrays,
+//! strings with standard escapes, f64 numbers, booleans and null, with no
+//! streaming and no serde-style derive.
+//!
+//! Numbers follow one f64 dialect: finite values as their shortest
+//! round-trip decimal, the non-finite ones as the strings `"NaN"`,
+//! `"Infinity"` and `"-Infinity"` (JSON has no literal for them).
 
 use std::fmt::Write as _;
 
@@ -23,6 +28,49 @@ pub fn escape_json(s: &str) -> String {
         }
     }
     out
+}
+
+/// Format an `f64` in the dialect: shortest round-trip decimal for finite
+/// values, quoted sentinel strings for non-finite ones.
+#[inline]
+pub fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        let s = format!("{v}");
+        debug_assert_eq!(s.parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
+        s
+    } else if v.is_nan() {
+        "\"NaN\"".to_owned()
+    } else if v > 0.0 {
+        "\"Infinity\"".to_owned()
+    } else {
+        "\"-Infinity\"".to_owned()
+    }
+}
+
+/// Read an `f64` written by [`fmt_f64`]: a number or a sentinel string.
+#[inline]
+pub fn json_f64(j: &Json) -> Result<f64, String> {
+    match j {
+        Json::Num(n) => Ok(*n),
+        Json::Str(s) => match s.as_str() {
+            "NaN" => Ok(f64::NAN),
+            "Infinity" => Ok(f64::INFINITY),
+            "-Infinity" => Ok(f64::NEG_INFINITY),
+            _ => Err(format!("not a number: {s:?}")),
+        },
+        _ => Err("not a number".to_owned()),
+    }
+}
+
+/// Read a count or an id: an integer in `0..=2^53`, the range in which
+/// every integer is an exact f64. `what` names the field in the error.
+#[inline]
+pub fn json_usize(j: &Json, what: &str) -> Result<usize, String> {
+    let n = j.as_f64().ok_or_else(|| format!("{what} must be a number"))?;
+    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
+        return Err(format!("{what} must be a non-negative integer"));
+    }
+    Ok(n as usize)
 }
 
 /// A parsed JSON value.
@@ -84,11 +132,18 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+// Arrays and objects nested deeper than this are rejected: the parser
+// recurses once per level, and a document from a socket must not be able to
+// overflow the stack. Every document the workspace writes nests a few levels
+// at most.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace and nesting
+/// deeper than 128 levels are errors.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -111,12 +166,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => parse_str(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false").map(|()| Json::Bool(false)),
@@ -189,7 +247,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -198,7 +256,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -211,7 +269,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -224,7 +282,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         out.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -267,6 +325,15 @@ mod tests {
         for bad in ["{", "[1,", "\"x", "{\"a\" 1}", "[1] extra", "{'a':1}"] {
             assert!(parse(bad).is_err(), "{bad} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // Deep enough to overflow a thread's stack without the bound.
+        assert!(parse(&"[{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! closes the observe→calibrate loop: a versioned, checksummed on-disk
 //! store ([`profile::ProfileStore`], `DMML_PROFILE_DIR`) of per-(op, kernel,
 //! size-class) throughput profiles that downstream cost models divide flop
-//! counts by.
+//! counts by. [`json`] is the workspace's one JSON codec (the wire's f64
+//! dialect included), [`fnv`] its one FNV-1a hash, and [`lock`] its one
+//! poison-tolerant mutex lock.
 //!
 //! A hot call site asks the registry once for a [`Counter`] / [`Gauge`] /
 //! [`LogHistogram`] handle and then updates it with relaxed atomic
@@ -49,6 +51,7 @@
 
 pub mod export;
 pub mod flightrec;
+pub mod fnv;
 pub mod histogram;
 pub mod json;
 pub mod profile;
@@ -63,3 +66,13 @@ pub use profile::{ProfileError, ProfileStore};
 pub use registry::{StatsRegistry, StatsReport};
 pub use serve::MetricsServer;
 pub use stats::{elapsed_ns, fmt_ns, Counter, Gauge};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, re-entering it when a thread panicked while holding it. Only
+/// for state that every update leaves consistent, so that one panicking
+/// caller does not turn every later caller's lock into a panic too.
+#[inline]
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

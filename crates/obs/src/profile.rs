@@ -23,6 +23,7 @@
 //! assert!((g - 2.0).abs() < 0.3);
 //! ```
 
+use crate::fnv::fnv1a;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -188,17 +189,6 @@ impl fmt::Display for ProfileError {
 }
 
 impl std::error::Error for ProfileError {}
-
-/// FNV-1a over the body bytes: dependency-free and plenty for detecting the
-/// torn writes and hand edits the checksum guards against (not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Accumulated throughput profiles per `(op, kernel, size class)`.
 ///
@@ -481,6 +471,20 @@ mod tests {
         s.record("ewise +", "parallel", 1 << 24, 9_000_000);
         let back = ProfileStore::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn checksum_line_is_pinned() {
+        // A file as earlier builds wrote it: it must keep validating, and the
+        // same entries must serialize to the same bytes.
+        let file = "DMML-PROFILE v1\nchecksum 4e17acc8b08905d2\n\
+                    gemm\tdense\t20\t1\t1.04857600000000002e3\t0.00000000000000000e0\n\
+                    gemv\tsparse\t12\t1\t1.63840000000000003e1\t0.00000000000000000e0\n";
+        let mut s = ProfileStore::new();
+        s.record("gemm", "dense", 1 << 20, 1000);
+        s.record("gemv", "sparse", 4096, 250);
+        assert_eq!(String::from_utf8(s.to_bytes()).unwrap(), file);
+        assert_eq!(ProfileStore::from_bytes(file.as_bytes()).unwrap(), s);
     }
 
     #[test]

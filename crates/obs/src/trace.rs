@@ -766,7 +766,7 @@ pub(crate) mod tests {
     // contents serialize through this lock and clear first.
     pub(crate) fn lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+        crate::lock(&LOCK)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::{Mutex, MutexGuard};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    dm_obs::lock(&LOCK)
 }
 
 /// Spawn `threads` workers, each opening `depth` nested spans under an

@@ -19,7 +19,9 @@
 //! `str::parse::<f64>`. This is what lets the end-to-end tests demand
 //! bit-identical results between served and direct evaluation. Non-finite
 //! values (which JSON cannot express as numbers) travel as the strings
-//! `"NaN"`, `"Infinity"`, `"-Infinity"`.
+//! `"NaN"`, `"Infinity"`, `"-Infinity"`. Both rules are `dm_obs::json`'s
+//! f64 dialect ([`fmt_f64`], [`json_f64`]), which the model registry's
+//! files share.
 //!
 //! A scoring request:
 //!
@@ -89,7 +91,7 @@
 //! bytes come from a socket or from memory, one frame writer and one slab
 //! reader move them.
 
-use dm_obs::json::{escape_json, parse, Json};
+use dm_obs::json::{escape_json, fmt_f64, json_f64, json_usize, parse, Json};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
@@ -314,43 +316,6 @@ pub enum Response {
         /// degraded streaming mode rather than rejected.
         blocked_nodes: usize,
     },
-}
-
-/// Format an `f64` for the wire: shortest round-trip decimal for finite
-/// values, quoted sentinel strings for non-finite ones.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        debug_assert_eq!(s.parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
-        s
-    } else if v.is_nan() {
-        "\"NaN\"".to_owned()
-    } else if v > 0.0 {
-        "\"Infinity\"".to_owned()
-    } else {
-        "\"-Infinity\"".to_owned()
-    }
-}
-
-fn json_f64(j: &Json) -> Result<f64, String> {
-    match j {
-        Json::Num(n) => Ok(*n),
-        Json::Str(s) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "Infinity" => Ok(f64::INFINITY),
-            "-Infinity" => Ok(f64::NEG_INFINITY),
-            _ => Err(format!("not a number: {s:?}")),
-        },
-        _ => Err("not a number".to_owned()),
-    }
-}
-
-fn json_usize(j: &Json, what: &str) -> Result<usize, String> {
-    let n = j.as_f64().ok_or_else(|| format!("{what} must be a number"))?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(format!("{what} must be a non-negative integer"));
-    }
-    Ok(n as usize)
 }
 
 /// The matrices a slab frame's writer has referenced so far, in slab order;

@@ -907,17 +907,6 @@ fn batchable_input(prog: &CompiledProgram) -> Option<String> {
     (uses == 1).then(|| name.clone())
 }
 
-/// FNV-1a over the group guard bytes (the batcher verifies the full bytes
-/// on join, so a collision only costs a solo execution).
-fn guard_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Attempt the micro-batched path. `None` means "not eligible — execute
 /// individually"; `Some((result, batched))` is a finished outcome.
 ///
@@ -977,7 +966,9 @@ fn try_batched(
             }
         }
     }
-    let gkey = guard_hash(&guard);
+    // The batcher verifies the full guard bytes on join, so a collision
+    // only costs a solo execution.
+    let gkey = dm_obs::fnv::fnv1a(&guard);
     let m = *rows;
     let reg = shared.registry.as_ref();
     let joined = shared.batcher.join(gkey, &guard, data.clone());

@@ -113,7 +113,7 @@ fn compressed_serialization_round_trip_trains() {
     let y = dmml::matrix::ops::gemv(&x, &truth);
     let cm = CompressedMatrix::compress(&x, &CompressionConfig::default());
     let wire = serial::encode(&cm);
-    let back = serial::decode(wire).expect("valid wire format");
+    let back = serial::decode(&wire).expect("valid wire format");
     assert_eq!(back, cm);
 
     let gd = GdConfig { learning_rate: 0.1, max_iter: 5000, tol: 1e-10, ..Default::default() };

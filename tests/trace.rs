@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 // serialize through this lock and start from drained buffers.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    dmml::obs::lock(&LOCK)
 }
 
 #[test]
