@@ -6,9 +6,9 @@
 //! (shortest round-trip decimal; NaN and ±∞ as sentinel strings), so every
 //! value round-trips bit-exactly. `load` rejects malformed lines.
 
-use dm_obs::json::{escape_json, fmt_f64, json_f64, json_usize, parse, Json};
+use dm_obs::json::{json_f64, json_usize, parse, write_escaped, write_f64, Json};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
@@ -183,26 +183,48 @@ impl ModelRegistry {
 
 /// One record as one JSON line.
 fn record_to_line(r: &ModelRecord) -> String {
-    let parent = r.parent.map_or_else(|| "null".to_owned(), |p| p.to_string());
-    let tags: Vec<String> = r.tags.iter().map(|t| format!("\"{}\"", escape_json(t))).collect();
-    format!(
-        "{{\"id\":{},\"name\":\"{}\",\"params\":{},\"metrics\":{},\"parent\":{parent},\"tags\":[{}]}}",
-        r.id,
-        escape_json(&r.name),
-        map_json(&r.params),
-        map_json(&r.metrics),
-        tags.join(",")
-    )
+    let mut out = String::new();
+    let _ = write!(out, "{{\"id\":{},\"name\":\"", r.id);
+    write_escaped(&mut out, &r.name);
+    out.push_str("\",\"params\":");
+    write_map(&mut out, &r.params);
+    out.push_str(",\"metrics\":");
+    write_map(&mut out, &r.metrics);
+    match r.parent {
+        Some(p) => {
+            let _ = write!(out, ",\"parent\":{p}");
+        }
+        None => out.push_str(",\"parent\":null"),
+    }
+    out.push_str(",\"tags\":[");
+    for (i, t) in r.tags.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        write_escaped(&mut out, t);
+        out.push('"');
+    }
+    out.push_str("]}");
+    out
 }
 
-fn map_json(m: &HashMap<String, f64>) -> String {
+fn write_map(out: &mut String, m: &HashMap<String, f64>) {
     // Sorted keys: HashMap iteration order is nondeterministic, and stable
     // output makes saved files diffable.
     let mut entries: Vec<(&String, &f64)> = m.iter().collect();
     entries.sort_unstable_by_key(|&(k, _)| k);
-    let fields: Vec<String> =
-        entries.iter().map(|(k, v)| format!("\"{}\":{}", escape_json(k), fmt_f64(**v))).collect();
-    format!("{{{}}}", fields.join(","))
+    out.push('{');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        write_escaped(out, k);
+        out.push_str("\":");
+        write_f64(out, *v);
+    }
+    out.push('}');
 }
 
 fn record_from_line(line: &str) -> Result<ModelRecord, String> {

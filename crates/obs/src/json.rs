@@ -1,9 +1,10 @@
 //! The workspace's one JSON codec: the machine-readable exporters, the
 //! scoring wire's documents, the model registry's lines, and the tests that
-//! schema-check them all write with [`escape_json`] and [`fmt_f64`] and read
-//! with [`parse`]. Not a general-purpose library: it parses objects, arrays,
+//! schema-check them all write with [`escape_json`] and [`fmt_f64`] (or
+//! their appending forms [`write_escaped`] and [`write_f64`]) and read with
+//! [`parse`]. Not a general-purpose library: it parses objects, arrays,
 //! strings with standard escapes, f64 numbers, booleans and null, with no
-//! streaming and no serde-style derive.
+//! streaming and no serde-style derive. Parsing is linear in the document.
 //!
 //! Numbers follow one f64 dialect: finite values as their shortest
 //! round-trip decimal, the non-finite ones as the strings `"NaN"`,
@@ -14,36 +15,59 @@ use std::fmt::Write as _;
 /// Escape a string for embedding inside a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
+    write_escaped(&mut out, s);
+    out
+}
+
+/// Append `s` to `out` escaped as [`escape_json`] escapes it: the quote, the
+/// backslash and the control characters; everything else is copied a run
+/// at a time.
+pub fn write_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, c) in s.bytes().enumerate() {
+        if c >= 0x20 && c != b'"' && c != b'\\' {
+            continue;
+        }
+        // `c` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Format an `f64` in the dialect: shortest round-trip decimal for finite
 /// values, quoted sentinel strings for non-finite ones.
 #[inline]
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// Append `v` to `out` as [`fmt_f64`] formats it, with no allocation of its
+/// own.
+#[inline]
+pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v}");
-        debug_assert_eq!(s.parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
-        s
+        let at = out.len();
+        let _ = write!(out, "{v}");
+        debug_assert_eq!(out[at..].parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
     } else if v.is_nan() {
-        "\"NaN\"".to_owned()
+        out.push_str("\"NaN\"");
     } else if v > 0.0 {
-        "\"Infinity\"".to_owned()
+        out.push_str("\"Infinity\"");
     } else {
-        "\"-Infinity\"".to_owned()
+        out.push_str("\"-Infinity\"");
     }
 }
 
@@ -205,13 +229,19 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one step. Both
+        // are ASCII, so the run ends on a character boundary, and only the
+        // run itself is checked.
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(b.len() - *pos);
+        out.push_str(std::str::from_utf8(&b[*pos..*pos + run]).map_err(|e| e.to_string())?);
+        *pos += run;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -223,28 +253,43 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate followed by a `\u` low surrogate is
+                        // one character beyond the BMP; a lone surrogate is
+                        // not a character.
+                        let low = match b.get(*pos + 1..*pos + 3) {
+                            Some(b"\\u") if (0xD800..0xDC00).contains(&code) => {
+                                hex4(b, *pos + 3).ok().filter(|lo| (0xDC00..0xE000).contains(lo))
+                            }
+                            _ => None,
+                        };
+                        let c = match low {
+                            Some(lo) => {
+                                *pos += 6;
+                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00))
+                            }
+                            None => char::from_u32(code),
+                        };
+                        out.push(c.unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Advance one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
+}
+
+/// The code unit of the four hex digits at `at`, which follow a `\u`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let hex = b
+        .get(at..at + 4)
+        .and_then(|h| std::str::from_utf8(h).ok())
+        .ok_or("truncated \\u escape")?;
+    hex.chars()
+        .try_fold(0, |code, c| Some(code << 4 | c.to_digit(16)?))
+        .ok_or_else(|| "bad \\u escape".to_owned())
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -305,6 +350,32 @@ mod tests {
         let raw = "a\"b\\c\nd\te\u{1}";
         let parsed = parse(&format!("\"{}\"", escape_json(raw))).unwrap();
         assert_eq!(parsed.as_str(), Some(raw));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        let str_of = |doc: &str| parse(doc).map(|j| j.as_str().map(str::to_owned));
+        // What Python's `json.dumps("model-\u{1f600}")` sends.
+        assert_eq!(str_of(r#""model-\ud83d\ude00""#), Ok(Some("model-\u{1f600}".to_owned())));
+        assert_eq!(str_of(r#""\uDBFF\uDFFF""#), Ok(Some("\u{10ffff}".to_owned())));
+        // A lone surrogate is still U+FFFD, and does not swallow its neighbour.
+        assert_eq!(str_of(r#""\ud83d""#), Ok(Some("\u{fffd}".to_owned())));
+        assert_eq!(str_of(r#""\ude00\ud83d""#), Ok(Some("\u{fffd}\u{fffd}".to_owned())));
+        assert_eq!(str_of(r#""\ud83dx\ude00""#), Ok(Some("\u{fffd}x\u{fffd}".to_owned())));
+        assert_eq!(str_of(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".to_owned())));
+        assert_eq!(str_of(r#""\ud83d\ud83d\ude00""#), Ok(Some("\u{fffd}\u{1f600}".to_owned())));
+        // A bad escape after a high surrogate is reported, not skipped.
+        assert_eq!(str_of(r#""\ud83d\uzz00""#), Err("bad \\u escape".to_owned()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9\u00E9""#).unwrap().as_str(), Some("A\u{e9}\u{e9}"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, "\"\\u12\u{e9}\""] {
+            assert_eq!(parse(bad), Err("bad \\u escape".to_owned()), "{bad}");
+        }
+        assert_eq!(parse(r#""\u004""#), Err("bad \\u escape".to_owned()));
+        assert_eq!(parse(r#""\u04"#), Err("truncated \\u escape".to_owned()));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use dm_obs::flightrec::{FlightRecorder, Phase, RequestRecord, SLOW_RING_CAP};
 use dm_obs::json;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 /// Build a record whose every field is a fixed function of its id — the
@@ -52,6 +53,9 @@ proptest! {
     ) {
         let fr = FlightRecorder::new(capacity, Some(Duration::ZERO));
         let done = AtomicBool::new(false);
+        // The writers start once the reader has its first snapshot in, so a
+        // reader scheduled late still races them instead of missing them.
+        let start = Barrier::new(writers + 1);
         std::thread::scope(|s| {
             let reader = s.spawn(|| {
                 let mut rounds = 0u32;
@@ -80,12 +84,16 @@ proptest! {
                     json::parse(&fr.requests_json(16)).expect("requests_json parses mid-churn");
                     json::parse(&fr.slow_json()).expect("slow_json parses mid-churn");
                     rounds += 1;
+                    if rounds == 1 {
+                        start.wait();
+                    }
                 }
                 rounds
             });
             let handles: Vec<_> = (0..writers)
                 .map(|_| {
                     s.spawn(|| {
+                        start.wait();
                         for _ in 0..per_writer {
                             let rec = make_record(&fr);
                             let stored = fr.record(rec);

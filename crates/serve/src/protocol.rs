@@ -20,8 +20,10 @@
 //! bit-identical results between served and direct evaluation. Non-finite
 //! values (which JSON cannot express as numbers) travel as the strings
 //! `"NaN"`, `"Infinity"`, `"-Infinity"`. Both rules are `dm_obs::json`'s
-//! f64 dialect ([`fmt_f64`], [`json_f64`]), which the model registry's
-//! files share.
+//! f64 dialect ([`write_f64`], [`json_f64`]), which the model registry's
+//! files share. Every writer here appends straight into the frame's one
+//! buffer: no value, name or string is formatted into a `String` of its
+//! own.
 //!
 //! A scoring request:
 //!
@@ -42,9 +44,10 @@
 //! # Slab frames
 //!
 //! Printing and parsing decimal text is what a large request spends its
-//! time on (2.6 MB and ~35 ms for a 64×2048 scoring whose gemv takes
-//! 0.1 ms), so a payload may instead carry its matrices as raw
-//! little-endian `f64`s after the document:
+//! time on: a 64×2048 scoring whose gemv takes 0.1 ms is 2.6 MB of text,
+//! which takes ~18 ms to print and ~14 ms to parse (2-vCPU x86-64, shared).
+//! So a payload may instead carry its matrices as raw little-endian `f64`s
+//! after the document:
 //!
 //! | payload bytes | field | contents |
 //! |---|---|---|
@@ -91,7 +94,7 @@
 //! bytes come from a socket or from memory, one frame writer and one slab
 //! reader move them.
 
-use dm_obs::json::{escape_json, fmt_f64, json_f64, json_usize, parse, Json};
+use dm_obs::json::{json_f64, json_usize, parse, write_escaped, write_f64, Json};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
@@ -416,7 +419,7 @@ fn write_data<'a>(out: &mut String, data: &'a [f64], slab: Option<&mut SlabSink<
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f64(*v));
+                write_f64(out, *v);
             }
             out.push(']');
         }
@@ -469,20 +472,25 @@ fn read_matrix(
     Ok((rows, cols, data, nnz))
 }
 
+/// Append `s` as a JSON string literal.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    write_escaped(out, s);
+    out.push('"');
+}
+
 /// Write a request's JSON document — the whole payload of a text frame, the
 /// header of a slab frame.
 fn write_request<'a>(out: &mut String, req: &'a Request, mut slab: Option<&mut SlabSink<'a>>) {
-    let _ = write!(
-        out,
-        "{{\"tenant\":\"{}\",\"cmd\":\"{}\"",
-        escape_json(&req.tenant),
-        match req.cmd {
-            Cmd::Score => "score",
-            Cmd::Ping => "ping",
-        }
-    );
+    out.push_str("{\"tenant\":");
+    write_string(out, &req.tenant);
+    out.push_str(match req.cmd {
+        Cmd::Score => ",\"cmd\":\"score\"",
+        Cmd::Ping => ",\"cmd\":\"ping\"",
+    });
     if !req.program.is_empty() {
-        let _ = write!(out, ",\"program\":\"{}\"", escape_json(&req.program));
+        out.push_str(",\"program\":");
+        write_string(out, &req.program);
     }
     if !req.inputs.is_empty() {
         out.push_str(",\"inputs\":{");
@@ -490,7 +498,8 @@ fn write_request<'a>(out: &mut String, req: &'a Request, mut slab: Option<&mut S
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":", escape_json(name));
+            write_string(out, name);
+            out.push(':');
             match v {
                 InputValue::Matrix { rows, cols, data } => {
                     let _ = write!(out, "{{\"rows\":{rows},\"cols\":{cols},\"data\":");
@@ -498,7 +507,9 @@ fn write_request<'a>(out: &mut String, req: &'a Request, mut slab: Option<&mut S
                     out.push('}');
                 }
                 InputValue::Scalar(x) => {
-                    let _ = write!(out, "{{\"scalar\":{}}}", fmt_f64(*x));
+                    out.push_str("{\"scalar\":");
+                    write_f64(out, *x);
+                    out.push('}');
                 }
             }
         }
@@ -559,14 +570,16 @@ fn write_response<'a>(
 ) {
     match resp {
         Response::Error { error } => {
-            let _ = write!(out, "{{\"ok\":false,\"error\":\"{}\"", escape_json(error));
+            out.push_str("{\"ok\":false,\"error\":");
+            write_string(out, error);
         }
         Response::Pong => out.push_str("{\"ok\":true,\"kind\":\"pong\""),
         Response::Score { result, cache_hit, batched, blocked_nodes } => {
             out.push_str("{\"ok\":true,");
             match result {
                 ScoreResult::Scalar(v) => {
-                    let _ = write!(out, "\"kind\":\"scalar\",\"value\":{}", fmt_f64(*v));
+                    out.push_str("\"kind\":\"scalar\",\"value\":");
+                    write_f64(out, *v);
                 }
                 ScoreResult::Matrix { rows, cols, data } => {
                     let _ = write!(
