@@ -206,16 +206,25 @@ impl<S: Storage> BufferPool<S> {
             .policy
             .victim(&|k| frames.get(&k).is_some_and(|f| f.pins == 0))
             .ok_or(PoolError::AllPinned)?;
+        // Write a dirty victim before unlinking it: when the write fails the
+        // page stays resident, its only copy intact, and nothing is evicted.
+        let frame = &self.frames[&victim];
+        let spilled = if frame.dirty {
+            let data = codec::encode_dense(&frame.block);
+            let len = data.len();
+            self.storage.write(victim, data).map_err(|e| PoolError::Io(e.to_string()))?;
+            Some(len)
+        } else {
+            None
+        };
         let frame = self.frames.remove(&victim).expect("victim must be resident");
         self.policy.remove(victim);
         self.used -= frame.bytes;
         self.stats.evictions += 1;
         Self::trace_page("buffer.evict", victim);
-        if frame.dirty {
-            let data = codec::encode_dense(&frame.block);
-            self.stats.spilled_bytes += data.len() as u64;
-            Self::trace_page_bytes("buffer.spill", victim, data.len());
-            self.storage.write(victim, data).map_err(|e| PoolError::Io(e.to_string()))?;
+        if let Some(len) = spilled {
+            self.stats.spilled_bytes += len as u64;
+            Self::trace_page_bytes("buffer.spill", victim, len);
         }
         Ok(())
     }
@@ -838,9 +847,63 @@ mod tests {
         let writer = shared.clone();
         assert!(std::thread::spawn(move || writer.put(key(2), block(2.0))).join().is_err());
         assert!(shared.inner.is_poisoned());
-        shared.put(key(3), block(3.0)).unwrap();
-        assert_eq!(shared.get(key(3)).unwrap().expect("resident").get(0, 0), 3.0);
+        // The spill panicked before the victim was unlinked: it is still
+        // resident, and the pool still balances.
+        assert_eq!(shared.get(key(1)).unwrap().expect("resident").get(0, 0), 1.0);
         shared.audit_quiescent().unwrap();
+    }
+
+    /// A store whose next `fail` writes fail (a spill disk that fills, then
+    /// frees up); reads and removes work.
+    #[derive(Default)]
+    struct FillingStore {
+        inner: MemStore,
+        fail: usize,
+    }
+
+    impl Storage for FillingStore {
+        fn read(&self, key: PageKey) -> std::io::Result<Option<std::borrow::Cow<'_, [u8]>>> {
+            self.inner.read(key)
+        }
+        fn write(&mut self, key: PageKey, data: Vec<u8>) -> std::io::Result<()> {
+            if self.fail > 0 {
+                self.fail -= 1;
+                return Err(std::io::Error::other("no space left on spill device"));
+            }
+            self.inner.write(key, data)
+        }
+        fn remove(&mut self, key: PageKey) -> std::io::Result<()> {
+            self.inner.remove(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_failed_spill_write_keeps_the_victim_resident() {
+        let store = FillingStore { fail: 1, ..FillingStore::default() };
+        let mut p = BufferPool::new(2 * 144, PolicyKind::Lru, store);
+        let victim = Dense::from_fn(4, 4, |r, c| (r * 4 + c) as f64 * 0.1 - 0.7);
+        p.put(key(1), victim.clone()).unwrap();
+        p.put(key(2), block(2.0)).unwrap();
+        // Room for key 3 means spilling key 1, and that write fails.
+        let err = p.put(key(3), block(3.0)).unwrap_err();
+        assert!(matches!(err, PoolError::Io(ref m) if m.contains("no space")), "{err}");
+        assert_eq!((p.stats().evictions, p.stats().spilled_bytes), (0, 0));
+        p.audit_quiescent().unwrap();
+        assert_eq!(bits(&p.get(key(1)).unwrap().expect("still resident")), bits(&victim));
+        // The disk frees up: the same put spills, and the victim faults
+        // back bit-equal.
+        p.put(key(3), block(3.0)).unwrap();
+        p.put(key(4), block(4.0)).unwrap();
+        assert!(p.stats().evictions >= 1);
+        assert_eq!(bits(&p.get(key(1)).unwrap().expect("faults back")), bits(&victim));
+        p.audit_quiescent().unwrap();
+    }
+
+    fn bits(d: &Dense) -> Vec<u64> {
+        d.data().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

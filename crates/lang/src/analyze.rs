@@ -14,10 +14,10 @@
 //! | `E003` | error | definite domain violation (`log`/`sqrt` of a certainly-negative value, division by the constant zero) |
 //! | `W101` | warning | possible domain violation (`log`/`sqrt` over a possibly-negative subexpression, division by a possibly-zero value) |
 //! | `W102` | warning | matrix-chain cost: the chain as written costs ≥ 2x the DP-optimal order |
-//! | `W103` | warning | certified peak live set exceeds the memory budget even after blocking (see [`analyze_with_memory`]) |
+//! | `W103` | warning | certified peak live set exceeds the memory budget even after blocking (see [`analyze_plan`]) |
 //! | `H201` | hint | dead node: unreachable from the root |
 //! | `H202` | hint | missed fusion: a pattern the rewriter would fuse (`crossprod`, `tmv`, `sumSq`, double transpose) |
-//! | `H204` | hint | stale cost model: the calibrated price disagrees with the static estimate by more than 4x (see [`analyze_with_cost`]) |
+//! | `H204` | hint | stale cost model: the calibrated price disagrees with the static estimate by more than 4x (see [`analyze_plan`]) |
 //!
 //! Findings with the same code on the same node are merged into one
 //! diagnostic carrying a use count (rendered as `(x3)`), so a value
@@ -42,6 +42,7 @@
 //! `optimize` runs this differ automatically in debug builds, turning
 //! optimizer bugs into loud panics in every test that exercises a rewrite.
 
+use crate::cache::CompiledProgram;
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::rewrite::{collect_chain_leaves, optimal_chain_cost, original_chain_cost};
 use crate::size::{infer_node, propagate, InputSizes, Shape, SizeError, SizeInfo};
@@ -360,53 +361,39 @@ pub fn analyze(graph: &Graph, root: NodeId, inputs: &InputSizes) -> AnalysisRepo
     report
 }
 
-/// [`analyze`], then plan under `budget`, certify the plan with the liveness
-/// analysis ([`crate::liveness`]), and extend the report with the
-/// admission-control findings:
+/// The plan lints: findings about the plan a [`CompiledProgram`] will run,
+/// read off its own certificate and prices (nothing is re-planned), merged
+/// and sorted like [`analyze`]'s:
 ///
 /// * `W103` ([`codes::PLAN_EXCEEDS_BUDGET`]) — the certified live set
 ///   exceeds the budget even after the planner blocked everything it could;
 ///   one finding per offending step, anchored at the step's largest live
 ///   value (merged by the dedup pass into a single counted diagnostic per
-///   node) — the exact step and node are in the message.
-///
-/// An unbounded budget, or a program whose sizes do not fully propagate
-/// (those errors are already reported), returns the plain [`analyze`]
-/// report.
-pub fn analyze_with_memory(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    budget: crate::memory::MemoryBudget,
-) -> AnalysisReport {
-    use crate::liveness::certify_plan;
-    use crate::physical::{plan, PlanOptions};
-
-    let mut report = analyze(graph, root, inputs);
-    let Some(limit) = budget.get() else {
-        return report;
-    };
-    let reachable = graph.reachable(root);
-    if reachable.iter().any(|id| !report.sizes.contains_key(id)) {
-        return report;
-    }
-    let opts = PlanOptions { degree, budget, ..PlanOptions::new(&report.sizes) };
-    let phys = plan(graph, root, &opts).expect("a propagated size map always plans");
-    let cert = certify_plan(graph, root, &phys, &report.sizes, budget);
-    if !cert.fits() {
-        for su in &cert.timeline {
-            if su.live_bytes <= limit {
-                continue;
-            }
-            // Anchor at the largest live value (the thing to shrink); when
-            // the step's cost is all pool term, anchor at the executing node.
+///   node) — the exact step and node are in the message. Needs a bounded
+///   budget and a certificate.
+/// * `H204` ([`codes::COST_MODEL_STALE`]) — the calibrated price of a node
+///   (measured GFLOP/s for its op, kernel family, and size class)
+///   [`drifted`](crate::cost::drifted) off the static estimate. The static
+///   model's threshold decisions
+///   ([`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD),
+///   rewrite cost ratios) are unreliable for that kernel on this machine;
+///   pass the model to [`plan`](crate::physical::plan) as
+///   [`PlanOptions::cost`](crate::physical::PlanOptions::cost). Needs a
+///   program planned with a cost model.
+pub fn analyze_plan(prog: &CompiledProgram) -> Vec<Diagnostic> {
+    let graph = &prog.graph;
+    let mut diags = Vec::new();
+    if let Some(cert) = prog.certificate.as_ref().filter(|c| !c.fits()) {
+        let limit = cert.budget.unwrap_or(usize::MAX);
+        for su in cert.timeline.iter().filter(|su| su.live_bytes > limit) {
+            // Anchor at the largest live value (the thing to shrink); when the
+            // step's cost is all pool term, anchor at the executing node.
             let anchor = su
                 .live
                 .iter()
                 .max_by_key(|&&(v, b)| (b, std::cmp::Reverse(v)))
                 .map_or(su.node, |&(v, _)| v);
-            report.diagnostics.push(Diagnostic {
+            diags.push(Diagnostic {
                 severity: Severity::Warning,
                 node: anchor,
                 code: codes::PLAN_EXCEEDS_BUDGET,
@@ -423,74 +410,27 @@ pub fn analyze_with_memory(
             });
         }
     }
-    dedupe_diagnostics(&mut report.diagnostics);
-    report.diagnostics.sort_by_key(|d| (d.severity, d.node));
-    report
-}
-
-/// [`analyze`], then cross-check the static flop cost model against a loaded
-/// calibrated [`CostModel`](crate::cost::CostModel) and report where they
-/// disagree:
-///
-/// * `H204` ([`codes::COST_MODEL_STALE`]) — the calibrated price of a node
-///   (measured GFLOP/s for its op, kernel family, and size class) differs
-///   from the static estimate by more than
-///   [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) in either direction. The
-///   static model's threshold decisions
-///   ([`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD),
-///   rewrite cost ratios) are unreliable for that kernel on this machine;
-///   pass the model to [`plan`](crate::physical::plan) as
-///   [`PlanOptions::cost`](crate::physical::PlanOptions::cost).
-///
-/// An empty model, or a program whose sizes do not fully propagate (those
-/// errors are already reported), returns the plain [`analyze`] report.
-pub fn analyze_with_cost(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    degree: usize,
-    model: &crate::cost::CostModel,
-) -> AnalysisReport {
-    use crate::physical::{plan, PlanOptions};
-
-    let mut report = analyze(graph, root, inputs);
-    if model.is_empty() {
-        return report;
-    }
-    let reachable = graph.reachable(root);
-    if reachable.iter().any(|id| !report.sizes.contains_key(id)) {
-        return report;
-    }
-    let opts = PlanOptions { degree, cost: Some(model), ..PlanOptions::new(&report.sizes) };
-    let plan = plan(graph, root, &opts).expect("a propagated size map always plans");
-    let costs = crate::cost::node_costs(graph, root, &report.sizes, &plan, model);
-    for id in reachable {
-        let Some(c) = costs.get(&id) else { continue };
-        if c.flops == 0 {
-            continue;
-        }
+    for (&id, c) in prog.costs.iter().flatten().filter(|(_, c)| c.drifted) {
         let op = crate::explain::op_label(graph, id);
-        if model.is_stale(&op, c.family, c.flops) {
-            let cal = c.calibrated_ns.unwrap_or(c.static_ns);
-            let ratio = cal as f64 / c.static_ns.max(1) as f64;
-            report.diagnostics.push(Diagnostic {
-                severity: Severity::Hint,
-                node: id,
-                code: codes::COST_MODEL_STALE,
-                count: 1,
-                message: format!(
-                    "calibrated cost of {op} on the {} kernel is {ratio:.2}x the static \
-                     estimate ({cal} ns vs {} ns for {} flops): the static cost model is \
-                     stale for this kernel on this machine; pass the CostModel to plan as \
-                     PlanOptions::cost",
-                    c.family, c.static_ns, c.flops,
-                ),
-            });
-        }
+        let cal = c.calibrated_ns.unwrap_or(c.static_ns);
+        let ratio = cal as f64 / c.static_ns.max(1) as f64;
+        diags.push(Diagnostic {
+            severity: Severity::Hint,
+            node: id,
+            code: codes::COST_MODEL_STALE,
+            count: 1,
+            message: format!(
+                "calibrated cost of {op} on the {} kernel is {ratio:.2}x the static \
+                 estimate ({cal} ns vs {} ns for {} flops): the static cost model is \
+                 stale for this kernel on this machine; pass the CostModel to plan as \
+                 PlanOptions::cost",
+                c.family, c.static_ns, c.flops,
+            ),
+        });
     }
-    dedupe_diagnostics(&mut report.diagnostics);
-    report.diagnostics.sort_by_key(|d| (d.severity, d.node));
-    report
+    dedupe_diagnostics(&mut diags);
+    diags.sort_by_key(|d| (d.severity, d.node));
+    diags
 }
 
 /// Per-node interval rules; pushes domain diagnostics as a side effect.
@@ -817,6 +757,9 @@ pub fn verify_rewrite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
+    use crate::memory::MemoryBudget;
+    use crate::physical::PlanOptions;
 
     fn inputs() -> InputSizes {
         let mut i = InputSizes::new();
@@ -1081,6 +1024,28 @@ mod tests {
         assert!(matches!(err, RewriteCheckError::SizeRegression { .. }), "{err}");
     }
 
+    /// The plan lints of `root` planned serially under `budget` and `cost`.
+    fn plan_lints(
+        g: &Graph,
+        root: NodeId,
+        i: &InputSizes,
+        budget: MemoryBudget,
+        cost: Option<&CostModel>,
+    ) -> Vec<Diagnostic> {
+        let opts = PlanOptions { budget, cost, ..PlanOptions::new(i) };
+        analyze_plan(&CompiledProgram::new(g.clone(), root, &opts).unwrap())
+    }
+
+    /// A model holding five samples of `op` on `family` at `flops` flops,
+    /// each taking `ns`.
+    fn model_of(op: &str, family: &str, flops: u64, ns: u64) -> CostModel {
+        let mut store = dm_obs::ProfileStore::new();
+        for _ in 0..5 {
+            store.record(op, family, flops, ns);
+        }
+        CostModel::new(store)
+    }
+
     #[test]
     fn budget_overflow_warns_with_step_provenance_and_merged_counts() {
         // max(exp(X)) has no blockable operator: the planner cannot help, so
@@ -1093,15 +1058,14 @@ mod tests {
         let x = g.input("X");
         let u = g.unary(UnaryOp::Exp, x);
         let root = g.agg(AggOp::Max, u);
-        let r = analyze_with_memory(&g, root, &i, 1, crate::memory::MemoryBudget::bytes(400_000));
-        let w: Vec<_> =
-            r.diagnostics.iter().filter(|d| d.code == codes::PLAN_EXCEEDS_BUDGET).collect();
-        assert_eq!(w.len(), 2, "{}", r.render(&g));
+        let w = plan_lints(&g, root, &i, MemoryBudget::bytes(400_000), None);
+        assert!(w.iter().all(|d| d.code == codes::PLAN_EXCEEDS_BUDGET), "{w:?}");
+        assert_eq!(w.len(), 2, "{w:?}");
         let at_x = w.iter().find(|d| d.node == x).expect("anchored at X");
         assert_eq!(at_x.count, 2, "X is the largest live value at two steps");
         assert!(at_x.to_string().contains("(x2)"), "{at_x}");
         assert!(at_x.message.contains("step 0"), "{}", at_x.message);
-        assert!(w.iter().any(|d| d.node == u && d.count == 1), "{}", r.render(&g));
+        assert!(w.iter().any(|d| d.node == u && d.count == 1), "{w:?}");
     }
 
     #[test]
@@ -1109,9 +1073,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let root = g.agg(AggOp::Sum, x);
-        let r =
-            analyze_with_memory(&g, root, &inputs(), 1, crate::memory::MemoryBudget::unbounded());
-        assert!(r.diagnostics.is_empty(), "{}", r.render(&g));
+        let r = plan_lints(&g, root, &inputs(), MemoryBudget::unbounded(), None);
+        assert!(r.is_empty(), "{r:?}");
     }
 
     #[test]
@@ -1122,12 +1085,8 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input("X");
         let cp = g.push(Op::CrossProd(x));
-        let r = analyze_with_memory(&g, cp, &i, 1, crate::memory::MemoryBudget::bytes(1 << 20));
-        assert!(
-            r.diagnostics.iter().all(|d| d.code != codes::PLAN_EXCEEDS_BUDGET),
-            "{}",
-            r.render(&g)
-        );
+        let r = plan_lints(&g, cp, &i, MemoryBudget::bytes(1 << 20), None);
+        assert!(r.iter().all(|d| d.code != codes::PLAN_EXCEEDS_BUDGET), "{r:?}");
     }
 
     #[test]
@@ -1141,30 +1100,51 @@ mod tests {
         let x = g.input("X");
         let cp = g.push(Op::CrossProd(x));
         let root = g.agg(AggOp::Sum, cp);
-        let mut store = dm_obs::ProfileStore::new();
-        for _ in 0..5 {
-            store.record("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
-        }
-        let model = crate::cost::CostModel::new(store);
-        let r = analyze_with_cost(&g, root, &i, 1, &model);
-        let hints: Vec<_> =
-            r.diagnostics.iter().filter(|d| d.code == codes::COST_MODEL_STALE).collect();
-        assert_eq!(hints.len(), 1, "{}", r.render(&g));
+        let unbounded = MemoryBudget::unbounded();
+        let model = model_of("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
+        let hints = plan_lints(&g, root, &i, unbounded, Some(&model));
+        assert!(hints.iter().all(|d| d.code == codes::COST_MODEL_STALE), "{hints:?}");
+        assert_eq!(hints.len(), 1, "{hints:?}");
         assert_eq!(hints[0].node, cp);
         assert!(hints[0].message.contains("stale"), "{}", hints[0].message);
         assert!(hints[0].message.contains("PlanOptions::cost"), "{}", hints[0].message);
 
         // Within DRIFT_FACTOR (2 GFLOP/s): silent.
-        let mut store = dm_obs::ProfileStore::new();
-        for _ in 0..5 {
-            store.record("crossprod", "fused", 400_000, 200_000); // 2 GFLOP/s
-        }
-        let r = analyze_with_cost(&g, root, &i, 1, &crate::cost::CostModel::new(store));
-        assert!(r.diagnostics.iter().all(|d| d.code != codes::COST_MODEL_STALE));
+        let model = model_of("crossprod", "fused", 400_000, 200_000);
+        assert!(plan_lints(&g, root, &i, unbounded, Some(&model)).is_empty());
 
-        // Empty model: the plain analyze report.
-        let r = analyze_with_cost(&g, root, &i, 1, &crate::cost::CostModel::default());
-        assert!(r.diagnostics.iter().all(|d| d.code != codes::COST_MODEL_STALE));
+        // Empty model, or none: nothing to report.
+        assert!(plan_lints(&g, root, &i, unbounded, Some(&CostModel::default())).is_empty());
+        assert!(plan_lints(&g, root, &i, unbounded, None).is_empty());
+    }
+
+    #[test]
+    fn stale_cost_hint_prices_the_blocked_kernel_that_runs() {
+        // Under a 1 MiB budget the add of two 2 MiB operands runs blocked.
+        // A profile holding only blocked samples of that add must drive H204
+        // on it: the lint reads the budgeted plan, not a dense re-plan.
+        let mut i = InputSizes::new();
+        i.declare("X", 512, 512, 1.0);
+        let mut g = Graph::new();
+        let x = g.input("X");
+        let add = g.ewise(EwiseOp::Add, x, x);
+        let root = g.agg(AggOp::Sum, add);
+        let budget = MemoryBudget::bytes(1 << 20);
+        let plain =
+            CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..PlanOptions::new(&i) })
+                .unwrap();
+        assert_eq!(plain.plan.nodes_with(crate::physical::Kernel::Blocked), vec![add]);
+        let flops = crate::physical::node_flops(&g, add, &plain.sizes) as u64;
+        let model = model_of("ewise +", "blocked", flops, flops * 10); // 0.1 GFLOP/s
+        let opts = PlanOptions { budget, cost: Some(&model), ..PlanOptions::new(&i) };
+        let prog = CompiledProgram::new(g, root, &opts).unwrap();
+        let mut hints = analyze_plan(&prog);
+        hints.retain(|d| d.code == codes::COST_MODEL_STALE);
+        assert_eq!(hints.len(), 1, "{hints:?}");
+        assert_eq!(hints[0].node, add);
+        let family = crate::cost::node_family(&prog.graph, add, &prog.plan);
+        assert_eq!(family, "blocked");
+        assert!(hints[0].message.contains("on the blocked kernel"), "{}", hints[0].message);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   axis physical selection moves on.
 //!
 //! A cache hit returns the [`CompiledProgram`] — optimized graph, physical
-//! plan, and memory certificate — and execution proceeds exactly as if the
-//! program had just been compiled: the executor is a fresh
+//! plan, memory certificate and prices — and execution proceeds exactly as
+//! if the program had just been compiled: the executor is a fresh
 //! [`Executor::with_plan`](crate::exec::Executor::with_plan) either way, so
 //! hit and miss executions are bit-identical by construction (pinned by the
 //! `plan_cache` proptests).
@@ -31,14 +31,14 @@
 //! [`PlanCache`] is a plain LRU over these keys with hit/miss/eviction
 //! counters; wrap it in a mutex to share it across server workers.
 
-use crate::cost::CostModel;
+use crate::cost::{node_costs, CostModel, NodeCost};
 use crate::expr::{Graph, NodeId, Op};
 use crate::liveness::{certify_plan, PlanCertificate};
 use crate::memory::MemoryBudget;
 use crate::parser::{self, ParseError};
-use crate::physical::{plan, PhysicalPlan, PlanOptions};
+use crate::physical::{plan, Kernel, PhysicalPlan, PlanOptions, Sizes};
 use crate::rewrite::{optimize, RewriteStats};
-use crate::size::{InputSizes, SizeError};
+use crate::size::{InputSizes, SizeError, SizeInfo};
 use dm_obs::fnv::Fnv1a;
 use std::collections::HashMap;
 use std::fmt;
@@ -166,35 +166,74 @@ impl fmt::Display for PlanKey {
     }
 }
 
-/// Everything the compile pipeline produced for one (program, size-class)
-/// point: ready to execute with
-/// [`Executor::with_plan`](crate::exec::Executor::with_plan).
+/// One planned program: the plan, its certificate and its prices, built once
+/// by [`CompiledProgram::new`] and read by everything that describes the plan
+/// ([`explain`](crate::explain::explain),
+/// [`profile_report`](crate::explain::profile_report),
+/// [`analyze_plan`](crate::analyze::analyze_plan)) and by the server that
+/// runs it with [`Executor::with_plan`](crate::exec::Executor::with_plan).
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// The optimized expression DAG.
     pub graph: Graph,
     /// Root node of the optimized DAG.
     pub root: NodeId,
+    /// Propagated shape and sparsity estimate of each reachable node.
+    pub sizes: HashMap<NodeId, SizeInfo>,
     /// Physical kernel selection for the optimized DAG.
     pub plan: PhysicalPlan,
     /// What the rewriter did (fusion, CSE, chain reordering).
     pub rewrites: RewriteStats,
-    /// Peak-memory certificate over the default schedule, when every
+    /// Peak-memory certificate over the plan's schedule, when every
     /// reachable node had propagated sizes (always the case for programs
     /// compiled through [`compile`]).
     pub certificate: Option<PlanCertificate>,
-    /// Number of nodes planned as
-    /// [`Kernel::Blocked`](crate::physical::Kernel::Blocked) — over-budget
-    /// work that will stream through the spill pool instead of OOMing.
+    /// Number of nodes planned as [`Kernel::Blocked`] — over-budget work
+    /// that will stream through the spill pool instead of OOMing.
     pub blocked_nodes: usize,
-    /// Calibrated cost-model estimate of executing this plan, in
-    /// nanoseconds ([`calibrated_cost`](crate::cost::calibrated_cost) at
-    /// compile time). The serving layer compares this against observed
-    /// execute time to detect cost-model drift per plan-cache entry.
+    /// Per-node prices under the plan, when it was planned with a cost
+    /// model ([`PlanOptions::cost`]).
+    pub costs: Option<HashMap<NodeId, NodeCost>>,
+    /// Cost-model estimate of executing this plan, in nanoseconds: the sum
+    /// of [`costs`](Self::costs) (0 when unpriced). The serving layer
+    /// compares this against observed execute time to detect cost-model
+    /// drift per plan-cache entry.
     pub est_cost_ns: u64,
 }
 
 impl CompiledProgram {
+    /// Plan `graph` from `root` under `opts` and keep what that decided:
+    /// sizes resolve once, [`plan`] picks the kernels, the plan is certified
+    /// under `opts.budget` and, with a cost model, priced node by node. The
+    /// one place a program is planned; fails only when declared input sizes
+    /// do not propagate. `rewrites` is left empty for [`compile`] to fill.
+    pub fn new(graph: Graph, root: NodeId, opts: &PlanOptions) -> Result<Self, SizeError> {
+        let sizes = opts.sizes.resolve(&graph, root)?.into_owned();
+        let plan = plan(&graph, root, &PlanOptions { sizes: Sizes::Propagated(&sizes), ..*opts })?;
+        let certificate = graph
+            .reachable(root)
+            .iter()
+            .all(|id| sizes.contains_key(id))
+            .then(|| certify_plan(&graph, root, &plan, &sizes, opts.budget));
+        let costs = opts.cost.map(|model| node_costs(&graph, root, &sizes, &plan, model));
+        let est_ns: u128 = costs
+            .iter()
+            .flat_map(|c| c.values())
+            .map(|c| c.calibrated_ns.unwrap_or(c.static_ns))
+            .sum();
+        Ok(CompiledProgram {
+            blocked_nodes: plan.nodes_with(Kernel::Blocked).len(),
+            est_cost_ns: u64::try_from(est_ns).unwrap_or(u64::MAX),
+            graph,
+            root,
+            sizes,
+            plan,
+            rewrites: RewriteStats::default(),
+            certificate,
+            costs,
+        })
+    }
+
     /// Certified peak resident bytes of executing this plan, when known.
     /// Admission control charges this against the shared budget.
     pub fn certified_peak(&self) -> Option<usize> {
@@ -260,10 +299,11 @@ impl From<SizeError> for CompileError {
     }
 }
 
-/// The full compile pipeline, once: parse → logical rewrites → size
-/// propagation → physical selection ([`plan`] — calibrated serial/parallel
-/// crossover plus certify-and-block memory fitting) → certification. This
-/// is the expensive path a [`PlanCache`] hit skips entirely.
+/// The full compile pipeline, once: parse → logical rewrites →
+/// [`CompiledProgram::new`] (size propagation, physical selection —
+/// calibrated serial/parallel crossover plus certify-and-block memory
+/// fitting — certification and pricing). This is the expensive path a
+/// [`PlanCache`] hit skips entirely.
 pub fn compile(
     src: &str,
     inputs: &InputSizes,
@@ -273,21 +313,8 @@ pub fn compile(
 ) -> Result<CompiledProgram, CompileError> {
     let (raw, raw_root) = parser::parse(src)?;
     let (graph, root, rewrites) = optimize(&raw, raw_root, inputs)?;
-    let sizes = crate::size::propagate(&graph, root, inputs)?;
-    let opts = PlanOptions { degree, budget, cost: Some(model), ..PlanOptions::new(&sizes) };
-    let plan = plan(&graph, root, &opts)?;
-    let certificate = if graph.reachable(root).iter().all(|id| sizes.contains_key(id)) {
-        Some(certify_plan(&graph, root, &plan, &sizes, budget))
-    } else {
-        None
-    };
-    let blocked_nodes = plan.nodes_with(crate::physical::Kernel::Blocked).len();
-    // Price the plan once at compile time; serving compares observed execute
-    // time against this to spot per-plan cost-model drift.
-    let est_cost_ns = crate::cost::calibrated_cost(&graph, root, inputs, &plan, model)
-        .map(|ns| u64::try_from(ns).unwrap_or(u64::MAX))
-        .unwrap_or(0);
-    Ok(CompiledProgram { graph, root, plan, rewrites, certificate, blocked_nodes, est_cost_ns })
+    let opts = PlanOptions { degree, budget, cost: Some(model), ..PlanOptions::new(inputs) };
+    Ok(CompiledProgram { rewrites, ..CompiledProgram::new(graph, root, &opts)? })
 }
 
 #[derive(Debug)]
@@ -501,6 +528,9 @@ mod tests {
         assert_eq!(p.blocked_nodes, 0);
         assert!(p.certified_peak().unwrap() > 0);
         assert!(p.est_cost_ns > 0, "calibrated estimate priced at compile time");
+        // An empty model prices every node at the static rate.
+        let est = crate::rewrite::estimated_cost(&p.graph, p.root, &sizes()).unwrap();
+        assert_eq!(u128::from(p.est_cost_ns), crate::cost::static_ns(est));
         let summary = p.kernel_summary();
         assert!(summary.contains("crossprod/"), "{summary}");
         assert!(!summary.contains("input"), "{summary}");
@@ -517,6 +547,45 @@ mod tests {
             compile("sum(Unknown)", &sizes(), 1, MemoryBudget::unbounded(), &model),
             Err(CompileError::Size(_))
         ));
+    }
+
+    #[test]
+    fn programs_at_the_parser_limits_compile_and_run_on_a_small_stack() {
+        // The deepest DAGs the parser admits are left-leaning chains of
+        // MAX_NODES nodes; a matmul chain also costs the reordering DP the
+        // most, and MAX_DEPTH nested calls the parser's own recursion. Each
+        // compiles (unbounded, and under a budget that blocks every node it
+        // can) and evaluates on a thread with a server worker's 2 MiB stack.
+        use crate::exec::{Env, Executor};
+        use crate::parser::{MAX_DEPTH, MAX_NODES};
+        use dm_matrix::{Dense, Matrix};
+        let terms = MAX_NODES / 2; // n terms make 2n - 1 nodes
+        let programs = [
+            vec!["X"; terms].join(" + "),
+            vec!["X"; terms].join(" %*% "),
+            format!("sum({})", vec!["exp(X)"; terms / 2].join(" * ")),
+            format!("{}X{}", "abs(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH)),
+        ];
+        let run = move || {
+            let mut sizes = InputSizes::new();
+            sizes.declare("X", 2, 2, 1.0);
+            let mut env = Env::new();
+            env.bind("X", Matrix::Dense(Dense::from_fn(2, 2, |r, c| (r + c) as f64 * 0.1)));
+            for src in &programs {
+                assert!(parser::parse(src).unwrap().0.len() <= MAX_NODES);
+                for budget in [MemoryBudget::unbounded(), MemoryBudget::bytes(64)] {
+                    let t0 = std::time::Instant::now();
+                    let p = compile(src, &sizes, 2, budget, &model()).expect("compiles");
+                    let mut ex =
+                        Executor::with_plan(&p.graph, p.plan.clone()).with_memory_budget(budget);
+                    ex.eval(p.root, &env).expect("evaluates");
+                    let took = t0.elapsed();
+                    assert!(took.as_secs_f64() < 1.0, "{took:?} for {budget:?}: {src:.40}");
+                }
+            }
+        };
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap();
+        worker.join().expect("no stack overflow, no panic");
     }
 
     #[test]

@@ -14,14 +14,18 @@
 //! feed [`plan`](crate::physical::plan) (as
 //! [`PlanOptions::cost`](crate::physical::PlanOptions::cost): a measured
 //! serial-vs-parallel crossover replacing the fixed
-//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)), the cost
-//! table of [`explain`](crate::explain::explain), and the analyzer's H204
-//! staleness hint.
+//! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)). Pricing has
+//! one owner: [`CompiledProgram::new`](crate::cache::CompiledProgram::new)
+//! prices each node of the plan it built once, and the cost table of
+//! [`explain`](crate::explain::explain), the analyzer's H204 staleness hint
+//! and the server's drift counter all read those prices and the one
+//! [`drifted`] predicate.
 //!
 //! Closing the loop end to end:
 //!
 //! ```
-//! use dm_lang::{cost::CostModel, exec::{Env, Executor}, parser, physical};
+//! use dm_lang::{cost::CostModel, exec::{Env, Executor}, parser};
+//! use dm_lang::{CompiledProgram, PlanOptions};
 //! use dm_lang::size::InputSizes;
 //! use dm_matrix::{Dense, Matrix};
 //!
@@ -41,15 +45,15 @@
 //!
 //! // Calibrate + re-cost: the model turns flops into observed nanoseconds.
 //! let model = CostModel::new(store);
-//! let plan = physical::plan(&g, root, &physical::PlanOptions::new(&sizes)).unwrap();
-//! let calibrated = dm_lang::cost::calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
-//! assert!(calibrated > 0);
+//! let opts = PlanOptions { cost: Some(&model), ..PlanOptions::new(&sizes) };
+//! let prog = CompiledProgram::new(g, root, &opts).unwrap();
+//! assert!(prog.est_cost_ns > 0);
 //! ```
 
 use crate::exec::KernelChoice;
 use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::physical::{node_flops, Kernel, PhysicalPlan};
-use crate::size::{propagate, InputSizes, SizeError, SizeInfo};
+use crate::size::SizeInfo;
 use dm_obs::profile::{ProfileError, ProfileStore};
 use std::collections::HashMap;
 use std::path::Path;
@@ -60,10 +64,22 @@ use std::path::Path;
 /// [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD).
 pub const STATIC_GFLOPS: f64 = 1.0;
 
-/// Calibrated-vs-static disagreement beyond which the analyzer flags the
-/// static model stale for a kernel (H204): a measured throughput more than
-/// 4x off the [`STATIC_GFLOPS`] assumption, in either direction.
+/// Disagreement between a price and what it is checked against beyond which
+/// [`drifted`] reports drift: more than 4x off, in either direction.
 pub const DRIFT_FACTOR: f64 = 4.0;
+
+/// True when `observed_ns` is more than [`DRIFT_FACTOR`] off `est_ns` in
+/// either direction; an unknown (zero) figure never drifts. The one drift
+/// test: a calibrated node price against its static one (H204, the
+/// `<- drift` marks) and a request's execute time against its plan's
+/// estimate (`serve.cost_model.drift`).
+pub fn drifted(est_ns: u128, observed_ns: u128) -> bool {
+    if est_ns == 0 || observed_ns == 0 {
+        return false;
+    }
+    let ratio = observed_ns as f64 / est_ns as f64;
+    !(1.0 / DRIFT_FACTOR..=DRIFT_FACTOR).contains(&ratio)
+}
 
 /// A loaded throughput profile, ready to price plans in nanoseconds.
 #[derive(Debug, Clone, Default)]
@@ -72,8 +88,8 @@ pub struct CostModel {
 }
 
 /// Per-node cost breakdown: the flop estimate and its static and calibrated
-/// nanosecond prices. Produced by [`node_costs`]; rendered by
-/// [`explain`](crate::explain::explain).
+/// nanosecond prices. Produced by [`node_costs`] for
+/// [`CompiledProgram::costs`](crate::cache::CompiledProgram::costs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCost {
     /// Estimated flops ([`node_flops`]).
@@ -86,6 +102,9 @@ pub struct NodeCost {
     pub calibrated_ns: Option<u128>,
     /// Kernel family the node prices under (see [`node_family`]).
     pub family: &'static str,
+    /// The calibrated price [`drifted`] off the static one: the static
+    /// model is stale for this kernel on this machine (H204).
+    pub drifted: bool,
 }
 
 impl CostModel {
@@ -143,19 +162,6 @@ impl CostModel {
         }
         Some((f64_flops / g).ceil() as u128)
     }
-
-    /// True when the calibrated price for this (op, family, size) disagrees
-    /// with the static assumption by more than [`DRIFT_FACTOR`] — the
-    /// trigger for the analyzer's H204 staleness hint.
-    pub fn is_stale(&self, op: &str, family: &str, flops: u128) -> bool {
-        match self.calibrated_ns(op, family, flops) {
-            Some(cal) if cal > 0 && flops > 0 => {
-                let ratio = cal as f64 / static_ns(flops) as f64;
-                !(1.0 / DRIFT_FACTOR..=DRIFT_FACTOR).contains(&ratio)
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Static price of `flops` flops in ns: the flop count divided by
@@ -203,43 +209,20 @@ pub fn node_costs(
         let flops = node_flops(graph, id, infos);
         let family = node_family(graph, id, plan);
         let op = crate::explain::op_label(graph, id);
-        out.insert(
-            id,
-            NodeCost {
-                flops,
-                static_ns: static_ns(flops),
-                calibrated_ns: model.calibrated_ns(&op, family, flops),
-                family,
-            },
-        );
+        let (static_ns, calibrated_ns) =
+            (static_ns(flops), model.calibrated_ns(&op, family, flops));
+        let drifted = calibrated_ns.is_some_and(|cal| drifted(static_ns, cal));
+        out.insert(id, NodeCost { flops, static_ns, calibrated_ns, family, drifted });
     }
     out
-}
-
-/// Calibrated execution-cost estimate in nanoseconds of the DAG rooted at
-/// `root` under `plan`: per node, flops divided by the observed GFLOP/s of
-/// its (op, kernel family, size class) where the profile holds enough
-/// samples, the static [`STATIC_GFLOPS`] price otherwise. With an empty
-/// model this equals [`static_ns`] of
-/// [`estimated_cost`](crate::rewrite::estimated_cost).
-pub fn calibrated_cost(
-    graph: &Graph,
-    root: NodeId,
-    inputs: &InputSizes,
-    plan: &PhysicalPlan,
-    model: &CostModel,
-) -> Result<u128, SizeError> {
-    let infos = propagate(graph, root, inputs)?;
-    Ok(node_costs(graph, root, &infos, plan, model)
-        .values()
-        .map(|c| c.calibrated_ns.unwrap_or(c.static_ns))
-        .sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CompiledProgram;
     use crate::physical::{plan, PlanOptions};
+    use crate::size::InputSizes;
 
     fn glm() -> (Graph, NodeId, InputSizes) {
         let mut g = Graph::new();
@@ -262,13 +245,17 @@ mod tests {
         s
     }
 
+    /// The price of the serial, unbounded plan of `root` under `model`.
+    fn priced(g: &Graph, root: NodeId, sizes: &InputSizes, model: &CostModel) -> u128 {
+        let opts = PlanOptions { cost: Some(model), ..PlanOptions::new(sizes) };
+        CompiledProgram::new(g.clone(), root, &opts).unwrap().est_cost_ns.into()
+    }
+
     #[test]
     fn empty_model_prices_exactly_static() {
         let (g, root, sizes) = glm();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
-        let model = CostModel::default();
-        let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
+        let cal = priced(&g, root, &sizes, &CostModel::default());
         assert_eq!(cal, static_ns(est), "no samples -> static fallback everywhere");
     }
 
@@ -276,7 +263,7 @@ mod tests {
     fn calibration_divides_by_observed_throughput() {
         let (g, root, sizes) = glm();
         let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
-        let infos = propagate(&g, root, &sizes).unwrap();
+        let infos = crate::size::propagate(&g, root, &sizes).unwrap();
         // crossprod on 1000x20: the upper triangle, 20000 * 20 = 400_000
         // flops, fused family.
         let cp_flops = 400_000u64;
@@ -292,18 +279,16 @@ mod tests {
             cp.static_ns
         );
         // The total moves too, and differs from the static estimate.
-        let total = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
-        assert!(total < static_ns(est));
+        assert!(priced(&g, root, &sizes, &model) < static_ns(est));
     }
 
     #[test]
     fn below_min_samples_falls_back_to_static() {
         let (g, root, sizes) = glm();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
         let model = CostModel::new(store_with("crossprod", "fused", 400_000, 4.0, 2));
-        let cal = calibrated_cost(&g, root, &sizes, &plan, &model).unwrap();
         let est = crate::rewrite::estimated_cost(&g, root, &sizes).unwrap();
+        let cal = priced(&g, root, &sizes, &model);
         assert_eq!(cal, static_ns(est), "2 samples < MIN_SAMPLES -> static");
     }
 
@@ -352,7 +337,7 @@ mod tests {
             let m = Dense::from_fn(rows, cols, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.1 - 0.5);
             env.bind(name, Matrix::Dense(m));
         }
-        let infos = propagate(&g, acc, &sizes).unwrap();
+        let infos = crate::size::propagate(&g, acc, &sizes).unwrap();
         let plan = plan(&g, acc, &PlanOptions::new(&sizes)).unwrap();
         assert_eq!(plan.fused_into(streamed), Some(fused));
         let mut ex = Executor::with_plan(&g, plan.clone()).profiled();
@@ -393,17 +378,35 @@ mod tests {
     }
 
     #[test]
-    fn staleness_trips_only_beyond_drift_factor() {
-        let flops = 400_000u64;
-        // 2x off: not stale. 8x off: stale (both directions).
-        let m2 = CostModel::new(store_with("crossprod", "fused", flops, 2.0, 5));
-        assert!(!m2.is_stale("crossprod", "fused", flops as u128));
-        let m8 = CostModel::new(store_with("crossprod", "fused", flops, 8.0, 5));
-        assert!(m8.is_stale("crossprod", "fused", flops as u128));
-        let slow = CostModel::new(store_with("crossprod", "fused", flops, 0.1, 5));
-        assert!(slow.is_stale("crossprod", "fused", flops as u128));
-        // No samples: never stale.
-        assert!(!CostModel::default().is_stale("crossprod", "fused", flops as u128));
+    fn drift_trips_only_beyond_drift_factor() {
+        // 2x off: no drift. 8x off, in either direction: drift. An unknown
+        // (zero) figure never drifts.
+        assert!(!drifted(400_000, 200_000));
+        assert!(!drifted(400_000, 800_000));
+        assert!(drifted(400_000, 50_000));
+        assert!(drifted(400_000, 3_200_000));
+        assert!(!drifted(0, 50_000));
+        assert!(!drifted(400_000, 0));
+
+        // A node's cost carries the same test, calibrated against static.
+        let (g, root, sizes) = glm();
+        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let infos = crate::size::propagate(&g, root, &sizes).unwrap();
+        let crossprod_drifts = |model: &CostModel| {
+            let costs = node_costs(&g, root, &infos, &plan, model);
+            costs.values().find(|c| c.family == "fused").unwrap().drifted
+        };
+        let flops = 400_000;
+        assert!(!crossprod_drifts(&CostModel::new(store_with(
+            "crossprod",
+            "fused",
+            flops,
+            2.0,
+            5
+        ))));
+        assert!(crossprod_drifts(&CostModel::new(store_with("crossprod", "fused", flops, 8.0, 5))));
+        assert!(crossprod_drifts(&CostModel::new(store_with("crossprod", "fused", flops, 0.1, 5))));
+        assert!(!crossprod_drifts(&CostModel::default()), "no samples: never drifts");
     }
 
     #[test]

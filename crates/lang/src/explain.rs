@@ -2,11 +2,12 @@
 //! and a post-run runtime profile, modeled on the surveyed declarative ML
 //! systems' plan/statistics output.
 
-use crate::cost::CostModel;
+use crate::cache::CompiledProgram;
+use crate::cost::NodeCost;
 use crate::exec::{ExecProfile, KernelChoice};
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
-use crate::physical::{plan, PhysicalPlan, PlanOptions, Sizes};
-use crate::size::{propagate, InputSizes, Shape, SizeInfo};
+use crate::physical::PhysicalPlan;
+use crate::size::{Shape, SizeInfo};
 use dm_buffer::PoolStats;
 use dm_obs::fmt_ns;
 use std::collections::{HashMap, HashSet};
@@ -76,17 +77,16 @@ fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan
     format!("  [{}]", parts.join(", "))
 }
 
-#[allow(clippy::too_many_arguments)] // recursive renderer threads layout + annotation state
 fn render_tree(
-    graph: &Graph,
+    prog: &CompiledProgram,
     id: NodeId,
     prefix: &str,
     is_last: bool,
     is_root: bool,
     seen: &mut HashSet<NodeId>,
-    planned: Option<(&HashMap<NodeId, SizeInfo>, &PhysicalPlan)>,
     out: &mut String,
 ) {
+    let graph = &prog.graph;
     let connector = if is_root {
         String::new()
     } else if is_last {
@@ -101,7 +101,7 @@ fn render_tree(
         let _ = writeln!(out, "{connector}%{id} {label} (shared, printed above)");
         return;
     }
-    let note = planned.map_or_else(String::new, |(sizes, plan)| annotation(id, sizes, plan));
+    let note = annotation(id, &prog.sizes, &prog.plan);
     let _ = writeln!(out, "{connector}%{id} {label}{note}");
     let children = graph.op(id).children();
     let child_prefix = if is_root {
@@ -113,86 +113,86 @@ fn render_tree(
     };
     for (i, &c) in children.iter().enumerate() {
         let last = i + 1 == children.len();
-        render_tree(graph, c, &child_prefix, last, false, seen, planned, out);
+        render_tree(prog, c, &child_prefix, last, false, seen, out);
     }
 }
 
-/// Render the DAG rooted at `root` as a text tree, one node per line, shared
-/// subtrees printed once and referenced thereafter.
+/// Render the program's DAG as a text tree, one node per line, shared
+/// subtrees printed once and referenced thereafter, each node annotated with
+/// its propagated shape, sparsity estimate and kernel (`parallel` and
+/// `blocked` included); a node the plan fused names the `sum` that computes
+/// it (`fused into %7`). Nodes without propagated sizes show their kernel
+/// only. Two sections follow from what the program was planned with:
 ///
-/// `None` renders the bare tree. With options, the program is planned by
-/// [`plan`] under exactly those options and every node is annotated with its
-/// propagated shape, sparsity estimate and kernel (`parallel` and `blocked`
-/// included), and a node the plan fused names the `sum` that computes it
-/// (`fused into %7`); when sizes do not propagate (undeclared inputs) the
-/// annotations are silently omitted rather than failing the render. Two
-/// sections follow from what the options carry:
-///
-/// * a bounded `budget` appends the plan's
+/// * a bounded budget appends the plan's
 ///   [`PlanCertificate`](crate::liveness::PlanCertificate) — the
 ///   fits/exceeds verdict plus the step-by-step live-set timeline, over the
 ///   order the planner picked;
-/// * a `cost` model appends a per-node cost table: estimated flops, the
+/// * a cost model appends the per-node cost table: estimated flops, the
 ///   static nanosecond price, the calibrated price where the model holds
 ///   enough samples (`-` otherwise), and the priced kernel family. Nodes
-///   whose calibrated price disagrees with the static one by more than
-///   [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are marked `<- drift` — the
-///   same condition the analyzer reports as H204.
-pub fn explain(graph: &Graph, root: NodeId, opts: Option<&PlanOptions>) -> String {
-    let planned = opts.and_then(|o| {
-        let sizes = o.sizes.resolve(graph, root).ok()?;
-        let phys =
-            plan(graph, root, &PlanOptions { sizes: Sizes::Propagated(&sizes), ..*o }).ok()?;
-        Some((o, sizes, phys))
-    });
+///   whose prices [`drifted`](crate::cost::drifted) apart are marked
+///   `<- drift` — the same condition the analyzer reports as H204.
+pub fn explain(prog: &CompiledProgram) -> String {
     let mut out = String::new();
-    let annotations = planned.as_ref().map(|(_, sizes, phys)| (&**sizes, phys));
-    render_tree(graph, root, "", true, true, &mut HashSet::new(), annotations, &mut out);
-    let Some((opts, sizes, phys)) = &planned else {
-        return out;
-    };
-    if opts.budget.get().is_some() && graph.reachable(root).iter().all(|id| sizes.contains_key(id))
-    {
-        let cert = crate::liveness::certify_plan(graph, root, phys, sizes, opts.budget);
+    render_tree(prog, prog.root, "", true, true, &mut HashSet::new(), &mut out);
+    if let Some(cert) = prog.certificate.as_ref().filter(|c| c.budget.is_some()) {
         out.push('\n');
-        out.push_str(&cert.render(graph));
+        out.push_str(&cert.render(&prog.graph));
     }
-    let Some(model) = opts.cost else {
-        return out;
-    };
-    let costs = crate::cost::node_costs(graph, root, sizes, phys, model);
-    let mut ids: Vec<NodeId> = costs.keys().copied().collect();
-    ids.sort_unstable();
-    let _ = writeln!(out, "\ncost table (static {} GFLOP/s baseline):", crate::cost::STATIC_GFLOPS);
-    let _ = writeln!(
-        out,
-        "  {:<4} {:<12} {:>14} {:>12} {:>12}  family",
-        "node", "op", "flops", "static", "calibrated"
-    );
-    for id in ids {
-        let c = &costs[&id];
-        if c.flops == 0 {
-            continue; // inputs/constants carry no priced work
-        }
-        let cal =
-            c.calibrated_ns.map_or("-".to_string(), |ns| fmt_ns(ns.min(u64::MAX as u128) as u64));
-        let drift =
-            if model.is_stale(&op_label(graph, id), c.family, c.flops) { "  <- drift" } else { "" };
-        let _ = writeln!(
-            out,
-            "  %{:<3} {:<12} {:>14} {:>12} {:>12}  {}{drift}",
-            id,
-            op_label(graph, id),
-            c.flops,
-            fmt_ns(c.static_ns.min(u64::MAX as u128) as u64),
-            cal,
-            c.family,
-        );
+    if let Some(costs) = &prog.costs {
+        out.push('\n');
+        cost_table(prog, costs, None, &mut out);
     }
     out
 }
 
-/// Render a post-run `-stats`-style report from an execution profile: total
+/// The cost table of a priced program, one row per node with priced work:
+/// flops, static and calibrated price, family and drift mark. With a
+/// profile, only the nodes that run evaluated are listed, each with the
+/// self time it observed.
+fn cost_table(
+    prog: &CompiledProgram,
+    costs: &HashMap<NodeId, NodeCost>,
+    observed: Option<&ExecProfile>,
+    out: &mut String,
+) {
+    let ran = |id: NodeId| observed.is_none_or(|p| p.node(id).is_some_and(|n| n.evals > 0));
+    let mut ids: Vec<NodeId> =
+        costs.iter().filter(|&(&id, c)| c.flops > 0 && ran(id)).map(|(&id, _)| id).collect();
+    ids.sort_unstable();
+    let ns = |ns: u128| fmt_ns(ns.min(u64::MAX as u128) as u64);
+    let column = |cell: String| observed.map_or(String::new(), |_| format!(" {cell:>12}"));
+    let _ = writeln!(out, "cost table (static {} GFLOP/s baseline):", crate::cost::STATIC_GFLOPS);
+    let _ = writeln!(
+        out,
+        "  {:<4} {:<12} {:>14} {:>12} {:>12}{}  family",
+        "node",
+        "op",
+        "flops",
+        "static",
+        "calibrated",
+        column("observed".into()),
+    );
+    for id in ids {
+        let c = &costs[&id];
+        let cal = c.calibrated_ns.map_or("-".to_string(), ns);
+        let obs = column(fmt_ns(observed.and_then(|p| p.node(id)).map_or(0, |n| n.self_ns)));
+        let drift = if c.drifted { "  <- drift" } else { "" };
+        let _ = writeln!(
+            out,
+            "  %{:<3} {:<12} {:>14} {:>12} {:>12}{obs}  {}{drift}",
+            id,
+            op_label(&prog.graph, id),
+            c.flops,
+            ns(c.static_ns),
+            cal,
+            c.family,
+        );
+    }
+}
+
+/// Render a post-run `-stats`-style report of a profiled run of `prog`: total
 /// wall time, the `top_k` heaviest operators by self time (with kernel choice
 /// and output shape), estimated-vs-actual sparsity drift beyond
 /// [`SPARSITY_DRIFT_THRESHOLD`], parallel and out-of-core dispatch totals,
@@ -201,24 +201,17 @@ pub fn explain(graph: &Graph, root: NodeId, opts: Option<&PlanOptions>) -> Strin
 /// * `spill` — the executor's spill-pool counters
 ///   ([`Executor::ooc_pool_stats`](crate::exec::Executor::ooc_pool_stats))
 ///   append the pool's spill / fault / eviction traffic;
-/// * `cost` — the executed plan and a [`CostModel`] append a cost-model
-///   accuracy table: for every profiled compute node, the *estimated* ns
-///   (static flop price), the *calibrated* ns (the model's
-///   measured-throughput price, `-` below the sample threshold), and the
-///   *observed* ns this run actually spent — the three columns whose
-///   convergence is the whole point of the observe→calibrate→re-cost loop.
-///   Nodes where calibrated and static disagree by more than
-///   [`DRIFT_FACTOR`](crate::cost::DRIFT_FACTOR) are marked
-///   `<- drift (H204)`.
+/// * a priced program appends [`explain`]'s cost table over the nodes the
+///   run evaluated, with the self time each observed as a last column: the
+///   estimated, calibrated and observed figures whose convergence is the
+///   whole point of the observe→calibrate→re-cost loop.
 pub fn profile_report(
-    graph: &Graph,
-    root: NodeId,
+    prog: &CompiledProgram,
     profile: &ExecProfile,
-    inputs: &InputSizes,
     top_k: usize,
     spill: Option<&PoolStats>,
-    cost: Option<(&PhysicalPlan, &CostModel)>,
 ) -> String {
+    let (graph, root) = (&prog.graph, prog.root);
     let mut out = String::new();
     let total_ns = profile.total_self_ns();
     let _ = writeln!(out, "runtime report for {}", graph.render(root));
@@ -265,38 +258,32 @@ pub fn profile_report(
     }
 
     // Estimated vs actual sparsity drift.
-    let sizes = propagate(graph, root, inputs).ok();
-    if let Some(sizes) = &sizes {
-        let mut drifted: Vec<(NodeId, f64, f64)> = Vec::new();
-        for (id, ns) in profile.nodes() {
-            if let Some(info) = sizes.get(&id) {
-                if matches!(info.shape, Shape::Matrix { .. })
-                    && (info.sparsity - ns.out_sparsity).abs() > SPARSITY_DRIFT_THRESHOLD
-                {
-                    drifted.push((id, info.sparsity, ns.out_sparsity));
-                }
+    let mut drifted: Vec<(NodeId, f64, f64)> = Vec::new();
+    for (id, ns) in profile.nodes() {
+        if let Some(info) = prog.sizes.get(&id) {
+            if matches!(info.shape, Shape::Matrix { .. })
+                && (info.sparsity - ns.out_sparsity).abs() > SPARSITY_DRIFT_THRESHOLD
+            {
+                drifted.push((id, info.sparsity, ns.out_sparsity));
             }
         }
-        drifted.sort_by(|a, b| {
-            let da = (a.1 - a.2).abs();
-            let db = (b.1 - b.2).abs();
-            db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        if drifted.is_empty() {
+    }
+    drifted.sort_by(|a, b| {
+        let da = (a.1 - a.2).abs();
+        let db = (b.1 - b.2).abs();
+        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    });
+    if drifted.is_empty() {
+        let _ =
+            writeln!(out, "sparsity estimates: all within {SPARSITY_DRIFT_THRESHOLD:.2} of actual");
+    } else {
+        let _ = writeln!(out, "sparsity drift (|est - actual| > {SPARSITY_DRIFT_THRESHOLD:.2}):");
+        for (id, est, actual) in drifted {
             let _ = writeln!(
                 out,
-                "sparsity estimates: all within {SPARSITY_DRIFT_THRESHOLD:.2} of actual"
+                "  %{id} {:<12} est {est:.2} actual {actual:.2}",
+                op_label(graph, id)
             );
-        } else {
-            let _ =
-                writeln!(out, "sparsity drift (|est - actual| > {SPARSITY_DRIFT_THRESHOLD:.2}):");
-            for (id, est, actual) in drifted {
-                let _ = writeln!(
-                    out,
-                    "  %{id} {:<12} est {est:.2} actual {actual:.2}",
-                    op_label(graph, id)
-                );
-            }
         }
     }
 
@@ -339,40 +326,8 @@ pub fn profile_report(
     let hits: u64 = profile.nodes().map(|(_, n)| n.memo_hits).sum();
     let _ = writeln!(out, "memoization: {evals} node evals, {hits} memo hits");
 
-    let (Some((plan, model)), Some(infos)) = (cost, &sizes) else {
-        return out;
-    };
-    let costs = crate::cost::node_costs(graph, root, infos, plan, model);
-    let mut ids: Vec<NodeId> = profile
-        .nodes()
-        .filter(|(id, ns)| ns.evals > 0 && costs.get(id).is_some_and(|c| c.flops > 0))
-        .map(|(id, _)| id)
-        .collect();
-    ids.sort_unstable();
-    if ids.is_empty() {
-        return out;
-    }
-    let _ = writeln!(out, "cost model (estimated vs calibrated vs observed):");
-    for id in ids {
-        let c = &costs[&id];
-        let observed = profile.node(id).map_or(0, |n| n.self_ns);
-        let cal =
-            c.calibrated_ns.map_or("-".to_string(), |ns| fmt_ns(ns.min(u64::MAX as u128) as u64));
-        let drift = if model.is_stale(&op_label(graph, id), c.family, c.flops) {
-            "  <- drift (H204)"
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "  %{:<3} {:<12} est {:>10}  cal {:>10}  obs {:>10}  {}{drift}",
-            id,
-            op_label(graph, id),
-            fmt_ns(c.static_ns.min(u64::MAX as u128) as u64),
-            cal,
-            fmt_ns(observed),
-            c.family,
-        );
+    if let Some(costs) = &prog.costs {
+        cost_table(prog, costs, Some(profile), &mut out);
     }
     out
 }
@@ -380,9 +335,12 @@ pub fn profile_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::exec::{Env, Executor};
     use crate::memory::MemoryBudget;
+    use crate::physical::PlanOptions;
     use crate::rewrite::optimize;
+    use crate::size::InputSizes;
     use dm_matrix::{Dense, Matrix};
 
     fn glm_graph() -> (Graph, NodeId) {
@@ -394,13 +352,25 @@ mod tests {
         (g, s)
     }
 
+    /// The glm program, optimized and planned under `opts` (its sizes are
+    /// ignored: `X` is declared `rows` x `cols` at `sparsity`).
+    fn glm_program(rows: usize, cols: usize, sparsity: f64, opts: PlanOptions) -> CompiledProgram {
+        let (g, s) = glm_graph();
+        let mut sizes = InputSizes::new();
+        sizes.declare("X", rows, cols, sparsity);
+        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
+        CompiledProgram::new(og, root, &PlanOptions { sizes: (&sizes).into(), ..opts }).unwrap()
+    }
+
     #[test]
     fn explain_marks_shared_subtrees() {
         let mut g = Graph::new();
         let x = g.input("X");
         let t = g.transpose(x);
         let add = g.ewise(EwiseOp::Add, t, t);
-        let txt = explain(&g, add, None);
+        let mut sizes = InputSizes::new();
+        sizes.declare("X", 3, 3, 1.0);
+        let txt = explain(&CompiledProgram::new(g, add, &PlanOptions::new(&sizes)).unwrap());
         assert_eq!(txt.matches("shared, printed above").count(), 1, "{txt}");
         // Three distinct nodes plus one shared reference.
         assert_eq!(txt.lines().count(), 4, "{txt}");
@@ -408,11 +378,7 @@ mod tests {
 
     #[test]
     fn planned_explain_annotates_shapes_and_kernels() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 1000, 20, 0.05);
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let txt = explain(&og, root, Some(&PlanOptions::new(&sizes)));
+        let txt = explain(&glm_program(1000, 20, 0.05, PlanOptions::default()));
         assert!(txt.contains("crossprod"), "{txt}");
         assert!(txt.contains("1000x20"), "{txt}");
         assert!(txt.contains("sp 0.05"), "{txt}");
@@ -421,90 +387,74 @@ mod tests {
 
     #[test]
     fn explain_golden_output() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 1000, 20, 1.0);
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
         let expected = "\
 %2 sum  [scalar, dense]
 `-- %1 crossprod  [20x20, sp 1.00, dense]
     `-- %0 input X  [1000x20, sp 1.00, dense]
 ";
-        assert_eq!(explain(&og, root, Some(&PlanOptions::new(&sizes))), expected);
+        assert_eq!(explain(&glm_program(1000, 20, 1.0, PlanOptions::default())), expected);
     }
 
     #[test]
     fn explain_at_a_degree_annotates_parallel_kernels() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 100_000, 200, 1.0);
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let serial = PlanOptions::new(&sizes);
-        let txt = explain(&og, root, Some(&PlanOptions { degree: 4, ..serial }));
-        assert!(txt.contains("parallel"), "{txt}");
-        assert!(!explain(&og, root, Some(&serial)).contains("parallel"));
+        let at = |degree| {
+            explain(&glm_program(
+                100_000,
+                200,
+                1.0,
+                PlanOptions { degree, ..PlanOptions::default() },
+            ))
+        };
+        assert!(at(4).contains("parallel"), "{}", at(4));
+        assert!(!at(1).contains("parallel"));
     }
 
     #[test]
     fn profile_report_summarizes_parallel_kernels() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 400, 300, 1.0);
+        let prog = glm_program(400, 300, 1.0, PlanOptions { degree: 2, ..PlanOptions::default() });
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(400, 300, |r, c| ((r + c) % 7) as f64)));
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let plan = plan(&og, root, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) }).unwrap();
-        let mut ex = Executor::with_plan(&og, plan).profiled();
-        ex.eval(root, &env).unwrap();
-        let txt = profile_report(&og, root, ex.profile().unwrap(), &sizes, 5, None, None);
+        let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone()).profiled();
+        ex.eval(prog.root, &env).unwrap();
+        let txt = profile_report(&prog, ex.profile().unwrap(), 5, None);
         assert!(txt.contains("parallel kernels: 1 evals"), "{txt}");
         assert!(txt.contains("kernel parallel"), "{txt}");
+        assert!(!txt.contains("cost table"), "planned without a model: {txt}");
     }
 
     #[test]
     fn bounded_budget_appends_the_certificate() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 100_000, 200, 1.0);
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
         let budget = MemoryBudget::bytes(1 << 20);
-        let txt = explain(&og, root, Some(&PlanOptions { budget, ..PlanOptions::new(&sizes) }));
+        let txt = explain(&glm_program(
+            100_000,
+            200,
+            1.0,
+            PlanOptions { budget, ..PlanOptions::default() },
+        ));
         assert!(txt.contains("blocked"), "{txt}");
         assert!(txt.contains("memory certificate: plan fits"), "{txt}");
         assert!(txt.contains("live-set timeline:"), "{txt}");
         // An unbounded budget renders the plain plan, no certificate.
-        let txt = explain(&og, root, Some(&PlanOptions::new(&sizes)));
+        let txt = explain(&glm_program(100_000, 200, 1.0, PlanOptions::default()));
         assert!(!txt.contains("memory certificate"), "{txt}");
     }
 
     #[test]
     fn cost_model_appends_the_cost_table() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 1000, 20, 1.0);
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
         // An 8x-fast measured fused kernel: calibrated column filled, drift
         // flagged.
         let mut store = dm_obs::ProfileStore::new();
         for _ in 0..5 {
             store.record("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
         }
-        let model = crate::cost::CostModel::new(store);
-        let txt = explain(
-            &og,
-            root,
-            Some(&PlanOptions { cost: Some(&model), ..PlanOptions::new(&sizes) }),
-        );
+        let model = CostModel::new(store);
+        let priced = |model| PlanOptions { cost: Some(model), ..PlanOptions::default() };
+        let txt = explain(&glm_program(1000, 20, 1.0, priced(&model)));
         assert!(txt.contains("cost table"), "{txt}");
         assert!(txt.contains("crossprod"), "{txt}");
         assert!(txt.contains("<- drift"), "{txt}");
         // The empty model still renders the table, calibrated column dashed.
-        let empty = CostModel::default();
-        let txt = explain(
-            &og,
-            root,
-            Some(&PlanOptions { cost: Some(&empty), ..PlanOptions::new(&sizes) }),
-        );
+        let txt = explain(&glm_program(1000, 20, 1.0, priced(&CostModel::default())));
         assert!(txt.contains("cost table"), "{txt}");
         assert!(txt.contains(" -  "), "{txt}");
         assert!(!txt.contains("<- drift"), "{txt}");
@@ -512,45 +462,36 @@ mod tests {
 
     #[test]
     fn profile_report_cost_section_shows_all_three_columns() {
-        let (g, s) = glm_graph();
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", 1000, 20, 1.0);
+        let plain = glm_program(1000, 20, 1.0, PlanOptions::default());
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(1000, 20, |r, c| ((r + c) % 5) as f64)));
-        let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        let plan = plan(&og, root, &PlanOptions::new(&sizes)).unwrap();
 
         // Observe a real run, then price with the model it produced.
         let mut store = dm_obs::ProfileStore::new();
         for _ in 0..dm_obs::profile::MIN_SAMPLES {
-            let mut ex = Executor::with_plan(&og, plan.clone()).profiled();
-            ex.eval(root, &env).unwrap();
+            let mut ex = Executor::with_plan(&plain.graph, plain.plan.clone()).profiled();
+            ex.eval(plain.root, &env).unwrap();
             ex.record_kernel_profiles(&mut store);
         }
-        let model = crate::cost::CostModel::new(store);
-        let mut ex = Executor::with_plan(&og, plan.clone()).profiled();
-        ex.eval(root, &env).unwrap();
-        let cost = Some((&plan, &model));
-        let txt = profile_report(&og, root, ex.profile().unwrap(), &sizes, 5, None, cost);
-        assert!(txt.contains("cost model (estimated vs calibrated vs observed)"), "{txt}");
-        assert!(txt.contains("est "), "{txt}");
-        assert!(txt.contains("cal "), "{txt}");
-        assert!(txt.contains("obs "), "{txt}");
+        let model = CostModel::new(store);
+        let prog = glm_program(
+            1000,
+            20,
+            1.0,
+            PlanOptions { cost: Some(&model), ..PlanOptions::default() },
+        );
+        let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone()).profiled();
+        ex.eval(prog.root, &env).unwrap();
+        let txt = profile_report(&prog, ex.profile().unwrap(), 5, None);
+        let header = txt.lines().find(|l| l.contains("calibrated")).expect("cost table header");
+        assert!(header.contains("static") && header.contains("observed"), "{txt}");
         // The crossprod was observed MIN_SAMPLES times at its exact size
         // class, so its calibrated column cannot be dashed.
         let cp_line = txt
             .lines()
-            .find(|l| l.contains("crossprod") && l.contains("est "))
+            .find(|l| l.contains("crossprod") && l.contains("fused"))
             .expect("crossprod cost line");
-        assert!(!cp_line.contains("cal          -"), "{cp_line}");
-    }
-
-    #[test]
-    fn bare_explain_omits_annotations() {
-        let (g, s) = glm_graph();
-        let txt = explain(&g, s, None);
-        assert!(!txt.contains('['), "{txt}");
-        assert!(txt.contains("matmul"), "{txt}");
+        assert!(!cp_line.contains(" - "), "{cp_line}");
     }
 
     #[test]
@@ -560,9 +501,10 @@ mod tests {
         sizes.declare("X", 30, 4, 1.0);
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(30, 4, |r, c| (r + c) as f64)));
-        let mut ex = Executor::new(&g).profiled();
+        let prog = CompiledProgram::new(g, s, &PlanOptions::new(&sizes)).unwrap();
+        let mut ex = Executor::new(&prog.graph).profiled();
         ex.eval(s, &env).unwrap();
-        let txt = profile_report(&g, s, ex.profile().unwrap(), &sizes, 3, None, None);
+        let txt = profile_report(&prog, ex.profile().unwrap(), 3, None);
         assert!(txt.contains("runtime report"), "{txt}");
         assert!(txt.contains("heavy hitters (top 3"), "{txt}");
         assert!(txt.contains("memoization: 4 node evals"), "{txt}");
@@ -579,9 +521,10 @@ mod tests {
         sizes.declare("X", 10, 10, 1.0);
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(10, 10, |r, c| if r == c { 1.0 } else { 0.0 })));
-        let mut ex = Executor::new(&g).profiled();
+        let prog = CompiledProgram::new(g, t, &PlanOptions::new(&sizes)).unwrap();
+        let mut ex = Executor::new(&prog.graph).profiled();
         ex.eval(t, &env).unwrap();
-        let txt = profile_report(&g, t, ex.profile().unwrap(), &sizes, 5, None, None);
+        let txt = profile_report(&prog, ex.profile().unwrap(), 5, None);
         assert!(txt.contains("sparsity drift"), "{txt}");
         assert!(txt.contains("est 1.00 actual 0.10"), "{txt}");
     }

@@ -40,13 +40,12 @@ pub mod rewrite;
 pub mod size;
 
 pub use analyze::{
-    analyze, analyze_with_cost, analyze_with_memory, verify_rewrite, AnalysisReport, Diagnostic,
-    RewriteCheckError, Severity,
+    analyze, analyze_plan, verify_rewrite, AnalysisReport, Diagnostic, RewriteCheckError, Severity,
 };
 pub use cache::{
     compile, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
 };
-pub use cost::{calibrated_cost, CostModel, NodeCost};
+pub use cost::{CostModel, NodeCost};
 pub use exec::{Env, ExecError, ExecProfile, Executor, KernelChoice, NodeStats, Val};
 pub use explain::{explain, profile_report};
 pub use expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};

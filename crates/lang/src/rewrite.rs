@@ -1,8 +1,9 @@
 //! The logical rewrite engine: CSE, algebraic simplifications, fused-operator
 //! patterns, constant folding, and matrix-chain reordering.
 
+use crate::cache::CompiledProgram;
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
-use crate::physical::{plan, PlanOptions};
+use crate::physical::PlanOptions;
 use crate::size::{propagate, InputSizes, Shape, SizeError};
 use dm_obs::{elapsed_ns, StatsRegistry};
 use std::collections::HashMap;
@@ -357,9 +358,8 @@ pub fn optimize_traced(
     let cost_after = estimated_cost(&g, new_root, sizes).ok();
     let wall_ns = elapsed_ns(t0);
     let price = |gr: &Graph, rt: NodeId| -> Option<u128> {
-        let model = model?;
-        let plan = plan(gr, rt, &PlanOptions::new(sizes)).ok()?;
-        crate::cost::calibrated_cost(gr, rt, sizes, &plan, model).ok()
+        let opts = PlanOptions { cost: Some(model?), ..PlanOptions::new(sizes) };
+        Some(CompiledProgram::new(gr.clone(), rt, &opts).ok()?.est_cost_ns.into())
     };
     let trace = RewriteTrace {
         stats,

@@ -45,12 +45,13 @@ fn planned(
 }
 
 fn explain_memory(s: &Scenario, degree: usize, budget: MemoryBudget) -> String {
-    explain(&s.graph, s.root, Some(&PlanOptions { degree, budget, ..PlanOptions::new(&s.inputs) }))
+    let opts = PlanOptions { degree, budget, ..PlanOptions::new(&s.inputs) };
+    explain(&dm_lang::CompiledProgram::new(s.graph.clone(), s.root, &opts).expect("plans"))
 }
 
 fn explain_cost(s: &Scenario, degree: usize, model: &CostModel) -> String {
     let opts = PlanOptions { degree, cost: Some(model), ..PlanOptions::new(&s.inputs) };
-    explain(&s.graph, s.root, Some(&opts))
+    explain(&dm_lang::CompiledProgram::new(s.graph.clone(), s.root, &opts).expect("plans"))
 }
 
 // ---- Scenarios ------------------------------------------------------------

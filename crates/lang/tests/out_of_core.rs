@@ -3,12 +3,16 @@
 //! to the unbounded in-memory executor, leave the spill pool audit-clean, and
 //! honor the `DMML_MEM_BUDGET` environment variable.
 
+use dm_buffer::policy::PolicyKind;
+use dm_buffer::storage::{MemStore, Storage};
+use dm_buffer::{BufferPool, PageKey, SharedBufferPool};
 use dm_lang::exec::{Env, ExecError, Executor, KernelChoice, Val};
 use dm_lang::explain::{explain, profile_report};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId};
 use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{plan, Kernel, PhysicalPlan, PlanOptions};
 use dm_lang::size::InputSizes;
+use dm_lang::CompiledProgram;
 use dm_matrix::{Dense, Matrix};
 use proptest::prelude::*;
 
@@ -162,23 +166,23 @@ fn explain_and_profile_show_out_of_core_nodes() {
 
     let at_degree_2 = PlanOptions { degree: 2, ..PlanOptions::new(&sizes) };
     let bounded = PlanOptions { budget: MemoryBudget::bytes(budget), ..at_degree_2 };
-    let txt = explain(&p.graph, p.root, Some(&bounded));
+    let compiled = |opts| CompiledProgram::new(p.graph.clone(), p.root, opts).unwrap();
+    let prog = compiled(&bounded);
+    let txt = explain(&prog);
     assert!(txt.contains("blocked"), "explain must annotate OOC nodes:\n{txt}");
     // Unbounded budget renders the ordinary degree plan.
-    let unbounded = explain(&p.graph, p.root, Some(&at_degree_2));
+    let unbounded = explain(&compiled(&at_degree_2));
     assert!(!unbounded.contains("blocked"), "{unbounded}");
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(dense_input(n, k, 3)));
     env.bind("B", Matrix::Dense(dense_input(k, m, 11)));
-    let plan = plan_under(&p, &sizes, 2, budget);
-    let mut ex = Executor::with_plan(&p.graph, plan).profiled();
+    let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone()).profiled();
     ex.eval(p.root, &env).unwrap();
     assert_eq!(ex.profile().unwrap().node(p.y).unwrap().kernel, Some(KernelChoice::Blocked));
 
     let spill = ex.ooc_pool_stats();
-    let profile = ex.profile().unwrap();
-    let report = profile_report(&p.graph, p.root, profile, &sizes, 5, spill.as_ref(), None);
+    let report = profile_report(&prog, ex.profile().unwrap(), 5, spill.as_ref());
     assert!(report.contains("out-of-core kernels: 4 evals"), "{report}");
     assert!(report.contains("spill pool:"), "{report}");
     assert!(report.contains("kernel blocked"), "{report}");
@@ -206,6 +210,65 @@ fn record_stats_forwards_spill_counters() {
     assert_eq!(rep.gauge("lang.exec.mem_budget").map(|(cur, _)| cur), Some(budget as u64));
     assert!(rep.counter("lang.exec.ooc.spilled_bytes").unwrap_or(0) > 0);
     assert!(rep.counter("lang.exec.ooc.evictions").unwrap_or(0) > 0);
+}
+
+/// A spill store whose first write fails (the spill disk is full), then
+/// frees up.
+#[derive(Default)]
+struct FillingStore {
+    inner: MemStore,
+    failed: bool,
+}
+
+impl Storage for FillingStore {
+    fn read(&self, key: PageKey) -> std::io::Result<Option<std::borrow::Cow<'_, [u8]>>> {
+        self.inner.read(key)
+    }
+    fn write(&mut self, key: PageKey, data: Vec<u8>) -> std::io::Result<()> {
+        if !std::mem::replace(&mut self.failed, true) {
+            return Err(std::io::Error::other("no space left on spill device"));
+        }
+        self.inner.write(key, data)
+    }
+    fn remove(&mut self, key: PageKey) -> std::io::Result<()> {
+        self.inner.remove(key)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+/// A blocked evaluation whose spill write fails returns an `ExecError`
+/// naming the I/O failure; once the disk frees up, the same shared pool
+/// serves the next evaluation bit-identically to the in-memory one.
+#[test]
+fn a_failed_spill_write_is_an_exec_error() {
+    let p = program();
+    let (n, k, m) = (128, 24, 48);
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(dense_input(n, k, 5)));
+    env.bind("B", Matrix::Dense(dense_input(k, m, 9)));
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", n, k, 1.0);
+    sizes.declare("B", k, m, 1.0);
+    let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
+    let plan = plan_under(&p, &sizes, 1, budget);
+    let store: Box<dyn Storage> = Box::new(FillingStore::default());
+    let capacity = dm_lang::memory::spill_pool_capacity(budget);
+    let pool = SharedBufferPool::new(BufferPool::new(capacity, PolicyKind::Lru, store));
+
+    let mut ex = Executor::with_plan(&p.graph, plan.clone()).with_spill_pool(pool.clone(), 0);
+    match ex.eval(p.root, &env) {
+        Err(ExecError::OutOfCore { message, .. }) => {
+            assert!(message.contains("no space left"), "{message}")
+        }
+        other => panic!("expected an out-of-core error, got {other:?}"),
+    }
+
+    let want = Executor::new(&p.graph).eval(p.root, &env).unwrap().as_scalar().unwrap();
+    let mut ex = Executor::with_plan(&p.graph, plan).with_spill_pool(pool, 1 << 32);
+    let got = ex.eval(p.root, &env).unwrap().as_scalar().unwrap();
+    assert_eq!(got.to_bits(), want.to_bits());
 }
 
 /// `DMML_MEM_BUDGET` drives `PlanOptions::from_env`, with the explicit API

@@ -40,7 +40,7 @@ use dm_buffer::session::SessionLedger;
 use dm_buffer::storage::{FileStore, MemStore, Storage};
 use dm_buffer::{BufferPool, SharedBufferPool};
 use dm_lang::cache::{compile, program_hash, CompiledProgram, InputClass, PlanCache, PlanKey};
-use dm_lang::cost::{CostModel, DRIFT_FACTOR};
+use dm_lang::cost::{drifted, CostModel};
 use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::Op;
 use dm_lang::memory::MemoryBudget;
@@ -699,7 +699,7 @@ fn handle_score(
         }
         let (raw_graph, raw_root) = match parser::parse(&req.program) {
             Ok(p) => p,
-            Err(e) => return Err(format!("parse error: {e}")),
+            Err(e) => return Err(format!("bad request: {e}")),
         };
         let key = PlanKey::new(program_hash(&raw_graph, raw_root), classes);
         let cached = probe_cache(shared, &key);
@@ -771,8 +771,8 @@ fn handle_score(
 }
 
 /// Compare this request's observed execute time against the plan's
-/// compile-time calibrated estimate. Beyond [`DRIFT_FACTOR`] in either
-/// direction counts as cost-model drift: bump `serve.cost_model.drift` and
+/// compile-time calibrated estimate. When it [`drifted`] off the estimate,
+/// count cost-model drift: bump `serve.cost_model.drift` and
 /// drop an instant into the request's trace. The kernel-profile samples the
 /// executor already feeds into the shared [`ProfileStore`] are what
 /// re-calibrate the model (and drive the analyzer's H204 staleness hint) —
@@ -781,11 +781,7 @@ fn handle_score(
 /// unpriced plans.
 fn record_cost_drift(reg: &StatsRegistry, rec: &RequestRecord, prog: &CompiledProgram) {
     let exec_ns = rec.phase_ns[Phase::Execute.index()];
-    if exec_ns == 0 || prog.est_cost_ns == 0 {
-        return;
-    }
-    let ratio = exec_ns as f64 / prog.est_cost_ns as f64;
-    if !(1.0 / DRIFT_FACTOR..=DRIFT_FACTOR).contains(&ratio) {
+    if drifted(prog.est_cost_ns.into(), exec_ns.into()) {
         reg.add("serve.cost_model.drift", 1);
         trace::instant(
             "serve.cost_drift",

@@ -1,14 +1,16 @@
 //! The static analyzer on a buggy script: one pass over the expression DAG
 //! collects every problem at once — shape mismatches, domain violations,
 //! dead code, costly chain orders, and fusion opportunities — each anchored
-//! to the node that caused it.
+//! to the node that caused it. The plan lints then read a planned program:
+//! W103 for a live set over the memory budget, H204 for a stale cost model.
 //!
 //! Run with: `cargo run --release --example lint_program`
 
-use dmml::lang::analyze::{analyze, analyze_with_memory, codes, verify_rewrite, Severity};
+use dmml::lang::analyze::{analyze, analyze_plan, codes, verify_rewrite, Severity};
 use dmml::lang::rewrite::optimize;
 use dmml::lang::size::InputSizes;
-use dmml::lang::{AggOp, EwiseOp, Graph, MemoryBudget, UnaryOp};
+use dmml::lang::{AggOp, CompiledProgram, CostModel, EwiseOp, Graph, MemoryBudget, PlanOptions};
+use dmml::lang::{Op, UnaryOp};
 
 fn main() {
     // A script with several independent mistakes, built through the Graph
@@ -87,10 +89,31 @@ fn main() {
     big_inputs.declare("X", 256, 256, 1.0); // 512 KiB each
     big_inputs.declare("Y", 256, 256, 1.0);
     let budget = MemoryBudget::bytes(700_000); // fits any one value, not three
-    let mem = analyze_with_memory(&big, broot, &big_inputs, 1, budget);
     println!("memory lint of {} under a 700 KB budget:", big.render(broot));
-    println!("{}", mem.render(&big));
-    assert!(mem.diagnostics.iter().any(|d| d.code == codes::PLAN_EXCEEDS_BUDGET));
+    let opts = PlanOptions { budget, ..PlanOptions::new(&big_inputs) };
+    let mem = analyze_plan(&CompiledProgram::new(big.clone(), broot, &opts).expect("plans"));
+    mem.iter().for_each(|d| println!("{d}"));
+    assert!(mem.iter().any(|d| d.code == codes::PLAN_EXCEEDS_BUDGET));
+
+    // With a cost model the plan is priced too, and H204 flags a kernel whose
+    // measured throughput is far off the static assumption: here a profile
+    // that saw crossprod run at 8 GFLOP/s, 8x the static 1 GFLOP/s.
+    println!();
+    let mut gram_g = Graph::new();
+    let gx = gram_g.input("X");
+    let gram_cp = gram_g.push(Op::CrossProd(gx));
+    let mut gram_inputs = InputSizes::new();
+    gram_inputs.declare("X", 1000, 20, 1.0); // crossprod: 400 000 flops
+    let mut store = dmml::obs::ProfileStore::new();
+    for _ in 0..dmml::obs::profile::MIN_SAMPLES {
+        store.record("crossprod", "fused", 400_000, 50_000);
+    }
+    let model = CostModel::new(store);
+    println!("cost lint of {} with a measured 8 GFLOP/s crossprod:", gram_g.render(gram_cp));
+    let opts = PlanOptions { cost: Some(&model), ..PlanOptions::new(&gram_inputs) };
+    let cost = analyze_plan(&CompiledProgram::new(gram_g, gram_cp, &opts).expect("plans"));
+    cost.iter().for_each(|d| println!("{d}"));
+    assert!(cost.iter().any(|d| d.code == codes::COST_MODEL_STALE && d.node == gram_cp));
 
     // A clean subprogram passes the linter, survives the optimizer, and the
     // rewrite-safety differ signs off on the transformation.

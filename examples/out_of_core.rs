@@ -17,8 +17,8 @@
 use dmml::buffer::{ooc, panel_rows_for, BlockStore, BufferPool, SharedBufferPool};
 use dmml::buffer::{policy::PolicyKind, storage::FileStore};
 use dmml::lang::{
-    exec::Env, explain, parser, plan, profile_report, size::InputSizes, Executor, MemoryBudget,
-    PlanOptions,
+    exec::Env, explain, parser, profile_report, size::InputSizes, CompiledProgram, Executor,
+    MemoryBudget, PlanOptions,
 };
 use dmml::matrix::{ops, Matrix};
 
@@ -74,12 +74,12 @@ fn main() {
     let budget = MemoryBudget::bytes(1 << 20); // 1 MiB; X alone is 4 MiB
     println!("executor plan under a {budget} budget (set DMML_MEM_BUDGET for the same effect):");
     let opts = PlanOptions { degree: 2, budget, ..PlanOptions::new(&sizes) };
-    println!("{}", explain(&graph, root, Some(&opts)));
+    let prog = CompiledProgram::new(graph.clone(), root, &opts).unwrap();
+    println!("{}", explain(&prog));
 
-    let plan = plan(&graph, root, &opts).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x.clone()));
-    let mut exec = Executor::with_plan(&graph, plan).profiled();
+    let mut exec = Executor::with_plan(&graph, prog.plan.clone()).profiled();
     let got = exec.eval(root, &env).unwrap().as_scalar().unwrap();
 
     // Same scalar, to the last bit, as the fully in-memory run.
@@ -89,8 +89,5 @@ fn main() {
     println!("result {got:.6e} — bit-identical to the unbudgeted executor ✓\n");
 
     let spill = exec.ooc_pool_stats();
-    println!(
-        "{}",
-        profile_report(&graph, root, exec.profile().unwrap(), &sizes, 5, spill.as_ref(), None)
-    );
+    println!("{}", profile_report(&prog, exec.profile().unwrap(), 5, spill.as_ref()));
 }

@@ -17,7 +17,7 @@ use dmml::compress::planner::{compression_report, plan_traced, CompressionConfig
 use dmml::lang::cost::CostModel;
 use dmml::lang::rewrite::optimize_traced;
 use dmml::lang::size::InputSizes;
-use dmml::lang::{explain, parser, plan, profile_report, PlanOptions};
+use dmml::lang::{explain, parser, profile_report, CompiledProgram, PlanOptions};
 use dmml::modelsel::search::grid_search;
 use dmml::modelsel::SearchTrace;
 use dmml::obs::serve::MetricsServer;
@@ -46,7 +46,12 @@ fn main() {
     let (g, r, rtrace) = optimize_traced(&graph, root, &sizes, None).expect("optimizes");
     rtrace.record(reg.as_ref());
     println!("=== explain (optimized plan) ===");
-    print!("{}", explain(&g, r, Some(&PlanOptions::new(&sizes))));
+    // With DMML_PROFILE_DIR set and profiles from a previous run on disk,
+    // the plan is priced through the calibrated model too.
+    let model = CostModel::from_env();
+    let opts = PlanOptions { cost: model.as_ref(), ..PlanOptions::new(&sizes) };
+    let prog = CompiledProgram::new(g, r, &opts).expect("plans");
+    print!("{}", explain(&prog));
     match (rtrace.cost_before, rtrace.cost_after, rtrace.cost_ratio()) {
         (Some(b), Some(a), Some(ratio)) => {
             println!(
@@ -56,16 +61,11 @@ fn main() {
         }
         _ => println!("estimated cost: unavailable"),
     }
-    // With DMML_PROFILE_DIR set and profiles from a previous run on disk,
-    // price the same plan through the calibrated model for comparison.
-    if let Some(model) = CostModel::from_env() {
-        let opts = PlanOptions { cost: Some(&model), ..PlanOptions::new(&sizes) };
-        let plan = plan(&g, r, &opts).expect("plans");
-        let cal = dmml::lang::calibrated_cost(&g, r, &sizes, &plan, &model).expect("prices");
-        let est = dmml::lang::estimated_cost(&g, r, &sizes).expect("prices");
+    if model.is_some() {
+        let est = dmml::lang::estimated_cost(&prog.graph, prog.root, &sizes).expect("prices");
         println!(
             "calibrated cost: {} observed vs {} static (from persisted kernel profiles)",
-            dmml::obs::fmt_ns(cal as u64),
+            dmml::obs::fmt_ns(prog.est_cost_ns),
             dmml::obs::fmt_ns(dmml::lang::cost::static_ns(est) as u64),
         );
     }
@@ -80,12 +80,12 @@ fn main() {
     env.bind("w", Matrix::Dense(Dense::column(&w)));
     env.bind("y", Matrix::Dense(Dense::column(&y)));
 
-    let mut exec = Executor::new(&g).profiled();
-    let grad = exec.eval(r, &env).expect("executes");
+    let mut exec = Executor::new(&prog.graph).profiled();
+    let grad = exec.eval(prog.root, &env).expect("executes");
     exec.record_stats(reg.as_ref());
     println!("\n=== runtime report ===");
     let profile = exec.profile().expect("profiling was enabled");
-    print!("{}", profile_report(&g, r, profile, &sizes, 5, None, None));
+    print!("{}", profile_report(&prog, profile, 5, None));
     if let Some(m) = grad.as_dense() {
         println!("gradient norm: {:.4}", m.data().iter().map(|v| v * v).sum::<f64>().sqrt());
     }

@@ -16,7 +16,8 @@
 //! a scraper can fetch.
 
 use dmml::lang::{
-    exec::Env, explain, parser, plan, size::InputSizes, Executor, MemoryBudget, PlanOptions,
+    exec::Env, explain, parser, size::InputSizes, CompiledProgram, Executor, MemoryBudget,
+    PlanOptions,
 };
 use dmml::matrix::Matrix;
 use dmml::obs::{export, serve::MetricsServer, trace, StatsRegistry};
@@ -53,12 +54,12 @@ fn main() {
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
     println!("degree 4, budget {budget} (50% of the input matrix):");
     let opts = PlanOptions { degree: 4, budget, ..PlanOptions::new(&sizes) };
-    println!("{}", explain(&graph, root, Some(&opts)));
+    let prog = CompiledProgram::new(graph.clone(), root, &opts).unwrap();
+    println!("{}", explain(&prog));
 
-    let plan = plan(&graph, root, &opts).unwrap();
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
-    let mut exec = Executor::with_plan(&graph, plan).profiled().traced();
+    let mut exec = Executor::with_plan(&graph, prog.plan.clone()).profiled().traced();
     let got = exec.eval(root, &env).unwrap().as_scalar().unwrap();
     println!("result: {got:.6e}");
     drop(phase);

@@ -1,7 +1,7 @@
 //! End-to-end acceptance of the adaptive cost feedback loop (ISSUE 7):
 //! observe (profiled execution → persisted kernel profiles), calibrate
-//! (`CostModel` over the persisted store), re-cost (`calibrated_cost`,
-//! `PlanOptions::cost`) — with results bit-identical to the uncalibrated
+//! (`CostModel` over the persisted store), re-cost (`PlanOptions::cost`, the
+//! prices `CompiledProgram::new` keeps) — with results bit-identical to the uncalibrated
 //! plan — plus the live `/metrics` scrape endpoint serving the run's
 //! `lang.exec.node_self_ns` quantiles.
 
@@ -9,7 +9,7 @@ use dm_lang::cost::{static_ns, CostModel};
 use dm_lang::exec::{Env, Executor};
 use dm_lang::physical::{plan, PlanOptions};
 use dm_lang::size::InputSizes;
-use dm_lang::{estimated_cost, parser};
+use dm_lang::{estimated_cost, parser, CompiledProgram};
 use dm_matrix::{Dense, Matrix};
 use dm_obs::profile::{ProfileError, ProfileStore, PROFILE_FILE};
 use dm_obs::serve::MetricsServer;
@@ -68,25 +68,24 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // --- Run 2: calibrate + re-cost from the persisted store.
     let model = CostModel::load(&dir).unwrap();
     assert!(!model.is_empty(), "second run sees the persisted profile");
-    let plan2 = plan(&graph, root, &PlanOptions { cost: Some(&model), ..at_degree_2 }).unwrap();
-    let calibrated = dm_lang::calibrated_cost(&graph, root, &sizes, &plan2, &model).unwrap();
+    let opts2 = PlanOptions { cost: Some(&model), ..at_degree_2 };
+    let prog2 = CompiledProgram::new(graph.clone(), root, &opts2).unwrap();
     let est = estimated_cost(&graph, root, &sizes).unwrap();
     assert_ne!(
-        calibrated,
+        u128::from(prog2.est_cost_ns),
         static_ns(est),
         "with samples loaded, the calibrated price must move off the static one"
     );
     // Where samples exist the model prices the node off observations: the
     // heavy node (matmul at this shape) got MIN_SAMPLES samples above.
-    let infos = dm_lang::size::propagate(&graph, root, &sizes).unwrap();
-    let costs = dm_lang::cost::node_costs(&graph, root, &infos, &plan2, &model);
+    let costs = prog2.costs.as_ref().expect("planned with a model");
     assert!(
         costs.values().any(|c| c.calibrated_ns.is_some()),
         "at least one node prices off the profile"
     );
 
     // --- Bit identity: the calibrated plan computes the same bits.
-    let mut ex = Executor::with_plan(&graph, plan2);
+    let mut ex = Executor::with_plan(&graph, prog2.plan);
     let v = ex.eval(root, &env).unwrap().as_scalar().unwrap();
     assert_eq!(v.to_bits(), baseline.to_bits(), "re-costing must not change results");
 
@@ -149,9 +148,9 @@ fn corrupt_profiles_degrade_to_the_static_model() {
     // still works — no panic anywhere on the path.
     let model = CostModel::default();
     let opts = PlanOptions { degree: 2, cost: Some(&model), ..PlanOptions::new(&sizes) };
-    let plan = plan(&graph, root, &opts).unwrap();
-    let cal = dm_lang::calibrated_cost(&graph, root, &sizes, &plan, &model).unwrap();
-    assert_eq!(cal, static_ns(estimated_cost(&graph, root, &sizes).unwrap()));
+    let est = estimated_cost(&graph, root, &sizes).unwrap();
+    let prog = CompiledProgram::new(graph, root, &opts).unwrap();
+    assert_eq!(u128::from(prog.est_cost_ns), static_ns(est));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -164,6 +164,35 @@ fn over_budget_request_is_admitted_as_blocked() {
     server.shutdown();
 }
 
+/// Program text that would exhaust a worker's stack — nesting far past the
+/// parser's depth limit, or a sum of more terms than its node limit — is
+/// answered as a bad request, and the server goes on scoring.
+#[test]
+fn hostile_program_text_is_a_bad_request() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let deep = format!("{}X{}", "(".repeat(100_000), ")".repeat(100_000));
+    let long = vec!["X"; 200_000].join(" + ");
+    for (program, why) in [(deep, "nesting deeper than 128"), (long, "more than 256 nodes")] {
+        let mut c = ScoringClient::connect(server.addr()).unwrap();
+        let req = Request::score("acme", &program).matrix("X", N, D, x_data(1));
+        match c.request(&req).unwrap() {
+            Response::Error { error } => {
+                assert!(error.starts_with("bad request: ") && error.contains(why), "{error}")
+            }
+            other => panic!("expected a bad request for {why}, got {other:?}"),
+        }
+        let mut next = ScoringClient::connect(server.addr()).unwrap();
+        let Response::Score { result: ScoreResult::Scalar(got), .. } =
+            next.request(&score_req("acme", 1)).unwrap()
+        else {
+            panic!("the next request must be scored");
+        };
+        assert_eq!(got.to_bits(), direct_eval(1).to_bits());
+    }
+    server.shutdown();
+}
+
 /// Micro-batching correctness: concurrent vector scorings against the
 /// same model coalesce (or not, depending on timing) and each participant
 /// gets exactly its own result column. A request that did NOT coalesce is
