@@ -303,6 +303,15 @@ pub fn analyze(graph: &Graph, root: NodeId, inputs: &InputSizes) -> AnalysisRepo
     let mut sizes: HashMap<NodeId, SizeInfo> = HashMap::new();
     let mut intervals: HashMap<NodeId, Interval> = HashMap::new();
     let reachable = graph.reachable(root);
+    // Every node some matmul reads, over the whole arena: a chain reports
+    // once, at its outermost multiply.
+    let mut matmul_operand = vec![false; graph.len()];
+    for op in graph.nodes() {
+        if let Op::MatMul(a, b) = *op {
+            matmul_operand[a] = true;
+            matmul_operand[b] = true;
+        }
+    }
 
     for &id in &reachable {
         // 1. Shape/sparsity inference, accumulating instead of bailing.
@@ -335,7 +344,9 @@ pub fn analyze(graph: &Graph, root: NodeId, inputs: &InputSizes) -> AnalysisRepo
         fusion_hint(graph, id, &sizes, &mut report.diagnostics);
 
         // 4. Matrix-chain cost warnings at maximal chain roots.
-        chain_cost_warning(graph, id, &sizes, &mut report.diagnostics);
+        if !matmul_operand[id] {
+            chain_cost_warning(graph, id, &sizes, &mut report.diagnostics);
+        }
     }
 
     // 5. Dead nodes: allocated in the arena but unreachable from the root.
@@ -370,45 +381,44 @@ pub fn analyze(graph: &Graph, root: NodeId, inputs: &InputSizes) -> AnalysisRepo
 ///   one finding per offending step, anchored at the step's largest live
 ///   value (merged by the dedup pass into a single counted diagnostic per
 ///   node) — the exact step and node are in the message. Needs a bounded
-///   budget and a certificate.
+///   budget.
 /// * `H204` ([`codes::COST_MODEL_STALE`]) — the calibrated price of a node
 ///   (measured GFLOP/s for its op, kernel family, and size class)
 ///   [`drifted`](crate::cost::drifted) off the static estimate. The static
 ///   model's threshold decisions
 ///   ([`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD),
 ///   rewrite cost ratios) are unreliable for that kernel on this machine;
-///   pass the model to [`plan`](crate::physical::plan) as
+///   plan with the model as
 ///   [`PlanOptions::cost`](crate::physical::PlanOptions::cost). Needs a
 ///   program planned with a cost model.
 pub fn analyze_plan(prog: &CompiledProgram) -> Vec<Diagnostic> {
     let graph = &prog.graph;
     let mut diags = Vec::new();
-    if let Some(cert) = prog.certificate.as_ref().filter(|c| !c.fits()) {
-        let limit = cert.budget.unwrap_or(usize::MAX);
-        for su in cert.timeline.iter().filter(|su| su.live_bytes > limit) {
-            // Anchor at the largest live value (the thing to shrink); when the
-            // step's cost is all pool term, anchor at the executing node.
-            let anchor = su
-                .live
-                .iter()
-                .max_by_key(|&&(v, b)| (b, std::cmp::Reverse(v)))
-                .map_or(su.node, |&(v, _)| v);
-            diags.push(Diagnostic {
-                severity: Severity::Warning,
-                node: anchor,
-                code: codes::PLAN_EXCEEDS_BUDGET,
-                count: 1,
-                message: format!(
-                    "certified live set reaches {} B at step {} (%{} {}) but the budget is \
-                     {limit} B; even the blocked plan cannot fit — split the program or raise {}",
-                    su.live_bytes,
-                    su.step,
-                    su.node,
-                    crate::explain::op_label(graph, su.node),
-                    crate::memory::MEM_BUDGET_ENV,
-                ),
-            });
-        }
+    let cert = &prog.certificate;
+    let limit = cert.budget.unwrap_or(usize::MAX);
+    for su in cert.timeline.iter().filter(|su| su.live_bytes > limit) {
+        // Anchor at the largest live value (the thing to shrink); when the
+        // step's cost is all pool term, anchor at the executing node.
+        let anchor = su
+            .live
+            .iter()
+            .max_by_key(|&&(v, b)| (b, std::cmp::Reverse(v)))
+            .map_or(su.node, |&(v, _)| v);
+        diags.push(Diagnostic {
+            severity: Severity::Warning,
+            node: anchor,
+            code: codes::PLAN_EXCEEDS_BUDGET,
+            count: 1,
+            message: format!(
+                "certified live set reaches {} B at step {} (%{} {}) but the budget is \
+                 {limit} B; even the blocked plan cannot fit — split the program or raise {}",
+                su.live_bytes,
+                su.step,
+                su.node,
+                crate::explain::op_label(graph, su.node),
+                crate::memory::MEM_BUDGET_ENV,
+            ),
+        });
     }
     for (&id, c) in prog.costs.iter().flatten().filter(|(_, c)| c.drifted) {
         let op = crate::explain::op_label(graph, id);
@@ -619,8 +629,9 @@ fn fusion_hint(
     }
 }
 
-/// Warn when a matmul chain, evaluated as written, costs at least twice the
-/// DP-optimal association order.
+/// Warn when the matmul chain rooted at `id` (a matmul no matmul reads),
+/// evaluated as written, costs at least twice the DP-optimal association
+/// order.
 fn chain_cost_warning(
     graph: &Graph,
     id: NodeId,
@@ -628,15 +639,6 @@ fn chain_cost_warning(
     diags: &mut Vec<Diagnostic>,
 ) {
     if !matches!(graph.op(id), Op::MatMul(_, _)) {
-        return;
-    }
-    // Only analyze maximal chains: skip matmuls consumed by another matmul
-    // (the chain root reports once for the whole chain).
-    // A node may have several parents; it suffices that *this* traversal
-    // reports at the outermost multiply of each chain, so check all nodes.
-    let consumed_by_matmul =
-        graph.nodes().iter().any(|op| matches!(op, Op::MatMul(a, b) if *a == id || *b == id));
-    if consumed_by_matmul {
         return;
     }
     let leaves = collect_chain_leaves(graph, id);

@@ -33,12 +33,12 @@
 
 use crate::cost::{node_costs, CostModel, NodeCost};
 use crate::expr::{Graph, NodeId, Op};
-use crate::liveness::{certify_plan, PlanCertificate};
+use crate::liveness::PlanCertificate;
 use crate::memory::MemoryBudget;
 use crate::parser::{self, ParseError};
-use crate::physical::{plan, Kernel, PhysicalPlan, PlanOptions, Sizes};
+use crate::physical::{plan, Kernel, PhysicalPlan, PlanOptions};
 use crate::rewrite::{optimize, RewriteStats};
-use crate::size::{InputSizes, SizeError, SizeInfo};
+use crate::size::{propagate, InputSizes, SizeError, SizeInfo};
 use dm_obs::fnv::Fnv1a;
 use std::collections::HashMap;
 use std::fmt;
@@ -184,10 +184,9 @@ pub struct CompiledProgram {
     pub plan: PhysicalPlan,
     /// What the rewriter did (fusion, CSE, chain reordering).
     pub rewrites: RewriteStats,
-    /// Peak-memory certificate over the plan's schedule, when every
-    /// reachable node had propagated sizes (always the case for programs
-    /// compiled through [`compile`]).
-    pub certificate: Option<PlanCertificate>,
+    /// Peak-memory certificate over the plan's schedule under the budget it
+    /// was planned with: the one the planner fitted the plan to.
+    pub certificate: PlanCertificate,
     /// Number of nodes planned as [`Kernel::Blocked`] — over-budget work
     /// that will stream through the spill pool instead of OOMing.
     pub blocked_nodes: usize,
@@ -203,18 +202,15 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// Plan `graph` from `root` under `opts` and keep what that decided:
-    /// sizes resolve once, [`plan`] picks the kernels, the plan is certified
-    /// under `opts.budget` and, with a cost model, priced node by node. The
-    /// one place a program is planned; fails only when declared input sizes
-    /// do not propagate. `rewrites` is left empty for [`compile`] to fill.
+    /// the declared sizes propagate once, the planner picks the kernels by
+    /// the pipeline [`PlanOptions`] describes and certifies the plan under
+    /// `opts.budget`, and with a cost model the plan is priced node by node.
+    /// The planner's one entry point; fails only when the declared input
+    /// sizes do not propagate. `rewrites` is left empty for [`compile`] to
+    /// fill.
     pub fn new(graph: Graph, root: NodeId, opts: &PlanOptions) -> Result<Self, SizeError> {
-        let sizes = opts.sizes.resolve(&graph, root)?.into_owned();
-        let plan = plan(&graph, root, &PlanOptions { sizes: Sizes::Propagated(&sizes), ..*opts })?;
-        let certificate = graph
-            .reachable(root)
-            .iter()
-            .all(|id| sizes.contains_key(id))
-            .then(|| certify_plan(&graph, root, &plan, &sizes, opts.budget));
+        let sizes = propagate(&graph, root, opts.sizes)?;
+        let (plan, certificate) = plan(&graph, root, &sizes, opts);
         let costs = opts.cost.map(|model| node_costs(&graph, root, &sizes, &plan, model));
         let est_ns: u128 = costs
             .iter()
@@ -234,10 +230,10 @@ impl CompiledProgram {
         })
     }
 
-    /// Certified peak resident bytes of executing this plan, when known.
-    /// Admission control charges this against the shared budget.
+    /// Certified peak resident bytes of executing this plan. Admission
+    /// control charges this against the shared budget.
     pub fn certified_peak(&self) -> Option<usize> {
-        self.certificate.as_ref().map(|c| c.peak_bytes)
+        Some(self.certificate.peak_bytes)
     }
 
     /// Compact `op/kernel` summary of the plan's compute nodes (inputs and
@@ -299,11 +295,8 @@ impl From<SizeError> for CompileError {
     }
 }
 
-/// The full compile pipeline, once: parse → logical rewrites →
-/// [`CompiledProgram::new`] (size propagation, physical selection —
-/// calibrated serial/parallel crossover plus certify-and-block memory
-/// fitting — certification and pricing). This is the expensive path a
-/// [`PlanCache`] hit skips entirely.
+/// The full compile pipeline, once: parse, then [`compile_graph`]. This is
+/// the expensive path a [`PlanCache`] hit skips entirely.
 pub fn compile(
     src: &str,
     inputs: &InputSizes,
@@ -312,7 +305,23 @@ pub fn compile(
     model: &CostModel,
 ) -> Result<CompiledProgram, CompileError> {
     let (raw, raw_root) = parser::parse(src)?;
-    let (graph, root, rewrites) = optimize(&raw, raw_root, inputs)?;
+    compile_graph(&raw, raw_root, inputs, degree, budget, model).map_err(CompileError::Size)
+}
+
+/// [`compile`] of an already-parsed program: logical rewrites →
+/// [`CompiledProgram::new`] (size propagation, physical selection —
+/// calibrated serial/parallel crossover plus certify-and-block memory
+/// fitting — and pricing). A server that parsed the text for its
+/// [`PlanKey`] compiles a miss from that parse.
+pub fn compile_graph(
+    raw: &Graph,
+    raw_root: NodeId,
+    inputs: &InputSizes,
+    degree: usize,
+    budget: MemoryBudget,
+    model: &CostModel,
+) -> Result<CompiledProgram, SizeError> {
+    let (graph, root, rewrites) = optimize(raw, raw_root, inputs)?;
     let opts = PlanOptions { degree, budget, cost: Some(model), ..PlanOptions::new(inputs) };
     Ok(CompiledProgram { rewrites, ..CompiledProgram::new(graph, root, &opts)? })
 }
@@ -524,7 +533,6 @@ mod tests {
         let p = compile("sum(t(X) %*% X)", &sizes(), 1, MemoryBudget::unbounded(), &model)
             .expect("compiles");
         assert!(p.rewrites.crossprod_fused >= 1, "{:?}", p.rewrites);
-        assert!(p.certificate.is_some());
         assert_eq!(p.blocked_nodes, 0);
         assert!(p.certified_peak().unwrap() > 0);
         assert!(p.est_cost_ns > 0, "calibrated estimate priced at compile time");

@@ -11,7 +11,7 @@
 //! estimates into *nanoseconds*, dividing by the measured GFLOP/s where
 //! enough samples exist and falling back to the static
 //! [`STATIC_GFLOPS`] assumption where they don't. The calibrated figures
-//! feed [`plan`](crate::physical::plan) (as
+//! feed the planner (as
 //! [`PlanOptions::cost`](crate::physical::PlanOptions::cost): a measured
 //! serial-vs-parallel crossover replacing the fixed
 //! [`PAR_FLOP_THRESHOLD`](crate::physical::PAR_FLOP_THRESHOLD)). Pricing has
@@ -221,8 +221,13 @@ pub fn node_costs(
 mod tests {
     use super::*;
     use crate::cache::CompiledProgram;
-    use crate::physical::{plan, PlanOptions};
+    use crate::physical::{PhysicalPlan, PlanOptions};
     use crate::size::InputSizes;
+
+    /// The plan `CompiledProgram::new` builds for `root` under `opts`.
+    fn planned(g: &Graph, root: NodeId, opts: &PlanOptions) -> PhysicalPlan {
+        CompiledProgram::new(g.clone(), root, opts).unwrap().plan
+    }
 
     fn glm() -> (Graph, NodeId, InputSizes) {
         let mut g = Graph::new();
@@ -262,7 +267,7 @@ mod tests {
     #[test]
     fn calibration_divides_by_observed_throughput() {
         let (g, root, sizes) = glm();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, root, &PlanOptions::new(&sizes));
         let infos = crate::size::propagate(&g, root, &sizes).unwrap();
         // crossprod on 1000x20: the upper triangle, 20000 * 20 = 400_000
         // flops, fused family.
@@ -338,7 +343,7 @@ mod tests {
             env.bind(name, Matrix::Dense(m));
         }
         let infos = crate::size::propagate(&g, acc, &sizes).unwrap();
-        let plan = plan(&g, acc, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, acc, &PlanOptions::new(&sizes));
         assert_eq!(plan.fused_into(streamed), Some(fused));
         let mut ex = Executor::with_plan(&g, plan.clone()).profiled();
         ex.eval(acc, &env).unwrap();
@@ -366,14 +371,14 @@ mod tests {
             Op::Agg(_, c) => *c,
             _ => unreachable!(),
         };
-        let serial = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let serial = planned(&g, root, &PlanOptions::new(&sizes));
         assert_eq!(node_family(&g, cp, &serial), "fused");
         assert_eq!(node_family(&g, root, &serial), "dense");
 
         // At degree 4 with a big input, crossprod plans parallel.
         let mut big = InputSizes::new();
         big.declare("X", 100_000, 200, 1.0);
-        let par = plan(&g, root, &PlanOptions { degree: 4, ..PlanOptions::new(&big) }).unwrap();
+        let par = planned(&g, root, &PlanOptions { degree: 4, ..PlanOptions::new(&big) });
         assert_eq!(node_family(&g, cp, &par), "parallel");
     }
 
@@ -390,7 +395,7 @@ mod tests {
 
         // A node's cost carries the same test, calibrated against static.
         let (g, root, sizes) = glm();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, root, &PlanOptions::new(&sizes));
         let infos = crate::size::propagate(&g, root, &sizes).unwrap();
         let crossprod_drifts = |model: &CostModel| {
             let costs = node_costs(&g, root, &infos, &plan, model);

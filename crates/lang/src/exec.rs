@@ -26,7 +26,8 @@
 //! Staging a blocked operand into the spill pool writes its panels, which is
 //! the out-of-core schedule's own data movement, not a value copy.
 //!
-//! The plan decides fusion ([`plan`](crate::physical::plan), step 3), and
+//! The plan decides fusion ([`PlanOptions`](crate::physical::PlanOptions),
+//! step 3), and
 //! every executor runs what its plan fused, profiled and traced ones
 //! included. A fused `f(A)` under `sum(f(A))` produces nothing at its own
 //! step: the `sum` step folds `f` over a dense `A` in one pass, and maps a
@@ -328,7 +329,7 @@ impl<'g> Executor<'g> {
     /// [`Kernel::Parallel`] run the multi-threaded kernels at the plan's
     /// degree; nodes marked [`Kernel::Blocked`] stream tiles through a spill
     /// pool sized to the plan's memory budget (see
-    /// [`plan`](crate::physical::plan) for both); nodes it fused run inside
+    /// [`PlanOptions`](crate::physical::PlanOptions) for both); nodes it fused run inside
     /// their `sum`'s step; everything else keeps the serial dispatch.
     pub fn with_plan(graph: &'g Graph, plan: PhysicalPlan) -> Self {
         // DMML_TRACE=<path> turns tracing on for every executor in the
@@ -1215,9 +1216,15 @@ fn max_of(m: &Matrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CompiledProgram;
     use crate::physical::PlanOptions;
     use crate::rewrite::optimize;
     use crate::size::InputSizes;
+
+    /// The plan `CompiledProgram::new` builds for `root` under `opts`.
+    fn planned(g: &Graph, root: NodeId, opts: &PlanOptions) -> PhysicalPlan {
+        CompiledProgram::new(g.clone(), root, opts).unwrap().plan
+    }
 
     fn x() -> Dense {
         Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])
@@ -1329,7 +1336,7 @@ mod tests {
         let mut sizes = InputSizes::new();
         sizes.declare("S", 50, 20, 0.05);
         sizes.declare("v", 20, 1, 1.0);
-        let plan = crate::physical::plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, s, &PlanOptions::new(&sizes));
         assert_eq!(plan.kernel(xi), Kernel::Sparse);
         let mut ex = Executor::with_plan(&g, plan);
         let got = ex.eval(s, &env).unwrap().as_scalar().unwrap();
@@ -1459,7 +1466,7 @@ mod tests {
         let tr = g.transpose(si);
         let mut sizes = InputSizes::new();
         sizes.declare("S", 50, 20, 0.05);
-        let plan = crate::physical::plan(&g, tr, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, tr, &PlanOptions::new(&sizes));
         let mut env = Env::new();
         env.bind("S", Matrix::Dense(sp));
         let mut ex = Executor::with_plan(&g, plan).profiled();
@@ -1511,9 +1518,7 @@ mod tests {
 
         let mut serial = Executor::new(&g);
         let expect = serial.eval(all, &env).unwrap();
-        let plan =
-            crate::physical::plan(&g, all, &PlanOptions { degree: 4, ..PlanOptions::new(&sizes) })
-                .unwrap();
+        let plan = planned(&g, all, &PlanOptions { degree: 4, ..PlanOptions::new(&sizes) });
         assert_eq!(plan.kernel(mm), Kernel::Parallel);
         assert_eq!(plan.kernel(cp), Kernel::Parallel);
         let mut par_ex = Executor::with_plan(&g, plan);
@@ -1535,9 +1540,7 @@ mod tests {
         env.bind("X", Matrix::Dense(x));
         let mut sizes = InputSizes::new();
         sizes.declare("X", 400, 300, 1.0);
-        let plan =
-            crate::physical::plan(&g, cp, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) })
-                .unwrap();
+        let plan = planned(&g, cp, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) });
         let mut ex = Executor::with_plan(&g, plan).profiled();
         ex.eval(cp, &env).unwrap();
         assert_eq!(ex.profile().unwrap().node(cp).unwrap().kernel, Some(KernelChoice::Parallel));
@@ -1560,7 +1563,7 @@ mod tests {
         let mut sizes = InputSizes::new();
         sizes.declare("X", 3, 2, 1.0);
         sizes.declare("W", 2, 2, 1.0);
-        let plan = crate::physical::plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, s, &PlanOptions::new(&sizes));
         assert_eq!((plan.fused_into(e), plan.fused_into(xw)), (Some(s), Some(s)));
         let w = Dense::from_rows(&[&[0.5, -1.0], &[0.25, 0.0]]);
         let mut env = env();

@@ -136,9 +136,9 @@ fn render_tree(
 pub fn explain(prog: &CompiledProgram) -> String {
     let mut out = String::new();
     render_tree(prog, prog.root, "", true, true, &mut HashSet::new(), &mut out);
-    if let Some(cert) = prog.certificate.as_ref().filter(|c| c.budget.is_some()) {
+    if prog.certificate.budget.is_some() {
         out.push('\n');
-        out.push_str(&cert.render(&prog.graph));
+        out.push_str(&prog.certificate.render(&prog.graph));
     }
     if let Some(costs) = &prog.costs {
         out.push('\n');
@@ -352,6 +352,13 @@ mod tests {
         (g, s)
     }
 
+    /// Serial, unbounded, unpriced options over no inputs, for
+    /// [`glm_program`] to declare its own.
+    fn base() -> PlanOptions<'static> {
+        static NONE: std::sync::LazyLock<InputSizes> = std::sync::LazyLock::new(InputSizes::new);
+        PlanOptions::new(&NONE)
+    }
+
     /// The glm program, optimized and planned under `opts` (its sizes are
     /// ignored: `X` is declared `rows` x `cols` at `sparsity`).
     fn glm_program(rows: usize, cols: usize, sparsity: f64, opts: PlanOptions) -> CompiledProgram {
@@ -359,7 +366,7 @@ mod tests {
         let mut sizes = InputSizes::new();
         sizes.declare("X", rows, cols, sparsity);
         let (og, root, _) = optimize(&g, s, &sizes).unwrap();
-        CompiledProgram::new(og, root, &PlanOptions { sizes: (&sizes).into(), ..opts }).unwrap()
+        CompiledProgram::new(og, root, &PlanOptions { sizes: &sizes, ..opts }).unwrap()
     }
 
     #[test]
@@ -378,7 +385,7 @@ mod tests {
 
     #[test]
     fn planned_explain_annotates_shapes_and_kernels() {
-        let txt = explain(&glm_program(1000, 20, 0.05, PlanOptions::default()));
+        let txt = explain(&glm_program(1000, 20, 0.05, base()));
         assert!(txt.contains("crossprod"), "{txt}");
         assert!(txt.contains("1000x20"), "{txt}");
         assert!(txt.contains("sp 0.05"), "{txt}");
@@ -392,26 +399,20 @@ mod tests {
 `-- %1 crossprod  [20x20, sp 1.00, dense]
     `-- %0 input X  [1000x20, sp 1.00, dense]
 ";
-        assert_eq!(explain(&glm_program(1000, 20, 1.0, PlanOptions::default())), expected);
+        assert_eq!(explain(&glm_program(1000, 20, 1.0, base())), expected);
     }
 
     #[test]
     fn explain_at_a_degree_annotates_parallel_kernels() {
-        let at = |degree| {
-            explain(&glm_program(
-                100_000,
-                200,
-                1.0,
-                PlanOptions { degree, ..PlanOptions::default() },
-            ))
-        };
+        let at =
+            |degree| explain(&glm_program(100_000, 200, 1.0, PlanOptions { degree, ..base() }));
         assert!(at(4).contains("parallel"), "{}", at(4));
         assert!(!at(1).contains("parallel"));
     }
 
     #[test]
     fn profile_report_summarizes_parallel_kernels() {
-        let prog = glm_program(400, 300, 1.0, PlanOptions { degree: 2, ..PlanOptions::default() });
+        let prog = glm_program(400, 300, 1.0, PlanOptions { degree: 2, ..base() });
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(400, 300, |r, c| ((r + c) % 7) as f64)));
         let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone()).profiled();
@@ -425,17 +426,12 @@ mod tests {
     #[test]
     fn bounded_budget_appends_the_certificate() {
         let budget = MemoryBudget::bytes(1 << 20);
-        let txt = explain(&glm_program(
-            100_000,
-            200,
-            1.0,
-            PlanOptions { budget, ..PlanOptions::default() },
-        ));
+        let txt = explain(&glm_program(100_000, 200, 1.0, PlanOptions { budget, ..base() }));
         assert!(txt.contains("blocked"), "{txt}");
         assert!(txt.contains("memory certificate: plan fits"), "{txt}");
         assert!(txt.contains("live-set timeline:"), "{txt}");
         // An unbounded budget renders the plain plan, no certificate.
-        let txt = explain(&glm_program(100_000, 200, 1.0, PlanOptions::default()));
+        let txt = explain(&glm_program(100_000, 200, 1.0, base()));
         assert!(!txt.contains("memory certificate"), "{txt}");
     }
 
@@ -448,7 +444,7 @@ mod tests {
             store.record("crossprod", "fused", 400_000, 50_000); // 8 GFLOP/s
         }
         let model = CostModel::new(store);
-        let priced = |model| PlanOptions { cost: Some(model), ..PlanOptions::default() };
+        let priced = |model| PlanOptions { cost: Some(model), ..base() };
         let txt = explain(&glm_program(1000, 20, 1.0, priced(&model)));
         assert!(txt.contains("cost table"), "{txt}");
         assert!(txt.contains("crossprod"), "{txt}");
@@ -462,7 +458,7 @@ mod tests {
 
     #[test]
     fn profile_report_cost_section_shows_all_three_columns() {
-        let plain = glm_program(1000, 20, 1.0, PlanOptions::default());
+        let plain = glm_program(1000, 20, 1.0, base());
         let mut env = Env::new();
         env.bind("X", Matrix::Dense(Dense::from_fn(1000, 20, |r, c| ((r + c) % 5) as f64)));
 
@@ -474,12 +470,7 @@ mod tests {
             ex.record_kernel_profiles(&mut store);
         }
         let model = CostModel::new(store);
-        let prog = glm_program(
-            1000,
-            20,
-            1.0,
-            PlanOptions { cost: Some(&model), ..PlanOptions::default() },
-        );
+        let prog = glm_program(1000, 20, 1.0, PlanOptions { cost: Some(&model), ..base() });
         let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone()).profiled();
         ex.eval(prog.root, &env).unwrap();
         let txt = profile_report(&prog, ex.profile().unwrap(), 5, None);

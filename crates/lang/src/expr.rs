@@ -229,21 +229,34 @@ impl Graph {
     }
 
     /// Ids of all nodes reachable from `root`, in topological (children-first)
-    /// order.
+    /// order: the postorder of a depth-first walk that visits children left
+    /// to right. The walk keeps its own stack, so graph depth is bounded by
+    /// memory, not by the thread's stack.
     pub fn reachable(&self, root: NodeId) -> Vec<NodeId> {
+        // Each frame is a node and its children still to visit, last first.
+        let unvisited = |id: NodeId| {
+            let mut ch = self.op(id).children();
+            ch.reverse();
+            ch
+        };
         let mut seen = vec![false; self.nodes.len()];
         let mut order = Vec::new();
-        fn visit(g: &Graph, id: NodeId, seen: &mut [bool], order: &mut Vec<NodeId>) {
-            if seen[id] {
-                return;
+        seen[root] = true;
+        let mut stack = vec![(root, unvisited(root))];
+        while let Some((id, pending)) = stack.last_mut() {
+            let (id, next) = (*id, pending.pop());
+            match next {
+                Some(c) if !seen[c] => {
+                    seen[c] = true;
+                    stack.push((c, unvisited(c)));
+                }
+                Some(_) => {}
+                None => {
+                    order.push(id);
+                    stack.pop();
+                }
             }
-            seen[id] = true;
-            for c in g.op(id).children() {
-                visit(g, c, seen, order);
-            }
-            order.push(id);
         }
-        visit(self, root, &mut seen, &mut order);
         order
     }
 }
@@ -297,6 +310,72 @@ mod tests {
         // Unreachable nodes excluded.
         let _orphan = g.input("Y");
         assert_eq!(g.reachable(mm).len(), 3);
+    }
+
+    /// A recursive depth-first walk: the oracle for `reachable`'s order.
+    fn reachable_recursive(g: &Graph, root: NodeId) -> Vec<NodeId> {
+        fn visit(g: &Graph, id: NodeId, seen: &mut [bool], order: &mut Vec<NodeId>) {
+            if seen[id] {
+                return;
+            }
+            seen[id] = true;
+            for c in g.op(id).children() {
+                visit(g, c, seen, order);
+            }
+            order.push(id);
+        }
+        let mut seen = vec![false; g.len()];
+        let mut order = Vec::new();
+        visit(g, root, &mut seen, &mut order);
+        order
+    }
+
+    #[test]
+    fn reachable_matches_the_recursive_walk_on_random_dags() {
+        // Random DAGs with heavy sharing (every op picks earlier nodes as
+        // children, often the same one twice), walked from every node.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        for _ in 0..200 {
+            let mut g = Graph::new();
+            g.input("X");
+            for _ in 0..next(40) {
+                let (a, b) = (next(g.len()), next(g.len()));
+                match next(5) {
+                    0 => g.input("Y"),
+                    1 => g.matmul(a, b),
+                    2 => g.ewise(EwiseOp::Add, a, b),
+                    3 => g.transpose(a),
+                    _ => g.agg(AggOp::Sum, a),
+                };
+            }
+            for root in 0..g.len() {
+                assert_eq!(g.reachable(root), reachable_recursive(&g, root), "{g}");
+            }
+        }
+    }
+
+    #[test]
+    fn reachable_walks_a_deep_chain_on_a_small_stack() {
+        // A recursive walk of a 200 000-deep chain needs far more than
+        // 256 KiB of stack; the explicit stack lives on the heap.
+        let walk = || {
+            let mut g = Graph::new();
+            let mut acc = g.input("X");
+            for _ in 0..200_000 {
+                acc = g.ewise(EwiseOp::Add, acc, acc);
+            }
+            let order = g.reachable(acc);
+            assert_eq!(order.len(), 200_001);
+            assert!(order.iter().enumerate().all(|(i, &id)| i == id), "children first");
+        };
+        let small = std::thread::Builder::new().stack_size(256 << 10).spawn(walk).unwrap();
+        small.join().expect("no stack overflow");
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub use analyze::{
     analyze, analyze_plan, verify_rewrite, AnalysisReport, Diagnostic, RewriteCheckError, Severity,
 };
 pub use cache::{
-    compile, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
+    compile, compile_graph, program_hash, CompileError, CompiledProgram, InputClass, PlanCache,
+    PlanKey,
 };
 pub use cost::{CostModel, NodeCost};
 pub use exec::{Env, ExecError, ExecProfile, Executor, KernelChoice, NodeStats, Val};
@@ -54,6 +55,6 @@ pub use liveness::{
     Schedule, StepUsage, Verdict,
 };
 pub use memory::{MemoryBudget, MEM_BUDGET_ENV};
-pub use physical::{plan, PlanOptions};
+pub use physical::PlanOptions;
 pub use rewrite::{estimated_cost, optimize, optimize_traced, RewriteStats, RewriteTrace};
 pub use size::{Shape, SizeInfo};

@@ -26,7 +26,7 @@
 //!   steps: they live in the spill pool, on disk, or in the source the
 //!   blocked kernel reads panel-by-panel;
 //! * **fused nodes** run inside their `sum`'s step
-//!   ([`plan`](crate::physical::plan), step 3), and their operands stay live
+//!   ([`PlanOptions`](crate::physical::PlanOptions), step 3), and their operands stay live
 //!   until it: a fused `f(A)` is never materialized (over a sparse-planned
 //!   `A` it is charged as built, since that step maps `A` first), and a
 //!   fused `X %*% W` holds only its `degree` streamed `ROW_BLOCK`-row
@@ -48,7 +48,7 @@
 //! style reordering that evaluates high-transient-peak subtrees before
 //! high-hold siblings, often fitting a budget in memory that the default
 //! depth-first order could only meet by spilling. Under a bounded budget
-//! [`plan`](crate::physical::plan) fits both orders and keeps the better.
+//! the planner fits both orders and keeps the better.
 
 use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::memory::{spill_pool_capacity, MemoryBudget, OOC_PANEL_DENOM};
@@ -61,8 +61,8 @@ use std::fmt::Write as _;
 
 /// The one lifetime analysis: a topological execution order and, per node,
 /// what the planner's fitting loop, the certifier and the executor read of
-/// it under the plan's fusion decisions. [`plan`](crate::physical::plan)
-/// builds it once and [`PhysicalPlan::schedule`] carries it.
+/// it under the plan's fusion decisions. The planner builds it once and
+/// [`PhysicalPlan::schedule`] carries it.
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     order: Vec<NodeId>,
@@ -380,9 +380,9 @@ impl PlanCertificate {
 /// module docs for the abstract machine), and returns a
 /// [`PlanCertificate`] whose verdict is either [`Verdict::Fits`] or the
 /// exact first step/node over budget. Nodes missing from `sizes` are
-/// treated as free — callers wanting sound certificates should check
-/// coverage first (as [`plan`](crate::physical::plan) does, falling back to
-/// per-node checks).
+/// treated as free: a sound certificate needs every scheduled node sized,
+/// as [`CompiledProgram::new`](crate::cache::CompiledProgram::new)
+/// guarantees for the certificate it keeps.
 pub fn certify_plan(
     graph: &Graph,
     root: NodeId,
@@ -547,9 +547,15 @@ pub fn min_peak_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CompiledProgram;
     use crate::expr::{EwiseOp, UnaryOp};
-    use crate::physical::{plan, PlanOptions};
+    use crate::physical::PlanOptions;
     use crate::size::{propagate, InputSizes};
+
+    /// The plan `CompiledProgram::new` builds for `root` under `opts`.
+    fn planned(g: &Graph, root: NodeId, opts: &PlanOptions) -> PhysicalPlan {
+        CompiledProgram::new(g.clone(), root, opts).unwrap().plan
+    }
 
     #[test]
     fn schedule_last_use_tracks_shared_consumers() {
@@ -576,7 +582,7 @@ mod tests {
         let x = g.input("X");
         let e = g.unary(UnaryOp::Exp, x);
         let root = g.agg(AggOp::Sum, e);
-        let plan = plan(&g, root, &PlanOptions::new(&inputs)).unwrap();
+        let plan = planned(&g, root, &PlanOptions::new(&inputs));
         let s = plan.schedule();
         assert_eq!(s.order(), &[x, e, root]);
         assert_eq!((s.step_of(e), s.last_use(x), s.last_use(e)), (Some(2), Some(2), Some(2)));
@@ -609,7 +615,7 @@ mod tests {
         let y = g.input("Y");
         let z = g.ewise(EwiseOp::Add, x, y);
         let sizes = propagate(&g, z, &inputs).unwrap();
-        let plan = plan(&g, z, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, z, &PlanOptions::new(&inputs));
         let budget = MemoryBudget::bytes(200_000);
         let cert = certify_plan(&g, z, &plan, &sizes, budget);
         assert!(!cert.fits(), "3 x 80 KB live > 200 KB");
@@ -632,7 +638,7 @@ mod tests {
         let cp = g.push(Op::CrossProd(x));
         let sizes = propagate(&g, cp, &inputs).unwrap();
         let budget = MemoryBudget::bytes(1 << 20);
-        let plan = plan(&g, cp, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+        let plan = planned(&g, cp, &PlanOptions { budget, ..PlanOptions::new(&inputs) });
         assert_eq!(plan.kernel(cp), Kernel::Blocked);
         let cert = certify_plan(&g, cp, &plan, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
@@ -657,7 +663,7 @@ mod tests {
         let (g, root) = crate::parser::parse(src).unwrap();
         let (g, root, _) = crate::rewrite::optimize(&g, root, &inputs).unwrap();
         let sizes = propagate(&g, root, &inputs).unwrap();
-        let plan = plan(&g, root, &PlanOptions { degree: 2, ..PlanOptions::new(&sizes) }).unwrap();
+        let plan = planned(&g, root, &PlanOptions { degree: 2, ..PlanOptions::new(&inputs) });
         let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
         let (x, w, product) = (8192 * 256 * 8, 256 * 128 * 8, 8192 * 128 * 8);
         let panels = 2 * ROW_BLOCK * 128 * 8;
@@ -677,7 +683,7 @@ mod tests {
         let e = g.unary(UnaryOp::Exp, s);
         let root = g.agg(AggOp::Sum, e);
         let sizes = propagate(&g, root, &inputs).unwrap();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, root, &PlanOptions::new(&inputs));
         assert_eq!((plan.kernel(s), plan.fused_into(e)), (Kernel::Sparse, Some(root)));
         let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
         let built = materialized_bytes(plan.kernel(e), &sizes[&e]);
@@ -693,7 +699,7 @@ mod tests {
         let x = g.input("X");
         let z = g.ewise(EwiseOp::Add, x, x);
         let sizes = propagate(&g, z, &inputs).unwrap();
-        let plan = plan(&g, z, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, z, &PlanOptions::new(&inputs));
         let cert = certify_plan(&g, z, &plan, &sizes, MemoryBudget::bytes(100_000));
         let txt = cert.render(&g);
         assert!(txt.contains("EXCEEDS"), "{txt}");
@@ -724,7 +730,7 @@ mod tests {
         let r = g.matmul(a, b);
         let root = g.ewise(EwiseOp::Add, x, r);
         let sizes = propagate(&g, root, &inputs).unwrap();
-        let plan = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, root, &PlanOptions::new(&inputs));
 
         let dfs = Schedule::new(&g, g.reachable(root), &plan);
         let dfs_cert = certify_schedule(&g, &dfs, &plan, &sizes, MemoryBudget::unbounded());
@@ -750,7 +756,7 @@ mod tests {
         let mm = g.matmul(t, x); // x shared by t and mm
         let s = g.agg(AggOp::Sum, mm);
         let sizes = propagate(&g, s, &inputs).unwrap();
-        let plan = plan(&g, s, &PlanOptions::new(&sizes)).unwrap();
+        let plan = planned(&g, s, &PlanOptions::new(&inputs));
         let order = min_peak_order(&g, s, &sizes, &plan);
         assert_eq!(order.len(), 4, "each node exactly once: {order:?}");
         let pos: HashMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();

@@ -11,7 +11,7 @@
 //! The budget comes from one of two places, in precedence order:
 //!
 //! 1. An explicit API value — [`MemoryBudget::bytes`] passed to
-//!    [`plan`](crate::physical::plan) as
+//!    [`CompiledProgram::new`](crate::cache::CompiledProgram::new) as
 //!    [`PlanOptions::budget`](crate::physical::PlanOptions::budget) or to
 //!    [`Executor::with_memory_budget`](crate::exec::Executor::with_memory_budget).
 //! 2. The `DMML_MEM_BUDGET` environment variable (read by

@@ -1,5 +1,7 @@
-//! Physical operator selection: one entry point, [`plan`], assigns a kernel
-//! to every logical op.
+//! Physical operator selection: the planner assigns a kernel to every
+//! logical op of a program, and
+//! [`CompiledProgram::new`](crate::cache::CompiledProgram::new) is its one
+//! entry point.
 //!
 //! The selection mirrors the surveyed compilers' LOP assignment and runs as
 //! one pipeline: propagated sparsity estimates pick the dense or sparse
@@ -12,13 +14,14 @@
 
 use crate::cost::CostModel;
 use crate::expr::{AggOp, Graph, NodeId, Op};
-use crate::liveness::{certify_plan, certify_schedule, min_peak_order, Schedule, Verdict};
+use crate::liveness::{
+    certify_plan, certify_schedule, min_peak_order, PlanCertificate, Schedule, Verdict,
+};
 use crate::memory::MemoryBudget;
-use crate::size::{InputSizes, SizeError, SizeInfo};
-use std::borrow::Cow;
+use crate::size::{InputSizes, SizeInfo};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// Kernel family chosen for one operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +36,7 @@ pub enum Kernel {
     /// was built with a degree above one and the serial-vs-parallel
     /// crossover (measured, or [`PAR_FLOP_THRESHOLD`]) favors it.
     Parallel,
-    /// Blocked out-of-core kernel (`dm_buffer::ooc`), chosen by [`plan`]
+    /// Blocked out-of-core kernel (`dm_buffer::ooc`), chosen by the planner
     /// under a bounded budget when the certified live set would otherwise
     /// exceed it: tiles stream through a buffer pool instead of being held
     /// resident at once.
@@ -83,11 +86,12 @@ impl PhysicalPlan {
         self.mem_budget
     }
 
-    /// The schedule [`plan`] fitted the plan to: the depth-first order, or
-    /// under a bounded budget the peak-minimizing one when that fits better
-    /// ([`plan`], step 4), with every value's lifetime under the plan's
-    /// fusion. [`Executor::eval`](crate::exec::Executor::eval) of the plan's
-    /// root runs it. Empty for a plan `plan` did not build.
+    /// The schedule the planner fitted the plan to: the depth-first order,
+    /// or under a bounded budget the peak-minimizing one when that fits
+    /// better (step 4 of [`PlanOptions`]' pipeline), with every value's
+    /// lifetime under the plan's fusion.
+    /// [`Executor::eval`](crate::exec::Executor::eval) of the plan's root
+    /// runs it. Empty for a plan the planner did not build.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
     }
@@ -107,7 +111,7 @@ impl PhysicalPlan {
     }
 
     /// The `sum` whose step computes node `id` when the plan fused `id` into
-    /// it (see [`plan`]); the fused node produces nothing at its own step.
+    /// it (see [`PlanOptions`], step 3); the fused node produces nothing at its own step.
     pub(crate) fn fused_into(&self, id: NodeId) -> Option<NodeId> {
         self.fused.get(&id).copied()
     }
@@ -138,72 +142,64 @@ impl PhysicalPlan {
     }
 }
 
-/// Where [`plan`] takes per-node sizes from. Both `&InputSizes` and a
-/// propagated `&HashMap<NodeId, SizeInfo>` convert into it.
-#[derive(Debug, Clone, Copy)]
-pub enum Sizes<'a> {
-    /// Declared input shapes; they are propagated over the DAG first, and a
-    /// propagation failure (undeclared input, shape mismatch) fails the call.
-    Declared(&'a InputSizes),
-    /// An already-propagated map, for callers that propagated anyway. Nodes
-    /// missing from it plan dense, and under a bounded budget a partial map
-    /// replaces the certifier with the per-node oversize rule.
-    Propagated(&'a HashMap<NodeId, SizeInfo>),
-}
-
-impl<'a> Sizes<'a> {
-    /// The per-node size map: borrowed as is, or propagated from the
-    /// declarations.
-    pub(crate) fn resolve(
-        self,
-        graph: &Graph,
-        root: NodeId,
-    ) -> Result<Cow<'a, HashMap<NodeId, SizeInfo>>, SizeError> {
-        match self {
-            Sizes::Declared(inputs) => crate::size::propagate(graph, root, inputs).map(Cow::Owned),
-            Sizes::Propagated(map) => Ok(Cow::Borrowed(map)),
-        }
-    }
-}
-
-impl Default for Sizes<'_> {
-    /// No declared inputs: enough for constant-only programs.
-    fn default() -> Self {
-        static NONE: LazyLock<InputSizes> = LazyLock::new(InputSizes::new);
-        Sizes::Declared(&NONE)
-    }
-}
-
-impl<'a> From<&'a InputSizes> for Sizes<'a> {
-    fn from(inputs: &'a InputSizes) -> Self {
-        Sizes::Declared(inputs)
-    }
-}
-
-impl<'a> From<&'a HashMap<NodeId, SizeInfo>> for Sizes<'a> {
-    fn from(map: &'a HashMap<NodeId, SizeInfo>) -> Self {
-        Sizes::Propagated(map)
-    }
-}
-
-/// Everything [`plan`] is parameterized by. The default is the serial,
-/// unbounded, statically costed plan; set only the fields that differ:
+/// Everything the planner is parameterized by.
+/// [`PlanOptions::new`] is the serial, unbounded, statically costed plan;
+/// set only the fields that differ:
 ///
 /// ```
-/// use dm_lang::physical::{plan, Kernel, PlanOptions};
-/// use dm_lang::{parser, size::InputSizes, MemoryBudget};
+/// use dm_lang::physical::{Kernel, PlanOptions};
+/// use dm_lang::{parser, size::InputSizes, CompiledProgram, MemoryBudget};
 ///
 /// let (g, root) = parser::parse("sum(X + X)").unwrap();
 /// let mut sizes = InputSizes::new();
 /// sizes.declare("X", 512, 512, 1.0); // 2 MiB
 /// let budget = MemoryBudget::bytes(1 << 20);
-/// let p = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+/// let opts = PlanOptions { budget, ..PlanOptions::new(&sizes) };
+/// let p = CompiledProgram::new(g, root, &opts).unwrap().plan;
 /// assert_eq!(p.nodes_with(Kernel::Blocked).len(), 1, "the add streams its operand");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// The planner runs one pipeline over the sizes propagated from
+/// [`sizes`](Self::sizes):
+///
+/// 1. **Representation.** Propagated sparsity picks [`Kernel::Sparse`] below
+///    [`SPARSE_THRESHOLD`], [`Kernel::Dense`] otherwise; aggregates and
+///    multiplies follow their (first) operand, scalars are
+///    [`Kernel::Scalar`].
+/// 2. **Parallelism**, at a [`degree`](Self::degree) above one: a dense node
+///    with a multi-threaded kernel upgrades to [`Kernel::Parallel`] when the
+///    cost model's measured parallel price beats its serial one, or — where
+///    the model cannot price both — when its estimated flops clear
+///    [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices never upgrade, so
+///    small inputs keep the exact serial dispatch at any degree.
+/// 3. **Fusion**: in a `sum(f(A))` whose unary `f(A)` has no other reader,
+///    `f(A)` fuses into the `sum`, which folds `f` over `A` in one pass.
+///    When `A` is an unshared `X %*% W` on
+///    [`Kernel::Dense`] or [`Kernel::Parallel`], over a non-sparse `W` and
+///    wider than one column, it fuses too: the `sum` streams it in row
+///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
+///    node keeps its kernel.
+/// 4. **Memory**, under a bounded [`budget`](Self::budget): the liveness
+///    certifier ([`certify_schedule`]) accounts for composite peaks — several
+///    individually-fitting values live at one step — and each round the
+///    blockable node at the peak whose downgrade to [`Kernel::Blocked`]
+///    shrinks the certified peak the most is taken, until the plan fits.
+///    When no downgrade helps, every blockable node with an operand or
+///    output larger than the budget streams, and the certificate honestly
+///    reports `Exceeds`. Sparse and scalar choices are never touched, and a
+///    blocked matmul no longer fuses. The plan is fitted twice, to the
+///    depth-first order and to the peak-minimizing [`min_peak_order`]; the
+///    second fit is kept only when it blocks fewer nodes, or as many at a
+///    strictly lower certified peak. An unbounded plan keeps the
+///    depth-first order.
+///
+/// The plan comes back with the certificate of its own schedule under the
+/// budget, which the program keeps as
+/// [`CompiledProgram::certificate`](crate::cache::CompiledProgram::certificate).
+#[derive(Debug, Clone, Copy)]
 pub struct PlanOptions<'a> {
-    /// Declared input sizes or an already-propagated size map.
-    pub sizes: Sizes<'a>,
+    /// Declared input sizes, propagated over the program once.
+    pub sizes: &'a InputSizes,
     /// Degree of parallelism; 0 and 1 both mean serial. Above one, dense
     /// nodes with a multi-threaded kernel may upgrade to
     /// [`Kernel::Parallel`].
@@ -219,9 +215,10 @@ pub struct PlanOptions<'a> {
 }
 
 impl<'a> PlanOptions<'a> {
-    /// The default options over the given sizes.
-    pub fn new(sizes: impl Into<Sizes<'a>>) -> Self {
-        PlanOptions { sizes: sizes.into(), ..Self::default() }
+    /// The serial, unbounded, statically costed options over the given
+    /// sizes.
+    pub fn new(sizes: &'a InputSizes) -> Self {
+        PlanOptions { sizes, degree: 1, budget: MemoryBudget::unbounded(), cost: None }
     }
 
     /// The machine defaults: degree from `DMML_THREADS` / the core count
@@ -230,7 +227,7 @@ impl<'a> PlanOptions<'a> {
     /// caller loads it: pass [`CostModel::from_env`]`().as_ref()` to let the
     /// profile under `DMML_PROFILE_DIR` steer the serial-vs-parallel
     /// crossover, closing the adaptive loop.
-    pub fn from_env(sizes: impl Into<Sizes<'a>>, cost: Option<&'a CostModel>) -> Self {
+    pub fn from_env(sizes: &'a InputSizes, cost: Option<&'a CostModel>) -> Self {
         PlanOptions {
             degree: dm_par::default_degree(),
             budget: MemoryBudget::from_env(),
@@ -255,44 +252,16 @@ pub const SPARSE_THRESHOLD: f64 = 0.2;
 /// far below it.
 pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 
-/// Assign a kernel to every node reachable from `root`.
-///
-/// 1. **Representation.** Propagated sparsity picks [`Kernel::Sparse`] below
-///    [`SPARSE_THRESHOLD`], [`Kernel::Dense`] otherwise; aggregates and
-///    multiplies follow their (first) operand, scalars are
-///    [`Kernel::Scalar`].
-/// 2. **Parallelism**, at a degree above one: a dense node with a
-///    multi-threaded kernel upgrades to [`Kernel::Parallel`] when the cost
-///    model's measured parallel price beats its serial one, or — where the
-///    model cannot price both — when its estimated flops clear
-///    [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices never upgrade, so
-///    small inputs keep the exact serial dispatch at any degree.
-/// 3. **Fusion**: in a `sum(f(A))` whose unary `f(A)` has no other reader,
-///    `f(A)` fuses into the `sum`, which folds `f` over `A` in one pass.
-///    When `A` is an unshared `X %*% W` on
-///    [`Kernel::Dense`] or [`Kernel::Parallel`], over a non-sparse `W` and
-///    wider than one column, it fuses too: the `sum` streams it in row
-///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
-///    node keeps its kernel.
-/// 4. **Memory**, under a bounded budget: the liveness certifier
-///    ([`certify_schedule`]) accounts for
-///    composite peaks — several individually-fitting values live at one
-///    step — and each round the blockable node at the peak whose downgrade
-///    to [`Kernel::Blocked`] shrinks the certified peak the most is taken,
-///    until the plan fits. When no downgrade helps, or the size map is
-///    partial, every blockable node with an operand or output larger than
-///    the budget streams, and the certificate honestly reports `Exceeds`.
-///    Sparse and scalar choices are never touched, and a blocked matmul no
-///    longer fuses. Over a complete size map the plan is fitted twice, to
-///    the depth-first order and to the peak-minimizing
-///    [`min_peak_order`]; the second fit
-///    is kept only when it blocks fewer nodes, or as many at a strictly
-///    lower certified peak. An unbounded plan keeps the depth-first order.
-///
-/// Fails only when [`Sizes::Declared`] inputs do not propagate.
-pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalPlan, SizeError> {
-    let sizes = opts.sizes.resolve(graph, root)?;
-    let sizes = &*sizes;
+/// Assign a kernel to every node reachable from `root`, by the pipeline
+/// [`PlanOptions`] describes, over `sizes` propagated from `opts.sizes`
+/// (every reachable node has an entry). Returns the plan and its
+/// certificate under `opts.budget`.
+pub(crate) fn plan(
+    graph: &Graph,
+    root: NodeId,
+    sizes: &HashMap<NodeId, SizeInfo>,
+    opts: &PlanOptions,
+) -> (PhysicalPlan, PlanCertificate) {
     let reachable = graph.reachable(root);
     let kernels = reachable.iter().map(|&id| (id, representation(graph, id, sizes))).collect();
     let mut p = PhysicalPlan {
@@ -329,20 +298,22 @@ pub fn plan(graph: &Graph, root: NodeId, opts: &PlanOptions) -> Result<PhysicalP
     // not change.
     p.reschedule(graph, reachable);
     fuse(graph, sizes, &mut p);
-    let Some(limit) = opts.budget.get() else { return Ok(p) };
-    if !p.schedule.order().iter().all(|id| sizes.contains_key(id)) {
-        apply_per_node_blocking(graph, sizes, limit, &mut p);
-        return Ok(p);
-    }
+    let Some(limit) = opts.budget.get() else {
+        let cert = certify_plan(graph, root, &p, sizes, opts.budget);
+        return (p, cert);
+    };
     let mut low = p.clone();
     low.reschedule(graph, min_peak_order(graph, root, sizes, &p));
-    fit_plan_to_schedule(graph, sizes, limit, &mut p);
-    fit_plan_to_schedule(graph, sizes, limit, &mut low);
-    let fit = |q: &PhysicalPlan| {
-        let peak = certify_plan(graph, root, q, sizes, opts.budget).peak_bytes;
-        (q.nodes_with(Kernel::Blocked).len(), peak)
+    let fitted = fit_plan_to_schedule(graph, sizes, limit, p);
+    let low = fit_plan_to_schedule(graph, sizes, limit, low);
+    let fit = |(q, cert): &(PhysicalPlan, PlanCertificate)| {
+        (q.nodes_with(Kernel::Blocked).len(), cert.peak_bytes)
     };
-    Ok(if fit(&low) < fit(&p) { low } else { p })
+    if fit(&low) < fit(&fitted) {
+        low
+    } else {
+        fitted
+    }
 }
 
 /// Record the fused nodes of the plan's schedule (step 3 of [`plan`]), each
@@ -397,7 +368,7 @@ fn representation(graph: &Graph, id: NodeId, sizes: &HashMap<NodeId, SizeInfo>) 
 
 /// Estimated flops executed by a single node given propagated sizes — the
 /// per-node term of [`estimated_cost`](crate::rewrite::estimated_cost), also
-/// what [`plan`] weighs against [`PAR_FLOP_THRESHOLD`]. Nodes with no size
+/// what the planner weighs against [`PAR_FLOP_THRESHOLD`]. Nodes with no size
 /// information estimate 0.
 pub fn node_flops(graph: &Graph, id: NodeId, infos: &HashMap<NodeId, SizeInfo>) -> u128 {
     use crate::size::Shape;
@@ -470,8 +441,7 @@ fn dense_bytes(info: Option<&SizeInfo>) -> usize {
 
 /// The local blocking rule: a blockable node goes [`Kernel::Blocked`] when
 /// its own output or any operand alone exceeds the budget. The fallback for
-/// partial size maps (where the certifier cannot run) and for plans no
-/// single downgrade can make fit; it misses composite peaks — see
+/// plans no single downgrade can make fit; it misses composite peaks — see
 /// `certifier_counts_composite_peaks_the_per_node_check_misses` in
 /// [`crate::liveness`].
 fn apply_per_node_blocking(
@@ -500,18 +470,19 @@ fn apply_per_node_blocking(
 /// candidate improves the peak. Candidates each round are the blockable
 /// dense/parallel nodes implicated at the peak step: the node executing
 /// there, or any consumer of a value live there (blocking a consumer turns
-/// its operands into streamed, pool-resident values).
+/// its operands into streamed, pool-resident values). Returns the fitted
+/// plan with its certificate.
 fn fit_plan_to_schedule(
     graph: &Graph,
     sizes: &HashMap<NodeId, SizeInfo>,
     limit: usize,
-    p: &mut PhysicalPlan,
-) {
+    mut p: PhysicalPlan,
+) -> (PhysicalPlan, PlanCertificate) {
     let budget = MemoryBudget::bytes(limit);
     loop {
-        let cert = certify_schedule(graph, &p.schedule, p, sizes, budget);
+        let cert = certify_schedule(graph, &p.schedule, &p, sizes, budget);
         let Verdict::Exceeds { .. } = cert.verdict else {
-            return;
+            return (p, cert);
         };
         let peak = &cert.timeline[cert.peak_step];
         let peak_live: std::collections::HashSet<NodeId> =
@@ -535,14 +506,15 @@ fn fit_plan_to_schedule(
             }
         }
         match best {
-            Some((new_peak, c)) if new_peak < cert.peak_bytes => block(graph, p, c),
+            Some((new_peak, c)) if new_peak < cert.peak_bytes => block(graph, &mut p, c),
             // No single upgrade shrinks the peak any further: a certified
-            // fit is out of reach (the certificate will report Exceeds). So
+            // fit is out of reach (the certificate reports Exceeds). So
             // oversized operands still stream rather than being held whole,
             // finish with the per-node rule.
             _ => {
-                apply_per_node_blocking(graph, sizes, limit, p);
-                return;
+                apply_per_node_blocking(graph, sizes, limit, &mut p);
+                let cert = certify_schedule(graph, &p.schedule, &p, sizes, budget);
+                return (p, cert);
             }
         }
     }
@@ -553,6 +525,13 @@ mod tests {
     use super::*;
     use crate::expr::AggOp;
 
+    /// Plan under `opts`, over its declared inputs propagated the way
+    /// `CompiledProgram::new` propagates them.
+    fn plan_with(g: &Graph, root: NodeId, opts: &PlanOptions) -> PhysicalPlan {
+        let sizes = crate::size::propagate(g, root, opts.sizes).unwrap();
+        plan(g, root, &sizes, opts).0
+    }
+
     /// Plan over declared inputs at the given degree, budget and cost model.
     fn plan_at(
         g: &Graph,
@@ -562,7 +541,7 @@ mod tests {
         budget: MemoryBudget,
         cost: Option<&CostModel>,
     ) -> PhysicalPlan {
-        plan(g, root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(s) }).unwrap()
+        plan_with(g, root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(s) })
     }
 
     fn inputs() -> InputSizes {
@@ -579,7 +558,7 @@ mod tests {
         let d = g.input("D");
         let v = g.input("v");
         let mm = g.matmul(d, v);
-        let p = plan(&g, mm, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, mm, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(mm), Kernel::Dense);
         assert_eq!(p.kernel(d), Kernel::Dense);
     }
@@ -590,7 +569,7 @@ mod tests {
         let s = g.input("S");
         let v = g.input("v");
         let mm = g.matmul(s, v);
-        let p = plan(&g, mm, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, mm, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(mm), Kernel::Sparse);
         assert_eq!(p.kernel(s), Kernel::Sparse);
     }
@@ -600,13 +579,13 @@ mod tests {
         let mut g = Graph::new();
         let s = g.input("S");
         let sum = g.agg(AggOp::Sum, s);
-        let p = plan(&g, sum, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, sum, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(sum), Kernel::Sparse);
 
         let mut g = Graph::new();
         let d = g.input("D");
         let sum = g.agg(AggOp::Sum, d);
-        let p = plan(&g, sum, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, sum, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(sum), Kernel::Dense);
     }
 
@@ -614,7 +593,7 @@ mod tests {
     fn scalar_nodes_marked() {
         let mut g = Graph::new();
         let c = g.constant(2.0);
-        let p = plan(&g, c, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, c, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(c), Kernel::Scalar);
     }
 
@@ -624,7 +603,7 @@ mod tests {
         let mut g = Graph::new();
         let s = g.input("S");
         let had = g.ewise(crate::expr::EwiseOp::Mul, s, s);
-        let p = plan(&g, had, &PlanOptions::new(&inputs())).unwrap();
+        let p = plan_with(&g, had, &PlanOptions::new(&inputs()));
         assert_eq!(p.kernel(had), Kernel::Sparse);
     }
 
@@ -766,7 +745,7 @@ mod tests {
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(1_300_000);
 
-        let unfitted = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let unfitted = plan_with(&g, root, &PlanOptions::new(&s));
         let mut per_node = unfitted.clone();
         apply_per_node_blocking(&g, &sizes, 1_300_000, &mut per_node);
         assert_eq!(
@@ -777,7 +756,7 @@ mod tests {
         let unfitted_cert = crate::liveness::certify_plan(&g, root, &unfitted, &sizes, budget);
         assert!(!unfitted_cert.fits(), "3 x 512 KB live at the add > 1.3 MB");
 
-        let new = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+        let new = plan_with(&g, root, &PlanOptions { budget, ..PlanOptions::new(&s) });
         assert_eq!(new.kernel(z), Kernel::Blocked, "the add streams its operands");
         let cert = crate::liveness::certify_plan(&g, root, &new, &sizes, budget);
         assert!(cert.fits(), "{}", cert.render(&g));
@@ -794,7 +773,7 @@ mod tests {
         let root = g.agg(AggOp::Sum, x);
         let sizes = crate::size::propagate(&g, root, &s).unwrap();
         let budget = MemoryBudget::bytes(100_000);
-        let p = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+        let p = plan_with(&g, root, &PlanOptions { budget, ..PlanOptions::new(&s) });
         assert_eq!(p.nodes_with(Kernel::Blocked), Vec::<NodeId>::new());
         let cert = crate::liveness::certify_plan(&g, root, &p, &sizes, budget);
         assert!(!cert.fits());
@@ -822,13 +801,12 @@ mod tests {
 
         // The unbounded plan keeps the depth-first order, which exceeds the
         // budget unless something streams.
-        let dfs = plan(&g, root, &PlanOptions::new(&sizes)).unwrap();
+        let dfs = plan_with(&g, root, &PlanOptions::new(&s));
         assert_eq!(dfs.schedule().order(), &[x, a, b, r, root]);
-        let mut fitted = dfs.clone();
-        fit_plan_to_schedule(&g, &sizes, 5_000_000, &mut fitted);
+        let (fitted, _) = fit_plan_to_schedule(&g, &sizes, 5_000_000, dfs.clone());
         assert!(!fitted.nodes_with(Kernel::Blocked).is_empty(), "DFS order must spill");
 
-        let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+        let re = plan_with(&g, root, &PlanOptions { budget, ..PlanOptions::new(&s) });
         assert_eq!(re.schedule().order(), &[a, b, r, x, root]);
         assert_eq!(
             re.nodes_with(Kernel::Blocked),
@@ -864,8 +842,8 @@ mod tests {
         let model = crate::cost::CostModel::default();
         for degree in [1, 4] {
             let opts = PlanOptions { degree, ..PlanOptions::new(&s) };
-            let static_plan = plan(&g, cp, &opts).unwrap();
-            let profiled = plan(&g, cp, &PlanOptions { cost: Some(&model), ..opts }).unwrap();
+            let static_plan = plan_with(&g, cp, &opts);
+            let profiled = plan_with(&g, cp, &PlanOptions { cost: Some(&model), ..opts });
             for id in g.reachable(cp) {
                 assert_eq!(profiled.kernel(id), static_plan.kernel(id));
             }

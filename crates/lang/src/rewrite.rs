@@ -4,7 +4,7 @@
 use crate::cache::CompiledProgram;
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::physical::PlanOptions;
-use crate::size::{propagate, InputSizes, Shape, SizeError};
+use crate::size::{infer_node, propagate, InputSizes, Shape, SizeError, SizeInfo};
 use dm_obs::{elapsed_ns, StatsRegistry};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -86,6 +86,10 @@ struct Builder<'a> {
     graph: Graph,
     interned: HashMap<Key, NodeId>,
     sizes: &'a InputSizes,
+    /// Each interned node's size, inferred as it is interned; a node whose
+    /// subgraph does not propagate (undeclared input, shape mismatch) has
+    /// none.
+    infos: HashMap<NodeId, SizeInfo>,
     stats: RewriteStats,
 }
 
@@ -98,6 +102,9 @@ impl Builder<'_> {
         }
         let id = self.graph.push(op);
         self.interned.insert(key, id);
+        if let Ok(Some(info)) = infer_node(&self.graph, id, self.sizes, &self.infos) {
+            self.infos.insert(id, info);
+        }
         id
     }
 
@@ -143,7 +150,8 @@ impl Builder<'_> {
                         self.stats.crossprod_fused += 1;
                         return self.intern(Op::CrossProd(inner));
                     }
-                    if self.is_column_vector(b) {
+                    let b_size = self.infos.get(&b);
+                    if let Some(SizeInfo { shape: Shape::Matrix { cols: 1, .. }, .. }) = b_size {
                         self.stats.tmv_fused += 1;
                         return self.intern(Op::Tmv(inner, b));
                     }
@@ -194,16 +202,6 @@ impl Builder<'_> {
             _ => None,
         }
     }
-
-    /// Best-effort column-vector check against declared input sizes.
-    fn is_column_vector(&self, id: NodeId) -> bool {
-        // Propagate sizes for just this subgraph; absence of declarations
-        // simply disables the Tmv fusion.
-        match propagate(&self.graph, id, self.sizes) {
-            Ok(sizes) => matches!(sizes[&id].shape, Shape::Matrix { cols: 1, .. }),
-            Err(_) => false,
-        }
-    }
 }
 
 /// Optimize the DAG rooted at `root`: returns the rewritten graph, new root,
@@ -220,6 +218,7 @@ pub fn optimize(
         graph: Graph::new(),
         interned: HashMap::new(),
         sizes,
+        infos: HashMap::new(),
         stats: RewriteStats::default(),
     };
     let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
@@ -232,10 +231,10 @@ pub fn optimize(
     let mut g = b.graph;
     let mut stats = b.stats;
 
-    // Pass 2: matrix-chain reordering (needs sizes; silently skipped when
-    // inputs are undeclared).
-    if let Ok(all_sizes) = propagate(&g, new_root, sizes) {
-        let shape_of = |id: NodeId| all_sizes.get(&id).map(|s| s.shape);
+    // Pass 2: matrix-chain reordering over pass 1's sizes (silently skipped
+    // when the program does not propagate, e.g. an undeclared input).
+    if b.infos.contains_key(&new_root) {
+        let shape_of = |id: NodeId| b.infos.get(&id).map(|s| s.shape);
         let (g2, root2, reordered) = reorder_chains(&g, new_root, &shape_of);
         g = g2;
         new_root = root2;
@@ -450,14 +449,9 @@ fn reorder_chains(
                 };
                 remap.insert(id, new_id);
             }
-            Op::MatMul(_, _) => {
-                // Chain-internal: handled by the chain root; emit nothing now,
-                // but record a placeholder mapping in case another consumer
-                // references it (possible in DAGs). Rebuild it literally.
-                let ch: Vec<NodeId> = graph.op(id).children().iter().map(|c| remap[c]).collect();
-                let new_id = g.push(graph.op(id).with_children(&ch));
-                remap.insert(id, new_id);
-            }
+            // Everything else copies over literally, chain-internal matmuls
+            // included: their chain root re-emits the chain, but another
+            // consumer in the DAG may still reference them.
             _ => {
                 let ch: Vec<NodeId> = graph.op(id).children().iter().map(|c| remap[c]).collect();
                 let new_id = g.push(graph.op(id).with_children(&ch));

@@ -8,9 +8,9 @@
 use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan, Kernel, PlanOptions};
+use dm_lang::physical::{Kernel, PlanOptions};
 use dm_lang::size::InputSizes;
-use dm_lang::{certify_plan, Verdict};
+use dm_lang::{certify_plan, CompiledProgram, Verdict};
 use dm_matrix::{Dense, Matrix};
 use proptest::prelude::*;
 
@@ -90,13 +90,14 @@ proptest! {
         let expect = scalar_bits(&plain.eval(root, &env).unwrap());
 
         // The unbounded plan's certified peak calibrates the budgets.
-        let base = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+        let base = CompiledProgram::new(g.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
         let unbounded = certify_plan(&g, root, &base, &infos, MemoryBudget::unbounded());
         prop_assert!(unbounded.peak_bytes > 0);
 
         for denom in [1usize, 2, 4] {
             let budget = MemoryBudget::bytes((unbounded.peak_bytes / denom).max(1));
-            let plan = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
+            let opts = PlanOptions { budget, ..PlanOptions::new(&sizes) };
+            let plan = CompiledProgram::new(g.clone(), root, &opts).unwrap().plan;
             let cert = certify_plan(&g, root, &plan, &infos, budget);
             if denom == 1 {
                 // The full-peak budget needs no blocking at all.
@@ -158,7 +159,7 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     // The plan before memory fitting: every value is under 1.3 MB, so no
     // node is oversized on its own, and the certificate pins the exact step
     // where the live set overflows.
-    let unfitted = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+    let unfitted = CompiledProgram::new(g.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
     assert!(unfitted.nodes_with(Kernel::Blocked).is_empty());
     assert!(infos.values().all(|i| 8 * i.shape.rows() * i.shape.cols() <= 1_300_000));
     let unfitted_cert = certify_plan(&g, root, &unfitted, &infos, budget);
@@ -172,7 +173,10 @@ fn composite_peak_is_caught_and_fixed_end_to_end() {
     }
 
     // Certifier-driven planner: blocks the add, certifies the fit.
-    let new = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
+    let new =
+        CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..PlanOptions::new(&sizes) })
+            .unwrap()
+            .plan;
     assert_eq!(new.kernel(z), Kernel::Blocked);
     let cert = certify_plan(&g, root, &new, &infos, budget);
     assert!(cert.fits(), "{}", cert.render(&g));
@@ -209,10 +213,13 @@ fn reordered_schedule_executes_without_spilling() {
     let budget = MemoryBudget::bytes(5_100_000);
 
     // The unbounded plan keeps the depth-first order, over budget in memory.
-    let dfs = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
+    let dfs = CompiledProgram::new(g.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
     assert_eq!(dfs.schedule().order(), &[x, a, b, r, add, root]);
     assert!(!certify_plan(&g, root, &dfs, &infos, budget).fits(), "DFS order must spill");
-    let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
+    let re =
+        CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..PlanOptions::new(&sizes) })
+            .unwrap()
+            .plan;
     assert!(re.nodes_with(Kernel::Blocked).is_empty(), "reordered plan fits in memory");
     assert_eq!(re.schedule().order(), &[a, b, r, x, add, root], "the matmul drains before X");
 

@@ -12,8 +12,9 @@
 use dm_lang::exec::{Env, Executor};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, UnaryOp};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan, Kernel, PlanOptions};
+use dm_lang::physical::{Kernel, PlanOptions};
 use dm_lang::size::InputSizes;
+use dm_lang::CompiledProgram;
 use dm_matrix::{Dense, Matrix};
 
 /// 1100 rows: two `ROW_BLOCK` panels, the second short. 1100 x 64 x 120 is
@@ -149,7 +150,7 @@ fn sum_bits(c: &Case, f: UnaryOp, shared: Shared, config: Config) -> u64 {
             ..PlanOptions::new(&sizes)
         },
     };
-    let plan = plan(&g, root, &opts).unwrap();
+    let plan = CompiledProgram::new(g.clone(), root, &opts).unwrap().plan;
     let what = format!("{} {f:?} {shared:?} {config:?}", c.name);
     // The sparse kernel is never blocked or parallel.
     let dense_kernel = match config {

@@ -25,33 +25,22 @@ use dm_lang::cost::{node_family, CostModel};
 use dm_lang::explain::{explain, op_label};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{node_flops, plan, PhysicalPlan, PlanOptions, PAR_FLOP_THRESHOLD};
+use dm_lang::physical::{node_flops, PhysicalPlan, PlanOptions, PAR_FLOP_THRESHOLD};
 use dm_lang::size::{InputSizes, SizeInfo};
-use dm_lang::{optimize, parser};
+use dm_lang::{certify_plan, optimize, parser, CompiledProgram};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-// ---- The only three functions that know the planner's entry points -------
+// ---- The only function that knows the planner's entry point --------------
 
-fn planned(
+fn program(
     s: &Scenario,
-    sizes: &HashMap<NodeId, SizeInfo>,
     degree: usize,
     budget: MemoryBudget,
     cost: Option<&CostModel>,
-) -> PhysicalPlan {
-    plan(&s.graph, s.root, &PlanOptions { degree, budget, cost, ..PlanOptions::new(sizes) })
-        .expect("plans")
-}
-
-fn explain_memory(s: &Scenario, degree: usize, budget: MemoryBudget) -> String {
-    let opts = PlanOptions { degree, budget, ..PlanOptions::new(&s.inputs) };
-    explain(&dm_lang::CompiledProgram::new(s.graph.clone(), s.root, &opts).expect("plans"))
-}
-
-fn explain_cost(s: &Scenario, degree: usize, model: &CostModel) -> String {
-    let opts = PlanOptions { degree, cost: Some(model), ..PlanOptions::new(&s.inputs) };
-    explain(&dm_lang::CompiledProgram::new(s.graph.clone(), s.root, &opts).expect("plans"))
+) -> CompiledProgram {
+    let opts = PlanOptions { degree, budget, cost, ..PlanOptions::new(&s.inputs) };
+    CompiledProgram::new(s.graph.clone(), s.root, &opts).expect("plans")
 }
 
 // ---- Scenarios ------------------------------------------------------------
@@ -127,7 +116,7 @@ fn scenarios() -> Vec<Scenario> {
 /// where the flop estimate clears `PAR_FLOP_THRESHOLD` it says serial is
 /// faster, below it says parallel is faster.
 fn flipping_model(s: &Scenario, sizes: &HashMap<NodeId, SizeInfo>) -> CostModel {
-    let serial_plan = planned(s, sizes, 1, MemoryBudget::unbounded(), None);
+    let serial_plan = program(s, 1, MemoryBudget::unbounded(), None).plan;
     let mut store = dm_obs::ProfileStore::new();
     for id in s.graph.reachable(s.root) {
         let parallelizable = matches!(
@@ -163,37 +152,41 @@ fn kernels_line(s: &Scenario, plan: &PhysicalPlan) -> String {
     ids.iter().map(|&id| format!("%{id}={}", plan.kernel(id))).collect::<Vec<_>>().join(" ")
 }
 
+/// The grid's budgets: unbounded, 50 % and 10 % of the largest input.
+fn budgets(s: &Scenario) -> [(&'static str, MemoryBudget); 3] {
+    [
+        ("unbounded", MemoryBudget::unbounded()),
+        ("50%", MemoryBudget::bytes(s.largest_input / 2)),
+        ("10%", MemoryBudget::bytes(s.largest_input / 10)),
+    ]
+}
+
 fn render() -> String {
     let mut out = String::new();
     for s in scenarios() {
         let sizes = dm_lang::size::propagate(&s.graph, s.root, &s.inputs).expect("sizes");
         let synthetic = flipping_model(&s, &sizes);
         let _ = writeln!(out, "#### {}: {}", s.name, s.graph.render(s.root));
-        let budgets = [
-            ("unbounded", MemoryBudget::unbounded()),
-            ("50%", MemoryBudget::bytes(s.largest_input / 2)),
-            ("10%", MemoryBudget::bytes(s.largest_input / 10)),
-        ];
         for degree in [1, 2, 4] {
-            for (label, budget) in budgets {
+            for (label, budget) in budgets(&s) {
                 for (model_name, model) in [("none", None), ("synthetic", Some(&synthetic))] {
                     let _ = writeln!(
                         out,
                         "== {} degree={degree} budget={label} model={model_name}",
                         s.name
                     );
-                    let plan = planned(&s, &sizes, degree, budget, model);
+                    let plan = program(&s, degree, budget, model).plan;
                     let _ = writeln!(out, "mem_budget: {:?}", plan.mem_budget());
                     let _ = writeln!(out, "kernels: {}", kernels_line(&s, &plan));
                     match model {
                         None => {
                             let _ = writeln!(out, "order: {:?}", plan.schedule().order());
                             let _ = writeln!(out, "explain:");
-                            out.push_str(&explain_memory(&s, degree, budget));
+                            out.push_str(&explain(&program(&s, degree, budget, None)));
                         }
                         Some(m) if budget.get().is_none() => {
                             let _ = writeln!(out, "explain:");
-                            out.push_str(&explain_cost(&s, degree, m));
+                            out.push_str(&explain(&program(&s, degree, budget, Some(m))));
                         }
                         Some(_) => {}
                     }
@@ -226,4 +219,24 @@ fn plans_and_explain_text_match_the_golden_file() {
         actual.lines().nth(line),
         path.display()
     );
+}
+
+#[test]
+fn each_programs_certificate_is_its_plans_own() {
+    // The planner certifies the plan it returns once; certifying that plan
+    // afresh over its schedule must reproduce the program's certificate.
+    for s in scenarios() {
+        for degree in [1, 2, 4] {
+            for (label, budget) in budgets(&s) {
+                let prog = program(&s, degree, budget, None);
+                let fresh = certify_plan(&prog.graph, prog.root, &prog.plan, &prog.sizes, budget);
+                assert_eq!(
+                    prog.certificate.render(&prog.graph),
+                    fresh.render(&prog.graph),
+                    "{} degree={degree} budget={label}",
+                    s.name
+                );
+            }
+        }
+    }
 }

@@ -18,8 +18,9 @@ use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, UnaryOp};
 use dm_lang::liveness::certify_plan;
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan, Kernel, PlanOptions};
+use dm_lang::physical::{Kernel, PlanOptions};
 use dm_lang::size::{propagate, InputSizes};
+use dm_lang::CompiledProgram;
 use dm_matrix::pack::{KC, MC, NC};
 use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{Dense, Matrix};
@@ -170,8 +171,11 @@ fn a_bounded_plan_runs_its_lower_peak_order() {
     // planner keeps the lower certified peak. The unbounded plan keeps the
     // depth-first order.
     let budget = MemoryBudget::bytes(1 << 30);
-    let dfs = plan(&g, root, &PlanOptions::new(&infos)).unwrap();
-    let re = plan(&g, root, &PlanOptions { budget, ..PlanOptions::new(&infos) }).unwrap();
+    let dfs = CompiledProgram::new(g.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
+    let re =
+        CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..PlanOptions::new(&sizes) })
+            .unwrap()
+            .plan;
     assert!(re.nodes_with(Kernel::Blocked).is_empty());
     assert_ne!(re.schedule().order(), dfs.schedule().order());
     let dfs_cert = certify_plan(&g, root, &dfs, &infos, budget).peak_bytes;
@@ -229,7 +233,13 @@ fn a_streamed_product_is_certified_at_its_panels() {
     let inputs = bytes(N, K) + bytes(K, M);
     let mut bits = Vec::new();
     for degree in [1, 2] {
-        let p = plan(&g, root, &PlanOptions { degree, ..PlanOptions::new(&infos) }).unwrap();
+        let p = CompiledProgram::new(
+            g.clone(),
+            root,
+            &PlanOptions { degree, ..PlanOptions::new(&sizes) },
+        )
+        .unwrap()
+        .plan;
         let certified = certify_plan(&g, root, &p, &infos, MemoryBudget::unbounded()).peak_bytes;
         // The inputs, `degree` panels and the scalar result: neither product.
         let panels = degree * bytes(ROW_BLOCK, M);

@@ -10,7 +10,7 @@ use dm_lang::exec::{Env, ExecError, Executor, KernelChoice, Val};
 use dm_lang::explain::{explain, profile_report};
 use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId};
 use dm_lang::memory::MemoryBudget;
-use dm_lang::physical::{plan, Kernel, PhysicalPlan, PlanOptions};
+use dm_lang::physical::{Kernel, PhysicalPlan, PlanOptions};
 use dm_lang::size::InputSizes;
 use dm_lang::CompiledProgram;
 use dm_matrix::{Dense, Matrix};
@@ -45,7 +45,13 @@ fn program() -> Program {
 /// Plan the program over declared inputs at a degree, under a byte budget.
 fn plan_under(p: &Program, sizes: &InputSizes, degree: usize, budget: usize) -> PhysicalPlan {
     let budget = MemoryBudget::bytes(budget);
-    plan(&p.graph, p.root, &PlanOptions { degree, budget, ..PlanOptions::new(sizes) }).unwrap()
+    CompiledProgram::new(
+        p.graph.clone(),
+        p.root,
+        &PlanOptions { degree, budget, ..PlanOptions::new(sizes) },
+    )
+    .unwrap()
+    .plan
 }
 
 fn dense_input(rows: usize, cols: usize, salt: u64) -> Dense {
@@ -143,7 +149,10 @@ fn blocked_budget_smaller_than_one_tile_is_a_clean_error() {
     let mut sizes = InputSizes::new();
     sizes.declare("X", 2, 4096, 1.0);
     let budget = MemoryBudget::bytes(8 << 10);
-    let plan = plan(&g, z, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+    let plan =
+        CompiledProgram::new(g.clone(), z, &PlanOptions { budget, ..PlanOptions::new(&sizes) })
+            .unwrap()
+            .plan;
     assert_eq!(plan.kernel(z), Kernel::Blocked);
     let mut ex = Executor::with_plan(&g, plan);
     match ex.eval(z, &env) {
@@ -282,19 +291,32 @@ fn mem_budget_env_var_drives_auto_planning() {
     sizes.declare("B", 512, 1024, 1.0);
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
     let model = dm_lang::CostModel::from_env();
-    let auto = plan(&p.graph, p.root, &PlanOptions::from_env(&sizes, model.as_ref())).unwrap();
+    let auto = CompiledProgram::new(
+        p.graph.clone(),
+        p.root,
+        &PlanOptions::from_env(&sizes, model.as_ref()),
+    )
+    .unwrap()
+    .plan;
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
     assert_eq!(auto.kernel(p.y), Kernel::Blocked);
     assert_eq!(auto.mem_budget(), Some(1 << 20));
 
     // Unset: auto planning stays unbounded.
-    let auto = plan(&p.graph, p.root, &PlanOptions::from_env(&sizes, model.as_ref())).unwrap();
+    let auto = CompiledProgram::new(
+        p.graph.clone(),
+        p.root,
+        &PlanOptions::from_env(&sizes, model.as_ref()),
+    )
+    .unwrap()
+    .plan;
     assert_eq!(auto.mem_budget(), None);
     assert_ne!(auto.kernel(p.y), Kernel::Blocked);
 
     // Explicit API beats whatever the environment says.
     std::env::set_var(dm_lang::MEM_BUDGET_ENV, "1m");
-    let explicit = plan(&p.graph, p.root, &PlanOptions::new(&sizes)).unwrap();
+    let explicit =
+        CompiledProgram::new(p.graph.clone(), p.root, &PlanOptions::new(&sizes)).unwrap().plan;
     std::env::remove_var(dm_lang::MEM_BUDGET_ENV);
     assert_eq!(explicit.mem_budget(), None);
     assert_ne!(explicit.kernel(p.y), Kernel::Blocked);

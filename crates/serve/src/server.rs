@@ -39,7 +39,9 @@ use dm_buffer::policy::PolicyKind;
 use dm_buffer::session::SessionLedger;
 use dm_buffer::storage::{FileStore, MemStore, Storage};
 use dm_buffer::{BufferPool, SharedBufferPool};
-use dm_lang::cache::{compile, program_hash, CompiledProgram, InputClass, PlanCache, PlanKey};
+use dm_lang::cache::{
+    compile_graph, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
+};
 use dm_lang::cost::{drifted, CostModel};
 use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::Op;
@@ -672,7 +674,8 @@ fn handle_score(
     let reg = shared.registry.as_ref();
     // Plan-cache lookup phase: classify the bound inputs, parse for the
     // structural hash (cheap, linear in the text), and probe the LRU —
-    // everything a request pays whether it hits or misses.
+    // everything a request pays whether it hits or misses. A miss compiles
+    // from this parse.
     let mut sizes = InputSizes::new();
     let lookup = time_phase(ctx, Phase::CacheLookup, || {
         let mut classes = Vec::with_capacity(req.inputs.len());
@@ -703,9 +706,9 @@ fn handle_score(
         };
         let key = PlanKey::new(program_hash(&raw_graph, raw_root), classes);
         let cached = probe_cache(shared, &key);
-        Ok((key, cached))
+        Ok((key, cached, raw_graph, raw_root))
     });
-    let (key, cached) = match lookup {
+    let (key, cached, raw_graph, raw_root) = match lookup {
         Ok(k) => k,
         Err(error) => return Response::Error { error },
     };
@@ -714,12 +717,13 @@ fn handle_score(
         Some(p) => (p, true),
         None => {
             let compiled = time_phase(ctx, Phase::Compile, || {
-                compile(&req.program, &sizes, shared.cfg.degree, shared.cfg.budget, &shared.model)
+                let (degree, budget) = (shared.cfg.degree, shared.cfg.budget);
+                compile_graph(&raw_graph, raw_root, &sizes, degree, budget, &shared.model)
                     .map(Arc::new)
             });
             let compiled = match compiled {
                 Ok(c) => c,
-                Err(e) => return Response::Error { error: e.to_string() },
+                Err(e) => return Response::Error { error: CompileError::Size(e).to_string() },
             };
             insert_cache(shared, key.clone(), Arc::clone(&compiled));
             (compiled, false)
@@ -1047,6 +1051,7 @@ fn try_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_lang::cache::compile;
 
     #[test]
     fn tenant_validation() {

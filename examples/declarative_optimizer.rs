@@ -65,7 +65,13 @@ fn main() {
     let mut sparse_sizes = InputSizes::new();
     sparse_sizes.declare("S", n, d, 0.02);
     sparse_sizes.declare("w", d, 1, 1.0);
-    let plan = physical::plan(&g2, r2, &physical::PlanOptions::new(&sparse_sizes)).expect("plans");
+    let plan = dmml::lang::CompiledProgram::new(
+        g2.clone(),
+        r2,
+        &physical::PlanOptions::new(&sparse_sizes),
+    )
+    .expect("plans")
+    .plan;
     for id in g2.reachable(r2) {
         println!("node {id} ({}) -> {:?}", g2.render(id), plan.kernel(id));
     }

@@ -7,7 +7,7 @@
 
 use dm_lang::cost::{static_ns, CostModel};
 use dm_lang::exec::{Env, Executor};
-use dm_lang::physical::{plan, PlanOptions};
+use dm_lang::physical::PlanOptions;
 use dm_lang::size::InputSizes;
 use dm_lang::{estimated_cost, parser, CompiledProgram};
 use dm_matrix::{Dense, Matrix};
@@ -49,7 +49,7 @@ fn second_run_loads_profiles_and_recosts_without_changing_results() {
     // vars are process-global and these tests run in parallel); the env
     // wiring is covered by `env_profile_dir_saves_on_drop`.
     let at_degree_2 = PlanOptions { degree: 2, ..PlanOptions::new(&sizes) };
-    let plan1 = plan(&graph, root, &at_degree_2).unwrap();
+    let plan1 = CompiledProgram::new(graph.clone(), root, &at_degree_2).unwrap().plan;
     let mut store = ProfileStore::new();
     let baseline = {
         let mut first = None;

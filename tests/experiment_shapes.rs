@@ -245,7 +245,10 @@ fn e6_sparse_work_proportional_to_nnz() {
     let mut sizes = InputSizes::new();
     sizes.declare("S", n, d, 0.02);
     sizes.declare("w", d, 1, 1.0);
-    let plan = physical::plan(&g, root, &physical::PlanOptions::new(&sizes)).unwrap();
+    let plan =
+        dmml::lang::CompiledProgram::new(g.clone(), root, &physical::PlanOptions::new(&sizes))
+            .unwrap()
+            .plan;
 
     let mut env = Env::new();
     env.bind("S", Matrix::Dense(sparse.clone()));

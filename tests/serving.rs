@@ -11,8 +11,9 @@
 
 use dmml::lang::exec::{Env, Executor};
 use dmml::lang::parser;
-use dmml::lang::physical::{plan, Kernel, PlanOptions};
+use dmml::lang::physical::{Kernel, PlanOptions};
 use dmml::lang::size::InputSizes;
+use dmml::lang::CompiledProgram;
 use dmml::matrix::{Dense, Matrix};
 use dmml::obs::flightrec::RequestRecord;
 use dmml::obs::serve::MetricsServer;
@@ -37,7 +38,7 @@ fn direct_eval(seed: usize) -> f64 {
     let (graph, root) = parser::parse(PROGRAM).unwrap();
     let mut sizes = InputSizes::new();
     sizes.declare("X", N, D, 1.0);
-    let plan = plan(&graph, root, &PlanOptions::new(&sizes)).unwrap();
+    let plan = CompiledProgram::new(graph.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(Dense::from_vec(N, D, x_data(seed)).unwrap()));
     let got = Executor::with_plan(&graph, plan).eval(root, &env).unwrap();
@@ -150,7 +151,13 @@ fn over_budget_request_is_admitted_as_blocked() {
     let mut sizes = InputSizes::new();
     sizes.declare("X", n, n, 1.0);
     let budget = dmml::lang::memory::MemoryBudget::bytes(96 * 1024);
-    let plan = plan(&graph, root, &PlanOptions { budget, ..PlanOptions::new(&sizes) }).unwrap();
+    let plan = CompiledProgram::new(
+        graph.clone(),
+        root,
+        &PlanOptions { budget, ..PlanOptions::new(&sizes) },
+    )
+    .unwrap()
+    .plan;
     assert!(!plan.nodes_with(Kernel::Blocked).is_empty());
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(Dense::from_vec(n, n, data).unwrap()));

@@ -4,7 +4,8 @@
 //! and buffer-pool spill instants — all well-formed and strictly nested per
 //! thread.
 
-use dmml::lang::{exec::Env, parser, plan, size::InputSizes, Executor, MemoryBudget, PlanOptions};
+use dmml::lang::CompiledProgram;
+use dmml::lang::{exec::Env, parser, size::InputSizes, Executor, MemoryBudget, PlanOptions};
 use dmml::matrix::Matrix;
 use dmml::obs::{json, trace};
 use std::sync::{Mutex, MutexGuard};
@@ -28,7 +29,7 @@ fn traced_run_covers_exec_par_and_buffer_on_one_timeline() {
     // blocked kernels and pool spills.
     let budget = MemoryBudget::bytes(8 * x.rows() * x.cols() / 2);
     let opts = PlanOptions { degree: 4, budget, ..PlanOptions::new(&sizes) };
-    let plan = plan(&graph, root, &opts).unwrap();
+    let plan = CompiledProgram::new(graph.clone(), root, &opts).unwrap().plan;
 
     let mut env = Env::new();
     env.bind("X", Matrix::Dense(x));
