@@ -18,6 +18,12 @@
 //! `e16 gflops <case> <value>` line from a best-of-N wall-clock measurement
 //! for direct comparison with EXPERIMENTS.md tables.
 //!
+//! `small_{gemm,crossprod}` lines time the products of short matrix chains
+//! (`m`, `k` <= 32 and output widths 4 .. 32, the shapes a cold plan cache
+//! compiles and runs per request) in nanoseconds per call, where the
+//! register tile's width rule and scratch reuse decide the cost, not the
+//! flops.
+//!
 //! `DMML_BENCH_E16_MAX_N` caps the largest gemm size (default 2048) so
 //! constrained runners can keep the bench cheap without losing the ids that
 //! CI gates on smaller sizes.
@@ -33,6 +39,8 @@ const GEMM_SIZES: [usize; 4] = [256, 512, 1024, 2048];
 const GEMV_N: usize = 2048;
 const XPROD_ROWS: usize = 4096;
 const XPROD_COLS: usize = 256;
+const SMALL_WIDTHS: [usize; 4] = [4, 8, 16, 32];
+const SMALL_DEPTH: usize = 32;
 const CLA_ROWS: usize = 100_000;
 const CLA_COLS: usize = 8;
 
@@ -147,6 +155,27 @@ fn bench(c: &mut Criterion) {
             report_gflops("crossprod", flops, best);
         }
         g.bench_function("crossprod", |bn| bn.iter(|| ops::crossprod(&m)));
+    }
+
+    // Small products: best-of-7 batches of 2000 calls, in ns per call.
+    for w in SMALL_WIDTHS {
+        let a = sample(SMALL_DEPTH, SMALL_DEPTH, 15);
+        let b = sample(SMALL_DEPTH, w, 16);
+        let cases: [(String, &dyn Fn()); 2] = [
+            (format!("gemm_{SMALL_DEPTH}x{SMALL_DEPTH}x{w}"), &|| {
+                std::hint::black_box(ops::gemm(std::hint::black_box(&a), &b));
+            }),
+            (format!("crossprod_{SMALL_DEPTH}x{w}"), &|| {
+                std::hint::black_box(ops::crossprod(std::hint::black_box(&b)));
+            }),
+        ];
+        for (case, f) in cases {
+            let calls = if test_mode { 1 } else { 2000 };
+            let best = time_best(if test_mode { 1 } else { 7 }, || (0..calls).for_each(|_| f()));
+            if !test_mode {
+                println!("e16 small {case:<14} {:.0} ns", best.as_nanos() as f64 / calls as f64);
+            }
+        }
     }
 
     {

@@ -7,8 +7,9 @@
 //! partials, so this table is the whole cross-tier contract: panel heights
 //! that divide, straddle and exceed `ROW_BLOCK`, degrees that do and do not
 //! divide the work, degenerate shapes, exact zeros and `-0.0` (the gemm zero
-//! skip and the gevm scalar skip), and a `B` with one non-finite panel (gemm
-//! then mixes the packed and the reference body).
+//! skip and the gevm scalar skip), a `B` with one non-finite panel (gemm
+//! then mixes the packed and the reference body), and products wide enough
+//! for the widest register tile.
 
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::storage::MemStore;
@@ -71,6 +72,10 @@ fn cases() -> Vec<Case> {
     deep.b.set(130, 3, f64::INFINITY);
     deep.b.set(135, 5, f64::NAN);
     cases.push(deep);
+    // Wide enough for the widest register tile (32 columns) with a fringe
+    // on both products, over more than one ROW_BLOCK: on a CPU with
+    // AVX-512F gemm and crossprod both run the 4x32 tile here.
+    cases.push(case("wide", 2100, 40, 33));
     cases
 }
 

@@ -233,9 +233,20 @@ impl Graph {
     /// to right. The walk keeps its own stack, so graph depth is bounded by
     /// memory, not by the thread's stack.
     pub fn reachable(&self, root: NodeId) -> Vec<NodeId> {
+        self.postorder(root, |id| self.op(id).children())
+    }
+
+    /// The postorder of a depth-first walk from `root` that visits each
+    /// node's children in the order `children` lists them, and each node
+    /// once, at its first visit. Iterative, like [`Graph::reachable`].
+    pub(crate) fn postorder(
+        &self,
+        root: NodeId,
+        children: impl Fn(NodeId) -> Vec<NodeId>,
+    ) -> Vec<NodeId> {
         // Each frame is a node and its children still to visit, last first.
         let unvisited = |id: NodeId| {
-            let mut ch = self.op(id).children();
+            let mut ch = children(id);
             ch.reverse();
             ch
         };

@@ -483,24 +483,13 @@ pub fn min_peak_order(
     sizes: &HashMap<NodeId, SizeInfo>,
     plan: &PhysicalPlan,
 ) -> Vec<NodeId> {
-    // (subtree peak, hold) per node, tree-approximated over the DAG.
-    fn costs(
-        graph: &Graph,
-        id: NodeId,
-        sizes: &HashMap<NodeId, SizeInfo>,
-        plan: &PhysicalPlan,
-        memo: &mut HashMap<NodeId, (usize, usize)>,
-    ) -> (usize, usize) {
-        if let Some(&c) = memo.get(&id) {
-            return c;
-        }
+    // (subtree peak, hold) per node, tree-approximated over the DAG,
+    // children before parents.
+    let mut memo: HashMap<NodeId, (usize, usize)> = HashMap::new();
+    for id in graph.reachable(root) {
         let hold = sizes.get(&id).map_or(0, |info| materialized_bytes(plan.kernel(id), info));
-        let mut children: Vec<(usize, usize)> = graph
-            .op(id)
-            .children()
-            .into_iter()
-            .map(|c| costs(graph, c, sizes, plan, memo))
-            .collect();
+        let mut children: Vec<(usize, usize)> =
+            graph.op(id).children().into_iter().map(|c| memo[&c]).collect();
         children.sort_by_key(|&(p, h)| std::cmp::Reverse(p.saturating_sub(h)));
         let mut held = 0usize;
         let mut peak = 0usize;
@@ -509,39 +498,18 @@ pub fn min_peak_order(
             held = held.saturating_add(h);
         }
         // Executing this node: all children's results plus the output.
-        let peak = peak.max(held.saturating_add(hold));
-        memo.insert(id, (peak, hold));
-        (peak, hold)
+        memo.insert(id, (peak.max(held.saturating_add(hold)), hold));
     }
 
-    fn emit(
-        graph: &Graph,
-        id: NodeId,
-        memo: &HashMap<NodeId, (usize, usize)>,
-        seen: &mut Vec<bool>,
-        order: &mut Vec<NodeId>,
-    ) {
-        if seen[id] {
-            return;
-        }
-        seen[id] = true;
+    // Depth-first from the root, highest-slack child first.
+    graph.postorder(root, |id| {
         let mut children = graph.op(id).children();
         children.sort_by_key(|&c| {
-            let (p, h) = memo.get(&c).copied().unwrap_or((0, 0));
+            let (p, h) = memo[&c];
             (std::cmp::Reverse(p.saturating_sub(h)), c)
         });
-        for c in children {
-            emit(graph, c, memo, seen, order);
-        }
-        order.push(id);
-    }
-
-    let mut memo = HashMap::new();
-    costs(graph, root, sizes, plan, &mut memo);
-    let mut seen = vec![false; graph.len()];
-    let mut order = Vec::new();
-    emit(graph, root, &memo, &mut seen, &mut order);
-    order
+        children
+    })
 }
 
 #[cfg(test)]
@@ -744,6 +712,123 @@ mod tests {
         assert_eq!(dfs_cert.peak_bytes, (256 * 256 + 2 * 256 * 1024 + 256 * 256) * 8);
         assert_eq!(re_cert.peak_bytes, (2 * 256 * 1024 + 256 * 256) * 8);
         assert!(re_cert.peak_bytes < dfs_cert.peak_bytes);
+    }
+
+    /// The recursive form of `min_peak_order`: the oracle for its order.
+    fn min_peak_order_recursive(
+        graph: &Graph,
+        root: NodeId,
+        sizes: &HashMap<NodeId, SizeInfo>,
+        plan: &PhysicalPlan,
+    ) -> Vec<NodeId> {
+        type Memo = HashMap<NodeId, (usize, usize)>;
+        fn costs(
+            g: &Graph,
+            id: NodeId,
+            s: &HashMap<NodeId, SizeInfo>,
+            plan: &PhysicalPlan,
+            memo: &mut Memo,
+        ) -> (usize, usize) {
+            if let Some(&c) = memo.get(&id) {
+                return c;
+            }
+            let hold = s.get(&id).map_or(0, |info| materialized_bytes(plan.kernel(id), info));
+            let mut children: Vec<(usize, usize)> =
+                g.op(id).children().into_iter().map(|c| costs(g, c, s, plan, memo)).collect();
+            children.sort_by_key(|&(p, h)| std::cmp::Reverse(p.saturating_sub(h)));
+            let (mut held, mut peak) = (0usize, 0usize);
+            for &(p, h) in &children {
+                peak = peak.max(held.saturating_add(p));
+                held = held.saturating_add(h);
+            }
+            let c = (peak.max(held.saturating_add(hold)), hold);
+            memo.insert(id, c);
+            c
+        }
+        fn emit(g: &Graph, id: NodeId, memo: &Memo, seen: &mut [bool], order: &mut Vec<NodeId>) {
+            if seen[id] {
+                return;
+            }
+            seen[id] = true;
+            let mut children = g.op(id).children();
+            children.sort_by_key(|&c| {
+                let (p, h) = memo[&c];
+                (std::cmp::Reverse(p.saturating_sub(h)), c)
+            });
+            for c in children {
+                emit(g, c, memo, seen, order);
+            }
+            order.push(id);
+        }
+        let mut memo = HashMap::new();
+        costs(graph, root, sizes, plan, &mut memo);
+        let mut seen = vec![false; graph.len()];
+        let mut order = Vec::new();
+        emit(graph, root, &memo, &mut seen, &mut order);
+        order
+    }
+
+    #[test]
+    fn min_peak_order_matches_the_recursive_order_on_random_dags() {
+        // Random DAGs with heavy sharing over square inputs of mixed
+        // sparsity, so slacks differ and tie on shared and equal subtrees.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut inputs = InputSizes::new();
+        for (name, sparsity) in [("X", 1.0), ("Y", 0.5), ("Z", 0.01)] {
+            inputs.declare(name, 40, 40, sparsity);
+        }
+        let mut checked = 0;
+        for _ in 0..200 {
+            let mut g = Graph::new();
+            g.input("X");
+            for _ in 0..next(40) {
+                let (a, b) = (next(g.len()), next(g.len()));
+                match next(6) {
+                    0 => g.input(["X", "Y", "Z"][next(3)]),
+                    1 => g.matmul(a, b),
+                    2 => g.ewise(EwiseOp::Add, a, b),
+                    3 => g.transpose(a),
+                    4 => g.unary(UnaryOp::Exp, a),
+                    _ => g.agg(AggOp::Sum, a),
+                };
+            }
+            let plan = PhysicalPlan::default();
+            for root in 0..g.len() {
+                // Roots over a scalar matmul operand do not size; skip them.
+                let Ok(sizes) = propagate(&g, root, &inputs) else { continue };
+                let want = min_peak_order_recursive(&g, root, &sizes, &plan);
+                assert_eq!(min_peak_order(&g, root, &sizes, &plan), want, "root %{root} of {g}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000, "only {checked} roots sized");
+    }
+
+    #[test]
+    fn min_peak_order_handles_a_deep_chain_on_a_small_stack() {
+        // A 100 001-deep chain overflowed a 2 MiB stack when the order was
+        // computed recursively; the explicit stacks live on the heap.
+        let walk = || {
+            let mut inputs = InputSizes::new();
+            inputs.declare("X", 2, 2, 1.0);
+            let mut g = Graph::new();
+            let mut acc = g.input("X");
+            for _ in 0..100_000 {
+                acc = g.ewise(EwiseOp::Add, acc, acc);
+            }
+            let sizes = propagate(&g, acc, &inputs).unwrap();
+            let order = min_peak_order(&g, acc, &sizes, &PhysicalPlan::default());
+            assert_eq!(order.len(), 100_001);
+            assert!(order.iter().enumerate().all(|(i, &id)| i == id), "children first");
+        };
+        let small = std::thread::Builder::new().stack_size(2 << 20).spawn(walk).unwrap();
+        small.join().expect("no stack overflow");
     }
 
     #[test]

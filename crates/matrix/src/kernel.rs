@@ -104,19 +104,18 @@ pub fn col_sums(panel: &[f64], part: &mut [f64]) {
 }
 
 /// `part += row^T * row` over the upper triangle of the `d x d` partial,
-/// for every row of the panel (`d` wide); entries below the diagonal are
-/// not touched.
+/// for every row of the panel (`d` wide). Entries below the diagonal are
+/// scratch, for callers to overwrite with [`mirror_upper`].
 ///
-/// An all-finite panel runs on gemm's register tile
-/// ([`pack`]): tiles over the upper triangle, both operand
-/// slivers read in place from the panel rows, rows `k`-ascending. A panel
-/// holding `NaN`/`inf` runs the row loop below, which skips zero row
+/// An all-finite panel runs on gemm's register tiles ([`pack`]), chosen by
+/// `d`, over the panel packed in `pack`'s layout, rows `k`-ascending. A
+/// panel holding `NaN`/`inf` runs the row loop below, which skips zero row
 /// entries; the skip is only observable there (`0.0 * inf == NaN`), by
-/// `pack`'s zero-skip argument, so both paths give every element the same
-/// bits. The row loop's slice-zip runs the same adds as an `i <= j` double
-/// loop, at unit stride.
+/// `pack`'s zero-skip argument, so both paths give every upper element the
+/// same bits. The row loop's slice-zip runs the same adds as an `i <= j`
+/// double loop, at unit stride.
 pub fn crossprod_upper(panel: &[f64], d: usize, part: &mut [f64]) {
-    crossprod_upper_on(Isa::detect(), panel, d, part);
+    crossprod_upper_on(Isa::for_width(d), panel, d, part);
 }
 
 /// [`crossprod_upper`] with the register tile of instantiation `isa`.

@@ -18,13 +18,18 @@
 //!   loop body is branch-free, which is what lets LLVM promote the tile to
 //!   vector registers and vectorize the multiply-add chain — no intrinsics.
 //!
-//! Crossprod (`X^T X`) runs on the same microkernel: both operands of a
-//! tile are slivers of the same panel rows, contiguous in each row, so
-//! [`crate::kernel::crossprod_upper`] reads them in place with no packing.
+//! Crossprod (`X^T X`) runs on the same microkernel and the same tiles:
+//! [`crate::kernel::crossprod_upper`] packs each `CROSSPROD_KC`-row chunk
+//! of its panel once into the [`PackedB`] layout (per-thread scratch,
+//! reused across calls), and reads a tile's `MR`-row `A` sliver from inside
+//! the packed tile that holds those columns — `NR % MR == 0`, so a sliver
+//! never straddles two tiles. Fringe tiles run on zero-padded lanes, like
+//! gemm's.
 //!
 //! # Instantiations
 //!
-//! The driver is written once, generic over the tile, and compiled twice:
+//! The driver is written once, generic over the tile, and compiled three
+//! times:
 //!
 //! * **portable** — `MR x NR = 2 x 12`, the x86-64 baseline (SSE2): 24
 //!   accumulators in 12 of the 16 `xmm` registers. With the `B` row and the
@@ -33,23 +38,31 @@
 //! * **AVX2** — `4 x 8`, the same source under
 //!   `#[target_feature(enable = "avx2")]`: 32 accumulators in 8 of the 16
 //!   `ymm` registers, leaving room for the `B` row and the broadcast `A`
-//!   value.
+//!   value;
+//! * **AVX-512** — `4 x 32` under `#[target_feature(enable = "avx512f")]`:
+//!   128 accumulators in 16 of the 32 `zmm` registers, plus 4 for the `B`
+//!   row and 1 for the broadcast.
 //!
-//! Each kernel call picks the AVX2 instantiation when
-//! `is_x86_feature_detected!("avx2")` says the CPU has it. Calling a
-//! `#[target_feature]` function is the crate's one `unsafe` block, guarded
-//! by that same check. A [`PackedB`] records the instantiation it was packed
-//! for, since the tile width is its layout.
+//! Which one runs is a per-call rule on the CPU and the output's width
+//! (gemm's `n`, crossprod's `d`), `Isa::for_width`: the 4x32 tile when
+//! `is_x86_feature_detected!` reports AVX-512F and the output fills at
+//! least one such tile; else 4x8 when it reports AVX2; else portable.
+//! Narrow outputs keep 4x8, so small products do not pay for padded lanes.
+//! Calling a `#[target_feature]` function is the crate's one `unsafe` block,
+//! guarded by the same detection. A [`PackedB`] records the instantiation
+//! it was packed for, since the tile width is its layout.
 //!
 //! **Register-fit rule.** A tile's accumulators plus one `B` row and the
-//! broadcast `A` value must fit the 16 vector registers, or LLVM spills
-//! `acc` to the stack inside the `k` loop. A spilled tile is not just
-//! slower, it is unpredictable: a 4x12 AVX2 tile (12 accumulators + 3 `B`
-//! vectors + 1) spilled, and the same evaluation on it (crossprod and gemm
-//! of an 8192x256 `X`, 2-vCPU Sapphire Rapids) ran 76 ms in one caller
-//! against 41 ms in an equivalent caller of the same binary, depending on
-//! the stack depth it was called at. 4x8 does not spill, and its `k` loop
-//! touches no stack slot.
+//! broadcast `A` value must fit the vector registers (16 `ymm`, 32 `zmm`),
+//! or LLVM spills `acc` to the stack inside the `k` loop. A spilled tile is
+//! not just slower, it is unpredictable: a 4x12 AVX2 tile (12
+//! accumulators, 3 `B` vectors and 1 broadcast) spilled, and the same
+//! evaluation on it (crossprod and gemm of an 8192x256 `X`, 2-vCPU Sapphire
+//! Rapids) ran 76 ms in one caller against 41 ms in an equivalent caller of
+//! the same binary, depending on the stack depth it was called at. Fitting on paper is not
+//! enough either: an 8x16 AVX-512 tile (16 accumulators + 2 + 1) spilled in
+//! its gemm `k` loop, and gemm and crossprod of that `X` ran 7x slower on it
+//! than on 4x32. The 4x8 and 4x32 `k` loops touch no stack slot.
 //!
 //! # Bit-identity contract
 //!
@@ -69,9 +82,11 @@
 //!
 //! The instantiations cannot differ in a bit either. Each `acc += a * b` is
 //! a multiply rounded to `f64` and then an add rounded to `f64`, whatever
-//! the vector width: FMA is not enabled, and Rust never contracts `a * b +
-//! c` into one fused operation on its own. Tile shape only changes which
-//! output elements share a register, never the adds an element sees.
+//! the vector width: Rust never contracts `a * b + c` into one fused
+//! operation on its own, so no FMA is emitted even where the target
+//! feature makes it available (AVX-512F implies FMA to LLVM). Tile shape
+//! only changes which output elements share a register, never the adds an
+//! element sees.
 //!
 //! The one deliberate deviation from the reference loop is the `a[i][k] ==
 //! 0.0` skip: the reference kernels skip zero `A` entries, the microkernel
@@ -102,6 +117,11 @@ pub const MC: usize = 128;
 /// sized for the shared outer cache).
 pub const NC: usize = 512;
 
+/// Crossprod's packing depth in panel rows: a quarter of [`KC`], so each
+/// worker's scratch stays small (256 KiB at `d = 256`) at the cost of one
+/// more load and store of each output tile per chunk.
+const CROSSPROD_KC: usize = 128;
+
 /// The portable instantiation's register tile (`MR x NR`).
 const PORTABLE_MR: usize = 2;
 const PORTABLE_NR: usize = 12;
@@ -110,20 +130,31 @@ const PORTABLE_NR: usize = 12;
 const AVX2_MR: usize = 4;
 const AVX2_NR: usize = 8;
 
+/// The AVX-512 instantiation's register tile (`MR x NR`).
+const AVX512_MR: usize = 4;
+const AVX512_NR: usize = 32;
+
 /// A compiled instantiation of the microkernel driver: the register tile
 /// and the instruction set it is compiled for (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Isa {
     /// The portable baseline build, 2x12 tile.
+    #[default]
     Portable,
-    /// The AVX2 build, 4x8 tile; only ever made when the CPU has AVX2.
+    /// The AVX2 build, 4x8 tile.
     Avx2,
+    /// The AVX-512F build, 4x32 tile.
+    Avx512,
 }
 
 impl Isa {
-    /// The instantiation kernels run on this CPU.
-    pub(crate) fn detect() -> Isa {
-        if avx2_detected() {
+    /// The instantiation for an output `width` columns wide on this CPU:
+    /// 4x32 with AVX-512F if the output fills one such tile, else 4x8 with
+    /// AVX2, else portable (see the module docs).
+    pub(crate) fn for_width(width: usize) -> Isa {
+        if width >= AVX512_NR && Isa::Avx512.supported() {
+            Isa::Avx512
+        } else if Isa::Avx2.supported() {
             Isa::Avx2
         } else {
             Isa::Portable
@@ -134,11 +165,19 @@ impl Isa {
     /// one to the same bits.
     #[cfg(test)]
     pub(crate) fn available() -> Vec<Isa> {
-        let mut all = vec![Isa::Portable];
-        if avx2_detected() {
-            all.push(Isa::Avx2);
-        }
-        all
+        [Isa::Portable, Isa::Avx2, Isa::Avx512].into_iter().filter(|isa| isa.supported()).collect()
+    }
+
+    /// Whether this CPU has the instruction set the instantiation needs.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return match self {
+            Isa::Portable => true,
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        return self == Isa::Portable;
     }
 
     /// Tile width: the column count of a packed `B` tile.
@@ -146,37 +185,33 @@ impl Isa {
         match self {
             Isa::Portable => PORTABLE_NR,
             Isa::Avx2 => AVX2_NR,
+            Isa::Avx512 => AVX512_NR,
         }
     }
 
     /// Run `body` compiled for this instantiation.
     fn run(self, body: impl Tiled) {
-        match self {
-            Isa::Portable => body.run::<PORTABLE_MR, PORTABLE_NR>(),
-            Isa::Avx2 => {
-                assert!(avx2_detected(), "the AVX2 instantiation needs a CPU with AVX2");
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `run_avx2`'s only requirement is a CPU with AVX2,
-                // which the assertion above has just checked.
-                unsafe {
-                    run_avx2(body)
-                }
+        assert!(self.supported(), "the {self:?} instantiation needs a CPU that has it");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `run_avx2` needs only a CPU with AVX2 and `run_avx512`
+        // only one with AVX-512F, which the assertion above has just checked
+        // for the instantiation called.
+        unsafe {
+            match self {
+                Isa::Portable => {}
+                Isa::Avx2 => return run_avx2(body),
+                Isa::Avx512 => return run_avx512(body),
             }
         }
+        body.run::<PORTABLE_MR, PORTABLE_NR>();
     }
-}
-
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
 }
 
 /// A kernel body written once over an `MR x NR` register tile, which
 /// [`Isa::run`] instantiates. Implementations and everything they call down
 /// to [`microkernel`] are `#[inline(always)]`, so the whole loop nest is
-/// generated inside [`run_avx2`]'s `#[target_feature]` context.
+/// generated inside [`run_avx2`]'s and [`run_avx512`]'s `#[target_feature]`
+/// contexts.
 trait Tiled {
     fn run<const MR: usize, const NR: usize>(self);
 }
@@ -189,6 +224,14 @@ fn run_avx2(body: impl Tiled) {
     body.run::<AVX2_MR, AVX2_NR>();
 }
 
+/// The AVX-512 instantiation: the same source again, compiled with
+/// AVX-512F enabled (FMA still not).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512(body: impl Tiled) {
+    body.run::<AVX512_MR, AVX512_NR>();
+}
+
 /// True if every element is finite (no `NaN`/`inf`). Gemm callers use this
 /// on `B` to choose between the branch-free packed path and the reference
 /// kernel with the `a[i][k] == 0.0` skip (see the module docs for why the
@@ -199,11 +242,9 @@ pub fn all_finite(data: &[f64]) -> bool {
 
 /// A packed `KC x NC` slab of `B`: `NR`-column tiles, `k`-major within
 /// each tile, zero-padded to full `NR` width, where `NR` is the tile width
-/// of the instantiation the slab is packed for (the one this CPU runs, for
-/// a default slab). Immutable after [`pack`]; sharable by reference across
-/// parallel workers.
-///
-/// [`pack`]: PackedB::pack
+/// of the instantiation the slab was last packed for. Immutable between
+/// packs; sharable by reference across parallel workers.
+#[derive(Default)]
 pub struct PackedB {
     data: Vec<f64>,
     kc: usize,
@@ -211,33 +252,24 @@ pub struct PackedB {
     isa: Isa,
 }
 
-impl Default for PackedB {
-    fn default() -> Self {
-        PackedB::new(Isa::detect())
-    }
-}
-
 impl PackedB {
-    /// An empty slab for instantiation `isa`.
-    pub(crate) fn new(isa: Isa) -> Self {
-        PackedB { data: Vec::new(), kc: 0, jcols: 0..0, isa }
-    }
-
     /// Pack rows `kr` and columns `jcols` of the row-major matrix `b`
-    /// (`n_cols` columns wide), replacing any previous contents.
-    pub fn pack(&mut self, b: &[f64], n_cols: usize, kr: Range<usize>, jcols: Range<usize>) {
-        let nr = self.nr();
-        self.data.clear();
+    /// (`n_cols` columns wide) for instantiation `isa`, replacing any
+    /// previous contents and reusing the allocation.
+    pub(crate) fn pack(
+        &mut self,
+        isa: Isa,
+        b: &[f64],
+        n_cols: usize,
+        kr: Range<usize>,
+        jcols: Range<usize>,
+    ) {
         self.kc = kr.len();
         self.jcols = jcols.clone();
-        self.data.reserve(jcols.len().div_ceil(nr) * nr * self.kc);
-        for jr in (jcols.start..jcols.end).step_by(nr) {
-            let jw = (jr + nr).min(jcols.end) - jr;
-            for k in kr.clone() {
-                self.data.extend_from_slice(&b[k * n_cols + jr..k * n_cols + jr + jw]);
-                self.data.extend(std::iter::repeat_n(0.0, nr - jw));
-            }
-        }
+        self.isa = isa;
+        // Every element is written, so old contents need no clearing.
+        self.data.resize(jcols.len().div_ceil(isa.nr()) * isa.nr() * self.kc, 0.0);
+        isa.run(PackTiles { data: &mut self.data, b, n_cols, kr, jcols });
     }
 
     /// The output columns this slab covers.
@@ -262,12 +294,58 @@ impl PackedB {
     }
 }
 
+/// [`PackedB::pack`]'s copy loop, as a [`Tiled`] body: with `NR` a
+/// constant, a full tile row is one fixed-size copy instead of a `memcpy`
+/// call.
+struct PackTiles<'r> {
+    data: &'r mut [f64],
+    b: &'r [f64],
+    n_cols: usize,
+    kr: Range<usize>,
+    jcols: Range<usize>,
+}
+
+impl Tiled for PackTiles<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let PackTiles { data, b, n_cols, kr, jcols } = self;
+        let tiles = data.chunks_exact_mut((NR * kr.len()).max(1));
+        for (tile, jr) in tiles.zip(jcols.clone().step_by(NR)) {
+            let jw = (jr + NR).min(jcols.end) - jr;
+            for (dst, k) in tile.as_chunks_mut::<NR>().0.iter_mut().zip(kr.clone()) {
+                let src = &b[k * n_cols + jr..k * n_cols + jr + jw];
+                match src.first_chunk::<NR>() {
+                    Some(row) => *dst = *row,
+                    None => {
+                        dst[..jw].copy_from_slice(src);
+                        dst[jw..].fill(0.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Pack rows `0..k` of the row-major `b` (`n_cols` wide) into `slab` one
 /// `KC x NC` slab at a time and hand each slab with its `k` range to `f`.
 /// Slabs come `k`-ascending within each column block, the order that keeps
 /// every output element's sum in strictly increasing `k`. `slab` is
 /// caller-owned scratch, so a caller packing many `B` panels allocates once.
+/// The slabs are packed for the register tile an `n_cols`-wide product
+/// runs on (see the module docs).
 pub fn for_each_slab(
+    slab: &mut PackedB,
+    b: &[f64],
+    n_cols: usize,
+    k: usize,
+    f: impl FnMut(&PackedB, Range<usize>),
+) {
+    for_each_slab_on(Isa::for_width(n_cols), slab, b, n_cols, k, f);
+}
+
+/// [`for_each_slab`] packing for instantiation `isa`.
+pub(crate) fn for_each_slab_on(
+    isa: Isa,
     slab: &mut PackedB,
     b: &[f64],
     n_cols: usize,
@@ -277,7 +355,7 @@ pub fn for_each_slab(
     for jc in (0..n_cols).step_by(NC) {
         for pc in (0..k).step_by(KC) {
             let kr = pc..(pc + KC).min(k);
-            slab.pack(b, n_cols, kr.clone(), jc..(jc + NC).min(n_cols));
+            slab.pack(isa, b, n_cols, kr.clone(), jc..(jc + NC).min(n_cols));
             f(slab, kr);
         }
     }
@@ -343,26 +421,42 @@ fn packed_steps<'s, const MR: usize, const NR: usize>(
     ap.as_chunks::<MR>().0.iter().zip(bp.as_chunks::<NR>().0).take(kc)
 }
 
-/// Full `MR x NR` tile: load the output tile, accumulate one `KC` slab,
-/// store it back. The load/store loops have compile-time bounds — keeping
-/// them separate from [`edge_tile`]'s dynamic bounds is what lets LLVM
-/// promote `acc` to registers on this hot path.
+/// One `MR x NR` output tile at `(r0, c0)` of `out` (row stride `stride`),
+/// of which the top-left `iw x jw` elements are real: load them, run
+/// `steps` on the tile, store them back. Padded lanes compute on packed
+/// zeros and are never stored.
 #[inline(always)]
-fn full_tile<const MR: usize, const NR: usize>(
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
+fn tile<'s, const MR: usize, const NR: usize>(
+    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
     out: &mut [f64],
     stride: usize,
-    r0: usize,
-    c0: usize,
+    at: (usize, usize),
+    (iw, jw): (usize, usize),
+) {
+    if iw == MR && jw == NR {
+        full_tile(steps, out, stride, at);
+    } else {
+        edge_tile(steps, out, stride, at, (iw, jw));
+    }
+}
+
+/// Full `MR x NR` tile: load the output tile, accumulate, store it back.
+/// The load/store loops have compile-time bounds — keeping them separate
+/// from [`edge_tile`]'s dynamic bounds is what lets LLVM promote `acc` to
+/// registers on this hot path.
+#[inline(always)]
+fn full_tile<'s, const MR: usize, const NR: usize>(
+    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    out: &mut [f64],
+    stride: usize,
+    (r0, c0): (usize, usize),
 ) {
     let mut acc = [[0.0f64; NR]; MR];
     for (i, accr) in acc.iter_mut().enumerate() {
         let src = &out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + NR];
         accr.copy_from_slice(src);
     }
-    microkernel(packed_steps(kc, ap, bp), &mut acc);
+    microkernel(steps, &mut acc);
     for (i, accr) in acc.iter().enumerate() {
         let dst = &mut out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + NR];
         dst.copy_from_slice(accr);
@@ -370,13 +464,10 @@ fn full_tile<const MR: usize, const NR: usize>(
 }
 
 /// Partial tile at the right/bottom matrix edge: same accumulation, dynamic
-/// `iw x jw` bounds. Padded lanes compute on packed zeros and are never
-/// stored.
+/// `iw x jw` bounds.
 #[inline(always)]
-fn edge_tile<const MR: usize, const NR: usize>(
-    kc: usize,
-    ap: &[f64],
-    bp: &[f64],
+fn edge_tile<'s, const MR: usize, const NR: usize>(
+    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
     out: &mut [f64],
     stride: usize,
     (r0, c0): (usize, usize),
@@ -387,7 +478,7 @@ fn edge_tile<const MR: usize, const NR: usize>(
         let src = &out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + jw];
         accr[..jw].copy_from_slice(src);
     }
-    microkernel(packed_steps(kc, ap, bp), &mut acc);
+    microkernel(steps, &mut acc);
     for (i, accr) in acc.iter().enumerate().take(iw) {
         let dst = &mut out[(r0 + i) * stride + c0..(r0 + i) * stride + c0 + jw];
         dst.copy_from_slice(&accr[..jw]);
@@ -447,107 +538,56 @@ impl Tiled for GemmRows<'_, '_> {
                     let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
                     let ir = i0 + it * MR;
                     let iw = (ir + MR).min(i1) - ir;
-                    let r0 = ir - a.rows.start;
-                    if iw == MR && jw == NR {
-                        full_tile::<MR, NR>(kc, ap, btile, out, out_stride, r0, jr);
-                    } else {
-                        edge_tile::<MR, NR>(kc, ap, btile, out, out_stride, (r0, jr), (iw, jw));
-                    }
+                    let steps = packed_steps::<MR, NR>(kc, ap, btile);
+                    tile(steps, out, out_stride, (ir - a.rows.start, jr), (iw, jw));
                 }
             }
         }
     }
 }
 
+thread_local! {
+    /// This thread's crossprod packing scratch, reused across calls.
+    static CROSSPROD_SLAB: std::cell::RefCell<PackedB> = std::cell::RefCell::default();
+}
+
 /// `part += panel^T * panel` over the upper triangle of the `d x d`
 /// partial, on `isa`'s register tile, for a panel of all-finite values
-/// (`d` wide). Tiles walk the panel's rows `k`-ascending, read-modify-writing
-/// `part` once per [`KC`]-row chunk, so each element sees the same adds, in
-/// the same order, as the row-at-a-time loop without the zero skip. Both
-/// operand slivers are contiguous in each row and are read in place:
-/// nothing is packed or allocated. Entries below the diagonal are not
-/// touched.
+/// (`d` wide), packing each [`CROSSPROD_KC`]-row chunk into this thread's
+/// slab (see the module docs). Each element sees the adds of the
+/// row-at-a-time loop without the zero skip, in the same order. Tiles that
+/// straddle the diagonal also store below it; callers mirror over that.
 pub(crate) fn crossprod_tiles(isa: Isa, panel: &[f64], d: usize, part: &mut [f64]) {
     debug_assert!(all_finite(panel));
-    isa.run(CrossprodTiles { panel, d, part });
+    CROSSPROD_SLAB.with_borrow_mut(|slab| isa.run(CrossprodTiles { isa, panel, d, part, slab }));
 }
 
 /// [`crossprod_tiles`]'s loop nest, as a [`Tiled`] body.
 struct CrossprodTiles<'r> {
+    isa: Isa,
     panel: &'r [f64],
     d: usize,
     part: &'r mut [f64],
+    slab: &'r mut PackedB,
 }
 
 impl Tiled for CrossprodTiles<'_> {
     #[inline(always)]
     fn run<const MR: usize, const NR: usize>(self) {
-        let CrossprodTiles { panel, d, part } = self;
-        for chunk in panel.chunks(KC * d) {
+        const { assert!(NR.is_multiple_of(MR), "an A sliver lies inside one packed tile") };
+        let CrossprodTiles { isa, panel, d, part, slab } = self;
+        for chunk in panel.chunks(CROSSPROD_KC * d) {
+            slab.pack(isa, chunk, d, 0..chunk.len() / d, 0..d);
             for i0 in (0..d).step_by(MR) {
+                let iw = (i0 + MR).min(d) - i0;
+                let (at, sliver) = (slab.tile(i0 / NR).as_chunks::<NR>().0, i0 % NR / MR);
                 // The first column tile that reaches the diagonal.
-                for j0 in (i0 / NR * NR..d).step_by(NR) {
-                    if i0 + MR <= d && j0 + NR <= d {
-                        crossprod_tile::<MR, NR>(chunk, d, part, i0, j0);
-                    } else {
-                        crossprod_edge(chunk, d, part, i0..(i0 + MR).min(d), j0..(j0 + NR).min(d));
-                    }
+                for jt in i0 / NR..d.div_ceil(NR) {
+                    let jw = (jt * NR + NR).min(d) - jt * NR;
+                    let a = at.iter().map(|row| &row.as_chunks::<MR>().0[sliver]);
+                    let steps = a.zip(slab.tile(jt).as_chunks::<NR>().0);
+                    tile(steps, part, d, (i0, jt * NR), (iw, jw));
                 }
-            }
-        }
-    }
-}
-
-/// One full `MR x NR` crossprod tile at `(i0, j0)` over the rows of
-/// `chunk`. A tile that straddles the diagonal computes its lower entries
-/// too (they start from whatever `part` holds there) but stores only
-/// `j >= i`.
-#[inline(always)]
-fn crossprod_tile<const MR: usize, const NR: usize>(
-    chunk: &[f64],
-    d: usize,
-    part: &mut [f64],
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (i, accr) in acc.iter_mut().enumerate() {
-        let src = &part[(i0 + i) * d + j0..(i0 + i) * d + j0 + NR];
-        accr.copy_from_slice(src);
-    }
-    let steps = chunk.chunks_exact(d).map(|row| {
-        let a: &[f64; MR] = row[i0..].first_chunk().expect("i0 + MR <= d");
-        let b: &[f64; NR] = row[j0..].first_chunk().expect("j0 + NR <= d");
-        (a, b)
-    });
-    microkernel(steps, &mut acc);
-    // A select, not a branch: every row stores whole, like `full_tile`.
-    for (i, accr) in acc.iter().enumerate() {
-        let dst = &mut part[(i0 + i) * d + j0..(i0 + i) * d + j0 + NR];
-        for (j, (o, &v)) in dst.iter_mut().zip(accr).enumerate() {
-            *o = if j0 + j >= i0 + i { v } else { *o };
-        }
-    }
-}
-
-/// A crossprod tile at the matrix fringe (`rows x cols` narrower than the
-/// register tile): the same adds per element, one row at a time.
-fn crossprod_edge(
-    chunk: &[f64],
-    d: usize,
-    part: &mut [f64],
-    rows: Range<usize>,
-    cols: Range<usize>,
-) {
-    for row in chunk.chunks_exact(d) {
-        for i in rows.clone() {
-            let lo = cols.start.max(i);
-            if lo >= cols.end {
-                continue;
-            }
-            let vi = row[i];
-            for (o, &vj) in part[i * d + lo..i * d + cols.end].iter_mut().zip(&row[lo..cols.end]) {
-                *o += vi * vj;
             }
         }
     }
@@ -605,8 +645,8 @@ mod tests {
         for isa in Isa::available() {
             // 3x5 B, one slab: 5 columns fit one tile of every width, padded.
             let b: Vec<f64> = (0..15).map(|i| i as f64 + 1.0).collect();
-            let mut p = PackedB::new(isa);
-            p.pack(&b, 5, 0..3, 0..5);
+            let mut p = PackedB::default();
+            p.pack(isa, &b, 5, 0..3, 0..5);
             let nr = p.nr();
             assert_eq!(p.kc(), 3);
             // k-major: row k of the tile holds b[k][0..5] then nr-5 zeros.
@@ -710,10 +750,14 @@ mod tests {
 
     #[test]
     fn every_instantiation_computes_the_reference_bits() {
-        // (rows, cols, b_cols): dims around both tiles' MR (2, 4) and NR
-        // (12, 8), degenerate shapes, a tall panel and one deeper than KC,
-        // plus `poison`ed cases whose B (for gemm) and first row block (for
-        // crossprod) hold inf/NaN.
+        // (rows, cols, b_cols): dims around every tile's MR (2, 4) and NR
+        // (12, 8, 32), degenerate shapes, a tall panel, a gemm deeper than
+        // KC and crossprods deeper than CROSSPROD_KC on either side of the
+        // wide tile's width, plus `poison`ed cases whose B (for gemm) and
+        // first row block (for crossprod) hold inf/NaN.
+        let pinned = Isa::available();
+        // Printed so a test log shows which tiles this CPU could check.
+        println!("instantiations pinned to the reference bits: {pinned:?}");
         let shapes = [
             (0, 3, 2),
             (1, 3, 2),
@@ -729,6 +773,13 @@ mod tests {
             (3000, 9, 5),
             (1600, 140, 7),
             (600, KC + 5, 17),
+            (9, 31, 31),
+            (33, 32, 32),
+            (70, 33, 33),
+            (37, 65, 65),
+            (40, KC + 5, 33),
+            (CROSSPROD_KC + 70, 13, 8),
+            (CROSSPROD_KC + 9, 65, 40),
         ];
         for poison in [false, true] {
             for (rows, cols, b_cols) in shapes {
@@ -747,7 +798,7 @@ mod tests {
                 }
                 let gemm_want = naive_gemm(x.data(), b.data(), rows, cols, b_cols);
                 let cross_want = reference_crossprod(&x);
-                for isa in Isa::available() {
+                for &isa in &pinned {
                     for degree in [1, 3] {
                         let what = format!("{isa:?} {rows}x{cols}x{b_cols} degree {degree}");
                         let got = crate::par::gemm_on(isa, &x, &b, degree);
@@ -757,6 +808,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn each_output_width_gets_its_tile() {
+        // The wide tile only where the output fills one; 4x8 below that.
+        let narrow = if Isa::Avx2.supported() { Isa::Avx2 } else { Isa::Portable };
+        let wide = if Isa::Avx512.supported() { Isa::Avx512 } else { narrow };
+        for width in [0, 1, 4, 8, 16, AVX512_NR - 1] {
+            assert_eq!(Isa::for_width(width), narrow, "width {width}");
+        }
+        for width in [AVX512_NR, AVX512_NR + 1, 65, 256, 4096] {
+            assert_eq!(Isa::for_width(width), wide, "width {width}");
+        }
+        assert_eq!(Isa::available().contains(&Isa::Avx512), Isa::Avx512.supported());
+        // The rule reaches every entry point: a default slab packs for it.
+        let mut slab = PackedB::default();
+        for (width, isa) in [(AVX512_NR - 1, narrow), (AVX512_NR, wide)] {
+            for_each_slab(&mut slab, &vec![1.0; 2 * width], width, 2, |_, _| {});
+            assert_eq!(slab.nr(), isa.nr(), "a slab {width} wide");
         }
     }
 

@@ -66,7 +66,7 @@ pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm(a: &Dense, b: &Dense, degree: usize) -> Dense {
-    gemm_on(Isa::detect(), a, b, degree)
+    gemm_on(Isa::for_width(b.cols()), a, b, degree)
 }
 
 /// [`gemm`] on the register tile of instantiation `isa`.
@@ -83,7 +83,7 @@ pub(crate) fn gemm_on(isa: Isa, a: &Dense, b: &Dense, degree: usize) -> Dense {
         });
         return out;
     }
-    pack::for_each_slab(&mut PackedB::new(isa), b.data(), n, k, |slab, kcols| {
+    pack::for_each_slab_on(isa, &mut PackedB::default(), b.data(), n, k, |slab, kcols| {
         for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
             let view = pack::AView { data: a.data(), stride: k, rows: r, kcols: kcols.clone() };
             pack::gemm_packed_rows(&view, slab, chunk, n, &mut Vec::new());
@@ -191,7 +191,7 @@ pub fn sum_sq(a: &Dense, degree: usize) -> f64 {
 /// Self-transpose product `m^T * m` as a fixed-block row reduction over
 /// upper-triangular partials, mirrored once at the end.
 pub fn crossprod(m: &Dense, degree: usize) -> Dense {
-    crossprod_on(Isa::detect(), m, degree)
+    crossprod_on(Isa::for_width(m.cols()), m, degree)
 }
 
 /// [`crossprod`] on the register tile of instantiation `isa`.
