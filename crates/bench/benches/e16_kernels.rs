@@ -24,6 +24,10 @@
 //! register tile's width rule and scratch reuse decide the cost, not the
 //! flops.
 //!
+//! `e16 tall` lines time the serial products of a tall `X` (8192x256, the
+//! `inproc_dense` operand): gemm against 8, 32 and 128 columns and
+//! crossprod, best-of-7 in milliseconds with their GFLOP/s.
+//!
 //! `DMML_BENCH_E16_MAX_N` caps the largest gemm size (default 2048) so
 //! constrained runners can keep the bench cheap without losing the ids that
 //! CI gates on smaller sizes.
@@ -40,6 +44,9 @@ const GEMV_N: usize = 2048;
 const XPROD_ROWS: usize = 4096;
 const XPROD_COLS: usize = 256;
 const SMALL_WIDTHS: [usize; 4] = [4, 8, 16, 32];
+const TALL_ROWS: usize = 8192;
+const TALL_COLS: usize = 256;
+const TALL_WIDTHS: [usize; 3] = [8, 32, 128];
 const SMALL_DEPTH: usize = 32;
 const CLA_ROWS: usize = 100_000;
 const CLA_COLS: usize = 8;
@@ -155,6 +162,28 @@ fn bench(c: &mut Criterion) {
             report_gflops("crossprod", flops, best);
         }
         g.bench_function("crossprod", |bn| bn.iter(|| ops::crossprod(&m)));
+    }
+
+    // Tall products: best-of-7 serial runs, in ms and GFLOP/s.
+    {
+        let x = sample(TALL_ROWS, TALL_COLS, 17);
+        let (m, d) = (TALL_ROWS as f64, TALL_COLS as f64);
+        let tall = |case: String, flops: f64, f: &dyn Fn()| {
+            let best = time_best(if test_mode { 1 } else { 7 }, f);
+            if !test_mode {
+                let (ms, gflops) = (best.as_secs_f64() * 1e3, flops / best.as_secs_f64() / 1e9);
+                println!("e16 tall {case:<22} {ms:.2} ms {gflops:.2} GFLOP/s");
+            }
+        };
+        for w in TALL_WIDTHS {
+            let b = sample(TALL_COLS, w, 18);
+            tall(format!("gemm_{TALL_ROWS}x{TALL_COLS}x{w}"), 2.0 * m * d * w as f64, &|| {
+                std::hint::black_box(ops::gemm(&x, &b));
+            });
+        }
+        tall(format!("crossprod_{TALL_ROWS}x{TALL_COLS}"), m * d * (d + 1.0), &|| {
+            std::hint::black_box(ops::crossprod(&x));
+        });
     }
 
     // Small products: best-of-7 batches of 2000 calls, in ns per call.

@@ -41,6 +41,7 @@ use crate::store::{panel_bytes, BlockStore};
 use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{kernel, pack, Dense};
 use dm_par::{map_collect, reduce_blocks};
+use std::ops::Range;
 
 // Cap the worker count so that one concurrent pin per worker of each of
 // `stores` always fits the budget: workers then never wait on each other's
@@ -108,7 +109,7 @@ pub fn gemm<S: Storage>(
     write_panels(a, &[b], out_matrix, n, degree, |p| {
         let ap = a.pin_panel(p)?;
         let mut acc = vec![0.0; ap.rows() * n];
-        let (mut apack, mut bpack) = (Vec::new(), pack::PackedB::default());
+        let mut bpack = pack::PackedB::default();
         for kb in 0..b.num_panels() {
             let (bp, kr) = (b.pin_panel(kb)?, b.panel_range(kb));
             if !pack::all_finite(bp.data()) {
@@ -119,7 +120,7 @@ pub fn gemm<S: Storage>(
                 let kcols = kr.start + k.start..kr.start + k.end;
                 let view =
                     pack::AView { data: ap.data(), stride: a.cols(), rows: 0..ap.rows(), kcols };
-                pack::gemm_packed_rows(&view, slab, &mut acc, n, &mut apack);
+                pack::gemm_packed_rows(&view, slab, &mut acc, n);
             });
         }
         Ok(acc)
@@ -205,7 +206,8 @@ fn write_panels<S: Storage>(
 
 /// The reduction schedule: each global fixed [`ROW_BLOCK`] block of `a` is
 /// run by `body`, one pinned panel's share of its rows at a time in row
-/// order, into a zeroed `len`-element partial; partials fold in block order.
+/// order, into a zeroed `len`-element partial; partials fold in block order
+/// into a zeroed sum, as `dm_matrix::par`'s do.
 fn reduce_rows<S: Storage>(
     a: &BlockStore<S>,
     len: usize,
@@ -213,26 +215,27 @@ fn reduce_rows<S: Storage>(
     body: impl Fn(&[f64], &mut [f64]) + Sync,
 ) -> Result<Vec<f64>, PoolError> {
     let (h, cols) = (a.panel_rows(), a.cols());
+    let block = |rows: Range<usize>| {
+        let mut part = vec![0.0; len];
+        for p in rows.start / h..rows.end.div_ceil(h) {
+            let (g, base) = (a.pin_panel(p)?, p * h);
+            let (lo, hi) = (rows.start.max(base) - base, rows.end.min(base + g.rows()) - base);
+            body(&g.data()[lo * cols..hi * cols], &mut part);
+        }
+        Ok(part)
+    };
     reduce_blocks(
         a.rows(),
         ROW_BLOCK,
         clamp(degree, &[a]),
-        |rows| {
-            let mut part = vec![0.0; len];
-            for p in rows.start / h..rows.end.div_ceil(h) {
-                let (g, base) = (a.pin_panel(p)?, p * h);
-                let (lo, hi) = (rows.start.max(base) - base, rows.end.min(base + g.rows()) - base);
-                body(&g.data()[lo * cols..hi * cols], &mut part);
-            }
-            Ok(part)
-        },
+        Ok(vec![0.0; len]),
+        block,
         |acc, part| {
             let (mut acc, part) = (acc?, part?);
             kernel::add_into(&mut acc, &part);
             Ok(acc)
         },
     )
-    .unwrap_or_else(|| Ok(vec![0.0; len]))
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! that divide, straddle and exceed `ROW_BLOCK`, degrees that do and do not
 //! divide the work, degenerate shapes, exact zeros and `-0.0` (the gemm zero
 //! skip and the gevm scalar skip), a `B` with one non-finite panel (gemm
-//! then mixes the packed and the reference body), and products wide enough
-//! for the widest register tile.
+//! then mixes the packed and the reference body), products wide enough
+//! for the widest register tile, and a last panel whose rows leave a tile
+//! fringe.
 
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::storage::MemStore;
@@ -76,6 +77,13 @@ fn cases() -> Vec<Case> {
     // on both products, over more than one ROW_BLOCK: on a CPU with
     // AVX-512F gemm and crossprod both run the 4x32 tile here.
     cases.push(case("wide", 2100, 40, 33));
+    // 1027 rows: at every panel height the last pool panel leaves a fringe
+    // of 3 rows, whose padded tile lanes read the panel's last row again;
+    // that row holds an inf and a NaN.
+    let mut ragged = case("ragged", 1027, 37, 33);
+    ragged.x.set(1026, 4, f64::INFINITY);
+    ragged.x.set(1026, 30, f64::NAN);
+    cases.push(ragged);
     cases
 }
 

@@ -188,44 +188,78 @@ impl Graph {
     }
 
     /// Render a node as an R-like expression string (for debugging and tests).
+    /// Shared subtrees are written out at each use. The walk keeps its own
+    /// stack of pieces still to write, so graph depth is bounded by memory,
+    /// not by the thread's stack.
     pub fn render(&self, id: NodeId) -> String {
-        match self.op(id) {
-            Op::Input(n) => n.clone(),
-            Op::Const(v) => format!("{v}"),
-            Op::MatMul(a, b) => format!("({} %*% {})", self.render(*a), self.render(*b)),
-            Op::Transpose(a) => format!("t({})", self.render(*a)),
-            Op::Ewise(e, a, b) => {
-                let sym = match e {
-                    EwiseOp::Add => "+",
-                    EwiseOp::Sub => "-",
-                    EwiseOp::Mul => "*",
-                    EwiseOp::Div => "/",
-                };
-                format!("({} {sym} {})", self.render(*a), self.render(*b))
-            }
-            Op::Agg(a, x) => {
-                let f = match a {
-                    AggOp::Sum => "sum",
-                    AggOp::ColSums => "colSums",
-                    AggOp::RowSums => "rowSums",
-                    AggOp::Min => "min",
-                    AggOp::Max => "max",
-                };
-                format!("{f}({})", self.render(*x))
-            }
-            Op::Unary(u, a) => {
-                let f = match u {
-                    UnaryOp::Exp => "exp",
-                    UnaryOp::Log => "log",
-                    UnaryOp::Sqrt => "sqrt",
-                    UnaryOp::Abs => "abs",
-                };
-                format!("{f}({})", self.render(*a))
-            }
-            Op::CrossProd(a) => format!("crossprod({})", self.render(*a)),
-            Op::Tmv(a, b) => format!("tmv({}, {})", self.render(*a), self.render(*b)),
-            Op::SumSq(a) => format!("sumSq({})", self.render(*a)),
+        enum Piece<'g> {
+            Node(NodeId),
+            Text(&'g str),
         }
+        let mut out = String::new();
+        let mut pending = vec![Piece::Node(id)];
+        while let Some(piece) = pending.pop() {
+            let id = match piece {
+                Piece::Text(t) => {
+                    out.push_str(t);
+                    continue;
+                }
+                Piece::Node(id) => id,
+            };
+            // Each op is `open`, its children separated by `sep`, then `)`.
+            let (open, sep) = match self.op(id) {
+                Op::Input(n) => {
+                    out.push_str(n);
+                    continue;
+                }
+                Op::Const(v) => {
+                    out.push_str(&v.to_string());
+                    continue;
+                }
+                Op::MatMul(..) => ("(", " %*% "),
+                Op::Transpose(_) => ("t(", ""),
+                Op::Ewise(e, ..) => (
+                    "(",
+                    match e {
+                        EwiseOp::Add => " + ",
+                        EwiseOp::Sub => " - ",
+                        EwiseOp::Mul => " * ",
+                        EwiseOp::Div => " / ",
+                    },
+                ),
+                Op::Agg(a, _) => (
+                    match a {
+                        AggOp::Sum => "sum(",
+                        AggOp::ColSums => "colSums(",
+                        AggOp::RowSums => "rowSums(",
+                        AggOp::Min => "min(",
+                        AggOp::Max => "max(",
+                    },
+                    "",
+                ),
+                Op::Unary(u, _) => (
+                    match u {
+                        UnaryOp::Exp => "exp(",
+                        UnaryOp::Log => "log(",
+                        UnaryOp::Sqrt => "sqrt(",
+                        UnaryOp::Abs => "abs(",
+                    },
+                    "",
+                ),
+                Op::CrossProd(_) => ("crossprod(", ""),
+                Op::Tmv(..) => ("tmv(", ", "),
+                Op::SumSq(_) => ("sumSq(", ""),
+            };
+            out.push_str(open);
+            pending.push(Piece::Text(")"));
+            for (i, c) in self.op(id).children().into_iter().enumerate().rev() {
+                pending.push(Piece::Node(c));
+                if i > 0 {
+                    pending.push(Piece::Text(sep));
+                }
+            }
+        }
+        out
     }
 
     /// Ids of all nodes reachable from `root`, in topological (children-first)
@@ -386,6 +420,77 @@ mod tests {
             assert!(order.iter().enumerate().all(|(i, &id)| i == id), "children first");
         };
         let small = std::thread::Builder::new().stack_size(256 << 10).spawn(walk).unwrap();
+        small.join().expect("no stack overflow");
+    }
+
+    #[test]
+    fn render_writes_every_op() {
+        let mut g = Graph::new();
+        let (x, y, two) = (g.input("X"), g.input("Y"), g.constant(2.5));
+        let ops = [
+            g.matmul(x, y),
+            g.transpose(x),
+            g.ewise(EwiseOp::Add, x, two),
+            g.ewise(EwiseOp::Sub, x, y),
+            g.ewise(EwiseOp::Mul, x, y),
+            g.ewise(EwiseOp::Div, x, y),
+            g.agg(AggOp::Sum, x),
+            g.agg(AggOp::ColSums, x),
+            g.agg(AggOp::RowSums, x),
+            g.agg(AggOp::Min, x),
+            g.agg(AggOp::Max, x),
+            g.unary(UnaryOp::Exp, x),
+            g.unary(UnaryOp::Log, x),
+            g.unary(UnaryOp::Sqrt, x),
+            g.unary(UnaryOp::Abs, x),
+            g.push(Op::CrossProd(x)),
+            g.push(Op::Tmv(x, y)),
+            g.push(Op::SumSq(x)),
+        ];
+        let text: Vec<String> = ops.iter().map(|&id| g.render(id)).collect();
+        let want = [
+            "(X %*% Y)",
+            "t(X)",
+            "(X + 2.5)",
+            "(X - Y)",
+            "(X * Y)",
+            "(X / Y)",
+            "sum(X)",
+            "colSums(X)",
+            "rowSums(X)",
+            "min(X)",
+            "max(X)",
+            "exp(X)",
+            "log(X)",
+            "sqrt(X)",
+            "abs(X)",
+            "crossprod(X)",
+            "tmv(X, Y)",
+            "sumSq(X)",
+        ];
+        assert_eq!(text, want);
+        // Nested and shared: the shared subtree is written at each use.
+        let p = g.matmul(ops[1], x);
+        let nested = g.ewise(EwiseOp::Sub, p, p);
+        let root = g.unary(UnaryOp::Exp, nested);
+        assert_eq!(g.render(root), "exp(((t(X) %*% X) - (t(X) %*% X)))");
+    }
+
+    #[test]
+    fn render_writes_a_deep_chain_on_a_2_mib_stack() {
+        const DEPTH: usize = 100_000;
+        let walk = || {
+            let mut g = Graph::new();
+            let x = g.input("X");
+            let mut acc = x;
+            for _ in 0..DEPTH {
+                acc = g.ewise(EwiseOp::Add, acc, x);
+            }
+            assert_eq!(g.len(), DEPTH + 1);
+            let want = "(".repeat(DEPTH) + "X" + &" + X)".repeat(DEPTH);
+            assert!(g.render(acc) == want, "the chain renders left-nested");
+        };
+        let small = std::thread::Builder::new().stack_size(2 << 20).spawn(walk).unwrap();
         small.join().expect("no stack overflow");
     }
 

@@ -10,7 +10,9 @@
 //!   depth-first order holds `exp(X)` across it;
 //! - `sum(exp(X %*% W))`: the plan fuses the product and `exp` into the
 //!   `sum`, and the certificate charges the streamed panels the eval
-//!   really holds instead of either 8 MiB value.
+//!   really holds instead of either 8 MiB value;
+//! - `crossprod(X)` of a 1 Mi-row `X` at degree 2: of its 1024 block
+//!   partials, at most three are live at once.
 //!
 //! The counter is process-wide, so the tests serialize through one lock.
 
@@ -21,7 +23,7 @@ use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{Kernel, PlanOptions};
 use dm_lang::size::{propagate, InputSizes};
 use dm_lang::CompiledProgram;
-use dm_matrix::pack::{KC, MC, NC};
+use dm_matrix::pack::{KC, NC};
 use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{Dense, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,9 +80,9 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// What a gemm allocates besides its output while it runs: one packed
-/// `KC x NC` slab of `B`, padded by at most one register tile (at most 12
-/// columns wide), and one packed `MC x KC` block of `A`.
-const PACK_SCRATCH: usize = (KC * (NC + 12) + MC * KC) * size_of::<f64>();
+/// `KC x NC` slab of `B`, padded by at most one register tile (at most 32
+/// columns wide). `A` is read in place.
+const PACK_SCRATCH: usize = KC * (NC + 32) * size_of::<f64>();
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -264,4 +266,26 @@ fn a_streamed_product_is_certified_at_its_panels() {
         assert!(high_water >= panels, "observed {high_water} B: the panels were not all held");
     }
     assert_eq!(bits[0], bits[1], "the degree changes no bits");
+}
+
+#[test]
+fn a_tall_crossprod_holds_at_most_three_partials_at_degree_two() {
+    // 1 Mi rows are 1024 ROW_BLOCK partials of D x D; the ordered fold
+    // keeps one per worker and the running sum: 3 at degree 2, not 1024.
+    const N: usize = 1 << 20;
+    const D: usize = 8;
+    let _guard = lock();
+    let x = input(N, D, 0);
+    let partial = bytes(D, D);
+    let (gram, high_water) = measure(|| dm_matrix::par::crossprod(&x, 2));
+    assert_eq!(gram, dm_matrix::par::crossprod(&x, 1), "the degree changes no bits");
+    // Each worker also packs its 128-row chunks into a slab at most one
+    // 32-column register tile wide; thread start-up allocates a little.
+    let scratch = 2 * bytes(128, 32) + (16 << 10);
+    println!("crossprod of {N}x{D} at degree 2: high water {high_water} B, partial {partial} B");
+    assert!(
+        high_water <= 3 * partial + scratch,
+        "high water {high_water} B: more than 3 partials of {partial} B and {scratch} B of scratch"
+    );
+    assert!(N / ROW_BLOCK * partial > 4 * (3 * partial + scratch), "the bound tells 1024 apart");
 }

@@ -10,13 +10,21 @@
 //!   to a full `NR` width. The slab is read-only after packing, so *all*
 //!   workers of a parallel gemm share one copy instead of re-streaming `B`
 //!   from cold memory per thread.
-//! * An [`MC`]`x`[`KC`] block of `A` is packed into `MR`-row micro-panels,
-//!   `k`-major, zero-padded to `MR` rows, so the microkernel reads both
-//!   operands at unit stride.
+//! * `A` is never copied: for step `k` the microkernel reads its `MR`
+//!   values straight from `MR` rows of the [`AView`] (one broadcast load per
+//!   row, as from a packed panel), sweeping an [`MC`]-row block against
+//!   every tile of the slab while it is hot in L2. Padded lanes past a
+//!   view's last row read that row again; their sums are never stored.
 //! * The `MR x NR` microkernel keeps the output tile in a local
 //!   `[[f64; NR]; MR]` array. The bounds are compile-time constants and the
 //!   loop body is branch-free, which is what lets LLVM promote the tile to
 //!   vector registers and vectorize the multiply-add chain — no intrinsics.
+//!   Each step is an `([f64; MR], &[f64; NR])` pair: the `A` column by
+//!   value, the packed `B` row by reference.
+//!
+//! The gemm loop nest is `jc` ([`NC`] columns, one packed slab each) →
+//! `pc` ([`KC`] deep) → `ic` ([`MC`] rows of `A`) → `jr` (one `NR` tile of
+//! the slab) → `ir` (`MR` rows) → `k`.
 //!
 //! Crossprod (`X^T X`) runs on the same microkernel and the same tiles:
 //! [`crate::kernel::crossprod_upper`] packs each `CROSSPROD_KC`-row chunk
@@ -104,13 +112,13 @@
 
 use std::ops::Range;
 
-/// Cache-block depth (the `k` extent of packed `A` and `B` slabs); sized so
-/// an `MR x KC` micro-panel of `A` (8-16 KiB) stays in L1 while a `KC x NR`
-/// tile of `B` (32-48 KiB) streams from L2.
+/// Cache-block depth (the `k` extent of a packed `B` slab and of the `A`
+/// rows read against it); sized so `MR` rows of `A` (8-16 KiB) stay in L1
+/// while a `KC x NR` tile of `B` (32-128 KiB) streams from L2.
 pub const KC: usize = 512;
 
-/// Cache-block height (rows of `A` packed per block, reused across all of
-/// the slab's `B` tiles).
+/// Cache-block height (rows of `A` swept against all of the slab's `B`
+/// tiles before the next block).
 pub const MC: usize = 128;
 
 /// Cache-block width (columns of `B` packed per slab, ~2 MiB at `KC = 512`,
@@ -272,16 +280,6 @@ impl PackedB {
         isa.run(PackTiles { data: &mut self.data, b, n_cols, kr, jcols });
     }
 
-    /// The output columns this slab covers.
-    pub fn jcols(&self) -> Range<usize> {
-        self.jcols.clone()
-    }
-
-    /// The `k` extent of the slab.
-    pub fn kc(&self) -> usize {
-        self.kc
-    }
-
     /// Tile width: the columns of `B` per packed tile.
     pub fn nr(&self) -> usize {
         self.isa.nr()
@@ -375,30 +373,12 @@ pub struct AView<'a> {
     pub kcols: Range<usize>,
 }
 
-/// Pack the view's rows into `MR`-row micro-panels, `k`-major, zero-padded
-/// to `MR` rows. `dst` is cleared and reused.
-#[inline(always)]
-fn pack_a_block<const MR: usize>(a: &AView<'_>, rows: Range<usize>, dst: &mut Vec<f64>) {
-    dst.clear();
-    let kc = a.kcols.len();
-    dst.reserve(rows.len().div_ceil(MR) * MR * kc);
-    for ir in (rows.start..rows.end).step_by(MR) {
-        let iw = (ir + MR).min(rows.end) - ir;
-        for k in a.kcols.clone() {
-            for i in ir..ir + iw {
-                dst.push(a.data[i * a.stride + k]);
-            }
-            dst.extend(std::iter::repeat_n(0.0, MR - iw));
-        }
-    }
-}
-
 /// The register-tiled inner loop: `acc[i][j] += a[i] * b[j]` for each
 /// `(a, b)` step, in order. Constant bounds and no branches: LLVM keeps
 /// `acc` in vector registers.
 #[inline(always)]
 fn microkernel<'s, const MR: usize, const NR: usize>(
-    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    steps: impl Iterator<Item = ([f64; MR], &'s [f64; NR])>,
     acc: &mut [[f64; NR]; MR],
 ) {
     for (av, bv) in steps {
@@ -411,23 +391,34 @@ fn microkernel<'s, const MR: usize, const NR: usize>(
     }
 }
 
-/// The `k` steps of one packed `A` micro-panel against one packed `B` tile.
+/// The `k` steps of the `MR` rows of `a` from row `ir` against one packed
+/// `B` tile, read where they lie: step `k` takes column `k` of each row.
+/// The `MR - iw` padded lanes past the view's rows read row `ir + iw - 1`
+/// again; [`edge_tile`] never stores them.
 #[inline(always)]
-fn packed_steps<'s, const MR: usize, const NR: usize>(
-    kc: usize,
-    ap: &'s [f64],
-    bp: &'s [f64],
-) -> impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])> {
-    ap.as_chunks::<MR>().0.iter().zip(bp.as_chunks::<NR>().0).take(kc)
+fn row_steps<'s, const MR: usize, const NR: usize>(
+    a: &AView<'s>,
+    (ir, iw): (usize, usize),
+    btile: &'s [f64],
+) -> impl Iterator<Item = ([f64; MR], &'s [f64; NR])> {
+    let kc = a.kcols.len();
+    let rows: [&[f64]; MR] = std::array::from_fn(|i| {
+        let start = (ir + i.min(iw - 1)) * a.stride + a.kcols.start;
+        &a.data[start..start + kc]
+    });
+    // Every slice is `kc` long and `k` counts `0..kc`, so LLVM drops the
+    // bounds checks; stepping `B` by its own iterator left one per step.
+    let b = &btile.as_chunks::<NR>().0[..kc];
+    (0..kc).map(move |k| (rows.map(|r| r[k]), &b[k]))
 }
 
 /// One `MR x NR` output tile at `(r0, c0)` of `out` (row stride `stride`),
 /// of which the top-left `iw x jw` elements are real: load them, run
 /// `steps` on the tile, store them back. Padded lanes compute on packed
-/// zeros and are never stored.
+/// zeros or borrowed rows and are never stored.
 #[inline(always)]
 fn tile<'s, const MR: usize, const NR: usize>(
-    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    steps: impl Iterator<Item = ([f64; MR], &'s [f64; NR])>,
     out: &mut [f64],
     stride: usize,
     at: (usize, usize),
@@ -446,7 +437,7 @@ fn tile<'s, const MR: usize, const NR: usize>(
 /// registers on this hot path.
 #[inline(always)]
 fn full_tile<'s, const MR: usize, const NR: usize>(
-    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    steps: impl Iterator<Item = ([f64; MR], &'s [f64; NR])>,
     out: &mut [f64],
     stride: usize,
     (r0, c0): (usize, usize),
@@ -467,7 +458,7 @@ fn full_tile<'s, const MR: usize, const NR: usize>(
 /// `iw x jw` bounds.
 #[inline(always)]
 fn edge_tile<'s, const MR: usize, const NR: usize>(
-    steps: impl Iterator<Item = (&'s [f64; MR], &'s [f64; NR])>,
+    steps: impl Iterator<Item = ([f64; MR], &'s [f64; NR])>,
     out: &mut [f64],
     stride: usize,
     (r0, c0): (usize, usize),
@@ -490,23 +481,17 @@ fn edge_tile<'s, const MR: usize, const NR: usize>(
 ///
 /// `out` is row-major with stride `out_stride` and holds `a.rows.len()`
 /// rows starting at row `a.rows.start` of the full product (columns are
-/// indexed globally, so `out_stride` is the product's full width). `apack`
-/// is caller-owned scratch reused across calls.
+/// indexed globally, so `out_stride` is the product's full width). `A` is
+/// read in place, row by row, never copied.
 ///
 /// Per output element the `k` accumulation order is strictly increasing
 /// within the slab, and `out` is read-modify-written, so driving slabs in
 /// increasing `k` order reproduces the serial reference sum bit-for-bit
 /// (see module docs; callers must gate on [`all_finite`]`(B)`).
-pub fn gemm_packed_rows(
-    a: &AView<'_>,
-    bp: &PackedB,
-    out: &mut [f64],
-    out_stride: usize,
-    apack: &mut Vec<f64>,
-) {
-    debug_assert_eq!(a.kcols.len(), bp.kc());
+pub fn gemm_packed_rows(a: &AView<'_>, bp: &PackedB, out: &mut [f64], out_stride: usize) {
+    debug_assert_eq!(a.kcols.len(), bp.kc);
     debug_assert!(out.len() >= a.rows.len().saturating_sub(1) * out_stride);
-    bp.isa.run(GemmRows { a, bp, out, out_stride, apack });
+    bp.isa.run(GemmRows { a, bp, out, out_stride });
 }
 
 /// [`gemm_packed_rows`]'s loop nest, as a [`Tiled`] body.
@@ -515,30 +500,21 @@ struct GemmRows<'r, 'a> {
     bp: &'r PackedB,
     out: &'r mut [f64],
     out_stride: usize,
-    apack: &'r mut Vec<f64>,
 }
 
 impl Tiled for GemmRows<'_, '_> {
     #[inline(always)]
     fn run<const MR: usize, const NR: usize>(self) {
-        let GemmRows { a, bp, out, out_stride, apack } = self;
+        let GemmRows { a, bp, out, out_stride } = self;
         debug_assert_eq!(bp.nr(), NR);
-        let kc = a.kcols.len();
         let (j0, j1) = (bp.jcols.start, bp.jcols.end);
-        let n_jr = (j1 - j0).div_ceil(NR);
         for i0 in (a.rows.start..a.rows.end).step_by(MC) {
             let i1 = (i0 + MC).min(a.rows.end);
-            pack_a_block::<MR>(a, i0..i1, apack);
-            let n_ir = (i1 - i0).div_ceil(MR);
-            for jt in 0..n_jr {
-                let btile = bp.tile(jt);
-                let jr = j0 + jt * NR;
-                let jw = (jr + NR).min(j1) - jr;
-                for it in 0..n_ir {
-                    let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
-                    let ir = i0 + it * MR;
+            for (jt, jr) in (j0..j1).step_by(NR).enumerate() {
+                let (btile, jw) = (bp.tile(jt), (jr + NR).min(j1) - jr);
+                for ir in (i0..i1).step_by(MR) {
                     let iw = (ir + MR).min(i1) - ir;
-                    let steps = packed_steps::<MR, NR>(kc, ap, btile);
+                    let steps = row_steps::<MR, NR>(a, (ir, iw), btile);
                     tile(steps, out, out_stride, (ir - a.rows.start, jr), (iw, jw));
                 }
             }
@@ -584,7 +560,7 @@ impl Tiled for CrossprodTiles<'_> {
                 // The first column tile that reaches the diagonal.
                 for jt in i0 / NR..d.div_ceil(NR) {
                     let jw = (jt * NR + NR).min(d) - jt * NR;
-                    let a = at.iter().map(|row| &row.as_chunks::<MR>().0[sliver]);
+                    let a = at.iter().map(|row| row.as_chunks::<MR>().0[sliver]);
                     let steps = a.zip(slab.tile(jt).as_chunks::<NR>().0);
                     tile(steps, part, d, (i0, jt * NR), (iw, jw));
                 }
@@ -632,10 +608,9 @@ mod tests {
 
     fn packed_gemm(a: &[f64], b: &[f64], m: usize, k_dim: usize, n: usize) -> Vec<f64> {
         let mut out = vec![0.0; m * n];
-        let mut apack = Vec::new();
         for_each_slab(&mut PackedB::default(), b, n, k_dim, |slab, kcols| {
             let view = AView { data: a, stride: k_dim, rows: 0..m, kcols };
-            gemm_packed_rows(&view, slab, &mut out, n, &mut apack);
+            gemm_packed_rows(&view, slab, &mut out, n);
         });
         out
     }
@@ -648,7 +623,7 @@ mod tests {
             let mut p = PackedB::default();
             p.pack(isa, &b, 5, 0..3, 0..5);
             let nr = p.nr();
-            assert_eq!(p.kc(), 3);
+            assert_eq!(p.kc, 3);
             // k-major: row k of the tile holds b[k][0..5] then nr-5 zeros.
             assert_eq!(&p.tile(0)[..5], &[1.0, 2.0, 3.0, 4.0, 5.0]);
             assert!(p.tile(0)[5..nr].iter().all(|&v| v == 0.0), "{isa:?}");
@@ -691,10 +666,9 @@ mod tests {
         // Compute only rows 10..25 the way a parallel worker would.
         let rows = 10..25usize;
         let mut out = vec![0.0; rows.len() * n];
-        let mut apack = Vec::new();
         for_each_slab(&mut PackedB::default(), &b, n, k_dim, |slab, kcols| {
             let view = AView { data: &a, stride: k_dim, rows: rows.clone(), kcols };
-            gemm_packed_rows(&view, slab, &mut out, n, &mut apack);
+            gemm_packed_rows(&view, slab, &mut out, n);
         });
         for (oi, r) in rows.enumerate() {
             assert_eq!(&out[oi * n..(oi + 1) * n], &want[r * n..(r + 1) * n], "row {r}");
@@ -807,6 +781,33 @@ mod tests {
                         assert_bits(got.data(), &cross_want, &format!("crossprod {what}"));
                     }
                 }
+            }
+        }
+        // A read in place through views into a wider, taller matrix: the
+        // rows start mid-matrix, the row stride is wider than the view's
+        // columns, the row counts leave an MR fringe, and one depth spans
+        // two KC slabs. The fringe's padded lanes borrow the view's last
+        // row, which holds inf and -inf; so does the row past the view.
+        let big = signed_zeros(40, KC + 40, 5);
+        for (rows, k, n) in [(3..22, 9, 5), (3..22, 9, 33), (1..40, KC + 7, 13), (7..38, 40, 31)] {
+            let mut a = big.clone();
+            for r in [rows.end - 1, rows.end.min(39)] {
+                a.set(r, 6, f64::INFINITY);
+                a.set(r, 5 + k - 1, f64::NEG_INFINITY);
+            }
+            let block: Vec<f64> =
+                rows.clone().flat_map(|r| a.data()[r * a.cols() + 5..][..k].to_vec()).collect();
+            let b = signed_zeros(k, n, 7);
+            let want = naive_gemm(&block, b.data(), rows.len(), k, n);
+            for &isa in &pinned {
+                let mut got = vec![0.0; rows.len() * n];
+                for_each_slab_on(isa, &mut PackedB::default(), b.data(), n, k, |slab, ks| {
+                    let kcols = 5 + ks.start..5 + ks.end;
+                    let view =
+                        AView { data: a.data(), stride: a.cols(), rows: rows.clone(), kcols };
+                    gemm_packed_rows(&view, slab, &mut got, n);
+                });
+                assert_bits(&got, &want, &format!("{isa:?} view {rows:?} x 5..{} x {n}", 5 + k));
             }
         }
     }

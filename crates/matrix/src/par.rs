@@ -8,16 +8,19 @@
 //! [`gemm`]) give each worker a contiguous chunk of output rows; reductions
 //! ([`gevm`], [`col_sums`], [`crossprod`], [`sum_sq`]) cut the input into
 //! fixed [`ROW_BLOCK`]-row or [`ELEM_BLOCK`]-element blocks and fold the
-//! partials in block order. [`gemm`] packs each `B` slab once
-//! ([`crate::pack`]) and shares it read-only across the workers;
-//! [`gemm_map_sum`] hands each worker one [`ROW_BLOCK`]-row panel of the
-//! product at a time and folds the mapped panels in row order.
+//! partials in block order, each as soon as the ones before it are in, so
+//! a reduction holds one partial per worker plus the running value.
+//! [`gemm`] packs each `B` slab once ([`crate::pack`]) and shares it
+//! read-only across the workers, which read their rows of `A` in place;
+//! [`gemm_map_sum`] runs on the same ordered fold, one [`ROW_BLOCK`]-row
+//! panel of the product per block, summed into the result in row order.
 
 use crate::dense::Dense;
 use crate::pack::{Isa, PackedB};
 use crate::{kernel, pack};
 use dm_par::{for_each_slice_mut, reduce_blocks};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Fixed row-block size for reduction kernels (column sums, crossprod, gevm).
 ///
@@ -86,7 +89,7 @@ pub(crate) fn gemm_on(isa: Isa, a: &Dense, b: &Dense, degree: usize) -> Dense {
     pack::for_each_slab_on(isa, &mut PackedB::default(), b.data(), n, k, |slab, kcols| {
         for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
             let view = pack::AView { data: a.data(), stride: k, rows: r, kcols: kcols.clone() };
-            pack::gemm_packed_rows(&view, slab, chunk, n, &mut Vec::new());
+            pack::gemm_packed_rows(&view, slab, chunk, n);
         });
     });
     out
@@ -107,14 +110,15 @@ fn assert_gemm_dims(a: &Dense, b: &Dense) {
 /// `sum(f(a * b))` without materializing `a * b`, bit-identical to
 /// `ops::sum(&gemm(a, b, _).map(f))`.
 ///
-/// The product is computed in [`ROW_BLOCK`]-row panels, `degree` panels at
-/// a time, one per worker: each worker runs the gemm body on its rows (the
-/// rows of a product are independent, so a panel has the product's bits)
-/// and applies `f` in place. The caller then folds the panels in row order
-/// into one running sum that starts from [`Iterator::sum`]'s identity — the
-/// sequence of adds of summing the whole mapped product. Each worker keeps
-/// its panel, packed-`A` block and `B` slab across waves, so the extra
-/// memory is `degree` panels, not the product.
+/// The product is computed in [`ROW_BLOCK`]-row panels on the ordered fold
+/// of [`reduce_blocks`]: each worker runs the gemm body on one panel's
+/// rows (the rows of a product are independent, so a panel has the
+/// product's bits), applies `f` in place, and adds the panel into one
+/// running sum in row order once every earlier panel is in. The sum starts
+/// from [`Iterator::sum`]'s identity, so it is the sequence of adds of
+/// summing the whole mapped product. Each worker holds one panel at a time,
+/// and a summed panel's buffers go back for the next block, so the extra
+/// memory is `degree` panels and `B` slabs, not the product.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -122,43 +126,30 @@ pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(f64) -> f64 + Sync, degree:
     assert_gemm_dims(a, b);
     let (k, n) = (a.cols(), b.cols());
     let finite = pack::all_finite(b.data());
-    let panels = a.rows().div_ceil(ROW_BLOCK);
-    let width = degree.clamp(1, panels.max(1));
-    let mut workers: Vec<PanelScratch> =
-        std::iter::repeat_with(PanelScratch::default).take(width).collect();
-    let mut acc: f64 = std::iter::empty::<f64>().sum();
-    for first in (0..panels).step_by(width) {
-        let wave = &mut workers[..(panels - first).min(width)];
-        for_each_slice_mut(wave, 1, width, |slots, scratch| {
-            for (s, p) in scratch.iter_mut().zip(slots) {
-                let r = (first + p) * ROW_BLOCK..((first + p + 1) * ROW_BLOCK).min(a.rows());
-                s.out.clear();
-                s.out.resize(r.len() * n, 0.0);
-                if finite {
-                    pack::for_each_slab(&mut s.slab, b.data(), n, k, |slab, kcols| {
-                        let view =
-                            pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
-                        pack::gemm_packed_rows(&view, slab, &mut s.out, n, &mut s.apack);
-                    });
-                } else {
-                    kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut s.out);
-                }
-                s.out.iter_mut().for_each(|v| *v = f(*v));
-            }
-        });
-        for s in wave.iter() {
-            acc = s.out.iter().fold(acc, |sum, &v| sum + v);
+    // Summed panels and the `B` slabs they were packed with, for reuse.
+    let spare = Mutex::new(Vec::new());
+    let panel = |r: Range<usize>| {
+        let (mut out, mut slab): (Vec<f64>, PackedB) =
+            spare.lock().expect("a push or pop never panics").pop().unwrap_or_default();
+        out.clear();
+        out.resize(r.len() * n, 0.0);
+        if finite {
+            pack::for_each_slab(&mut slab, b.data(), n, k, |slab, kcols| {
+                let view = pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
+                pack::gemm_packed_rows(&view, slab, &mut out, n);
+            });
+        } else {
+            kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut out);
         }
-    }
-    acc
-}
-
-/// One [`gemm_map_sum`] worker's buffers, reused across its panels.
-#[derive(Default)]
-struct PanelScratch {
-    out: Vec<f64>,
-    apack: Vec<f64>,
-    slab: PackedB,
+        out.iter_mut().for_each(|v| *v = f(*v));
+        (out, slab)
+    };
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    reduce_blocks(a.rows(), ROW_BLOCK, degree, zero, panel, |acc, (out, slab)| {
+        let sum = out.iter().fold(acc, |sum, &v| sum + v);
+        spare.lock().expect("a push or pop never panics").push((out, slab));
+        sum
+    })
 }
 
 /// Vector-matrix product `v^T * m` as a fixed-block row reduction.
@@ -184,8 +175,7 @@ pub fn col_sums(a: &Dense, degree: usize) -> Vec<f64> {
 /// Sum of squares as a fixed-block flat reduction.
 pub fn sum_sq(a: &Dense, degree: usize) -> f64 {
     let data = a.data();
-    reduce_blocks(data.len(), ELEM_BLOCK, degree, |r| kernel::sum_sq(&data[r]), |a, b| a + b)
-        .unwrap_or(0.0)
+    reduce_blocks(data.len(), ELEM_BLOCK, degree, 0.0, |r| kernel::sum_sq(&data[r]), |a, b| a + b)
 }
 
 /// Self-transpose product `m^T * m` as a fixed-block row reduction over
@@ -206,28 +196,24 @@ pub(crate) fn crossprod_on(isa: Isa, m: &Dense, degree: usize) -> Dense {
 
 /// The reduction schedule: each fixed [`ROW_BLOCK`] block of `m` is one
 /// panel, run by `body` (given its row range) into a zeroed `len`-element
-/// partial; partials fold in block order.
+/// partial; partials fold in block order into a zeroed sum. Adding the
+/// first partial to zeros is exact, since a partial accumulated from `+0.0`
+/// never holds `-0.0` (see [`crate::pack`]).
 fn reduce_rows(
     m: &Dense,
     len: usize,
     degree: usize,
     body: impl Fn(Range<usize>, &[f64], &mut [f64]) + Sync,
 ) -> Vec<f64> {
-    reduce_blocks(
-        m.rows(),
-        ROW_BLOCK,
-        degree,
-        |r| {
-            let mut part = vec![0.0; len];
-            body(r.clone(), rows(m, r), &mut part);
-            part
-        },
-        |mut acc, part| {
-            kernel::add_into(&mut acc, &part);
-            acc
-        },
-    )
-    .unwrap_or_else(|| vec![0.0; len])
+    let panel = |r: Range<usize>| {
+        let mut part = vec![0.0; len];
+        body(r.clone(), rows(m, r), &mut part);
+        part
+    };
+    reduce_blocks(m.rows(), ROW_BLOCK, degree, vec![0.0; len], panel, |mut acc, part| {
+        kernel::add_into(&mut acc, &part);
+        acc
+    })
 }
 
 #[cfg(test)]

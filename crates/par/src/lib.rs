@@ -14,10 +14,10 @@
 //!   combine their results **in task order**. Reductions over floating-point
 //!   data are not associative, so kernels that reduce (column sums, sum of
 //!   squares, crossprod) decompose into *fixed-size* blocks whose boundaries
-//!   never depend on the degree of parallelism; partial results are folded
-//!   left-to-right in block order. A serial caller (`degree == 1`) walks the
-//!   same blocks in the same order, which is what makes parallel and serial
-//!   results bit-identical at every degree.
+//!   never depend on the degree of parallelism; partials fold left-to-right
+//!   in block order as soon as the earlier ones are in (at most `degree`
+//!   live), and a serial caller walks the same blocks in the same order,
+//!   which makes parallel and serial results bit-identical at every degree.
 //!
 //! For workloads that must *not* fork-join — a server keeping requests in
 //! flight while accepting new ones — [`workers::WorkerPool`] provides
@@ -44,8 +44,8 @@
 //! // Ordered block reduction: partials fold left-to-right in block order,
 //! // so the result is bit-identical at every degree.
 //! let sum = |b: std::ops::Range<usize>| squares[b].iter().sum::<u64>();
-//! let d1 = reduce_blocks(100, 10, 1, &sum, |a, b| a + b);
-//! let d4 = reduce_blocks(100, 10, 4, &sum, |a, b| a + b);
+//! let d1 = reduce_blocks(100, 10, 1, 0, &sum, |a, b| a + b);
+//! let d4 = reduce_blocks(100, 10, 4, 0, &sum, |a, b| a + b);
 //! assert_eq!(d1, d4);
 //! ```
 

@@ -9,6 +9,9 @@
 
 use dm_obs::trace;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -169,39 +172,73 @@ where
     slots.into_iter().map(|s| s.expect("worker filled every slot")).collect()
 }
 
-/// Deterministic chunked map-reduce: split `0..n` into fixed-size blocks of
-/// `block` items (the last may be short), `map` each block on the pool, then
-/// left-fold the partials **in block order** on the caller's thread.
+/// Deterministic chunked map-reduce: split `0..n` into fixed blocks of
+/// `block` items (the last may be short), `map` each block on the pool, and
+/// fold the partials into `init` **in block order**. Block boundaries never
+/// depend on `degree` and the fold order is fixed, so the result is
+/// bit-identical at every degree — including 1, which is how the serial
+/// kernels in `dm-matrix` execute the very same decomposition.
 ///
-/// Because block boundaries depend only on `block` (never on `degree`) and
-/// the fold order is fixed, the result is bit-identical for every degree —
-/// including 1, which is how the serial kernels in `dm-matrix` execute the
-/// very same decomposition. Returns `None` when `n == 0`.
+/// The fold streams: workers take blocks in index order, and a worker whose
+/// partial is ready waits until every earlier block is folded, folds its
+/// own and only then takes another. So besides the running value at most
+/// `degree` partials are live, however many blocks there are.
 ///
 /// # Panics
-/// Panics if `block == 0`.
-pub fn reduce_blocks<T, M, F>(n: usize, block: usize, degree: usize, map: M, fold: F) -> Option<T>
+/// Panics if `block == 0`, and with the first panic of `map` or `fold`.
+pub fn reduce_blocks<T, A, M, F>(
+    n: usize,
+    block: usize,
+    degree: usize,
+    init: A,
+    map: M,
+    mut fold: F,
+) -> A
 where
     T: Send,
+    A: Send,
     M: Fn(Range<usize>) -> T + Sync,
-    F: FnMut(T, T) -> T,
+    F: FnMut(A, T) -> A + Send,
 {
     assert!(block > 0, "block size must be positive");
-    if n == 0 {
-        return None;
+    let blocks = n.div_ceil(block);
+    let range = |b: usize| b * block..((b + 1) * block).min(n);
+    let width = degree.clamp(1, blocks.max(1));
+    if width == 1 {
+        return (0..blocks).fold(init, |acc, b| fold(acc, map(range(b))));
     }
-    let nblocks = n.div_ceil(block);
-    let partials = map_collect(nblocks, degree, |b| {
-        let start = b * block;
-        map(start..(start + block).min(n))
+    // `turn`: the blocks folded (so whose turn it is), the running value and
+    // the fold; a worker that unwinds poisons it, which ends every wait.
+    // `next` only hands out block indices, so it needs no ordering.
+    let turn = Mutex::new((0, Some(init), fold));
+    let (next, wake) = (AtomicUsize::new(0), Condvar::new());
+    parallel_for(width, width, |_| {
+        let work = || {
+            let claimed = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+            for b in claimed.take_while(|&b| b < blocks) {
+                let part = map(range(b));
+                let Ok(mut t) = turn.lock().and_then(|t| wake.wait_while(t, |t| t.0 != b)) else {
+                    return;
+                };
+                let (folded, acc, fold) = &mut *t;
+                *acc = Some(fold(acc.take().expect("a fold in progress"), part));
+                *folded += 1;
+                wake.notify_all();
+            }
+        };
+        if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(work)) {
+            let _poisoned_as_it_unwinds = turn.lock();
+            wake.notify_all();
+            panic::resume_unwind(panic);
+        }
     });
-    partials.into_iter().reduce(fold)
+    turn.into_inner().expect("a worker that panicked re-raised it").1.expect("every block folded")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn default_degree_is_positive() {
@@ -290,8 +327,14 @@ mod tests {
         // block decomposition and fold order are fixed.
         let data: Vec<f64> = (0..10_000).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
         let sum_at = |degree: usize| {
-            reduce_blocks(data.len(), 64, degree, |r| data[r].iter().sum::<f64>(), |a, b| a + b)
-                .unwrap()
+            reduce_blocks(
+                data.len(),
+                64,
+                degree,
+                0.0,
+                |r| data[r].iter().sum::<f64>(),
+                |a, b| a + b,
+            )
         };
         let d1 = sum_at(1);
         for degree in [2usize, 3, 8, 32] {
@@ -299,9 +342,80 @@ mod tests {
         }
     }
 
+    /// A partial that counts the partials alive at once, and lists the
+    /// blocks folded into it.
+    struct Counted<'c> {
+        live: &'c AtomicUsize,
+        blocks: Vec<usize>,
+    }
+
+    impl<'c> Counted<'c> {
+        fn new(live: &'c AtomicUsize, peak: &'c AtomicUsize, blocks: Vec<usize>) -> Self {
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            Counted { live, blocks }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
-    fn reduce_blocks_empty_is_none() {
-        assert_eq!(reduce_blocks(0, 8, 4, |_| 1u32, |a, b| a + b), None);
+    fn reduce_blocks_folds_in_order_with_one_partial_per_worker() {
+        for degree in 1..=8 {
+            for blocks in [0usize, 1, 2, 3, 9, 17] {
+                let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                // The running value is a partial too, and the last block is
+                // short. With two workers or more, block 0 finishes only
+                // after block 1 has, so block 1 must wait for its turn (the
+                // spin is bounded: a schedule that gives both blocks to one
+                // worker fails the order check instead of hanging).
+                let (init, made_1) = (Counted::new(&live, &peak, vec![]), AtomicBool::new(false));
+                let got = reduce_blocks(
+                    (blocks * 5).saturating_sub(2),
+                    5,
+                    degree,
+                    init,
+                    |r| {
+                        let spins =
+                            if r.start == 0 && degree > 1 && blocks > 1 { 100_000 } else { 0 };
+                        for _ in (0..spins).take_while(|_| !made_1.load(Ordering::SeqCst)) {
+                            thread::yield_now();
+                        }
+                        let part = Counted::new(&live, &peak, vec![r.start / 5]);
+                        made_1.fetch_or(r.start == 5, Ordering::SeqCst);
+                        part
+                    },
+                    |mut acc, part| {
+                        acc.blocks.extend(&part.blocks);
+                        acc
+                    },
+                );
+                let what = format!("{blocks} blocks at degree {degree}");
+                assert_eq!(got.blocks, (0..blocks).collect::<Vec<_>>(), "{what}: fold order");
+                drop(got);
+                assert_eq!(live.load(Ordering::SeqCst), 0, "{what}: every partial dropped");
+                let peak = peak.load(Ordering::SeqCst);
+                assert!(peak <= degree + 1, "{what}: {peak} partials live at once");
+                assert!(peak >= blocks.min(2), "{what}: the counter counts");
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_blocks_releases_waiting_workers_when_a_block_panics() {
+        let got = panic::catch_unwind(|| {
+            let map = |r: Range<usize>| if r.start == 3 { panic!("block 3") } else { 1 };
+            reduce_blocks(40, 1, 4, 0, map, |a, b| a + b)
+        });
+        assert!(got.is_err(), "the panic reaches the caller instead of a hang");
+    }
+
+    #[test]
+    fn reduce_blocks_of_nothing_is_init() {
+        assert_eq!(reduce_blocks(0, 8, 4, 7, |_| 1u32, |a, b| a + b), 7);
     }
 
     #[test]
@@ -350,5 +464,26 @@ mod tests {
         });
         let per_pass: u64 = (0..100u64).sum();
         assert_eq!(total.load(Ordering::Relaxed), 8 * 50 * per_pass);
+    }
+
+    #[test]
+    fn stress_ordered_fold() {
+        // Many threads each run ordered folds at degree 4 under contention:
+        // every run must repeat the serial fold's bits.
+        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let sum_at = |degree: usize| {
+            reduce_blocks(data.len(), 7, degree, 0.0, |r| data[r].iter().sum::<f64>(), |a, b| a + b)
+                .to_bits()
+        };
+        let serial = sum_at(1);
+        thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        assert_eq!(sum_at(4), serial);
+                    }
+                });
+            }
+        });
     }
 }
