@@ -40,7 +40,7 @@ use crate::storage::Storage;
 use crate::store::{panel_bytes, BlockStore};
 use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{kernel, pack, Dense};
-use dm_par::{map_collect, reduce_blocks};
+use dm_par::{for_each_slice_mut, map_collect, reduce_blocks};
 use std::ops::Range;
 
 // Cap the worker count so that one concurrent pin per worker of each of
@@ -73,13 +73,16 @@ pub fn gemv<S: Storage>(
         v.len(),
         a.cols()
     );
-    let parts = join(map_collect(a.num_panels(), clamp(degree, &[a]), |p| {
-        let g = a.pin_panel(p)?;
-        let mut out = vec![0.0; g.rows()];
-        kernel::gemv(g.data(), a.cols(), v, &mut out);
-        Ok(out)
-    }))?;
-    Ok(parts.concat())
+    let mut out = vec![0.0; a.rows()];
+    // Each panel's rows paired with the outcome of pinning it.
+    let mut panels: Vec<_> = out.chunks_mut(a.panel_rows()).map(|rows| (rows, Ok(()))).collect();
+    for_each_slice_mut(&mut panels, 1, clamp(degree, &[a]), |ps, slots| {
+        for (p, (rows, done)) in ps.zip(slots) {
+            *done = a.pin_panel(p).map(|g| kernel::gemv(g.data(), a.cols(), v, rows));
+        }
+    });
+    panels.into_iter().try_for_each(|(_, done)| done)?;
+    Ok(out)
 }
 
 /// Out-of-core matrix-matrix product `a * b`, writing the result's panels
@@ -271,6 +274,21 @@ mod tests {
             matches!(err, PoolError::BlockTooLarge { .. }),
             "expected BlockTooLarge, got {err:?}"
         );
+    }
+
+    #[test]
+    fn gemv_surfaces_a_panel_it_cannot_pin() {
+        // Panels 0 and 2 of three are written; panel 1 never was.
+        let pool = shared(1 << 16);
+        let store = BlockStore::new_empty(&pool, 1, 40, 3, 16);
+        for p in [0, 2] {
+            let rows = store.panel_range(p).len();
+            store.put_panel(p, Dense::from_fn(rows, 3, |r, c| (r + c) as f64)).unwrap();
+        }
+        for deg in [1, 2, 3] {
+            let err = gemv(&store, &[1.0; 3], deg).expect_err("panel 1 is absent");
+            assert!(matches!(err, PoolError::Absent(k) if k == store.key(1)), "{err:?}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::physical::{Kernel, PhysicalPlan};
 use crate::size::{Shape, SizeInfo};
 use dm_buffer::{panel_bytes, panel_rows_for, store_bytes};
 use dm_matrix::par::ROW_BLOCK;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// The one lifetime analysis: a topological execution order and, per node,
@@ -404,51 +404,25 @@ pub fn certify_schedule(
 ) -> PlanCertificate {
     let limit = budget.get();
     let order = sched.order();
-    // Streaming values — every consumer reads them panel-by-panel through
-    // the pool — are never materialized; their bytes are the consumers'
-    // pool terms. A value any in-memory consumer reads is held.
-    let mut held = vec![false; graph.len()];
-    for &n in order.iter().filter(|&&n| plan.kernel(n) != Kernel::Blocked) {
-        for c in graph.op(n).children() {
-            held[c] = true;
+    let resident = resident_bytes(graph, sched, plan, sizes);
+    // A value enters the live set at the step that makes it and leaves
+    // after its last use. The set is keyed by schedule position, so each
+    // step lists its values in schedule order.
+    let mut enters = vec![Vec::new(); order.len()];
+    for (pos, &v) in order.iter().enumerate() {
+        if let Some(made) = sched.step[v].filter(|&s| resident[pos] > 0 && sched.last_use[v] >= s) {
+            enters[made].push(pos);
         }
     }
-    let resident: Vec<usize> = order
-        .iter()
-        .map(|&v| {
-            let streams = sched.reads[v] > 0 && !held[v];
-            match (sizes.get(&v), sched.fused[v], graph.op(v)) {
-                (Some(info), false, _) if !streams => materialized_bytes(plan.kernel(v), info),
-                // A fused `f(A)` is never built, unless its `sum` step meets a
-                // sparse `A` and maps it first.
-                (Some(info), true, &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
-                    materialized_bytes(plan.kernel(v), info)
-                }
-                // A fused product is streamed `degree` row panels at a time,
-                // what `par::gemm_map_sum` holds.
-                (Some(info), true, Op::MatMul(..)) => {
-                    let degree = if plan.kernel(v) == Kernel::Parallel { plan.degree() } else { 1 };
-                    let rows = info.shape.rows().min(degree.saturating_mul(ROW_BLOCK));
-                    dense_value_bytes(rows, info.shape.cols())
-                }
-                _ => 0,
-            }
-        })
-        .collect();
-
+    let mut live_set = BTreeMap::new();
     let mut timeline = Vec::with_capacity(sched.len());
     let mut peak = (0usize, 0usize);
     let mut first_exceed: Option<(usize, NodeId, usize)> = None;
     for (step, &n) in order.iter().enumerate() {
-        let mut live = Vec::new();
-        let mut total = 0usize;
-        for (&v, &b) in order.iter().zip(&resident) {
-            let made = sched.step[v].is_some_and(|made| made <= step);
-            if b > 0 && made && sched.last_use[v] >= step {
-                live.push((v, b));
-                total = total.saturating_add(b);
-            }
-        }
+        live_set.extend(enters[step].iter().map(|&pos| (pos, (order[pos], resident[pos]))));
+        let live: Vec<(NodeId, usize)> = live_set.values().copied().collect();
+        live_set.retain(|_, &mut (v, _)| sched.last_use[v] > step);
+        let mut total = live.iter().fold(0usize, |t, &(_, b)| t.saturating_add(b));
         let pool = match limit {
             Some(l) if plan.kernel(n) == Kernel::Blocked => {
                 blocked_io_bytes(graph, n, sizes, l).min(spill_pool_capacity(l))
@@ -469,6 +443,47 @@ pub fn certify_schedule(
         None => Verdict::Fits,
     };
     PlanCertificate { budget: limit, peak_bytes: peak.0, peak_step: peak.1, timeline, verdict }
+}
+
+/// The bytes each scheduled value holds while live, by schedule position.
+fn resident_bytes(
+    graph: &Graph,
+    sched: &Schedule,
+    plan: &PhysicalPlan,
+    sizes: &HashMap<NodeId, SizeInfo>,
+) -> Vec<usize> {
+    let order = sched.order();
+    // Streaming values — every consumer reads them panel-by-panel through
+    // the pool — are never materialized; their bytes are the consumers'
+    // pool terms. A value any in-memory consumer reads is held.
+    let mut held = vec![false; graph.len()];
+    for &n in order.iter().filter(|&&n| plan.kernel(n) != Kernel::Blocked) {
+        for c in graph.op(n).children() {
+            held[c] = true;
+        }
+    }
+    order
+        .iter()
+        .map(|&v| {
+            let streams = sched.reads[v] > 0 && !held[v];
+            match (sizes.get(&v), sched.fused[v], graph.op(v)) {
+                (Some(info), false, _) if !streams => materialized_bytes(plan.kernel(v), info),
+                // A fused `f(A)` is never built, unless its `sum` step meets a
+                // sparse `A` and maps it first.
+                (Some(info), true, &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
+                    materialized_bytes(plan.kernel(v), info)
+                }
+                // A fused product is streamed `degree` row panels at a time,
+                // what `par::gemm_map_sum` holds.
+                (Some(info), true, Op::MatMul(..)) => {
+                    let degree = if plan.kernel(v) == Kernel::Parallel { plan.degree() } else { 1 };
+                    let rows = info.shape.rows().min(degree.saturating_mul(ROW_BLOCK));
+                    dense_value_bytes(rows, info.shape.cols())
+                }
+                _ => 0,
+            }
+        })
+        .collect()
 }
 
 /// A peak-minimizing topological order: at every node, evaluate the child
@@ -808,6 +823,152 @@ mod tests {
             }
         }
         assert!(checked > 1000, "only {checked} roots sized");
+    }
+
+    /// The live sets as the certifier found them before it swept: every
+    /// scheduled value tested at every step.
+    fn live_sets_by_scan(sched: &Schedule, resident: &[usize]) -> Vec<Vec<(NodeId, usize)>> {
+        (0..sched.len())
+            .map(|step| {
+                let made = |v: NodeId| sched.step[v].is_some_and(|made| made <= step);
+                let live =
+                    |&(&v, &b): &(&NodeId, &usize)| b > 0 && made(v) && sched.last_use[v] >= step;
+                sched.order().iter().zip(resident).filter(live).map(|(&v, &b)| (v, b)).collect()
+            })
+            .collect()
+    }
+
+    /// A random topological order of what `root` reaches, ending at `root`,
+    /// so unrelated nodes may run between a fused node and its `sum`.
+    fn random_order(g: &Graph, root: NodeId, next: &mut impl FnMut(usize) -> usize) -> Vec<NodeId> {
+        let nodes = g.reachable(root);
+        let operands = |n: NodeId| {
+            let mut c = g.op(n).children();
+            c.sort_unstable();
+            c.dedup();
+            c
+        };
+        let mut pending: HashMap<NodeId, usize> =
+            nodes.iter().map(|&n| (n, operands(n).len())).collect();
+        let mut ready: Vec<NodeId> = nodes.iter().copied().filter(|n| pending[n] == 0).collect();
+        let mut order = Vec::new();
+        while !ready.is_empty() {
+            let n = ready.swap_remove(next(ready.len()));
+            order.push(n);
+            for &p in nodes.iter().filter(|&&p| operands(p).contains(&n)) {
+                let left = pending.get_mut(&p).expect("reachable");
+                *left -= 1;
+                if *left == 0 {
+                    ready.push(p);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn swept_live_sets_match_the_scan_on_random_dags() {
+        // Random DAGs over inputs of mixed sparsity, planned serial and
+        // parallel, unbounded and under budgets that block, certified over
+        // the plan's schedule, the peak-minimizing one and a random one.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
+        };
+        let mut inputs = InputSizes::new();
+        for (name, sparsity) in [("X", 1.0), ("Y", 0.5), ("Z", 0.01)] {
+            inputs.declare(name, 40, 40, sparsity);
+        }
+        let (mut checked, mut fused, mut blocked) = (0, 0, 0);
+        for _ in 0..150 {
+            let mut g = Graph::new();
+            g.input("X");
+            for _ in 0..1 + next(30) {
+                let (a, b) = (next(g.len()), next(g.len()));
+                match next(7) {
+                    0 => g.input(["X", "Y", "Z"][next(3)]),
+                    1 => g.matmul(a, b),
+                    2 => g.ewise(EwiseOp::Add, a, b),
+                    3 => g.transpose(a),
+                    4 => g.unary(UnaryOp::Exp, a),
+                    5 => {
+                        let product = g.matmul(a, b);
+                        g.agg(AggOp::Sum, product)
+                    }
+                    _ => g.push(Op::CrossProd(a)),
+                };
+            }
+            // Sum the last few values, so more of the graph is scheduled.
+            let (last, mut root) = (g.len(), None);
+            for n in last.saturating_sub(4)..last {
+                let total = g.agg(AggOp::Sum, n);
+                root = Some(root.map_or(total, |r| g.ewise(EwiseOp::Add, r, total)));
+            }
+            let root = root.expect("a value to sum");
+            let Ok(sizes) = propagate(&g, root, &inputs) else { continue };
+            for (degree, budget) in [
+                (1, MemoryBudget::unbounded()),
+                (2, MemoryBudget::unbounded()),
+                (1, MemoryBudget::bytes(30_000)),
+                (2, MemoryBudget::bytes(8_000)),
+            ] {
+                let opts = PlanOptions { degree, budget, ..PlanOptions::new(&inputs) };
+                let plan = planned(&g, root, &opts);
+                let by_peak = Schedule::new(&g, min_peak_order(&g, root, &sizes, &plan), &plan);
+                let random = Schedule::new(&g, random_order(&g, root, &mut next), &plan);
+                for sched in [plan.schedule_for(&g, root), by_peak.into(), random.into()] {
+                    let cert = certify_schedule(&g, &sched, &plan, &sizes, budget);
+                    let resident = resident_bytes(&g, &sched, &plan, &sizes);
+                    let want = live_sets_by_scan(&sched, &resident);
+                    assert_eq!(cert.timeline.len(), want.len());
+                    for (su, live) in cert.timeline.iter().zip(&want) {
+                        assert_eq!(&su.live, live, "step {} of {g}", su.step);
+                        let bytes =
+                            live.iter().fold(su.pool_bytes, |t, &(_, b)| t.saturating_add(b));
+                        assert_eq!(su.live_bytes, bytes, "step {} of {g}", su.step);
+                    }
+                    checked += 1;
+                    fused += sched.fused().iter().filter(|&&f| f).count();
+                    blocked += sched
+                        .order()
+                        .iter()
+                        .filter(|&&n| plan.kernel(n) == Kernel::Blocked)
+                        .count();
+                }
+            }
+        }
+        assert!(checked > 800 && fused > 0 && blocked > 0, "{checked} {fused} {blocked}");
+    }
+
+    #[test]
+    fn a_deep_chain_certifies_in_linear_time() {
+        // X + X + ... + X, 50 001 nodes: testing every value at every step
+        // took seconds; the sweep touches each value once in and once out.
+        let mut inputs = InputSizes::new();
+        inputs.declare("X", 2, 2, 1.0);
+        let mut g = Graph::new();
+        let x = g.input("X");
+        let mut acc = x;
+        for _ in 0..50_000 {
+            acc = g.ewise(EwiseOp::Add, acc, x);
+        }
+        let sizes = propagate(&g, acc, &inputs).unwrap();
+        let plan = PhysicalPlan::default();
+        let sched = plan.schedule_for(&g, acc);
+        let start = std::time::Instant::now();
+        let cert = certify_schedule(&g, &sched, &plan, &sizes, MemoryBudget::unbounded());
+        let took = start.elapsed();
+        // X lives throughout; each partial sum from its step to the next.
+        assert_eq!(cert.timeline.len(), 50_001);
+        assert_eq!(cert.timeline[1].live, [(x, 32), (1, 32)]);
+        assert!(cert.timeline[2..].iter().all(|su| su.live.len() == 3 && su.live_bytes == 96));
+        assert_eq!(cert.peak_bytes, 96);
+        if !cfg!(debug_assertions) {
+            assert!(took < std::time::Duration::from_millis(100), "{took:?}");
+        }
     }
 
     #[test]

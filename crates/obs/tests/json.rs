@@ -2,7 +2,9 @@
 //! is total on arbitrary text, its run-at-a-time string reader agrees with a
 //! character-at-a-time one, the appending writers write what the allocating
 //! ones return, and the f64 dialect the wire and the model registry share
-//! round-trips every value's bits.
+//! round-trips every value's bits and prints each finite one byte for byte
+//! as `format!("{v}")` does (the sweeps below keep `Display` as the oracle
+//! for the in-tree printer).
 
 use dm_obs::json::{
     escape_json, fmt_f64, json_f64, json_usize, parse, write_escaped, write_f64, Json,
@@ -270,11 +272,19 @@ fn json_usize_stops_at_two_to_the_53() {
 
 #[test]
 fn named_f64_values_print_as_rust_displays_them() {
+    let two53 = (1u64 << 53) as f64;
     for (v, want) in [
         (-0.0, "-0".to_owned()),
         (1e-7, "0.0000001".to_owned()),
         (1e300, format!("1{}", "0".repeat(300))),
         (5e-324, format!("0.{}5", "0".repeat(323))),
+        (f64::MAX, format!("17976931348623157{}", "0".repeat(292))),
+        (f64::MIN_POSITIVE, format!("0.{}22250738585072014", "0".repeat(307))),
+        (f64::from_bits((1 << 52) - 1), format!("0.{}2225073858507201", "0".repeat(307))),
+        (two53, "9007199254740992".to_owned()),
+        (two53 + 2.0, "9007199254740994".to_owned()),
+        (0.1, "0.1".to_owned()),
+        (1.0 / 3.0, "0.3333333333333333".to_owned()),
         (f64::NAN, "\"NaN\"".to_owned()),
         (f64::NEG_INFINITY, "\"-Infinity\"".to_owned()),
     ] {
@@ -282,6 +292,9 @@ fn named_f64_values_print_as_rust_displays_them() {
         write_f64(&mut out, v);
         assert_eq!(out, want);
         assert_eq!(fmt_f64(v), want);
+        if v.is_finite() {
+            assert_eq!(format!("{v}"), want);
+        }
     }
 }
 
@@ -293,4 +306,84 @@ fn the_oracle_tells_the_fixed_escapes_apart() {
     assert!(!has_fixed_escape(r#""\ude00\ud83d""#));
     assert_eq!(oracle_parse(r#""\u+041""#), Ok(Json::Str("A".to_owned())));
     assert_eq!(parse(r#""\u+041""#), Err("bad \\u escape".to_owned()));
+}
+
+/// Rust's `Display` breaks an exact tie between two shortest candidates
+/// upward, where Ryu's reference rounds it to even; these three are ties.
+#[test]
+fn exact_ties_round_up_as_display_does() {
+    for (bits, want) in [
+        (0xc30b_e4f6_669d_e9fa_u64, "-981446413237567.3"),
+        (0x42e8_9c93_d2cc_0bf4, "216486192242783.63"),
+        (0xc2bf_bdf3_a9d0_3ed0, "-34900697272382.813"),
+    ] {
+        let v = f64::from_bits(bits);
+        assert_eq!(fmt_f64(v), want, "{bits:#x}");
+        assert_eq!(format!("{v}"), want, "{bits:#x}");
+    }
+}
+
+/// SplitMix64: a seeded stream of mantissas for the oracle sweeps.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// The values among `values` that `write_f64` prints otherwise than
+/// `format!("{v}")`, with both texts; the count of values compared.
+fn display_mismatches(values: impl Iterator<Item = f64>) -> (Vec<(u64, String, String)>, usize) {
+    let (mut got, mut want, mut bad, mut n) = (String::new(), String::new(), Vec::new(), 0);
+    for v in values {
+        got.clear();
+        want.clear();
+        write_f64(&mut got, v);
+        let _ = write!(want, "{v}");
+        if got != want {
+            bad.push((v.to_bits(), got.clone(), want.clone()));
+        }
+        n += 1;
+    }
+    (bad, n)
+}
+
+/// Every biased exponent `0..=2046` with mantissas 0, 1 and 2^52 - 1 and
+/// `per_exponent` seeded ones, the sign taken from the seeded draw.
+fn every_exponent(per_exponent: usize, seed: u64) -> impl Iterator<Item = f64> {
+    let mut rng = SplitMix(seed);
+    (0..=2046u64).flat_map(move |e| {
+        let mut draws: Vec<u64> = vec![0, 1, (1 << 52) - 1];
+        draws.extend((0..per_exponent).map(|_| rng.next()));
+        draws
+            .into_iter()
+            .map(move |r| f64::from_bits((r >> 63) << 63 | e << 52 | (r & ((1 << 52) - 1))))
+    })
+}
+
+#[test]
+fn write_f64_prints_what_display_prints() {
+    let powers = (-323..=308).flat_map(|p| {
+        let v: f64 = format!("1e{p}").parse().expect("a power of ten");
+        [f64::from_bits(v.to_bits() - 1), v, f64::from_bits(v.to_bits() + 1)]
+    });
+    let values = every_exponent(2_000, 0x5eed).chain((0..100_000).map(|i| i as f64)).chain(powers);
+    let (bad, n) = display_mismatches(values);
+    assert!(n > 4_200_000, "{n} values");
+    assert!(bad.is_empty(), "{} of {n} differ, first {:?}", bad.len(), &bad[..bad.len().min(5)]);
+}
+
+/// Over 51 M values; run with
+/// `cargo test --release -p dm-obs -- --ignored`.
+#[test]
+#[ignore = "51 M values: a release build takes seconds, a debug one minutes"]
+fn write_f64_prints_what_display_prints_release_sweep() {
+    let (bad, n) = display_mismatches(every_exponent(25_000, 0x0dd_ba11));
+    assert!(n > 51_000_000, "{n} values");
+    assert!(bad.is_empty(), "{} of {n} differ, first {:?}", bad.len(), &bad[..bad.len().min(5)]);
 }

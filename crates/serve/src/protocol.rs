@@ -14,8 +14,8 @@
 //! answers every request in the layout it arrived in.
 //!
 //! Floating-point values round-trip **bit-exactly** for finite numbers:
-//! Rust's `{}` formatting of `f64` prints the shortest decimal that
-//! parses back to the same bits, and both ends parse with
+//! the writer prints the shortest decimal that parses back to the same
+//! bits (byte for byte what Rust's `{}` prints), and both ends parse with
 //! `str::parse::<f64>`. This is what lets the end-to-end tests demand
 //! bit-identical results between served and direct evaluation. Non-finite
 //! values (which JSON cannot express as numbers) travel as the strings
@@ -45,7 +45,7 @@
 //!
 //! Printing and parsing decimal text is what a large request spends its
 //! time on: a 64×2048 scoring whose gemv takes 0.1 ms is 2.6 MB of text,
-//! which takes ~18 ms to print and ~14 ms to parse (2-vCPU x86-64, shared).
+//! which takes ~6 ms to print and ~9 ms to parse (2-vCPU x86-64, shared).
 //! So a payload may instead carry its matrices as raw little-endian `f64`s
 //! after the document:
 //!
