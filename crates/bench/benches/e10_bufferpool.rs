@@ -13,7 +13,7 @@ const NUM_BLOCKS: usize = 64;
 const BLOCK_EDGE: usize = 16; // 16x16 blocks -> 2064 bytes each
 
 fn key(b: usize) -> PageKey {
-    PageKey::new(1, b as u32, 0)
+    PageKey::new(1, b as u32)
 }
 
 fn block_bytes() -> usize {

@@ -58,9 +58,9 @@ fn ooc_gemm_run(a: &Dense, b: &Dense, budget: usize) -> (Dense, SharedBufferPool
     let pool = disk_pool(budget);
     let pr_a = dm_buffer::panel_rows_for(a.cols(), budget, 8);
     let pr_b = dm_buffer::panel_rows_for(b.cols(), budget, 8);
-    let sa = BlockStore::from_dense(&pool, 1, a, pr_a).expect("load A");
-    let sb = BlockStore::from_dense(&pool, 2, b, pr_b).expect("load B");
-    let out = ooc::gemm(&sa, &sb, 3, DEGREE).expect("blocked gemm");
+    let sa = BlockStore::from_dense(&pool, a, pr_a).expect("load A");
+    let sb = BlockStore::from_dense(&pool, b, pr_b).expect("load B");
+    let out = ooc::gemm(&sa, &sb, DEGREE).expect("blocked gemm");
     let d = out.to_dense().expect("materialize");
     for s in [sa, sb, out] {
         s.discard().expect("discard");
@@ -71,7 +71,7 @@ fn ooc_gemm_run(a: &Dense, b: &Dense, budget: usize) -> (Dense, SharedBufferPool
 fn ooc_gemv_run(m: &Dense, v: &[f64], budget: usize) -> (Vec<f64>, SharedBufferPool<FileStore>) {
     let pool = disk_pool(budget);
     let pr = dm_buffer::panel_rows_for(m.cols(), budget, 8);
-    let s = BlockStore::from_dense(&pool, 1, m, pr).expect("load");
+    let s = BlockStore::from_dense(&pool, m, pr).expect("load");
     let out = ooc::gemv(&s, v, DEGREE).expect("blocked gemv");
     s.discard().expect("discard");
     (out, pool)

@@ -26,9 +26,9 @@ fn spill_grows_as_budget_shrinks_and_results_stay_exact() {
         // point really holds the whole working set.
         let budget = (ws as f64 * frac) as usize + 512;
         let p = pool(budget);
-        let sa = BlockStore::from_dense(&p, 1, &a, panel_rows_for(a.cols(), budget, 8)).unwrap();
-        let sb = BlockStore::from_dense(&p, 2, &b, panel_rows_for(b.cols(), budget, 8)).unwrap();
-        let out = ooc::gemm(&sa, &sb, 3, 2).unwrap();
+        let sa = BlockStore::from_dense(&p, &a, panel_rows_for(a.cols(), budget, 8)).unwrap();
+        let sb = BlockStore::from_dense(&p, &b, panel_rows_for(b.cols(), budget, 8)).unwrap();
+        let out = ooc::gemm(&sa, &sb, 2).unwrap();
         assert_eq!(
             out.to_dense().unwrap().data(),
             expect.data(),

@@ -14,7 +14,7 @@
 //! use dm_matrix::Dense;
 //!
 //! let mut pool = BufferPool::new(1 << 16, PolicyKind::Lru, MemStore::default());
-//! let key = PageKey::new(0, 0, 0);
+//! let key = PageKey::new(0, 0);
 //! pool.put(key, Dense::identity(4)).unwrap();
 //! let block = pool.get(key).unwrap().expect("present");
 //! assert_eq!(block.get(3, 3), 1.0);

@@ -18,6 +18,10 @@
 //! the formula the plan-time certifier reads — always fits the budget, which
 //! rules out pin-wait deadlocks by construction.
 //!
+//! An operator that writes a matrix returns it as a new store in its first
+//! operand's pool. The pool names it, and it frees its pages when dropped,
+//! so a schedule that fails part way leaves none of its output behind.
+//!
 //! ```
 //! use dm_buffer::{ooc, BlockStore, BufferPool, SharedBufferPool};
 //! use dm_buffer::{policy::PolicyKind, storage::MemStore};
@@ -27,12 +31,14 @@
 //! let b = Dense::from_fn(24, 16, |r, c| (r + c * 5) as f64 * 0.25 - 2.0);
 //! // A pool far smaller than the 64x24 * 24x16 working set: tiles spill.
 //! let pool = SharedBufferPool::new(BufferPool::new(4096, PolicyKind::Lru, MemStore::default()));
-//! let sa = BlockStore::from_dense(&pool, 1, &a, 8).unwrap();
-//! let sb = BlockStore::from_dense(&pool, 2, &b, 8).unwrap();
-//! let product = ooc::gemm(&sa, &sb, 3, 1).unwrap().to_dense().unwrap();
+//! let sa = BlockStore::from_dense(&pool, &a, 8).unwrap();
+//! let sb = BlockStore::from_dense(&pool, &b, 8).unwrap();
+//! let product = ooc::gemm(&sa, &sb, 1).unwrap().to_dense().unwrap();
 //! assert_eq!(product, ops::gemm(&a, &b)); // bit-identical, not approximate
 //! assert!(pool.stats().evictions > 0, "it really ran out-of-core");
 //! pool.audit_quiescent().unwrap();
+//! drop((sa, sb));
+//! assert_eq!(pool.used(), 0, "dropped stores leave no pages behind");
 //! ```
 
 use crate::pool::PoolError;
@@ -85,8 +91,8 @@ pub fn gemv<S: Storage>(
     Ok(out)
 }
 
-/// Out-of-core matrix-matrix product `a * b`, writing the result's panels
-/// into `a`'s pool under matrix id `out_matrix`.
+/// Out-of-core matrix-matrix product `a * b`, written as a new store in
+/// `a`'s pool.
 ///
 /// Each worker owns one output panel: it pins the matching `a` panel, then
 /// streams `b`'s panels in increasing-`k` order into a local accumulator.
@@ -96,7 +102,6 @@ pub fn gemv<S: Storage>(
 pub fn gemm<S: Storage>(
     a: &BlockStore<S>,
     b: &BlockStore<S>,
-    out_matrix: u64,
     degree: usize,
 ) -> Result<BlockStore<S>, PoolError> {
     assert_eq!(
@@ -109,7 +114,7 @@ pub fn gemm<S: Storage>(
         b.cols()
     );
     let n = b.cols();
-    write_panels(a, &[b], out_matrix, n, degree, |p| {
+    write_panels(a, &[b], n, degree, |p| {
         let ap = a.pin_panel(p)?;
         let mut acc = vec![0.0; ap.rows() * n];
         let mut bpack = pack::PackedB::default();
@@ -146,8 +151,8 @@ pub fn crossprod<S: Storage>(a: &BlockStore<S>, degree: usize) -> Result<Dense, 
     Ok(Dense::from_vec(d, d, out).expect("d x d"))
 }
 
-/// Out-of-core elementwise combination `f(a, b)`, writing result panels under
-/// `out_matrix` in `a`'s pool.
+/// Out-of-core elementwise combination `f(a, b)`, written as a new store in
+/// `a`'s pool.
 ///
 /// # Panics
 /// Panics if shapes differ or the stores use different panel heights.
@@ -155,7 +160,6 @@ pub fn ewise<S: Storage>(
     a: &BlockStore<S>,
     b: &BlockStore<S>,
     f: impl Fn(f64, f64) -> f64 + Sync,
-    out_matrix: u64,
     degree: usize,
 ) -> Result<BlockStore<S>, PoolError> {
     assert_eq!(
@@ -166,21 +170,20 @@ pub fn ewise<S: Storage>(
         (b.rows(), b.cols())
     );
     assert_eq!(a.panel_rows(), b.panel_rows(), "elementwise panel height mismatch");
-    write_panels(a, &[b], out_matrix, a.cols(), degree, |p| {
+    write_panels(a, &[b], a.cols(), degree, |p| {
         let (ga, gb) = (a.pin_panel(p)?, b.pin_panel(p)?);
         Ok(ga.data().iter().zip(gb.data()).map(|(&x, &y)| f(x, y)).collect())
     })
 }
 
 /// Out-of-core elementwise map `f(a)` (scalar broadcasts, unary ops),
-/// writing result panels under `out_matrix` in `a`'s pool.
+/// written as a new store in `a`'s pool.
 pub fn map<S: Storage>(
     a: &BlockStore<S>,
     f: impl Fn(f64) -> f64 + Sync,
-    out_matrix: u64,
     degree: usize,
 ) -> Result<BlockStore<S>, PoolError> {
-    write_panels(a, &[], out_matrix, a.cols(), degree, |p| {
+    write_panels(a, &[], a.cols(), degree, |p| {
         Ok(a.pin_panel(p)?.data().iter().map(|&x| f(x)).collect())
     })
 }
@@ -193,12 +196,11 @@ pub fn map<S: Storage>(
 fn write_panels<S: Storage>(
     a: &BlockStore<S>,
     inputs: &[&BlockStore<S>],
-    out_matrix: u64,
     cols: usize,
     degree: usize,
     panel: impl Fn(usize) -> Result<Vec<f64>, PoolError> + Sync,
 ) -> Result<BlockStore<S>, PoolError> {
-    let out = BlockStore::new_empty(a.pool(), out_matrix, a.rows(), cols, a.panel_rows());
+    let out = BlockStore::new_empty(a.pool(), a.rows(), cols, a.panel_rows());
     let stores: Vec<_> = [a].into_iter().chain(inputs.iter().copied()).chain([&out]).collect();
     join(map_collect(a.num_panels(), clamp(degree, &stores), |p| {
         let rows = a.panel_range(p).len();
@@ -269,7 +271,7 @@ mod tests {
     fn budget_smaller_than_one_panel_errors_cleanly() {
         let pool = shared(100); // one 16x8 panel needs 16*8*8 + 16 = 1040 bytes
         let m = sample(64, 8);
-        let err = BlockStore::from_dense(&pool, 1, &m, 16).err().expect("must fail");
+        let err = BlockStore::from_dense(&pool, &m, 16).err().expect("must fail");
         assert!(
             matches!(err, PoolError::BlockTooLarge { .. }),
             "expected BlockTooLarge, got {err:?}"
@@ -280,7 +282,7 @@ mod tests {
     fn gemv_surfaces_a_panel_it_cannot_pin() {
         // Panels 0 and 2 of three are written; panel 1 never was.
         let pool = shared(1 << 16);
-        let store = BlockStore::new_empty(&pool, 1, 40, 3, 16);
+        let store = BlockStore::new_empty(&pool, 40, 3, 16);
         for p in [0, 2] {
             let rows = store.panel_range(p).len();
             store.put_panel(p, Dense::from_fn(rows, 3, |r, c| (r + c) as f64)).unwrap();
@@ -288,6 +290,11 @@ mod tests {
         for deg in [1, 2, 3] {
             let err = gemv(&store, &[1.0; 3], deg).expect_err("panel 1 is absent");
             assert!(matches!(err, PoolError::Absent(k) if k == store.key(1)), "{err:?}");
+            // A writing schedule that fails part way frees the panels it
+            // wrote: only the input's two remain.
+            let used = pool.used();
+            map(&store, |x| x + 1.0, deg).err().expect("panel 1 is absent");
+            assert_eq!((pool.resident(), pool.used()), (2, used), "degree {deg}");
         }
     }
 
@@ -296,13 +303,13 @@ mod tests {
         let a = sample(500, 11);
         let b = sample(500, 11);
         let pool = shared(5 * (64 * 11 * 8 + 16));
-        let sa = BlockStore::from_dense(&pool, 1, &a, 64).unwrap();
-        let sb = BlockStore::from_dense(&pool, 2, &b, 64).unwrap();
+        let sa = BlockStore::from_dense(&pool, &a, 64).unwrap();
+        let sb = BlockStore::from_dense(&pool, &b, 64).unwrap();
         for deg in [1, 2, 4] {
-            let sum = ewise(&sa, &sb, |x, y| x + y, 10 + deg as u64, deg).unwrap();
+            let sum = ewise(&sa, &sb, |x, y| x + y, deg).unwrap();
             assert_eq!(sum.to_dense().unwrap(), ops::add(&a, &b), "degree {deg}");
             sum.discard().unwrap();
-            let scaled = map(&sa, |x| x * 2.5, 20 + deg as u64, deg).unwrap();
+            let scaled = map(&sa, |x| x * 2.5, deg).unwrap();
             assert_eq!(scaled.to_dense().unwrap(), ops::scale(&a, 2.5), "degree {deg}");
             scaled.discard().unwrap();
         }
@@ -318,7 +325,7 @@ mod tests {
         m.set(2, 2, f64::INFINITY);
         m.set(3, 3, f64::NEG_INFINITY);
         let pool = shared(2 * (8 * 4 * 8 + 16));
-        let store = BlockStore::from_dense(&pool, 1, &m, 8).unwrap();
+        let store = BlockStore::from_dense(&pool, &m, 8).unwrap();
         assert!(pool.stats().evictions > 0, "blocks actually spilled");
         let back = store.to_dense().unwrap();
         for (a, b) in back.data().iter().zip(m.data()) {

@@ -233,7 +233,7 @@ mod tests {
     use super::*;
 
     fn k(i: u64) -> PageKey {
-        PageKey::new(0, i as u32, 0)
+        PageKey::new(0, i as u32)
     }
 
     #[test]

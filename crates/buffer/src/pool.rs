@@ -10,21 +10,21 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Identifies one block: owning matrix id plus tile coordinates.
+/// Identifies one block: the owning matrix's id and the block's row panel.
+/// A [`BlockStore`](crate::BlockStore) takes its matrix id from
+/// [`SharedBufferPool`], which mints a fresh one per store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageKey {
     /// Owning matrix identifier.
     pub matrix: u64,
-    /// Tile row.
-    pub block_row: u32,
-    /// Tile column.
-    pub block_col: u32,
+    /// Row panel within the matrix.
+    pub panel: u32,
 }
 
 impl PageKey {
     /// Construct a key.
-    pub fn new(matrix: u64, block_row: u32, block_col: u32) -> Self {
-        PageKey { matrix, block_row, block_col }
+    pub fn new(matrix: u64, panel: u32) -> Self {
+        PageKey { matrix, panel }
     }
 }
 
@@ -120,6 +120,8 @@ pub struct BufferPool<S: Storage> {
     kind: PolicyKind,
     storage: S,
     stats: PoolStats,
+    // The next matrix id `SharedBufferPool::mint_matrix` hands out.
+    next_matrix: u64,
 }
 
 fn block_bytes(b: &Dense) -> usize {
@@ -137,6 +139,7 @@ impl<S: Storage> BufferPool<S> {
             kind,
             storage,
             stats: PoolStats::default(),
+            next_matrix: 0,
         }
     }
 
@@ -150,10 +153,7 @@ impl<S: Storage> BufferPool<S> {
     // The enabled check gates the page-label formatting, not just the push.
     fn trace_page(name: &'static str, key: PageKey) {
         if trace::is_enabled() {
-            trace::instant(
-                name,
-                &[("page", format!("{}/{},{}", key.matrix, key.block_row, key.block_col).into())],
-            );
+            trace::instant(name, &[("page", format!("{}/{}", key.matrix, key.panel).into())]);
         }
     }
 
@@ -162,7 +162,7 @@ impl<S: Storage> BufferPool<S> {
             trace::instant(
                 name,
                 &[
-                    ("page", format!("{}/{},{}", key.matrix, key.block_row, key.block_col).into()),
+                    ("page", format!("{}/{}", key.matrix, key.panel).into()),
                     ("bytes", bytes.into()),
                 ],
             );
@@ -402,6 +402,12 @@ impl<S: Storage> BufferPool<S> {
 }
 
 /// A thread-safe handle around a pool, for concurrent producers/consumers.
+///
+/// The pool names the matrices stored in it: every
+/// [`BlockStore`](crate::BlockStore) built on it gets a fresh matrix id, so
+/// stores of concurrent users never share a page. Keys a caller
+/// [`put`](Self::put)s by hand are not checked against those ids; a pool
+/// that holds block stores should hold nothing else.
 pub struct SharedBufferPool<S: Storage> {
     inner: Arc<Mutex<BufferPool<S>>>,
 }
@@ -416,6 +422,14 @@ impl<S: Storage> SharedBufferPool<S> {
     /// Wrap a pool.
     pub fn new(pool: BufferPool<S>) -> Self {
         SharedBufferPool { inner: Arc::new(Mutex::new(pool)) }
+    }
+
+    /// A matrix id no earlier call returned, for a new block store.
+    pub(crate) fn mint_matrix(&self) -> u64 {
+        let mut pool = lock(&self.inner);
+        let id = pool.next_matrix;
+        pool.next_matrix += 1;
+        id
     }
 
     /// Insert a block.
@@ -540,7 +554,7 @@ mod tests {
     }
 
     fn key(i: u32) -> PageKey {
-        PageKey::new(1, i, 0)
+        PageKey::new(1, i)
     }
 
     fn pool(capacity_blocks: usize, kind: PolicyKind) -> BufferPool<MemStore> {
@@ -914,7 +928,7 @@ mod tests {
             let s = shared.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..20u32 {
-                    let k = PageKey::new(2, t, i % 4);
+                    let k = PageKey::new(u64::from(t), i % 4);
                     s.put(k, Dense::filled(2, 2, (t * 100 + i) as f64)).unwrap();
                     let got = s.get(k).unwrap();
                     assert!(got.is_some());

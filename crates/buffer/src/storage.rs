@@ -90,7 +90,7 @@ impl FileStore {
     }
 
     fn path(&self, key: PageKey) -> PathBuf {
-        self.dir.join(format!("m{}_b{}_{}.blk", key.matrix, key.block_row, key.block_col))
+        self.dir.join(format!("m{}_p{}.blk", key.matrix, key.panel))
     }
 }
 
@@ -150,7 +150,7 @@ mod tests {
     use super::*;
 
     fn key(i: u32) -> PageKey {
-        PageKey::new(7, i, 0)
+        PageKey::new(7, i)
     }
 
     #[test]

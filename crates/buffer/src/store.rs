@@ -6,7 +6,13 @@
 //! serial kernels in `dm_matrix::ops` consume whole rows (the unrolled `dot`,
 //! the per-row accumulations), and keeping rows intact is what lets the
 //! blocked kernels in [`crate::ooc`] reproduce the in-memory results
-//! bit-for-bit. Tiles use `PageKey { matrix, block_row: panel, block_col: 0 }`.
+//! bit-for-bit. Panel `p` is the page `PageKey { matrix, panel: p }`.
+//!
+//! The pool owns page identity and the store owns page lifetime: the matrix
+//! id is one the pool mints for each new store, so stores built by
+//! concurrent users of one pool never alias, and dropping a store discards
+//! its pages from the pool and the backing store, on error paths too.
+//! [`BlockStore::discard`] does the same and reports a failure.
 //!
 //! The access protocol per tile is pin → compute → unpin: kernels hold a
 //! [`PinGuard`] for the one or two panels they are reading, so the pool can
@@ -17,7 +23,8 @@ use crate::storage::Storage;
 use dm_matrix::Dense;
 use std::ops::Range;
 
-/// A matrix handle whose row panels live in a [`SharedBufferPool`].
+/// A matrix handle whose row panels live in a [`SharedBufferPool`]; its
+/// pages are freed when it drops.
 pub struct BlockStore<S: Storage> {
     pool: SharedBufferPool<S>,
     matrix: u64,
@@ -28,7 +35,7 @@ pub struct BlockStore<S: Storage> {
 
 impl<S: Storage> BlockStore<S> {
     /// Tile `m` into row panels of `panel_rows` rows and insert them into
-    /// `pool` under matrix id `matrix`.
+    /// `pool` under a fresh matrix id.
     ///
     /// Inserting a panel may evict (and spill) earlier panels — loading a
     /// matrix larger than the pool budget is the normal case, not an error.
@@ -39,11 +46,10 @@ impl<S: Storage> BlockStore<S> {
     /// Panics if `panel_rows == 0`.
     pub fn from_dense(
         pool: &SharedBufferPool<S>,
-        matrix: u64,
         m: &Dense,
         panel_rows: usize,
     ) -> Result<Self, PoolError> {
-        let store = Self::new_empty(pool, matrix, m.rows(), m.cols(), panel_rows);
+        let store = Self::new_empty(pool, m.rows(), m.cols(), panel_rows);
         for p in 0..store.num_panels() {
             let r = store.panel_range(p);
             store.put_panel(p, m.slice(r.start, r.end, 0, m.cols()))?;
@@ -51,21 +57,20 @@ impl<S: Storage> BlockStore<S> {
         Ok(store)
     }
 
-    /// Describe a store without inserting any tiles; panels are written later
-    /// with [`put_panel`](Self::put_panel) (how blocked kernels produce their
-    /// outputs).
+    /// Describe a store under a fresh matrix id without inserting any
+    /// tiles; panels are written later with [`put_panel`](Self::put_panel)
+    /// (how blocked kernels produce their outputs).
     ///
     /// # Panics
     /// Panics if `panel_rows == 0`.
     pub fn new_empty(
         pool: &SharedBufferPool<S>,
-        matrix: u64,
         rows: usize,
         cols: usize,
         panel_rows: usize,
     ) -> Self {
         assert!(panel_rows > 0, "panel_rows must be positive");
-        BlockStore { pool: pool.clone(), matrix, rows, cols, panel_rows }
+        BlockStore { pool: pool.clone(), matrix: pool.mint_matrix(), rows, cols, panel_rows }
     }
 
     /// Number of rows of the full matrix.
@@ -96,7 +101,7 @@ impl<S: Storage> BlockStore<S> {
 
     /// The pool key of panel `p`.
     pub fn key(&self, p: usize) -> PageKey {
-        PageKey::new(self.matrix, p as u32, 0)
+        PageKey::new(self.matrix, p as u32)
     }
 
     /// The pool this store's tiles live in.
@@ -141,13 +146,25 @@ impl<S: Storage> BlockStore<S> {
     }
 
     /// Drop every tile from the pool and the backing store, freeing budget
-    /// and spill space. Fails with [`PoolError::Pinned`] if a tile is still
-    /// pinned.
-    pub fn discard(self) -> Result<(), PoolError> {
-        for p in 0..self.num_panels() {
-            self.pool.discard(self.key(p))?;
-        }
-        Ok(())
+    /// and spill space, and report the first failure: [`PoolError::Pinned`]
+    /// if a tile is still pinned, [`PoolError::Io`] if the store could not
+    /// remove one. Dropping the store frees its tiles the same way but
+    /// ignores failures.
+    pub fn discard(mut self) -> Result<(), PoolError> {
+        self.free()
+    }
+
+    // Discard every panel, keeping the first error. A freed store holds no
+    // rows, so the drop that follows `discard` frees nothing again.
+    fn free(&mut self) -> Result<(), PoolError> {
+        let panels = std::mem::take(&mut self.rows).div_ceil(self.panel_rows);
+        (0..panels).map(|p| self.pool.discard(self.key(p))).fold(Ok(()), Result::and)
+    }
+}
+
+impl<S: Storage> Drop for BlockStore<S> {
+    fn drop(&mut self) {
+        let _ = self.free();
     }
 }
 
@@ -208,7 +225,7 @@ mod tests {
         let m = sample(37, 5);
         // Budget fits ~2 panels of 8 rows: loading spills earlier panels.
         let pool = shared(2 * (8 * 5 * 8 + 16));
-        let store = BlockStore::from_dense(&pool, 1, &m, 8).unwrap();
+        let store = BlockStore::from_dense(&pool, &m, 8).unwrap();
         assert_eq!(store.num_panels(), 5);
         assert_eq!(store.panel_range(4), 32..37);
         assert!(pool.stats().evictions > 0, "working set exceeds budget");
@@ -220,13 +237,13 @@ mod tests {
     fn pin_panel_guards_and_reports_absent() {
         let m = sample(10, 3);
         let pool = shared(1 << 16);
-        let store = BlockStore::from_dense(&pool, 2, &m, 4).unwrap();
+        let store = BlockStore::from_dense(&pool, &m, 4).unwrap();
         {
             let g = store.pin_panel(1).unwrap();
             assert_eq!(g.row(0), m.row(4));
         }
         pool.audit_quiescent().unwrap();
-        let ghost = BlockStore::new_empty(&pool, 9, 4, 4, 2);
+        let ghost = BlockStore::new_empty(&pool, 4, 4, 2);
         assert!(matches!(ghost.pin_panel(0), Err(PoolError::Absent(_))));
     }
 
@@ -234,19 +251,34 @@ mod tests {
     fn discard_clears_pool_and_storage() {
         let m = sample(32, 4);
         let pool = shared(2 * (4 * 4 * 8 + 16));
-        let store = BlockStore::from_dense(&pool, 3, &m, 4).unwrap();
+        let store = BlockStore::from_dense(&pool, &m, 4).unwrap();
+        let keys: Vec<_> = (0..store.num_panels()).map(|p| store.key(p)).collect();
         assert!(pool.resident() > 0);
         store.discard().unwrap();
         assert_eq!(pool.resident(), 0);
         assert_eq!(pool.used(), 0);
-        let mut absent = 0;
-        let probe = BlockStore::new_empty(&pool, 3, 32, 4, 4);
-        for p in 0..probe.num_panels() {
-            if pool.get(probe.key(p)).unwrap().is_none() {
-                absent += 1;
-            }
-        }
+        let absent = keys.iter().filter(|&&k| pool.get(k).unwrap().is_none()).count();
         assert_eq!(absent, 8, "no tile survives in pool or storage");
+    }
+
+    #[test]
+    fn dropping_a_store_frees_its_pages() {
+        let m = sample(32, 4);
+        let pool = shared(2 * (4 * 4 * 8 + 16));
+        let (a, b) =
+            (BlockStore::from_dense(&pool, &m, 4).unwrap(), BlockStore::new_empty(&pool, 32, 4, 4));
+        assert_ne!(a.key(0), b.key(0), "each store gets its own matrix id");
+        let keys: Vec<_> = (0..a.num_panels()).map(|p| a.key(p)).collect();
+        assert!(pool.stats().evictions > 0, "loading spilled panels");
+        drop(a);
+        assert_eq!((pool.used(), pool.resident()), (0, 0));
+        assert!(keys.iter().all(|&k| pool.get(k).unwrap().is_none()), "none left in storage");
+        // A pinned page outlives the drop; everything else goes.
+        let c = BlockStore::from_dense(&pool, &m, 4).unwrap();
+        let pin = c.pin_panel(7).unwrap();
+        drop(c);
+        assert_eq!(pool.resident(), 1);
+        assert_eq!(pool.audit().unwrap().pinned, vec![(pin.key(), 1)]);
     }
 
     #[test]
@@ -262,7 +294,7 @@ mod tests {
         // against the pool's own accounting.
         let m = sample(37, 5);
         let pool = shared(1 << 20);
-        let store = BlockStore::from_dense(&pool, 1, &m, 8).unwrap();
+        let store = BlockStore::from_dense(&pool, &m, 8).unwrap();
         assert_eq!(store_bytes(37, 5, 8), pool.used());
         assert_eq!(store_bytes(37, 5, 8), 37 * 5 * 8 + 5 * FRAME_OVERHEAD);
         store.discard().unwrap();
@@ -274,7 +306,7 @@ mod tests {
     #[should_panic(expected = "panel 0 shape mismatch")]
     fn put_panel_checks_shape() {
         let pool = shared(1 << 16);
-        let store = BlockStore::new_empty(&pool, 1, 10, 4, 5);
+        let store = BlockStore::new_empty(&pool, 10, 4, 5);
         store.put_panel(0, Dense::zeros(3, 4)).unwrap();
     }
 }

@@ -35,13 +35,12 @@ fn budget_smaller_than_one_tile_errors_cleanly() {
     // A budget below a single tile must fail fast with BlockTooLarge — not
     // loop evicting, not panic.
     let pool = disk_pool(64, "tiny");
-    let err =
-        pool.put(PageKey::new(1, 0, 0), Dense::zeros(8, 8)).map(|_| ()).expect_err("must fail");
+    let err = pool.put(PageKey::new(1, 0), Dense::zeros(8, 8)).map(|_| ()).expect_err("must fail");
     assert!(matches!(err, PoolError::BlockTooLarge { block_bytes: 528, capacity: 64 }));
     // Same through the BlockStore loader.
     let m = awkward(32, 8);
     assert!(matches!(
-        BlockStore::from_dense(&pool, 2, &m, 8).map(|_| ()).expect_err("must fail"),
+        BlockStore::from_dense(&pool, &m, 8).map(|_| ()).expect_err("must fail"),
         PoolError::BlockTooLarge { .. }
     ));
     pool.audit_quiescent().expect("failed put leaves a consistent pool");
@@ -53,7 +52,7 @@ fn pinned_then_unpinned_dirty_block_round_trips_through_disk() {
     // victim, spills to disk, and must fault back with identical bits.
     let pool = disk_pool(2 * (8 * 4 * 8 + 16), "pin_cycle");
     let victim = awkward(8, 4);
-    let k = |i| PageKey::new(1, i, 0);
+    let k = |i| PageKey::new(1, i);
     pool.put(k(0), victim.clone()).unwrap();
     {
         let g = pool.pin(k(0)).unwrap().expect("resident");
@@ -83,9 +82,9 @@ fn audit_stays_clean_after_full_out_of_core_gemm() {
     // Budget ~= a quarter of the working set (a + b + out).
     let ws = (96 * 40 + 40 * 32 + 96 * 32) * 8;
     let pool = disk_pool(ws / 4, "gemm");
-    let sa = BlockStore::from_dense(&pool, 1, &a, 8).unwrap();
-    let sb = BlockStore::from_dense(&pool, 2, &b, 8).unwrap();
-    let out = ooc::gemm(&sa, &sb, 3, 4).unwrap();
+    let sa = BlockStore::from_dense(&pool, &a, 8).unwrap();
+    let sb = BlockStore::from_dense(&pool, &b, 8).unwrap();
+    let out = ooc::gemm(&sa, &sb, 4).unwrap();
     let got = out.to_dense().unwrap();
     let expect = ops::gemm(&a, &b);
     for (x, y) in got.data().iter().zip(expect.data()) {

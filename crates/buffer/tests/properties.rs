@@ -42,11 +42,11 @@ proptest! {
         for op in ops {
             match op {
                 Action::Put(k, v) => {
-                    pool.put(PageKey::new(0, k, 0), Dense::filled(2, 2, v)).unwrap();
+                    pool.put(PageKey::new(0, k), Dense::filled(2, 2, v)).unwrap();
                     model.insert(k, v);
                 }
                 Action::Get(k) => {
-                    let got = pool.get(PageKey::new(0, k, 0)).unwrap();
+                    let got = pool.get(PageKey::new(0, k)).unwrap();
                     match model.get(&k) {
                         Some(&v) => {
                             let b = got.expect("stored key must be retrievable");
@@ -65,7 +65,7 @@ proptest! {
         }
         // Post-condition: every key the model knows is still retrievable.
         for (k, v) in model {
-            let b = pool.get(PageKey::new(0, k, 0)).unwrap().expect("durable");
+            let b = pool.get(PageKey::new(0, k)).unwrap().expect("durable");
             prop_assert_eq!(b.get(0, 0), v);
         }
     }
@@ -74,20 +74,20 @@ proptest! {
     fn pins_never_evicted(kind in policies()) {
         let block_bytes = 48;
         let mut pool = BufferPool::new(2 * block_bytes, kind, MemStore::default());
-        pool.put(PageKey::new(0, 0, 0), Dense::filled(2, 2, 7.0)).unwrap();
-        pool.pin(PageKey::new(0, 0, 0)).unwrap().unwrap();
+        pool.put(PageKey::new(0, 0), Dense::filled(2, 2, 7.0)).unwrap();
+        pool.pin(PageKey::new(0, 0)).unwrap().unwrap();
         // Hammer the pool with other blocks.
         for k in 1..20u32 {
-            pool.put(PageKey::new(0, k, 0), Dense::filled(2, 2, k as f64)).unwrap();
+            pool.put(PageKey::new(0, k), Dense::filled(2, 2, k as f64)).unwrap();
         }
         // The pinned block is still resident (a get is a hit, not a fault).
         let before = pool.stats().hits;
-        pool.get(PageKey::new(0, 0, 0)).unwrap().unwrap();
+        pool.get(PageKey::new(0, 0)).unwrap().unwrap();
         prop_assert_eq!(pool.stats().hits, before + 1);
         // The audit sees the outstanding pin, and sees it released.
         let report = pool.audit().expect("pool consistent");
-        prop_assert_eq!(report.pinned, vec![(PageKey::new(0, 0, 0), 1)]);
-        pool.unpin(PageKey::new(0, 0, 0)).unwrap();
+        prop_assert_eq!(report.pinned, vec![(PageKey::new(0, 0), 1)]);
+        pool.unpin(PageKey::new(0, 0)).unwrap();
         prop_assert!(pool.audit_quiescent().is_ok(), "pin leak after release");
     }
 

@@ -24,7 +24,6 @@ type Store = BlockStore<MemStore>;
 const PAR_DEGREES: [usize; 3] = [2, 3, 8];
 const OOC_DEGREES: [usize; 3] = [1, 2, 4];
 const PANEL_HEIGHTS: [usize; 4] = [128, 700, 1024, 1500];
-const OUT: u64 = 99;
 
 /// The operands every operator of one case reads: `x` (and `y`, its
 /// elementwise partner), gemm's `b`, gemv's `v` and gevm's `u`.
@@ -145,7 +144,7 @@ fn operators() -> [Operator; 8] {
             name: "gemm",
             serial: |c| bits(ops::gemm(&c.x, &c.b).data()),
             par: Some(|c, d| bits(par::gemm(&c.x, &c.b, d).data())),
-            ooc: Some(|s, _, d| collect(ooc::gemm(&s.x, &s.b, OUT, d)?)),
+            ooc: Some(|s, _, d| collect(ooc::gemm(&s.x, &s.b, d)?)),
         },
         Operator {
             name: "crossprod",
@@ -169,13 +168,13 @@ fn operators() -> [Operator; 8] {
             name: "ewise",
             serial: |c| bits(ops::mul(&c.x, &c.y).data()),
             par: None,
-            ooc: Some(|s, _, d| collect(ooc::ewise(&s.x, &s.y, mul, OUT, d)?)),
+            ooc: Some(|s, _, d| collect(ooc::ewise(&s.x, &s.y, mul, d)?)),
         },
         Operator {
             name: "map",
             serial: |c| bits(c.x.map(affine).data()),
             par: None,
-            ooc: Some(|s, _, d| collect(ooc::map(&s.x, affine, OUT, d)?)),
+            ooc: Some(|s, _, d| collect(ooc::map(&s.x, affine, d)?)),
         },
     ]
 }
@@ -216,8 +215,8 @@ fn every_operator_computes_the_same_bits_under_every_schedule() {
         for h in PANEL_HEIGHTS {
             let (pool, evicts) = evicting_pool(&c, h);
             assert!(evicts || c.name.starts_with("edge"), "{}: the pool must evict", c.name);
-            let load = |id, m: &Dense| BlockStore::from_dense(&pool, id, m, h).unwrap();
-            let s = Stores { x: load(1, &c.x), y: load(2, &c.y), b: load(3, &c.b) };
+            let load = |m: &Dense| BlockStore::from_dense(&pool, m, h).unwrap();
+            let s = Stores { x: load(&c.x), y: load(&c.y), b: load(&c.b) };
             for (op, want) in operators.iter().zip(&want) {
                 let Some(run) = op.ooc else { continue };
                 for d in OOC_DEGREES {
@@ -227,6 +226,8 @@ fn every_operator_computes_the_same_bits_under_every_schedule() {
             }
             assert!(!evicts || pool.stats().evictions > 0, "{}: panel {h} never evicted", c.name);
             pool.audit_quiescent().unwrap();
+            drop(s);
+            assert_eq!(pool.used(), 0, "{}: the dropped operands left pages", c.name);
         }
     }
 }

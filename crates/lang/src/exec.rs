@@ -44,17 +44,13 @@ use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::liveness::Schedule;
 use crate::memory::MemoryBudget;
 use crate::physical::{Kernel, PhysicalPlan};
-use dm_buffer::policy::PolicyKind;
-use dm_buffer::storage::{FileStore, MemStore, Storage};
-use dm_buffer::{
-    ooc, panel_rows_for, BlockStore, BufferPool, PoolError, PoolStats, SharedBufferPool,
-};
+use dm_buffer::storage::Storage;
+use dm_buffer::{ooc, panel_rows_for, BlockStore, PoolError, PoolStats, SharedBufferPool};
 use dm_matrix::{ops, par, sparse, Csr, Dense, Matrix};
 use dm_obs::{elapsed_ns, trace, StatsRegistry};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -304,7 +300,6 @@ pub struct Executor<'g> {
     // Spill pool shared by every blocked kernel of this executor, created
     // lazily on the first out-of-core dispatch.
     ooc_pool: Option<SharedBufferPool<Box<dyn Storage>>>,
-    next_ooc_matrix: u64,
     stats: ExecStats,
     profile: Option<ExecProfile>,
     // Emit one structured trace span per step (plus shared-read instants).
@@ -348,7 +343,6 @@ impl<'g> Executor<'g> {
             graph,
             plan,
             ooc_pool: None,
-            next_ooc_matrix: 0,
             stats: ExecStats::default(),
             profile: profile_to_env.then(ExecProfile::default),
             tracing: trace_to_env,
@@ -389,59 +383,18 @@ impl<'g> Executor<'g> {
         self.ooc_pool.as_ref().map(|p| p.stats())
     }
 
-    /// The executor's spill pool, created on first use: an LRU pool capped
-    /// at the memory budget over an on-disk store in a unique temp
-    /// directory (falling back to an in-memory store if the directory
-    /// cannot be created).
-    fn spill_pool(&mut self, budget: usize) -> SharedBufferPool<Box<dyn Storage>> {
-        if let Some(p) = &self.ooc_pool {
-            return p.clone();
-        }
-        static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "dmml_spill_{}_{}",
-            std::process::id(),
-            SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let storage: Box<dyn Storage> = match FileStore::new(dir) {
-            Ok(fs) => Box::new(fs),
-            Err(_) => Box::new(MemStore::default()),
-        };
-        // The pool gets half the budget; the other half is headroom for the
-        // materialized operands/outputs the certifier keeps resident (see
-        // crate::liveness — the certifier caps its pool term with the same
-        // spill_pool_capacity, so certified plans and this pool agree).
-        let capacity = crate::memory::spill_pool_capacity(budget);
-        let pool = SharedBufferPool::new(BufferPool::new(capacity, PolicyKind::Lru, storage));
-        self.ooc_pool = Some(pool.clone());
-        pool
-    }
-
-    /// Reserve `n` fresh matrix ids in the spill pool's key space.
-    fn ooc_ids(&mut self, n: u64) -> u64 {
-        let base = self.next_ooc_matrix;
-        self.next_ooc_matrix += n;
-        base
-    }
-
-    /// Share a pre-built spill pool instead of lazily creating a private
-    /// one, reserving matrix ids starting at `first_matrix_id`.
+    /// Share a pre-built spill pool instead of building a private one
+    /// ([`memory::spill_pool`](crate::memory::spill_pool)) on the first
+    /// blocked node.
     ///
     /// A server runs many executors against one bounded spill pool so that
     /// blocked kernels from concurrent requests compete for the *same*
-    /// budgeted capacity instead of each opening an unbounded private
-    /// pool. [`PageKey`](dm_buffer::PageKey) matrix ids are allocated from
-    /// `self` starting at 0 by default, so concurrent executors sharing a
-    /// pool **must** be given disjoint id ranges here (e.g. a per-request
-    /// sequence number shifted into the high bits) or their pages would
-    /// alias.
-    pub fn with_spill_pool(
-        mut self,
-        pool: SharedBufferPool<Box<dyn Storage>>,
-        first_matrix_id: u64,
-    ) -> Self {
+    /// budgeted capacity instead of each opening a pool of its own. The pool
+    /// gives every block store a fresh matrix id, so concurrent executors
+    /// never alias pages, and a store frees its pages when dropped, so an
+    /// eval that fails part way leaves none behind.
+    pub fn with_spill_pool(mut self, pool: SharedBufferPool<Box<dyn Storage>>) -> Self {
         self.ooc_pool = Some(pool);
-        self.next_ooc_matrix = first_matrix_id;
         self
     }
 
@@ -576,33 +529,34 @@ impl<'g> Executor<'g> {
 
     /// Run node `id`'s dense operator where its family places it:
     /// `in_memory` at the node's in-memory degree or, when blocked, `blocked`
-    /// over `operands` tiled into the spill pool, given a fresh matrix id for
-    /// an output store and the executor degree. The operand tiles are discarded
-    /// afterwards; an output store is the closure's to [`collect`].
+    /// over `operands` tiled into the spill pool, at the executor degree.
+    /// The operand tiles are discarded afterwards (dropped, on an error
+    /// path); an output store is the closure's to [`collect`].
     fn run<T>(
         &mut self,
         id: NodeId,
         operands: &[&Dense],
         in_memory: impl FnOnce(usize) -> T,
-        blocked: impl FnOnce(&[Tiles], u64, usize) -> Result<T, PoolError>,
+        blocked: impl FnOnce(&[Tiles], usize) -> Result<T, PoolError>,
     ) -> Result<T, ExecError> {
         let (KernelChoice::Blocked, Some(budget)) = (self.family(id), self.plan.mem_budget())
         else {
             return Ok(in_memory(self.in_memory_degree(id)));
         };
         self.stats.ooc_nodes += 1;
-        let pool = self.spill_pool(budget);
+        // The certifier caps its pool term with the same spill_pool_capacity
+        // (crate::liveness), so certified plans and this pool agree.
+        let pool = self.ooc_pool.get_or_insert_with(|| crate::memory::spill_pool(budget));
         let err = |e: PoolError| ooc_err(id, e);
-        let base = self.ooc_ids(operands.len() as u64 + 1);
-        let tiles = (base..)
-            .zip(operands)
-            .map(|(matrix, m)| {
+        let tiles = operands
+            .iter()
+            .map(|m| {
                 let rows = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
-                BlockStore::from_dense(&pool, matrix, m, rows)
+                BlockStore::from_dense(pool, m, rows)
             })
             .collect::<Result<Vec<_>, _>>()
             .map_err(err)?;
-        let out = blocked(&tiles, base + operands.len() as u64, self.degree()).map_err(err)?;
+        let out = blocked(&tiles, self.degree()).map_err(err)?;
         for t in tiles {
             t.discard().map_err(err)?;
         }
@@ -799,18 +753,23 @@ impl<'g> Executor<'g> {
                 let Val::Matrix(m) = &v else {
                     return Err(type_err("crossprod needs a matrix".into()));
                 };
-                let m = dense(m);
                 if self.plan.kernel(id) == Kernel::Sparse {
-                    let s = Csr::from_dense(&m);
-                    self.stats.flops += 2 * (s.nnz() * m.cols()) as u64;
+                    // A CSR operand goes in as it is. Its bits are the dense
+                    // round trip's, since a `Csr` stores no zeros.
+                    let s = match &**m {
+                        Matrix::Sparse(s) => Cow::Borrowed(s),
+                        Matrix::Dense(d) => Cow::Owned(Csr::from_dense(d)),
+                    };
+                    self.stats.flops += 2 * (s.nnz() * s.cols()) as u64;
                     return Ok(dense_val(sparse::sp_crossprod(&s)));
                 }
+                let m = dense(m);
                 self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
                 let out = self.run(
                     id,
                     &[&m],
                     |deg| par::crossprod(&m, deg),
-                    |t, _, deg| ooc::crossprod(&t[0], deg),
+                    |t, deg| ooc::crossprod(&t[0], deg),
                 )?;
                 Ok(dense_val(out))
             }
@@ -876,7 +835,7 @@ impl<'g> Executor<'g> {
                         id,
                         &[&d],
                         |deg| par::gemv(&d, &v, deg),
-                        |t, _, deg| ooc::gemv(&t[0], &v, deg),
+                        |t, deg| ooc::gemv(&t[0], &v, deg),
                     )?
                 }
             };
@@ -894,7 +853,7 @@ impl<'g> Executor<'g> {
                     id,
                     &[&da, &db],
                     |deg| par::gemm(&da, &db, deg),
-                    |t, out, deg| collect(ooc::gemm(&t[0], &t[1], out, deg)?),
+                    |t, deg| collect(ooc::gemm(&t[0], &t[1], deg)?),
                 )?
             }
         };
@@ -948,7 +907,7 @@ impl<'g> Executor<'g> {
                         id,
                         &[d],
                         |deg| par::col_sums(d, deg),
-                        |t, _, deg| ooc::col_sums(&t[0], deg),
+                        |t, deg| ooc::col_sums(&t[0], deg),
                     )?,
                     Matrix::Sparse(s) => {
                         let ones = vec![1.0; s.rows()];
@@ -1048,8 +1007,8 @@ impl<'g> Executor<'g> {
                     EwiseOp::Mul => ops::mul(&da, &db),
                     EwiseOp::Div => ops::div(&da, &db),
                 };
-                let out = self.run(id, &[&da, &db], in_memory, |t, out, deg| {
-                    collect(ooc::ewise(&t[0], &t[1], f, out, deg)?)
+                let out = self.run(id, &[&da, &db], in_memory, |t, deg| {
+                    collect(ooc::ewise(&t[0], &t[1], f, deg)?)
                 })?;
                 Ok(dense_val(out))
             }
@@ -1065,12 +1024,8 @@ impl<'g> Executor<'g> {
     ) -> Result<Val, ExecError> {
         let d = dense(m);
         self.stats.flops += (d.rows() * d.cols()) as u64;
-        let out = self.run(
-            id,
-            &[&d],
-            |_| d.map(&f),
-            |t, out, deg| collect(ooc::map(&t[0], &f, out, deg)?),
-        )?;
+        let out =
+            self.run(id, &[&d], |_| d.map(&f), |t, deg| collect(ooc::map(&t[0], &f, deg)?))?;
         Ok(dense_val(out))
     }
 }
@@ -1343,6 +1298,37 @@ mod tests {
 
         let expect: f64 = ops::gemv(&sp, &v).iter().sum();
         assert!((got - expect).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sparse_crossprod_of_a_csr_input_equals_the_dense_one() {
+        // Halves and their products sum exactly, so every path has the bits.
+        let sp = Dense::from_fn(60, 12, |r, c| match (r * 12 + c) % 17 {
+            0 => 1.5,
+            5 => -0.5 * (r % 7) as f64 - 0.5,
+            _ => 0.0,
+        });
+        let mut g = Graph::new();
+        let xi = g.input("S");
+        let cp = g.push(Op::CrossProd(xi));
+        let mut sizes = InputSizes::new();
+        sizes.declare("S", 60, 12, 0.1);
+        let plan = planned(&g, cp, &PlanOptions::new(&sizes));
+        assert_eq!(plan.kernel(cp), Kernel::Sparse);
+        let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let run = |m: Matrix, plan: PhysicalPlan| {
+            let mut env = Env::new();
+            env.bind("S", m);
+            let mut ex = Executor::with_plan(&g, plan);
+            (bits(&ex.eval(cp, &env).unwrap().as_dense().unwrap()), ex.stats().flops)
+        };
+        let csr = Csr::from_dense(&sp);
+        let (got, flops) = run(Matrix::Sparse(csr.clone()), plan);
+        assert_eq!(flops, 2 * (csr.nnz() * 12) as u64);
+        let round_trip = sparse::sp_crossprod(&Csr::from_dense(&csr.to_dense()));
+        assert_eq!(got, bits(&round_trip), "the CSR operand skips only the dense round trip");
+        let (dense, _) = run(Matrix::Dense(sp.clone()), PhysicalPlan::default());
+        assert_eq!(got, dense, "sparse and dense crossprod agree bit for bit");
     }
 
     #[test]

@@ -32,7 +32,11 @@
 //! assert_eq!(MemoryBudget::parse("nonsense"), None);
 //! ```
 
+use dm_buffer::policy::PolicyKind;
+use dm_buffer::storage::{FileStore, MemStore, Storage};
+use dm_buffer::{BufferPool, SharedBufferPool};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable naming the default memory budget, e.g. `64m`.
 /// An explicit API budget always takes precedence over the variable.
@@ -45,6 +49,27 @@ pub const MEM_BUDGET_ENV: &str = "DMML_MEM_BUDGET";
 /// the budget type, ties the executor and the certifier to the same number.
 pub fn spill_pool_capacity(budget: usize) -> usize {
     (budget / 2).max(1)
+}
+
+/// The spill pool blocked kernels stream through under `budget`: an LRU
+/// pool of [`spill_pool_capacity`] bytes over a [`FileStore`] in a fresh
+/// temp directory, `dmml_spill_<pid>_<seq>`, or over a [`MemStore`] when
+/// that directory cannot be made. The directory goes away with the pool.
+///
+/// An [`Executor`](crate::exec::Executor) builds one on its first blocked
+/// node; the scoring server builds one at start and shares it between its
+/// executors ([`Executor::with_spill_pool`](crate::exec::Executor::with_spill_pool)).
+/// The pool names every block store built on it, so sharing needs nothing
+/// more.
+pub fn spill_pool(budget: usize) -> SharedBufferPool<Box<dyn Storage>> {
+    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dmml_spill_{}_{seq}", std::process::id()));
+    let storage: Box<dyn Storage> = match FileStore::new(dir) {
+        Ok(fs) => Box::new(fs),
+        Err(_) => Box::new(MemStore::default()),
+    };
+    SharedBufferPool::new(BufferPool::new(spill_pool_capacity(budget), PolicyKind::Lru, storage))
 }
 
 /// Panel-height divisor the executor passes to

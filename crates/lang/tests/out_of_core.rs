@@ -248,8 +248,9 @@ impl Storage for FillingStore {
 }
 
 /// A blocked evaluation whose spill write fails returns an `ExecError`
-/// naming the I/O failure; once the disk frees up, the same shared pool
-/// serves the next evaluation bit-identically to the in-memory one.
+/// naming the I/O failure and leaves no page in the shared pool; once the
+/// disk frees up, the same pool serves the next evaluation bit-identically
+/// to the in-memory one.
 #[test]
 fn a_failed_spill_write_is_an_exec_error() {
     let p = program();
@@ -266,18 +267,62 @@ fn a_failed_spill_write_is_an_exec_error() {
     let capacity = dm_lang::memory::spill_pool_capacity(budget);
     let pool = SharedBufferPool::new(BufferPool::new(capacity, PolicyKind::Lru, store));
 
-    let mut ex = Executor::with_plan(&p.graph, plan.clone()).with_spill_pool(pool.clone(), 0);
+    let mut ex = Executor::with_plan(&p.graph, plan.clone()).with_spill_pool(pool.clone());
     match ex.eval(p.root, &env) {
         Err(ExecError::OutOfCore { message, .. }) => {
             assert!(message.contains("no space left"), "{message}")
         }
         other => panic!("expected an out-of-core error, got {other:?}"),
     }
+    drop(ex);
+    assert_eq!((pool.used(), pool.resident()), (0, 0), "the failed eval left pages behind");
 
     let want = Executor::new(&p.graph).eval(p.root, &env).unwrap().as_scalar().unwrap();
-    let mut ex = Executor::with_plan(&p.graph, plan).with_spill_pool(pool, 1 << 32);
+    let mut ex = Executor::with_plan(&p.graph, plan).with_spill_pool(pool.clone());
     let got = ex.eval(p.root, &env).unwrap().as_scalar().unwrap();
     assert_eq!(got.to_bits(), want.to_bits());
+    assert_eq!(pool.used(), 0);
+    pool.audit_quiescent().unwrap();
+}
+
+/// Executors on several threads run one blocked plan through one shared
+/// spill pool at once, each on its own inputs. The pool names every block
+/// store, so no eval reads another's page: each result is its in-memory
+/// eval's bits, and the pool ends empty.
+#[test]
+fn concurrent_blocked_evals_share_one_spill_pool() {
+    let p = program();
+    let (n, k, m) = (128, 24, 48);
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", n, k, 1.0);
+    sizes.declare("B", k, m, 1.0);
+    let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
+    let plan = plan_under(&p, &sizes, 1, budget);
+    let pool = dm_lang::memory::spill_pool(budget);
+    let threads = 3;
+    let start = std::sync::Barrier::new(threads);
+    std::thread::scope(|s| {
+        for salt in 0..threads as u64 {
+            let (p, plan, pool, start) = (&p, &plan, &pool, &start);
+            s.spawn(move || {
+                let mut env = Env::new();
+                env.bind("X", Matrix::Dense(dense_input(n, k, salt)));
+                env.bind("B", Matrix::Dense(dense_input(k, m, salt + 100)));
+                let want = Executor::new(&p.graph).eval(p.z, &env).unwrap().as_dense().unwrap();
+                // Every thread's first blocked eval starts at once.
+                start.wait();
+                for _ in 0..4 {
+                    let mut ex =
+                        Executor::with_plan(&p.graph, plan.clone()).with_spill_pool(pool.clone());
+                    let got = ex.eval(p.z, &env).unwrap().as_dense().unwrap();
+                    assert_eq!(bits(&got), bits(&want), "thread {salt}");
+                }
+            });
+        }
+    });
+    assert!(pool.stats().evictions > 0, "the evals spilled: {:?}", pool.stats());
+    assert_eq!(pool.used(), 0, "every block store freed its pages");
+    pool.audit_quiescent().unwrap();
 }
 
 /// `DMML_MEM_BUDGET` drives `PlanOptions::from_env`, with the explicit API

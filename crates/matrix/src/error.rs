@@ -37,6 +37,14 @@ pub enum MatrixError {
         /// Index of the column where rank deficiency was detected.
         column: usize,
     },
+    /// A sparse matrix was given an explicit zero (`0.0` or `-0.0`) to
+    /// store; its kernels rely on every stored value being non-zero.
+    StoredZero {
+        /// Row of the zero entry.
+        row: usize,
+        /// Column of the zero entry.
+        col: usize,
+    },
     /// An iterative solver failed to converge within its iteration budget.
     DidNotConverge {
         /// Number of iterations performed.
@@ -60,6 +68,9 @@ impl fmt::Display for MatrixError {
             }
             MatrixError::Singular { column } => {
                 write!(f, "matrix is singular or rank-deficient at column {column}")
+            }
+            MatrixError::StoredZero { row, col } => {
+                write!(f, "sparse entry ({row}, {col}) stores an explicit zero")
             }
             MatrixError::DidNotConverge { iterations, residual } => {
                 write!(
@@ -87,6 +98,8 @@ mod tests {
         assert!(e.to_string().contains("pivot 2"));
         let e = MatrixError::Singular { column: 4 };
         assert!(e.to_string().contains("column 4"));
+        let e = MatrixError::StoredZero { row: 1, col: 2 };
+        assert!(e.to_string().contains("(1, 2)"));
         let e = MatrixError::DidNotConverge { iterations: 100, residual: 1e-3 };
         assert!(e.to_string().contains("100 iterations"));
     }

@@ -91,7 +91,8 @@ impl Coo {
 ///
 /// `indptr` has `rows + 1` entries; row `r` occupies `indices[indptr[r]..indptr[r+1]]`
 /// (column indices, strictly increasing within a row) and the parallel slice of
-/// `values`. Explicit zeros are never stored.
+/// `values`. Explicit zeros (`0.0` or `-0.0`) are never stored, so a dense
+/// round trip (`Csr::from_dense(&m.to_dense())`) gives back the same arrays.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
@@ -107,7 +108,8 @@ impl Csr {
         Csr { rows, cols, indptr: vec![0; rows + 1], indices: Vec::new(), values: Vec::new() }
     }
 
-    /// Build from raw CSR arrays, validating the invariants.
+    /// Build from raw CSR arrays, validating the invariants: a stored
+    /// `0.0` or `-0.0` is [`MatrixError::StoredZero`].
     pub fn from_raw(
         rows: usize,
         cols: usize,
@@ -141,6 +143,9 @@ impl Csr {
                 if last >= cols {
                     return Err(MatrixError::IndexOutOfBounds { row: r, col: last, rows, cols });
                 }
+            }
+            if let Some(i) = values[indptr[r]..indptr[r + 1]].iter().position(|&v| v == 0.0) {
+                return Err(MatrixError::StoredZero { row: r, col: row_idx[i] });
             }
         }
         Ok(Csr { rows, cols, indptr, indices, values })
@@ -415,6 +420,13 @@ mod tests {
         assert!(Csr::from_raw(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]).is_err());
         // decreasing indptr.
         assert!(Csr::from_raw(2, 2, vec![0, 1, 0], vec![1], vec![5.0]).is_err());
+        // a stored zero, of either sign.
+        for zero in [0.0, -0.0] {
+            assert_eq!(
+                Csr::from_raw(2, 3, vec![0, 1, 2], vec![0, 2], vec![1.0, zero]),
+                Err(MatrixError::StoredZero { row: 1, col: 2 })
+            );
+        }
     }
 
     #[test]

@@ -35,10 +35,9 @@ use crate::protocol::{
     read_frame_len, read_request_frame, write_response_frame, Cmd, InputValue, Received, Request,
     Response, ScoreResult, CHUNK_BYTES,
 };
-use dm_buffer::policy::PolicyKind;
 use dm_buffer::session::SessionLedger;
-use dm_buffer::storage::{FileStore, MemStore, Storage};
-use dm_buffer::{BufferPool, SharedBufferPool};
+use dm_buffer::storage::Storage;
+use dm_buffer::SharedBufferPool;
 use dm_lang::cache::{
     compile_graph, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
 };
@@ -57,7 +56,7 @@ use dm_par::WorkerPool;
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -179,7 +178,6 @@ struct Shared {
     spill: Option<SharedBufferPool<Box<dyn Storage>>>,
     batcher: Batcher,
     model: CostModel,
-    spill_slots: SpillSlots,
     /// Tenants granted their own latency series, capped at
     /// `cfg.tenant_series`; later tenants share the `other` bucket.
     tenants: Mutex<BTreeSet<String>>,
@@ -203,68 +201,6 @@ struct ReqCtx {
     root: Option<trace::SpanHandle>,
 }
 
-/// Allocator of disjoint spill-pool matrix-id namespaces for concurrent
-/// executors sharing one pool (see [`Executor::with_spill_pool`]: ranges
-/// **must never** alias). Each slot owns the 2^32-id range
-/// `slot << 32 ..`, and slots return to a free list when their request
-/// finishes, so a long-lived server reuses the handful of slots its
-/// concurrency actually needs instead of marching a counter into wrap-
-/// around after 2^32 requests. Reuse is safe: blocked kernels write every
-/// panel they later read and discard their stores when done, so a slot's
-/// keys are dead by the time it is released.
-struct SpillSlots {
-    free: Mutex<Vec<u64>>,
-    next: AtomicU64,
-}
-
-impl SpillSlots {
-    fn new() -> Self {
-        SpillSlots { free: Mutex::new(Vec::new()), next: AtomicU64::new(0) }
-    }
-
-    /// Claim a slot; its id range is `slot << 32 .. (slot + 1) << 32`.
-    fn acquire(&self) -> u64 {
-        if let Some(slot) = self.free.lock().expect("slots poisoned").pop() {
-            return slot;
-        }
-        let slot = self.next.fetch_add(1, Ordering::Relaxed);
-        // Fresh slots are minted only up to peak concurrency (workers +
-        // batch followers), which is nowhere near 2^32; the shift below
-        // would silently alias ranges if that ever stopped being true.
-        assert!(slot < u32::MAX as u64, "spill slot allocator exhausted");
-        slot
-    }
-
-    fn release(&self, slot: u64) {
-        self.free.lock().expect("slots poisoned").push(slot);
-    }
-}
-
-/// RAII claim on a [`SpillSlots`] slot: releases on drop so error paths
-/// and panics in kernel code still return the namespace to the free list.
-struct SlotGuard<'a> {
-    slots: &'a SpillSlots,
-    slot: u64,
-}
-
-impl<'a> SlotGuard<'a> {
-    fn acquire(slots: &'a SpillSlots) -> Self {
-        let slot = slots.acquire();
-        SlotGuard { slots, slot }
-    }
-
-    /// First matrix id of this slot's disjoint range.
-    fn first_matrix_id(&self) -> u64 {
-        self.slot << 32
-    }
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.slots.release(self.slot);
-    }
-}
-
 /// The multi-tenant scoring server. Construct with [`start`](Self::start);
 /// dropping it (or calling [`shutdown`](Self::shutdown)) stops the accept
 /// loop, drains in-flight connections, and persists the kernel profile
@@ -284,18 +220,7 @@ impl ScoringServer {
         // One bounded spill pool for every blocked kernel in the process,
         // sized off the shared budget. Unbounded budget ⇒ nothing is ever
         // planned blocked ⇒ no pool needed.
-        let spill = cfg.budget.get().map(|budget| {
-            let dir = std::env::temp_dir().join(format!("dmml_serve_spill_{}", std::process::id()));
-            let storage: Box<dyn Storage> = match FileStore::new(dir) {
-                Ok(fs) => Box::new(fs),
-                Err(_) => Box::<MemStore>::default(),
-            };
-            SharedBufferPool::new(BufferPool::new(
-                dm_lang::memory::spill_pool_capacity(budget),
-                PolicyKind::Lru,
-                storage,
-            ))
-        });
+        let spill = cfg.budget.get().map(dm_lang::memory::spill_pool);
         // Seed the cost model from DMML_PROFILE_DIR when present so the
         // first compiles already use calibrated crossovers.
         let model = CostModel::from_env().unwrap_or_else(|| CostModel::new(ProfileStore::new()));
@@ -316,7 +241,6 @@ impl ScoringServer {
             registry,
             spill,
             model,
-            spill_slots: SpillSlots::new(),
             tenants: Mutex::new(BTreeSet::new()),
             cfg,
         });
@@ -841,25 +765,18 @@ fn build_env(inputs: Vec<(String, InputValue)>, nnz: &[usize]) -> Env {
 /// Run the compiled plan against `env` with the shared resources: a fresh
 /// executor per request (hit and miss paths identical by construction),
 /// stats into the shared registry, kernel profiles into the shared store,
-/// and — when a budget is set — the process-wide spill pool with a
-/// per-request matrix-id range so concurrent blocked kernels cannot alias
-/// pages.
+/// and — when a budget is set — the process-wide spill pool, which names
+/// every request's block stores itself so concurrent blocked kernels cannot
+/// alias pages.
 fn execute(shared: &Arc<Shared>, prog: &CompiledProgram, env: Env) -> Result<Val, String> {
     // `.traced()`: per-node `exec.<op>` spans (kernel, dims, flops) nest
     // under the request's execute-phase span, so `/debug/trace?id=` shows
     // which kernel the time went to.
     let mut ex =
         Executor::with_plan(&prog.graph, prog.plan.clone()).without_env_sinks().profiled().traced();
-    // Held for the whole execution: the guard's id range is this request's
-    // private spill namespace, returned to the free list on drop.
-    let _slot = match &shared.spill {
-        Some(pool) => {
-            let guard = SlotGuard::acquire(&shared.spill_slots);
-            ex = ex.with_spill_pool(pool.clone(), guard.first_matrix_id());
-            Some(guard)
-        }
-        None => None,
-    };
+    if let Some(pool) = &shared.spill {
+        ex = ex.with_spill_pool(pool.clone());
+    }
     let out = ex.eval(prog.root, &env).map_err(|e| e.to_string())?;
     ex.record_stats(shared.registry.as_ref());
     let mut profiles = shared.profiles.lock().expect("profiles poisoned");
@@ -1131,24 +1048,5 @@ mod tests {
         // ...while already-tracked tenants keep their own series.
         assert!(admit_tenant_series(&mut tracked, 2, "a"));
         assert_eq!(tracked.len(), 2, "overflow tenants are not tracked");
-    }
-
-    #[test]
-    fn spill_slots_reuse_released_ranges() {
-        let slots = SpillSlots::new();
-        let a = SlotGuard::acquire(&slots);
-        let b = SlotGuard::acquire(&slots);
-        let (ida, idb) = (a.first_matrix_id(), b.first_matrix_id());
-        assert_ne!(ida, idb, "concurrent slots get disjoint ranges");
-        assert_eq!(idb - ida, 1 << 32, "each slot owns a 2^32-id range");
-        drop(a);
-        // A released slot is reused instead of minting a fresh range, so
-        // the namespace never marches toward wrap-around on a long-lived
-        // server.
-        let c = SlotGuard::acquire(&slots);
-        assert_eq!(c.first_matrix_id(), ida);
-        drop(b);
-        drop(c);
-        assert_eq!(slots.next.load(Ordering::Relaxed), 2, "only 2 slots ever minted");
     }
 }

@@ -40,9 +40,9 @@ fn main() {
     let pool = SharedBufferPool::new(BufferPool::new(budget, PolicyKind::Lru, store));
 
     let t0 = std::time::Instant::now();
-    let sa = BlockStore::from_dense(&pool, 1, &a, panel_rows_for(a.cols(), budget, 8)).unwrap();
-    let sb = BlockStore::from_dense(&pool, 2, &b, panel_rows_for(b.cols(), budget, 8)).unwrap();
-    let out = ooc::gemm(&sa, &sb, 3, 2).unwrap();
+    let sa = BlockStore::from_dense(&pool, &a, panel_rows_for(a.cols(), budget, 8)).unwrap();
+    let sb = BlockStore::from_dense(&pool, &b, panel_rows_for(b.cols(), budget, 8)).unwrap();
+    let out = ooc::gemm(&sa, &sb, 2).unwrap();
     let product = out.to_dense().unwrap();
     let elapsed = t0.elapsed();
     let st = pool.stats();

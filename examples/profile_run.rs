@@ -94,10 +94,10 @@ fn main() {
     let mut pool = dmml::buffer::BufferPool::new(64 * 1024, PolicyKind::Lru, MemStore::default());
     let num_blocks = 32;
     for b in 0..num_blocks {
-        pool.put(PageKey::new(0, b as u32, 0), Dense::identity(16)).expect("fits or evicts");
+        pool.put(PageKey::new(0, b as u32), Dense::identity(16)).expect("fits or evicts");
     }
     for &b in &dmml::data::trace::zipf(num_blocks, 1.0, 2_000, 17) {
-        pool.get(PageKey::new(0, b as u32, 0)).expect("no storage error");
+        pool.get(PageKey::new(0, b as u32)).expect("no storage error");
     }
     let ps = pool.stats();
     println!("\n=== buffer pool ({} policy) ===", pool.policy_kind());

@@ -160,7 +160,7 @@ fn block_matrix_through_buffer_pool() {
     // Eight panels of 8 rows; the pool holds only 4 of them at a time.
     let pool = BufferPool::new(4 * panel_bytes(8, 32), PolicyKind::Lru, MemStore::default());
     let pool = SharedBufferPool::new(pool);
-    let store = BlockStore::from_dense(&pool, 9, &x, 8).unwrap();
+    let store = BlockStore::from_dense(&pool, &x, 8).unwrap();
     assert!(pool.stats().evictions > 0, "pressure must evict");
 
     // Fault the panels back in through the blocked gemv and compare bits.

@@ -205,11 +205,11 @@ fn e10_policy_and_pool_size_shapes() {
     let replay = |kind: PolicyKind, cap_blocks: usize, trace: &[usize]| -> f64 {
         let mut pool = BufferPool::new(cap_blocks * bytes, kind, MemStore::default());
         for b in 0..num_blocks {
-            pool.put(PageKey::new(0, b as u32, 0), block.clone()).unwrap();
+            pool.put(PageKey::new(0, b as u32), block.clone()).unwrap();
         }
         pool.reset_stats();
         for &b in trace {
-            pool.get(PageKey::new(0, b as u32, 0)).unwrap().unwrap();
+            pool.get(PageKey::new(0, b as u32)).unwrap().unwrap();
         }
         pool.stats().hit_rate()
     };
