@@ -13,7 +13,11 @@
 //!   through the join (Morpheus's rewrites) is then CLA's per-tuple
 //!   pre-aggregation: `gemv`, `vecmat`, `col_sums` and `crossprod` are
 //!   `dm-compress`'s kernels and touch each dimension row once instead of
-//!   once per matching fact row.
+//!   once per matching fact row. [`NormalizedMatrix::from_query`] builds
+//!   one from relational tables: it interprets a key–foreign-key
+//!   [`dm_rel::Query`] (scan, inner joins on unique dimension keys,
+//!   filters, projection) without materializing the join, and returns the
+//!   fact rows it selected for gathering labels.
 //! * [`glm`] — **factorized GLM learning**: gradient-descent training of
 //!   linear/logistic models whose per-epoch cost is
 //!   `O(n·d_S + Σ n_k·d_k)` instead of `O(n·d)` over the materialized join.

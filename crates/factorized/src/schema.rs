@@ -1,9 +1,12 @@
 //! The normalized-matrix representation of a star-schema join, stored as
-//! compressed column groups.
+//! compressed column groups, and its construction from a key–foreign-key
+//! query over relational tables.
 
 use dm_compress::codes::CodeArray;
 use dm_compress::{ColGroup, CompressedMatrix, Dict};
 use dm_matrix::Dense;
+use dm_rel::{Column, DataType, JoinKind, Query, RelError, Step, Table};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 
@@ -29,6 +32,14 @@ pub enum FactorizedError {
         /// The key value as the fact table holds it.
         key: i64,
     },
+    /// A dimension table's key column holds the same key twice, so a fact row
+    /// referencing it would match two rows.
+    DuplicateKey {
+        /// Index of the dimension table.
+        table: usize,
+        /// The repeated key value.
+        key: i64,
+    },
     /// A foreign key past the `u32` codes a dimension group is stored with.
     KeyOverflow {
         /// Index of the dimension table.
@@ -51,6 +62,10 @@ pub enum FactorizedError {
     Empty,
     /// A relational-source conversion failed (unknown column, bad type, ...).
     Source(String),
+    /// The query has no normalized form: a left join, a join keyed on a
+    /// dimension column, a predicate reading two tables, or a column the
+    /// join would rename.
+    Unsupported(String),
 }
 
 impl fmt::Display for FactorizedError {
@@ -68,6 +83,9 @@ impl fmt::Display for FactorizedError {
                     "fact row {fact_row} references key {key}, absent from dimension table {table}"
                 )
             }
+            FactorizedError::DuplicateKey { table, key } => {
+                write!(f, "key {key} appears twice in dimension table {table}")
+            }
             FactorizedError::KeyOverflow { table, fact_row, key } => {
                 write!(
                     f,
@@ -79,11 +97,18 @@ impl fmt::Display for FactorizedError {
             }
             FactorizedError::Empty => write!(f, "normalized matrix would have no features"),
             FactorizedError::Source(m) => write!(f, "source conversion failed: {m}"),
+            FactorizedError::Unsupported(m) => write!(f, "query has no normalized form: {m}"),
         }
     }
 }
 
 impl std::error::Error for FactorizedError {}
+
+impl From<RelError> for FactorizedError {
+    fn from(e: RelError) -> Self {
+        FactorizedError::Source(e.to_string())
+    }
+}
 
 /// One dimension table: its feature block plus the foreign-key map from fact
 /// rows to dimension rows.
@@ -134,12 +159,32 @@ impl NormalizedMatrix {
     /// Construct, validating key lengths, key ranges and non-emptiness. A
     /// dimension table with no feature columns adds no columns and no group.
     pub fn new(s: Dense, tables: Vec<DimTable>) -> Result<Self, FactorizedError> {
-        let (n, mut cols) = s.shape();
+        let mut next = s.cols();
+        let tables = tables
+            .into_iter()
+            .map(|t| {
+                let at = (next..next + t.features.cols()).collect();
+                next += t.features.cols();
+                (t, at)
+            })
+            .collect();
+        NormalizedMatrix::placed((0..s.cols()).collect(), s, tables)
+    }
+
+    /// [`new`](Self::new) with every block's logical columns given: column
+    /// `j` of `s` is logical column `s_at[j]`, and so for each table.
+    fn placed(
+        s_at: Vec<usize>,
+        s: Dense,
+        tables: Vec<(DimTable, Vec<usize>)>,
+    ) -> Result<Self, FactorizedError> {
+        let n = s.rows();
+        let mut cols = s_at.len();
         let mut groups = Vec::with_capacity(tables.len() + 1);
         if cols > 0 {
-            groups.push(ColGroup::Uncompressed { cols: (0..cols).collect(), data: s });
+            groups.push(ColGroup::Uncompressed { cols: s_at, data: s });
         }
-        for (table, DimTable { features, fk }) in tables.into_iter().enumerate() {
+        for (table, (DimTable { features, fk }, at)) in tables.into_iter().enumerate() {
             if fk.len() != n {
                 return Err(FactorizedError::KeyLength { table, keys: fk.len(), fact_rows: n });
             }
@@ -157,10 +202,10 @@ impl NormalizedMatrix {
                 codes.push(code);
             }
             if dk > 0 {
+                cols += dk;
                 let (dict, codes) =
                     (Dict::new(features.into_vec(), dk), CodeArray::pack(&codes, nk));
-                groups.push(ColGroup::Ddc { cols: (cols..cols + dk).collect(), dict, codes });
-                cols += dk;
+                groups.push(ColGroup::Ddc { cols: at, dict, codes });
             }
         }
         if n == 0 || cols == 0 {
@@ -207,53 +252,172 @@ impl NormalizedMatrix {
         sq.into_iter().zip(self.col_means()).map(|(s, m)| (s / n - m * m).max(0.0)).collect()
     }
 
-    /// Build from relational tables: a fact table with numeric feature
-    /// columns and one `(dim_table, fk_column, dim_feature_columns)` triple
-    /// per dimension. Keys are matched on the dimension's `key_column`
-    /// (integer values).
-    pub fn from_tables(
-        fact: &dm_rel::Table,
-        fact_features: &[&str],
-        dims: &[(&dm_rel::Table, &str, &str, &[&str])],
-    ) -> Result<Self, FactorizedError> {
-        let s = fact.to_dense(fact_features).map_err(|e| FactorizedError::Source(e.to_string()))?;
-        let mut tables = Vec::with_capacity(dims.len());
-        for (t, (dim, fk_col, key_col, feat_cols)) in dims.iter().enumerate() {
-            let features =
-                dim.to_dense(feat_cols).map_err(|e| FactorizedError::Source(e.to_string()))?;
-            // Key -> dimension row index.
-            let keycol =
-                dim.column_by_name(key_col).map_err(|e| FactorizedError::Source(e.to_string()))?;
-            let mut index = std::collections::HashMap::new();
-            for r in 0..dim.num_rows() {
-                if let Some(k) = keycol.get_i64(r) {
-                    index.insert(k, r);
+    /// Interpret a key–foreign-key query as a normalized matrix, without
+    /// materializing its join. Returns the matrix and the fact rows it
+    /// selected, in order, so a label column is gathered with the same
+    /// selection.
+    ///
+    /// The query scans the fact table and inner-joins fact columns against
+    /// dimension keys (integer columns, each key unique). A filter on fact
+    /// columns selects fact rows; a filter on one dimension's columns is a
+    /// mask over that table's rows, reaching the fact rows through their
+    /// codes; a projection picks columns within the fact block and the
+    /// dimension blocks. The result decompresses to the bits
+    /// `q.run()?.to_dense(columns)` holds (NULL as NaN). Shapes without a
+    /// normalized form are [`FactorizedError::Unsupported`]. A fact key
+    /// absent from its dimension table is [`FactorizedError::MissingKey`]
+    /// even when filters would drop its row, and a NULL fact key is an
+    /// error too, where the materialized inner join would drop the row.
+    pub fn from_query(q: &Query) -> Result<(Self, Vec<usize>), FactorizedError> {
+        let fact = q.base();
+        // The running schema: each column's name and where it lives.
+        let mut cols: Vec<(&str, Src)> =
+            fact.schema().names().into_iter().enumerate().map(|(c, n)| (n, Src::Fact(c))).collect();
+        let mut rows: Vec<usize> = (0..fact.num_rows()).collect();
+        // Per join: the dimension table and every fact row's code into it.
+        let mut dims: Vec<(&Table, Vec<usize>)> = Vec::new();
+        let find = |cols: &[(&str, Src)], name: &str| {
+            cols.iter()
+                .find(|c| c.0 == name)
+                .map(|c| c.1)
+                .ok_or_else(|| RelError::UnknownColumn(name.into()))
+        };
+        for step in q.steps() {
+            match step {
+                Step::Filter(p) => {
+                    let mut read = p.columns().into_iter().map(|c| find(&cols, c).map(Src::table));
+                    let table = read.next().transpose()?.flatten();
+                    for t in read {
+                        if t? != table {
+                            return Err(unsupported(step));
+                        }
+                    }
+                    match table {
+                        None => {
+                            p.validate(fact)?;
+                            rows.retain(|&r| p.eval(fact, r));
+                        }
+                        Some(k) => {
+                            let (dim, codes) = &dims[k];
+                            p.validate(dim)?;
+                            let keep: Vec<bool> =
+                                (0..dim.num_rows()).map(|r| p.eval(dim, r)).collect();
+                            rows.retain(|&r| keep[codes[r]]);
+                        }
+                    }
+                }
+                Step::Project(names) => {
+                    let picked = names
+                        .iter()
+                        .map(|n| find(&cols, n).map(|src| (n.as_str(), src)))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    if let Some(i) = (1..picked.len()).find(|&i| picked[..i].contains(&picked[i])) {
+                        return Err(RelError::DuplicateColumn(names[i].clone()).into());
+                    }
+                    cols = picked;
+                }
+                Step::Join { right, left_key, right_key, kind } => {
+                    let (Src::Fact(fk), JoinKind::Inner) = (find(&cols, left_key)?, kind) else {
+                        return Err(unsupported(step));
+                    };
+                    let rk = right.schema().require(right_key)?;
+                    for (c, name) in right.schema().names().into_iter().enumerate() {
+                        if c == rk {
+                            continue;
+                        }
+                        if cols.iter().any(|col| col.0 == name) {
+                            return Err(unsupported(step));
+                        }
+                        cols.push((name, Src::Dim(dims.len(), c)));
+                    }
+                    let codes = key_codes(fact.column(fk), right.column(rk), dims.len())?;
+                    dims.push((right, codes));
                 }
             }
-            let fkcol =
-                fact.column_by_name(fk_col).map_err(|e| FactorizedError::Source(e.to_string()))?;
-            let mut fk = Vec::with_capacity(fact.num_rows());
-            for r in 0..fact.num_rows() {
-                let key = fkcol.get_i64(r).ok_or(FactorizedError::Source(format!(
-                    "NULL or non-integer key at fact row {r}"
-                )))?;
-                let row = *index.get(&key).ok_or(FactorizedError::MissingKey {
-                    table: t,
-                    fact_row: r,
-                    key,
-                })?;
-                fk.push(row);
-            }
-            tables.push(DimTable { features, fk });
         }
-        NormalizedMatrix::new(s, tables)
+        // Each block's logical positions and its source columns.
+        let mut fact_at = (Vec::new(), Vec::new());
+        let mut dim_at = vec![(Vec::new(), Vec::new()); dims.len()];
+        for (p, &(_, src)) in cols.iter().enumerate() {
+            let (at, c) = match src {
+                Src::Fact(c) => (&mut fact_at, c),
+                Src::Dim(k, c) => (&mut dim_at[k], c),
+            };
+            at.0.push(p);
+            at.1.push(c);
+        }
+        let s = block(fact, &fact_at.1, &rows)?;
+        let mut tables = Vec::with_capacity(dims.len());
+        for ((dim, codes), (at, dim_cols)) in dims.iter().zip(dim_at) {
+            let features = block(dim, &dim_cols, &(0..dim.num_rows()).collect::<Vec<_>>())?;
+            tables.push((DimTable { features, fk: rows.iter().map(|&r| codes[r]).collect() }, at));
+        }
+        Ok((NormalizedMatrix::placed(fact_at.0, s, tables)?, rows))
     }
+}
+
+/// Where a column of a query's running schema lives: a fact column, or
+/// column `c` of the `k`-th joined dimension table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Src {
+    Fact(usize),
+    Dim(usize, usize),
+}
+
+impl Src {
+    /// The joined dimension table it reads, `None` for the fact table.
+    fn table(self) -> Option<usize> {
+        match self {
+            Src::Fact(_) => None,
+            Src::Dim(k, _) => Some(k),
+        }
+    }
+}
+
+fn unsupported(step: &Step) -> FactorizedError {
+    FactorizedError::Unsupported(format!("{step:?}"))
+}
+
+/// Every fact row's row in dimension table `table`, matching the integer key
+/// columns `fk` and `key`; each non-NULL key must appear in `key` once.
+fn key_codes(fk: &Column, key: &Column, table: usize) -> Result<Vec<usize>, FactorizedError> {
+    if fk.dtype() != DataType::Int64 || key.dtype() != DataType::Int64 {
+        return Err(FactorizedError::Source(format!("join keys of table {table} must be Int64")));
+    }
+    let mut index = HashMap::with_capacity(key.len());
+    for r in 0..key.len() {
+        if let Some(k) = key.get_i64(r) {
+            if index.insert(k, r).is_some() {
+                return Err(FactorizedError::DuplicateKey { table, key: k });
+            }
+        }
+    }
+    (0..fk.len())
+        .map(|fact_row| {
+            let key = fk.get_i64(fact_row).ok_or_else(|| {
+                FactorizedError::Source(format!("NULL key at fact row {fact_row}"))
+            })?;
+            index.get(&key).copied().ok_or(FactorizedError::MissingKey { table, fact_row, key })
+        })
+        .collect()
+}
+
+/// Columns `cols` of `t` at `rows` as a dense block, NULL as NaN: what
+/// [`Table::to_dense`] holds for those rows.
+fn block(t: &Table, cols: &[usize], rows: &[usize]) -> Result<Dense, FactorizedError> {
+    if let Some(&c) = cols.iter().find(|&&c| t.column(c).dtype() == DataType::Str) {
+        let name = &t.schema().field(c).name;
+        return Err(FactorizedError::Source(format!("column {name} is not numeric")));
+    }
+    let cols: Vec<&Column> = cols.iter().map(|&c| t.column(c)).collect();
+    Ok(Dense::from_fn(rows.len(), cols.len(), |r, j| cols[j].get_f64(rows[r]).unwrap_or(f64::NAN)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dm_matrix::ops;
+    use dm_rel::{Predicate, Value};
 
     fn two_table() -> NormalizedMatrix {
         let s = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[7.0, 8.0]]);
@@ -415,8 +579,7 @@ mod tests {
         }
     }
 
-    fn orders_and_customers() -> (dm_rel::Table, dm_rel::Table) {
-        use dm_rel::Table;
+    fn orders_and_customers() -> (Table, Table) {
         let mut fact = Table::builder("orders").float64("amount").int64("cust").build();
         fact.push_row(vec![5.0.into(), 11.into()]).unwrap();
         fact.push_row(vec![7.0.into(), 12.into()]).unwrap();
@@ -427,45 +590,99 @@ mod tests {
         (fact, dim)
     }
 
+    fn kfk(fact: Table, dim: Table, cols: &[&str]) -> Query {
+        Query::scan(fact).join(dim, "cust", "id", JoinKind::Inner).project(cols)
+    }
+
     #[test]
     fn from_relational_tables() {
-        use dm_rel::Value;
         let (mut fact, dim) = orders_and_customers();
-        let nm = NormalizedMatrix::from_tables(
-            &fact,
-            &["amount"],
-            &[(&dim, "cust", "id", &["age", "income"][..])],
-        )
-        .unwrap();
+        let q = kfk(fact.clone(), dim.clone(), &["amount", "age", "income"]);
+        let (nm, rows) = NormalizedMatrix::from_query(&q).unwrap();
+        assert_eq!(rows, vec![0, 1, 2]);
         let m = nm.decompress();
         assert_eq!(m.row(0), &[5.0, 30.0, 50.0]);
         assert_eq!(m.row(1), &[7.0, 40.0, 60.0]);
         assert_eq!(m.row(2), &[9.0, 30.0, 50.0]);
 
-        // A key absent from the dimension table is reported as given.
+        // A key absent from the dimension table is reported as given, even
+        // when a filter drops its row.
         fact.push_row(vec![Value::Float64(1.0), Value::Int64(99)]).unwrap();
+        let q = kfk(fact, dim, &["amount", "age"]).filter(Predicate::gt("amount", 2.0));
         assert_eq!(
-            NormalizedMatrix::from_tables(
-                &fact,
-                &["amount"],
-                &[(&dim, "cust", "id", &["age"][..])]
-            ),
+            NormalizedMatrix::from_query(&q),
             Err(FactorizedError::MissingKey { table: 0, fact_row: 3, key: 99 })
         );
     }
 
     #[test]
     fn negative_key_reported_as_given() {
-        use dm_rel::Value;
         let (mut fact, dim) = orders_and_customers();
         fact.push_row(vec![Value::Float64(1.0), Value::Int64(-5)]).unwrap();
-        let err = NormalizedMatrix::from_tables(
-            &fact,
-            &["amount"],
-            &[(&dim, "cust", "id", &["age"][..])],
-        )
-        .unwrap_err();
+        let err = NormalizedMatrix::from_query(&kfk(fact, dim, &["amount", "age"])).unwrap_err();
         assert_eq!(err, FactorizedError::MissingKey { table: 0, fact_row: 3, key: -5 });
         assert_eq!(err.to_string(), "fact row 3 references key -5, absent from dimension table 0");
+    }
+
+    #[test]
+    fn duplicate_dimension_key_is_an_error() {
+        // The materialized join emits fact rows 0 and 2 twice, once per
+        // matching dimension row; no normalized matrix holds that.
+        let (fact, mut dim) = orders_and_customers();
+        dim.push_row(vec![11.into(), 35.0.into(), 55.0.into()]).unwrap();
+        let q = kfk(fact, dim, &["amount", "age"]);
+        let err = NormalizedMatrix::from_query(&q).unwrap_err();
+        assert_eq!(err, FactorizedError::DuplicateKey { table: 0, key: 11 });
+        assert_eq!(err.to_string(), "key 11 appears twice in dimension table 0");
+        assert_eq!(q.run().unwrap().num_rows(), 5);
+    }
+
+    #[test]
+    fn filters_select_rows_and_projection_places_columns() {
+        let (fact, dim) = orders_and_customers();
+        // The dimension filter keeps customer 11 only, the fact filter drops
+        // order 0; the projection interleaves the two blocks.
+        let q = Query::scan(fact)
+            .join(dim, "cust", "id", JoinKind::Inner)
+            .filter(Predicate::lt("income", 55.0))
+            .filter(Predicate::gt("amount", 6.0))
+            .project(&["age", "amount", "income"]);
+        let (nm, rows) = NormalizedMatrix::from_query(&q).unwrap();
+        assert_eq!(rows, vec![2]);
+        assert_eq!(nm.decompress(), Dense::from_rows(&[&[30.0, 9.0, 50.0]]));
+        assert_eq!(
+            nm.decompress(),
+            q.run().unwrap().to_dense(&["age", "amount", "income"]).unwrap()
+        );
+    }
+
+    #[test]
+    fn shapes_without_a_normalized_form_are_refused() {
+        let (fact, dim) = orders_and_customers();
+        let refused = |q: Query| match NormalizedMatrix::from_query(&q) {
+            Err(FactorizedError::Unsupported(step)) => step,
+            other => panic!("{other:?}"),
+        };
+        let left = Query::scan(fact.clone()).join(dim.clone(), "cust", "id", JoinKind::Left);
+        assert_eq!(refused(left), "Join(cust on cust=id, Left)");
+        let cross = kfk(fact.clone(), dim.clone(), &["amount", "age"])
+            .filter(Predicate::gt("amount", 6.0).or(Predicate::gt("age", 35.0)));
+        assert!(refused(cross).starts_with("Filter("));
+        // A second table keyed on a dimension column (snowflake).
+        let mut region = Table::builder("region").int64("rid").float64("tax").build();
+        region.push_row(vec![30.into(), 0.5.into()]).unwrap();
+        let snow = Query::scan(fact.clone()).join(dim.clone(), "cust", "id", JoinKind::Inner).join(
+            region,
+            "age",
+            "rid",
+            JoinKind::Inner,
+        );
+        assert_eq!(refused(snow), "Join(region on age=rid, Inner)");
+        // The join would rename the dimension's `amount` to `cust_amount`.
+        let mut clash = Table::builder("cust").int64("id").float64("amount").build();
+        clash.push_row(vec![11.into(), 1.0.into()]).unwrap();
+        clash.push_row(vec![12.into(), 2.0.into()]).unwrap();
+        assert!(refused(Query::scan(fact).join(clash, "cust", "id", JoinKind::Inner))
+            .starts_with("Join(cust"));
     }
 }

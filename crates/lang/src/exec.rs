@@ -300,6 +300,8 @@ pub struct Executor<'g> {
     // Spill pool shared by every blocked kernel of this executor, created
     // lazily on the first out-of-core dispatch.
     ooc_pool: Option<SharedBufferPool<Box<dyn Storage>>>,
+    // The pool came from `with_spill_pool`: its owner publishes its counters.
+    pool_shared: bool,
     stats: ExecStats,
     profile: Option<ExecProfile>,
     // Emit one structured trace span per step (plus shared-read instants).
@@ -311,6 +313,19 @@ pub struct Executor<'g> {
     // When DMML_PROFILE_DIR named a directory at construction, the executor
     // merge-saves its kernel throughput profile there on drop.
     profile_to_env: bool,
+}
+
+/// Add a spill pool's traffic between two of its [`stats`](SharedBufferPool::stats)
+/// readings to `rec`'s `lang.exec.ooc.*` counters: how many bytes left and
+/// re-entered memory to stay under the budget, evictions and pins. An
+/// executor records the pool it made itself from zero; whoever owns a pool
+/// shared by many executors records it from the totals it last published,
+/// so the counters equal the pool's totals.
+pub fn record_pool_traffic(rec: &StatsRegistry, since: PoolStats, now: PoolStats) {
+    rec.add("lang.exec.ooc.spilled_bytes", now.spilled_bytes - since.spilled_bytes);
+    rec.add("lang.exec.ooc.faulted_bytes", now.faulted_bytes - since.faulted_bytes);
+    rec.add("lang.exec.ooc.evictions", now.evictions - since.evictions);
+    rec.add("lang.exec.ooc.pins", now.pins - since.pins);
 }
 
 impl<'g> Executor<'g> {
@@ -343,6 +358,7 @@ impl<'g> Executor<'g> {
             graph,
             plan,
             ooc_pool: None,
+            pool_shared: false,
             stats: ExecStats::default(),
             profile: profile_to_env.then(ExecProfile::default),
             tracing: trace_to_env,
@@ -392,9 +408,12 @@ impl<'g> Executor<'g> {
     /// budgeted capacity instead of each opening a pool of its own. The pool
     /// gives every block store a fresh matrix id, so concurrent executors
     /// never alias pages, and a store frees its pages when dropped, so an
-    /// eval that fails part way leaves none behind.
+    /// eval that fails part way leaves none behind. The pool's counters are
+    /// its owner's to publish ([`record_pool_traffic`]):
+    /// [`record_stats`](Self::record_stats) leaves them out.
     pub fn with_spill_pool(mut self, pool: SharedBufferPool<Box<dyn Storage>>) -> Self {
         self.ooc_pool = Some(pool);
+        self.pool_shared = true;
         self
     }
 
@@ -462,14 +481,8 @@ impl<'g> Executor<'g> {
         if let Some(budget) = self.mem_budget() {
             rec.gauge_set("lang.exec.mem_budget", budget as u64);
         }
-        if let Some(pool) = &self.ooc_pool {
-            // Spill traffic of the blocked kernels: how many bytes left and
-            // re-entered memory to stay under the budget.
-            let ps = pool.stats();
-            rec.add("lang.exec.ooc.spilled_bytes", ps.spilled_bytes);
-            rec.add("lang.exec.ooc.faulted_bytes", ps.faulted_bytes);
-            rec.add("lang.exec.ooc.evictions", ps.evictions);
-            rec.add("lang.exec.ooc.pins", ps.pins);
+        if let (Some(pool), false) = (&self.ooc_pool, self.pool_shared) {
+            record_pool_traffic(rec, PoolStats::default(), pool.stats());
         }
         if let Some(p) = &self.profile {
             rec.record_histogram("lang.exec.eval_wall", p.total_self_ns());

@@ -5,9 +5,12 @@
 //!
 //! The engine provides typed columnar tables ([`Table`]), schemas
 //! ([`Schema`]/[`Field`]), scans with predicates, projections, hash
-//! equi-joins, group-by aggregation, and CSV import/export with type
-//! inference. `dm-factorized` builds factorized learning on top of it and
-//! `dm-pipeline` uses it as the raw-data side of feature pipelines.
+//! equi-joins, and CSV import/export with type inference. A [`Query`]
+//! records scan → filter → join → project as data: [`Query::run`]
+//! materializes it, and `dm-factorized`'s `NormalizedMatrix::from_query`
+//! turns a key–foreign-key query into a normalized matrix without
+//! materializing the join. `dm-pipeline` uses the engine as the raw-data
+//! side of feature pipelines.
 //!
 //! ```
 //! use dm_rel::{Table, Value};
@@ -31,9 +34,7 @@ pub mod error;
 pub mod join;
 pub mod predicate;
 pub mod query;
-pub mod query_builder;
 pub mod schema;
-pub mod sort;
 pub mod table;
 pub mod value;
 
@@ -41,9 +42,7 @@ pub use column::Column;
 pub use error::RelError;
 pub use join::{hash_join, JoinKind};
 pub use predicate::{filter_where, Cmp, Predicate};
-pub use query::{Agg, GroupBy};
-pub use query_builder::Query;
+pub use query::{Query, Step};
 pub use schema::{DataType, Field, Schema};
-pub use sort::{distinct, sort_by, SortOrder};
 pub use table::{RowRef, Table, TableBuilder};
 pub use value::Value;

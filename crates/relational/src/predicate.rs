@@ -86,6 +86,26 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
+    /// The columns the predicate reads, in first-mention order, each once.
+    pub fn columns(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(p) = stack.pop() {
+            match p {
+                Predicate::Compare { column: c, .. }
+                | Predicate::IsNull(c)
+                | Predicate::IsNotNull(c) => {
+                    if !out.contains(&c.as_str()) {
+                        out.push(c.as_str());
+                    }
+                }
+                Predicate::And(a, b) | Predicate::Or(a, b) => stack.extend([&**b, &**a]),
+                Predicate::Not(a) => stack.push(a.as_ref()),
+            }
+        }
+        out
+    }
+
     /// Validate against a schema: every referenced column must exist, and
     /// comparison literals must be type-compatible with their column.
     pub fn validate(&self, table: &Table) -> Result<(), RelError> {
@@ -243,6 +263,13 @@ mod tests {
         // Validation recurses into combinators.
         let p = Predicate::gt("score", 0.0).and(Predicate::eq("ghost", 1i64));
         assert!(filter_where(&t, &p).is_err());
+    }
+
+    #[test]
+    fn columns_lists_each_read_once() {
+        let p = Predicate::gt("score", 7.5)
+            .and(Predicate::IsNull("age".into()).or(Predicate::eq("score", 1.0).not()));
+        assert_eq!(p.columns(), vec!["score", "age"]);
     }
 
     #[test]

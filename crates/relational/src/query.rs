@@ -1,239 +1,218 @@
-//! Group-by aggregation.
+//! A logical query: scan → filter → join → project, recorded first and run
+//! in order, so the whole plan is inspectable.
+//!
+//! [`Query::run`] is the materialized interpretation (every join a
+//! [`hash_join`]). `dm-factorized` reads the same steps through
+//! [`Query::base`] and [`Query::steps`] and interprets a key–foreign-key
+//! query as a normalized matrix instead, without materializing the join.
 
-use crate::schema::{DataType, Field, Schema};
+use crate::join::{hash_join, JoinKind};
+use crate::predicate::{filter_where, Predicate};
 use crate::table::Table;
-use crate::value::Value;
 use crate::RelError;
-use std::collections::HashMap;
 
-/// Aggregate functions over a numeric column (NULLs are skipped, SQL-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Agg {
-    /// Row count of the group (ignores the column's NULLs: `COUNT(col)`).
-    Count,
-    /// Sum of non-NULL values.
-    Sum,
-    /// Mean of non-NULL values.
-    Mean,
-    /// Minimum non-NULL value.
-    Min,
-    /// Maximum non-NULL value.
-    Max,
+/// One logical operator in a query plan.
+pub enum Step {
+    /// Keep the rows matching the predicate.
+    Filter(Predicate),
+    /// Keep the named columns, in this order.
+    Project(Vec<String>),
+    /// Equi-join the running table's `left_key` with `right`'s `right_key`.
+    Join {
+        /// The joined table.
+        right: Table,
+        /// Column of the running table.
+        left_key: String,
+        /// Column of `right`.
+        right_key: String,
+        /// Inner or left join.
+        kind: JoinKind,
+    },
 }
 
-impl Agg {
-    fn result_name(&self, col: &str) -> String {
-        let f = match self {
-            Agg::Count => "count",
-            Agg::Sum => "sum",
-            Agg::Mean => "mean",
-            Agg::Min => "min",
-            Agg::Max => "max",
-        };
-        format!("{f}_{col}")
-    }
-}
-
-/// Streaming aggregate state for one (group, aggregate) pair.
-#[derive(Debug, Clone, Copy)]
-struct AggState {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl AggState {
-    fn new() -> Self {
-        AggState { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    fn update(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn finish(&self, agg: Agg) -> Value {
-        if self.count == 0 {
-            return match agg {
-                Agg::Count => Value::Int64(0),
-                _ => Value::Null,
-            };
-        }
-        match agg {
-            Agg::Count => Value::Int64(self.count as i64),
-            Agg::Sum => Value::Float64(self.sum),
-            Agg::Mean => Value::Float64(self.sum / self.count as f64),
-            Agg::Min => Value::Float64(self.min),
-            Agg::Max => Value::Float64(self.max),
+impl std::fmt::Debug for Step {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Step::Filter(p) => write!(f, "Filter({p:?})"),
+            Step::Project(cols) => write!(f, "Project({cols:?})"),
+            Step::Join { right, left_key, right_key, kind } => {
+                write!(f, "Join({} on {left_key}={right_key}, {kind:?})", right.name())
+            }
         }
     }
 }
 
-/// A group-by aggregation plan: key column plus `(column, aggregate)` pairs.
+/// A composable query over a base table.
 ///
 /// ```
-/// use dm_rel::{Table, Agg, GroupBy};
-/// let mut t = Table::builder("sales").string("region").float64("amount").build();
-/// t.push_row(vec!["eu".into(), 10.0.into()]).unwrap();
-/// t.push_row(vec!["eu".into(), 20.0.into()]).unwrap();
-/// t.push_row(vec!["us".into(), 5.0.into()]).unwrap();
-/// let out = GroupBy::new("region").agg("amount", Agg::Sum).run(&t).unwrap();
-/// assert_eq!(out.num_rows(), 2);
+/// use dm_rel::{JoinKind, Predicate, Query, Table};
+/// let mut orders = Table::builder("orders").int64("cust").float64("amount").build();
+/// for i in 0..10 {
+///     orders.push_row(vec![(i % 3).into(), (i as f64).into()]).unwrap();
+/// }
+/// let mut cust = Table::builder("cust").int64("id").float64("age").build();
+/// for i in 0..3 {
+///     cust.push_row(vec![i.into(), (30.0 + i as f64).into()]).unwrap();
+/// }
+/// let out = Query::scan(orders)
+///     .filter(Predicate::gt("amount", 2.0))
+///     .join(cust, "cust", "id", JoinKind::Inner)
+///     .project(&["amount", "age"])
+///     .run()
+///     .unwrap();
+/// assert_eq!(out.num_rows(), 7);
+/// assert_eq!(out.schema().names(), vec!["amount", "age"]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct GroupBy {
-    key: String,
-    aggs: Vec<(String, Agg)>,
+#[derive(Debug)]
+pub struct Query {
+    base: Table,
+    steps: Vec<Step>,
 }
 
-impl GroupBy {
-    /// Group by the named key column.
-    pub fn new(key: &str) -> Self {
-        GroupBy { key: key.to_owned(), aggs: Vec::new() }
+impl Query {
+    /// Start from a base table.
+    pub fn scan(base: Table) -> Query {
+        Query { base, steps: Vec::new() }
     }
 
-    /// Add an aggregate over a numeric column.
-    pub fn agg(mut self, column: &str, agg: Agg) -> Self {
-        self.aggs.push((column.to_owned(), agg));
+    /// Keep rows matching the predicate.
+    pub fn filter(mut self, pred: Predicate) -> Query {
+        self.steps.push(Step::Filter(pred));
         self
     }
 
-    /// Execute against a table. Groups appear in first-seen order.
-    pub fn run(&self, t: &Table) -> Result<Table, RelError> {
-        let key_idx = t.schema().require(&self.key)?;
-        let mut agg_idx = Vec::with_capacity(self.aggs.len());
-        for (col, _) in &self.aggs {
-            let i = t.schema().require(col)?;
-            if t.schema().field(i).dtype == DataType::Str {
-                return Err(RelError::TypeMismatch {
-                    column: col.clone(),
-                    expected: DataType::Float64,
-                    actual: "Str",
-                });
-            }
-            agg_idx.push(i);
+    /// Project onto the named columns.
+    pub fn project(mut self, cols: &[&str]) -> Query {
+        self.steps.push(Step::Project(cols.iter().map(|s| (*s).to_owned()).collect()));
+        self
+    }
+
+    /// Hash-join with another table.
+    pub fn join(mut self, right: Table, left_key: &str, right_key: &str, kind: JoinKind) -> Query {
+        self.steps.push(Step::Join {
+            right,
+            left_key: left_key.to_owned(),
+            right_key: right_key.to_owned(),
+            kind,
+        });
+        self
+    }
+
+    /// The scanned table.
+    pub fn base(&self) -> &Table {
+        &self.base
+    }
+
+    /// The operators after the scan, in order.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// Render the plan, one operator per line (for debugging/EXPLAIN-style
+    /// output).
+    pub fn explain(&self) -> String {
+        let mut out = format!("Scan({})", self.base.name());
+        for s in &self.steps {
+            out.push_str(&format!("\n  -> {s:?}"));
         }
+        out
+    }
 
-        // Group keys are rendered through Value's display for hashing;
-        // first-seen order is preserved for deterministic output.
-        let mut order: Vec<Value> = Vec::new();
-        let mut groups: HashMap<String, usize> = HashMap::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-
-        for r in 0..t.num_rows() {
-            let kv = t.column(key_idx).get(r);
-            let kstr = format!("{}|{kv}", kv.type_name());
-            let gi = *groups.entry(kstr).or_insert_with(|| {
-                order.push(kv.clone());
-                states.push(vec![AggState::new(); self.aggs.len()]);
-                states.len() - 1
-            });
-            for (slot, &ci) in states[gi].iter_mut().zip(&agg_idx) {
-                if let Some(v) = t.column(ci).get_f64(r) {
-                    slot.update(v);
+    /// Execute the plan.
+    pub fn run(self) -> Result<Table, RelError> {
+        let mut cur = self.base;
+        for step in self.steps {
+            cur = match step {
+                Step::Filter(p) => filter_where(&cur, &p)?,
+                Step::Project(cols) => {
+                    let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+                    cur.project(&refs)?
                 }
-            }
+                Step::Join { right, left_key, right_key, kind } => {
+                    hash_join(&cur, &right, &left_key, &right_key, kind)?
+                }
+            };
         }
-
-        // Assemble output table.
-        let mut fields = vec![Field::new(&self.key, t.schema().field(key_idx).dtype)];
-        for (col, agg) in &self.aggs {
-            let dtype = if *agg == Agg::Count { DataType::Int64 } else { DataType::Float64 };
-            fields.push(Field::new(agg.result_name(col), dtype));
-        }
-        let schema = Schema::new(fields)?;
-        let mut out = Table::empty(format!("{}_by_{}", t.name(), self.key), schema);
-        for (gi, kv) in order.into_iter().enumerate() {
-            let mut row = vec![kv];
-            for (slot, (_, agg)) in states[gi].iter().zip(&self.aggs) {
-                row.push(slot.finish(*agg));
-            }
-            out.push_row(row)?;
-        }
-        Ok(out)
+        Ok(cur)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
-    fn sales() -> Table {
-        let mut t = Table::builder("sales").string("region").float64("amount").int64("qty").build();
-        t.push_row(vec!["eu".into(), 10.0.into(), 1.into()]).unwrap();
-        t.push_row(vec!["us".into(), 5.0.into(), 2.into()]).unwrap();
-        t.push_row(vec!["eu".into(), 20.0.into(), 3.into()]).unwrap();
-        t.push_row(vec!["eu".into(), Value::Null, 4.into()]).unwrap();
+    fn orders() -> Table {
+        let mut t = Table::builder("orders").int64("oid").int64("cust").float64("amount").build();
+        let rows = [
+            (1, 10, 25.0),
+            (2, 11, 8.0),
+            (3, 10, 12.0),
+            (4, 12, 40.0),
+            (5, 11, 33.0),
+            (6, 10, 5.0),
+        ];
+        for (o, c, a) in rows {
+            t.push_row(vec![o.into(), c.into(), a.into()]).unwrap();
+        }
+        t
+    }
+
+    fn customers() -> Table {
+        let mut t = Table::builder("cust").int64("id").string("city").build();
+        t.push_row(vec![10.into(), "paris".into()]).unwrap();
+        t.push_row(vec![11.into(), "lyon".into()]).unwrap();
+        t.push_row(vec![12.into(), "paris".into()]).unwrap();
         t
     }
 
     #[test]
-    fn sum_mean_count() {
-        let out = GroupBy::new("region")
-            .agg("amount", Agg::Sum)
-            .agg("amount", Agg::Mean)
-            .agg("amount", Agg::Count)
-            .run(&sales())
+    fn full_pipeline() {
+        let out = Query::scan(orders())
+            .filter(Predicate::gt("amount", 10.0))
+            .join(customers(), "cust", "id", JoinKind::Inner)
+            .filter(Predicate::eq("city", "paris"))
+            .project(&["oid", "amount", "city"])
+            .run()
             .unwrap();
-        assert_eq!(out.num_rows(), 2);
-        // First-seen order: eu then us.
-        assert_eq!(out.row(0).get("region"), Value::from("eu"));
-        assert_eq!(out.row(0).get("sum_amount"), Value::Float64(30.0));
-        assert_eq!(out.row(0).get("mean_amount"), Value::Float64(15.0));
-        // NULL amount not counted.
-        assert_eq!(out.row(0).get("count_amount"), Value::Int64(2));
-        assert_eq!(out.row(1).get("sum_amount"), Value::Float64(5.0));
+        assert_eq!(out.num_rows(), 3);
+        assert_eq!(out.schema().names(), vec!["oid", "amount", "city"]);
+        assert_eq!(out.row(0).get("oid"), Value::Int64(1)); // amount 25
+        assert_eq!(out.row(1).get("oid"), Value::Int64(3)); // amount 12
+        assert_eq!(out.row(2).get("oid"), Value::Int64(4)); // amount 40
     }
 
     #[test]
-    fn min_max() {
-        let out =
-            GroupBy::new("region").agg("qty", Agg::Min).agg("qty", Agg::Max).run(&sales()).unwrap();
-        assert_eq!(out.row(0).get("min_qty"), Value::Float64(1.0));
-        assert_eq!(out.row(0).get("max_qty"), Value::Float64(4.0));
+    fn explain_renders_plan() {
+        let q = Query::scan(orders())
+            .filter(Predicate::gt("amount", 10.0))
+            .join(customers(), "cust", "id", JoinKind::Inner)
+            .project(&["oid"]);
+        assert_eq!(q.steps().len(), 3);
+        let plan = q.explain();
+        assert!(plan.starts_with("Scan(orders)"));
+        assert!(plan.contains("Filter"));
+        assert!(plan.contains("Join(cust on cust=id, Inner)"));
+        assert!(plan.contains("Project([\"oid\"])"));
     }
 
     #[test]
-    fn all_null_group_yields_null_aggregates() {
-        let mut t = Table::builder("t").string("k").float64("x").build();
-        t.push_row(vec!["a".into(), Value::Null]).unwrap();
-        let out = GroupBy::new("k").agg("x", Agg::Sum).agg("x", Agg::Count).run(&t).unwrap();
-        assert_eq!(out.row(0).get("sum_x"), Value::Null);
-        assert_eq!(out.row(0).get("count_x"), Value::Int64(0));
+    fn errors_surface_from_any_step() {
+        assert!(Query::scan(orders()).project(&["ghost"]).run().is_err());
+        assert!(Query::scan(orders()).filter(Predicate::eq("ghost", 1i64)).run().is_err());
+        assert!(Query::scan(orders())
+            .join(customers(), "ghost", "id", JoinKind::Inner)
+            .run()
+            .is_err());
     }
 
     #[test]
-    fn int_key_grouping() {
-        let mut t = Table::builder("t").int64("k").float64("x").build();
-        t.push_row(vec![1.into(), 2.0.into()]).unwrap();
-        t.push_row(vec![1.into(), 3.0.into()]).unwrap();
-        t.push_row(vec![2.into(), 4.0.into()]).unwrap();
-        let out = GroupBy::new("k").agg("x", Agg::Sum).run(&t).unwrap();
-        assert_eq!(out.num_rows(), 2);
-        assert_eq!(out.row(0).get("sum_x"), Value::Float64(5.0));
-    }
-
-    #[test]
-    fn string_agg_column_rejected() {
-        let mut t = Table::builder("t").string("k").string("s").build();
-        t.push_row(vec!["a".into(), "b".into()]).unwrap();
-        assert!(GroupBy::new("k").agg("s", Agg::Sum).run(&t).is_err());
-    }
-
-    #[test]
-    fn unknown_columns_rejected() {
-        let t = sales();
-        assert!(GroupBy::new("ghost").agg("amount", Agg::Sum).run(&t).is_err());
-        assert!(GroupBy::new("region").agg("ghost", Agg::Sum).run(&t).is_err());
-    }
-
-    #[test]
-    fn empty_table() {
-        let t = Table::builder("t").string("k").float64("x").build();
-        let out = GroupBy::new("k").agg("x", Agg::Sum).run(&t).unwrap();
-        assert_eq!(out.num_rows(), 0);
+    fn left_join_through_builder() {
+        let mut extra = orders();
+        extra.push_row(vec![7.into(), 99.into(), 1.0.into()]).unwrap();
+        let out = Query::scan(extra).join(customers(), "cust", "id", JoinKind::Left).run().unwrap();
+        assert_eq!(out.num_rows(), 7);
+        let unmatched = out.iter_rows().filter(|r| r.get("city").is_null()).count();
+        assert_eq!(unmatched, 1);
     }
 }

@@ -37,12 +37,12 @@ use crate::protocol::{
 };
 use dm_buffer::session::SessionLedger;
 use dm_buffer::storage::Storage;
-use dm_buffer::SharedBufferPool;
+use dm_buffer::{PoolStats, SharedBufferPool};
 use dm_lang::cache::{
     compile_graph, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
 };
 use dm_lang::cost::{drifted, CostModel};
-use dm_lang::exec::{Env, Executor, Val};
+use dm_lang::exec::{record_pool_traffic, Env, Executor, Val};
 use dm_lang::expr::Op;
 use dm_lang::memory::MemoryBudget;
 use dm_lang::parser;
@@ -175,7 +175,7 @@ struct Shared {
     cache: Mutex<PlanCache>,
     profiles: Mutex<ProfileStore>,
     ledger: Arc<SessionLedger>,
-    spill: Option<SharedBufferPool<Box<dyn Storage>>>,
+    spill: Option<Spill>,
     batcher: Batcher,
     model: CostModel,
     /// Tenants granted their own latency series, capped at
@@ -189,6 +189,14 @@ struct Shared {
     /// sample is measurable at microsecond request latencies.
     phase_hists: [Arc<dm_obs::LogHistogram>; Phase::COUNT],
     latency_hist: Arc<dm_obs::LogHistogram>,
+}
+
+/// The process-wide spill pool, and the totals of its counters already
+/// published to the registry (`lang.exec.ooc.*`). Executors leave a shared
+/// pool's counters out of their stats; [`execute`] publishes them.
+struct Spill {
+    pool: SharedBufferPool<Box<dyn Storage>>,
+    published: Mutex<PoolStats>,
 }
 
 /// Everything the request path threads through its phases: the record
@@ -220,7 +228,10 @@ impl ScoringServer {
         // One bounded spill pool for every blocked kernel in the process,
         // sized off the shared budget. Unbounded budget ⇒ nothing is ever
         // planned blocked ⇒ no pool needed.
-        let spill = cfg.budget.get().map(dm_lang::memory::spill_pool);
+        let spill = cfg.budget.get().map(|budget| Spill {
+            pool: dm_lang::memory::spill_pool(budget),
+            published: Mutex::new(PoolStats::default()),
+        });
         // Seed the cost model from DMML_PROFILE_DIR when present so the
         // first compiles already use calibrated crossovers.
         let model = CostModel::from_env().unwrap_or_else(|| CostModel::new(ProfileStore::new()));
@@ -767,17 +778,29 @@ fn build_env(inputs: Vec<(String, InputValue)>, nnz: &[usize]) -> Env {
 /// stats into the shared registry, kernel profiles into the shared store,
 /// and — when a budget is set — the process-wide spill pool, which names
 /// every request's block stores itself so concurrent blocked kernels cannot
-/// alias pages.
+/// alias pages. After an eval that ran a blocked node, failed or not, the
+/// pool's traffic since the last publish goes to the registry under one
+/// lock, so its `lang.exec.ooc.*` counters equal the pool's totals once no
+/// request is in flight.
 fn execute(shared: &Arc<Shared>, prog: &CompiledProgram, env: Env) -> Result<Val, String> {
     // `.traced()`: per-node `exec.<op>` spans (kernel, dims, flops) nest
     // under the request's execute-phase span, so `/debug/trace?id=` shows
     // which kernel the time went to.
     let mut ex =
         Executor::with_plan(&prog.graph, prog.plan.clone()).without_env_sinks().profiled().traced();
-    if let Some(pool) = &shared.spill {
-        ex = ex.with_spill_pool(pool.clone());
+    if let Some(spill) = &shared.spill {
+        ex = ex.with_spill_pool(spill.pool.clone());
     }
-    let out = ex.eval(prog.root, &env).map_err(|e| e.to_string())?;
+    let out = ex.eval(prog.root, &env).map_err(|e| e.to_string());
+    // An eval that ran no blocked node moved no pool traffic of its own;
+    // whoever did publishes it.
+    if let (Some(spill), true) = (&shared.spill, ex.stats().ooc_nodes > 0) {
+        let mut published = spill.published.lock().expect("spill totals poisoned");
+        let now = spill.pool.stats();
+        record_pool_traffic(shared.registry.as_ref(), *published, now);
+        *published = now;
+    }
+    let out = out?;
     ex.record_stats(shared.registry.as_ref());
     let mut profiles = shared.profiles.lock().expect("profiles poisoned");
     ex.record_kernel_profiles(&mut profiles);
@@ -1035,6 +1058,48 @@ mod tests {
             panic!("matrix result")
         };
         assert_eq!(data.as_ptr(), executor_ptr);
+        server.shutdown();
+    }
+
+    #[test]
+    fn spill_counters_equal_the_shared_pool_totals() {
+        let budget = MemoryBudget::bytes(96 * 1024);
+        let registry = Arc::new(StatsRegistry::new());
+        let cfg = ServeConfig { budget, ..ServeConfig::for_tests() };
+        let server = ScoringServer::start(cfg, Arc::clone(&registry)).unwrap();
+        let n = 120;
+        let mut sizes = InputSizes::new();
+        sizes.declare("X", n, n, 1.0);
+        let prog = compile("sum(X %*% X)", &sizes, 1, budget, &server.shared.model).unwrap();
+        let data: Vec<f64> = (0..n * n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
+        let nnz = data.iter().filter(|&&x| x != 0.0).count();
+        let env = || {
+            let x = InputValue::Matrix { rows: n, cols: n, data: data.clone() };
+            build_env(vec![("X".to_owned(), x)], &[nnz])
+        };
+        let pool = &server.shared.spill.as_ref().expect("a budget makes a pool").pool;
+        let published_equals_pool = || {
+            let (ps, rep) = (pool.stats(), registry.report());
+            let sites = ["spilled_bytes", "faulted_bytes", "evictions", "pins"];
+            let got = sites.map(|s| rep.counter(&format!("lang.exec.ooc.{s}")).unwrap_or(0));
+            assert_eq!(got, [ps.spilled_bytes, ps.faulted_bytes, ps.evictions, ps.pins]);
+        };
+        for _ in 0..3 {
+            execute(&server.shared, &prog, env()).unwrap();
+            published_equals_pool();
+        }
+        assert!(pool.stats().spilled_bytes > 0, "the plan must spill: {:?}", pool.stats());
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let env = env();
+                    start.wait();
+                    execute(&server.shared, &prog, env).unwrap()
+                });
+            }
+        });
+        published_equals_pool();
         server.shutdown();
     }
 

@@ -1,5 +1,6 @@
-//! Factorized learning over a star-schema join: train a GLM over normalized
-//! tables without materializing the join, compare against the materialized
+//! Factorized learning over a star-schema join: turn a key–foreign-key query
+//! over relational tables into a normalized matrix, train a GLM over it
+//! without materializing the join, compare against the materialized
 //! baseline, and consult the join-avoidance rules.
 //!
 //! Run with: `cargo run --release --example factorized_join`
@@ -7,6 +8,7 @@
 use dmml::factorized::glm::{train_factorized, train_materialized};
 use dmml::factorized::hamlet::{profile_tables, risk_rule, tuple_ratio_rule};
 use dmml::prelude::*;
+use dmml::rel::{JoinKind, Query};
 use std::time::Instant;
 
 fn main() {
@@ -21,11 +23,19 @@ fn main() {
         seed: 7,
     };
     let d = dmml::data::star::generate(&cfg);
-    let nm = NormalizedMatrix::new(
-        d.fact.clone(),
-        vec![DimTable::new(d.dim.clone(), d.fk.clone()).expect("keys in range")],
-    )
-    .expect("valid star schema");
+    // The star as relational tables, and the join as a query over them:
+    // `from_query` reads the join's keys into codes instead of running it.
+    let (fact, dim) = dmml::data::star::to_tables(&d);
+    let features: Vec<String> = (0..cfg.fact_features)
+        .map(|j| format!("s{j}"))
+        .chain((0..cfg.dim_features).map(|j| format!("r{j}")))
+        .collect();
+    let features: Vec<&str> = features.iter().map(String::as_str).collect();
+    let q = Query::scan(fact).join(dim, "fk", "id", JoinKind::Inner).project(&features);
+    let t_query = Instant::now();
+    let (nm, rows) = NormalizedMatrix::from_query(&q).expect("a key-foreign-key query");
+    println!("from_query: {:?} for {} fact rows", t_query.elapsed(), rows.len());
+    let y: Vec<f64> = rows.iter().map(|&r| d.y_regression[r]).collect();
 
     println!(
         "star schema: {} fact rows x {} logical features (redundancy ratio {:.1}x)",
@@ -48,16 +58,24 @@ fn main() {
     let max_diff = fact_gemv.iter().zip(&mat_gemv).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
     println!("gemv: factorized {fact_time:?} vs materialize+dense {mat_time:?} (max diff {max_diff:.1e})");
     assert!(max_diff < 1e-9, "factorized gemv disagrees with the materialized join");
+    // The query's matrix is the one built from the generator's arrays.
+    let direct = NormalizedMatrix::new(
+        d.fact.clone(),
+        vec![DimTable::new(d.dim.clone(), d.fk.clone()).expect("keys in range")],
+    )
+    .expect("valid star schema")
+    .decompress();
+    let same = mat.data().iter().zip(direct.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+    assert!(same && mat.shape() == direct.shape(), "from_query differs from NormalizedMatrix::new");
+    drop((mat, direct));
 
     // Train linear regression both ways with identical GD settings.
     let gd = GdConfig { learning_rate: 0.1, max_iter: 200, tol: 1e-9, ..Default::default() };
     let t2 = Instant::now();
-    let f_fit =
-        train_factorized(&nm, &d.y_regression, Family::Gaussian, &gd).expect("factorized fit");
+    let f_fit = train_factorized(&nm, &y, Family::Gaussian, &gd).expect("factorized fit");
     let f_time = t2.elapsed();
     let t3 = Instant::now();
-    let m_fit =
-        train_materialized(&nm, &d.y_regression, Family::Gaussian, &gd).expect("materialized fit");
+    let m_fit = train_materialized(&nm, &y, Family::Gaussian, &gd).expect("materialized fit");
     let m_time = t3.elapsed();
     let weight_gap =
         f_fit.weights.iter().zip(&m_fit.weights).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);

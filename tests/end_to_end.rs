@@ -9,6 +9,7 @@ use dmml::pipeline::metrics;
 use dmml::pipeline::split::train_test_split;
 use dmml::pipeline::transform::{ImputeStrategy, Imputer, Pipeline, StandardScaler};
 use dmml::prelude::*;
+use dmml::rel::{JoinKind, Query};
 use std::collections::HashMap;
 
 /// CSV -> table -> featurize -> pipeline -> train -> evaluate -> register.
@@ -78,12 +79,11 @@ fn factorized_training_from_relational_tables() {
     });
     let (fact, dim) = dmml::data::star::to_tables(&star);
 
-    let nm = NormalizedMatrix::from_tables(
-        &fact,
-        &["s0", "s1"],
-        &[(&dim, "fk", "id", &["r0", "r1", "r2"][..])],
-    )
-    .unwrap();
+    let q = Query::scan(fact)
+        .join(dim, "fk", "id", JoinKind::Inner)
+        .project(&["s0", "s1", "r0", "r1", "r2"]);
+    let (nm, rows) = NormalizedMatrix::from_query(&q).unwrap();
+    assert_eq!(rows, (0..500).collect::<Vec<_>>());
     assert_eq!(nm.rows(), 500);
     assert_eq!(nm.cols(), 5);
     assert!(nm.redundancy_ratio() > 1.0);

@@ -1,20 +1,23 @@
-//! Integration coverage for the extension round: query builder + predicates,
-//! polynomial features feeding SGD, softmax + forest on shared data, LU in a
+//! Integration coverage for the extension round: a key–foreign-key query
+//! feeding training as a normalized matrix, polynomial features feeding SGD, softmax + forest on shared data, LU in a
 //! whitening pipeline, compressed-matrix serialization through the buffer
 //! codec path, and forward selection end to end.
 
 use dmml::compress::planner::CompressionConfig;
 use dmml::compress::serial;
 use dmml::matrix::lu;
+use dmml::matrix::solve::solve_spd;
 use dmml::ml::forest::{ForestConfig, RandomForest};
 use dmml::ml::sgd::{train_sgd, SgdConfig};
 use dmml::ml::softmax::{SoftmaxConfig, SoftmaxRegression};
 use dmml::modelsel::columbus::{forward_select, SharedGram};
 use dmml::pipeline::transform::{PolynomialFeatures, Transformer};
 use dmml::prelude::*;
-use dmml::rel::{JoinKind, Predicate, Query, SortOrder};
+use dmml::rel::{JoinKind, Predicate, Query};
 
-/// Query builder composes with featurization: SQL-ish preprocessing before ML.
+/// A key–foreign-key query feeds training without materializing its join:
+/// `from_query` turns it into a normalized matrix, and the label column is
+/// gathered with the fact rows the query selected.
 #[test]
 fn query_pipeline_feeds_model_training() {
     let star = dmml::data::star::generate(&dmml::data::star::StarConfig {
@@ -24,24 +27,32 @@ fn query_pipeline_feeds_model_training() {
     });
     let (fact, dim) = dmml::data::star::to_tables(&star);
 
-    // Declarative preprocessing: join, filter out one dimension value, sort.
-    let prepared = Query::scan(fact)
+    // Declarative preprocessing: join, filter on a fact and a dimension
+    // column, keep the features.
+    let features = ["s0", "s1", "r0", "r1", "r2", "r3"];
+    let q = Query::scan(fact)
         .join(dim, "fk", "id", JoinKind::Inner)
         .filter(Predicate::gt("label", -10.0))
-        .sort(&[("label", SortOrder::Asc)])
-        .run()
-        .unwrap();
-    assert!(prepared.num_rows() > 300);
+        .filter(Predicate::gt("r0", -0.5))
+        .project(&features);
+    let (nm, rows) = NormalizedMatrix::from_query(&q).unwrap();
+    assert!(rows.len() > 300 && rows.len() < 400, "{} rows", rows.len());
+    let label = q.base().column_by_name("label").unwrap();
+    let labels: Vec<f64> = rows.iter().map(|&r| label.get_f64(r).unwrap()).collect();
 
-    // Labels are sorted ascending.
-    let labels: Vec<f64> =
-        (0..prepared.num_rows()).map(|r| prepared.row(r).get("label").as_f64().unwrap()).collect();
-    assert!(labels.windows(2).all(|w| w[0] <= w[1]));
+    // The materialized query keeps the same rows and features.
+    let joined = q.run().unwrap();
+    assert_eq!(joined.to_dense(&features).unwrap(), nm.decompress());
 
-    // Train on the joined features straight from the query output.
-    let x = prepared.to_dense(&["s0", "s1", "r0", "r1", "r2", "r3"]).unwrap();
-    let m = LinearRegression::fit(&x, &labels, Solver::NormalEquations, 1e-8).unwrap();
-    assert!(m.r2(&x, &labels) > 0.999, "r2 {}", m.r2(&x, &labels));
+    // Normal equations on the normalized form: XᵀX and Xᵀy are CLA's
+    // kernels over the fact block and the dimension dictionary.
+    let w = solve_spd(&nm.crossprod(), &nm.vecmat(&labels)).unwrap();
+    let preds = nm.gemv(&w);
+    let mean = labels.iter().sum::<f64>() / labels.len() as f64;
+    let ss_res: f64 = preds.iter().zip(&labels).map(|(p, y)| (p - y) * (p - y)).sum();
+    let ss_tot: f64 = labels.iter().map(|y| (y - mean) * (y - mean)).sum();
+    let r2 = 1.0 - ss_res / ss_tot;
+    assert!(r2 > 0.999, "r2 {r2}");
 }
 
 /// Polynomial expansion lets SGD learn a quadratic function.
