@@ -93,6 +93,18 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
+    // Add what the counters grew by from `before` to `after`. The
+    // high-water mark is not a count of events, so it stays out.
+    fn add_growth(&mut self, before: PoolStats, after: PoolStats) {
+        self.hits += after.hits - before.hits;
+        self.misses += after.misses - before.misses;
+        self.evictions += after.evictions - before.evictions;
+        self.absent += after.absent - before.absent;
+        self.pins += after.pins - before.pins;
+        self.spilled_bytes += after.spilled_bytes - before.spilled_bytes;
+        self.faulted_bytes += after.faulted_bytes - before.faulted_bytes;
+    }
+
     /// Hit rate over all lookups that could have hit (`hits / (hits + misses)`).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -408,20 +420,52 @@ impl<S: Storage> BufferPool<S> {
 /// stores of concurrent users never share a page. Keys a caller
 /// [`put`](Self::put)s by hand are not checked against those ids; a pool
 /// that holds block stores should hold nothing else.
+///
+/// Every handle carries a traffic account: the counters its
+/// `put`/`get`/`pin`/`flush` calls bumped, read with
+/// [`traffic`](Self::traffic). Clones share it, and so do the block stores
+/// and pin guards made through the handle. [`account`](Self::account) opens
+/// a fresh one on the same pool. A call is charged everything the pool
+/// counted while serving it, such as the spill of another account's page
+/// it evicted, under the pool lock it already holds. So a pool's accounts
+/// sum to its [`stats`](Self::stats), except for `peak_used`, which an
+/// account leaves at 0.
 pub struct SharedBufferPool<S: Storage> {
     inner: Arc<Mutex<BufferPool<S>>>,
+    account: Arc<Mutex<PoolStats>>,
 }
 
 impl<S: Storage> Clone for SharedBufferPool<S> {
     fn clone(&self) -> Self {
-        SharedBufferPool { inner: Arc::clone(&self.inner) }
+        SharedBufferPool { inner: Arc::clone(&self.inner), account: Arc::clone(&self.account) }
     }
 }
 
 impl<S: Storage> SharedBufferPool<S> {
-    /// Wrap a pool.
+    /// Wrap a pool; the handle's account starts at zero.
     pub fn new(pool: BufferPool<S>) -> Self {
-        SharedBufferPool { inner: Arc::new(Mutex::new(pool)) }
+        SharedBufferPool { inner: Arc::new(Mutex::new(pool)), account: Arc::default() }
+    }
+
+    /// A handle on the same pool (pages, capacity, policy, minted ids) with
+    /// an account of its own, starting at zero.
+    pub fn account(&self) -> Self {
+        SharedBufferPool { inner: Arc::clone(&self.inner), account: Arc::default() }
+    }
+
+    /// What the calls through this handle's account made the pool do.
+    pub fn traffic(&self) -> PoolStats {
+        *lock(&self.account)
+    }
+
+    // Run `op` on the locked pool and charge the counters it bumped to this
+    // handle's account before the pool lock is released.
+    fn charged<T>(&self, op: impl FnOnce(&mut BufferPool<S>) -> T) -> T {
+        let mut pool = lock(&self.inner);
+        let before = pool.stats;
+        let out = op(&mut pool);
+        lock(&self.account).add_growth(before, pool.stats);
+        out
     }
 
     /// A matrix id no earlier call returned, for a new block store.
@@ -434,12 +478,12 @@ impl<S: Storage> SharedBufferPool<S> {
 
     /// Insert a block.
     pub fn put(&self, key: PageKey, block: Dense) -> Result<(), PoolError> {
-        lock(&self.inner).put(key, block)
+        self.charged(|pool| pool.put(key, block))
     }
 
     /// Fetch a block.
     pub fn get(&self, key: PageKey) -> Result<Option<Arc<Dense>>, PoolError> {
-        lock(&self.inner).get(key)
+        self.charged(|pool| pool.get(key))
     }
 
     /// Pin a page and return an RAII guard that releases the pin on drop.
@@ -450,7 +494,7 @@ impl<S: Storage> SharedBufferPool<S> {
     /// panic, so pins can never leak across an operator. Returns
     /// `Ok(None)` for unknown keys.
     pub fn pin(&self, key: PageKey) -> Result<Option<PinGuard<S>>, PoolError> {
-        let block = lock(&self.inner).pin(key)?;
+        let block = self.charged(|pool| pool.pin(key))?;
         Ok(block.map(|block| PinGuard { pool: self.clone(), key, block }))
     }
 
@@ -467,7 +511,7 @@ impl<S: Storage> SharedBufferPool<S> {
 
     /// Flush every dirty resident block to storage.
     pub fn flush(&self) -> Result<(), PoolError> {
-        lock(&self.inner).flush()
+        self.charged(BufferPool::flush)
     }
 
     /// Pool capacity in bytes.
@@ -485,12 +529,13 @@ impl<S: Storage> SharedBufferPool<S> {
         lock(&self.inner).resident()
     }
 
-    /// Snapshot the counters.
+    /// Snapshot the pool's counters: the traffic of every account.
     pub fn stats(&self) -> PoolStats {
         lock(&self.inner).stats()
     }
 
-    /// Reset the counters (between experiment phases).
+    /// Reset the pool's counters (between experiment phases); accounts keep
+    /// theirs.
     pub fn reset_stats(&self) {
         lock(&self.inner).reset_stats()
     }
@@ -939,5 +984,81 @@ mod tests {
             h.join().unwrap();
         }
         assert!(shared.stats().hits >= 80 - 32, "most gets should hit");
+    }
+
+    #[test]
+    fn account_charges_each_caller_what_its_own_calls_made_the_pool_do() {
+        use crate::BlockStore;
+        use std::sync::{Condvar, PoisonError};
+        // Three frames for two stores of four panels each, written and
+        // pinned in strict alternation: each store's calls evict, spill and
+        // fault the other's pages as well as its own.
+        let shared = SharedBufferPool::new(pool(3, PolicyKind::Lru));
+        let accounts = [shared.account(), shared.account()];
+        let turn = (Mutex::new(0usize), Condvar::new());
+        let growth = |before, after| {
+            let mut g = PoolStats::default();
+            g.add_growth(before, after);
+            g
+        };
+        let logs: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|t| {
+                    let (shared, turn, acct, other) =
+                        (&shared, &turn, &accounts[t], &accounts[1 - t]);
+                    s.spawn(move || {
+                        let store = BlockStore::new_empty(acct, 16, 4, 4);
+                        let mut log = Vec::new();
+                        // One pool call per turn, so the pool's growth over
+                        // a call is that call's doing. Nothing in a turn
+                        // panics, so a failure cannot leave the other
+                        // thread waiting; the checks run after the join.
+                        let mut step = |want, call: &dyn Fn() -> Result<Option<f64>, PoolError>| {
+                            let (count, cv) = turn;
+                            let mut n = cv
+                                .wait_while(lock(count), |n| *n % 2 != t)
+                                .unwrap_or_else(PoisonError::into_inner);
+                            let before = (shared.stats(), acct.traffic(), other.traffic());
+                            let got = call();
+                            let mine = growth(before.1, acct.traffic());
+                            let pool = growth(before.0, shared.stats());
+                            log.push((t, want, got, mine, pool, other.traffic() == before.2));
+                            *n += 1;
+                            cv.notify_all();
+                        };
+                        let v = |round: usize, p: usize| (t * 100 + round * 10 + p) as f64;
+                        for round in 0..3 {
+                            for p in 0..store.num_panels() {
+                                let panel = Dense::filled(4, 4, v(round, p));
+                                step(None, &|| store.put_panel(p, panel.clone()).map(|()| None));
+                            }
+                            // The first panels are spilled by now: pins fault.
+                            for p in 0..store.num_panels() {
+                                let pin = || store.pin_panel(p).map(|g| Some(g.get(0, 0)));
+                                step(Some(v(round, p)), &pin);
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (t, want, got, mine, pool, other_untouched) in logs.into_iter().flatten() {
+            assert_eq!(got, Ok(want), "thread {t}");
+            assert_eq!(mine, pool, "thread {t} was charged other than its call's traffic");
+            assert!(other_untouched, "thread {t}'s call was charged to the other account");
+        }
+        for acct in &accounts {
+            let t = acct.traffic();
+            assert!(t.pins > 0 && t.spilled_bytes > 0 && t.faulted_bytes > 0, "{t:?}");
+        }
+        assert_eq!(shared.traffic(), PoolStats::default(), "the pool's own handle did nothing");
+        let mut sum = PoolStats::default();
+        for acct in &accounts {
+            sum.add_growth(PoolStats::default(), acct.traffic());
+        }
+        assert_eq!(sum, PoolStats { peak_used: 0, ..shared.stats() });
+        shared.audit_quiescent().unwrap();
     }
 }

@@ -294,14 +294,13 @@ impl NormalizedMatrix {
                     }
                     match table {
                         None => {
-                            p.validate(fact)?;
-                            rows.retain(|&r| p.eval(fact, r));
+                            let test = p.bind(fact)?;
+                            rows.retain(|&r| test(r));
                         }
                         Some(k) => {
                             let (dim, codes) = &dims[k];
-                            p.validate(dim)?;
-                            let keep: Vec<bool> =
-                                (0..dim.num_rows()).map(|r| p.eval(dim, r)).collect();
+                            let test = p.bind(dim)?;
+                            let keep: Vec<bool> = (0..dim.num_rows()).map(test).collect();
                             rows.retain(|&r| keep[codes[r]]);
                         }
                     }

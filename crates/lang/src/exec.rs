@@ -297,11 +297,9 @@ pub struct Executor<'g> {
     graph: &'g Graph,
     // `with_memory_budget` overrides its budget.
     plan: PhysicalPlan,
-    // Spill pool shared by every blocked kernel of this executor, created
-    // lazily on the first out-of-core dispatch.
+    // This executor's account on the spill pool every blocked kernel of it
+    // runs through, created lazily on the first out-of-core dispatch.
     ooc_pool: Option<SharedBufferPool<Box<dyn Storage>>>,
-    // The pool came from `with_spill_pool`: its owner publishes its counters.
-    pool_shared: bool,
     stats: ExecStats,
     profile: Option<ExecProfile>,
     // Emit one structured trace span per step (plus shared-read instants).
@@ -313,19 +311,6 @@ pub struct Executor<'g> {
     // When DMML_PROFILE_DIR named a directory at construction, the executor
     // merge-saves its kernel throughput profile there on drop.
     profile_to_env: bool,
-}
-
-/// Add a spill pool's traffic between two of its [`stats`](SharedBufferPool::stats)
-/// readings to `rec`'s `lang.exec.ooc.*` counters: how many bytes left and
-/// re-entered memory to stay under the budget, evictions and pins. An
-/// executor records the pool it made itself from zero; whoever owns a pool
-/// shared by many executors records it from the totals it last published,
-/// so the counters equal the pool's totals.
-pub fn record_pool_traffic(rec: &StatsRegistry, since: PoolStats, now: PoolStats) {
-    rec.add("lang.exec.ooc.spilled_bytes", now.spilled_bytes - since.spilled_bytes);
-    rec.add("lang.exec.ooc.faulted_bytes", now.faulted_bytes - since.faulted_bytes);
-    rec.add("lang.exec.ooc.evictions", now.evictions - since.evictions);
-    rec.add("lang.exec.ooc.pins", now.pins - since.pins);
 }
 
 impl<'g> Executor<'g> {
@@ -358,7 +343,6 @@ impl<'g> Executor<'g> {
             graph,
             plan,
             ooc_pool: None,
-            pool_shared: false,
             stats: ExecStats::default(),
             profile: profile_to_env.then(ExecProfile::default),
             tracing: trace_to_env,
@@ -386,15 +370,20 @@ impl<'g> Executor<'g> {
         self.plan.mem_budget()
     }
 
-    /// The spill pool backing blocked kernels, once one has run. Exposes
-    /// pool counters ([`SharedBufferPool::stats`]) and the audit hooks used
-    /// by tests and the profile report.
+    /// This executor's account on the spill pool backing blocked kernels,
+    /// once one has run. Exposes the pool's counters
+    /// ([`SharedBufferPool::stats`]), this executor's share of them
+    /// ([`SharedBufferPool::traffic`]) and the audit hooks used by tests and
+    /// the profile report.
     pub fn ooc_pool(&self) -> Option<&SharedBufferPool<Box<dyn Storage>>> {
         self.ooc_pool.as_ref()
     }
 
     /// Spill-pool counters (spills, faults, evictions, pins), or `None`
-    /// until a blocked kernel has run.
+    /// until a blocked kernel has run. These are the pool's totals: on a
+    /// pool shared through [`with_spill_pool`](Self::with_spill_pool) they
+    /// include other executors' traffic, and this executor's own share is
+    /// its [`ooc_pool`](Self::ooc_pool)'s [`traffic`](SharedBufferPool::traffic).
     pub fn ooc_pool_stats(&self) -> Option<PoolStats> {
         self.ooc_pool.as_ref().map(|p| p.stats())
     }
@@ -408,12 +397,13 @@ impl<'g> Executor<'g> {
     /// budgeted capacity instead of each opening a pool of its own. The pool
     /// gives every block store a fresh matrix id, so concurrent executors
     /// never alias pages, and a store frees its pages when dropped, so an
-    /// eval that fails part way leaves none behind. The pool's counters are
-    /// its owner's to publish ([`record_pool_traffic`]):
-    /// [`record_stats`](Self::record_stats) leaves them out.
+    /// eval that fails part way leaves none behind. The executor opens its
+    /// own [`account`](SharedBufferPool::account) on the pool and runs its
+    /// blocked kernels through it, so [`record_stats`](Self::record_stats)
+    /// publishes only the traffic this executor's calls caused, a spill of
+    /// another executor's page that one of its calls evicted included.
     pub fn with_spill_pool(mut self, pool: SharedBufferPool<Box<dyn Storage>>) -> Self {
-        self.ooc_pool = Some(pool);
-        self.pool_shared = true;
+        self.ooc_pool = Some(pool.account());
         self
     }
 
@@ -470,7 +460,9 @@ impl<'g> Executor<'g> {
 
     /// Push this execution's aggregate statistics into `rec` under the
     /// `lang.exec.*` sites. Timings (`eval_wall`, `kernel.<family>`) are
-    /// nanosecond histograms.
+    /// nanosecond histograms. The `lang.exec.ooc.*` counters are this
+    /// executor's spill-pool account ([`SharedBufferPool::traffic`]), so
+    /// executors sharing one pool publish its totals between them.
     pub fn record_stats(&self, rec: &StatsRegistry) {
         rec.add("lang.exec.nodes_evaluated", self.stats.nodes_evaluated);
         rec.add("lang.exec.memo_hits", self.stats.memo_hits);
@@ -481,8 +473,12 @@ impl<'g> Executor<'g> {
         if let Some(budget) = self.mem_budget() {
             rec.gauge_set("lang.exec.mem_budget", budget as u64);
         }
-        if let (Some(pool), false) = (&self.ooc_pool, self.pool_shared) {
-            record_pool_traffic(rec, PoolStats::default(), pool.stats());
+        if let Some(traffic) = self.ooc_pool.as_ref().map(SharedBufferPool::traffic) {
+            // Bytes that left and re-entered memory to stay under the budget.
+            rec.add("lang.exec.ooc.spilled_bytes", traffic.spilled_bytes);
+            rec.add("lang.exec.ooc.faulted_bytes", traffic.faulted_bytes);
+            rec.add("lang.exec.ooc.evictions", traffic.evictions);
+            rec.add("lang.exec.ooc.pins", traffic.pins);
         }
         if let Some(p) = &self.profile {
             rec.record_histogram("lang.exec.eval_wall", p.total_self_ns());

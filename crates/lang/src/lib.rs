@@ -51,8 +51,7 @@ pub use exec::{Env, ExecError, ExecProfile, Executor, KernelChoice, NodeStats, V
 pub use explain::{explain, profile_report};
 pub use expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 pub use liveness::{
-    certify_plan, certify_schedule, footprint, min_peak_order, NodeFootprint, PlanCertificate,
-    Schedule, StepUsage, Verdict,
+    certify_plan, certify_schedule, min_peak_order, PlanCertificate, Schedule, StepUsage, Verdict,
 };
 pub use memory::{MemoryBudget, MEM_BUDGET_ENV};
 pub use physical::PlanOptions;

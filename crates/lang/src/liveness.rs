@@ -54,7 +54,7 @@ use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::memory::{spill_pool_capacity, MemoryBudget, OOC_PANEL_DENOM};
 use crate::physical::{Kernel, PhysicalPlan};
 use crate::size::{Shape, SizeInfo};
-use dm_buffer::{panel_bytes, panel_rows_for, store_bytes};
+use dm_buffer::{panel_rows_for, store_bytes};
 use dm_matrix::par::ROW_BLOCK;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -147,46 +147,6 @@ impl Schedule {
     /// Fused marks per node, indexed by node.
     pub(crate) fn fused(&self) -> &[bool] {
         &self.fused
-    }
-}
-
-/// Resident-byte estimates for one value under each kernel family — the
-/// per-node abstract memory domain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeFootprint {
-    /// Dense row-major materialization: `rows * cols * 8`.
-    pub dense: usize,
-    /// CSR materialization at the propagated sparsity: 16 bytes per stored
-    /// non-zero plus the row-offset array.
-    pub sparse: usize,
-    /// Best-encoding compressed size from the `dm-compress` cost model
-    /// (never exceeds `dense`: uncompressed is always a candidate).
-    pub compressed: usize,
-    /// One streamed row panel under the budget, as the blocked kernels tile
-    /// it (`dense` when the budget is unbounded).
-    pub blocked_panel: usize,
-}
-
-/// Compute the [`NodeFootprint`] of a value from its propagated size, under
-/// an optional byte budget (which determines the blocked panel height).
-pub fn footprint(info: &SizeInfo, budget: Option<usize>) -> NodeFootprint {
-    match info.shape {
-        Shape::Scalar => NodeFootprint { dense: 8, sparse: 8, compressed: 8, blocked_panel: 8 },
-        Shape::Matrix { rows, cols } => {
-            let dense = dense_value_bytes(rows, cols);
-            let blocked_panel = match budget {
-                Some(limit) => {
-                    panel_bytes(panel_rows_for(cols, limit, OOC_PANEL_DENOM).min(rows.max(1)), cols)
-                }
-                None => dense,
-            };
-            NodeFootprint {
-                dense,
-                sparse: sparse_value_bytes(rows, cols, info.sparsity),
-                compressed: dm_compress::static_matrix_bytes(rows, cols, info.sparsity),
-                blocked_panel,
-            }
-        }
     }
 }
 
@@ -572,18 +532,6 @@ mod tests {
         assert_eq!((s.fused()[e], s.read_counts()[e]), (true, 1));
         let sub = plan.schedule_for(&g, e);
         assert_eq!((sub.step_of(e), sub.last_use(x), sub.fused()[e]), (Some(1), Some(1), false));
-    }
-
-    #[test]
-    fn footprint_orders_representations_sensibly() {
-        let info = SizeInfo { shape: Shape::Matrix { rows: 1000, cols: 20 }, sparsity: 0.05 };
-        let fp = footprint(&info, Some(1 << 20));
-        assert_eq!(fp.dense, 1000 * 20 * 8);
-        assert!(fp.sparse < fp.dense, "5% non-zeros beat dense storage");
-        assert!(fp.compressed <= fp.dense, "uncompressed is always a candidate");
-        assert!(fp.blocked_panel < fp.dense, "one panel is a fraction of the matrix");
-        let sc = footprint(&SizeInfo { shape: Shape::Scalar, sparsity: 1.0 }, None);
-        assert_eq!(sc.dense, 8);
     }
 
     #[test]

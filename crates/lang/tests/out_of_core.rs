@@ -221,12 +221,12 @@ fn record_stats_forwards_spill_counters() {
     assert!(rep.counter("lang.exec.ooc.evictions").unwrap_or(0) > 0);
 }
 
-/// A spill store whose first write fails (the spill disk is full), then
-/// frees up.
+/// A spill store whose second write fails (the spill disk fills after one
+/// page), then frees up.
 #[derive(Default)]
 struct FillingStore {
     inner: MemStore,
-    failed: bool,
+    writes: usize,
 }
 
 impl Storage for FillingStore {
@@ -234,7 +234,8 @@ impl Storage for FillingStore {
         self.inner.read(key)
     }
     fn write(&mut self, key: PageKey, data: Vec<u8>) -> std::io::Result<()> {
-        if !std::mem::replace(&mut self.failed, true) {
+        self.writes += 1;
+        if self.writes == 2 {
             return Err(std::io::Error::other("no space left on spill device"));
         }
         self.inner.write(key, data)
@@ -248,9 +249,10 @@ impl Storage for FillingStore {
 }
 
 /// A blocked evaluation whose spill write fails returns an `ExecError`
-/// naming the I/O failure and leaves no page in the shared pool; once the
-/// disk frees up, the same pool serves the next evaluation bit-identically
-/// to the in-memory one.
+/// naming the I/O failure, leaves no page in the shared pool, and still
+/// publishes the traffic it caused before the failure; once the disk frees
+/// up, the same pool serves the next evaluation bit-identically to the
+/// in-memory one.
 #[test]
 fn a_failed_spill_write_is_an_exec_error() {
     let p = program();
@@ -274,6 +276,13 @@ fn a_failed_spill_write_is_an_exec_error() {
         }
         other => panic!("expected an out-of-core error, got {other:?}"),
     }
+    let reg = dm_obs::StatsRegistry::new();
+    ex.record_stats(&reg);
+    let (rep, failed) = (reg.report(), pool.stats());
+    assert!(failed.spilled_bytes > 0, "one page spilled before the write failed: {failed:?}");
+    let sites = ["spilled_bytes", "faulted_bytes", "evictions", "pins"];
+    let got = sites.map(|s| rep.counter(&format!("lang.exec.ooc.{s}")).unwrap_or(0));
+    assert_eq!(got, [failed.spilled_bytes, failed.faulted_bytes, failed.evictions, failed.pins]);
     drop(ex);
     assert_eq!((pool.used(), pool.resident()), (0, 0), "the failed eval left pages behind");
 

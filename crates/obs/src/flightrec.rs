@@ -169,6 +169,13 @@ pub struct RequestRecord {
     pub est_cost_ns: u64,
     /// Memory certificate summary (certified peak bytes), 0 if unplanned.
     pub certified_peak: u64,
+    /// Serialized bytes this request's blocked kernels wrote to the spill
+    /// store, including other requests' pages they evicted; 0 without a
+    /// spill pool. A batch's traffic is on its leader's record.
+    pub spilled_bytes: u64,
+    /// Serialized bytes this request's blocked kernels read back from the
+    /// spill store.
+    pub faulted_bytes: u64,
     /// Marked slow at record time (explicit or self-tuned threshold).
     pub slow: bool,
     /// The request's retained span buffer: every event of the trace rooted
@@ -195,6 +202,8 @@ impl RequestRecord {
             kernel_summary: String::new(),
             est_cost_ns: 0,
             certified_peak: 0,
+            spilled_bytes: 0,
+            faulted_bytes: 0,
             slow: false,
             events: Vec::new(),
         }
@@ -227,13 +236,15 @@ impl RequestRecord {
         }
         let _ = write!(
             out,
-            ",\"total_ns\":{},\"bytes_in\":{},\"bytes_out\":{},\"layout\":\"{}\",\"est_cost_ns\":{},\"certified_peak\":{},\"kernels\":\"{}\"",
+            ",\"total_ns\":{},\"bytes_in\":{},\"bytes_out\":{},\"layout\":\"{}\",\"est_cost_ns\":{},\"certified_peak\":{},\"spilled_bytes\":{},\"faulted_bytes\":{},\"kernels\":\"{}\"",
             self.total_ns,
             self.bytes_in,
             self.bytes_out,
             self.layout,
             self.est_cost_ns,
             self.certified_peak,
+            self.spilled_bytes,
+            self.faulted_bytes,
             escape_json(&self.kernel_summary),
         );
         out.push_str(",\"phases\":{");
@@ -534,6 +545,7 @@ mod tests {
         r.plan_key = "abc/main:r2c2".into();
         r.cache_hit = true;
         r.error = Some("boom \"quoted\"".into());
+        (r.spilled_bytes, r.faulted_bytes) = (4096, 2048);
         fr.record(r);
         let parsed = crate::json::parse(&fr.requests_json(8)).expect("valid json");
         let reqs = parsed.get("requests").and_then(|j| j.as_arr()).unwrap();
@@ -542,6 +554,8 @@ mod tests {
         assert_eq!(r0.get("id").and_then(|j| j.as_f64()), Some(id as f64));
         assert_eq!(r0.get("plan_key").and_then(|j| j.as_str()), Some("abc/main:r2c2"));
         assert!(r0.get("phases").and_then(|j| j.get("execute")).is_some());
+        let spill = ["spilled_bytes", "faulted_bytes"].map(|k| r0.get(k).and_then(|j| j.as_f64()));
+        assert_eq!(spill, [Some(4096.0), Some(2048.0)]);
         let slow = crate::json::parse(&fr.slow_json()).expect("valid json");
         assert_eq!(slow.get("threshold_ns").and_then(|j| j.as_f64()), Some(1_000_000.0));
         assert_eq!(slow.get("slow").and_then(|j| j.as_arr()).map(<[_]>::len), Some(1));

@@ -106,12 +106,19 @@ impl Predicate {
         out
     }
 
-    /// Validate against a schema: every referenced column must exist, and
-    /// comparison literals must be type-compatible with their column.
-    pub fn validate(&self, table: &Table) -> Result<(), RelError> {
-        match self {
-            Predicate::Compare { column, value, .. } => {
-                let i = table.schema().require(column)?;
+    /// Bind to `table`: check that every column the predicate reads exists
+    /// and that each comparison literal suits its column's type, and return
+    /// a test of row `r` that reads those columns by index. Comparisons
+    /// involving NULL are false (and their negation true: collapsed
+    /// three-valued logic).
+    pub fn bind<'a>(
+        &'a self,
+        table: &'a Table,
+    ) -> Result<Box<dyn Fn(usize) -> bool + 'a>, RelError> {
+        let column = |name: &str| table.schema().require(name).map(|i| table.column(i));
+        Ok(match self {
+            Predicate::Compare { column: name, op, value } => {
+                let i = table.schema().require(name)?;
                 let dtype = table.schema().field(i).dtype;
                 let compatible = matches!(
                     (dtype, value),
@@ -125,68 +132,64 @@ impl Predicate {
                 );
                 if !compatible {
                     return Err(RelError::TypeMismatch {
-                        column: column.clone(),
+                        column: name.clone(),
                         expected: dtype,
                         actual: value.type_name(),
                     });
                 }
-                Ok(())
-            }
-            Predicate::IsNull(c) | Predicate::IsNotNull(c) => table.schema().require(c).map(|_| ()),
-            Predicate::And(a, b) | Predicate::Or(a, b) => {
-                a.validate(table)?;
-                b.validate(table)
-            }
-            Predicate::Not(a) => a.validate(table),
-        }
-    }
-
-    /// Evaluate on row `r` of `table`. Comparisons involving NULL evaluate
-    /// to false (and their negation to true — collapsed three-valued logic).
-    pub fn eval(&self, table: &Table, r: usize) -> bool {
-        match self {
-            Predicate::Compare { column, op, value } => {
-                let cell = match table.schema().index_of(column) {
-                    Some(i) => table.column(i).get(r),
-                    None => return false,
-                };
-                if cell.is_null() || value.is_null() {
-                    return false;
-                }
-                let ord = match (&cell, value) {
-                    (Value::Str(a), Value::Str(b)) => a.cmp(b),
-                    (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-                    _ => match (cell.as_f64(), value.as_f64()) {
-                        (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Less),
-                        _ => return false,
-                    },
-                };
-                match op {
-                    Cmp::Eq => ord.is_eq(),
-                    Cmp::Ne => ord.is_ne(),
-                    Cmp::Lt => ord.is_lt(),
-                    Cmp::Le => ord.is_le(),
-                    Cmp::Gt => ord.is_gt(),
-                    Cmp::Ge => ord.is_ge(),
-                }
+                let col = table.column(i);
+                Box::new(move |r| compare(&col.get(r), *op, value))
             }
             Predicate::IsNull(c) => {
-                table.schema().index_of(c).is_some_and(|i| table.column(i).is_null(r))
+                let col = column(c)?;
+                Box::new(move |r| col.is_null(r))
             }
             Predicate::IsNotNull(c) => {
-                table.schema().index_of(c).is_some_and(|i| !table.column(i).is_null(r))
+                let col = column(c)?;
+                Box::new(move |r| !col.is_null(r))
             }
-            Predicate::And(a, b) => a.eval(table, r) && b.eval(table, r),
-            Predicate::Or(a, b) => a.eval(table, r) || b.eval(table, r),
-            Predicate::Not(a) => !a.eval(table, r),
-        }
+            Predicate::And(a, b) => {
+                let (a, b) = (a.bind(table)?, b.bind(table)?);
+                Box::new(move |r| a(r) && b(r))
+            }
+            Predicate::Or(a, b) => {
+                let (a, b) = (a.bind(table)?, b.bind(table)?);
+                Box::new(move |r| a(r) || b(r))
+            }
+            Predicate::Not(a) => {
+                let a = a.bind(table)?;
+                Box::new(move |r| !a(r))
+            }
+        })
     }
 }
 
-/// Filter a table with a validated predicate.
+fn compare(cell: &Value, op: Cmp, value: &Value) -> bool {
+    if cell.is_null() || value.is_null() {
+        return false;
+    }
+    let ord = match (cell, value) {
+        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+        _ => match (cell.as_f64(), value.as_f64()) {
+            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Less),
+            _ => return false,
+        },
+    };
+    match op {
+        Cmp::Eq => ord.is_eq(),
+        Cmp::Ne => ord.is_ne(),
+        Cmp::Lt => ord.is_lt(),
+        Cmp::Le => ord.is_le(),
+        Cmp::Gt => ord.is_gt(),
+        Cmp::Ge => ord.is_ge(),
+    }
+}
+
+/// Filter a table with a predicate bound to it.
 pub fn filter_where(table: &Table, pred: &Predicate) -> Result<Table, RelError> {
-    pred.validate(table)?;
-    let keep: Vec<usize> = (0..table.num_rows()).filter(|&r| pred.eval(table, r)).collect();
+    let test = pred.bind(table)?;
+    let keep: Vec<usize> = (0..table.num_rows()).filter(|&r| test(r)).collect();
     Ok(table.gather(&keep))
 }
 

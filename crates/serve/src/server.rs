@@ -42,7 +42,7 @@ use dm_lang::cache::{
     compile_graph, program_hash, CompileError, CompiledProgram, InputClass, PlanCache, PlanKey,
 };
 use dm_lang::cost::{drifted, CostModel};
-use dm_lang::exec::{record_pool_traffic, Env, Executor, Val};
+use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::Op;
 use dm_lang::memory::MemoryBudget;
 use dm_lang::parser;
@@ -175,7 +175,9 @@ struct Shared {
     cache: Mutex<PlanCache>,
     profiles: Mutex<ProfileStore>,
     ledger: Arc<SessionLedger>,
-    spill: Option<Spill>,
+    /// The process-wide spill pool; every request's executor runs its
+    /// blocked kernels through an account of its own on it.
+    spill: Option<SharedBufferPool<Box<dyn Storage>>>,
     batcher: Batcher,
     model: CostModel,
     /// Tenants granted their own latency series, capped at
@@ -189,14 +191,6 @@ struct Shared {
     /// sample is measurable at microsecond request latencies.
     phase_hists: [Arc<dm_obs::LogHistogram>; Phase::COUNT],
     latency_hist: Arc<dm_obs::LogHistogram>,
-}
-
-/// The process-wide spill pool, and the totals of its counters already
-/// published to the registry (`lang.exec.ooc.*`). Executors leave a shared
-/// pool's counters out of their stats; [`execute`] publishes them.
-struct Spill {
-    pool: SharedBufferPool<Box<dyn Storage>>,
-    published: Mutex<PoolStats>,
 }
 
 /// Everything the request path threads through its phases: the record
@@ -228,10 +222,7 @@ impl ScoringServer {
         // One bounded spill pool for every blocked kernel in the process,
         // sized off the shared budget. Unbounded budget ⇒ nothing is ever
         // planned blocked ⇒ no pool needed.
-        let spill = cfg.budget.get().map(|budget| Spill {
-            pool: dm_lang::memory::spill_pool(budget),
-            published: Mutex::new(PoolStats::default()),
-        });
+        let spill = cfg.budget.get().map(dm_lang::memory::spill_pool);
         // Seed the cost model from DMML_PROFILE_DIR when present so the
         // first compiles already use calibrated crossovers.
         let model = CostModel::from_env().unwrap_or_else(|| CostModel::new(ProfileStore::new()));
@@ -690,9 +681,10 @@ fn handle_score(
     let (result, batched) = match try_batched(shared, &mut req, nnz, &prog, &key, ctx) {
         Some(r) => r,
         None => {
-            let out = time_phase(ctx, Phase::Execute, || {
+            let (out, traffic) = time_phase(ctx, Phase::Execute, || {
                 execute(shared, &prog, build_env(req.inputs, nnz))
             });
+            note_spill(&mut ctx.rec, traffic);
             match out {
                 Ok(v) => (val_to_result(v), false),
                 Err(e) => return Response::Error { error: e },
@@ -778,33 +770,37 @@ fn build_env(inputs: Vec<(String, InputValue)>, nnz: &[usize]) -> Env {
 /// stats into the shared registry, kernel profiles into the shared store,
 /// and — when a budget is set — the process-wide spill pool, which names
 /// every request's block stores itself so concurrent blocked kernels cannot
-/// alias pages. After an eval that ran a blocked node, failed or not, the
-/// pool's traffic since the last publish goes to the registry under one
-/// lock, so its `lang.exec.ooc.*` counters equal the pool's totals once no
-/// request is in flight.
-fn execute(shared: &Arc<Shared>, prog: &CompiledProgram, env: Env) -> Result<Val, String> {
+/// alias pages. The executor runs through its own account on that pool and
+/// publishes it with its stats after the eval, failed or not, so the
+/// registry's `lang.exec.ooc.*` counters equal the pool's totals once no
+/// request is in flight. The account comes back with the result, for the
+/// request's record.
+fn execute(
+    shared: &Arc<Shared>,
+    prog: &CompiledProgram,
+    env: Env,
+) -> (Result<Val, String>, PoolStats) {
     // `.traced()`: per-node `exec.<op>` spans (kernel, dims, flops) nest
     // under the request's execute-phase span, so `/debug/trace?id=` shows
     // which kernel the time went to.
     let mut ex =
         Executor::with_plan(&prog.graph, prog.plan.clone()).without_env_sinks().profiled().traced();
-    if let Some(spill) = &shared.spill {
-        ex = ex.with_spill_pool(spill.pool.clone());
+    if let Some(pool) = &shared.spill {
+        ex = ex.with_spill_pool(pool.clone());
     }
     let out = ex.eval(prog.root, &env).map_err(|e| e.to_string());
-    // An eval that ran no blocked node moved no pool traffic of its own;
-    // whoever did publishes it.
-    if let (Some(spill), true) = (&shared.spill, ex.stats().ooc_nodes > 0) {
-        let mut published = spill.published.lock().expect("spill totals poisoned");
-        let now = spill.pool.stats();
-        record_pool_traffic(shared.registry.as_ref(), *published, now);
-        *published = now;
-    }
-    let out = out?;
     ex.record_stats(shared.registry.as_ref());
-    let mut profiles = shared.profiles.lock().expect("profiles poisoned");
-    ex.record_kernel_profiles(&mut profiles);
-    Ok(out)
+    if out.is_ok() {
+        let mut profiles = shared.profiles.lock().expect("profiles poisoned");
+        ex.record_kernel_profiles(&mut profiles);
+    }
+    (out, ex.ooc_pool().map(SharedBufferPool::traffic).unwrap_or_default())
+}
+
+/// Copy a request's own spill traffic into its record.
+fn note_spill(rec: &mut RequestRecord, traffic: PoolStats) {
+    rec.spilled_bytes = traffic.spilled_bytes;
+    rec.faulted_bytes = traffic.faulted_bytes;
 }
 
 /// Take a result matrix out of its `Arc`. The executor that shared it is
@@ -920,12 +916,13 @@ fn try_batched(
         Joined::Solo(col) => {
             // Group was full or guarded against us: run the same column
             // individually.
-            let out = time_phase(ctx, Phase::Execute, || {
+            let (out, traffic) = time_phase(ctx, Phase::Execute, || {
                 let mut env = build_env(inputs, nnz);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, 1, col).expect("shape")));
-                execute(shared, prog, env).and_then(val_to_result)
+                execute(shared, prog, env)
             });
-            Some((out, false))
+            note_spill(&mut ctx.rec, traffic);
+            Some((out.and_then(val_to_result), false))
         }
         Joined::Follower(rx) => {
             let col = time_phase(ctx, Phase::BatchWait, || {
@@ -947,7 +944,7 @@ fn try_batched(
             if k > 1 {
                 reg.add("serve.batch.batched_requests", k as u64);
             }
-            let outcome = time_phase(ctx, Phase::Execute, || {
+            let (outcome, traffic) = time_phase(ctx, Phase::Execute, || {
                 // Stack the k column vectors into one m x k input and run
                 // the cached plan once.
                 let mut stacked = vec![0.0; m * k];
@@ -958,7 +955,8 @@ fn try_batched(
                 }
                 let mut env = build_env(inputs, nnz);
                 env.bind(&bname, Matrix::Dense(Dense::from_vec(m, k, stacked).expect("shape")));
-                execute(shared, prog, env).and_then(|v| {
+                let (out, traffic) = execute(shared, prog, env);
+                let outcome = out.and_then(|v| {
                     let Val::Matrix(mat) = v else {
                         return Err("batched program did not yield a matrix".to_owned());
                     };
@@ -973,8 +971,12 @@ fn try_batched(
                     Ok((0..k)
                         .map(|j| (0..d.rows()).map(|i| d.data()[i * k + j]).collect::<Vec<f64>>())
                         .collect::<Vec<_>>())
-                })
+                });
+                (outcome, traffic)
             });
+            // The leader's record carries the batch's traffic, as its
+            // execute phase carries the batch's time.
+            note_spill(&mut ctx.rec, traffic);
             job.complete(outcome);
             let col = rx.recv().map_err(|_| "batch result lost".to_owned()).and_then(|r| r);
             Some((
@@ -1047,7 +1049,7 @@ mod tests {
             ],
             &[511, 8],
         );
-        let out = execute(&server.shared, &prog, env).unwrap();
+        let out = execute(&server.shared, &prog, env).0.unwrap();
         let Val::Matrix(m) = &out else { panic!("W %*% x is a matrix") };
         // The eval's value table is gone: the caller holds the only
         // reference, so the result's buffer is the response's buffer.
@@ -1063,43 +1065,65 @@ mod tests {
 
     #[test]
     fn spill_counters_equal_the_shared_pool_totals() {
+        use crate::client::ScoringClient;
+        use crate::protocol::{Request, Response};
         let budget = MemoryBudget::bytes(96 * 1024);
         let registry = Arc::new(StatsRegistry::new());
         let cfg = ServeConfig { budget, ..ServeConfig::for_tests() };
         let server = ScoringServer::start(cfg, Arc::clone(&registry)).unwrap();
         let n = 120;
-        let mut sizes = InputSizes::new();
-        sizes.declare("X", n, n, 1.0);
-        let prog = compile("sum(X %*% X)", &sizes, 1, budget, &server.shared.model).unwrap();
         let data: Vec<f64> = (0..n * n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
-        let nnz = data.iter().filter(|&&x| x != 0.0).count();
-        let env = || {
-            let x = InputValue::Matrix { rows: n, cols: n, data: data.clone() };
-            build_env(vec![("X".to_owned(), x)], &[nnz])
+        let req = Request::score("spill", "sum(X %*% X)").matrix("X", n, n, data);
+        // One blocked request; its flight record lands after the response.
+        let score = || {
+            let mut client = ScoringClient::connect(server.addr()).unwrap();
+            let (resp, rid) = client.request_with_rid(&req).unwrap();
+            let Response::Score { blocked_nodes, .. } = resp else { panic!("{resp:?}") };
+            assert!(blocked_nodes > 0, "the plan must run blocked");
+            let rid = rid.expect("the server assigns ids");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                if let Some(rec) = server.flight().get(rid) {
+                    return rec;
+                }
+                assert!(Instant::now() < deadline, "request {rid} left no record");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         };
-        let pool = &server.shared.spill.as_ref().expect("a budget makes a pool").pool;
-        let published_equals_pool = || {
+        let pool = server.shared.spill.as_ref().expect("a budget makes a pool");
+        let registry_equals_pool = || {
             let (ps, rep) = (pool.stats(), registry.report());
             let sites = ["spilled_bytes", "faulted_bytes", "evictions", "pins"];
             let got = sites.map(|s| rep.counter(&format!("lang.exec.ooc.{s}")).unwrap_or(0));
             assert_eq!(got, [ps.spilled_bytes, ps.faulted_bytes, ps.evictions, ps.pins]);
         };
+        let mut records = Vec::new();
         for _ in 0..3 {
-            execute(&server.shared, &prog, env()).unwrap();
-            published_equals_pool();
+            records.push(score());
+            registry_equals_pool();
         }
         assert!(pool.stats().spilled_bytes > 0, "the plan must spill: {:?}", pool.stats());
         let start = std::sync::Barrier::new(3);
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    let env = env();
-                    start.wait();
-                    execute(&server.shared, &prog, env).unwrap()
-                });
-            }
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        score()
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
         });
-        published_equals_pool();
+        registry_equals_pool();
+        for rec in &concurrent {
+            assert!(rec.spilled_bytes + rec.faulted_bytes > 0, "request {} moved nothing", rec.id);
+        }
+        records.extend(concurrent);
+        let ps = pool.stats();
+        let spilled = records.iter().map(|r| r.spilled_bytes).sum::<u64>();
+        let faulted = records.iter().map(|r| r.faulted_bytes).sum::<u64>();
+        assert_eq!((spilled, faulted), (ps.spilled_bytes, ps.faulted_bytes));
         server.shutdown();
     }
 

@@ -83,7 +83,8 @@ def check_debug(addr: str) -> None:
     for rec in reqs["requests"]:
         require_fields("/debug/requests", rec,
                        ["id", "tenant", "total_ns", "phases", "cache_hit",
-                        "bytes_in", "bytes_out", "layout"])
+                        "bytes_in", "bytes_out", "layout", "spilled_bytes",
+                        "faulted_bytes"])
         if not isinstance(rec["phases"], dict):
             raise SystemExit("/debug/requests: record 'phases' is not an object")
         if rec["layout"] not in ("text", "slab"):
