@@ -76,21 +76,18 @@ fn report_gflops(case: &str, flops: f64, best: Duration) {
     println!("e16 gflops {case:<14} {:.2}", flops / best.as_secs_f64() / 1e9);
 }
 
-/// Reference ikj triple loop with the historical `aik == 0.0` skip — the
-/// bit-identity contract the packed kernel must honor on finite inputs.
+/// Reference ikj triple loop, one `mul_add` per term in increasing `k` —
+/// the bit-identity contract the packed kernel must honor on finite inputs.
 fn naive_gemm(a: &Dense, b: &Dense) -> Dense {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Dense::zeros(m, n);
     for i in 0..m {
         for p in 0..k {
             let aik = a.data()[i * k + p];
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &b.data()[p * n..(p + 1) * n];
             let orow = &mut out.data_mut()[i * n..(i + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aik * bv;
+                *o = aik.mul_add(bv, *o);
             }
         }
     }

@@ -6,16 +6,19 @@
 //! (`dm_matrix::kernel`) and differ only in how they cut row panels and fold
 //! partials, so this table is the whole cross-tier contract: panel heights
 //! that divide, straddle and exceed `ROW_BLOCK`, degrees that do and do not
-//! divide the work, degenerate shapes, exact zeros and `-0.0` (the gemm zero
-//! skip and the gevm scalar skip), a `B` with one non-finite panel (gemm
-//! then mixes the packed and the reference body), products wide enough
-//! for the widest register tile, and a last panel whose rows leave a tile
-//! fringe.
+//! divide the work, degenerate shapes, exact zeros and `-0.0` (the terms
+//! gemm's reference body leaves out and the gevm scalar skip), a `B` with
+//! one non-finite panel (gemm then mixes the packed and the reference
+//! body), products wide enough for the widest register tile, and a last
+//! panel whose rows leave a tile fringe. A second test pins the
+//! out-of-core gemm and crossprod to a fused multiply-add reference chain
+//! on inputs where rounding the product apart would change the bits.
 
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::storage::MemStore;
 use dm_buffer::SharedBufferPool;
 use dm_buffer::{ooc, panel_bytes, store_bytes, BlockStore, BufferPool, PoolError};
+use dm_matrix::par::ROW_BLOCK;
 use dm_matrix::{ops, par, Dense};
 
 type Pool = SharedBufferPool<MemStore>;
@@ -230,4 +233,89 @@ fn every_operator_computes_the_same_bits_under_every_schedule() {
             assert_eq!(pool.used(), 0, "{}: the dropped operands left pages", c.name);
         }
     }
+}
+
+/// One multiply-add `step(a, b, acc)` of a reference chain.
+type Step = fn(f64, f64, f64) -> f64;
+
+/// Entries `m / 3`: a product of two thirds is rarely a double, so rounding
+/// it before the add moves the sum's last bits in most chains.
+fn thirds(rows: usize, cols: usize, seed: usize) -> Dense {
+    Dense::from_fn(rows, cols, |r, c| ((r * 7 + c * 13 + seed) % 29) as f64 / 3.0 - 14.0 / 3.0)
+}
+
+/// `a * b` as a chain of one `step` per term in increasing `k`, leaving out
+/// a zero `a` against a non-finite `b`.
+fn gemm_chain(a: &Dense, b: &Dense, step: Step) -> Bits {
+    let n = b.cols();
+    let mut out = vec![0.0; a.rows() * n];
+    for (arow, orow) in a.data().chunks_exact(a.cols()).zip(out.chunks_exact_mut(n.max(1))) {
+        for (&aik, brow) in arow.iter().zip(b.data().chunks_exact(n.max(1))) {
+            for (o, &bkj) in orow.iter_mut().zip(brow) {
+                if aik != 0.0 || bkj.is_finite() {
+                    *o = step(aik, bkj, *o);
+                }
+            }
+        }
+    }
+    bits(&out)
+}
+
+/// `x^T x` as per-`ROW_BLOCK` chains of one `step` per upper term, leaving
+/// out a zero entry `i` against a non-finite entry `j`, folded into zeros
+/// in block order and mirrored.
+fn crossprod_chain(x: &Dense, step: Step) -> Bits {
+    let d = x.cols();
+    let mut out = vec![0.0; d * d];
+    for block in x.data().chunks((ROW_BLOCK * d).max(1)) {
+        let mut part = vec![0.0; d * d];
+        for row in block.chunks_exact(d) {
+            for i in 0..d {
+                for j in i..d {
+                    if row[i] != 0.0 || row[j].is_finite() {
+                        part[i * d + j] = step(row[i], row[j], part[i * d + j]);
+                    }
+                }
+            }
+        }
+        out.iter_mut().zip(&part).for_each(|(o, p)| *o += p);
+    }
+    for i in 0..d {
+        for j in 0..i {
+            out[i * d + j] = out[j * d + i];
+        }
+    }
+    bits(&out)
+}
+
+#[test]
+fn out_of_core_products_round_each_multiply_add_once() {
+    // Panels of 16 rows: B's three panels run the packed body, then the
+    // reference body (its panel holds a NaN), then packed again; X's first
+    // row block holds an inf beside a zero, so its crossprod panels mix the
+    // tiles and the row loop too.
+    let (fused, unfused): (Step, Step) = (f64::mul_add, |a, b, acc| a * b + acc);
+    let mut x = thirds(ROW_BLOCK + 70, 40, 1);
+    let mut b = thirds(40, 35, 2);
+    x.set(20, 5, 0.0);
+    x.set(20, 9, f64::INFINITY);
+    b.set(20, 4, f64::NAN);
+    let gemm_want = gemm_chain(&x, &b, fused);
+    let cross_want = crossprod_chain(&x, fused);
+    // The inputs witness the rounding: many elements differ unfused.
+    let differing = |got: &Bits, want: &Bits| got.iter().zip(want).filter(|(g, w)| g != w).count();
+    assert!(differing(&gemm_chain(&x, &b, unfused), &gemm_want) > gemm_want.len() / 8);
+    assert!(differing(&crossprod_chain(&x, unfused), &cross_want) > cross_want.len() / 8);
+    let pool = Pool::new(BufferPool::new(1 << 16, PolicyKind::Lru, MemStore::default()));
+    let (sx, sb) = (
+        BlockStore::from_dense(&pool, &x, 16).unwrap(),
+        BlockStore::from_dense(&pool, &b, 16).unwrap(),
+    );
+    for d in OOC_DEGREES {
+        let got = collect(ooc::gemm(&sx, &sb, d).unwrap()).unwrap();
+        assert_same(&got, &gemm_want, &format!("ooc gemm degree {d}"));
+        let got = ooc::crossprod(&sx, d).unwrap();
+        assert_same(&bits(got.data()), &cross_want, &format!("ooc crossprod degree {d}"));
+    }
+    assert!(pool.stats().evictions > 0, "it ran out of core");
 }

@@ -27,12 +27,14 @@
 //!
 //! Gemm's finite-`B` path is the packed microkernel of [`crate::pack`]; the
 //! reference loop here ([`gemm_ref`]) is what non-finite panels run, where
-//! its `a[i][k] == 0.0` skip is observable (see `pack`'s equivalence proof).
-//! Crossprod follows the same split per panel: an all-finite panel runs on
-//! the same register tile, a panel holding `NaN`/`inf` runs the skip loop.
+//! leaving out a zero `a` against a non-finite `b` is observable (see
+//! `pack`'s bit-identity contract). Crossprod follows the same split per
+//! panel: an all-finite panel runs on the same register tile, a panel
+//! holding `NaN`/`inf` runs the row loop. Both reference loops multiply-add
+//! with `mul_add`, as the tile does, inside the same `Isa` instantiation.
 
 use crate::ops::{dot, dot2};
-use crate::pack::{self, Isa};
+use crate::pack::{self, Isa, Tiled};
 use std::ops::Range;
 
 /// Row `r` of a panel `cols` wide.
@@ -109,11 +111,12 @@ pub fn col_sums(panel: &[f64], part: &mut [f64]) {
 ///
 /// An all-finite panel runs on gemm's register tiles ([`pack`]), chosen by
 /// `d`, over the panel packed in `pack`'s layout, rows `k`-ascending. A
-/// panel holding `NaN`/`inf` runs the row loop below, which skips zero row
-/// entries; the skip is only observable there (`0.0 * inf == NaN`), by
-/// `pack`'s zero-skip argument, so both paths give every upper element the
-/// same bits. The row loop's slice-zip runs the same adds as an `i <= j`
-/// double loop, at unit stride.
+/// panel holding `NaN`/`inf` runs the row loop below, which leaves out a
+/// term whose row entry `i` is zero and whose entry `j` is not finite; on
+/// finite entries it runs every term, as the tile does, so both paths give
+/// every upper element the same bits (see `pack`'s contract). The row
+/// loop's slice-zip runs the same multiply-adds as an `i <= j` double loop,
+/// at unit stride.
 pub fn crossprod_upper(panel: &[f64], d: usize, part: &mut [f64]) {
     crossprod_upper_on(Isa::for_width(d), panel, d, part);
 }
@@ -126,13 +129,27 @@ pub(crate) fn crossprod_upper_on(isa: Isa, panel: &[f64], d: usize, part: &mut [
     if pack::all_finite(panel) {
         return pack::crossprod_tiles(isa, panel, d, part);
     }
-    for row in panel.chunks_exact(d) {
-        for (i, &vi) in row.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            for (o, &vj) in part[i * d + i..(i + 1) * d].iter_mut().zip(&row[i..]) {
-                *o += vi * vj;
+    isa.run(CrossprodRows { panel, d, part });
+}
+
+/// [`crossprod_upper`]'s row loop, as a [`Tiled`] body for its FMA.
+struct CrossprodRows<'r> {
+    panel: &'r [f64],
+    d: usize,
+    part: &'r mut [f64],
+}
+
+impl Tiled for CrossprodRows<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let CrossprodRows { panel, d, part } = self;
+        for row in panel.chunks_exact(d) {
+            for (i, &vi) in row.iter().enumerate() {
+                for (o, &vj) in part[i * d + i..(i + 1) * d].iter_mut().zip(&row[i..]) {
+                    if vi != 0.0 || vj.is_finite() {
+                        *o = vi.mul_add(vj, *o);
+                    }
+                }
             }
         }
     }
@@ -158,26 +175,56 @@ const TILE: usize = 128;
 
 /// The reference gemm body: `out += A_panel[.., kcols] * B_panel`, where
 /// the `A` panel is `a_cols` wide with one row per `out` row and the `B`
-/// panel holds rows `kcols` of `B`. Entries `a[i][k] == 0.0` are skipped.
-/// Loop order is `j tile -> k tile -> i -> k -> j`, so per output element
-/// `k` still strictly increases.
+/// panel holds rows `kcols` of `B`. Each term is one `mul_add`; a term with
+/// `a[i][k] == 0.0` and a non-finite `b[k][j]` is left out, so `0 * inf`
+/// adds nothing. Loop order is `j tile -> k tile -> i -> k -> j`, so per
+/// output element `k` still strictly increases.
 pub fn gemm_ref(a: &[f64], a_cols: usize, kcols: Range<usize>, b: &[f64], out: &mut [f64]) {
+    let n = b.len().checked_div(kcols.len()).unwrap_or(0);
+    gemm_ref_on(Isa::for_width(n), a, a_cols, kcols, b, out);
+}
+
+/// [`gemm_ref`] compiled for instantiation `isa`.
+pub(crate) fn gemm_ref_on(
+    isa: Isa,
+    a: &[f64],
+    a_cols: usize,
+    kcols: Range<usize>,
+    b: &[f64],
+    out: &mut [f64],
+) {
     if kcols.is_empty() || b.is_empty() {
         return;
     }
-    let n = b.len() / kcols.len();
-    for j0 in (0..n).step_by(TILE) {
-        let j = j0..(j0 + TILE).min(n);
-        for k0 in (0..kcols.len()).step_by(TILE) {
-            let k = kcols.start + k0..(kcols.start + k0 + TILE).min(kcols.end);
-            let btile = &b[k0 * n..(k0 + k.len()) * n];
-            for (arow, orow) in a.chunks_exact(a_cols).zip(out.chunks_exact_mut(n)) {
-                for (&aik, brow) in arow[k.clone()].iter().zip(btile.chunks_exact(n)) {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    for (o, &bkj) in orow[j.clone()].iter_mut().zip(&brow[j.clone()]) {
-                        *o += aik * bkj;
+    isa.run(GemmRef { a, a_cols, kcols, b, out });
+}
+
+/// [`gemm_ref`]'s loop nest, as a [`Tiled`] body for its FMA.
+struct GemmRef<'r> {
+    a: &'r [f64],
+    a_cols: usize,
+    kcols: Range<usize>,
+    b: &'r [f64],
+    out: &'r mut [f64],
+}
+
+impl Tiled for GemmRef<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let GemmRef { a, a_cols, kcols, b, out } = self;
+        let n = b.len() / kcols.len();
+        for j0 in (0..n).step_by(TILE) {
+            let j = j0..(j0 + TILE).min(n);
+            for k0 in (0..kcols.len()).step_by(TILE) {
+                let k = kcols.start + k0..(kcols.start + k0 + TILE).min(kcols.end);
+                let btile = &b[k0 * n..(k0 + k.len()) * n];
+                for (arow, orow) in a.chunks_exact(a_cols).zip(out.chunks_exact_mut(n)) {
+                    for (&aik, brow) in arow[k.clone()].iter().zip(btile.chunks_exact(n)) {
+                        for (o, &bkj) in orow[j.clone()].iter_mut().zip(&brow[j.clone()]) {
+                            if aik != 0.0 || bkj.is_finite() {
+                                *o = aik.mul_add(bkj, *o);
+                            }
+                        }
                     }
                 }
             }
@@ -189,5 +236,55 @@ pub fn gemm_ref(a: &[f64], a_cols: usize, kcols: Range<usize>, b: &[f64], out: &
 pub fn add_into(acc: &mut [f64], part: &[f64]) {
     for (o, &p) in acc.iter_mut().zip(part) {
         *o += p;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_zero_term_is_left_out_only_against_a_non_finite_b() {
+        // `fma(-t, t, +0.0)` underflows to -0.0 for t = 1e-200, and
+        // `fma(0.0, 1.0, -0.0)` is +0.0. The packed tile runs every term,
+        // so it gives +0.0 there; skipping every zero `a` would keep -0.0.
+        // The reference kernels leave out only a zero against a non-finite
+        // value, so they agree with the tile in this corner too.
+        let t = 1e-200f64;
+        assert_eq!(t.mul_add(-t, 0.0).to_bits(), (-0.0f64).to_bits(), "the corner is real");
+        for isa in Isa::available() {
+            // gemm: A = [-t, 0] against B = [[t, t], [1, x]].
+            let a = [-t, 0.0];
+            let mut out = [0.0; 2];
+            gemm_ref_on(isa, &a, 2, 0..2, &[t, t, 1.0, f64::INFINITY], &mut out);
+            assert_eq!(bits(&out), bits(&[0.0, -0.0]), "{isa:?} gemm_ref, x = inf");
+            let finite = [t, t, 1.0, 2.0];
+            let (mut reference, mut packed) = ([0.0; 2], [0.0; 2]);
+            gemm_ref_on(isa, &a, 2, 0..2, &finite, &mut reference);
+            pack::for_each_slab_on(isa, &mut pack::PackedB::default(), &finite, 2, 2, |s, ks| {
+                let view = pack::AView { data: &a, stride: 2, rows: 0..1, kcols: ks };
+                pack::gemm_packed_rows(&view, s, &mut packed, 2);
+            });
+            assert_eq!(bits(&reference), bits(&[0.0, 0.0]), "{isa:?} gemm_ref, x = 2");
+            assert_eq!(bits(&packed), bits(&reference), "{isa:?} packed gemm");
+
+            // crossprod: rows [-t, t, t] and [0, 1, x]; upper (0, 1), (0, 2).
+            let mut part = [0.0; 9];
+            crossprod_upper_on(isa, &[-t, t, t, 0.0, 1.0, f64::INFINITY], 3, &mut part);
+            assert_eq!(bits(&part[1..3]), bits(&[0.0, -0.0]), "{isa:?} row loop, x = inf");
+            let finite = [-t, t, t, 0.0, 1.0, 2.0];
+            let (mut rows, mut tiles) = ([0.0; 9], [0.0; 9]);
+            isa.run(CrossprodRows { panel: &finite, d: 3, part: &mut rows });
+            pack::crossprod_tiles(isa, &finite, 3, &mut tiles);
+            assert_eq!(bits(&rows[1..3]), bits(&[0.0, 0.0]), "{isa:?} row loop, x = 2");
+            for i in 0..3 {
+                let upper = i * 3 + i..(i + 1) * 3;
+                assert_eq!(bits(&tiles[upper.clone()]), bits(&rows[upper]), "{isa:?} row {i}");
+            }
+        }
     }
 }

@@ -42,23 +42,28 @@
 //! * **portable** — `MR x NR = 2 x 12`, the x86-64 baseline (SSE2): 24
 //!   accumulators in 12 of the 16 `xmm` registers. With the `B` row and the
 //!   two broadcast `A` values that is more than 16, and its `k` loop spills
-//!   four registers per step; it is the fallback for CPUs without AVX2;
+//!   four registers per step. The baseline has no FMA instruction, so each
+//!   `mul_add` is a libm `fma` call: slow, but the same bits. It is the
+//!   fallback for CPUs without AVX2 and FMA;
 //! * **AVX2** — `4 x 8`, the same source under
-//!   `#[target_feature(enable = "avx2")]`: 32 accumulators in 8 of the 16
-//!   `ymm` registers, leaving room for the `B` row and the broadcast `A`
+//!   `#[target_feature(enable = "avx2,fma")]`: 32 accumulators in 8 of the
+//!   16 `ymm` registers, leaving room for the `B` row and the broadcast `A`
 //!   value;
-//! * **AVX-512** — `4 x 32` under `#[target_feature(enable = "avx512f")]`:
-//!   128 accumulators in 16 of the 32 `zmm` registers, plus 4 for the `B`
-//!   row and 1 for the broadcast.
+//! * **AVX-512** — `4 x 32` under
+//!   `#[target_feature(enable = "avx512f,fma")]`: 128 accumulators in 16 of
+//!   the 32 `zmm` registers, plus 4 for the `B` row and 1 for the broadcast.
 //!
 //! Which one runs is a per-call rule on the CPU and the output's width
 //! (gemm's `n`, crossprod's `d`), `Isa::for_width`: the 4x32 tile when
-//! `is_x86_feature_detected!` reports AVX-512F and the output fills at
-//! least one such tile; else 4x8 when it reports AVX2; else portable.
-//! Narrow outputs keep 4x8, so small products do not pay for padded lanes.
-//! Calling a `#[target_feature]` function is the crate's one `unsafe` block,
-//! guarded by the same detection. A [`PackedB`] records the instantiation
-//! it was packed for, since the tile width is its layout.
+//! `is_x86_feature_detected!` reports AVX-512F and FMA and the output fills
+//! at least one such tile; else 4x8 when it reports AVX2 and FMA; else
+//! portable. Narrow outputs keep 4x8, so small products do not pay for
+//! padded lanes. Calling a `#[target_feature]` function is the crate's one
+//! `unsafe` block, guarded by the same detection. A [`PackedB`] records the
+//! instantiation it was packed for, since the tile width is its layout. The
+//! reference kernels that non-finite operands fall back to
+//! ([`crate::kernel::gemm_ref`] and crossprod's row loop) run inside the
+//! same instantiations, so they too emit `vfmadd` instead of a libm call.
 //!
 //! **Register-fit rule.** A tile's accumulators plus one `B` row and the
 //! broadcast `A` value must fit the vector registers (16 `ymm`, 32 `zmm`),
@@ -75,40 +80,51 @@
 //! # Bit-identity contract
 //!
 //! Every kernel in this workspace promises results **bit-identical** to the
-//! serial reference loop (for each output element, products accumulated in
-//! strictly increasing `k` order, left-associated). The packing layout is
-//! chosen to preserve exactly that order:
+//! serial reference loop: for each output element, one fused multiply-add
+//! per term, `acc = a.mul_add(b, acc)` (the exact `a * b + acc`, rounded
+//! once), in strictly increasing `k` order from `+0.0`. The packing layout
+//! is chosen to preserve exactly that order:
 //!
 //! * Within a `KC` slab the microkernel walks `k` upward, accumulating into
 //!   the tile one `k` at a time.
 //! * Across slabs, the output tile is **loaded from `out`, accumulated, and
 //!   stored back per slab** (never recomputed in fresh registers and added
-//!   at the end), so the per-element sum stays left-associated across the
+//!   at the end), so the per-element chain continues unbroken across the
 //!   `pc` loop.
 //! * The `jc`/`ic`/`jr`/`ir` loops only partition *disjoint* output
 //!   elements; they can be reordered freely without touching any sum.
 //!
-//! The instantiations cannot differ in a bit either. Each `acc += a * b` is
-//! a multiply rounded to `f64` and then an add rounded to `f64`, whatever
-//! the vector width: Rust never contracts `a * b + c` into one fused
-//! operation on its own, so no FMA is emitted even where the target
-//! feature makes it available (AVX-512F implies FMA to LLVM). Tile shape
-//! only changes which output elements share a register, never the adds an
-//! element sees.
+//! The instantiations cannot differ in a bit either. Each step rounds once,
+//! whatever the vector width: a `vfmadd231pd` lane under AVX2 and AVX-512,
+//! a libm `fma` call in the portable build. Rust never contracts a plain
+//! `a * b + c` into one fused operation on its own, so the fused step is
+//! spelled `mul_add` in every kernel and every reference that shares its
+//! bits. Tile shape only changes which output elements share a register,
+//! never the operations an element sees.
 //!
-//! The one deliberate deviation from the reference loop is the `a[i][k] ==
-//! 0.0` skip: the reference kernels skip zero `A` entries, the microkernel
-//! must not branch per element. Dropping the skip is a **bit-exact** rewrite
-//! whenever `B` contains only finite values, by the following argument:
-//! output accumulators start at `+0.0` and, under round-to-nearest, an
-//! accumulator can never become `-0.0` (`x + (-x) == +0.0` for finite
-//! `x != 0`, and `-0.0` only arises from `(-0.0) + (-0.0)`); adding
-//! `±0.0 * b == ±0.0` (finite `b`) to a non-`-0.0` value is an exact
-//! identity. Only non-finite `B` values distinguish the two kernels
-//! (`0.0 * inf == NaN`), so callers check [`all_finite`] on `B` and fall
-//! back to the reference kernel ([`crate::kernel::gemm_ref`]) otherwise —
-//! exact bit-identity in all cases. Crossprod's `B` is its own panel, so it
-//! gates on the whole panel.
+//! The one deliberate deviation from a plain loop is a zero `a` meeting a
+//! non-finite `b`: `0.0 * inf` is `NaN`, and the reference kernels leave
+//! that term out (the historical loops skipped every `a[i][k] == 0.0`,
+//! which is where the rule comes from). The microkernel must not branch per
+//! element, so it runs every term. On a `B` of finite values no term is
+//! left out, so the two are the same sequence of operations. Callers check
+//! [`all_finite`] on `B` and fall back to the reference kernel
+//! ([`crate::kernel::gemm_ref`]) otherwise. Crossprod's `B` is its own
+//! panel, so it gates on the whole panel.
+//!
+//! Why not skip every zero `a`, as the historical loops did? For finite
+//! `b`, `fma(±0.0, b, c) == c` exactly when `c` is not `-0.0`, so such a
+//! skip shows only on an accumulator that holds `-0.0`. Unfused, one that
+//! starts at `+0.0` never does under round-to-nearest: a rounded product of
+//! `-0.0` added to `+0.0` gives `+0.0`, an exactly-zero sum of nonzero
+//! values is `+0.0`, and a nonzero sum of two doubles never rounds to zero.
+//! Fused, it can: `fma` rounds the exact `a * b + c` once, and a negative
+//! value below half the least subnormal (`2^-1075`) in magnitude rounds to
+//! `-0.0` (`fma(-1e-200, 1e-200, 0.0)` is `-0.0`). A skipped zero then
+//! keeps `-0.0` where the fused term gives `+0.0`. Leaving out only the
+//! terms that would be `NaN` keeps every path on the same bits, the sign of
+//! a zero included: the packed kernel on finite `B`, the reference on any
+//! `B`, and the per-panel mix of the two that out-of-core gemm runs.
 
 use std::ops::Range;
 
@@ -157,8 +173,8 @@ pub(crate) enum Isa {
 
 impl Isa {
     /// The instantiation for an output `width` columns wide on this CPU:
-    /// 4x32 with AVX-512F if the output fills one such tile, else 4x8 with
-    /// AVX2, else portable (see the module docs).
+    /// 4x32 with AVX-512F and FMA if the output fills one such tile, else
+    /// 4x8 with AVX2 and FMA, else portable (see the module docs).
     pub(crate) fn for_width(width: usize) -> Isa {
         if width >= AVX512_NR && Isa::Avx512.supported() {
             Isa::Avx512
@@ -176,13 +192,20 @@ impl Isa {
         [Isa::Portable, Isa::Avx2, Isa::Avx512].into_iter().filter(|isa| isa.supported()).collect()
     }
 
-    /// Whether this CPU has the instruction set the instantiation needs.
+    /// Whether this CPU has the instruction set the instantiation needs:
+    /// the vector extension and FMA.
     fn supported(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         return match self {
             Isa::Portable => true,
-            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            Isa::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            Isa::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
         };
         #[cfg(not(target_arch = "x86_64"))]
         return self == Isa::Portable;
@@ -198,12 +221,12 @@ impl Isa {
     }
 
     /// Run `body` compiled for this instantiation.
-    fn run(self, body: impl Tiled) {
+    pub(crate) fn run(self, body: impl Tiled) {
         assert!(self.supported(), "the {self:?} instantiation needs a CPU that has it");
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `run_avx2` needs only a CPU with AVX2 and `run_avx512`
-        // only one with AVX-512F, which the assertion above has just checked
-        // for the instantiation called.
+        // SAFETY: `run_avx2` needs only a CPU with AVX2 and FMA and
+        // `run_avx512` only one with AVX-512F and FMA, which the assertion
+        // above has just checked for the instantiation called.
         unsafe {
             match self {
                 Isa::Portable => {}
@@ -219,31 +242,32 @@ impl Isa {
 /// [`Isa::run`] instantiates. Implementations and everything they call down
 /// to [`microkernel`] are `#[inline(always)]`, so the whole loop nest is
 /// generated inside [`run_avx2`]'s and [`run_avx512`]'s `#[target_feature]`
-/// contexts.
-trait Tiled {
+/// contexts. A body that has no tile (the reference kernels) ignores `MR`
+/// and `NR` and is instantiated only for those contexts' FMA.
+pub(crate) trait Tiled {
     fn run<const MR: usize, const NR: usize>(self);
 }
 
 /// The AVX2 instantiation: the same source as the portable one, compiled
-/// with AVX2 enabled (and FMA not, so no multiply-add is fused).
+/// with AVX2 and FMA enabled, so each `mul_add` is one `vfmadd` lane.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn run_avx2(body: impl Tiled) {
     body.run::<AVX2_MR, AVX2_NR>();
 }
 
 /// The AVX-512 instantiation: the same source again, compiled with
-/// AVX-512F enabled (FMA still not).
+/// AVX-512F and FMA enabled.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 fn run_avx512(body: impl Tiled) {
     body.run::<AVX512_MR, AVX512_NR>();
 }
 
 /// True if every element is finite (no `NaN`/`inf`). Gemm callers use this
 /// on `B` to choose between the branch-free packed path and the reference
-/// kernel with the `a[i][k] == 0.0` skip (see the module docs for why the
-/// two are bit-identical exactly when `B` is finite).
+/// kernel, which leaves out a zero `a` against a non-finite `b` (see the
+/// module docs for why the two are bit-identical when `B` is finite).
 pub fn all_finite(data: &[f64]) -> bool {
     data.iter().all(|v| v.is_finite())
 }
@@ -272,6 +296,8 @@ impl PackedB {
         kr: Range<usize>,
         jcols: Range<usize>,
     ) {
+        #[cfg(test)]
+        PACKS.set(PACKS.get() + 1);
         self.kc = kr.len();
         self.jcols = jcols.clone();
         self.isa = isa;
@@ -350,13 +376,31 @@ pub(crate) fn for_each_slab_on(
     k: usize,
     mut f: impl FnMut(&PackedB, Range<usize>),
 ) {
-    for jc in (0..n_cols).step_by(NC) {
-        for pc in (0..k).step_by(KC) {
-            let kr = pc..(pc + KC).min(k);
-            slab.pack(isa, b, n_cols, kr.clone(), jc..(jc + NC).min(n_cols));
-            f(slab, kr);
-        }
+    for (kr, jcols) in slab_ranges(n_cols, k) {
+        slab.pack(isa, b, n_cols, kr.clone(), jcols);
+        f(slab, kr);
     }
+}
+
+/// Every slab [`for_each_slab`] hands out, each packed into its own
+/// [`PackedB`] and kept with its `k` range, in the same order: `B` packed
+/// once for callers that run it against many row blocks of `A`.
+pub(crate) fn pack_slabs(b: &[f64], n_cols: usize, k: usize) -> Vec<(PackedB, Range<usize>)> {
+    let isa = Isa::for_width(n_cols);
+    let pack = |(kr, jcols): (Range<usize>, Range<usize>)| {
+        let mut slab = PackedB::default();
+        slab.pack(isa, b, n_cols, kr.clone(), jcols);
+        (slab, kr)
+    };
+    slab_ranges(n_cols, k).map(pack).collect()
+}
+
+/// The `(k rows, columns)` of each `KC x NC` slab of a `k x n_cols` `B`:
+/// `k`-ascending within each column block.
+fn slab_ranges(n_cols: usize, k: usize) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+    (0..n_cols).step_by(NC).flat_map(move |jc| {
+        (0..k).step_by(KC).map(move |pc| (pc..(pc + KC).min(k), jc..(jc + NC).min(n_cols)))
+    })
 }
 
 /// A borrowed block of a row-major `A` operand: rows `rows`, columns
@@ -373,9 +417,9 @@ pub struct AView<'a> {
     pub kcols: Range<usize>,
 }
 
-/// The register-tiled inner loop: `acc[i][j] += a[i] * b[j]` for each
-/// `(a, b)` step, in order. Constant bounds and no branches: LLVM keeps
-/// `acc` in vector registers.
+/// The register-tiled inner loop: `acc[i][j] = a[i].mul_add(b[j], acc[i][j])`
+/// for each `(a, b)` step, in order. Constant bounds and no branches: LLVM
+/// keeps `acc` in vector registers.
 #[inline(always)]
 fn microkernel<'s, const MR: usize, const NR: usize>(
     steps: impl Iterator<Item = ([f64; MR], &'s [f64; NR])>,
@@ -385,7 +429,7 @@ fn microkernel<'s, const MR: usize, const NR: usize>(
         for i in 0..MR {
             let aik = av[i];
             for j in 0..NR {
-                acc[i][j] += aik * bv[j];
+                acc[i][j] = aik.mul_add(bv[j], acc[i][j]);
             }
         }
     }
@@ -486,7 +530,7 @@ fn edge_tile<'s, const MR: usize, const NR: usize>(
 ///
 /// Per output element the `k` accumulation order is strictly increasing
 /// within the slab, and `out` is read-modify-written, so driving slabs in
-/// increasing `k` order reproduces the serial reference sum bit-for-bit
+/// increasing `k` order reproduces the serial reference chain bit-for-bit
 /// (see module docs; callers must gate on [`all_finite`]`(B)`).
 pub fn gemm_packed_rows(a: &AView<'_>, bp: &PackedB, out: &mut [f64], out_stride: usize) {
     debug_assert_eq!(a.kcols.len(), bp.kc);
@@ -522,6 +566,12 @@ impl Tiled for GemmRows<'_, '_> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread has packed a slab, for tests that count.
+    pub(crate) static PACKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 thread_local! {
     /// This thread's crossprod packing scratch, reused across calls.
     static CROSSPROD_SLAB: std::cell::RefCell<PackedB> = std::cell::RefCell::default();
@@ -530,8 +580,8 @@ thread_local! {
 /// `part += panel^T * panel` over the upper triangle of the `d x d`
 /// partial, on `isa`'s register tile, for a panel of all-finite values
 /// (`d` wide), packing each [`CROSSPROD_KC`]-row chunk into this thread's
-/// slab (see the module docs). Each element sees the adds of the
-/// row-at-a-time loop without the zero skip, in the same order. Tiles that
+/// slab (see the module docs). Each element sees the multiply-adds of the
+/// row-at-a-time loop, in the same order. Tiles that
 /// straddle the diagonal also store below it; callers mirror over that.
 pub(crate) fn crossprod_tiles(isa: Isa, panel: &[f64], d: usize, part: &mut [f64]) {
     debug_assert!(all_finite(panel));
@@ -575,22 +625,41 @@ mod tests {
     use crate::par::ROW_BLOCK;
     use crate::Dense;
 
-    // The serial reference loop every kernel is pinned against: strictly
-    // increasing k, left-associated, with the zero skip.
-    fn naive_gemm(a: &[f64], b: &[f64], m: usize, k_dim: usize, n: usize) -> Vec<f64> {
+    /// One multiply-add `step(a, b, acc)` of a reference chain.
+    type Step = fn(f64, f64, f64) -> f64;
+
+    /// The fused step every kernel runs.
+    const FUSED: Step = f64::mul_add;
+
+    /// A product rounded, then a sum rounded: what the kernels must not run.
+    const UNFUSED: Step = |a, b, acc| a * b + acc;
+
+    // The serial reference loop every kernel is pinned against: one `step`
+    // per term in strictly increasing k, leaving out a zero `a` against a
+    // non-finite `b`.
+    fn gemm_chain(
+        a: &[f64],
+        b: &[f64],
+        (m, k_dim, n): (usize, usize, usize),
+        step: Step,
+    ) -> Vec<f64> {
         let mut out = vec![0.0; m * n];
         for i in 0..m {
             for k in 0..k_dim {
                 let aik = a[i * k_dim + k];
-                if aik == 0.0 {
-                    continue;
-                }
                 for j in 0..n {
-                    out[i * n + j] += aik * b[k * n + j];
+                    let bkj = b[k * n + j];
+                    if aik != 0.0 || bkj.is_finite() {
+                        out[i * n + j] = step(aik, bkj, out[i * n + j]);
+                    }
                 }
             }
         }
         out
+    }
+
+    fn naive_gemm(a: &[f64], b: &[f64], m: usize, k_dim: usize, n: usize) -> Vec<f64> {
+        gemm_chain(a, b, (m, k_dim, n), FUSED)
     }
 
     fn fill(len: usize, seed: usize) -> Vec<f64> {
@@ -685,34 +754,32 @@ mod tests {
         })
     }
 
-    /// The fixed-block crossprod reduction with the row loop's zero skip:
-    /// the semantics every instantiation must reproduce, including on
-    /// panels that hold `NaN`/`inf`.
-    fn reference_crossprod(x: &Dense) -> Vec<f64> {
+    /// The fixed-block crossprod reduction, one `step` per term, leaving
+    /// out a zero row entry `i` against a non-finite entry `j`: the
+    /// semantics every instantiation must reproduce, including on panels
+    /// that hold `NaN`/`inf`. Partials fold into zeros in block order.
+    fn crossprod_chain(x: &Dense, step: Step) -> Vec<f64> {
         let d = x.cols();
-        let mut acc: Option<Vec<f64>> = None;
+        let mut out = vec![0.0; d * d];
         for block in x.data().chunks((ROW_BLOCK * d).max(1)) {
             let mut part = vec![0.0; d * d];
             for row in block.chunks_exact(d) {
                 for i in 0..d {
-                    if row[i] != 0.0 {
-                        for j in i..d {
-                            part[i * d + j] += row[i] * row[j];
+                    for j in i..d {
+                        if row[i] != 0.0 || row[j].is_finite() {
+                            part[i * d + j] = step(row[i], row[j], part[i * d + j]);
                         }
                     }
                 }
             }
-            acc = Some(match acc {
-                None => part,
-                Some(mut a) => {
-                    a.iter_mut().zip(&part).for_each(|(a, p)| *a += p);
-                    a
-                }
-            });
+            out.iter_mut().zip(&part).for_each(|(a, p)| *a += p);
         }
-        let mut out = acc.unwrap_or_else(|| vec![0.0; d * d]);
         crate::kernel::mirror_upper(d, &mut out);
         out
+    }
+
+    fn reference_crossprod(x: &Dense) -> Vec<f64> {
+        crossprod_chain(x, FUSED)
     }
 
     fn assert_bits(got: &[f64], want: &[f64], what: &str) {
@@ -730,8 +797,12 @@ mod tests {
         // wide tile's width, plus `poison`ed cases whose B (for gemm) and
         // first row block (for crossprod) hold inf/NaN.
         let pinned = Isa::available();
-        // Printed so a test log shows which tiles this CPU could check.
-        println!("instantiations pinned to the reference bits: {pinned:?}");
+        // Printed so a test log shows which tiles this CPU could check: one
+        // without FMA pins the portable tile only.
+        println!(
+            "instantiations pinned to the reference bits: {pinned:?} (CPU reports fma: {})",
+            fma_detected()
+        );
         let shapes = [
             (0, 3, 2),
             (1, 3, 2),
@@ -812,6 +883,69 @@ mod tests {
         }
     }
 
+    /// Entries `m / 3` for integers `m` in `-14..=14`: thirds have no
+    /// finite binary expansion, so a product of two is rarely a double, and
+    /// rounding it before the add moves the sum's last bits in most chains.
+    fn thirds(rows: usize, cols: usize, seed: usize) -> Dense {
+        Dense::from_fn(rows, cols, |r, c| ((r * 7 + c * 13 + seed) % 29) as f64 / 3.0 - 14.0 / 3.0)
+    }
+
+    /// How many elements of `got` differ from `want` in any bit.
+    fn differing(got: &[f64], want: &[f64]) -> usize {
+        got.iter().zip(want).filter(|(g, w)| g.to_bits() != w.to_bits()).count()
+    }
+
+    #[test]
+    fn every_path_rounds_each_multiply_add_once() {
+        // Inputs on which rounding each multiply-add once (`mul_add`) and
+        // rounding the product and the sum apart give different bits, run
+        // through the tiles of every instantiation at degrees 1 and 3, the
+        // fused map-sum, and (poisoned) gemm's reference body and
+        // crossprod's row loop. Two row blocks, so crossprod folds.
+        let (rows, k, n) = (ROW_BLOCK + 70, 40, 35);
+        for poison in [false, true] {
+            let mut x = thirds(rows, k, 1);
+            let mut b = thirds(k, n, 2);
+            if poison {
+                // A zero against a non-finite value in the first row
+                // block: gemm runs its reference body, that block's
+                // crossprod its row loop.
+                x.set(3, 5, 0.0);
+                x.set(3, 9, f64::INFINITY);
+                b.set(5, 4, f64::NAN);
+            }
+            let gemm_want = gemm_chain(x.data(), b.data(), (rows, k, n), FUSED);
+            let cross_want = crossprod_chain(&x, FUSED);
+            // The inputs witness the rounding: many elements differ unfused.
+            let unfused = gemm_chain(x.data(), b.data(), (rows, k, n), UNFUSED);
+            assert!(differing(&unfused, &gemm_want) > gemm_want.len() / 8, "gemm witness");
+            let unfused = crossprod_chain(&x, UNFUSED);
+            assert!(differing(&unfused, &cross_want) > cross_want.len() / 8, "crossprod witness");
+            let sum_want = gemm_want.iter().fold(std::iter::empty::<f64>().sum(), |s, &v| s + v);
+            for isa in Isa::available() {
+                for degree in [1, 3] {
+                    let what = format!("{isa:?} degree {degree} poison {poison}");
+                    let got = crate::par::gemm_on(isa, &x, &b, degree);
+                    assert_bits(got.data(), &gemm_want, &format!("gemm {what}"));
+                    let got = crate::par::crossprod_on(isa, &x, degree);
+                    assert_bits(got.data(), &cross_want, &format!("crossprod {what}"));
+                }
+            }
+            for degree in [1, 3] {
+                let got = crate::par::gemm_map_sum(&x, &b, |v| v, degree);
+                assert_bits(&[got], &[sum_want], &format!("gemm_map_sum degree {degree}"));
+            }
+        }
+    }
+
+    /// Whether this CPU reports FMA, which every vector instantiation needs.
+    fn fma_detected() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        return false;
+    }
+
     #[test]
     fn each_output_width_gets_its_tile() {
         // The wide tile only where the output fills one; 4x8 below that.
@@ -824,6 +958,11 @@ mod tests {
             assert_eq!(Isa::for_width(width), wide, "width {width}");
         }
         assert_eq!(Isa::available().contains(&Isa::Avx512), Isa::Avx512.supported());
+        // A vector tile runs `mul_add` as one instruction: none is chosen
+        // on a CPU that does not report FMA.
+        for isa in Isa::available().into_iter().chain([narrow, wide]) {
+            assert!(isa == Isa::Portable || fma_detected(), "{isa:?} without fma");
+        }
         // The rule reaches every entry point: a default slab packs for it.
         let mut slab = PackedB::default();
         for (width, isa) in [(AVX512_NR - 1, narrow), (AVX512_NR, wide)] {

@@ -12,8 +12,9 @@
 //! a reduction holds one partial per worker plus the running value.
 //! [`gemm`] packs each `B` slab once ([`crate::pack`]) and shares it
 //! read-only across the workers, which read their rows of `A` in place;
-//! [`gemm_map_sum`] runs on the same ordered fold, one [`ROW_BLOCK`]-row
-//! panel of the product per block, summed into the result in row order.
+//! [`gemm_map_sum`] packs all of `B` once the same way and runs on the
+//! ordered fold, one [`ROW_BLOCK`]-row panel of the product per block,
+//! summed into the result in row order.
 
 use crate::dense::Dense;
 use crate::pack::{Isa, PackedB};
@@ -63,8 +64,8 @@ pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
 /// every worker, which computes its own output rows against the hot slab
 /// with the packed microkernel — instead of each thread re-streaming `B`
 /// from cold memory. When `B` holds non-finite values the workers run the
-/// reference body [`kernel::gemm_ref`] instead, whose `a[i][k] == 0.0` skip
-/// is observable there (see [`crate::pack`]).
+/// reference body [`kernel::gemm_ref`] instead, which leaves out a zero
+/// `a[i][k]` against a non-finite `b[k][j]` (see [`crate::pack`]).
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -82,7 +83,7 @@ pub(crate) fn gemm_on(isa: Isa, a: &Dense, b: &Dense, degree: usize) -> Dense {
     }
     if !pack::all_finite(b.data()) {
         for_each_slice_mut(out.data_mut(), n, degree, |r, chunk| {
-            kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), chunk);
+            kernel::gemm_ref_on(isa, rows(a, r), k, 0..k, b.data(), chunk);
         });
         return out;
     }
@@ -116,38 +117,43 @@ fn assert_gemm_dims(a: &Dense, b: &Dense) {
 /// product's bits), applies `f` in place, and adds the panel into one
 /// running sum in row order once every earlier panel is in. The sum starts
 /// from [`Iterator::sum`]'s identity, so it is the sequence of adds of
-/// summing the whole mapped product. Each worker holds one panel at a time,
-/// and a summed panel's buffers go back for the next block, so the extra
-/// memory is `degree` panels and `B` slabs, not the product.
+/// summing the whole mapped product. `B` is packed once, before the fold,
+/// and shared read-only by every panel, as [`gemm`] shares its slabs. Each
+/// worker holds one panel at a time, and a summed panel's buffer goes back
+/// for the next block, so the extra memory is `degree` panels and one
+/// packed copy of `B`, not the product.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(f64) -> f64 + Sync, degree: usize) -> f64 {
     assert_gemm_dims(a, b);
     let (k, n) = (a.cols(), b.cols());
-    let finite = pack::all_finite(b.data());
-    // Summed panels and the `B` slabs they were packed with, for reuse.
+    // `B`'s slabs, packed once; none when `B` holds non-finite values.
+    let slabs = pack::all_finite(b.data()).then(|| pack::pack_slabs(b.data(), n, k));
+    // Summed panels, for reuse.
     let spare = Mutex::new(Vec::new());
     let panel = |r: Range<usize>| {
-        let (mut out, mut slab): (Vec<f64>, PackedB) =
+        let mut out: Vec<f64> =
             spare.lock().expect("a push or pop never panics").pop().unwrap_or_default();
         out.clear();
         out.resize(r.len() * n, 0.0);
-        if finite {
-            pack::for_each_slab(&mut slab, b.data(), n, k, |slab, kcols| {
-                let view = pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
-                pack::gemm_packed_rows(&view, slab, &mut out, n);
-            });
-        } else {
-            kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut out);
+        match &slabs {
+            Some(slabs) => {
+                for (slab, kcols) in slabs {
+                    let kcols = kcols.clone();
+                    let view = pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
+                    pack::gemm_packed_rows(&view, slab, &mut out, n);
+                }
+            }
+            None => kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut out),
         }
         out.iter_mut().for_each(|v| *v = f(*v));
-        (out, slab)
+        out
     };
     let zero: f64 = std::iter::empty::<f64>().sum();
-    reduce_blocks(a.rows(), ROW_BLOCK, degree, zero, panel, |acc, (out, slab)| {
+    reduce_blocks(a.rows(), ROW_BLOCK, degree, zero, panel, |acc, out| {
         let sum = out.iter().fold(acc, |sum, &v| sum + v);
-        spare.lock().expect("a push or pop never panics").push((out, slab));
+        spare.lock().expect("a push or pop never panics").push(out);
         sum
     })
 }
@@ -197,8 +203,10 @@ pub(crate) fn crossprod_on(isa: Isa, m: &Dense, degree: usize) -> Dense {
 /// The reduction schedule: each fixed [`ROW_BLOCK`] block of `m` is one
 /// panel, run by `body` (given its row range) into a zeroed `len`-element
 /// partial; partials fold in block order into a zeroed sum. Adding the
-/// first partial to zeros is exact, since a partial accumulated from `+0.0`
-/// never holds `-0.0` (see [`crate::pack`]).
+/// first partial to zeros is exact except on a `-0.0`, which a fused
+/// accumulator reaches only by underflow (see [`crate::pack`]) and the add
+/// turns into `+0.0`; every schedule folds from the same zeros, so all of
+/// them do that alike.
 fn reduce_rows(
     m: &Dense,
     len: usize,
@@ -239,16 +247,17 @@ mod tests {
         }
     }
 
-    // The untiled ikj loop with the zero skip: the semantics both gemm
-    // paths (and the cache tiles of `kernel::gemm_ref`) must reproduce.
+    // The untiled ikj loop of fused multiply-adds, leaving out a zero `a`
+    // against a non-finite `b`: the semantics both gemm paths (and the
+    // cache tiles of `kernel::gemm_ref`) must reproduce.
     fn reference(a: &Dense, b: &Dense) -> Vec<f64> {
         let n = b.cols();
         let mut out = vec![0.0; a.rows() * n];
         for (arow, orow) in a.data().chunks_exact(a.cols()).zip(out.chunks_exact_mut(n)) {
             for (&aik, brow) in arow.iter().zip(b.data().chunks_exact(n)) {
-                if aik != 0.0 {
-                    for (o, &bkj) in orow.iter_mut().zip(brow) {
-                        *o += aik * bkj;
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
+                    if aik != 0.0 || bkj.is_finite() {
+                        *o = aik.mul_add(bkj, *o);
                     }
                 }
             }
@@ -258,8 +267,8 @@ mod tests {
 
     #[test]
     fn gemm_zero_skip_equivalence_with_finite_b() {
-        // A with exact zeros: the packed path drops the a[i][k] == 0.0 skip,
-        // which is bit-exact for finite B (see crate::pack docs).
+        // A with exact zeros: the packed path runs every term, which on a
+        // finite B is the reference's chain exactly (see crate::pack docs).
         let mut a = big(40, 30);
         for r in 0..40 {
             a.set(r, (r * 3) % 30, 0.0);
@@ -291,7 +300,7 @@ mod tests {
         // (the sum's identity matters for an empty or all -0.0 product).
         // A is non-negative with exact zeros and one B entry goes to -inf:
         // that selects the reference body, and exp keeps the sum finite
-        // only where its zero skip applies.
+        // only where it leaves out 0 * -inf.
         let neg_zero = |_: f64| -0.0;
         for rows in [0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7] {
             let a = Dense::from_fn(rows, 13, |r, c| {
@@ -319,8 +328,23 @@ mod tests {
     }
 
     #[test]
+    fn gemm_map_sum_packs_b_once_per_call() {
+        // Two KC-deep slabs of B against three row blocks of A: the slabs
+        // are packed once each, not once per block, and the sum keeps the
+        // bits of summing the mapped product.
+        let (rows, k) = (2 * ROW_BLOCK + 1, pack::KC + 5);
+        let a = big(rows, k);
+        let b = big(k, 9);
+        let want = crate::ops::sum(&gemm(&a, &b, 1).map(f64::abs));
+        let before = pack::PACKS.get();
+        let got = gemm_map_sum(&a, &b, f64::abs, 1);
+        assert_eq!(pack::PACKS.get() - before, 2, "packs of a 2-slab B over 3 row blocks");
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    #[test]
     fn gemm_non_finite_b_routes_through_reference_kernel() {
-        // 0.0 * inf == NaN makes the zero skip observable, so non-finite B
+        // 0.0 * inf == NaN makes the left-out terms observable, so non-finite B
         // must reproduce the reference kernel's bits at every degree. The
         // inner and output widths cross the reference body's cache tiles.
         let mut a = big(24, 300);

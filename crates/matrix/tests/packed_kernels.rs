@@ -3,13 +3,13 @@
 //! kernels across degenerate and non-tile-multiple shapes.
 //!
 //! The packed kernels promise more than numerical closeness: for every
-//! output element, the same products are added in the same order as the
-//! historical serial loops, so results match to the last bit. These tests
-//! enforce that promise on shapes the blocking logic finds awkward —
+//! output element, the same fused multiply-adds run in the same order as
+//! the serial reference loops, so results match to the last bit. These
+//! tests enforce that promise on shapes the blocking logic finds awkward —
 //! empty dims, single rows/cols, and sizes that are not multiples of
 //! MR/NR/MC — with inputs that include both `0.0` and `-0.0` (the signed
-//! zeros are what the zero-skip equivalence argument in `pack.rs` hinges
-//! on).
+//! zeros are what leaving out `0 * inf` in the reference, and in no other
+//! term, hinges on; see `pack.rs`).
 
 use dm_matrix::{ops, par, Dense};
 use proptest::prelude::*;
@@ -47,30 +47,30 @@ fn matrices() -> impl Strategy<Value = (Dense, Dense)> {
     })
 }
 
-/// The historical serial gemm: ikj loop order with the `aik == 0.0` skip.
-/// Per output element this accumulates products in strictly increasing k —
-/// exactly the order the packed kernel must reproduce.
+/// The serial gemm: ikj loop order, one `mul_add` per term, leaving out a
+/// zero `aik` against a non-finite `bkj` (so `0 * inf` adds nothing). Per
+/// output element this runs the terms in strictly increasing k — exactly
+/// the chain the packed kernel must reproduce.
 fn naive_gemm(a: &Dense, b: &Dense) -> Dense {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let mut out = Dense::zeros(m, n);
     for i in 0..m {
         for p in 0..k {
             let aik = a.data()[i * k + p];
-            if aik == 0.0 {
-                continue;
-            }
             let brow = &b.data()[p * n..(p + 1) * n];
             let orow = &mut out.data_mut()[i * n..(i + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aik * bv;
+                if aik != 0.0 || bv.is_finite() {
+                    *o = aik.mul_add(bv, *o);
+                }
             }
         }
     }
     out
 }
 
-/// The historical crossprod: per row, accumulate the upper triangle with
-/// increasing row index, then mirror.
+/// The serial crossprod: per row, one `mul_add` per upper-triangle term
+/// with increasing row index, then mirror.
 fn naive_crossprod(m: &Dense) -> Dense {
     let d = m.cols();
     let mut out = Dense::zeros(d, d);
@@ -78,7 +78,8 @@ fn naive_crossprod(m: &Dense) -> Dense {
         let row = &m.data()[r * d..(r + 1) * d];
         for i in 0..d {
             for j in i..d {
-                out.data_mut()[i * d + j] += row[i] * row[j];
+                let o = &mut out.data_mut()[i * d + j];
+                *o = row[i].mul_add(row[j], *o);
             }
         }
     }
