@@ -6,8 +6,9 @@
 //! - `gemm_{n}`: serial packed gemm ([`ops::gemm`]) at n = 256 .. 2048.
 //!   The pack-and-microkernel restructure is judged here — GFLOP/s should
 //!   stay flat as n grows past cache sizes instead of falling off a cliff.
-//! - `gemv` / `crossprod`: memory-bound dense kernels (paired-row dot
-//!   products, slice-zip upper-triangle accumulation).
+//! - `gemv` / `crossprod`: memory-bound dense kernels (eight rows'
+//!   fused multiply-add chains interleaved in one pass over `v`,
+//!   slice-zip upper-triangle accumulation).
 //! - `gemv_{ole,ddc,rle}`: CLA column-group gemv on clustered data, one
 //!   encoding per case. "Effective" GFLOP/s is computed against the nominal
 //!   dense flop count (2·rows·cols), so beating `gemv` means pre-aggregation

@@ -12,7 +12,9 @@
 //! body), products wide enough for the widest register tile, and a last
 //! panel whose rows leave a tile fringe. A second test pins the
 //! out-of-core gemm and crossprod to a fused multiply-add reference chain
-//! on inputs where rounding the product apart would change the bits.
+//! on inputs where rounding the product apart would change the bits, and a
+//! third the out-of-core gemv to the columns of the out-of-core gemm
+//! against the stacked vectors.
 
 use dm_buffer::policy::PolicyKind;
 use dm_buffer::storage::MemStore;
@@ -316,6 +318,44 @@ fn out_of_core_products_round_each_multiply_add_once() {
         assert_same(&got, &gemm_want, &format!("ooc gemm degree {d}"));
         let got = ooc::crossprod(&sx, d).unwrap();
         assert_same(&bits(got.data()), &cross_want, &format!("ooc crossprod degree {d}"));
+    }
+    assert!(pool.stats().evictions > 0, "it ran out of core");
+}
+
+/// Column `j` of a row-major matrix `cols` wide.
+fn column<T: Copy>(m: &[T], cols: usize, j: usize) -> Vec<T> {
+    m.iter().skip(j).step_by(cols).copied().collect()
+}
+
+#[test]
+fn out_of_core_gemv_is_gemms_one_column_case() {
+    // Column j of the out-of-core product against V = [v1 .. v5] has the
+    // bits of the out-of-core gemv against vj, and of the fused reference
+    // chain. Panels of 16 rows under a pool that evicts; V's middle panel
+    // holds an inf and a NaN in a row that X holds zeros against in most
+    // rows, so gemm mixes the packed and the reference body there, and
+    // gemv leaves out the same terms.
+    let mut x = thirds(ROW_BLOCK + 70, 40, 3);
+    let mut v = thirds(40, 5, 4);
+    for r in (0..x.rows()).filter(|r| r % 5 != 0) {
+        x.set(r, 20, if r % 2 == 0 { 0.0 } else { -0.0 });
+    }
+    v.set(20, 1, f64::INFINITY);
+    v.set(20, 3, f64::NAN);
+    let want = gemm_chain(&x, &v, f64::mul_add);
+    let pool = Pool::new(BufferPool::new(1 << 16, PolicyKind::Lru, MemStore::default()));
+    let (sx, sv) = (
+        BlockStore::from_dense(&pool, &x, 16).unwrap(),
+        BlockStore::from_dense(&pool, &v, 16).unwrap(),
+    );
+    for d in OOC_DEGREES {
+        let stacked = collect(ooc::gemm(&sx, &sv, d).unwrap()).unwrap();
+        assert_same(&stacked, &want, &format!("ooc gemm degree {d}"));
+        for j in 0..v.cols() {
+            let got = ooc::gemv(&sx, &column(v.data(), v.cols(), j), d).unwrap();
+            let what = format!("ooc gemv column {j} degree {d}");
+            assert_same(&bits(&got), &column(&stacked, v.cols(), j), &what);
+        }
     }
     assert!(pool.stats().evictions > 0, "it ran out of core");
 }

@@ -44,21 +44,17 @@ impl Dict {
         &self.values
     }
 
-    /// Precompute, for each tuple, the dot product of the tuple against the
-    /// sub-vector `v_cols` (the gemv pre-aggregation step of CLA kernels).
+    /// Precompute, for each tuple, its product against the sub-vector
+    /// `v_cols` (the gemv pre-aggregation step of CLA kernels): the dense
+    /// gemv body over the tuples as rows, so each entry is the chain the
+    /// dense gemv runs over a row holding that tuple.
     ///
     /// # Panics
     /// Panics if `v_cols.len() != self.width()`.
     pub fn preaggregate(&self, v_cols: &[f64]) -> Vec<f64> {
         assert_eq!(v_cols.len(), self.width, "preaggregate width mismatch");
-        let mut out = Vec::with_capacity(self.num_tuples());
-        for t in 0..self.num_tuples() {
-            let mut acc = 0.0;
-            for (x, y) in self.tuple(t).iter().zip(v_cols) {
-                acc += x * y;
-            }
-            out.push(acc);
-        }
+        let mut out = vec![0.0; self.num_tuples()];
+        dm_matrix::kernel::gemv(&self.values, self.width, v_cols, &mut out);
         out
     }
 
@@ -144,6 +140,22 @@ mod tests {
         let d = Dict::new(vec![1.0, 0.0, 2.0, 3.0], 2);
         let pre = d.preaggregate(&[10.0, 1.0]);
         assert_eq!(pre, vec![10.0, 23.0]);
+    }
+
+    #[test]
+    fn preaggregate_has_the_dense_gemv_bits() {
+        // Tuples of thirds, 11 wide (not a multiple of any unrolling) and
+        // more than one block of interleaved rows: each entry is the
+        // dense gemv's chain over that tuple as a row.
+        let (width, n) = (11, 19);
+        let third = |i: usize| ((i * 7) % 29) as f64 / 3.0 - 14.0 / 3.0;
+        let values: Vec<f64> = (0..width * n).map(third).collect();
+        let v: Vec<f64> = (0..width).map(|i| third(i * 5 + 1)).collect();
+        let rows = dm_matrix::Dense::from_vec(n, width, values.clone()).unwrap();
+        let want = dm_matrix::ops::gemv(&rows, &v);
+        let got = Dict::new(values, width).preaggregate(&v);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

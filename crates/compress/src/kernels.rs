@@ -87,20 +87,10 @@ pub fn gemv_range_into(g: &ColGroup, v: &[f64], out: &mut [f64], rows: Range<usi
             }
         }
         ColGroup::Uncompressed { cols, data } => {
-            // Rows in pairs, one pass over `vc` per pair; each row still gets
-            // `out += dot(row, vc)`, `dot2` having `dot`'s fold.
+            // The dense gemv body, continuing each row's chain from `out`.
             let vc: Vec<f64> = cols.iter().map(|&c| v[c]).collect();
-            let mut pairs = out.chunks_exact_mut(2);
-            let mut r = rows.start;
-            for pair in &mut pairs {
-                let (a, b) = ops::dot2(data.row(r), data.row(r + 1), &vc);
-                pair[0] += a;
-                pair[1] += b;
-                r += 2;
-            }
-            if let [last] = pairs.into_remainder() {
-                *last += ops::dot(data.row(r), &vc);
-            }
+            let panel = &data.data()[rows.start * cols.len()..rows.end * cols.len()];
+            kernel::gemv(panel, cols.len(), &vc, out);
         }
     }
 }
@@ -442,18 +432,24 @@ mod tests {
     const ALL: [Encoding; 4] =
         [Encoding::Ddc, Encoding::Ole, Encoding::Rle, Encoding::Uncompressed];
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn gemv_matches_dense_for_all_encodings() {
-        let m = sample();
-        let v = [0.5, -1.0, 2.0];
+    fn one_group_gemv_has_the_dense_bits_for_all_encodings() {
+        // One group holding every column: the Uncompressed group runs the
+        // dense gemv body, and each dictionary entry is that body's chain
+        // over its tuple, added once onto a zero row. Thirds make an
+        // unfused or reordered chain show in the last bits.
+        let m = sample().map(|x| x / 3.0);
+        let v = [0.5 / 3.0, -1.0, 2.0 / 3.0];
         let expect = ops::gemv(&m, &v);
         for enc in ALL {
             let g = encode(&m, &[0, 1, 2], enc);
             let mut out = vec![0.0; m.rows()];
             gemv_into(&g, &v, &mut out);
-            for (a, b) in out.iter().zip(&expect) {
-                assert!((a - b).abs() < 1e-9, "{enc:?}");
-            }
+            assert_eq!(bits(&out), bits(&expect), "{enc:?}");
         }
     }
 
@@ -510,9 +506,7 @@ mod tests {
         let expect = ops::gemv(&m, &v);
         let mut out = vec![0.0; m.rows()];
         gemv_into(&g, &v, &mut out);
-        for (i, (a, b)) in out.iter().zip(&expect).enumerate() {
-            assert!((a - b).abs() < 1e-9, "row {i}: {a} vs {b}");
-        }
+        assert_eq!(bits(&out), bits(&expect));
     }
 
     #[test]

@@ -21,9 +21,15 @@
 //!   degree or the panel height, and partials fold in block order, so the
 //!   fold tree is the same for every schedule.
 //!
-//! Pairing rows (`dot2`, the paired gevm axpy) is a register-reuse device,
-//! not a reassociation: each output element sees exactly the adds of the
-//! one-row-at-a-time loop, so where a pair happens to start is free.
+//! Interleaving rows (gemv's `GEMV_ROWS` chains, the paired gevm axpy) is
+//! a register-reuse device, not a reassociation: each output element sees
+//! exactly the operations of the one-row-at-a-time loop, so where a block
+//! of rows happens to start is free.
+//!
+//! Gemv is gemm's one-column case: each row is one `mul_add` chain in
+//! increasing `k`, run inside a register-tile instantiation for its FMA, so a
+//! product against stacked vectors `[v1 .. vb]` has, in column `j`, the
+//! bits of the gemv against `vj`.
 //!
 //! Gemm's finite-`B` path is the packed microkernel of [`crate::pack`]; the
 //! reference loop here ([`gemm_ref`]) is what non-finite panels run, where
@@ -33,7 +39,6 @@
 //! holding `NaN`/`inf` runs the row loop. Both reference loops multiply-add
 //! with `mul_add`, as the tile does, inside the same `Isa` instantiation.
 
-use crate::ops::{dot, dot2};
 use crate::pack::{self, Isa, Tiled};
 use std::ops::Range;
 
@@ -43,17 +48,72 @@ fn row(panel: &[f64], cols: usize, r: usize) -> &[f64] {
     &panel[r * cols..(r + 1) * cols]
 }
 
-/// `out[r] = dot(row r, v)` for the panel's `out.len()` rows, two rows per
-/// pass over `v` ([`dot2`] has [`dot`]'s exact fold).
+/// Rows whose multiply-add chains [`gemv`] interleaves in one pass over
+/// `v`: enough independent chains to cover the latency of a fused
+/// multiply-add.
+const GEMV_ROWS: usize = 8;
+
+/// `out[r] += row r * v` for the panel's `out.len()` rows: each row is one
+/// chain `acc = a.mul_add(v[k], acc)` from `out[r]`, in strictly increasing
+/// `k`, leaving out a zero `a` against a non-finite `v[k]`. That is gemm's
+/// chain for an output one column wide (see [`pack`]'s contract), so
+/// column `j` of a product against `[v1 .. vb]` has the bits of the gemv
+/// against `vj`.
 pub fn gemv(panel: &[f64], cols: usize, v: &[f64], out: &mut [f64]) {
-    let mut pairs = out.chunks_exact_mut(2);
-    let mut r = 0;
-    for pair in &mut pairs {
-        (pair[0], pair[1]) = dot2(row(panel, cols, r), row(panel, cols, r + 1), v);
-        r += 2;
+    gemv_on(Isa::for_width(1), panel, cols, v, out);
+}
+
+/// [`gemv`] compiled for instantiation `isa`.
+pub(crate) fn gemv_on(isa: Isa, panel: &[f64], cols: usize, v: &[f64], out: &mut [f64]) {
+    assert_eq!(v.len(), cols, "gemv dimension mismatch: vector {} vs cols {cols}", v.len());
+    isa.run(Gemv { panel, cols, v, out });
+}
+
+/// [`gemv`]'s loop, as a [`Tiled`] body for its FMA.
+struct Gemv<'r> {
+    panel: &'r [f64],
+    cols: usize,
+    v: &'r [f64],
+    out: &'r mut [f64],
+}
+
+impl Tiled for Gemv<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let Gemv { panel, cols, v, out } = self;
+        if pack::all_finite(v) {
+            gemv_chains::<true>(panel, cols, v, out);
+        } else {
+            gemv_chains::<false>(panel, cols, v, out);
+        }
     }
-    if let [last] = pairs.into_remainder() {
-        *last = dot(row(panel, cols, r), v);
+}
+
+/// [`gemv`]'s chains, [`GEMV_ROWS`] rows at a time. A block past the
+/// panel's last row runs its missing lanes on that row again and never
+/// stores them. With `FINITE` (no `NaN`/`inf` in `v`) no term is left out,
+/// so the loop has no branch.
+#[inline(always)]
+fn gemv_chains<const FINITE: bool>(panel: &[f64], cols: usize, v: &[f64], out: &mut [f64]) {
+    for (b, block) in out.chunks_mut(GEMV_ROWS).enumerate() {
+        let (r0, iw) = (b * GEMV_ROWS, block.len());
+        // Rows cut to `v`'s length here, beside the loop: LLVM then drops
+        // the bounds checks, and with them the spills of the row pointers.
+        // Plain loops, not `array::from_fn`, which LLVM calls out of line.
+        let (mut rows, mut acc) = ([&[][..]; GEMV_ROWS], [0.0; GEMV_ROWS]);
+        for (i, (row_i, acc_i)) in rows.iter_mut().zip(&mut acc).enumerate() {
+            *row_i = &row(panel, cols, r0 + i.min(iw - 1))[..v.len()];
+            *acc_i = block[i.min(iw - 1)];
+        }
+        for (k, &vk) in v.iter().enumerate() {
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let a = row[k];
+                if FINITE || a != 0.0 || vk.is_finite() {
+                    *acc = a.mul_add(vk, *acc);
+                }
+            }
+        }
+        block.copy_from_slice(&acc[..iw]);
     }
 }
 

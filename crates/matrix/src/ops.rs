@@ -5,9 +5,10 @@
 
 use crate::dense::Dense;
 
-/// Matrix-vector product `m * v`, as the degree-1 instance of the
-/// paired-row kernel in [`crate::par::gemv`] (each element is exactly a
-/// [`dot`] of its row against `v`).
+/// Matrix-vector product `m * v`, as the degree-1 instance of
+/// [`crate::par::gemv`]: each element is one fused multiply-add chain over
+/// its row in increasing column order, the chain of [`gemm`] against a
+/// one-column matrix (not [`dot`]'s four-lane fold).
 ///
 /// # Panics
 /// Panics if `v.len() != m.cols()`.
@@ -72,47 +73,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         tail += a[k] * b[k];
     }
     acc[0] + acc[1] + acc[2] + acc[3] + tail
-}
-
-/// Two dot products against a shared right-hand side, streaming `b` once.
-///
-/// Each result is produced by exactly the fold of [`dot`] (the same 4-way
-/// unrolled accumulation and final sum), so
-/// `dot2(a0, a1, b) == (dot(a0, b), dot(a1, b))` bit-for-bit — paired-row
-/// gemv reuses `b` from registers/L1 without changing a single result bit.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn dot2(a0: &[f64], a1: &[f64], b: &[f64]) -> (f64, f64) {
-    assert!(
-        a0.len() == b.len() && a1.len() == b.len(),
-        "dot2 length mismatch: {} / {} vs {}",
-        a0.len(),
-        a1.len(),
-        b.len()
-    );
-    let mut x = [0.0f64; 4];
-    let mut y = [0.0f64; 4];
-    let chunks = b.len() / 4;
-    for i in 0..chunks {
-        let k = i * 4;
-        x[0] += a0[k] * b[k];
-        x[1] += a0[k + 1] * b[k + 1];
-        x[2] += a0[k + 2] * b[k + 2];
-        x[3] += a0[k + 3] * b[k + 3];
-        y[0] += a1[k] * b[k];
-        y[1] += a1[k + 1] * b[k + 1];
-        y[2] += a1[k + 2] * b[k + 2];
-        y[3] += a1[k + 3] * b[k + 3];
-    }
-    let mut tx = 0.0;
-    let mut ty = 0.0;
-    for k in chunks * 4..b.len() {
-        tx += a0[k] * b[k];
-        ty += a1[k] * b[k];
-    }
-    (x[0] + x[1] + x[2] + x[3] + tx, y[0] + y[1] + y[2] + y[3] + ty)
 }
 
 /// Elementwise binary operation helper.
@@ -346,18 +306,6 @@ mod tests {
         let y: Vec<f64> = (0..103).map(|i| (103 - i) as f64).collect();
         let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
         assert!((dot(&x, &y) - naive).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dot2_bit_identical_to_dot() {
-        for len in [0usize, 1, 3, 4, 7, 103] {
-            let x0: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 20.0).collect();
-            let x1: Vec<f64> = (0..len).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-            let y: Vec<f64> = (0..len).map(|i| (len - i) as f64 * 0.25).collect();
-            let (d0, d1) = dot2(&x0, &x1, &y);
-            assert_eq!(d0.to_bits(), dot(&x0, &y).to_bits(), "len {len}");
-            assert_eq!(d1.to_bits(), dot(&x1, &y).to_bits(), "len {len}");
-        }
     }
 
     #[test]

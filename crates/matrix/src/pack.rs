@@ -79,11 +79,14 @@
 //!
 //! # Bit-identity contract
 //!
-//! Every kernel in this workspace promises results **bit-identical** to the
-//! serial reference loop: for each output element, one fused multiply-add
-//! per term, `acc = a.mul_add(b, acc)` (the exact `a * b + acc`, rounded
-//! once), in strictly increasing `k` order from `+0.0`. The packing layout
-//! is chosen to preserve exactly that order:
+//! Every dense product kernel in this workspace — gemm, crossprod, gemv
+//! (gemm's one-column case) and the fused `gemm_map_sum` — promises results
+//! **bit-identical** to the serial reference loop: for each output element,
+//! one fused multiply-add per term, `acc = a.mul_add(b, acc)` (the exact
+//! `a * b + acc`, rounded once), in strictly increasing `k` order from
+//! `+0.0`. The reductions gevm/`tmv`, `col_sums`, `sum_sq` and `ops::dot`
+//! keep their own unfused folds, each the same on every schedule but not
+//! this loop. The packing layout is chosen to preserve exactly that order:
 //!
 //! * Within a `KC` slab the microkernel walks `k` upward, accumulating into
 //!   the tile one `k` at a time.
@@ -794,13 +797,15 @@ mod tests {
         // (rows, cols, b_cols): dims around every tile's MR (2, 4) and NR
         // (12, 8, 32), degenerate shapes, a tall panel, a gemm deeper than
         // KC and crossprods deeper than CROSSPROD_KC on either side of the
-        // wide tile's width, plus `poison`ed cases whose B (for gemm) and
-        // first row block (for crossprod) hold inf/NaN.
+        // wide tile's width, plus `poison`ed cases whose B (for gemm and
+        // the gemv against each of its columns) and first row block (for
+        // crossprod) hold inf/NaN.
         let pinned = Isa::available();
         // Printed so a test log shows which tiles this CPU could check: one
         // without FMA pins the portable tile only.
         println!(
-            "instantiations pinned to the reference bits: {pinned:?} (CPU reports fma: {})",
+            "instantiations pinned to the reference bits (gemm, gemv, crossprod): {pinned:?} \
+             (CPU reports fma: {})",
             fma_detected()
         );
         let shapes = [
@@ -843,11 +848,19 @@ mod tests {
                 }
                 let gemm_want = naive_gemm(x.data(), b.data(), rows, cols, b_cols);
                 let cross_want = reference_crossprod(&x);
+                // Column j of `m`, `b_cols` wide: gemv against column j of
+                // B is gemm's one-column case.
+                let column = |m: &[f64], j| m.iter().skip(j).step_by(b_cols).copied().collect();
                 for &isa in &pinned {
                     for degree in [1, 3] {
                         let what = format!("{isa:?} {rows}x{cols}x{b_cols} degree {degree}");
                         let got = crate::par::gemm_on(isa, &x, &b, degree);
                         assert_bits(got.data(), &gemm_want, &format!("gemm {what}"));
+                        for j in 0..b_cols {
+                            let want: Vec<f64> = column(&gemm_want, j);
+                            let got = crate::par::gemv_on(isa, &x, &column(b.data(), j), degree);
+                            assert_bits(&got, &want, &format!("gemv column {j} {what}"));
+                        }
                         let got = crate::par::crossprod_on(isa, &x, degree);
                         assert_bits(got.data(), &cross_want, &format!("crossprod {what}"));
                     }

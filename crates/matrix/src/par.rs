@@ -39,11 +39,19 @@ fn rows(m: &Dense, r: Range<usize>) -> &[f64] {
     &m.data()[r.start * m.cols()..r.end * m.cols()]
 }
 
-/// Row-partitioned matrix-vector product `m * v` at the given degree.
+/// Row-partitioned matrix-vector product `m * v` at the given degree: each
+/// element is [`gemm`]'s chain for a one-column `B` ([`kernel::gemv`]), so
+/// it has the bits of the matching column of a product against stacked
+/// vectors.
 ///
 /// # Panics
 /// Panics if `v.len() != m.cols()`.
 pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
+    gemv_on(Isa::for_width(1), m, v, degree)
+}
+
+/// [`gemv`] on instantiation `isa`.
+pub(crate) fn gemv_on(isa: Isa, m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
     assert_eq!(
         v.len(),
         m.cols(),
@@ -53,7 +61,7 @@ pub fn gemv(m: &Dense, v: &[f64], degree: usize) -> Vec<f64> {
     );
     let mut out = vec![0.0; m.rows()];
     for_each_slice_mut(&mut out, 1, degree, |r, chunk| {
-        kernel::gemv(rows(m, r), m.cols(), v, chunk);
+        kernel::gemv_on(isa, rows(m, r), m.cols(), v, chunk);
     });
     out
 }
@@ -227,6 +235,8 @@ fn reduce_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn big(rows: usize, cols: usize) -> Dense {
         Dense::from_fn(rows, cols, |r, c| ((r * 31 + c * 17) % 23) as f64 * 0.37 - 3.0)
@@ -249,11 +259,11 @@ mod tests {
 
     // The untiled ikj loop of fused multiply-adds, leaving out a zero `a`
     // against a non-finite `b`: the semantics both gemm paths (and the
-    // cache tiles of `kernel::gemm_ref`) must reproduce.
+    // cache tiles of `kernel::gemm_ref`) and gemv must reproduce.
     fn reference(a: &Dense, b: &Dense) -> Vec<f64> {
         let n = b.cols();
         let mut out = vec![0.0; a.rows() * n];
-        for (arow, orow) in a.data().chunks_exact(a.cols()).zip(out.chunks_exact_mut(n)) {
+        for (arow, orow) in a.data().chunks_exact(a.cols().max(1)).zip(out.chunks_exact_mut(n)) {
             for (&aik, brow) in arow.iter().zip(b.data().chunks_exact(n)) {
                 for (o, &bkj) in orow.iter_mut().zip(brow) {
                     if aik != 0.0 || bkj.is_finite() {
@@ -263,6 +273,67 @@ mod tests {
             }
         }
         out
+    }
+
+    /// `X` (`m x k`) with both signed zeros, and 1 to 9 vectors stacked as
+    /// the columns of `V` (`k x b`). With `poison`, `NaN`/`inf` entries of
+    /// `V` sit in a row `p` for which most rows of `X` hold a zero in
+    /// column `p`: those terms are left out, the others make non-finite
+    /// results.
+    fn stacked_vectors() -> impl Strategy<Value = (Dense, Dense)> {
+        let dim = prop_oneof![1 => Just(0usize), 1 => Just(1usize), 4 => 2usize..=40];
+        let element = || prop_oneof![6 => -100.0..100.0f64, 1 => Just(0.0), 1 => Just(-0.0)];
+        (dim.clone(), dim, 1usize..=9, 0usize..4, 0usize..1000).prop_flat_map(
+            move |(m, k, b, poison, seed)| {
+                let (x, v) = (vec(element(), m * k), vec(element(), k * b));
+                (x, v).prop_map(move |(x, v)| {
+                    let mut x = Dense::from_vec(m, k, x).unwrap();
+                    let mut v = Dense::from_vec(k, b, v).unwrap();
+                    if k > 0 {
+                        for t in 0..poison {
+                            let p = (seed + t * 7) % k;
+                            for i in (0..m).filter(|i| (i + seed + t) % 4 != 0) {
+                                x.set(i, p, if (i + t) % 2 == 0 { 0.0 } else { -0.0 });
+                            }
+                            let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][(seed + t) % 3];
+                            v.set(p, (seed + t) % b, bad);
+                        }
+                    }
+                    (x, v)
+                })
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn gemv_is_gemms_one_column_case((x, v) in stacked_vectors()) {
+            // Column j of X * [v1 .. vb], on every instantiation and
+            // degree, has the bits of the gemv against vj and of the
+            // reference chain.
+            let want = reference(&x, &v);
+            let b = v.cols();
+            let bits = |m: &[f64]| -> Vec<u64> { m.iter().map(|e| e.to_bits()).collect() };
+            // Column j of a row-major matrix b wide.
+            let column = |m: &[f64], j: usize| -> Vec<f64> {
+                m.iter().skip(j).step_by(b).copied().collect()
+            };
+            for degree in 1..=3 {
+                for isa in Isa::available() {
+                    let what = format!("{isa:?} degree {degree}");
+                    let stacked = gemm_on(isa, &x, &v, degree);
+                    prop_assert_eq!(bits(stacked.data()), bits(&want), "gemm {}", what);
+                    for j in 0..b {
+                        let got = gemv_on(isa, &x, &column(v.data(), j), degree);
+                        prop_assert_eq!(bits(&got), bits(&column(&want, j)), "gemv {} {}", what, j);
+                    }
+                }
+                for j in 0..b {
+                    let got = gemv(&x, &column(v.data(), j), degree);
+                    prop_assert_eq!(bits(&got), bits(&column(&want, j)), "gemv degree {}", degree);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Property tests pinning the pack-and-microkernel gemm (and the
-//! restructured gemv/crossprod) **bit-identical** to the naive reference
-//! kernels across degenerate and non-tile-multiple shapes.
+//! Property tests pinning the pack-and-microkernel gemm (and crossprod)
+//! **bit-identical** to the naive reference kernels across degenerate and
+//! non-tile-multiple shapes. Gemv's pin, that it is gemm's one-column case
+//! on every register-tile instantiation, is `par::tests`' proptest, which
+//! can name the instantiations.
 //!
 //! The packed kernels promise more than numerical closeness: for every
 //! output element, the same fused multiply-adds run in the same order as
@@ -136,22 +138,6 @@ proptest! {
         assert_bits(&ops::gemm(&a, &b), &want, "ops::gemm (non-finite B)");
         for degree in [1, 3] {
             assert_bits(&par::gemm(&a, &b, degree), &want, "par::gemm (non-finite B)");
-        }
-    }
-
-    #[test]
-    fn gemv_bit_identical_to_rowwise_dot((a, _b) in matrices()) {
-        let v: Vec<f64> = (0..a.cols()).map(|i| (i as f64) * 0.37 - 1.5).collect();
-        let got = ops::gemv(&a, &v);
-        prop_assert_eq!(got.len(), a.rows());
-        for (r, y) in got.iter().enumerate() {
-            let want = ops::dot(&a.data()[r * a.cols()..(r + 1) * a.cols()], &v);
-            prop_assert_eq!(y.to_bits(), want.to_bits(), "gemv row {} != dot", r);
-        }
-        for degree in [2, 4] {
-            for (x, y) in par::gemv(&a, &v, degree).iter().zip(&got) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
         }
     }
 

@@ -18,18 +18,11 @@
 //!   `guard` bytes against the leader's — a hash collision downgrades the
 //!   request to solo execution instead of silently mixing models.
 //! * **Column independence**: participant `j` receives exactly column `j`
-//!   of the stacked gemm — no cross-column mixing, and the split is a
-//!   pure copy (bit-exact).
-//! * **Kernel honesty**: the stacked execution dispatches to the packed
-//!   register-tiled gemm, while a solo `n x 1` scoring dispatches to the
-//!   paired-row gemv. The two kernels accumulate partial products in
-//!   different orders, so a batched result can differ from the solo
-//!   result of the same request by ulps — same math, different
-//!   floating-point summation tree. Requests that need bit-exact
-//!   reproducibility across runs should not set `batch` (the solo path is
-//!   bit-identical to direct [`Executor`](dm_lang::exec::Executor)
-//!   evaluation); within one flushed group the results *are*
-//!   deterministic for a given set of participants.
+//!   of the stacked product — no cross-column mixing, and the split is a
+//!   pure copy (bit-exact). Each element of that column runs the chain the
+//!   solo product against the participant's vector runs (gemv is gemm's
+//!   one-column case, spmv is spmm_dense's), so a batched result is
+//!   bit-identical to the solo result of the same request.
 //!
 //! The batcher itself is engine-agnostic: it coalesces `Vec<f64>` columns
 //! and distributes `Vec<f64>` results; the server owns eligibility

@@ -27,9 +27,8 @@
 //! Small vector-scoring requests against the same cached plan can opt
 //! into **micro-batching** ([`batch`]): stacked into the columns of a
 //! single gemm under a configurable latency deadline. Each participant
-//! gets exactly its own column back; see the [`batch`] docs for the
-//! precise numeric guarantee (the gemm kernel's summation order can
-//! differ from solo gemv by ulps).
+//! gets exactly its own column back, with the bits of scoring it alone
+//! (see the [`batch`] docs).
 //!
 //! Operational details — every environment variable, metrics scraping,
 //! the profile-store lifecycle, troubleshooting — live in

@@ -200,76 +200,85 @@ fn hostile_program_text_is_a_bad_request() {
     server.shutdown();
 }
 
-/// Micro-batching correctness: concurrent vector scorings against the
-/// same model coalesce (or not, depending on timing) and each participant
-/// gets exactly its own result column. A request that did NOT coalesce is
-/// bit-identical to direct gemv; one that did ran through the stacked
-/// gemm kernel, whose summation order may differ from gemv by ulps — so
-/// batched results are checked against direct evaluation with a tight
-/// relative tolerance instead (see `crates/serve/src/batch.rs` docs).
+/// Micro-batching: clients released together against one model coalesce
+/// into one stacked product (the test asserts a group formed), and each
+/// participant's column is bit-identical to direct evaluation of its own
+/// `W %*% x`, batched or not, because column `j` of `W %*% [x1 .. xk]` runs
+/// the chain of the product against `xj` alone. Once with a dense `W`
+/// (gemv solo, gemm stacked) and once with a `W` sparse enough for the
+/// plan's sparse kernels (spmv solo, spmm_dense stacked).
 #[test]
 fn batched_scoring_matches_direct_evaluation() {
+    const CLIENTS: usize = 4;
     let registry = Arc::new(StatsRegistry::new());
     let mut cfg = ServeConfig::for_tests();
-    cfg.batch_deadline = std::time::Duration::from_millis(50);
+    // A full group flushes at once; the deadline only has to outlast the
+    // clients' arrival after the barrier.
+    cfg.batch_deadline = Duration::from_secs(10);
+    cfg.batch_max = CLIENTS;
     let server = ScoringServer::start(cfg, Arc::clone(&registry)).unwrap();
     let addr = server.addr();
 
     let n = 24usize;
-    let w: Vec<f64> = (0..n * n).map(|i| ((i * 11) % 19) as f64 * 0.23 - 1.7).collect();
+    let dense_w: Vec<f64> = (0..n * n).map(|i| ((i * 11) % 19) as f64 * 0.23 - 1.7).collect();
+    // One entry in 13 kept: under 8 % non-zero, below the sparse threshold.
+    let sparse_w: Vec<f64> =
+        dense_w.iter().enumerate().map(|(i, &w)| if i % 13 == 0 { w } else { 0.0 }).collect();
     let vec_for = |seed: usize| -> Vec<f64> {
         (0..n).map(|i| ((i * 7 + seed * 3) % 13) as f64 * 0.41 - 2.0).collect()
     };
-    let direct = |seed: usize| -> Vec<f64> {
+    // The plan the server compiles for these inputs, run by the executor.
+    let direct = |w: &[f64], seed: usize| -> (Vec<f64>, Kernel) {
         let (graph, root) = parser::parse("W %*% x").unwrap();
+        let mut sizes = InputSizes::new();
+        let nnz = w.iter().filter(|&&v| v != 0.0).count();
+        sizes.declare("W", n, n, nnz as f64 / w.len() as f64).declare("x", n, 1, 1.0);
+        let plan =
+            CompiledProgram::new(graph.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
+        let kernel = plan.kernel(root);
         let mut env = Env::new();
-        env.bind("W", Matrix::Dense(Dense::from_vec(n, n, w.clone()).unwrap()));
+        env.bind("W", Matrix::Dense(Dense::from_vec(n, n, w.to_vec()).unwrap()));
         env.bind("x", Matrix::Dense(Dense::from_vec(n, 1, vec_for(seed)).unwrap()));
-        let v = Executor::new(&graph).eval(root, &env).unwrap();
-        v.as_dense().unwrap().data().to_vec()
+        let v = Executor::with_plan(&graph, plan).eval(root, &env).unwrap();
+        (v.as_dense().unwrap().data().to_vec(), kernel)
     };
 
-    let handles: Vec<_> = (0..4usize)
-        .map(|seed| {
-            let w = w.clone();
-            let x = vec_for(seed);
-            std::thread::spawn(move || {
-                let mut c = ScoringClient::connect(addr).unwrap();
+    let batched_requests = registry.counter("serve.batch.batched_requests");
+    for (w, kernel) in [(dense_w, Kernel::Dense), (sparse_w, Kernel::Sparse)] {
+        let before = batched_requests.get();
+        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|seed| {
                 let req = Request::score(&format!("tenant-{seed}"), "W %*% x")
-                    .matrix("W", n, n, w)
-                    .matrix("x", n, 1, x)
+                    .matrix("W", n, n, w.clone())
+                    .matrix("x", n, 1, vec_for(seed))
                     .batched();
-                (seed, c.request(&req).unwrap())
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut c = ScoringClient::connect(addr).unwrap();
+                    barrier.wait();
+                    (seed, c.request(&req).unwrap())
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        let (seed, resp) = h.join().unwrap();
-        let Response::Score { result: ScoreResult::Matrix { rows, cols, data }, batched, .. } =
-            resp
-        else {
-            panic!("expected matrix result, got {resp:?}");
-        };
-        assert_eq!((rows, cols), (n, 1));
-        let want = direct(seed);
-        if batched {
-            // Coalesced: went through the stacked gemm kernel. Same math
-            // as gemv, different summation tree — ulp-level agreement.
-            for (i, (g, w)) in data.iter().zip(&want).enumerate() {
-                let scale = w.abs().max(1.0);
-                assert!(
-                    (g - w).abs() <= 1e-12 * scale,
-                    "batched result drifted beyond ulps at row {i} for seed {seed}: {g} vs {w}"
-                );
-            }
-        } else {
-            // Solo path: must be bit-identical to direct evaluation.
+            .collect();
+        for h in handles {
+            let (seed, resp) = h.join().unwrap();
+            let Response::Score {
+                result: ScoreResult::Matrix { rows, cols, data }, batched, ..
+            } = resp
+            else {
+                panic!("expected matrix result, got {resp:?}");
+            };
+            assert_eq!((rows, cols), (n, 1));
+            let (want, planned) = direct(&w, seed);
+            assert_eq!(planned, kernel, "the plan's kernel for this W");
             assert_eq!(
-                data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "solo result differs from direct gemv for seed {seed}"
+                bits(&data),
+                bits(&want),
+                "{kernel:?} W, seed {seed} (batched: {batched}) differs from direct evaluation"
             );
         }
+        assert!(batched_requests.get() > before, "{kernel:?} W: no group formed");
     }
     server.shutdown();
 }
