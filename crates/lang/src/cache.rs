@@ -198,6 +198,9 @@ pub struct CompiledProgram {
     /// compares this against observed execute time to detect cost-model
     /// drift per plan-cache entry.
     pub est_cost_ns: u64,
+    /// [`kernel_summary`](Self::kernel_summary), made with the plan: the
+    /// server records it on every request that runs this plan.
+    summary: String,
 }
 
 impl CompiledProgram {
@@ -218,6 +221,7 @@ impl CompiledProgram {
             .map(|c| c.calibrated_ns.unwrap_or(c.static_ns))
             .sum();
         Ok(CompiledProgram {
+            summary: kernel_summary(&graph, root, &plan),
             blocked_nodes: plan.nodes_with(Kernel::Blocked).len(),
             est_cost_ns: u64::try_from(est_ns).unwrap_or(u64::MAX),
             graph,
@@ -242,25 +246,28 @@ impl CompiledProgram {
     /// shows per request, so an operator can tell at a glance which kernels
     /// a slow request ran without dumping the whole plan.
     pub fn kernel_summary(&self) -> String {
-        let mut counts: Vec<(String, usize)> = Vec::new();
-        for id in self.graph.reachable(self.root) {
-            if matches!(self.graph.op(id), crate::expr::Op::Input(_) | crate::expr::Op::Const(_)) {
-                continue;
-            }
-            let label =
-                format!("{}/{}", crate::explain::op_label(&self.graph, id), self.plan.kernel(id));
-            match counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((label, 1)),
-            }
-        }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        counts
-            .iter()
-            .map(|(l, n)| if *n > 1 { format!("{l} x{n}") } else { l.clone() })
-            .collect::<Vec<_>>()
-            .join(" ")
+        self.summary.clone()
     }
+}
+
+fn kernel_summary(graph: &Graph, root: NodeId, plan: &PhysicalPlan) -> String {
+    let mut counts: Vec<(String, usize)> = Vec::new();
+    for id in graph.reachable(root) {
+        if matches!(graph.op(id), Op::Input(_) | Op::Const(_)) {
+            continue;
+        }
+        let label = format!("{}/{}", crate::explain::op_label(graph, id), plan.kernel(id));
+        match counts.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((label, 1)),
+        }
+    }
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    counts
+        .iter()
+        .map(|(l, n)| if *n > 1 { format!("{l} x{n}") } else { l.clone() })
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Compilation errors: the parse and size-propagation failure modes.

@@ -172,6 +172,30 @@ impl Env {
         self
     }
 
+    /// Whether `other` binds the same names to the same scalars and dense
+    /// matrices, bit for bit: `-0.0` differs from `0.0`, and a `NaN` from one
+    /// with another payload. A sparse binding equals nothing. The one pass
+    /// this makes over the values stops at the first difference.
+    pub fn same_bits(&self, other: &Env) -> bool {
+        let same = |x: f64, y: f64| x.to_bits() == y.to_bits();
+        self.map.len() == other.map.len()
+            && self.map.iter().all(|(name, a)| match (a, other.map.get(name)) {
+                (Val::Scalar(x), Some(Val::Scalar(y))) => same(*x, *y),
+                (Val::Matrix(a), Some(Val::Matrix(b))) => match (&**a, &**b) {
+                    // A chunk compares without a branch per value, so it
+                    // vectorizes; a difference stops the pass at its chunk.
+                    (Matrix::Dense(a), Matrix::Dense(b)) => {
+                        a.shape() == b.shape()
+                            && a.data().chunks(64).zip(b.data().chunks(64)).all(|(x, y)| {
+                                x.iter().zip(y).fold(true, |eq, (x, y)| eq & same(*x, *y))
+                            })
+                    }
+                    _ => false,
+                },
+                _ => false,
+            })
+    }
+
     fn get(&self, name: &str) -> Option<&Val> {
         self.map.get(name)
     }
@@ -539,12 +563,15 @@ impl<'g> Executor<'g> {
     /// Run node `id`'s dense operator where its family places it:
     /// `in_memory` at the node's in-memory degree or, when blocked, `blocked`
     /// over `operands` tiled into the spill pool, at the executor degree.
-    /// The operand tiles are discarded afterwards (dropped, on an error
-    /// path); an output store is the closure's to [`collect`].
+    /// An output store takes its panel rows from the first operand, so each
+    /// operand's panels are sized from the wider of its own and the output's
+    /// `out_cols`. The operand tiles are discarded afterwards (dropped, on an
+    /// error path); an output store is the closure's to [`collect`].
     fn run<T>(
         &mut self,
         id: NodeId,
         operands: &[&Dense],
+        out_cols: usize,
         in_memory: impl FnOnce(usize) -> T,
         blocked: impl FnOnce(&[Tiles], usize) -> Result<T, PoolError>,
     ) -> Result<T, ExecError> {
@@ -560,7 +587,8 @@ impl<'g> Executor<'g> {
         let tiles = operands
             .iter()
             .map(|m| {
-                let rows = panel_rows_for(m.cols(), budget, crate::memory::OOC_PANEL_DENOM);
+                let cols = m.cols().max(out_cols);
+                let rows = panel_rows_for(cols, budget, crate::memory::OOC_PANEL_DENOM);
                 BlockStore::from_dense(pool, m, rows)
             })
             .collect::<Result<Vec<_>, _>>()
@@ -777,6 +805,7 @@ impl<'g> Executor<'g> {
                 let out = self.run(
                     id,
                     &[&m],
+                    m.cols(),
                     |deg| par::crossprod(&m, deg),
                     |t, deg| ooc::crossprod(&t[0], deg),
                 )?;
@@ -843,6 +872,7 @@ impl<'g> Executor<'g> {
                     self.run(
                         id,
                         &[&d],
+                        1,
                         |deg| par::gemv(&d, &v, deg),
                         |t, deg| ooc::gemv(&t[0], &v, deg),
                     )?
@@ -861,6 +891,7 @@ impl<'g> Executor<'g> {
                 self.run(
                     id,
                     &[&da, &db],
+                    db.cols(),
                     |deg| par::gemm(&da, &db, deg),
                     |t, deg| collect(ooc::gemm(&t[0], &t[1], deg)?),
                 )?
@@ -915,6 +946,7 @@ impl<'g> Executor<'g> {
                     Matrix::Dense(d) => self.run(
                         id,
                         &[d],
+                        d.cols(),
                         |deg| par::col_sums(d, deg),
                         |t, deg| ooc::col_sums(&t[0], deg),
                     )?,
@@ -1016,7 +1048,7 @@ impl<'g> Executor<'g> {
                     EwiseOp::Mul => ops::mul(&da, &db),
                     EwiseOp::Div => ops::div(&da, &db),
                 };
-                let out = self.run(id, &[&da, &db], in_memory, |t, deg| {
+                let out = self.run(id, &[&da, &db], da.cols(), in_memory, |t, deg| {
                     collect(ooc::ewise(&t[0], &t[1], f, deg)?)
                 })?;
                 Ok(dense_val(out))
@@ -1033,8 +1065,13 @@ impl<'g> Executor<'g> {
     ) -> Result<Val, ExecError> {
         let d = dense(m);
         self.stats.flops += (d.rows() * d.cols()) as u64;
-        let out =
-            self.run(id, &[&d], |_| d.map(&f), |t, deg| collect(ooc::map(&t[0], &f, deg)?))?;
+        let out = self.run(
+            id,
+            &[&d],
+            d.cols(),
+            |_| d.map(&f),
+            |t, deg| collect(ooc::map(&t[0], &f, deg)?),
+        )?;
         Ok(dense_val(out))
     }
 }

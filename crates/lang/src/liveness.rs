@@ -192,15 +192,18 @@ fn blocked_io_bytes(
     match graph.op(id) {
         Op::MatMul(a, b) => {
             let Some((ar, ac)) = dims(*a) else { return 0 };
-            let sa = store_bytes(ar, ac, pr(ac));
             match dims(*b) {
-                // gemm pools both operands plus the output store (panelled
-                // at the left operand's height, as ooc::gemm builds it).
-                Some((br, bc)) if bc > 1 => sa
-                    .saturating_add(store_bytes(br, bc, pr(bc)))
-                    .saturating_add(store_bytes(ar, bc, pr(ac))),
+                // gemm pools both operands plus the output store, which
+                // ooc::gemm panels at the left operand's height: both sized
+                // from the wider of the left operand and the product.
+                Some((br, bc)) if bc > 1 => {
+                    let rows = pr(ac.max(bc));
+                    store_bytes(ar, ac, rows)
+                        .saturating_add(store_bytes(br, bc, pr(bc)))
+                        .saturating_add(store_bytes(ar, bc, rows))
+                }
                 // gemv streams only the left operand.
-                _ => sa,
+                _ => store_bytes(ar, ac, pr(ac)),
             }
         }
         Op::CrossProd(a) | Op::Agg(AggOp::ColSums, a) => {

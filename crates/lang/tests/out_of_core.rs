@@ -420,3 +420,33 @@ fn dropping_a_blocked_executor_removes_its_spill_directory() {
     }
     panic!("never saw a round with exactly one new spill directory");
 }
+
+/// A gemm whose left operand is narrower than its product: `X` 8192x8 times
+/// `B` 8x256 under a quarter of the working set. The output store takes its
+/// panels from `X`'s, so both are sized from the product's width; sized from
+/// `X`'s 8 columns alone, one output panel would be the whole 16 MiB product.
+/// The blocked plan runs at degrees 1 and 2 with the in-memory plan's bits.
+#[test]
+fn a_gemm_with_a_narrow_left_operand_runs_blocked() {
+    let p = program();
+    let (n, k, m) = (8192, 8, 256);
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(dense_input(n, k, 21)));
+    env.bind("B", Matrix::Dense(dense_input(k, m, 23)));
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", n, k, 1.0);
+    sizes.declare("B", k, m, 1.0);
+    let budget = 8 * (n * k + k * m + 2 * n * m) / 4;
+    let in_memory = |root| Executor::new(&p.graph).eval(root, &env).unwrap();
+    let (want_z, want) = (in_memory(p.z).as_dense().unwrap(), in_memory(p.root));
+    for degree in [1, 2] {
+        let plan = plan_under(&p, &sizes, degree, budget);
+        assert_eq!(plan.kernel(p.y), Kernel::Blocked);
+        let mut ex = Executor::with_plan(&p.graph, plan);
+        let z = ex.eval(p.z, &env).unwrap().as_dense().unwrap();
+        assert_eq!(bits(&z), bits(&want_z), "degree {degree}");
+        let got = ex.eval(p.root, &env).unwrap();
+        assert_eq!(got.as_scalar().unwrap().to_bits(), want.as_scalar().unwrap().to_bits());
+        assert_eq!(ex.ooc_pool().expect("the gemm went blocked").used(), 0);
+    }
+}

@@ -269,7 +269,20 @@ impl Csr {
     }
 }
 
-/// Sparse matrix-vector product `m * v`.
+/// The one `NaN` a sparse product returns. Which of two `NaN`s an addition
+/// keeps is the compiler's operand order, not the program's, so two kernels
+/// running the same chain (`spmv`, and column `j` of `spmm_dense`) could
+/// disagree on a `NaN`'s sign or payload but on nothing else.
+fn one_nan(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::from_bits(0x7ff8_0000_0000_0000)
+    } else {
+        v
+    }
+}
+
+/// Sparse matrix-vector product `m * v`: `spmm_dense`'s one-column case,
+/// bit for bit (a `NaN` result is always the same `NaN`).
 ///
 /// # Panics
 /// Panics if `v.len() != m.cols()`.
@@ -288,7 +301,7 @@ pub fn spmv(m: &Csr, v: &[f64]) -> Vec<f64> {
         for (&c, &x) in idx.iter().zip(vals) {
             acc += x * v[c];
         }
-        out[r] = acc;
+        out[r] = one_nan(acc);
     }
     out
 }
@@ -319,7 +332,9 @@ pub fn spvm(v: &[f64], m: &Csr) -> Vec<f64> {
     out
 }
 
-/// Sparse-dense matrix multiply `a * b` producing a dense result.
+/// Sparse-dense matrix multiply `a * b` producing a dense result. Each
+/// element is one chain over its row's stored entries in column order, and a
+/// `NaN` result is always the same `NaN`.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
@@ -334,6 +349,9 @@ pub fn spmm_dense(a: &Csr, b: &Dense) -> Dense {
             for (d, &bv) in dst.iter_mut().zip(brow) {
                 *d += x * bv;
             }
+        }
+        for d in dst.iter_mut() {
+            *d = one_nan(*d);
         }
     }
     out
@@ -363,6 +381,33 @@ mod tests {
 
     fn sample() -> Dense {
         Dense::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 0.0, 0.0], &[0.0, 3.0, 0.0], &[4.0, 0.0, 5.0]])
+    }
+
+    /// `spmv` is `spmm_dense`'s one-column case bit for bit, `NaN`s
+    /// included: in every column, `NaN`s of both signs, and infinities of
+    /// both signs, meet in one chain.
+    #[test]
+    fn spmv_is_spmm_dense_one_column_case() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let columns = [
+            [nan, -nan, 1.0],
+            [-nan, nan, 1.0],
+            [inf, -inf, nan],
+            [nan, inf, -inf],
+            [-inf, inf, -nan],
+            [1.0, -nan, nan],
+            [-nan, -inf, inf],
+            [nan, 2.0, -nan],
+            [inf, nan, -nan],
+        ];
+        let a = Csr::from_dense(&Dense::from_rows(&[&[1.0, 1.0, 1.0], &[2.0, 0.0, -1.0]]));
+        let k = columns.len();
+        let stacked = spmm_dense(&a, &Dense::from_fn(3, k, |i, j| columns[j][i]));
+        for (j, v) in columns.iter().enumerate() {
+            let solo: Vec<u64> = spmv(&a, v).iter().map(|x| x.to_bits()).collect();
+            let column: Vec<u64> = (0..2).map(|r| stacked.get(r, j).to_bits()).collect();
+            assert_eq!(solo, column, "column {j}");
+        }
     }
 
     #[test]

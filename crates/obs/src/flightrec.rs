@@ -72,7 +72,8 @@ pub enum Phase {
     Decode,
     /// Plan-cache probe (key construction + LRU lookup).
     CacheLookup,
-    /// Full compile on a cache miss (parse → optimize → plan → certify).
+    /// Full compile on a cache miss (parse → optimize → plan → certify),
+    /// plus a batch leader's plan of its stacked product (plan → certify).
     Compile,
     /// Admission control: session-ledger reservation against the budget.
     Admission,

@@ -1,22 +1,31 @@
-//! Micro-batching: coalesce concurrent scoring requests into one gemm.
+//! Micro-batching: concurrent scorings of one model become one stacked
+//! product.
 //!
 //! Scoring a single vector against a model matrix (`W %*% x`) is a gemv —
-//! memory-bound and tiny. When many tenants score against the *same
-//! cached plan* at once, stacking their vectors into the columns of one
-//! `n x k` matrix turns k gemv calls into a single gemm that reuses `W`
-//! across columns. The server trades a bounded latency deadline for that
-//! throughput: the first eligible request becomes the **leader** of a
-//! group and waits up to the deadline (or until the group is full) for
-//! **followers**, then executes once and hands each participant its
+//! memory-bound and tiny. When several requests score against the same
+//! model at once, stacking their vectors into the columns of one `n x k`
+//! matrix turns k gemv calls into a single gemm that reads `W` once. The
+//! server decides this before admission, trading a bounded latency
+//! deadline for that throughput: the first request of a group is its
+//! **leader** and waits up to the deadline (or until the group is full) for
+//! **followers**. It then plans the program again at the stacked size, is
+//! admitted at that plan's certified peak, executes it once and hands each
+//! member its column. A follower is never admitted; it waits for its
 //! column.
 //!
 //! Correctness guarantees, stated precisely:
 //!
-//! * **Isolation**: a group is only joinable when *everything except the
-//!   batched vector* is identical. The group key is a hash of (plan key,
-//!   shared-input bytes), and joining additionally verifies the full
-//!   `guard` bytes against the leader's — a hash collision downgrades the
-//!   request to solo execution instead of silently mixing models.
+//! * **Isolation**: a request joins a group only when *everything except the
+//!   batched vector* is identical. Its [`GroupKey`] — plan key, vector
+//!   length, and the shape and decode-time non-zero count of each shared
+//!   input — must equal
+//!   the group's, and then its shared inputs must equal the group's bit for
+//!   bit. The group holds the leader's shared inputs as the leader's own
+//!   [`Env`], the one its execution binds, and a joiner compares its
+//!   environment against it ([`Env::same_bits`]): nothing is copied or
+//!   hashed to join. A joiner that matches no open group, or only full
+//!   ones, leads a new group, so requests against different models batch
+//!   side by side.
 //! * **Column independence**: participant `j` receives exactly column `j`
 //!   of the stacked product — no cross-column mixing, and the split is a
 //!   pure copy (bit-exact). Each element of that column runs the chain the
@@ -24,30 +33,40 @@
 //!   one-column case, spmv is spmm_dense's), so a batched result is
 //!   bit-identical to the solo result of the same request.
 //!
-//! The batcher itself is engine-agnostic: it coalesces `Vec<f64>` columns
-//! and distributes `Vec<f64>` results; the server owns eligibility
-//! analysis and the actual execution.
+//! The batcher coalesces columns and distributes result columns; the
+//! server owns eligibility, planning and execution.
 
-use std::collections::HashMap;
+use dm_lang::cache::PlanKey;
+use dm_lang::exec::Env;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-type ColResult = Result<Vec<f64>, String>;
+/// One participant's answer: its column of the product, or the group's
+/// error.
+pub type ColResult = Result<Vec<f64>, String>;
+
+/// What a request must share with a group before its inputs are compared:
+/// the plan key, the batched vector's length, and the rows, columns and
+/// decode-time non-zero count of each shared input, in name order.
+pub type GroupKey = (PlanKey, usize, Vec<[usize; 3]>);
 
 struct Group {
-    guard: Vec<u8>,
+    id: u64,
+    key: GroupKey,
+    env: Env,
     columns: Vec<Vec<f64>>,
     senders: Vec<Sender<ColResult>>,
 }
 
 #[derive(Default)]
 struct State {
-    groups: HashMap<u64, Group>,
+    next_id: u64,
+    open: Vec<Group>,
 }
 
-/// How a request entered (or did not enter) a batch group. See the
-/// [module docs](self) for the leader/follower protocol.
+/// How a request entered a batch group. See the [module docs](self) for
+/// the leader/follower protocol.
 pub enum Joined {
     /// First in: caller must [`collect`](Batcher::collect) the group,
     /// execute it, and [`BatchJob::complete`] it. The receiver yields the
@@ -55,36 +74,26 @@ pub enum Joined {
     Leader(LeaderToken, Receiver<ColResult>),
     /// Joined an open group: block on the receiver for the result column.
     Follower(Receiver<ColResult>),
-    /// Could not join (group full, or guard-byte mismatch on a hash
-    /// collision): caller executes individually.
-    Solo(Vec<f64>),
 }
 
 /// Capability to collect a group this caller leads.
 pub struct LeaderToken {
-    key: u64,
+    id: u64,
     deadline_at: Instant,
 }
 
-/// A closed group ready to execute: the stacked columns plus the result
-/// channels of every participant (leader included).
+/// A closed group ready to execute: the leader's shared inputs, the
+/// stacked columns, and the result channels of every participant (leader
+/// included).
 pub struct BatchJob {
+    /// The leader's environment: every input but the batched one.
+    pub env: Env,
     /// The participants' vectors, in join order (index 0 is the leader).
     pub columns: Vec<Vec<f64>>,
     senders: Vec<Sender<ColResult>>,
 }
 
 impl BatchJob {
-    /// Number of coalesced requests.
-    pub fn len(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// True when the group held only the leader (no coalescing happened).
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
     /// Distribute the batched execution's outcome: `Ok(result_columns)`
     /// sends participant `j` its column `j`; `Err` propagates the error to
     /// every participant.
@@ -119,8 +128,8 @@ pub struct Batcher {
 
 impl Batcher {
     /// A batcher holding leaders for `deadline` and capping groups at
-    /// `max` requests. `max <= 1` disables coalescing ([`join`](Self::join)
-    /// always returns [`Joined::Solo`]).
+    /// `max` requests. `max <= 1` disables coalescing: the server then
+    /// never joins.
     pub fn new(deadline: Duration, max: usize) -> Self {
         Batcher { deadline, max, state: Mutex::new(State::default()), arrived: Condvar::new() }
     }
@@ -130,39 +139,30 @@ impl Batcher {
         self.max > 1
     }
 
-    /// The configured group deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
-    /// Enter the group identified by `key`. `guard` must encode everything
-    /// that has to be identical across the group (plan key + shared input
-    /// bytes); `column` is this request's batched vector.
-    pub fn join(&self, key: u64, guard: &[u8], column: Vec<f64>) -> Joined {
-        if !self.enabled() {
-            return Joined::Solo(column);
-        }
+    /// Join the first open group, not yet full, whose key is `key` and
+    /// whose shared inputs equal `env` bit for bit, or lead a new one with
+    /// `env` as its shared inputs. `column` is this request's batched
+    /// vector. A follower's `env` is dropped once it compared equal.
+    pub fn join(&self, key: GroupKey, env: Env, column: Vec<f64>) -> Joined {
+        let (tx, rx) = channel();
         let mut st = self.state.lock().expect("batcher poisoned");
-        match st.groups.get_mut(&key) {
-            None => {
-                let (tx, rx) = channel();
-                st.groups.insert(
-                    key,
-                    Group { guard: guard.to_vec(), columns: vec![column], senders: vec![tx] },
-                );
-                Joined::Leader(LeaderToken { key, deadline_at: Instant::now() + self.deadline }, rx)
-            }
-            Some(g) => {
-                if g.guard != guard || g.columns.len() >= self.max {
-                    return Joined::Solo(column);
-                }
-                let (tx, rx) = channel();
-                g.columns.push(column);
-                g.senders.push(tx);
-                self.arrived.notify_all();
-                Joined::Follower(rx)
-            }
+        let max = self.max;
+        let open = st
+            .open
+            .iter_mut()
+            .find(|g| g.columns.len() < max && g.key == key && g.env.same_bits(&env));
+        if let Some(g) = open {
+            g.columns.push(column);
+            g.senders.push(tx);
+            self.arrived.notify_all();
+            // `env` equals the group's: free it after the lock, not under it.
+            drop(st);
+            return Joined::Follower(rx);
         }
+        st.next_id += 1;
+        let id = st.next_id;
+        st.open.push(Group { id, key, env, columns: vec![column], senders: vec![tx] });
+        Joined::Leader(LeaderToken { id, deadline_at: Instant::now() + self.deadline }, rx)
     }
 
     /// Close the led group: block until the deadline passes or the group
@@ -170,25 +170,35 @@ impl Batcher {
     pub fn collect(&self, token: LeaderToken) -> BatchJob {
         let mut st = self.state.lock().expect("batcher poisoned");
         loop {
-            let full =
-                st.groups.get(&token.key).map(|g| g.columns.len() >= self.max).unwrap_or(true);
+            let at =
+                st.open.iter().position(|g| g.id == token.id).expect("leader's group vanished");
             let now = Instant::now();
-            if full || now >= token.deadline_at {
-                break;
+            if st.open[at].columns.len() >= self.max || now >= token.deadline_at {
+                let g = st.open.swap_remove(at);
+                return BatchJob { env: g.env, columns: g.columns, senders: g.senders };
             }
-            let (guard, _) =
-                self.arrived.wait_timeout(st, token.deadline_at - now).expect("batcher poisoned");
-            st = guard;
+            st =
+                self.arrived.wait_timeout(st, token.deadline_at - now).expect("batcher poisoned").0;
         }
-        let g = st.groups.remove(&token.key).expect("leader's group vanished");
-        BatchJob { columns: g.columns, senders: g.senders }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dm_matrix::{Dense, Matrix};
     use std::sync::Arc;
+
+    fn key() -> GroupKey {
+        (PlanKey::new(7, Vec::new()), 1, vec![[1, 1, 1]])
+    }
+
+    /// A shared input `W` holding the one value `w`.
+    fn env(w: f64) -> Env {
+        let mut env = Env::new();
+        env.bind("W", Matrix::Dense(Dense::from_vec(1, 1, vec![w]).unwrap()));
+        env
+    }
 
     fn exec_double(job: BatchJob) {
         let out = job.columns.iter().map(|c| c.iter().map(|v| v * 2.0).collect()).collect();
@@ -196,33 +206,30 @@ mod tests {
     }
 
     #[test]
-    fn solo_when_disabled() {
-        let b = Batcher::new(Duration::from_millis(50), 1);
-        assert!(!b.enabled());
-        match b.join(1, b"g", vec![1.0]) {
-            Joined::Solo(col) => assert_eq!(col, vec![1.0]),
-            _ => panic!("disabled batcher must return Solo"),
-        }
+    fn max_of_one_disables_coalescing() {
+        assert!(!Batcher::new(Duration::from_millis(50), 1).enabled());
+        assert!(Batcher::new(Duration::from_millis(50), 2).enabled());
     }
 
     #[test]
     fn leader_collects_followers_and_distributes_columns() {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 4));
-        let Joined::Leader(tok, leader_rx) = b.join(7, b"g", vec![1.0]) else {
+        let Joined::Leader(tok, leader_rx) = b.join(key(), env(1.5), vec![1.0]) else {
             panic!("first join must lead")
         };
         let mut followers = Vec::new();
         for i in 0..3u32 {
             let b = Arc::clone(&b);
             followers.push(std::thread::spawn(move || {
-                match b.join(7, b"g", vec![f64::from(i) + 2.0]) {
+                match b.join(key(), env(1.5), vec![f64::from(i) + 2.0]) {
                     Joined::Follower(rx) => rx.recv().unwrap().unwrap(),
                     _ => panic!("must follow"),
                 }
             }));
         }
         let job = b.collect(tok); // fills to max=4, returns before deadline
-        assert_eq!(job.len(), 4);
+        assert_eq!(job.columns.len(), 4);
+        assert!(job.env.same_bits(&env(1.5)), "the job carries the leader's inputs");
         exec_double(job);
         assert_eq!(leader_rx.recv().unwrap().unwrap(), vec![2.0]);
         let mut got: Vec<Vec<f64>> = followers.into_iter().map(|f| f.join().unwrap()).collect();
@@ -233,33 +240,49 @@ mod tests {
     #[test]
     fn deadline_flushes_a_lonely_leader() {
         let b = Batcher::new(Duration::from_millis(20), 8);
-        let Joined::Leader(tok, rx) = b.join(1, b"g", vec![3.0]) else { panic!() };
+        let Joined::Leader(tok, rx) = b.join(key(), env(0.0), vec![3.0]) else { panic!() };
         let start = Instant::now();
         let job = b.collect(tok);
         assert!(start.elapsed() >= Duration::from_millis(20));
-        assert_eq!(job.len(), 1);
+        assert_eq!(job.columns.len(), 1);
         exec_double(job);
         assert_eq!(rx.recv().unwrap().unwrap(), vec![6.0]);
     }
 
+    /// Shared inputs one bit apart — a signed zero, or two `NaN`s with
+    /// different payloads — never share a group, nor do equal inputs under
+    /// another key: each such joiner leads a group of its own, and the
+    /// groups run side by side.
     #[test]
-    fn guard_mismatch_downgrades_to_solo() {
-        let b = Batcher::new(Duration::from_secs(5), 4);
-        let Joined::Leader(tok, _rx) = b.join(7, b"model-a", vec![1.0]) else { panic!() };
-        // Same key (hash collision), different guard bytes: must NOT join.
-        match b.join(7, b"model-b", vec![9.0]) {
-            Joined::Solo(col) => assert_eq!(col, vec![9.0]),
-            _ => panic!("guard mismatch must downgrade to solo"),
+    fn inputs_one_bit_apart_never_share_a_group() {
+        let b = Batcher::new(Duration::from_millis(1), 8);
+        let (nan_a, nan_b) =
+            (f64::from_bits(0x7ff8_0000_0000_0001), f64::from_bits(0x7ff8_0000_0000_0002));
+        let other_key = (PlanKey::new(8, Vec::new()), 1, vec![[1, 1, 1]]);
+        let mut tokens = Vec::new();
+        for (key, w) in
+            [(key(), 0.0), (key(), -0.0), (key(), nan_a), (key(), nan_b), (other_key, 0.0)]
+        {
+            match b.join(key, env(w), vec![w]) {
+                Joined::Leader(tok, _) => tokens.push(tok),
+                Joined::Follower(_) => panic!("{w:?} joined a group it differs from"),
+            }
         }
-        b.collect(tok).complete(Ok(vec![vec![0.0]]));
+        // Bit-equal inputs under the same key do join.
+        let Joined::Follower(_) = b.join(key(), env(nan_b), vec![9.0]) else {
+            panic!("equal inputs must follow")
+        };
+        let sizes: Vec<usize> =
+            tokens.into_iter().map(|tok| b.collect(tok).columns.len()).collect();
+        assert_eq!(sizes, [1, 1, 1, 2, 1]);
     }
 
     #[test]
     fn errors_propagate_to_every_participant() {
         let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
-        let Joined::Leader(tok, rx) = b.join(1, b"g", vec![1.0]) else { panic!() };
+        let Joined::Leader(tok, rx) = b.join(key(), env(1.0), vec![1.0]) else { panic!() };
         let b2 = Arc::clone(&b);
-        let f = std::thread::spawn(move || match b2.join(1, b"g", vec![2.0]) {
+        let f = std::thread::spawn(move || match b2.join(key(), env(1.0), vec![2.0]) {
             Joined::Follower(rx) => rx.recv().unwrap(),
             _ => panic!(),
         });
@@ -270,30 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn full_group_turns_late_joiners_solo() {
-        let b = Arc::new(Batcher::new(Duration::from_secs(5), 2));
-        let Joined::Leader(tok, _rx) = b.join(1, b"g", vec![1.0]) else { panic!() };
-        let b2 = Arc::clone(&b);
-        let f = std::thread::spawn(move || match b2.join(1, b"g", vec![2.0]) {
-            Joined::Follower(rx) => rx.recv().unwrap(),
-            _ => panic!(),
-        });
-        // Wait until the follower is in, then a third join must go solo.
-        loop {
-            let full = {
-                let st = b.state.lock().unwrap();
-                st.groups.get(&1).map(|g| g.columns.len() >= 2).unwrap_or(false)
-            };
-            if full {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        match b.join(1, b"g", vec![3.0]) {
-            Joined::Solo(_) => {}
-            _ => panic!("full group must not accept more"),
-        }
-        b.collect(tok).complete(Ok(vec![vec![10.0], vec![20.0]]));
-        assert_eq!(f.join().unwrap().unwrap(), vec![20.0]);
+    fn a_late_joiner_of_a_full_group_leads_the_next() {
+        let b = Batcher::new(Duration::from_millis(10), 2);
+        let Joined::Leader(first, _rx) = b.join(key(), env(1.0), vec![1.0]) else { panic!() };
+        let Joined::Follower(rx) = b.join(key(), env(1.0), vec![2.0]) else { panic!() };
+        // The first group is full: a third equal request leads a new one.
+        let Joined::Leader(second, _) = b.join(key(), env(1.0), vec![3.0]) else {
+            panic!("a full group must not accept more")
+        };
+        b.collect(first).complete(Ok(vec![vec![10.0], vec![20.0]]));
+        assert_eq!(rx.recv().unwrap().unwrap(), vec![20.0]);
+        let job = b.collect(second);
+        assert_eq!(job.columns, vec![vec![3.0]]);
     }
 }

@@ -16,21 +16,24 @@
 //!    program hash + per-input size classes and sparsity buckets) probes
 //!    the shared LRU. A hit skips rewriting, size propagation, physical
 //!    selection, and certification entirely; a miss compiles and inserts.
-//! 4. **certify / admit** — the plan's certified peak bytes are charged
-//!    against the [`SessionLedger`]. Requests that do not fit next to
-//!    in-flight work queue; requests certified over the whole budget were
-//!    already planned with [`Kernel::Blocked`](dm_lang::physical::Kernel)
-//!    kernels and are admitted to run alone, streaming through the shared
-//!    spill pool instead of OOMing neighbors.
-//! 5. **batch** — eligible vector-scoring requests (`... %*% x` against a
-//!    cached plan) may coalesce into one gemm under the configured
-//!    deadline (see [`crate::batch`]).
-//! 6. **execute / respond** — a fresh [`Executor`] runs the cached plan;
+//! 4. **batch** — eligible vector-scoring requests (`... %*% x`) may
+//!    coalesce into one stacked product under the configured deadline (see
+//!    [`crate::batch`]). This is decided before admission: a follower is
+//!    never admitted and waits for its column; a leader plans the program
+//!    again at the stacked size and goes on with that plan.
+//! 5. **certify / admit** — the certified peak bytes of the plan the
+//!    request runs are charged against the [`SessionLedger`]. Requests
+//!    that do not fit next to in-flight work queue; requests certified over
+//!    the whole budget were already planned with
+//!    [`Kernel::Blocked`](dm_lang::physical::Kernel) kernels and are
+//!    admitted to run alone, streaming through the shared spill pool
+//!    instead of OOMing neighbors.
+//! 6. **execute / respond** — a fresh [`Executor`] runs the admitted plan;
 //!    stats and kernel profiles flow into the shared registry and profile
 //!    store; the result frames back to the client bit-exactly, in the
 //!    layout of the request.
 
-use crate::batch::{Batcher, Joined};
+use crate::batch::{Batcher, ColResult, GroupKey, Joined};
 use crate::protocol::{
     read_frame_len, read_request_frame, write_response_frame, Cmd, InputValue, Received, Request,
     Response, ScoreResult, CHUNK_BYTES,
@@ -46,7 +49,8 @@ use dm_lang::exec::{Env, Executor, Val};
 use dm_lang::expr::Op;
 use dm_lang::memory::MemoryBudget;
 use dm_lang::parser;
-use dm_lang::size::InputSizes;
+use dm_lang::physical::PlanOptions;
+use dm_lang::size::{InputSizes, SizeError};
 use dm_matrix::{Dense, Matrix};
 use dm_obs::flightrec::{FlightRecorder, Phase, RequestRecord};
 use dm_obs::profile::ProfileStore;
@@ -57,6 +61,7 @@ use std::collections::BTreeSet;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -599,9 +604,9 @@ fn handle_score(
 ) -> Response {
     let reg = shared.registry.as_ref();
     // Plan-cache lookup phase: classify the bound inputs, parse for the
-    // structural hash (cheap, linear in the text), and probe the LRU —
-    // everything a request pays whether it hits or misses. A miss compiles
-    // from this parse.
+    // structural hash (cheap, linear in the text), probe the LRU and print
+    // the key for the record — everything a request pays whether it hits
+    // or misses. A miss compiles from this parse.
     let mut sizes = InputSizes::new();
     let lookup = time_phase(ctx, Phase::CacheLookup, || {
         let mut classes = Vec::with_capacity(req.inputs.len());
@@ -632,14 +637,14 @@ fn handle_score(
         };
         let key = PlanKey::new(program_hash(&raw_graph, raw_root), classes);
         let cached = probe_cache(shared, &key);
-        Ok((key, cached, raw_graph, raw_root))
+        Ok((key.to_string(), key, cached, raw_graph, raw_root))
     });
-    let (key, cached, raw_graph, raw_root) = match lookup {
+    let (key_text, key, cached, raw_graph, raw_root) = match lookup {
         Ok(k) => k,
         Err(error) => return Response::Error { error },
     };
 
-    let (prog, cache_hit) = match cached {
+    let (mut prog, cache_hit) = match cached {
         Some(p) => (p, true),
         None => {
             let compiled = time_phase(ctx, Phase::Compile, || {
@@ -655,8 +660,51 @@ fn handle_score(
             (compiled, false)
         }
     };
-    ctx.rec.plan_key = key.to_string();
+    ctx.rec.plan_key = key_text;
     ctx.rec.cache_hit = cache_hit;
+
+    // Batching is decided before admission (see `crate::batch`). A follower
+    // is never admitted: it waits for its column of the leader's product,
+    // which contains the leader's execution. A leader plans the program
+    // again at the stacked size and runs that plan below like a solo one.
+    let (mut env, mut group) = (None, None);
+    if let Some((name, column, nnz)) = batch_column(shared, &prog, &mut req, nnz) {
+        let gkey = group_key(&key, column.len(), &req.inputs, &nnz);
+        let inputs = std::mem::take(&mut req.inputs);
+        match shared.batcher.join(gkey, build_env(inputs, &nnz), column) {
+            Joined::Follower(rx) => {
+                let col = time_phase(ctx, Phase::BatchWait, || received(&rx, "leader died"));
+                ctx.rec.batched = true;
+                return scored(col, cache_hit, true, prog.blocked_nodes);
+            }
+            Joined::Leader(token, rx) => {
+                let mut job = time_phase(ctx, Phase::BatchWait, || shared.batcher.collect(token));
+                let k = job.columns.len();
+                reg.add("serve.batch.flushes", 1);
+                if k > 1 {
+                    reg.add("serve.batch.batched_requests", k as u64);
+                }
+                let (stacked, stacked_nnz) = stack(&job.columns);
+                let planned = time_phase(ctx, Phase::Compile, || {
+                    replan(shared, &prog, &mut sizes, &name, &stacked, stacked_nnz)
+                });
+                // A plan cached for this size class need not fit this
+                // request's exact sizes: then neither does the group's.
+                prog = match planned {
+                    Ok(p) => Arc::new(p),
+                    Err(e) => {
+                        let error = CompileError::Size(e).to_string();
+                        job.complete(Err(error.clone()));
+                        return Response::Error { error };
+                    }
+                };
+                let mut stacked_env = std::mem::take(&mut job.env);
+                stacked_env.bind_counted(&name, Matrix::Dense(stacked), stacked_nnz);
+                env = Some(stacked_env);
+                group = Some((job, rx));
+            }
+        }
+    }
     ctx.rec.kernel_summary = prog.kernel_summary();
     ctx.rec.est_cost_ns = prog.est_cost_ns;
     ctx.rec.certified_peak = prog.certified_peak().unwrap_or(0) as u64;
@@ -678,26 +726,37 @@ fn handle_score(
     reg.gauge_set("serve.admission.waiting", shared.ledger.waiting() as u64);
     reg.gauge_set("serve.admission.in_flight_bytes", shared.ledger.in_flight_bytes() as u64);
 
-    let (result, batched) = match try_batched(shared, &mut req, nnz, &prog, &key, ctx) {
-        Some(r) => r,
-        None => {
-            let (out, traffic) = time_phase(ctx, Phase::Execute, || {
-                execute(shared, &prog, build_env(req.inputs, nnz))
-            });
-            note_spill(&mut ctx.rec, traffic);
-            match out {
-                Ok(v) => (val_to_result(v), false),
-                Err(e) => return Response::Error { error: e },
-            }
+    let (out, traffic) = time_phase(ctx, Phase::Execute, || {
+        execute(shared, &prog, env.unwrap_or_else(|| build_env(req.inputs, nnz)))
+    });
+    // A leader's record carries the group's traffic, as its execute phase
+    // carries the group's time.
+    note_spill(&mut ctx.rec, traffic);
+    if out.is_ok() {
+        record_cost_drift(reg, &ctx.rec, &prog);
+    }
+    let result = match group {
+        None => out.and_then(val_to_result),
+        Some((job, rx)) => {
+            let k = job.columns.len();
+            ctx.rec.batched = k > 1;
+            job.complete(out.and_then(|v| split(v, k)));
+            received(&rx, "result lost")
         }
     };
-    ctx.rec.batched = batched;
-    record_cost_drift(reg, &ctx.rec, &prog);
+    scored(result, cache_hit, ctx.rec.batched, prog.blocked_nodes)
+}
+
+/// A scoring request's response: its result, or why there is none.
+fn scored(
+    result: Result<ScoreResult, String>,
+    cache_hit: bool,
+    batched: bool,
+    blocked_nodes: usize,
+) -> Response {
     match result {
-        Ok(result) => {
-            Response::Score { result, cache_hit, batched, blocked_nodes: prog.blocked_nodes }
-        }
-        Err(e) => Response::Error { error: e },
+        Ok(result) => Response::Score { result, cache_hit, batched, blocked_nodes },
+        Err(error) => Response::Error { error },
     }
 }
 
@@ -825,13 +884,9 @@ fn val_to_result(v: Val) -> Result<ScoreResult, String> {
 
 /// The batched input of an eligible program: the root is
 /// `MatMul(_, Input(v))` and `v` is referenced exactly once (so stacking
-/// its columns affects nothing else). Plans with blocked kernels are
-/// excluded — batching multiplies the root's working set by the group
-/// size, which the admission charge did not cover.
+/// its columns affects nothing else). Blocked plans batch too: the leader
+/// is admitted at the stacked plan's own certificate.
 fn batchable_input(prog: &CompiledProgram) -> Option<String> {
-    if prog.blocked_nodes > 0 {
-        return None;
-    }
     let Op::MatMul(_, rhs) = prog.graph.op(prog.root) else { return None };
     let Op::Input(name) = prog.graph.op(*rhs) else { return None };
     let uses: usize = prog
@@ -843,151 +898,95 @@ fn batchable_input(prog: &CompiledProgram) -> Option<String> {
     (uses == 1).then(|| name.clone())
 }
 
-/// Attempt the micro-batched path. `None` means "not eligible — execute
-/// individually"; `Some((result, batched))` is a finished outcome.
-///
-/// Phase attribution: a follower's wait on the leader counts as
-/// [`Phase::BatchWait`] even though it *contains* the leader's execution of
-/// the fused gemm — from the follower's seat that time is indistinguishable
-/// from waiting, and the leader's own record carries the execute time. The
-/// leader's deadline wait ([`Batcher::collect`]) is its batch-wait.
-#[allow(clippy::type_complexity)]
-fn try_batched(
-    shared: &Arc<Shared>,
+/// The batched column of a request that asked to batch, when batching is on
+/// and its plan is eligible ([`batchable_input`]) with that input bound as a
+/// non-empty column vector: the input's name and values, taken out of
+/// `req.inputs`, and the non-zero counts of the inputs left there.
+fn batch_column(
+    shared: &Shared,
+    prog: &CompiledProgram,
     req: &mut Request,
     nnz: &[usize],
-    prog: &Arc<CompiledProgram>,
-    key: &PlanKey,
-    ctx: &mut ReqCtx,
-) -> Option<(Result<ScoreResult, String>, bool)> {
+) -> Option<(String, Vec<f64>, Vec<usize>)> {
     if !req.batch || !shared.batcher.enabled() {
         return None;
     }
-    let bname = batchable_input(prog)?;
-    // The batched input must be bound as a column vector.
-    let (_, InputValue::Matrix { rows, cols: 1, data }) =
-        req.inputs.iter().find(|(n, _)| *n == bname)?
-    else {
-        return None;
+    let name = batchable_input(prog)?;
+    let at = req.inputs.iter().position(|(n, v)| {
+        *n == name && matches!(v, InputValue::Matrix { rows: 1.., cols: 1, .. })
+    })?;
+    let (name, InputValue::Matrix { data, .. }) = req.inputs.remove(at) else {
+        unreachable!("the batched input is a matrix")
     };
-    if *rows == 0 {
-        return None;
-    }
-    // Guard bytes: plan identity + every shared (non-batch) input,
-    // bit-exact. Only requests whose entire context matches may share a
-    // gemm.
-    let mut guard = Vec::new();
-    guard.extend_from_slice(format!("{key}").as_bytes());
-    guard.push(0);
-    guard.extend_from_slice(bname.as_bytes());
-    guard.extend_from_slice(&rows.to_le_bytes());
-    let mut rest: Vec<&(String, InputValue)> =
-        req.inputs.iter().filter(|(n, _)| *n != bname).collect();
-    rest.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, v) in rest {
-        guard.push(0xfe);
-        guard.extend_from_slice(name.as_bytes());
-        guard.push(0);
-        match v {
-            InputValue::Matrix { rows, cols, data } => {
-                guard.extend_from_slice(&rows.to_le_bytes());
-                guard.extend_from_slice(&cols.to_le_bytes());
-                for x in data {
-                    guard.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-            InputValue::Scalar(x) => {
-                guard.extend_from_slice(&[0xfd]);
-                guard.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
+    let mut nnz = nnz.to_vec();
+    nnz.remove(at);
+    Some((name, data, nnz))
+}
+
+/// A batched request's [`GroupKey`], from what decoding already knows: its
+/// plan key, its column's length `m`, and each shared input's shape and
+/// non-zero count, in name order. No value is read.
+fn group_key(key: &PlanKey, m: usize, inputs: &[(String, InputValue)], nnz: &[usize]) -> GroupKey {
+    let mut shapes: Vec<(&str, [usize; 3])> = inputs
+        .iter()
+        .zip(nnz)
+        .map(|((name, v), &nnz)| match v {
+            InputValue::Matrix { rows, cols, .. } => (name.as_str(), [*rows, *cols, nnz]),
+            InputValue::Scalar(_) => (name.as_str(), [0, 0, nnz]),
+        })
+        .collect();
+    shapes.sort_by_key(|&(name, _)| name);
+    (key.clone(), m, shapes.into_iter().map(|(_, s)| s).collect())
+}
+
+/// A group's columns side by side, as the `m x k` input the leader's
+/// program reads, with its non-zero count.
+fn stack(columns: &[Vec<f64>]) -> (Dense, usize) {
+    let (m, k) = (columns[0].len(), columns.len());
+    let (mut stacked, mut nnz) = (vec![0.0; m * k], 0);
+    for (j, col) in columns.iter().enumerate() {
+        for (i, &v) in col.iter().enumerate() {
+            stacked[i * k + j] = v;
+            nnz += usize::from(v != 0.0);
         }
     }
-    // The batcher verifies the full guard bytes on join, so a collision
-    // only costs a solo execution.
-    let gkey = dm_obs::fnv::fnv1a(&guard);
-    let m = *rows;
-    let reg = shared.registry.as_ref();
-    let joined = shared.batcher.join(gkey, &guard, data.clone());
-    // Committed to the batched path: whichever role this request got, its
-    // inputs move into the one environment built below and nothing reads
-    // them afterwards (the batched column travels separately, above).
-    let inputs = std::mem::take(&mut req.inputs);
-    match joined {
-        Joined::Solo(col) => {
-            // Group was full or guarded against us: run the same column
-            // individually.
-            let (out, traffic) = time_phase(ctx, Phase::Execute, || {
-                let mut env = build_env(inputs, nnz);
-                env.bind(&bname, Matrix::Dense(Dense::from_vec(m, 1, col).expect("shape")));
-                execute(shared, prog, env)
-            });
-            note_spill(&mut ctx.rec, traffic);
-            Some((out.and_then(val_to_result), false))
+    (Dense::from_vec(m, k, stacked).expect("m x k"), nnz)
+}
+
+/// The program planned again with `name` declared as the stacked input:
+/// physical selection, certification and pricing of its optimized graph.
+/// No logical rewrite runs, so the chain association, and with it the bits
+/// of every column, stay the solo plan's.
+fn replan(
+    shared: &Shared,
+    prog: &CompiledProgram,
+    sizes: &mut InputSizes,
+    name: &str,
+    stacked: &Dense,
+    nnz: usize,
+) -> Result<CompiledProgram, SizeError> {
+    let (m, k) = stacked.shape();
+    sizes.declare(name, m, k, nnz as f64 / (m * k) as f64);
+    let (degree, budget) = (shared.cfg.degree, shared.cfg.budget);
+    let opts = PlanOptions { degree, budget, cost: Some(&shared.model), ..PlanOptions::new(sizes) };
+    CompiledProgram::new(prog.graph.clone(), prog.root, &opts)
+}
+
+/// Member `j`'s answer is column `j` of the stacked product, bit for bit.
+fn split(v: Val, k: usize) -> Result<Vec<Vec<f64>>, String> {
+    match v {
+        Val::Matrix(m) if m.cols() == k => {
+            let d = into_dense(m);
+            Ok((0..k).map(|j| d.data().iter().skip(j).step_by(k).copied().collect()).collect())
         }
-        Joined::Follower(rx) => {
-            let col = time_phase(ctx, Phase::BatchWait, || {
-                rx.recv().map_err(|_| "batch leader died".to_owned()).and_then(|r| r)
-            });
-            Some((
-                col.map(|c| {
-                    let rows = c.len();
-                    ScoreResult::Matrix { rows, cols: 1, data: c }
-                }),
-                true,
-            ))
-        }
-        Joined::Leader(token, rx) => {
-            // The deadline wait for followers is the leader's batch-wait.
-            let job = time_phase(ctx, Phase::BatchWait, || shared.batcher.collect(token));
-            let k = job.len();
-            reg.add("serve.batch.flushes", 1);
-            if k > 1 {
-                reg.add("serve.batch.batched_requests", k as u64);
-            }
-            let (outcome, traffic) = time_phase(ctx, Phase::Execute, || {
-                // Stack the k column vectors into one m x k input and run
-                // the cached plan once.
-                let mut stacked = vec![0.0; m * k];
-                for (j, col) in job.columns.iter().enumerate() {
-                    for (i, v) in col.iter().enumerate() {
-                        stacked[i * k + j] = *v;
-                    }
-                }
-                let mut env = build_env(inputs, nnz);
-                env.bind(&bname, Matrix::Dense(Dense::from_vec(m, k, stacked).expect("shape")));
-                let (out, traffic) = execute(shared, prog, env);
-                let outcome = out.and_then(|v| {
-                    let Val::Matrix(mat) = v else {
-                        return Err("batched program did not yield a matrix".to_owned());
-                    };
-                    let d = into_dense(mat);
-                    if d.cols() != k {
-                        return Err(format!(
-                            "batched result has {} columns, expected {k}",
-                            d.cols()
-                        ));
-                    }
-                    // Column j is participant j's result, bit-for-bit.
-                    Ok((0..k)
-                        .map(|j| (0..d.rows()).map(|i| d.data()[i * k + j]).collect::<Vec<f64>>())
-                        .collect::<Vec<_>>())
-                });
-                (outcome, traffic)
-            });
-            // The leader's record carries the batch's traffic, as its
-            // execute phase carries the batch's time.
-            note_spill(&mut ctx.rec, traffic);
-            job.complete(outcome);
-            let col = rx.recv().map_err(|_| "batch result lost".to_owned()).and_then(|r| r);
-            Some((
-                col.map(|c| {
-                    let rows = c.len();
-                    ScoreResult::Matrix { rows, cols: 1, data: c }
-                }),
-                k > 1,
-            ))
-        }
+        _ => Err("the stacked product has not one column per member".to_owned()),
     }
+}
+
+/// This member's column of its group's product, or why there is none.
+fn received(rx: &Receiver<ColResult>, lost: &str) -> Result<ScoreResult, String> {
+    let col = rx.recv().map_err(|_| format!("batch {lost}"))??;
+    Ok(ScoreResult::Matrix { rows: col.len(), cols: 1, data: col })
 }
 
 #[cfg(test)]
@@ -1124,6 +1123,117 @@ mod tests {
         let spilled = records.iter().map(|r| r.spilled_bytes).sum::<u64>();
         let faulted = records.iter().map(|r| r.faulted_bytes).sum::<u64>();
         assert_eq!((spilled, faulted), (ps.spilled_bytes, ps.faulted_bytes));
+        server.shutdown();
+    }
+
+    /// A batched column equals the solo result bit for bit, on the leader's
+    /// own path: stack the group's columns, plan the solo program again at
+    /// the stacked size, execute, split. `X` is random, dense or below the
+    /// sparse threshold, with signed zeros; the vectors hold `NaN` and
+    /// `±inf` against the zeros of `X`; groups hold 1 to 8 members. Each
+    /// case runs on a server with an unbounded budget and on one under
+    /// which the stacked product of a dense `X` blocks, against a solo eval
+    /// of the solo plan that server compiles.
+    #[test]
+    fn a_batched_column_is_the_solo_result_bit_for_bit() {
+        use proptest::prelude::*;
+        let start = |budget| {
+            let cfg = ServeConfig { budget, ..ServeConfig::for_tests() };
+            ScoringServer::start(cfg, Arc::new(StatsRegistry::new())).unwrap()
+        };
+        let servers = [start(MemoryBudget::unbounded()), start(MemoryBudget::bytes(12 << 10))];
+        let signed = prop_oneof![6 => -3.0..3.0f64, 1 => Just(0.0), 1 => Just(-0.0)];
+        let sparse = prop_oneof![9 => Just(0.0), 1 => -3.0..3.0f64];
+        let entry = prop_oneof![
+            6 => -3.0..3.0f64,
+            1 => Just(-0.0),
+            1 => Just(f64::NAN),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+        ];
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut runner = proptest::test_runner::TestRunner::new("a_batched_column");
+        for _ in 0..24 {
+            let (n, d, k, dense) =
+                (128usize..256, 16usize..40, 1usize..9, 0..2u8).generate(runner.rng());
+            let dense = dense == 1;
+            let x: Vec<f64> = if dense {
+                proptest::collection::vec(signed.clone(), n * d).generate(runner.rng())
+            } else {
+                proptest::collection::vec(sparse.clone(), n * d).generate(runner.rng())
+            };
+            let columns: Vec<Vec<f64>> = (0..k)
+                .map(|_| proptest::collection::vec(entry.clone(), d).generate(runner.rng()))
+                .collect();
+            let x_nnz = x.iter().filter(|&&v| v != 0.0).count();
+            let x = Arc::new(Matrix::Dense(Dense::from_vec(n, d, x).unwrap()));
+            for server in &servers {
+                let shared = &server.shared;
+                let mut sizes = InputSizes::new();
+                sizes.declare("X", n, d, x_nnz as f64 / (n * d) as f64).declare("v", d, 1, 1.0);
+                let (degree, budget) = (shared.cfg.degree, shared.cfg.budget);
+                let solo = compile("X %*% v", &sizes, degree, budget, &shared.model).unwrap();
+                let env = |v: Matrix, nnz: usize| {
+                    let mut env = Env::new();
+                    env.bind("X", Arc::clone(&x)).bind_counted("v", v, nnz);
+                    env
+                };
+                let (stacked, nnz) = stack(&columns);
+                let prog = replan(shared, &solo, &mut sizes, "v", &stacked, nnz).unwrap();
+                if dense && budget.get().is_some() {
+                    assert!(prog.blocked_nodes > 0, "{n}x{d} times {d}x{k} must block");
+                }
+                let got = execute(shared, &prog, env(Matrix::Dense(stacked), nnz)).0.unwrap();
+                let got = split(got, k).unwrap();
+                for (j, col) in columns.iter().enumerate() {
+                    let v = Dense::from_vec(d, 1, col.clone()).unwrap();
+                    let nnz = col.iter().filter(|&&c| c != 0.0).count();
+                    let want = execute(shared, &solo, env(Matrix::Dense(v), nnz)).0.unwrap();
+                    let want = want.as_dense().unwrap();
+                    let plans = (solo.kernel_summary(), prog.kernel_summary());
+                    let case = format!("{n}x{d}, {budget:?}, plans {plans:?}, column {j} of {k}");
+                    assert_eq!(bits(&got[j]), bits(want.data()), "{case}");
+                }
+            }
+        }
+        for server in servers {
+            if let Some(pool) = &server.shared.spill {
+                assert!(pool.stats().spilled_bytes + pool.stats().faulted_bytes > 0);
+                assert_eq!(pool.used(), 0);
+            }
+            server.shutdown();
+        }
+    }
+
+    /// A batched request that hits a plan cached for its size class but
+    /// does not fit it (`W` 24 wide, `x` 25 long) leads its own group, and
+    /// its leader's plan of the stacked product fails to propagate sizes:
+    /// the request is answered with that error, and the server goes on
+    /// scoring.
+    #[test]
+    fn a_group_the_cached_plan_does_not_fit_is_answered_with_an_error() {
+        use crate::client::ScoringClient;
+        let cfg =
+            ServeConfig { batch_deadline: Duration::from_millis(1), ..ServeConfig::for_tests() };
+        let server = ScoringServer::start(cfg, Arc::new(StatsRegistry::new())).unwrap();
+        let w: Vec<f64> = (0..24 * 24).map(f64::from).collect();
+        let req = |len: usize| {
+            Request::score("acme", "W %*% x")
+                .matrix("W", 24, 24, w.clone())
+                .matrix("x", len, 1, vec![1.0; len])
+                .batched()
+        };
+        let mut client = ScoringClient::connect(server.addr()).unwrap();
+        let Response::Score { cache_hit: false, .. } = client.request(&req(24)).unwrap() else {
+            panic!("the first request compiles and is scored")
+        };
+        match client.request(&req(25)).unwrap() {
+            Response::Error { error } => assert!(error.starts_with("size error"), "{error}"),
+            other => panic!("expected a size error, got {other:?}"),
+        }
+        let Response::Score { cache_hit: true, .. } = client.request(&req(24)).unwrap() else {
+            panic!("the server goes on scoring")
+        };
         server.shutdown();
     }
 

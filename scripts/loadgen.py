@@ -16,6 +16,8 @@ JSON document as a header, with each matrix's values as raw little-endian
 f64 after it. This file is the format's second implementation, so the
 server's slab decoder is exercised by bytes its own encoder did not
 produce; the scores that come back are checked against X.v computed here.
+With `--batch` too, those scorings are batchable: tenants sending the same
+model coalesce into one stacked product, and each score is still checked.
 With `--fragment N` every frame goes out in N-byte pieces, so the server's
 streaming reader meets frames cut at arbitrary points.
 
@@ -45,6 +47,8 @@ Usage:
   scripts/loadgen.py --addr 127.0.0.1:7878 --metrics 127.0.0.1:9100 --slow 50
   scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 2 --requests 10 \\
       --rows 64 --cols 2048 --fragment 4096
+  scripts/loadgen.py --addr 127.0.0.1:7878 --tenants 4 --requests 10 \
+      --rows 64 --cols 2048 --batch --fragment 4096
 """
 
 import argparse
@@ -186,9 +190,9 @@ def score_request(tenant: str, seq: int, batch: bool) -> dict:
 _WIDE = {}
 
 
-def wide_request(tenant: str, seq: int, rows: int, cols: int):
-    """One `X %*% v` scoring of a rows x cols model, with the scores a
-    correct server must return."""
+def wide_request(tenant: str, seq: int, rows: int, cols: int, batch: bool):
+    """One `X %*% v` scoring of a rows x cols model, batchable with `batch`,
+    with the scores a correct server must return."""
     key = (rows, cols, seq % 2)
     if key not in _WIDE:
         x = [((i * 13 + key[2] * 7) % 23) * 0.31 - 2.0 for i in range(rows * cols)]
@@ -201,6 +205,8 @@ def wide_request(tenant: str, seq: int, rows: int, cols: int):
         _WIDE[key] = (inputs, want)
     inputs, want = _WIDE[key]
     req = {"tenant": tenant, "cmd": "score", "program": "X %*% v", "inputs": inputs}
+    if batch:
+        req["batch"] = True
     return req, want
 
 
@@ -229,7 +235,7 @@ def run_tenant(addr, tenant: str, requests: int, batch: bool, stats: TenantStats
             for seq in range(requests):
                 want = None
                 if shape:
-                    req, want = wide_request(tenant, seq, *shape)
+                    req, want = wide_request(tenant, seq, *shape, batch)
                 else:
                     req = score_request(tenant, seq, batch)
                 payload = encode_payload(req)
@@ -393,8 +399,8 @@ def main() -> int:
     ap.add_argument("--spawn", nargs=argparse.REMAINDER,
                     help="command to start a server (everything after --spawn)")
     args = ap.parse_args()
-    if (args.rows is None) != (args.cols is None) or (args.rows and args.batch):
-        ap.error("--rows and --cols go together, and without --batch")
+    if (args.rows is None) != (args.cols is None):
+        ap.error("--rows and --cols go together")
     shape = (args.rows, args.cols) if args.rows else None
     if args.fragment is not None and args.fragment < 1:
         ap.error("--fragment takes a positive byte count")

@@ -206,19 +206,14 @@ fn hostile_program_text_is_a_bad_request() {
 /// `W %*% x`, batched or not, because column `j` of `W %*% [x1 .. xk]` runs
 /// the chain of the product against `xj` alone. Once with a dense `W`
 /// (gemv solo, gemm stacked) and once with a `W` sparse enough for the
-/// plan's sparse kernels (spmv solo, spmm_dense stacked).
+/// plan's sparse kernels (spmv solo, spmm_dense stacked). Both run on a
+/// server with an unbounded budget and on one whose budget blocks the
+/// stacked dense product: the group is admitted once, for one of its
+/// tenants, at the certified peak of the stacked program it runs, which the
+/// leader's flight record shows.
 #[test]
 fn batched_scoring_matches_direct_evaluation() {
     const CLIENTS: usize = 4;
-    let registry = Arc::new(StatsRegistry::new());
-    let mut cfg = ServeConfig::for_tests();
-    // A full group flushes at once; the deadline only has to outlast the
-    // clients' arrival after the barrier.
-    cfg.batch_deadline = Duration::from_secs(10);
-    cfg.batch_max = CLIENTS;
-    let server = ScoringServer::start(cfg, Arc::clone(&registry)).unwrap();
-    let addr = server.addr();
-
     let n = 24usize;
     let dense_w: Vec<f64> = (0..n * n).map(|i| ((i * 11) % 19) as f64 * 0.23 - 1.7).collect();
     // One entry in 13 kept: under 8 % non-zero, below the sparse threshold.
@@ -227,60 +222,96 @@ fn batched_scoring_matches_direct_evaluation() {
     let vec_for = |seed: usize| -> Vec<f64> {
         (0..n).map(|i| ((i * 7 + seed * 3) % 13) as f64 * 0.41 - 2.0).collect()
     };
-    // The plan the server compiles for these inputs, run by the executor.
-    let direct = |w: &[f64], seed: usize| -> (Vec<f64>, Kernel) {
+    let model = dmml::lang::CostModel::new(dmml::obs::profile::ProfileStore::new());
+    // The plan the server compiles for one request under `budget` (degree 1,
+    // as `ServeConfig::for_tests`), and that plan again with `x` stacked
+    // `n x CLIENTS`, as a leader plans it.
+    let plans = |w: &[f64], budget| {
         let (graph, root) = parser::parse("W %*% x").unwrap();
         let mut sizes = InputSizes::new();
         let nnz = w.iter().filter(|&&v| v != 0.0).count();
         sizes.declare("W", n, n, nnz as f64 / w.len() as f64).declare("x", n, 1, 1.0);
-        let plan =
-            CompiledProgram::new(graph.clone(), root, &PlanOptions::new(&sizes)).unwrap().plan;
-        let kernel = plan.kernel(root);
+        let solo =
+            dmml::lang::cache::compile_graph(&graph, root, &sizes, 1, budget, &model).unwrap();
+        sizes.declare("x", n, CLIENTS, 1.0);
+        let opts = PlanOptions { budget, cost: Some(&model), ..PlanOptions::new(&sizes) };
+        let stacked = CompiledProgram::new(solo.graph.clone(), solo.root, &opts).unwrap();
+        (solo, stacked)
+    };
+    let direct = |solo: &CompiledProgram, w: &[f64], seed: usize| -> Vec<f64> {
         let mut env = Env::new();
         env.bind("W", Matrix::Dense(Dense::from_vec(n, n, w.to_vec()).unwrap()));
         env.bind("x", Matrix::Dense(Dense::from_vec(n, 1, vec_for(seed)).unwrap()));
-        let v = Executor::with_plan(&graph, plan).eval(root, &env).unwrap();
-        (v.as_dense().unwrap().data().to_vec(), kernel)
+        let v = Executor::with_plan(&solo.graph, solo.plan.clone()).eval(solo.root, &env).unwrap();
+        v.as_dense().unwrap().data().to_vec()
     };
 
-    let batched_requests = registry.counter("serve.batch.batched_requests");
-    for (w, kernel) in [(dense_w, Kernel::Dense), (sparse_w, Kernel::Sparse)] {
-        let before = batched_requests.get();
-        let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|seed| {
-                let req = Request::score(&format!("tenant-{seed}"), "W %*% x")
-                    .matrix("W", n, n, w.clone())
-                    .matrix("x", n, 1, vec_for(seed))
-                    .batched();
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let mut c = ScoringClient::connect(addr).unwrap();
-                    barrier.wait();
-                    (seed, c.request(&req).unwrap())
+    let bounded = dmml::lang::memory::MemoryBudget::bytes(5 << 10);
+    for budget in [dmml::lang::memory::MemoryBudget::unbounded(), bounded] {
+        let registry = Arc::new(StatsRegistry::new());
+        let mut cfg = ServeConfig::for_tests();
+        // A full group flushes at once; the deadline only has to outlast the
+        // clients' arrival after the barrier.
+        cfg.batch_deadline = Duration::from_secs(10);
+        cfg.batch_max = CLIENTS;
+        cfg.budget = budget;
+        let server = ScoringServer::start(cfg, Arc::clone(&registry)).unwrap();
+        let addr = server.addr();
+        let batched_requests = registry.counter("serve.batch.batched_requests");
+        for (w, kernel) in [(&dense_w, Kernel::Dense), (&sparse_w, Kernel::Sparse)] {
+            let (solo, stacked) = plans(w, budget);
+            assert_eq!(solo.plan.kernel(solo.root) == Kernel::Sparse, kernel == Kernel::Sparse);
+            if kernel == Kernel::Dense && budget == bounded {
+                assert_eq!(stacked.plan.kernel(stacked.root), Kernel::Blocked);
+            }
+            let before = batched_requests.get();
+            let tenant = |seed: usize| format!("{kernel:?}-{}-{seed}", budget.get().is_some());
+            let barrier = Arc::new(std::sync::Barrier::new(CLIENTS));
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|seed| {
+                    let req = Request::score(&tenant(seed), "W %*% x")
+                        .matrix("W", n, n, w.clone())
+                        .matrix("x", n, 1, vec_for(seed))
+                        .batched();
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        let mut c = ScoringClient::connect(addr).unwrap();
+                        barrier.wait();
+                        (seed, c.request_with_rid(&req).unwrap())
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            let (seed, resp) = h.join().unwrap();
-            let Response::Score {
-                result: ScoreResult::Matrix { rows, cols, data }, batched, ..
-            } = resp
-            else {
-                panic!("expected matrix result, got {resp:?}");
+                .collect();
+            let mut leaders = Vec::new();
+            for h in handles {
+                let (seed, (resp, rid)) = h.join().unwrap();
+                let Response::Score {
+                    result: ScoreResult::Matrix { rows, cols, data },
+                    batched,
+                    ..
+                } = resp
+                else {
+                    panic!("expected matrix result, got {resp:?}");
+                };
+                assert_eq!((rows, cols), (n, 1));
+                assert_eq!(
+                    bits(&data),
+                    bits(&direct(&solo, w, seed)),
+                    "{kernel:?} W under {budget:?}, seed {seed} (batched: {batched}) \
+                     differs from direct evaluation"
+                );
+                if let Some(usage) = server.ledger().session_usage(&tenant(seed)) {
+                    leaders.push((usage.admitted, recorded(&server, rid.unwrap())));
+                }
+            }
+            assert!(batched_requests.get() > before, "{kernel:?} W: no group formed");
+            let [(admitted, leader)] = &leaders[..] else {
+                panic!("{kernel:?} W: {} tenants admitted, not one", leaders.len())
             };
-            assert_eq!((rows, cols), (n, 1));
-            let (want, planned) = direct(&w, seed);
-            assert_eq!(planned, kernel, "the plan's kernel for this W");
-            assert_eq!(
-                bits(&data),
-                bits(&want),
-                "{kernel:?} W, seed {seed} (batched: {batched}) differs from direct evaluation"
-            );
+            assert_eq!(*admitted, 1, "the group is admitted once");
+            assert_eq!(leader.certified_peak, stacked.certificate.peak_bytes as u64);
         }
-        assert!(batched_requests.get() > before, "{kernel:?} W: no group formed");
+        server.shutdown();
     }
-    server.shutdown();
 }
 
 /// The flight record of a request whose response the client already holds
