@@ -29,6 +29,14 @@
 //! `inproc_dense` operand): gemm against 8, 32 and 128 columns and
 //! crossprod, best-of-7 in milliseconds with their GFLOP/s.
 //!
+//! `e16 exp` lines time `e^x` over 1 M values in place (`EXP_N`, drawn
+//! from [-10, 10]): libm's `f64::exp` one value at a time against the
+//! in-tree `kernel::exp_in_place` on each instantiation this CPU has,
+//! best-of-15 in ns per value and GB/s (8 bytes read and 8 written per
+//! value). Each call gets the inputs restored first, outside the timed
+//! region. The criterion ids `exp_libm` and `exp` (the instantiation the
+//! dispatcher picks) restore them inside it, a copy both ids pay.
+//!
 //! `DMML_BENCH_E16_MAX_N` caps the largest gemm size (default 2048) so
 //! constrained runners can keep the bench cheap without losing the ids that
 //! CI gates on smaller sizes.
@@ -38,7 +46,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dm_compress::group::{encode, Encoding};
 use dm_compress::kernels;
-use dm_matrix::{ops, Dense};
+use dm_matrix::pack::Isa;
+use dm_matrix::{kernel, ops, Dense};
 
 const GEMM_SIZES: [usize; 4] = [256, 512, 1024, 2048];
 const GEMV_N: usize = 2048;
@@ -51,6 +60,7 @@ const TALL_WIDTHS: [usize; 3] = [8, 32, 128];
 const SMALL_DEPTH: usize = 32;
 const CLA_ROWS: usize = 100_000;
 const CLA_COLS: usize = 8;
+const EXP_N: usize = 1 << 20;
 
 fn max_gemm_n() -> usize {
     std::env::var("DMML_BENCH_E16_MAX_N").ok().and_then(|v| v.parse().ok()).unwrap_or(2048)
@@ -181,6 +191,43 @@ fn bench(c: &mut Criterion) {
         }
         tall(format!("crossprod_{TALL_ROWS}x{TALL_COLS}"), m * d * (d + 1.0), &|| {
             std::hint::black_box(ops::crossprod(&x));
+        });
+    }
+
+    // exp: best-of-15 in-place maps of EXP_N values, in ns per value.
+    {
+        let xs = sample(EXP_N, 1, 19).data().iter().map(|v| v * 10.0).collect::<Vec<f64>>();
+        let mut buf = xs.clone();
+        let libm = |p: &mut [f64]| p.iter_mut().for_each(|v| *v = v.exp());
+        // `None` is libm.
+        for isa in std::iter::once(None).chain(Isa::available().into_iter().map(Some)) {
+            let mut best = Duration::MAX;
+            for _ in 0..if test_mode { 1 } else { 15 } {
+                buf.copy_from_slice(&xs);
+                let t = Instant::now();
+                match isa {
+                    Some(isa) => kernel::exp_in_place_on(isa, std::hint::black_box(&mut buf)),
+                    None => libm(std::hint::black_box(&mut buf)),
+                }
+                best = best.min(t.elapsed());
+            }
+            if !test_mode {
+                let case = isa.map_or("libm".to_owned(), |isa| format!("{isa:?}").to_lowercase());
+                let ns = best.as_secs_f64() * 1e9 / EXP_N as f64;
+                println!("e16 exp {case:<10} {ns:.2} ns/value {:.2} GB/s", 16.0 / ns);
+            }
+        }
+        g.bench_function("exp_libm", |bn| {
+            bn.iter(|| {
+                buf.copy_from_slice(&xs);
+                libm(&mut buf);
+            })
+        });
+        g.bench_function("exp", |bn| {
+            bn.iter(|| {
+                buf.copy_from_slice(&xs);
+                kernel::exp_in_place(&mut buf);
+            })
         });
     }
 

@@ -499,7 +499,9 @@ fn infer_interval(
             let ia = iv(a);
             match u {
                 UnaryOp::Abs => ia.abs(),
-                UnaryOp::Exp => Interval { lo: ia.lo.exp(), hi: ia.hi.exp() },
+                // The executor's exp is monotone, so its value over the
+                // interval lies between its values at the ends.
+                UnaryOp::Exp => Interval { lo: u.apply(ia.lo), hi: u.apply(ia.hi) },
                 UnaryOp::Log | UnaryOp::Sqrt => {
                     let name = if *u == UnaryOp::Log { "log" } else { "sqrt" };
                     if ia.hi < 0.0 {

@@ -901,29 +901,30 @@ impl<'g> Executor<'g> {
     }
 
     fn unary(&mut self, u: UnaryOp, v: Val) -> Val {
-        let f = unary_fn(u);
         let m = match v {
-            Val::Scalar(s) => return Val::Scalar(f(s)),
+            Val::Scalar(s) => return Val::Scalar(u.apply(s)),
             Val::Matrix(m) => m,
         };
         // sqrt/abs preserve zeros, so sparse stays sparse; exp/log
         // densify and run on the dense form.
-        let zero_preserving = matches!(u, UnaryOp::Sqrt | UnaryOp::Abs);
-        match &*m {
-            Matrix::Sparse(s) if zero_preserving => {
-                self.stats.flops += s.nnz() as u64;
-                let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
-                for (r, c, v) in s.iter() {
-                    coo.push(r, c, f(v)).expect("indices in range");
-                }
-                Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr())))
+        if let (Matrix::Sparse(s), UnaryOp::Sqrt | UnaryOp::Abs) = (&*m, u) {
+            self.stats.flops += s.nnz() as u64;
+            let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
+            for (r, c, v) in s.iter() {
+                coo.push(r, c, u.apply(v)).expect("indices in range");
             }
-            m => {
-                let d = dense(m);
-                self.stats.flops += (d.rows() * d.cols()) as u64;
-                dense_val(d.map(f))
-            }
+            return Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr())));
         }
+        // A dense value this step holds the only reference to (its last
+        // reader's, see `read`) is mapped in place.
+        let mut d = match Arc::try_unwrap(m) {
+            Ok(Matrix::Dense(d)) => d,
+            Ok(m) => dense(&m).into_owned(),
+            Err(m) => dense(&m).into_owned(),
+        };
+        self.stats.flops += (d.rows() * d.cols()) as u64;
+        u.map(d.data_mut());
+        dense_val(d)
     }
 
     fn aggregate(&mut self, id: NodeId, aop: AggOp, v: &Val) -> Result<Val, ExecError> {
@@ -973,8 +974,8 @@ impl<'g> Executor<'g> {
     /// pass that never materializes `f(A)`.
     ///
     /// `A` is read as usual, then `f` is folded over its cells into one sum
-    /// from [`Iterator::sum`]'s identity: the adds of
-    /// `ops::sum(&A.map(f))`, so the bits are the same. When `A` is a fused
+    /// from [`Iterator::sum`]'s identity ([`map_sum`]): the adds of
+    /// `ops::sum` over the mapped `A`, so the bits are the same. When `A` is a fused
     /// matmul of two dense matrices, not even `A` is materialized:
     /// [`par::gemm_map_sum`] streams it in `ROW_BLOCK`-row panels with the
     /// same fold. The stats count the fused nodes as evaluated and charge
@@ -987,7 +988,6 @@ impl<'g> Executor<'g> {
     ) -> Result<Val, ExecError> {
         let Op::Unary(u, a) = *self.graph.op(fa) else { unreachable!("only f(A) is fused") };
         self.stats.nodes_evaluated += 1;
-        let f = unary_fn(u);
         let v = match *self.graph.op(a) {
             Op::MatMul(x, w) if table.fused[a] => {
                 let (vx, vw) = (self.read(table, x), self.read(table, w));
@@ -1001,7 +1001,7 @@ impl<'g> Executor<'g> {
                         // The matmul's flops, then the unary's and the sum's.
                         self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
                         let degree = self.in_memory_degree(a);
-                        return Ok(Val::Scalar(par::gemm_map_sum(x, w, f, degree)));
+                        return Ok(Val::Scalar(par::gemm_map_sum(x, w, |p| u.map(p), degree)));
                     }
                 }
                 self.matmul(a, &vx, &vw)?
@@ -1010,7 +1010,7 @@ impl<'g> Executor<'g> {
         };
         if let Some(d) = dense_of(&v) {
             self.stats.flops += 2 * d.data().len() as u64;
-            return Ok(Val::Scalar(d.data().iter().map(|&x| f(x)).sum()));
+            return Ok(Val::Scalar(map_sum(u, d.data())));
         }
         let fv = self.unary(u, v);
         self.aggregate(id, AggOp::Sum, &fv)
@@ -1114,14 +1114,18 @@ fn collect(out: Tiles) -> Result<Dense, PoolError> {
     Ok(d)
 }
 
-/// The scalar function of a unary op.
-fn unary_fn(u: UnaryOp) -> impl Fn(f64) -> f64 + Copy + Sync {
-    move |x: f64| match u {
-        UnaryOp::Exp => x.exp(),
-        UnaryOp::Log => x.ln(),
-        UnaryOp::Sqrt => x.sqrt(),
-        UnaryOp::Abs => x.abs(),
-    }
+/// `sum(u(xs))` without materializing `u(xs)`: one stack block of `xs` at a
+/// time is mapped by [`UnaryOp::map`] and added in order into one sum from
+/// [`Iterator::sum`]'s identity, the adds of summing the mapped slice.
+fn map_sum(u: UnaryOp, xs: &[f64]) -> f64 {
+    let mut buf = [0.0; 256];
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    xs.chunks(buf.len()).fold(zero, |sum, chunk| {
+        let mapped = &mut buf[..chunk.len()];
+        mapped.copy_from_slice(chunk);
+        u.map(mapped);
+        mapped.iter().fold(sum, |sum, &v| sum + v)
+    })
 }
 
 /// The values of one eval, indexed by node: each from the step that
@@ -1600,7 +1604,7 @@ mod tests {
         let w = Dense::from_rows(&[&[0.5, -1.0], &[0.25, 0.0]]);
         let mut env = env();
         env.bind("W", Matrix::Dense(w.clone()));
-        let want = ops::gemm(&x(), &w).map(f64::exp);
+        let want = ops::gemm(&x(), &w).map(dm_matrix::kernel::exp);
 
         // A fused node as the root has no `sum` to run it: it runs itself.
         let mut ex = Executor::with_plan(&g, plan).profiled();

@@ -31,6 +31,30 @@ pub enum UnaryOp {
     Abs,
 }
 
+impl UnaryOp {
+    /// The op over every value of `xs`, in place: the one definition every
+    /// evaluation of a unary op runs (the executor's unfused, fused and
+    /// scalar paths, the constant folder, the analyzer's intervals), so all
+    /// of them give the same bits. `exp` is the in-tree
+    /// [`kernel::exp`](dm_matrix::kernel::exp), run at vector width; `log`,
+    /// `sqrt` and `abs` are `f64`'s own.
+    pub fn map(self, xs: &mut [f64]) {
+        match self {
+            UnaryOp::Exp => dm_matrix::kernel::exp_in_place(xs),
+            UnaryOp::Log => xs.iter_mut().for_each(|x| *x = x.ln()),
+            UnaryOp::Sqrt => xs.iter_mut().for_each(|x| *x = x.sqrt()),
+            UnaryOp::Abs => xs.iter_mut().for_each(|x| *x = x.abs()),
+        }
+    }
+
+    /// The op on one value: [`UnaryOp::map`] of a one-value slice.
+    pub fn apply(self, x: f64) -> f64 {
+        let mut v = [x];
+        self.map(&mut v);
+        v[0]
+    }
+}
+
 /// Aggregation operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggOp {

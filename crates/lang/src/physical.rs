@@ -246,10 +246,11 @@ impl<'a> PlanOptions<'a> {
 pub const SPARSE_THRESHOLD: f64 = 0.2;
 
 /// Estimated flops below which serial dense kernels beat the multi-threaded
-/// ones: at ~1 Gflop/s-per-core effective throughput, 16M flops is in the
-/// tens of milliseconds — comfortably above the scoped-pool spawn + partition
-/// overhead — while everything the small-input benchmarks (E5) execute stays
-/// far below it.
+/// ones. The register tiles run ~30 GFLOP/s per core (E16), so 16M flops
+/// is ~0.5 ms of serial work: a few times the ~0.1 ms a parallel dispatch
+/// was measured to add (E13: a compressed gemv ran ~70 µs serial and
+/// ~195 µs at degree 2), while everything the small-input benchmarks (E5)
+/// execute stays far below it.
 pub const PAR_FLOP_THRESHOLD: u128 = 16_000_000;
 
 /// Assign a kernel to every node reachable from `root`, by the pipeline

@@ -190,15 +190,7 @@ impl Builder<'_> {
             }
             Op::Agg(_, a) => val(*a),
             Op::Transpose(a) => val(*a),
-            Op::Unary(u, a) => {
-                let x = val(*a)?;
-                Some(match u {
-                    UnaryOp::Exp => x.exp(),
-                    UnaryOp::Log => x.ln(),
-                    UnaryOp::Sqrt => x.sqrt(),
-                    UnaryOp::Abs => x.abs(),
-                })
-            }
+            Op::Unary(u, a) => Some(u.apply(val(*a)?)),
             _ => None,
         }
     }

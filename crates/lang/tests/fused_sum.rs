@@ -15,7 +15,7 @@ use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{Kernel, PlanOptions};
 use dm_lang::size::InputSizes;
 use dm_lang::CompiledProgram;
-use dm_matrix::{Dense, Matrix};
+use dm_matrix::{ops, Dense, Matrix};
 
 /// 1100 rows: two `ROW_BLOCK` panels, the second short. 1100 x 64 x 120 is
 /// 16.9 Mflop, past the planner's parallel threshold.
@@ -189,6 +189,13 @@ fn fused_sum_returns_the_unfused_bits() {
     for c in cases() {
         for &f in c.fs {
             let want = sum_bits(&c, f, Shared::Mapped, Config::Degree(1));
+            if c.x_sparsity == 1.0 {
+                // The reference: the op's own one-value function (for exp
+                // the in-tree `kernel::exp`) over the product, summed.
+                let product = ops::gemm(&c.x, &c.w);
+                let reference = ops::sum(&product.map(|v| f.apply(v)));
+                assert_eq!(reference.to_bits(), want, "{} {f:?} reference", c.name);
+            }
             for shared in [Shared::Nothing, Shared::Product, Shared::Mapped] {
                 for config in configs {
                     assert_eq!(

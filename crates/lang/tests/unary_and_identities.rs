@@ -5,7 +5,7 @@ use dm_lang::expr::{Graph, Op, UnaryOp};
 use dm_lang::parser;
 use dm_lang::rewrite::optimize;
 use dm_lang::size::InputSizes;
-use dm_matrix::{Csr, Dense, Matrix};
+use dm_matrix::{kernel, Csr, Dense, Matrix};
 
 fn env() -> Env {
     let mut e = Env::new();
@@ -69,6 +69,32 @@ fn unary_constant_folding() {
     let (og, oroot, stats) = optimize(&g, root, &InputSizes::new()).unwrap();
     assert!(stats.constants_folded >= 2);
     assert_eq!(og.op(oroot), &Op::Const(5.0));
+}
+
+#[test]
+fn a_folded_exp_has_the_bits_of_an_executed_one() {
+    // Constants where the in-tree exp and libm's differ (so a folder that
+    // called libm would show), the edges of its table path, a tiny one and
+    // the ones whose results overflow and underflow.
+    let witnesses = (0..100_000).map(|i| i as f64 * 1e-3 - 50.0);
+    let mut cs: Vec<f64> = witnesses.filter(|c| kernel::exp(*c) != c.exp()).take(3).collect();
+    assert_eq!(cs.len(), 3, "witnesses where the in-tree exp differs from libm");
+    cs.extend([0.0, 1e-300, 707.9, 708.1, 709.9, -707.9, -708.1, -745.0, -746.0]);
+    for c in cs {
+        let want = kernel::exp(c).to_bits();
+        let arg = if c < 0.0 { format!("0 - {:?}", -c) } else { format!("{c:?}") };
+        let (g, root) = parser::parse(&format!("exp({arg})")).unwrap();
+        let (og, oroot, _) = optimize(&g, root, &InputSizes::new()).unwrap();
+        let &Op::Const(folded) = og.op(oroot) else { panic!("exp({arg}) folds to a constant") };
+        assert_eq!(folded.to_bits(), want, "folded exp({arg})");
+        assert_eq!(eval(&format!("exp({arg})"), &env()).to_bits(), want, "executed exp({arg})");
+        // On a 1 x 1 matrix: the slice path.
+        let (g, root) = parser::parse("sum(exp(C))").unwrap();
+        let mut env = Env::new();
+        env.bind("C", Matrix::Dense(Dense::from_rows(&[&[c]])));
+        let got = Executor::new(&g).eval(root, &env).unwrap().as_scalar().unwrap();
+        assert_eq!(got.to_bits(), want, "sum(exp(C)) with C = [{c:e}]");
+    }
 }
 
 #[test]

@@ -105,6 +105,15 @@
 //! bits. Tile shape only changes which output elements share a register,
 //! never the operations an element sees.
 //!
+//! `exp` ([`crate::kernel::exp_in_place`]) runs in the same instantiations
+//! for their vector width, not their FMA: it is written in plain
+//! multiplies and adds, never `mul_add`, so each step rounds once in an
+//! SSE2, AVX2 or AVX-512 lane alike, and the slice form gives every value
+//! the bits of the one-value [`crate::kernel::exp`]. Its contract against
+//! libm (within 1 ulp, special values exact, monotone) is in
+//! [`crate::kernel`]'s docs. `gemm_map_sum` maps each panel of the
+//! product with it, so a fused `sum(exp(X %*% W))` keeps the unfused bits.
+//!
 //! The one deliberate deviation from a plain loop is a zero `a` meeting a
 //! non-finite `b`: `0.0 * inf` is `NaN`, and the reference kernels leave
 //! that term out (the historical loops skipped every `a[i][k] == 0.0`,
@@ -163,8 +172,10 @@ const AVX512_NR: usize = 32;
 
 /// A compiled instantiation of the microkernel driver: the register tile
 /// and the instruction set it is compiled for (see the module docs).
+/// Public so that benchmarks can time each one
+/// ([`crate::kernel::exp_in_place_on`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum Isa {
+pub enum Isa {
     /// The portable baseline build, 2x12 tile.
     #[default]
     Portable,
@@ -189,9 +200,8 @@ impl Isa {
     }
 
     /// Every instantiation this CPU can run: the hook tests use to pin each
-    /// one to the same bits.
-    #[cfg(test)]
-    pub(crate) fn available() -> Vec<Isa> {
+    /// one to the same bits, and benchmarks to time each.
+    pub fn available() -> Vec<Isa> {
         [Isa::Portable, Isa::Avx2, Isa::Avx512].into_iter().filter(|isa| isa.supported()).collect()
     }
 
@@ -945,7 +955,7 @@ mod tests {
                 }
             }
             for degree in [1, 3] {
-                let got = crate::par::gemm_map_sum(&x, &b, |v| v, degree);
+                let got = crate::par::gemm_map_sum(&x, &b, |_| {}, degree);
                 assert_bits(&[got], &[sum_want], &format!("gemm_map_sum degree {degree}"));
             }
         }

@@ -117,12 +117,15 @@ fn assert_gemm_dims(a: &Dense, b: &Dense) {
 }
 
 /// `sum(f(a * b))` without materializing `a * b`, bit-identical to
-/// `ops::sum(&gemm(a, b, _).map(f))`.
+/// `ops::sum` of `gemm(a, b, _)` after `f` maps its values in place. `f`
+/// maps a slice, so a cell-wise function runs at vector width over each
+/// panel (`kernel::exp_in_place`); it must map each value independently
+/// of where the slice is cut.
 ///
 /// The product is computed in [`ROW_BLOCK`]-row panels on the ordered fold
 /// of [`reduce_blocks`]: each worker runs the gemm body on one panel's
 /// rows (the rows of a product are independent, so a panel has the
-/// product's bits), applies `f` in place, and adds the panel into one
+/// product's bits), applies `f` to it in place, and adds the panel into one
 /// running sum in row order once every earlier panel is in. The sum starts
 /// from [`Iterator::sum`]'s identity, so it is the sequence of adds of
 /// summing the whole mapped product. `B` is packed once, before the fold,
@@ -133,7 +136,7 @@ fn assert_gemm_dims(a: &Dense, b: &Dense) {
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
-pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(f64) -> f64 + Sync, degree: usize) -> f64 {
+pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(&mut [f64]) + Sync, degree: usize) -> f64 {
     assert_gemm_dims(a, b);
     let (k, n) = (a.cols(), b.cols());
     // `B`'s slabs, packed once; none when `B` holds non-finite values.
@@ -155,7 +158,7 @@ pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(f64) -> f64 + Sync, degree:
             }
             None => kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut out),
         }
-        out.iter_mut().for_each(|v| *v = f(*v));
+        f(&mut out);
         out
     };
     let zero: f64 = std::iter::empty::<f64>().sum();
@@ -371,8 +374,14 @@ mod tests {
         // (the sum's identity matters for an empty or all -0.0 product).
         // A is non-negative with exact zeros and one B entry goes to -inf:
         // that selects the reference body, and exp keeps the sum finite
-        // only where it leaves out 0 * -inf.
-        let neg_zero = |_: f64| -0.0;
+        // only where it leaves out 0 * -inf. Each map is a slice map and
+        // its one-value reference.
+        type Map = (fn(f64) -> f64, fn(&mut [f64]));
+        let maps: [Map; 3] = [
+            (kernel::exp, kernel::exp_in_place),
+            (f64::abs, |p| p.iter_mut().for_each(|v| *v = v.abs())),
+            (|_| -0.0, |p| p.fill(-0.0)),
+        ];
         for rows in [0, 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7] {
             let a = Dense::from_fn(rows, 13, |r, c| {
                 if (r + c) % 5 == 0 {
@@ -387,10 +396,10 @@ mod tests {
                     b.set(4, 2, f64::NEG_INFINITY);
                 }
                 let product = gemm(&a, &b, 1);
-                for f in [f64::exp, f64::abs, neg_zero] {
+                for (f, map) in maps {
                     let want = crate::ops::sum(&product.map(f));
                     for degree in [1, 2, 3] {
-                        let got = gemm_map_sum(&a, &b, f, degree);
+                        let got = gemm_map_sum(&a, &b, map, degree);
                         assert_eq!(got.to_bits(), want.to_bits(), "{rows} rows, degree {degree}");
                     }
                 }
@@ -408,7 +417,7 @@ mod tests {
         let b = big(k, 9);
         let want = crate::ops::sum(&gemm(&a, &b, 1).map(f64::abs));
         let before = pack::PACKS.get();
-        let got = gemm_map_sum(&a, &b, f64::abs, 1);
+        let got = gemm_map_sum(&a, &b, |p| p.iter_mut().for_each(|v| *v = v.abs()), 1);
         assert_eq!(pack::PACKS.get() - before, 2, "packs of a 2-slab B over 3 row blocks");
         assert_eq!(got.to_bits(), want.to_bits());
     }

@@ -15,7 +15,6 @@
 //! * [`logreg::LogisticRegression`] — batch gradient descent with L2.
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding.
 //! * [`naive_bayes`] — Gaussian and Multinomial NB.
-//! * [`pca`] — power-iteration PCA with deflation.
 //! * [`tree::DecisionTree`] — CART with Gini impurity.
 //!
 //! ```
@@ -36,7 +35,6 @@ pub mod kmeans;
 pub mod linreg;
 pub mod logreg;
 pub mod naive_bayes;
-pub mod pca;
 pub mod sgd;
 pub mod softmax;
 pub mod tree;

@@ -22,10 +22,10 @@
 //!   the group's, and then its shared inputs must equal the group's bit for
 //!   bit. The group holds the leader's shared inputs as the leader's own
 //!   [`Env`], the one its execution binds, and a joiner compares its
-//!   environment against it ([`Env::same_bits`]): nothing is copied or
-//!   hashed to join. A joiner that matches no open group, or only full
-//!   ones, leads a new group, so requests against different models batch
-//!   side by side.
+//!   environment against it ([`Env::same_bits`]) outside the batcher's
+//!   lock: nothing is copied or hashed to join. A joiner that matches no
+//!   open group, or only full ones, leads a new group, so requests against
+//!   different models batch side by side.
 //! * **Column independence**: participant `j` receives exactly column `j`
 //!   of the stacked product — no cross-column mixing, and the split is a
 //!   pure copy (bit-exact). Each element of that column runs the chain the
@@ -143,14 +143,35 @@ impl Batcher {
     /// whose shared inputs equal `env` bit for bit, or lead a new one with
     /// `env` as its shared inputs. `column` is this request's batched
     /// vector. A follower's `env` is dropped once it compared equal.
+    ///
+    /// The comparison runs outside the batcher's lock, so joiners do not
+    /// queue behind each other's: under the lock only the candidates'
+    /// ids and environments (`Arc`s) are copied. A candidate that closed
+    /// or filled up before the joiner takes the lock again is passed over,
+    /// and the joiner leads a new group.
     pub fn join(&self, key: GroupKey, env: Env, column: Vec<f64>) -> Joined {
+        let matched = self.matching(&key, &env);
+        self.enter(matched, key, env, column)
+    }
+
+    /// The id of the first open group, not yet full, under `key` whose
+    /// shared inputs equal `env`, compared outside the lock.
+    fn matching(&self, key: &GroupKey, env: &Env) -> Option<u64> {
+        let candidates: Vec<(u64, Env)> = {
+            let st = self.state.lock().expect("batcher poisoned");
+            let open = st.open.iter().filter(|g| g.columns.len() < self.max && g.key == *key);
+            open.map(|g| (g.id, g.env.clone())).collect()
+        };
+        candidates.into_iter().find(|(_, group)| group.same_bits(env)).map(|(id, _)| id)
+    }
+
+    /// Follow group `matched` if it is still open and not full, else lead
+    /// a new group.
+    fn enter(&self, matched: Option<u64>, key: GroupKey, env: Env, column: Vec<f64>) -> Joined {
         let (tx, rx) = channel();
         let mut st = self.state.lock().expect("batcher poisoned");
         let max = self.max;
-        let open = st
-            .open
-            .iter_mut()
-            .find(|g| g.columns.len() < max && g.key == key && g.env.same_bits(&env));
+        let open = st.open.iter_mut().find(|g| Some(g.id) == matched && g.columns.len() < max);
         if let Some(g) = open {
             g.columns.push(column);
             g.senders.push(tx);
@@ -290,6 +311,25 @@ mod tests {
         job.complete(Err("boom".to_owned()));
         assert_eq!(rx.recv().unwrap().unwrap_err(), "boom");
         assert_eq!(f.join().unwrap().unwrap_err(), "boom");
+    }
+
+    #[test]
+    fn a_candidate_that_closes_before_the_join_is_passed_over() {
+        let b = Batcher::new(Duration::from_millis(1), 4);
+        let Joined::Leader(first, first_rx) = b.join(key(), env(1.0), vec![1.0]) else {
+            panic!("first join must lead")
+        };
+        // The joiner matches the open group, then the group closes and
+        // runs before the joiner takes the lock again.
+        let matched = b.matching(&key(), &env(1.0));
+        assert!(matched.is_some(), "equal inputs match the open group");
+        exec_double(b.collect(first));
+        let Joined::Leader(second, second_rx) = b.enter(matched, key(), env(1.0), vec![2.0]) else {
+            panic!("a closed group must not accept more")
+        };
+        exec_double(b.collect(second));
+        assert_eq!(first_rx.recv().unwrap().unwrap(), vec![2.0]);
+        assert_eq!(second_rx.recv().unwrap().unwrap(), vec![4.0]);
     }
 
     #[test]
