@@ -27,7 +27,11 @@
 //!
 //! `e16 tall` lines time the serial products of a tall `X` (8192x256, the
 //! `inproc_dense` operand): gemm against 8, 32 and 128 columns and
-//! crossprod, best-of-7 in milliseconds with their GFLOP/s.
+//! crossprod, best-of-7 in milliseconds with their GFLOP/s. The
+//! `e16 tall pass_8192x256` lines time `inproc_dense`'s three reductions of
+//! `X` (crossprod, `sum(exp(X %*% W))` with `W` 128 wide, and `t(X) %*% y`)
+//! as separate kernels and as one row pass (`par::row_pass`), serially and
+//! at degree 2, best-of-7.
 //!
 //! `e16 exp` lines time `e^x` over 1 M values in place (`EXP_N`, drawn
 //! from [-10, 10]): libm's `f64::exp` one value at a time against the
@@ -47,6 +51,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dm_compress::group::{encode, Encoding};
 use dm_compress::kernels;
 use dm_matrix::pack::Isa;
+use dm_matrix::par::{self, Member};
 use dm_matrix::{kernel, ops, Dense};
 
 const GEMM_SIZES: [usize; 4] = [256, 512, 1024, 2048];
@@ -192,6 +197,30 @@ fn bench(c: &mut Criterion) {
         tall(format!("crossprod_{TALL_ROWS}x{TALL_COLS}"), m * d * (d + 1.0), &|| {
             std::hint::black_box(ops::crossprod(&x));
         });
+        // inproc_dense's three reductions of X: separately (tmv serial, as
+        // the executor ran it alone), then as one row pass.
+        let (w, y) = (sample(TALL_COLS, 128, 20), sample(TALL_ROWS, 1, 21).into_vec());
+        let exp = |p: &mut [f64]| kernel::exp_in_place(p);
+        for degree in [1, 2] {
+            let separate = time_best(if test_mode { 1 } else { 7 }, || {
+                std::hint::black_box(par::crossprod(&x, degree));
+                std::hint::black_box(par::gemm_map_sum(&x, &w, exp, degree));
+                std::hint::black_box(par::gevm(&y, &x, 1));
+            });
+            let members = [Member::CrossProd, Member::GemmMapSum(&w, &exp), Member::Gevm(&y)];
+            let pass = time_best(if test_mode { 1 } else { 7 }, || {
+                std::hint::black_box(par::row_pass(&x, &members, degree));
+            });
+            if !test_mode {
+                let ms = |t: Duration| t.as_secs_f64() * 1e3;
+                println!(
+                    "e16 tall pass_{TALL_ROWS}x{TALL_COLS} degree {degree}: separate {:.2} ms, \
+                     one pass {:.2} ms",
+                    ms(separate),
+                    ms(pass)
+                );
+            }
+        }
     }
 
     // exp: best-of-15 in-place maps of EXP_N values, in ns per value.

@@ -39,6 +39,12 @@
 //! root without a plan, takes the unfused path. Both paths add the same
 //! values in the same order, so the bits match
 //! (`crates/lang/tests/fused_sum.rs`).
+//!
+//! The plan also groups row passes (step 4): the step of a pass's first
+//! member computes every member's value in one pass over the `X` they read
+//! ([`par::row_pass`]), and the other members produce nothing at their own
+//! steps. Each member keeps its own block-order fold, so the pass has the
+//! bits of running the members one by one (`crates/lang/tests/row_pass.rs`).
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::liveness::Schedule;
@@ -638,12 +644,150 @@ impl<'g> Executor<'g> {
         let sched = self.plan.schedule_for(self.graph, root);
         let mut table = ValueTable::new(&sched);
         for &id in sched.order() {
-            if !table.fused[id] {
-                let val = self.step(id, env, &mut table)?;
-                table.vals[id] = Some(val);
+            if table.fused[id] {
+                continue;
+            }
+            match sched.pass_of(id) {
+                Some(lead) if lead == id => {
+                    self.pass_step(&sched.pass_members(id), env, &mut table)?
+                }
+                Some(_) => {}
+                None => {
+                    let val = self.step(id, env, &mut table)?;
+                    table.vals[id] = Some(val);
+                }
             }
         }
         Ok(table.vals[root].take().expect("the schedule ends at its root"))
+    }
+
+    /// Run a row pass: every member's value from one pass over the `X` they
+    /// read ([`par::row_pass`]), at the plan's degree when a member runs
+    /// parallel and serially otherwise; every member then counts as a
+    /// parallel dispatch. A member whose operands are not what the plan
+    /// expected (a sparse `X`, a sparse `v` or `W`, mismatched shapes) runs
+    /// its own step first. Observed, each member that ran alone keeps its
+    /// step's time, and the rest of the pass's wall time goes to the other
+    /// members in proportion to their block work.
+    fn pass_step(
+        &mut self,
+        members: &[NodeId],
+        env: &Env,
+        table: &mut ValueTable,
+    ) -> Result<(), ExecError> {
+        let observed = self.profile.is_some() || (self.tracing && trace::is_enabled());
+        let span = (self.tracing && trace::is_enabled()).then(|| {
+            let mut s = trace::Span::enter("exec.row_pass", "exec");
+            s.arg("node", members[0]);
+            s.arg("members", members.len());
+            s
+        });
+        let t0 = Instant::now();
+        let (passed, alone): (Vec<NodeId>, Vec<NodeId>) =
+            members.iter().partition(|&&m| self.pass_operands(m, table).is_some());
+        let mut alone_ns = 0;
+        for m in alone {
+            let t = Instant::now();
+            let val = self.step(m, env, table)?;
+            table.vals[m] = Some(val);
+            alone_ns += elapsed_ns(t);
+        }
+        // Each member with the values it reads: `X` and its other operand.
+        let mut read = Vec::with_capacity(passed.len());
+        for &m in &passed {
+            let (x, other) = self.pass_operands(m, table).expect("checked above");
+            let other = other.map(|c| self.read(table, c));
+            read.push((m, self.read(table, x), other));
+        }
+        let Some((_, Val::Matrix(x), _)) = read.first() else { return Ok(()) };
+        let x = dense(x);
+        let (rows, cols) = (x.rows(), x.cols());
+        // The map of each passed `sum(f(X %*% W))`, in member order.
+        let maps: Vec<_> = passed
+            .iter()
+            .filter_map(|&m| match *self.graph.op(m) {
+                Op::Agg(AggOp::Sum, fa) => match *self.graph.op(fa) {
+                    Op::Unary(u, _) => Some(move |p: &mut [f64]| u.map(p)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        let mut maps = maps.iter();
+        let kernel_members: Vec<par::Member> = read
+            .iter()
+            .map(|(m, _, other)| match (self.graph.op(*m), other.as_ref().and_then(dense_of)) {
+                (Op::CrossProd(_), _) => par::Member::CrossProd,
+                (Op::Tmv(..), Some(v)) => par::Member::Gevm(v.data()),
+                (Op::Agg(AggOp::Sum, _), Some(w)) => {
+                    par::Member::GemmMapSum(w, maps.next().expect("a map per sum"))
+                }
+                _ => par::Member::ColSums,
+            })
+            .collect();
+        let parallel = passed.iter().any(|&m| self.plan.runs_parallel(self.graph, m));
+        let out = par::row_pass(&x, &kernel_members, if parallel { self.plan.degree() } else { 1 });
+        let mut vals = Vec::with_capacity(passed.len());
+        for ((m, _, other), value) in read.iter().zip(out.values) {
+            // The flops each member's own step would count.
+            let (flops, val) = match (self.graph.op(*m), value) {
+                (_, par::PassValue::Matrix(d)) => (rows * cols * cols, dense_val(d)),
+                (Op::Tmv(..), par::PassValue::Vector(v)) => (2 * rows * cols, column_val(v)),
+                (_, par::PassValue::Vector(v)) => {
+                    let row = Dense::from_vec(1, v.len(), v).expect("1 x n holds n values");
+                    (rows * cols, dense_val(row))
+                }
+                (_, par::PassValue::Scalar(sum)) => {
+                    let n = other.as_ref().map_or(0, |w| dims(w).1);
+                    // The sum runs its fused map and product too.
+                    self.stats.nodes_evaluated += 2;
+                    (2 * rows * cols * n + 2 * rows * n, Val::Scalar(sum))
+                }
+            };
+            self.stats.flops += flops as u64;
+            self.stats.nodes_evaluated += 1;
+            vals.push((*m, flops as u64, val));
+        }
+        if parallel {
+            self.stats.par_nodes += passed.len() as u64;
+        }
+        if observed {
+            let wall = elapsed_ns(t0).saturating_sub(alone_ns);
+            let work: u64 = out.work_ns.iter().sum();
+            let mut left = wall;
+            for (i, ((m, flops, val), ns)) in vals.iter().zip(&out.work_ns).enumerate() {
+                let share = if i + 1 == vals.len() {
+                    left
+                } else {
+                    (wall as u128 * *ns as u128 / work.max(1) as u128) as u64
+                };
+                left -= share.min(left);
+                self.observe(*m, env, val, share, *flops, self.family(*m));
+            }
+        }
+        drop(span);
+        for (m, _, val) in vals {
+            table.vals[m] = Some(val);
+        }
+        Ok(())
+    }
+
+    /// The `X` node `m` reads in its row pass and its other operand, when
+    /// their values are what the pass runs on: a dense `X`, a dense column
+    /// `v` of its height for `tmv`, and a dense `W` of its width and wider
+    /// than one column for a `sum`.
+    fn pass_operands(&self, m: NodeId, table: &ValueTable) -> Option<(NodeId, Option<NodeId>)> {
+        let (x, others) = self.plan.pass_of(self.graph, m)?;
+        let x_dims = dense_of(table.vals[x].as_ref()?)?.shape();
+        let other = others.first().copied();
+        let fits =
+            match (other.and_then(|c| table.vals[c].as_ref()).and_then(dense_of), self.graph.op(m))
+            {
+                (None, _) => other.is_none(),
+                (Some(v), Op::Tmv(..)) => v.shape() == (x_dims.0, 1),
+                (Some(w), _) => w.rows() == x_dims.1 && w.cols() > 1,
+            };
+        fits.then_some((x, other))
     }
 
     /// Run node `id`'s step, timed and traced when the executor observes
@@ -682,35 +826,49 @@ impl<'g> Executor<'g> {
             KernelChoice::Sparse => KernelChoice::Dense,
             family => family,
         };
-        let (rows, cols) = dims(&val);
         if let Some(s) = &mut span {
+            let (rows, cols) = dims(&val);
             s.arg("kernel", kernel.name());
             s.arg("rows", rows);
             s.arg("cols", cols);
             s.arg("flops", flops);
         }
-        if let Some(p) = &mut self.profile {
-            let node = p.nodes.entry(id).or_default();
-            node.evals += 1;
-            node.self_ns += ns;
-            node.self_flops += flops;
-            node.kernel = Some(kernel);
-            node.out_rows = rows;
-            node.out_cols = cols;
-            node.out_sparsity = match &val {
-                Val::Matrix(m) if rows * cols > 0 => {
-                    // An input bound with its count is not scanned again.
-                    let counted = match self.graph.op(id) {
-                        Op::Input(name) => env.nnz(name),
-                        _ => None,
-                    };
-                    counted.unwrap_or_else(|| m.nnz()) as f64 / (rows * cols) as f64
-                }
-                Val::Matrix(_) => 0.0,
-                Val::Scalar(_) => 1.0,
-            };
-        }
+        self.observe(id, env, &val, ns, flops, kernel);
         Ok(val)
+    }
+
+    /// Add one step of node `id` that produced `val` to the profile, when
+    /// the executor profiles.
+    fn observe(
+        &mut self,
+        id: NodeId,
+        env: &Env,
+        val: &Val,
+        ns: u64,
+        flops: u64,
+        kernel: KernelChoice,
+    ) {
+        let Some(p) = &mut self.profile else { return };
+        let (rows, cols) = dims(val);
+        let node = p.nodes.entry(id).or_default();
+        node.evals += 1;
+        node.self_ns += ns;
+        node.self_flops += flops;
+        node.kernel = Some(kernel);
+        node.out_rows = rows;
+        node.out_cols = cols;
+        node.out_sparsity = match val {
+            Val::Matrix(m) if rows * cols > 0 => {
+                // An input bound with its count is not scanned again.
+                let counted = match self.graph.op(id) {
+                    Op::Input(name) => env.nnz(name),
+                    _ => None,
+                };
+                counted.unwrap_or_else(|| m.nnz()) as f64 / (rows * cols) as f64
+            }
+            Val::Matrix(_) => 0.0,
+            Val::Scalar(_) => 1.0,
+        };
     }
 
     /// Read operand `id` for the running step. The last read takes the

@@ -74,6 +74,9 @@ fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan
     if let Some(sum) = plan.fused_into(id) {
         parts.push(format!("fused into %{sum}"));
     }
+    if let Some(lead) = plan.schedule().pass_of(id) {
+        parts.push(format!("row pass at %{lead}"));
+    }
     format!("  [{}]", parts.join(", "))
 }
 
@@ -121,7 +124,8 @@ fn render_tree(
 /// subtrees printed once and referenced thereafter, each node annotated with
 /// its propagated shape, sparsity estimate and kernel (`parallel` and
 /// `blocked` included); a node the plan fused names the `sum` that computes
-/// it (`fused into %7`). Nodes without propagated sizes show their kernel
+/// it (`fused into %7`), and a member of a row pass the member whose step
+/// runs the pass (`row pass at %1`). Nodes without propagated sizes show their kernel
 /// only. Two sections follow from what the program was planned with:
 ///
 /// * a bounded budget appends the plan's

@@ -31,6 +31,9 @@
 //!   `A` it is charged as built, since that step maps `A` first), and a
 //!   fused `X %*% W` holds only its `degree` streamed `ROW_BLOCK`-row
 //!   panels, at that step;
+//! * the members of a **row pass** (step 4) all run at the step of its first
+//!   member, so each member's value is charged from that step and its
+//!   operands stay live until it;
 //! * at a blocked node's own step, a **pool term**: the bytes its operand
 //!   and output [`BlockStore`](dm_buffer::BlockStore)s would charge the
 //!   pool (dense cells plus [`FRAME_OVERHEAD`](dm_buffer::FRAME_OVERHEAD)
@@ -77,6 +80,9 @@ pub struct Schedule {
     /// Per node: computed inside the step of the `sum` the plan fused it
     /// into, producing nothing at its own.
     fused: Vec<bool>,
+    /// Per node: the member of its row pass whose step runs the pass, when
+    /// it is in one; only that member's step produces anything.
+    pass: Vec<Option<NodeId>>,
 }
 
 impl Schedule {
@@ -84,7 +90,9 @@ impl Schedule {
     /// root) under `plan`. A node the plan fused into a scheduled `sum` runs
     /// at that `sum`'s step, so its operands live until then; one whose
     /// `sum` is off the schedule (a fused node evaluated as a root) runs at
-    /// its own step.
+    /// its own step. The scheduled members of a row pass run at the step of
+    /// the first of them, each whose other operands are computed before
+    /// that step; a pass of one member runs as the node alone.
     pub fn new(graph: &Graph, order: Vec<NodeId>, plan: &PhysicalPlan) -> Self {
         let mut step = vec![None; graph.len()];
         for (i, &n) in order.iter().enumerate() {
@@ -94,6 +102,25 @@ impl Schedule {
         // often as the plan's own does, so a fused node keeps its `sum` as
         // only reader whenever that `sum` is scheduled.
         let covered = order.last().is_some_and(|&root| plan.covers(root));
+        let mut pass = vec![None; graph.len()];
+        if covered {
+            // Per matrix read: the first member's step and the members.
+            let mut passes: BTreeMap<NodeId, (usize, Vec<NodeId>)> = BTreeMap::new();
+            for &n in &order {
+                let Some((x, others)) = plan.pass_of(graph, n) else { continue };
+                let at = step[n].expect("a scheduled node has a step");
+                let (first, members) = passes.entry(x).or_insert((at, Vec::new()));
+                if others.iter().all(|&c| step[c].is_some_and(|s| s < *first)) {
+                    members.push(n);
+                }
+            }
+            for (at, members) in passes.into_values().filter(|(_, m)| m.len() > 1) {
+                for &m in &members {
+                    pass[m] = Some(members[0]);
+                    step[m] = Some(at);
+                }
+            }
+        }
         let mut fused = vec![false; graph.len()];
         for &n in &order {
             if let Some(sum) = plan.fused_into(n).filter(|&s| covered && step[s].is_some()) {
@@ -110,7 +137,7 @@ impl Schedule {
                 last_use[c] = last_use[c].max(at);
             }
         }
-        Schedule { order, step, last_use, reads, fused }
+        Schedule { order, step, last_use, reads, fused, pass }
     }
 
     /// Number of steps (= scheduled nodes).
@@ -147,6 +174,18 @@ impl Schedule {
     /// Fused marks per node, indexed by node.
     pub(crate) fn fused(&self) -> &[bool] {
         &self.fused
+    }
+
+    /// The member whose step runs node `id`'s row pass, when `id` runs in
+    /// one (itself for that member).
+    pub fn pass_of(&self, id: NodeId) -> Option<NodeId> {
+        self.pass.get(id).copied().flatten()
+    }
+
+    /// The members of the row pass that node `lead`'s step runs, in
+    /// schedule order, `lead` first.
+    pub(crate) fn pass_members(&self, lead: NodeId) -> Vec<NodeId> {
+        self.order.iter().copied().filter(|&n| self.pass_of(n) == Some(lead)).collect()
     }
 }
 
@@ -587,8 +626,9 @@ mod tests {
     #[test]
     fn fused_nodes_are_charged_their_streamed_panels_only() {
         // The inproc_dense program at degree 2. X %*% W and exp(X %*% W) are
-        // 8 MiB each; the sum step streams the product two 1 MiB panels at a
-        // time and folds exp over them.
+        // 8 MiB each; the sum streams the product two 1 MiB panels at a time
+        // and folds exp over them, in the row pass over X that computes the
+        // crossprod and the tmv too.
         let mut inputs = InputSizes::new();
         inputs.declare("X", 8192, 256, 1.0);
         inputs.declare("W", 256, 128, 1.0);
@@ -599,10 +639,10 @@ mod tests {
         let sizes = propagate(&g, root, &inputs).unwrap();
         let plan = planned(&g, root, &PlanOptions { degree: 2, ..PlanOptions::new(&inputs) });
         let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
-        let (x, w, product) = (8192 * 256 * 8, 256 * 128 * 8, 8192 * 128 * 8);
-        let panels = 2 * ROW_BLOCK * 128 * 8;
-        // At the sum's step: X, W, the panels, the first sum and this one.
-        assert_eq!(cert.peak_bytes, x + w + panels + 2 * 8, "{}", cert.render(&g));
+        let (x, w, y, product) = (8192 * 256 * 8, 256 * 128 * 8, 8192 * 8, 8192 * 128 * 8);
+        let (panels, gram, tmv) = (2 * ROW_BLOCK * 128 * 8, 256 * 256 * 8, 256 * 8);
+        // At the pass's step: X, W, y, the panels and each member's value.
+        assert_eq!(cert.peak_bytes, x + w + y + panels + gram + tmv + 8, "{}", cert.render(&g));
         // Both products charged whole peak at X, both and the first sum.
         assert!(x + 2 * product + 8 - cert.peak_bytes >= 12 << 20);
     }

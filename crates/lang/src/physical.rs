@@ -7,7 +7,8 @@
 //! one pipeline: propagated sparsity estimates pick the dense or sparse
 //! family (crossover calibrated by experiment E6), dense nodes with a
 //! multi-threaded kernel upgrade to [`Kernel::Parallel`] where that pays,
-//! `sum(f(A))` patterns fuse into their `sum`, and under a bounded
+//! `sum(f(A))` patterns fuse into their `sum`, reductions of one dense
+//! matrix share a row pass over it, and under a bounded
 //! [`MemoryBudget`] the liveness certifier downgrades nodes to
 //! [`Kernel::Blocked`] until the plan's peak live set fits.
 //! [`PlanOptions`] carries everything the pipeline is parameterized by.
@@ -19,7 +20,7 @@ use crate::liveness::{
 };
 use crate::memory::MemoryBudget;
 use crate::size::{InputSizes, SizeInfo};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,6 +62,8 @@ pub struct PhysicalPlan {
     kernels: HashMap<NodeId, Kernel>,
     /// Each fused node, mapped to the `sum` whose step computes it.
     fused: HashMap<NodeId, NodeId>,
+    /// Each member of a row pass, mapped to the matrix the pass reads.
+    passes: HashMap<NodeId, NodeId>,
     degree: usize,
     pub(crate) mem_budget: Option<usize>,
     /// Shared, since the server clones the plan per request.
@@ -88,8 +91,8 @@ impl PhysicalPlan {
 
     /// The schedule the planner fitted the plan to: the depth-first order,
     /// or under a bounded budget the peak-minimizing one when that fits
-    /// better (step 4 of [`PlanOptions`]' pipeline), with every value's
-    /// lifetime under the plan's fusion.
+    /// better (step 5 of [`PlanOptions`]' pipeline), with every value's
+    /// lifetime under the plan's fusion and row passes.
     /// [`Executor::eval`](crate::exec::Executor::eval) of the plan's root
     /// runs it. Empty for a plan the planner did not build.
     pub fn schedule(&self) -> &Schedule {
@@ -114,6 +117,50 @@ impl PhysicalPlan {
     /// it (see [`PlanOptions`], step 3); the fused node produces nothing at its own step.
     pub(crate) fn fused_into(&self, id: NodeId) -> Option<NodeId> {
         self.fused.get(&id).copied()
+    }
+
+    /// The matrix `X` node `id` reads in a row pass and its other
+    /// operands, when the plan put it in one (see [`PlanOptions`], step 4);
+    /// whether it runs in it depends on the schedule ([`Schedule::pass_of`]).
+    pub(crate) fn pass_of(&self, graph: &Graph, id: NodeId) -> Option<(NodeId, Vec<NodeId>)> {
+        self.passes.get(&id).and(self.pass_operands(graph, id))
+    }
+
+    /// The matrix `X` node `id` would read in a row pass and its other
+    /// operands, when it may join one: `crossprod(X)`, `tmv(X, v)` and
+    /// `colSums(X)` on [`Kernel::Dense`] or [`Kernel::Parallel`], and a
+    /// `sum` that fused `f(X %*% W)`, whose product is on one of those. `X`
+    /// must not be planned sparse. `sumSq` never joins: its fold runs over
+    /// `ELEM_BLOCK`-element blocks, not rows.
+    fn pass_operands(&self, graph: &Graph, id: NodeId) -> Option<(NodeId, Vec<NodeId>)> {
+        let in_memory = |n: NodeId| matches!(self.kernel(n), Kernel::Dense | Kernel::Parallel);
+        let (on, x, others) = match *graph.op(id) {
+            Op::CrossProd(x) | Op::Agg(AggOp::ColSums, x) => (id, x, vec![]),
+            Op::Tmv(x, v) => (id, x, vec![v]),
+            Op::Agg(AggOp::Sum, fa) if self.fused_into(fa) == Some(id) => {
+                let Op::Unary(_, a) = *graph.op(fa) else { return None };
+                let Op::MatMul(x, w) = *graph.op(a) else { return None };
+                if self.fused_into(a) != Some(id) {
+                    return None;
+                }
+                (a, x, vec![w])
+            }
+            _ => return None,
+        };
+        (in_memory(on) && self.kernel(x) != Kernel::Sparse).then_some((x, others))
+    }
+
+    /// Whether node `id` runs at the plan's degree: a node on
+    /// [`Kernel::Parallel`], or a `sum` whose fused product is.
+    pub(crate) fn runs_parallel(&self, graph: &Graph, id: NodeId) -> bool {
+        let on = match *graph.op(id) {
+            Op::Agg(AggOp::Sum, fa) => match *graph.op(fa) {
+                Op::Unary(_, a) if self.fused_into(a) == Some(id) => a,
+                _ => id,
+            },
+            _ => id,
+        };
+        self.kernel(on) == Kernel::Parallel && self.degree() > 1
     }
 
     /// True when `root` is a planned node. A schedule ending there reads
@@ -179,7 +226,18 @@ impl PhysicalPlan {
 ///    wider than one column, it fuses too: the `sum` streams it in row
 ///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
 ///    node keeps its kernel.
-/// 4. **Memory**, under a bounded [`budget`](Self::budget): the liveness
+/// 4. **Row passes**: the nodes that reduce the same dense `X` row block by
+///    row block — `crossprod(X)`, `tmv(X, v)`, `colSums(X)` and a `sum`
+///    that fused `f(X %*% W)`, on [`Kernel::Dense`] or [`Kernel::Parallel`]
+///    — form one pass over `X` (`dm_matrix::par::row_pass`) that runs at
+///    the step of the first of them, at the degree when one is parallel. A
+///    node joins when its other operand (`v`, `W`) is an input or a
+///    constant, which moves up to before that step, or is scheduled before
+///    it already. `sumSq` stays out: it folds `ELEM_BLOCK`-element blocks,
+///    and a row-block fold would change its bits. A member that goes
+///    [`Kernel::Blocked`] in step 5 leaves its pass, and a pass left with
+///    one member dissolves.
+/// 5. **Memory**, under a bounded [`budget`](Self::budget): the liveness
 ///    certifier ([`certify_schedule`]) accounts for composite peaks — several
 ///    individually-fitting values live at one step — and each round the
 ///    blockable node at the peak whose downgrade to [`Kernel::Blocked`]
@@ -268,6 +326,7 @@ pub(crate) fn plan(
     let mut p = PhysicalPlan {
         kernels,
         fused: HashMap::new(),
+        passes: HashMap::new(),
         degree: opts.degree.max(1),
         mem_budget: opts.budget.get(),
         schedule: Arc::default(),
@@ -299,6 +358,7 @@ pub(crate) fn plan(
     // not change.
     p.reschedule(graph, reachable);
     fuse(graph, sizes, &mut p);
+    group_passes(graph, &mut p);
     let Some(limit) = opts.budget.get() else {
         let cert = certify_plan(graph, root, &p, sizes, opts.budget);
         return (p, cert);
@@ -341,11 +401,79 @@ fn fuse(graph: &Graph, sizes: &HashMap<NodeId, SizeInfo>, p: &mut PhysicalPlan) 
     p.reschedule(graph, sched.order().to_vec());
 }
 
-/// Move node `id` to [`Kernel::Blocked`]; a blocked matmul does not fuse,
-/// so un-fusing it reschedules the plan.
+/// Group the row passes of the plan's schedule (step 4 of [`plan`]): the
+/// nodes that may join one ([`PhysicalPlan::pass_operands`]) and read the
+/// same `X` form a pass when at least two of them can run at the step of
+/// the first: a node joins when each of its other operands is an input or
+/// constant, which is moved up to before that step, or is scheduled before
+/// it already.
+fn group_passes(graph: &Graph, p: &mut PhysicalPlan) {
+    let sched = Arc::clone(&p.schedule);
+    let mut groups: BTreeMap<NodeId, Vec<(NodeId, Vec<NodeId>)>> = BTreeMap::new();
+    for &n in sched.order() {
+        if let Some((x, others)) = p.pass_operands(graph, n) {
+            groups.entry(x).or_default().push((n, others));
+        }
+    }
+    groups.retain(|_, members| members.len() > 1);
+    if groups.is_empty() {
+        return;
+    }
+    let mut pos = vec![usize::MAX; graph.len()];
+    for (i, &n) in sched.order().iter().enumerate() {
+        pos[n] = i;
+    }
+    let leaf = |n: NodeId| matches!(graph.op(n), Op::Input(_) | Op::Const(_));
+    // Per lead, the leaves moved up to before it.
+    let mut moved: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+    for (x, members) in groups {
+        let first = pos[members[0].0];
+        let joins = |others: &[NodeId]| others.iter().all(|&c| pos[c] < first || leaf(c));
+        let joined: Vec<_> = members.iter().filter(|(_, others)| joins(others)).collect();
+        if joined.len() < 2 {
+            continue;
+        }
+        for (m, others) in joined {
+            p.passes.insert(*m, x);
+            let late = others.iter().filter(|&&c| pos[c] > first);
+            moved.entry(members[0].0).or_default().extend(late);
+        }
+    }
+    if p.passes.is_empty() {
+        return;
+    }
+    let mut placed = vec![false; graph.len()];
+    let mut order = Vec::with_capacity(sched.len());
+    for &n in sched.order() {
+        for &c in moved.get(&n).into_iter().flatten() {
+            if !std::mem::replace(&mut placed[c], true) {
+                order.push(c);
+            }
+        }
+        if !std::mem::replace(&mut placed[n], true) {
+            order.push(n);
+        }
+    }
+    p.reschedule(graph, order);
+}
+
+/// Move node `id` to [`Kernel::Blocked`]. A blocked matmul does not fuse
+/// and a blocked node joins no row pass, so a pass left with one member
+/// dissolves; either change reschedules the plan.
 fn block(graph: &Graph, p: &mut PhysicalPlan, id: NodeId) {
     p.kernels.insert(id, Kernel::Blocked);
-    if p.fused.remove(&id).is_some() {
+    let unfused = p.fused.remove(&id).is_some();
+    let left: Vec<NodeId> =
+        p.passes.keys().copied().filter(|&m| p.pass_operands(graph, m).is_none()).collect();
+    for m in &left {
+        p.passes.remove(m);
+    }
+    let mut readers: HashMap<NodeId, usize> = HashMap::new();
+    for &x in p.passes.values() {
+        *readers.entry(x).or_default() += 1;
+    }
+    p.passes.retain(|_, x| readers[x] > 1);
+    if unfused || !left.is_empty() {
         p.reschedule(graph, p.schedule.order().to_vec());
     }
 }

@@ -12,7 +12,10 @@
 //!   `sum`, and the certificate charges the streamed panels the eval
 //!   really holds instead of either 8 MiB value;
 //! - `crossprod(X)` of a 1 Mi-row `X` at degree 2: of its 1024 block
-//!   partials, at most three are live at once.
+//!   partials, at most three are live at once;
+//! - the `inproc_dense` program, whose crossprod, fused `sum(exp(X %*% W))`
+//!   and tmv share one row pass over `X`: the certificate charges every
+//!   member's value and the streamed panels at the pass's step.
 //!
 //! The counter is process-wide, so the tests serialize through one lock.
 
@@ -279,13 +282,62 @@ fn a_tall_crossprod_holds_at_most_three_partials_at_degree_two() {
     let partial = bytes(D, D);
     let (gram, high_water) = measure(|| dm_matrix::par::crossprod(&x, 2));
     assert_eq!(gram, dm_matrix::par::crossprod(&x, 1), "the degree changes no bits");
-    // Each worker also packs its 128-row chunks into a slab at most one
+    // Each worker also packs its 64-row chunks into a slab at most one
     // 32-column register tile wide; thread start-up allocates a little.
-    let scratch = 2 * bytes(128, 32) + (16 << 10);
+    let scratch = 2 * bytes(64, 32) + (16 << 10);
     println!("crossprod of {N}x{D} at degree 2: high water {high_water} B, partial {partial} B");
     assert!(
         high_water <= 3 * partial + scratch,
         "high water {high_water} B: more than 3 partials of {partial} B and {scratch} B of scratch"
     );
     assert!(N / ROW_BLOCK * partial > 4 * (3 * partial + scratch), "the bound tells 1024 apart");
+}
+
+#[test]
+fn a_row_pass_is_certified_at_its_members_and_panels() {
+    // The inproc_dense program at degree 2: the crossprod, the fused
+    // sum(exp(X %*% W)) and the tmv run in one pass over X, at the step of
+    // the crossprod, which holds every member's value and the streamed
+    // panels of X %*% W at once.
+    const N: usize = 8192;
+    const D: usize = 256;
+    const M: usize = 128;
+    const DEGREE: usize = 2;
+    let _guard = lock();
+    let src = "sum(abs(t(X) %*% X)) + sum(exp(X %*% W)) + sum(abs(t(X) %*% y))";
+    let mut sizes = InputSizes::new();
+    sizes.declare("X", N, D, 1.0);
+    sizes.declare("W", D, M, 1.0);
+    sizes.declare("y", N, 1, 1.0);
+    let (g, root) = dm_lang::parser::parse(src).unwrap();
+    let (g, root, _) = dm_lang::optimize(&g, root, &sizes).unwrap();
+    let infos = propagate(&g, root, &sizes).unwrap();
+    let opts = PlanOptions { degree: DEGREE, ..PlanOptions::new(&sizes) };
+    let p = CompiledProgram::new(g.clone(), root, &opts).unwrap().plan;
+    let members = g.reachable(root).into_iter().filter(|&n| p.schedule().pass_of(n).is_some());
+    assert_eq!(members.count(), 3, "crossprod, the fused sum and tmv share a pass");
+    let certified = certify_plan(&g, root, &p, &infos, MemoryBudget::unbounded()).peak_bytes;
+    let mut env = Env::new();
+    env.bind("X", Matrix::Dense(input(N, D, 0)));
+    env.bind("W", Matrix::Dense(input(D, M, 1)));
+    env.bind("y", Matrix::Dense(input(N, 1, 2)));
+    let inputs = bytes(N, D) + bytes(D, M) + bytes(N, 1);
+    let mut ex = Executor::with_plan(&g, p);
+    let (_, high_water) = measure(|| ex.eval(root, &env).unwrap());
+    // Besides what the certificate charges, the pass holds a block partial
+    // of the crossprod and of the tmv per worker, each worker's crossprod
+    // packing scratch (64 rows of X) and W packed once; thread start-up and
+    // the pass's bookkeeping allocate a little.
+    let slack =
+        DEGREE * (bytes(D, D) + bytes(1, D) + bytes(64, D)) + bytes(D, M + 32) + (128 << 10);
+    println!(
+        "row pass at degree {DEGREE}: high water {high_water} B, certified {certified} B of which \
+         {inputs} B inputs bound before the eval, {slack} B of partials and scratch allowed"
+    );
+    assert!(certified >= high_water, "certified {certified} B, observed {high_water} B");
+    assert!(
+        high_water <= certified - inputs + slack,
+        "observed {high_water} B over the certified {} B and {slack} B of partials and scratch",
+        certified - inputs
+    );
 }

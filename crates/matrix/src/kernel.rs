@@ -146,31 +146,47 @@ fn gemv_chains<const FINITE: bool>(panel: &[f64], cols: usize, v: &[f64], out: &
 /// `part += v[r] * row r` over the panel's `v.len()` rows (`part.len()`
 /// wide), skipping rows whose scalar is `0.0`. Rows go in pairs: the two
 /// `+=` stay separate statements, so element `j` still sees row `r` before
-/// row `r + 1`.
-pub(crate) fn gevm(panel: &[f64], v: &[f64], part: &mut [f64]) {
-    let cols = part.len();
-    let mut r = 0;
-    while r + 1 < v.len() {
-        let (s0, s1) = (v[r], v[r + 1]);
-        if s0 != 0.0 && s1 != 0.0 {
-            let (x0, x1) = (row(panel, cols, r), row(panel, cols, r + 1));
-            for ((o, &a), &b) in part.iter_mut().zip(x0).zip(x1) {
-                *o += s0 * a;
-                *o += s1 * b;
+/// row `r + 1`. Each step is a plain multiply and add, never `mul_add`, so
+/// every instantiation gives the same bits.
+pub(crate) fn gevm_on(isa: Isa, panel: &[f64], v: &[f64], part: &mut [f64]) {
+    isa.run(Gevm { panel, v, part });
+}
+
+/// [`gevm_on`]'s loop, as a [`Tiled`] body for its vector width.
+struct Gevm<'r> {
+    panel: &'r [f64],
+    v: &'r [f64],
+    part: &'r mut [f64],
+}
+
+impl Tiled for Gevm<'_> {
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize>(self) {
+        let Gevm { panel, v, part } = self;
+        let cols = part.len();
+        let mut r = 0;
+        while r + 1 < v.len() {
+            let (s0, s1) = (v[r], v[r + 1]);
+            if s0 != 0.0 && s1 != 0.0 {
+                let (x0, x1) = (row(panel, cols, r), row(panel, cols, r + 1));
+                for ((o, &a), &b) in part.iter_mut().zip(x0).zip(x1) {
+                    *o += s0 * a;
+                    *o += s1 * b;
+                }
+            } else {
+                axpy(part, s0, row(panel, cols, r));
+                axpy(part, s1, row(panel, cols, r + 1));
             }
-        } else {
-            axpy(part, s0, row(panel, cols, r));
-            axpy(part, s1, row(panel, cols, r + 1));
+            r += 2;
         }
-        r += 2;
-    }
-    if r < v.len() {
-        axpy(part, v[r], row(panel, cols, r));
+        if r < v.len() {
+            axpy(part, v[r], row(panel, cols, r));
+        }
     }
 }
 
 /// `part += s * row`, skipped when `s == 0.0`.
-#[inline]
+#[inline(always)]
 fn axpy(part: &mut [f64], s: f64, row: &[f64]) {
     if s != 0.0 {
         for (o, &x) in part.iter_mut().zip(row) {

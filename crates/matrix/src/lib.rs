@@ -36,7 +36,6 @@ pub mod dense;
 pub mod error;
 pub mod kernel;
 pub mod le;
-pub mod lu;
 pub mod ops;
 pub mod pack;
 pub mod par;

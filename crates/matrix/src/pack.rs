@@ -153,10 +153,12 @@ pub const MC: usize = 128;
 /// sized for the shared outer cache).
 pub const NC: usize = 512;
 
-/// Crossprod's packing depth in panel rows: a quarter of [`KC`], so each
-/// worker's scratch stays small (256 KiB at `d = 256`) at the cost of one
-/// more load and store of each output tile per chunk.
-const CROSSPROD_KC: usize = 128;
+/// Crossprod's packing depth in panel rows: an eighth of [`KC`], so one
+/// packed 32-wide column tile (16 KiB) stays in L1 while every sliver above
+/// the diagonal runs against it, and each worker's scratch stays small
+/// (128 KiB at `d = 256`), at the cost of one more load and store of each
+/// output tile per chunk.
+const CROSSPROD_KC: usize = 64;
 
 /// The portable instantiation's register tile (`MR x NR`).
 const PORTABLE_MR: usize = 2;
@@ -617,15 +619,15 @@ impl Tiled for CrossprodTiles<'_> {
         let CrossprodTiles { isa, panel, d, part, slab } = self;
         for chunk in panel.chunks(CROSSPROD_KC * d) {
             slab.pack(isa, chunk, d, 0..chunk.len() / d, 0..d);
-            for i0 in (0..d).step_by(MR) {
-                let iw = (i0 + MR).min(d) - i0;
-                let (at, sliver) = (slab.tile(i0 / NR).as_chunks::<NR>().0, i0 % NR / MR);
-                // The first column tile that reaches the diagonal.
-                for jt in i0 / NR..d.div_ceil(NR) {
-                    let jw = (jt * NR + NR).min(d) - jt * NR;
+            // One packed column tile stays in L1 while every sliver at or
+            // above the diagonal runs against it.
+            for jt in 0..d.div_ceil(NR) {
+                let (bt, jw) = (slab.tile(jt).as_chunks::<NR>().0, (jt * NR + NR).min(d) - jt * NR);
+                for i0 in (0..(jt * NR + jw)).step_by(MR) {
+                    let iw = (i0 + MR).min(d) - i0;
+                    let (at, sliver) = (slab.tile(i0 / NR).as_chunks::<NR>().0, i0 % NR / MR);
                     let a = at.iter().map(|row| row.as_chunks::<MR>().0[sliver]);
-                    let steps = a.zip(slab.tile(jt).as_chunks::<NR>().0);
-                    tile(steps, part, d, (i0, jt * NR), (iw, jw));
+                    tile(a.zip(bt), part, d, (i0, jt * NR), (iw, jw));
                 }
             }
         }

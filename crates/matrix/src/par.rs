@@ -5,16 +5,18 @@
 //! partials; the arithmetic is the shared body, which is why every result is
 //! bit-identical to [`crate::ops`] (the degree-1 instance) at every degree —
 //! the argument is in [`crate::kernel`]. Row-local operators ([`gemv`],
-//! [`gemm`]) give each worker a contiguous chunk of output rows; reductions
-//! ([`gevm`], [`col_sums`], [`crossprod`], [`sum_sq`]) cut the input into
-//! fixed [`ROW_BLOCK`]-row or [`ELEM_BLOCK`]-element blocks and fold the
-//! partials in block order, each as soon as the ones before it are in, so
-//! a reduction holds one partial per worker plus the running value.
+//! [`gemm`]) give each worker a contiguous chunk of output rows. The row
+//! reductions run on one schedule, [`row_pass`]: it cuts `X` into fixed
+//! [`ROW_BLOCK`]-row blocks and folds each member's partials in block
+//! order, each as soon as the ones before it are in, so a reduction holds
+//! one partial per worker plus the running value. [`crossprod`], [`gevm`],
+//! [`col_sums`] and [`gemm_map_sum`] are its one-member passes, and several
+//! of them over the same `X` run as one pass that reads each block once.
+//! [`sum_sq`] folds fixed [`ELEM_BLOCK`]-element blocks instead.
 //! [`gemm`] packs each `B` slab once ([`crate::pack`]) and shares it
 //! read-only across the workers, which read their rows of `A` in place;
-//! [`gemm_map_sum`] packs all of `B` once the same way and runs on the
-//! ordered fold, one [`ROW_BLOCK`]-row panel of the product per block,
-//! summed into the result in row order.
+//! [`gemm_map_sum`] packs all of `B` once the same way, one [`ROW_BLOCK`]-row
+//! panel of the product per block, summed into the result in row order.
 
 use crate::dense::Dense;
 use crate::pack::{Isa, PackedB};
@@ -22,6 +24,7 @@ use crate::{kernel, pack};
 use dm_par::{for_each_slice_mut, reduce_blocks};
 use std::ops::Range;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Fixed row-block size for reduction kernels (column sums, crossprod, gevm).
 ///
@@ -122,71 +125,44 @@ fn assert_gemm_dims(a: &Dense, b: &Dense) {
 /// panel (`kernel::exp_in_place`); it must map each value independently
 /// of where the slice is cut.
 ///
-/// The product is computed in [`ROW_BLOCK`]-row panels on the ordered fold
-/// of [`reduce_blocks`]: each worker runs the gemm body on one panel's
-/// rows (the rows of a product are independent, so a panel has the
-/// product's bits), applies `f` to it in place, and adds the panel into one
-/// running sum in row order once every earlier panel is in. The sum starts
-/// from [`Iterator::sum`]'s identity, so it is the sequence of adds of
-/// summing the whole mapped product. `B` is packed once, before the fold,
-/// and shared read-only by every panel, as [`gemm`] shares its slabs. Each
-/// worker holds one panel at a time, and a summed panel's buffer goes back
-/// for the next block, so the extra memory is `degree` panels and one
-/// packed copy of `B`, not the product.
+/// A one-member [`row_pass`] ([`Member::GemmMapSum`]): the product is
+/// computed in [`ROW_BLOCK`]-row panels, each worker runs the gemm body on
+/// one panel's rows (the rows of a product are independent, so a panel has
+/// the product's bits), applies `f` to it in place, and the fold adds the
+/// panel into one running sum in row order once every earlier panel is in.
+/// The sum starts from [`Iterator::sum`]'s identity, so it is the sequence
+/// of adds of summing the whole mapped product. `B` is packed once, before
+/// the pass, and shared read-only by every panel, as [`gemm`] shares its
+/// slabs. The extra memory is `degree` panels and one packed copy of `B`,
+/// not the product.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn gemm_map_sum(a: &Dense, b: &Dense, f: impl Fn(&mut [f64]) + Sync, degree: usize) -> f64 {
-    assert_gemm_dims(a, b);
-    let (k, n) = (a.cols(), b.cols());
-    // `B`'s slabs, packed once; none when `B` holds non-finite values.
-    let slabs = pack::all_finite(b.data()).then(|| pack::pack_slabs(b.data(), n, k));
-    // Summed panels, for reuse.
-    let spare = Mutex::new(Vec::new());
-    let panel = |r: Range<usize>| {
-        let mut out: Vec<f64> =
-            spare.lock().expect("a push or pop never panics").pop().unwrap_or_default();
-        out.clear();
-        out.resize(r.len() * n, 0.0);
-        match &slabs {
-            Some(slabs) => {
-                for (slab, kcols) in slabs {
-                    let kcols = kcols.clone();
-                    let view = pack::AView { data: a.data(), stride: k, rows: r.clone(), kcols };
-                    pack::gemm_packed_rows(&view, slab, &mut out, n);
-                }
-            }
-            None => kernel::gemm_ref(rows(a, r), k, 0..k, b.data(), &mut out),
-        }
-        f(&mut out);
-        out
-    };
-    let zero: f64 = std::iter::empty::<f64>().sum();
-    reduce_blocks(a.rows(), ROW_BLOCK, degree, zero, panel, |acc, out| {
-        let sum = out.iter().fold(acc, |sum, &v| sum + v);
-        spare.lock().expect("a push or pop never panics").push(out);
-        sum
-    })
+    match one(None, a, Member::GemmMapSum(b, &f), degree) {
+        PassValue::Scalar(s) => s,
+        _ => unreachable!("a map-sum member yields a scalar"),
+    }
 }
 
-/// Vector-matrix product `v^T * m` as a fixed-block row reduction.
+/// Vector-matrix product `v^T * m`: a one-member [`row_pass`]
+/// ([`Member::Gevm`]).
 ///
 /// # Panics
 /// Panics if `v.len() != m.rows()`.
 pub fn gevm(v: &[f64], m: &Dense, degree: usize) -> Vec<f64> {
-    assert_eq!(
-        v.len(),
-        m.rows(),
-        "gevm dimension mismatch: vector {} vs rows {}",
-        v.len(),
-        m.rows()
-    );
-    reduce_rows(m, m.cols(), degree, |r, panel, part| kernel::gevm(panel, &v[r], part))
+    match one(None, m, Member::Gevm(v), degree) {
+        PassValue::Vector(v) => v,
+        _ => unreachable!("a gevm member yields a vector"),
+    }
 }
 
-/// Column sums as a fixed-block row reduction.
+/// Column sums: a one-member [`row_pass`] ([`Member::ColSums`]).
 pub fn col_sums(a: &Dense, degree: usize) -> Vec<f64> {
-    reduce_rows(a, a.cols(), degree, |_, panel, part| kernel::col_sums(panel, part))
+    match one(None, a, Member::ColSums, degree) {
+        PassValue::Vector(v) => v,
+        _ => unreachable!("a column-sums member yields a vector"),
+    }
 }
 
 /// Sum of squares as a fixed-block flat reduction.
@@ -195,44 +171,260 @@ pub fn sum_sq(a: &Dense, degree: usize) -> f64 {
     reduce_blocks(data.len(), ELEM_BLOCK, degree, 0.0, |r| kernel::sum_sq(&data[r]), |a, b| a + b)
 }
 
-/// Self-transpose product `m^T * m` as a fixed-block row reduction over
-/// upper-triangular partials, mirrored once at the end.
+/// Self-transpose product `m^T * m`: a one-member [`row_pass`]
+/// ([`Member::CrossProd`]) over upper-triangular partials, mirrored once at
+/// the end.
 pub fn crossprod(m: &Dense, degree: usize) -> Dense {
     crossprod_on(Isa::for_width(m.cols()), m, degree)
 }
 
 /// [`crossprod`] on the register tile of instantiation `isa`.
 pub(crate) fn crossprod_on(isa: Isa, m: &Dense, degree: usize) -> Dense {
-    let d = m.cols();
-    let mut out = reduce_rows(m, d * d, degree, |_, panel, part| {
-        kernel::crossprod_upper_on(isa, panel, d, part)
-    });
-    kernel::mirror_upper(d, &mut out);
-    Dense::from_vec(d, d, out).expect("d x d")
+    match one(Some(isa), m, Member::CrossProd, degree) {
+        PassValue::Matrix(d) => d,
+        _ => unreachable!("a crossprod member yields a matrix"),
+    }
 }
 
-/// The reduction schedule: each fixed [`ROW_BLOCK`] block of `m` is one
-/// panel, run by `body` (given its row range) into a zeroed `len`-element
-/// partial; partials fold in block order into a zeroed sum. Adding the
-/// first partial to zeros is exact except on a `-0.0`, which a fused
-/// accumulator reaches only by underflow (see [`crate::pack`]) and the add
-/// turns into `+0.0`; every schedule folds from the same zeros, so all of
-/// them do that alike.
-fn reduce_rows(
-    m: &Dense,
-    len: usize,
-    degree: usize,
-    body: impl Fn(Range<usize>, &[f64], &mut [f64]) + Sync,
-) -> Vec<f64> {
-    let panel = |r: Range<usize>| {
-        let mut part = vec![0.0; len];
-        body(r.clone(), rows(m, r), &mut part);
-        part
+/// One operator of a [`row_pass`] over a matrix `X`: what it computes from
+/// each [`ROW_BLOCK`]-row block of `X` and how it folds those partials.
+#[derive(Clone, Copy)]
+pub enum Member<'a> {
+    /// `X^T X` ([`crossprod`]): an upper-triangular `d x d` partial per
+    /// block, added into the running partial, mirrored at the end.
+    CrossProd,
+    /// `v^T X` ([`gevm`], the language's `tmv`), `v` one value per row of
+    /// `X`: a partial as wide as `X`, added into the running one.
+    Gevm(&'a [f64]),
+    /// Column sums of `X` ([`col_sums`]): a partial as wide as `X`.
+    ColSums,
+    /// `sum(f(X W))` ([`gemm_map_sum`]): the block's panel of `X W`, mapped
+    /// by `f` in place, then added value by value into the running sum.
+    GemmMapSum(&'a Dense, &'a (dyn Fn(&mut [f64]) + Sync)),
+}
+
+/// What one [`Member`] of a [`row_pass`] computes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PassValue {
+    /// [`Member::CrossProd`]'s `d x d` product.
+    Matrix(Dense),
+    /// [`Member::Gevm`]'s or [`Member::ColSums`]' row, as a vector.
+    Vector(Vec<f64>),
+    /// [`Member::GemmMapSum`]'s sum.
+    Scalar(f64),
+}
+
+/// The values of a [`row_pass`] and the work behind each.
+#[derive(Debug, Clone)]
+pub struct PassOutput {
+    /// One value per member, in the members' order.
+    pub values: Vec<PassValue>,
+    /// Per member, the nanoseconds its block bodies and folds took, summed
+    /// over every block and worker: the pass's wall time can be split in
+    /// proportion to these.
+    pub work_ns: Vec<u64>,
+}
+
+/// Several reductions of one matrix `x` in **one pass** over its fixed
+/// [`ROW_BLOCK`]-row blocks: each block is read from memory once, and every
+/// member computes its partial from it while it is still in cache.
+///
+/// This is the one reduction schedule of the row-block kernels
+/// ([`crossprod`], [`gevm`], [`col_sums`] and [`gemm_map_sum`] are its
+/// one-member passes). It runs on [`reduce_blocks`]: a block's partial
+/// holds one entry per member, and the fold folds each entry into that
+/// member's own running value in block order. Block boundaries never depend
+/// on the degree or on the other members, so each member sees exactly the
+/// operations of its one-member pass and has its bits, at every degree.
+/// Vector partials fold into zeros: adding the first partial to zeros is
+/// exact except on a `-0.0`, which a fused accumulator reaches only by
+/// underflow (see [`crate::pack`]) and the add turns into `+0.0`; every
+/// schedule folds from the same zeros, so all of them do that alike.
+///
+/// Each member's partials live in `degree` buffers allocated by the caller
+/// and reused block after block, so it holds at most `degree` partials
+/// besides its running value, and no worker thread allocates one.
+///
+/// # Panics
+/// Panics if a [`Member::Gevm`] vector is not one value per row of `x`, or a
+/// [`Member::GemmMapSum`] operand does not have a row per column of `x`.
+pub fn row_pass(x: &Dense, members: &[Member<'_>], degree: usize) -> PassOutput {
+    pass_on(None, x, members, degree)
+}
+
+/// A one-member pass on instantiation `isa` (when given) or the member's
+/// own, yielding the member's value.
+fn one(isa: Option<Isa>, x: &Dense, member: Member<'_>, degree: usize) -> PassValue {
+    let mut out = pass_on(isa, x, &[member], degree);
+    out.values.pop().expect("one member, one value")
+}
+
+/// A [`Member`] with what it prepares once per pass: the instantiation of
+/// its tile, or `B` packed.
+enum Body<'a> {
+    CrossProd(Isa),
+    Gevm(Isa, &'a [f64]),
+    ColSums,
+    GemmMapSum {
+        b: &'a Dense,
+        f: &'a (dyn Fn(&mut [f64]) + Sync),
+        /// `B`'s slabs, packed once; none when `B` holds non-finite values.
+        slabs: Option<Vec<(PackedB, Range<usize>)>>,
+    },
+}
+
+/// A member's running value.
+enum Acc {
+    Vector(Vec<f64>),
+    Sum(f64),
+}
+
+impl<'a> Body<'a> {
+    fn new(isa: Option<Isa>, x: &Dense, member: Member<'a>) -> Self {
+        let d = x.cols();
+        match member {
+            Member::CrossProd => Body::CrossProd(isa.unwrap_or_else(|| Isa::for_width(d))),
+            Member::Gevm(v) => {
+                assert_eq!(
+                    v.len(),
+                    x.rows(),
+                    "gevm dimension mismatch: vector {} vs rows {}",
+                    v.len(),
+                    x.rows()
+                );
+                Body::Gevm(isa.unwrap_or_else(|| Isa::for_width(d)), v)
+            }
+            Member::ColSums => Body::ColSums,
+            Member::GemmMapSum(b, f) => {
+                assert_gemm_dims(x, b);
+                let finite = pack::all_finite(b.data());
+                Body::GemmMapSum {
+                    b,
+                    f,
+                    slabs: finite.then(|| pack::pack_slabs(b.data(), b.cols(), d)),
+                }
+            }
+        }
+    }
+
+    /// The running value before the first block.
+    fn zero(&self, d: usize) -> Acc {
+        match self {
+            Body::CrossProd(_) => Acc::Vector(vec![0.0; d * d]),
+            Body::Gevm(..) | Body::ColSums => Acc::Vector(vec![0.0; d]),
+            Body::GemmMapSum { .. } => Acc::Sum(std::iter::empty::<f64>().sum()),
+        }
+    }
+
+    /// The length of the partial of a block `rows` tall.
+    fn len(&self, d: usize, rows: usize) -> usize {
+        match self {
+            Body::CrossProd(_) => d * d,
+            Body::Gevm(..) | Body::ColSums => d,
+            Body::GemmMapSum { b, .. } => rows * b.cols(),
+        }
+    }
+
+    /// The partial of rows `r` of `x` into the zeroed `part`.
+    fn block(&self, x: &Dense, r: Range<usize>, part: &mut [f64]) {
+        let (d, panel) = (x.cols(), rows(x, r.clone()));
+        match self {
+            &Body::CrossProd(isa) => kernel::crossprod_upper_on(isa, panel, d, part),
+            &Body::Gevm(isa, v) => kernel::gevm_on(isa, panel, &v[r], part),
+            Body::ColSums => kernel::col_sums(panel, part),
+            Body::GemmMapSum { b, f, slabs } => {
+                match slabs {
+                    Some(slabs) => {
+                        for (slab, kcols) in slabs {
+                            let kcols = kcols.clone();
+                            let view =
+                                pack::AView { data: x.data(), stride: d, rows: r.clone(), kcols };
+                            pack::gemm_packed_rows(&view, slab, part, b.cols());
+                        }
+                    }
+                    None => kernel::gemm_ref(panel, d, 0..d, b.data(), part),
+                }
+                f(part);
+            }
+        }
+    }
+
+    /// Fold a block's partial into the running value.
+    fn fold(acc: &mut Acc, part: &[f64]) {
+        match acc {
+            Acc::Vector(acc) => kernel::add_into(acc, part),
+            Acc::Sum(sum) => *sum = part.iter().fold(*sum, |sum, &v| sum + v),
+        }
+    }
+
+    /// The member's value from its running value.
+    fn finish(&self, d: usize, acc: Acc) -> PassValue {
+        match (self, acc) {
+            (Body::CrossProd(_), Acc::Vector(mut out)) => {
+                kernel::mirror_upper(d, &mut out);
+                PassValue::Matrix(Dense::from_vec(d, d, out).expect("d x d"))
+            }
+            (_, Acc::Vector(v)) => PassValue::Vector(v),
+            (_, Acc::Sum(s)) => PassValue::Scalar(s),
+        }
+    }
+}
+
+/// [`row_pass`], with crossprod and gevm members on instantiation `isa`
+/// when given.
+fn pass_on(isa: Option<Isa>, x: &Dense, members: &[Member<'_>], degree: usize) -> PassOutput {
+    let d = x.cols();
+    let bodies: Vec<Body> = members.iter().map(|&m| Body::new(isa, x, m)).collect();
+    // Per member, the buffers of one partial per worker, allocated here so
+    // that the workers' threads never allocate one, and reused block after
+    // block as each folded partial comes back.
+    let workers = degree.clamp(1, x.rows().div_ceil(ROW_BLOCK).max(1));
+    let spare: Vec<Mutex<Vec<Vec<f64>>>> = bodies
+        .iter()
+        .map(|b| {
+            let len = b.len(d, ROW_BLOCK.min(x.rows()));
+            Mutex::new((0..workers).map(|_| Vec::with_capacity(len)).collect())
+        })
+        .collect();
+    let take = |m: usize| spare[m].lock().expect("a push or pop never panics").pop();
+    let block = |r: Range<usize>| {
+        let mut parts = Vec::with_capacity(bodies.len());
+        let mut ns = Vec::with_capacity(bodies.len());
+        for (m, body) in bodies.iter().enumerate() {
+            let t0 = Instant::now();
+            let mut part = take(m).unwrap_or_default();
+            part.clear();
+            part.resize(body.len(d, r.len()), 0.0);
+            body.block(x, r.clone(), &mut part);
+            parts.push(part);
+            ns.push(elapsed_ns(t0));
+        }
+        (parts, ns)
     };
-    reduce_blocks(m.rows(), ROW_BLOCK, degree, vec![0.0; len], panel, |mut acc, part| {
-        kernel::add_into(&mut acc, &part);
-        acc
-    })
+    let init = (bodies.iter().map(|b| b.zero(d)).collect::<Vec<_>>(), vec![0u64; bodies.len()]);
+    let (accs, work_ns) = reduce_blocks(
+        x.rows(),
+        ROW_BLOCK,
+        degree,
+        init,
+        block,
+        |(mut accs, mut work), (parts, ns)| {
+            for (m, (part, ns)) in parts.into_iter().zip(ns).enumerate() {
+                let t0 = Instant::now();
+                Body::fold(&mut accs[m], &part);
+                spare[m].lock().expect("a push or pop never panics").push(part);
+                work[m] += ns + elapsed_ns(t0);
+            }
+            (accs, work)
+        },
+    );
+    let values = bodies.iter().zip(accs).map(|(b, acc)| b.finish(d, acc)).collect();
+    PassOutput { values, work_ns }
+}
+
+/// Nanoseconds since `t0`.
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -336,6 +528,83 @@ mod tests {
                     prop_assert_eq!(bits(&got), bits(&column(&want, j)), "gemv degree {}", degree);
                 }
             }
+        }
+    }
+
+    /// `X` (`rows x d`) with signed zeros, `W` (`d x n`) and `y` (one value
+    /// per row, some zero). Row counts are not multiples of [`ROW_BLOCK`],
+    /// and `d` and `n` straddle every instantiation's `NR` (8, 12, 32). With
+    /// `poison`, `NaN`/`inf` sit in one row block of `X` (that block's
+    /// crossprod runs its row loop) and in `W` (the map-sum runs
+    /// `gemm_ref`).
+    fn pass_inputs() -> impl Strategy<Value = (Dense, Dense, Vec<f64>)> {
+        let rows = prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(700usize),
+            Just(ROW_BLOCK + 3),
+            Just(2 * ROW_BLOCK + 517)
+        ];
+        let width = || prop_oneof![Just(1usize), 7usize..=13, 31usize..=33];
+        (rows, width(), width(), 0usize..2, 0usize..1000).prop_map(|(rows, d, n, poison, seed)| {
+            let element = |r: usize, c: usize, salt: usize| match (r * 7 + c * 3 + seed + salt) % 13
+            {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((r * 31 + c * 17 + seed + salt) % 23) as f64 * 0.37 - 3.0,
+            };
+            let mut x = Dense::from_fn(rows, d, |r, c| element(r, c, 0));
+            let mut w = Dense::from_fn(d, n, |r, c| element(r, c, 5));
+            let y: Vec<f64> = (0..rows).map(|r| element(r, 0, 9)).collect();
+            if poison == 1 && rows > 2 {
+                let r = (seed % rows).max(2);
+                x.set(r, d / 2, [f64::INFINITY, f64::NAN, f64::NEG_INFINITY][seed % 3]);
+                x.set(r - 1, d - 1, 0.0);
+                w.set(seed % d, seed % n, [f64::NAN, f64::NEG_INFINITY][seed % 2]);
+            }
+            (x, w, y)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn every_pass_member_has_its_one_member_kernels_bits((x, w, y) in pass_inputs()) {
+            // All four members in one pass, on every instantiation and at
+            // degrees 1-3 and 8: each value has the bits of its own
+            // one-member kernel at degree 1.
+            static PINNED: std::sync::Once = std::sync::Once::new();
+            PINNED.call_once(|| {
+                println!("instantiations pinned to the one-member bits (row pass): {:?}", Isa::available());
+            });
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|e| e.to_bits()).collect() };
+            let exp = |p: &mut [f64]| kernel::exp_in_place(p);
+            let members = [Member::CrossProd, Member::Gevm(&y), Member::ColSums, Member::GemmMapSum(&w, &exp)];
+            let sum = gemm_map_sum(&x, &w, exp, 1);
+            let (tmv, sums) = (gevm(&y, &x, 1), col_sums(&x, 1));
+            for isa in Isa::available() {
+                let gram = crossprod_on(isa, &x, 1);
+                for degree in DEGREES {
+                    let what = format!("{isa:?} degree {degree}");
+                    let out = pass_on(Some(isa), &x, &members, degree);
+                    prop_assert_eq!(out.work_ns.len(), 4);
+                    let [PassValue::Matrix(g), PassValue::Vector(t), PassValue::Vector(c), PassValue::Scalar(s)] =
+                        &out.values[..]
+                    else {
+                        panic!("{what}: values {:?}", out.values)
+                    };
+                    prop_assert_eq!(bits(g.data()), bits(gram.data()), "crossprod {}", what);
+                    prop_assert_eq!(bits(t), bits(&tmv), "gevm {}", what);
+                    prop_assert_eq!(bits(c), bits(&sums), "col_sums {}", what);
+                    prop_assert_eq!(s.to_bits(), sum.to_bits(), "gemm_map_sum {}", what);
+                }
+            }
+            // The public pass picks each member's own instantiation.
+            let out = row_pass(&x, &members[..2], 2);
+            let [PassValue::Matrix(g), PassValue::Vector(t)] = &out.values[..] else {
+                panic!("values {:?}", out.values)
+            };
+            prop_assert_eq!(bits(g.data()), bits(crossprod(&x, 1).data()));
+            prop_assert_eq!(bits(t), bits(&tmv));
         }
     }
 

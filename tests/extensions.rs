@@ -1,11 +1,10 @@
 //! Integration coverage for the extension round: a key–foreign-key query
-//! feeding training as a normalized matrix, polynomial features feeding SGD, softmax + forest on shared data, LU in a
-//! whitening pipeline, compressed-matrix serialization through the buffer
-//! codec path, and forward selection end to end.
+//! feeding training as a normalized matrix, polynomial features feeding SGD,
+//! softmax + forest on shared data, compressed-matrix serialization through
+//! the buffer codec path, and forward selection end to end.
 
 use dmml::compress::planner::CompressionConfig;
 use dmml::compress::serial;
-use dmml::matrix::lu;
 use dmml::matrix::solve::solve_spd;
 use dmml::ml::forest::{ForestConfig, RandomForest};
 use dmml::ml::sgd::{train_sgd, SgdConfig};
@@ -89,31 +88,6 @@ fn softmax_and_forest_agree_on_blobs() {
     let disagreements =
         sm.predict(&x).iter().zip(rf.predict(&x)).filter(|(a, b)| **a != *b).count();
     assert!(disagreements < 24, "{disagreements} disagreements");
-}
-
-/// LU-based whitening: transform features by the inverse covariance factor
-/// and verify the whitened covariance is the identity.
-#[test]
-fn lu_whitening_produces_identity_covariance() {
-    let d = dmml::data::labeled::regression(500, 3, 0.0, 23);
-    // Covariance of centered features.
-    let means = dmml::matrix::ops::col_means(&d.x);
-    let mut centered = d.x.clone();
-    for r in 0..centered.rows() {
-        for (v, &m) in centered.row_mut(r).iter_mut().zip(&means) {
-            *v -= m;
-        }
-    }
-    let mut cov = dmml::matrix::ops::crossprod(&centered);
-    let inv_n = 1.0 / centered.rows() as f64;
-    cov.map_inplace(|v| v * inv_n);
-    // Whiten via the Cholesky factor's inverse, computed through LU.
-    let l = dmml::matrix::solve::cholesky(&cov).unwrap();
-    let l_inv = lu::lu(&l).unwrap().inverse();
-    let whitened = dmml::matrix::ops::gemm(&centered, &l_inv.transpose());
-    let mut wcov = dmml::matrix::ops::crossprod(&whitened);
-    wcov.map_inplace(|v| v * inv_n);
-    assert!(wcov.approx_eq(&Dense::identity(3), 1e-8), "whitened covariance must be I");
 }
 
 /// Compressed matrices survive a serialize/deserialize hop and still train.
