@@ -1138,7 +1138,8 @@ mod tests {
             CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..PlanOptions::new(&i) })
                 .unwrap();
         assert_eq!(plain.plan.nodes_with(crate::physical::Kernel::Blocked), vec![add]);
-        let flops = crate::physical::node_flops(&g, add, &plain.sizes) as u64;
+        let flops =
+            crate::physical::node_flops(&g, add, &plain.sizes, plain.plan.kernel(add)) as u64;
         let model = model_of("ewise +", "blocked", flops, flops * 10); // 0.1 GFLOP/s
         let opts = PlanOptions { budget, cost: Some(&model), ..PlanOptions::new(&i) };
         let prog = CompiledProgram::new(g, root, &opts).unwrap();

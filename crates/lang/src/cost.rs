@@ -174,17 +174,17 @@ pub fn static_ns(flops: u128) -> u128 {
 /// [`KernelChoice`] name from the one classification that the planner, the
 /// cost table and the executor share.
 pub fn node_family(graph: &Graph, id: NodeId, plan: &PhysicalPlan) -> &'static str {
-    family(graph, id, plan).name()
+    family(graph, id, plan.kernel(id), plan).name()
 }
 
-/// The kernel family of node `id` under `plan`, the one classification the
+/// The kernel family of node `id` running kernel `k` (its row of the
+/// representation table, as `plan` placed it), the one classification the
 /// planner, the cost table and the executor share. Blocked needs a budget and
 /// parallel a degree above one; then the fused operators (`crossprod`, `tmv`,
 /// `sumSq`, and a `sum` that computes fused nodes) and constants classify by
-/// op, and the rest follow the plan's dense/sparse choice, which the
-/// executor refines with the values it sees.
-pub(crate) fn family(graph: &Graph, id: NodeId, plan: &PhysicalPlan) -> KernelChoice {
-    match (plan.kernel(id), graph.op(id)) {
+/// op, and the rest by the row's dense or sparse kernel.
+pub(crate) fn family(graph: &Graph, id: NodeId, k: Kernel, plan: &PhysicalPlan) -> KernelChoice {
+    match (k, graph.op(id)) {
         (Kernel::Blocked, _) if plan.mem_budget().is_some() => KernelChoice::Blocked,
         (Kernel::Parallel, _) if plan.degree() > 1 => KernelChoice::Parallel,
         (_, Op::CrossProd(_) | Op::Tmv(..) | Op::SumSq(_)) => KernelChoice::Fused,
@@ -206,7 +206,7 @@ pub fn node_costs(
 ) -> HashMap<NodeId, NodeCost> {
     let mut out = HashMap::new();
     for id in graph.reachable(root) {
-        let flops = node_flops(graph, id, infos);
+        let flops = node_flops(graph, id, infos, plan.kernel(id));
         let family = node_family(graph, id, plan);
         let op = crate::explain::op_label(graph, id);
         let (static_ns, calibrated_ns) =
@@ -357,7 +357,7 @@ mod tests {
                 .reachable(acc)
                 .into_iter()
                 .filter(|&n| n == id || plan.fused_into(n) == Some(id))
-                .map(|n| node_flops(&g, n, &infos))
+                .map(|n| node_flops(&g, n, &infos, plan.kernel(n)))
                 .sum();
             let op = crate::explain::op_label(&g, id);
             assert_eq!(step.self_flops as u128, priced, "%{id} {op}");

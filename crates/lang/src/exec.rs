@@ -1,60 +1,48 @@
 //! The interpreter: executes an optimized DAG over bound inputs with
 //! physical-kernel dispatch, one schedule step at a time.
 //!
-//! [`Executor::eval`] is one loop over a [`Schedule`]: the one the plan
-//! carries ([`PhysicalPlan::schedule`]) when it ends at the evaluated root,
-//! the depth-first one from that root otherwise. Each step reads its
-//! operands from a value table that lives for that one eval and stores its
-//! result there. A value is freed at its last use: the table starts from
-//! the schedule's read counts, and the last reader takes the value out
-//! instead of sharing it. This is the machine
-//! [`liveness::certify_plan`](crate::liveness::certify_plan) models over the
-//! same schedule: a fixed order that frees each value after its last
-//! consumer.
+//! [`Executor::eval`] is one loop over a [`Schedule`], with a value table
+//! that frees each value after its last reader: the machine
+//! [`liveness::certify_plan`](crate::liveness::certify_plan) models.
+//!
+//! Every step dispatches on its node's row of the representation table
+//! ([`physical::row`](crate::physical::row)) over the values it reads: the
+//! row names the kernel and the CSR operands it reads densified. An `Input`
+//! converts its binding to the representation the plan holds it in, so on a
+//! planned eval the table reproduces the plan's rows; without a plan
+//! ([`Executor::new`]) it runs the table over whatever was bound.
 //!
 //! Values are shared, never copied. A matrix [`Val`] holds an
 //! `Arc<Matrix>`, so binding an input, storing a result and serving a shared
-//! read are pointer copies, and every operator borrows its operands as
-//! `&Dense` (densifying only a sparse operand) instead of taking a copy.
-//! Matrix bytes are allocated in two places only:
+//! read are pointer copies, and every operator borrows its operands instead
+//! of taking a copy. Matrix bytes are allocated in two places only:
 //!
 //! - a kernel's output, wrapped once in `Arc::new`;
-//! - a real representation change: a sparse operand densified for a dense
-//!   kernel, an `Input` or `CrossProd` the plan put on [`Kernel::Sparse`]
-//!   converting dense to CSR, and `Transpose`, which materialises its result.
+//! - a real representation change: an input converted to its planned
+//!   representation, a CSR operand densified where its row says so, and
+//!   `Transpose`, which materialises its result.
 //!
 //! Staging a blocked operand into the spill pool writes its panels, which is
 //! the out-of-core schedule's own data movement, not a value copy.
 //!
-//! The plan decides fusion ([`PlanOptions`](crate::physical::PlanOptions),
-//! step 3), and
-//! every executor runs what its plan fused, profiled and traced ones
-//! included. A fused `f(A)` under `sum(f(A))` produces nothing at its own
-//! step: the `sum` step folds `f` over a dense `A` in one pass, and maps a
-//! sparse one before summing it. A fused `X %*% W` is not materialized
-//! either: the `sum` step streams it in `ROW_BLOCK`-row panels
-//! ([`par::gemm_map_sum`]), unless the operands it meets are not both dense,
-//! when it computes the product first. The fused nodes' operands stay live
-//! until the `sum` step reads them. Evaluating a fused node itself, or any
-//! root without a plan, takes the unfused path. Both paths add the same
-//! values in the same order, so the bits match
-//! (`crates/lang/tests/fused_sum.rs`).
-//!
-//! The plan also groups row passes (step 4): the step of a pass's first
-//! member computes every member's value in one pass over the `X` they read
-//! ([`par::row_pass`]), and the other members produce nothing at their own
-//! steps. Each member keeps its own block-order fold, so the pass has the
-//! bits of running the members one by one (`crates/lang/tests/row_pass.rs`).
+//! Every executor runs what its plan fused and passed
+//! ([`PlanOptions`](crate::physical::PlanOptions), steps 3 and 4), profiled
+//! and traced ones included. A fused node produces nothing at its own step:
+//! its `sum` folds `f` over the dense `A`, or streams a fused `X %*% W` in
+//! `ROW_BLOCK`-row panels ([`par::gemm_map_sum`]). The step of a row pass's
+//! first member computes every member's value in one pass over their `X`
+//! ([`par::row_pass`]). A fused node evaluated as a root, and any root
+//! without a plan, runs unfused and unpassed, with the same bits
+//! (`crates/lang/tests/fused_sum.rs`, `crates/lang/tests/row_pass.rs`).
 
 use crate::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use crate::liveness::Schedule;
 use crate::memory::MemoryBudget;
-use crate::physical::{Kernel, PhysicalPlan};
+use crate::physical::{Kernel, PhysicalPlan, Repr, Row};
 use dm_buffer::storage::Storage;
 use dm_buffer::{ooc, panel_rows_for, BlockStore, PoolError, PoolStats, SharedBufferPool};
 use dm_matrix::{ops, par, sparse, Csr, Dense, Matrix};
 use dm_obs::{elapsed_ns, trace, StatsRegistry};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -98,6 +86,11 @@ fn dense_val(d: Dense) -> Val {
 /// Wrap a freshly computed column-vector output without copying it.
 fn column_val(v: Vec<f64>) -> Val {
     dense_val(Dense::from_vec(v.len(), 1, v).expect("n x 1 holds n values"))
+}
+
+/// Wrap a freshly computed row-vector output without copying it.
+fn row_val(v: Vec<f64>) -> Val {
+    dense_val(Dense::from_vec(1, v.len(), v).expect("1 x n holds n values"))
 }
 
 /// Execution errors.
@@ -231,14 +224,13 @@ pub struct ExecStats {
     pub ooc_nodes: u64,
 }
 
-/// Which kernel family ran for one node: the plan's
-/// ([`cost::node_family`](crate::cost::node_family)), with the dense/sparse
-/// split observed at dispatch.
+/// Which kernel family ran for one node: its row of the representation
+/// table as the plan placed it ([`cost::node_family`](crate::cost::node_family)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
     /// Dense row-major kernel.
     Dense,
-    /// CSR sparse kernel (a sparse operand or output drove dispatch).
+    /// CSR sparse kernel: the node's row reads a CSR operand as stored.
     Sparse,
     /// A fused operator (`crossprod`, `tmv`, `sumSq`), or a `sum` computing
     /// the nodes its plan fused into it.
@@ -344,18 +336,18 @@ pub struct Executor<'g> {
 }
 
 impl<'g> Executor<'g> {
-    /// New executor with default (dense) kernel choices: the default plan,
-    /// every node dense and serial, nothing fused.
+    /// New executor without a plan: every node runs its row of the
+    /// representation table ([`physical::row`](crate::physical::row)) over
+    /// the values it reads, dense rows serially, nothing fused.
     pub fn new(graph: &'g Graph) -> Self {
         Executor::with_plan(graph, PhysicalPlan::default())
     }
 
-    /// New executor honoring a physical plan. Nodes the plan marked
-    /// [`Kernel::Parallel`] run the multi-threaded kernels at the plan's
-    /// degree; nodes marked [`Kernel::Blocked`] stream tiles through a spill
-    /// pool sized to the plan's memory budget (see
-    /// [`PlanOptions`](crate::physical::PlanOptions) for both); nodes it fused run inside
-    /// their `sum`'s step; everything else keeps the serial dispatch.
+    /// New executor honoring a physical plan: inputs are held as the plan
+    /// holds them, so every node runs its planned row. [`Kernel::Parallel`]
+    /// nodes run at the plan's degree, [`Kernel::Blocked`] ones stream tiles
+    /// through a spill pool sized to its budget, fused nodes run in their
+    /// `sum`'s step, and the rest serially.
     pub fn with_plan(graph: &'g Graph, plan: PhysicalPlan) -> Self {
         // DMML_TRACE=<path> turns tracing on for every executor in the
         // process and writes the Chrome trace to <path> when this executor
@@ -547,26 +539,17 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Node `id`'s kernel family under the plan
-    /// ([`cost::family`](crate::cost::family)). It places the node's dense
-    /// operator: streamed through the spill pool under the budget when
-    /// blocked, on the plan's degree of workers when parallel, serial
-    /// otherwise. Each kernel body (`dm_matrix::kernel`) runs under all three.
-    fn family(&self, id: NodeId) -> KernelChoice {
-        crate::cost::family(self.graph, id, &self.plan)
-    }
-
     /// The degree node `id` runs an in-memory kernel at (1 unless it is
     /// parallel). Counts parallel dispatches.
     fn in_memory_degree(&mut self, id: NodeId) -> usize {
-        if self.family(id) != KernelChoice::Parallel {
+        if self.plan.kernel(id) != Kernel::Parallel || self.plan.degree() == 1 {
             return 1;
         }
         self.stats.par_nodes += 1;
         self.plan.degree()
     }
 
-    /// Run node `id`'s dense operator where its family places it:
+    /// Run node `id`'s dense operator where the plan places it:
     /// `in_memory` at the node's in-memory degree or, when blocked, `blocked`
     /// over `operands` tiled into the spill pool, at the executor degree.
     /// An output store takes its panel rows from the first operand, so each
@@ -581,8 +564,7 @@ impl<'g> Executor<'g> {
         in_memory: impl FnOnce(usize) -> T,
         blocked: impl FnOnce(&[Tiles], usize) -> Result<T, PoolError>,
     ) -> Result<T, ExecError> {
-        let (KernelChoice::Blocked, Some(budget)) = (self.family(id), self.plan.mem_budget())
-        else {
+        let (Kernel::Blocked, Some(budget)) = (self.plan.kernel(id), self.plan.mem_budget()) else {
             return Ok(in_memory(self.in_memory_degree(id)));
         };
         self.stats.ooc_nodes += 1;
@@ -661,13 +643,11 @@ impl<'g> Executor<'g> {
         Ok(table.vals[root].take().expect("the schedule ends at its root"))
     }
 
-    /// Run a row pass: every member's value from one pass over the `X` they
-    /// read ([`par::row_pass`]), at the plan's degree when a member runs
-    /// parallel and serially otherwise; every member then counts as a
-    /// parallel dispatch. A member whose operands are not what the plan
-    /// expected (a sparse `X`, a sparse `v` or `W`, mismatched shapes) runs
-    /// its own step first. Observed, each member that ran alone keeps its
-    /// step's time, and the rest of the pass's wall time goes to the other
+    /// Run a row pass: every member's value from one pass over the dense
+    /// `X` they read ([`par::row_pass`]), at the plan's degree when a member
+    /// runs parallel (each member then counts as a parallel dispatch) and
+    /// serially otherwise. A binding whose shape disagrees with the plan's
+    /// sizes is a type error. Observed, the pass's wall time goes to the
     /// members in proportion to their block work.
     fn pass_step(
         &mut self,
@@ -683,27 +663,15 @@ impl<'g> Executor<'g> {
             s
         });
         let t0 = Instant::now();
-        let (passed, alone): (Vec<NodeId>, Vec<NodeId>) =
-            members.iter().partition(|&&m| self.pass_operands(m, table).is_some());
-        let mut alone_ns = 0;
-        for m in alone {
-            let t = Instant::now();
-            let val = self.step(m, env, table)?;
-            table.vals[m] = Some(val);
-            alone_ns += elapsed_ns(t);
-        }
         // Each member with the values it reads: `X` and its other operand.
-        let mut read = Vec::with_capacity(passed.len());
-        for &m in &passed {
-            let (x, other) = self.pass_operands(m, table).expect("checked above");
-            let other = other.map(|c| self.read(table, c));
+        let mut read = Vec::with_capacity(members.len());
+        for &m in members {
+            let (x, others) = self.plan.pass_of(self.graph, m).expect("a planned pass member");
+            let other = others.first().map(|&c| self.read(table, c));
             read.push((m, self.read(table, x), other));
         }
-        let Some((_, Val::Matrix(x), _)) = read.first() else { return Ok(()) };
-        let x = dense(x);
-        let (rows, cols) = (x.rows(), x.cols());
-        // The map of each passed `sum(f(X %*% W))`, in member order.
-        let maps: Vec<_> = passed
+        // The map of each `sum(f(X %*% W))`, in member order.
+        let maps: Vec<_> = members
             .iter()
             .filter_map(|&m| match *self.graph.op(m) {
                 Op::Agg(AggOp::Sum, fa) => match *self.graph.op(fa) {
@@ -714,29 +682,35 @@ impl<'g> Executor<'g> {
             })
             .collect();
         let mut maps = maps.iter();
-        let kernel_members: Vec<par::Member> = read
-            .iter()
-            .map(|(m, _, other)| match (self.graph.op(*m), other.as_ref().and_then(dense_of)) {
+        let Val::Matrix(x) = &read[0].1 else { return Err(pass_err(members[0])) };
+        let x = dense(x);
+        let (rows, cols) = (x.rows(), x.cols());
+        // Each member as the pass runs it, its operands checked against `X`.
+        let mut kernel_members = Vec::with_capacity(read.len());
+        for (m, _, other) in &read {
+            let other = match other {
+                Some(Val::Matrix(o)) => Some(dense(o)),
+                _ => None,
+            };
+            kernel_members.push(match (self.graph.op(*m), other) {
                 (Op::CrossProd(_), _) => par::Member::CrossProd,
-                (Op::Tmv(..), Some(v)) => par::Member::Gevm(v.data()),
-                (Op::Agg(AggOp::Sum, _), Some(w)) => {
+                (Op::Agg(AggOp::ColSums, _), _) => par::Member::ColSums,
+                (Op::Tmv(..), Some(v)) if v.shape() == (rows, 1) => par::Member::Gevm(v.data()),
+                (Op::Agg(AggOp::Sum, _), Some(w)) if w.rows() == cols => {
                     par::Member::GemmMapSum(w, maps.next().expect("a map per sum"))
                 }
-                _ => par::Member::ColSums,
-            })
-            .collect();
-        let parallel = passed.iter().any(|&m| self.plan.runs_parallel(self.graph, m));
-        let out = par::row_pass(&x, &kernel_members, if parallel { self.plan.degree() } else { 1 });
-        let mut vals = Vec::with_capacity(passed.len());
+                _ => return Err(pass_err(*m)),
+            });
+        }
+        let parallel = members.iter().any(|&m| self.plan.runs_parallel(self.graph, m));
+        let out = par::row_pass(x, &kernel_members, if parallel { self.plan.degree() } else { 1 });
+        let mut vals = Vec::with_capacity(members.len());
         for ((m, _, other), value) in read.iter().zip(out.values) {
             // The flops each member's own step would count.
             let (flops, val) = match (self.graph.op(*m), value) {
                 (_, par::PassValue::Matrix(d)) => (rows * cols * cols, dense_val(d)),
                 (Op::Tmv(..), par::PassValue::Vector(v)) => (2 * rows * cols, column_val(v)),
-                (_, par::PassValue::Vector(v)) => {
-                    let row = Dense::from_vec(1, v.len(), v).expect("1 x n holds n values");
-                    (rows * cols, dense_val(row))
-                }
+                (_, par::PassValue::Vector(v)) => (rows * cols, row_val(v)),
                 (_, par::PassValue::Scalar(sum)) => {
                     let n = other.as_ref().map_or(0, |w| dims(w).1);
                     // The sum runs its fused map and product too.
@@ -749,10 +723,10 @@ impl<'g> Executor<'g> {
             vals.push((*m, flops as u64, val));
         }
         if parallel {
-            self.stats.par_nodes += passed.len() as u64;
+            self.stats.par_nodes += members.len() as u64;
         }
         if observed {
-            let wall = elapsed_ns(t0).saturating_sub(alone_ns);
+            let wall = elapsed_ns(t0);
             let work: u64 = out.work_ns.iter().sum();
             let mut left = wall;
             for (i, ((m, flops, val), ns)) in vals.iter().zip(&out.work_ns).enumerate() {
@@ -762,7 +736,8 @@ impl<'g> Executor<'g> {
                     (wall as u128 * *ns as u128 / work.max(1) as u128) as u64
                 };
                 left -= share.min(left);
-                self.observe(*m, env, val, share, *flops, self.family(*m));
+                let kernel = crate::cost::family(self.graph, *m, self.plan.kernel(*m), &self.plan);
+                self.observe(*m, env, val, share, *flops, kernel);
             }
         }
         drop(span);
@@ -772,40 +747,16 @@ impl<'g> Executor<'g> {
         Ok(())
     }
 
-    /// The `X` node `m` reads in its row pass and its other operand, when
-    /// their values are what the pass runs on: a dense `X`, a dense column
-    /// `v` of its height for `tmv`, and a dense `W` of its width and wider
-    /// than one column for a `sum`.
-    fn pass_operands(&self, m: NodeId, table: &ValueTable) -> Option<(NodeId, Option<NodeId>)> {
-        let (x, others) = self.plan.pass_of(self.graph, m)?;
-        let x_dims = dense_of(table.vals[x].as_ref()?)?.shape();
-        let other = others.first().copied();
-        let fits =
-            match (other.and_then(|c| table.vals[c].as_ref()).and_then(dense_of), self.graph.op(m))
-            {
-                (None, _) => other.is_none(),
-                (Some(v), Op::Tmv(..)) => v.shape() == (x_dims.0, 1),
-                (Some(w), _) => w.rows() == x_dims.1 && w.cols() > 1,
-            };
-        fits.then_some((x, other))
-    }
-
     /// Run node `id`'s step, timed and traced when the executor observes
     /// its steps. A step runs only its own operator, so its wall time and
     /// flops are the node's own.
     fn step(&mut self, id: NodeId, env: &Env, table: &mut ValueTable) -> Result<Val, ExecError> {
         self.stats.nodes_evaluated += 1;
+        let row = self.row(id, env, table);
         let tracing = self.tracing && trace::is_enabled();
         if !tracing && self.profile.is_none() {
-            return self.op(id, env, table);
+            return self.op(id, row, env, table);
         }
-        // Classified before the step, which may take its operands.
-        let sparse_operand = self
-            .graph
-            .op(id)
-            .children()
-            .iter()
-            .any(|&c| table.vals[c].as_ref().is_some_and(is_sparse));
         let mut span = tracing.then(|| {
             let mut s = trace::Span::enter(crate::explain::op_site(self.graph, id), "exec");
             s.arg("node", id);
@@ -813,19 +764,10 @@ impl<'g> Executor<'g> {
         });
         let t0 = Instant::now();
         let flops_before = self.stats.flops;
-        let val = self.op(id, env, table)?;
+        let val = self.op(id, row, env, table)?;
         let ns = elapsed_ns(t0);
         let flops = self.stats.flops - flops_before;
-        // The planned family, with the dense/sparse split taken from the
-        // values: a sparse operand or output ran the CSR kernels whatever the
-        // plan estimated.
-        let kernel = match self.family(id) {
-            KernelChoice::Dense | KernelChoice::Sparse if sparse_operand || is_sparse(&val) => {
-                KernelChoice::Sparse
-            }
-            KernelChoice::Sparse => KernelChoice::Dense,
-            family => family,
-        };
+        let kernel = crate::cost::family(self.graph, id, row.kernel, &self.plan);
         if let Some(s) = &mut span {
             let (rows, cols) = dims(&val);
             s.arg("kernel", kernel.name());
@@ -835,6 +777,38 @@ impl<'g> Executor<'g> {
         }
         self.observe(id, env, &val, ns, flops, kernel);
         Ok(val)
+    }
+
+    /// Node `id`'s row of the representation table
+    /// ([`physical::row`](crate::physical::row)) over the values it reads, a
+    /// dense row placed where the plan put the node (parallel, blocked or
+    /// serial). An input holds its binding as the plan holds it, so on a
+    /// planned eval the table reproduces the plan's row; a node the plan
+    /// does not cover runs the table's row over whatever it was bound to.
+    fn row(&self, id: NodeId, env: &Env, table: &ValueTable) -> Row {
+        let row = match *self.graph.op(id) {
+            // A fused `sum` reads values its fused nodes never produce.
+            Op::Agg(AggOp::Sum, fa) if table.fused[fa] => {
+                return self.plan.row(id).expect("only a plan fuses")
+            }
+            Op::Input(ref name) => Row::holding(match self.plan.row(id) {
+                Some(planned) => planned.out,
+                None => env.get(name).map_or(Repr::Dense, repr),
+            }),
+            _ => crate::physical::row(self.graph, id, |n| {
+                repr(table.vals[n].as_ref().expect("a schedule runs operands before their readers"))
+            }),
+        };
+        let row = match (row.kernel, self.plan.kernel(id)) {
+            (Kernel::Dense, k @ (Kernel::Parallel | Kernel::Blocked)) => Row { kernel: k, ..row },
+            _ => row,
+        };
+        debug_assert!(
+            self.plan.row(id).is_none_or(|planned| planned == row),
+            "%{id}: planned {:?}, the values read run {row:?}",
+            self.plan.row(id)
+        );
+        row
     }
 
     /// Add one step of node `id` that produced `val` to the profile, when
@@ -894,119 +868,129 @@ impl<'g> Executor<'g> {
         val.expect("a schedule runs operands before their readers")
     }
 
-    /// Node `id`'s operator over its operands, read from `table`.
-    fn op(&mut self, id: NodeId, env: &Env, table: &mut ValueTable) -> Result<Val, ExecError> {
+    /// [`read`](Self::read) operand `id`, as a dense copy of it when the
+    /// node's row densifies it.
+    fn operand(&mut self, table: &mut ValueTable, id: NodeId, densify: bool) -> Val {
+        match self.read(table, id) {
+            Val::Matrix(m) if densify => dense_val(m.to_dense()),
+            v => v,
+        }
+    }
+
+    /// Node `id`'s operator over its operands, read from `table`: `row`
+    /// names the kernel that runs and the operands it reads densified.
+    fn op(
+        &mut self,
+        id: NodeId,
+        row: Row,
+        env: &Env,
+        table: &mut ValueTable,
+    ) -> Result<Val, ExecError> {
         let type_err = |message: String| ExecError::Type { node: id, message };
+        let sparse = row.kernel == Kernel::Sparse;
+        let [da, db] = row.densify;
         match *self.graph.op(id) {
+            // The table's `Input` row: a binding is held as the plan holds it,
+            // a dense one of a CSR-planned input converted, a CSR one of a
+            // dense-planned input densified; without a plan, as it is bound.
             Op::Input(ref name) => {
                 let v = env.get(name).ok_or_else(|| ExecError::UnboundInput(name.clone()))?;
-                // Honor the physical plan's representation choice for inputs.
-                if let (Val::Matrix(m), Kernel::Sparse) = (v, self.plan.kernel(id)) {
-                    if m.is_dense() {
-                        return Ok(Val::Matrix(Arc::new(Matrix::Sparse(m.to_csr()))));
+                Ok(match (v, self.plan.row(id).map(|r| r.out)) {
+                    (Val::Matrix(m), Some(Repr::Csr)) if m.is_dense() => {
+                        Val::Matrix(Arc::new(Matrix::Sparse(m.to_csr())))
                     }
-                }
-                Ok(v.clone())
+                    (Val::Matrix(m), Some(Repr::Dense)) if !m.is_dense() => dense_val(m.to_dense()),
+                    _ => v.clone(),
+                })
             }
             Op::Const(v) => Ok(Val::Scalar(v)),
-            Op::Transpose(a) => {
-                let m = match self.read(table, a) {
-                    Val::Scalar(v) => return Ok(Val::Scalar(v)),
-                    Val::Matrix(m) => m,
-                };
-                let t = match &*m {
-                    Matrix::Dense(d) => {
-                        self.stats.flops += (d.rows() * d.cols()) as u64;
-                        Matrix::Dense(d.transpose())
-                    }
-                    Matrix::Sparse(s) => {
-                        self.stats.flops += s.nnz() as u64;
-                        Matrix::Sparse(s.transpose())
-                    }
-                };
-                Ok(Val::Matrix(Arc::new(t)))
-            }
+            Op::Agg(AggOp::Sum, fa) if table.fused[fa] => self.fused_sum(id, fa, table),
+            Op::Transpose(a) => Ok(match self.read(table, a) {
+                Val::Scalar(v) => Val::Scalar(v),
+                Val::Matrix(m) if sparse => {
+                    let s = csr(&m);
+                    self.stats.flops += s.nnz() as u64;
+                    Val::Matrix(Arc::new(Matrix::Sparse(s.transpose())))
+                }
+                Val::Matrix(m) => {
+                    let d = dense(&m);
+                    self.stats.flops += (d.rows() * d.cols()) as u64;
+                    dense_val(d.transpose())
+                }
+            }),
             Op::MatMul(a, b) => {
-                let (va, vb) = (self.read(table, a), self.read(table, b));
-                self.matmul(id, &va, &vb)
+                let (va, vb) = (self.operand(table, a, da), self.operand(table, b, db));
+                self.matmul(id, sparse, &va, &vb)
             }
             Op::Ewise(e, a, b) => {
-                let (va, vb) = (self.read(table, a), self.read(table, b));
+                let (va, vb) = (self.operand(table, a, da), self.operand(table, b, db));
                 self.ewise(id, e, &va, &vb)
             }
             Op::Unary(u, a) => {
-                let v = self.read(table, a);
-                Ok(self.unary(u, v))
+                let v = self.operand(table, a, da);
+                Ok(self.unary(u, sparse, v))
             }
-            Op::Agg(AggOp::Sum, fa) if table.fused[fa] => self.fused_sum(id, fa, table),
             Op::Agg(aop, a) => {
                 let v = self.read(table, a);
-                self.aggregate(id, aop, &v)
+                self.aggregate(id, aop, sparse, &v)
             }
             Op::CrossProd(a) => {
-                let v = self.read(table, a);
-                let Val::Matrix(m) = &v else {
+                let Val::Matrix(m) = self.read(table, a) else {
                     return Err(type_err("crossprod needs a matrix".into()));
                 };
-                if self.plan.kernel(id) == Kernel::Sparse {
-                    // A CSR operand goes in as it is. Its bits are the dense
-                    // round trip's, since a `Csr` stores no zeros.
-                    let s = match &**m {
-                        Matrix::Sparse(s) => Cow::Borrowed(s),
-                        Matrix::Dense(d) => Cow::Owned(Csr::from_dense(d)),
-                    };
+                if sparse {
+                    let s = csr(&m);
                     self.stats.flops += 2 * (s.nnz() * s.cols()) as u64;
-                    return Ok(dense_val(sparse::sp_crossprod(&s)));
+                    return Ok(dense_val(sparse::sp_crossprod(s)));
                 }
-                let m = dense(m);
+                let m = dense(&m);
                 self.stats.flops += (m.rows() * m.cols() * m.cols()) as u64;
                 let out = self.run(
                     id,
-                    &[&m],
+                    &[m],
                     m.cols(),
-                    |deg| par::crossprod(&m, deg),
+                    |deg| par::crossprod(m, deg),
                     |t, deg| ooc::crossprod(&t[0], deg),
                 )?;
                 Ok(dense_val(out))
             }
             Op::Tmv(a, b) => {
-                let (va, vb) = (self.read(table, a), self.read(table, b));
+                let (va, vb) = (self.operand(table, a, da), self.operand(table, b, db));
                 let (Val::Matrix(ma), Val::Matrix(mb)) = (&va, &vb) else {
                     return Err(type_err("tmv requires matrix operands".into()));
                 };
                 if mb.cols() != 1 || ma.rows() != mb.rows() {
                     return Err(type_err("tmv requires X (n x d) and v (n x 1)".into()));
                 }
-                let v = column(mb);
-                let out = match &**ma {
-                    Matrix::Dense(d) => {
-                        self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                        par::gevm(&v, d, self.in_memory_degree(id))
-                    }
-                    Matrix::Sparse(s) => {
-                        self.stats.flops += 2 * s.nnz() as u64;
-                        ma.vecmat(&v)
-                    }
+                let v = dense(mb).data();
+                let out = if sparse {
+                    let s = csr(ma);
+                    self.stats.flops += 2 * s.nnz() as u64;
+                    sparse::spvm(v, s)
+                } else {
+                    let d = dense(ma);
+                    self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
+                    par::gevm(v, d, self.in_memory_degree(id))
                 };
                 Ok(column_val(out))
             }
-            Op::SumSq(a) => match self.read(table, a) {
-                Val::Scalar(s) => Ok(Val::Scalar(s * s)),
-                Val::Matrix(m) => match &*m {
-                    Matrix::Dense(d) => {
-                        self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                        Ok(Val::Scalar(par::sum_sq(d, self.in_memory_degree(id))))
-                    }
-                    Matrix::Sparse(s) => {
-                        self.stats.flops += 2 * s.nnz() as u64;
-                        Ok(Val::Scalar(s.iter().map(|(_, _, v)| v * v).sum()))
-                    }
-                },
-            },
+            Op::SumSq(a) => Ok(Val::Scalar(match self.read(table, a) {
+                Val::Scalar(s) => s * s,
+                Val::Matrix(m) if sparse => {
+                    let s = csr(&m);
+                    self.stats.flops += 2 * s.nnz() as u64;
+                    s.iter().map(|(_, _, v)| v * v).sum()
+                }
+                Val::Matrix(m) => {
+                    let d = dense(&m);
+                    self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
+                    par::sum_sq(d, self.in_memory_degree(id))
+                }
+            })),
         }
     }
 
-    fn matmul(&mut self, id: NodeId, va: &Val, vb: &Val) -> Result<Val, ExecError> {
+    fn matmul(&mut self, id: NodeId, sparse: bool, va: &Val, vb: &Val) -> Result<Val, ExecError> {
         let type_err = |message: String| ExecError::Type { node: id, message };
         let (Val::Matrix(ma), Val::Matrix(mb)) = (va, vb) else {
             return Err(type_err("matmul requires matrix operands".into()));
@@ -1014,164 +998,145 @@ impl<'g> Executor<'g> {
         if ma.cols() != mb.rows() {
             return Err(type_err(format!("matmul inner dims {} vs {}", ma.cols(), mb.rows())));
         }
-        // Sparse kernels serve sparse operands unless the node streams.
-        let sparse_ok = self.family(id) != KernelChoice::Blocked;
-        // Vector shapes dispatch to mv/vm kernels.
-        if mb.cols() == 1 {
-            let v = column(mb);
-            let out = match &**ma {
-                Matrix::Sparse(s) if sparse_ok => {
-                    self.stats.flops += 2 * s.nnz() as u64;
-                    ma.gemv(&v)
-                }
-                _ => {
-                    let d = dense(ma);
-                    self.stats.flops += 2 * (d.rows() * d.cols()) as u64;
-                    self.run(
-                        id,
-                        &[&d],
-                        1,
-                        |deg| par::gemv(&d, &v, deg),
-                        |t, deg| ooc::gemv(&t[0], &v, deg),
-                    )?
-                }
-            };
+        if sparse {
+            // One chain per output cell over its row's non-zeros; a column
+            // `B` is the one-column case, with the bits of `spmv`.
+            let (sa, db) = (csr(ma), dense(mb));
+            self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
+            return Ok(dense_val(sparse::spmm_dense(sa, db)));
+        }
+        let (da, db) = (dense(ma), dense(mb));
+        self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
+        // Vector shapes dispatch to the mv kernels.
+        if db.cols() == 1 {
+            let v = db.data();
+            let out = self.run(
+                id,
+                &[da],
+                1,
+                |deg| par::gemv(da, v, deg),
+                |t, deg| ooc::gemv(&t[0], v, deg),
+            )?;
             return Ok(column_val(out));
         }
-        let out = match (&**ma, &**mb) {
-            (Matrix::Sparse(sa), Matrix::Dense(db)) if sparse_ok => {
-                self.stats.flops += 2 * (sa.nnz() * db.cols()) as u64;
-                sparse::spmm_dense(sa, db)
-            }
-            _ => {
-                let (da, db) = (dense(ma), dense(mb));
-                self.stats.flops += 2 * (da.rows() * da.cols() * db.cols()) as u64;
-                self.run(
-                    id,
-                    &[&da, &db],
-                    db.cols(),
-                    |deg| par::gemm(&da, &db, deg),
-                    |t, deg| collect(ooc::gemm(&t[0], &t[1], deg)?),
-                )?
-            }
-        };
+        let out = self.run(
+            id,
+            &[da, db],
+            db.cols(),
+            |deg| par::gemm(da, db, deg),
+            |t, deg| collect(ooc::gemm(&t[0], &t[1], deg)?),
+        )?;
         Ok(dense_val(out))
     }
 
-    fn unary(&mut self, u: UnaryOp, v: Val) -> Val {
+    fn unary(&mut self, u: UnaryOp, sparse: bool, v: Val) -> Val {
         let m = match v {
             Val::Scalar(s) => return Val::Scalar(u.apply(s)),
             Val::Matrix(m) => m,
         };
-        // sqrt/abs preserve zeros, so sparse stays sparse; exp/log
-        // densify and run on the dense form.
-        if let (Matrix::Sparse(s), UnaryOp::Sqrt | UnaryOp::Abs) = (&*m, u) {
+        // sqrt and abs keep zeros zero and non-zeros non-zero: the stored
+        // values map and the pattern stays.
+        if sparse {
+            let s = csr(&m);
             self.stats.flops += s.nnz() as u64;
-            let mut coo = dm_matrix::Coo::new(s.rows(), s.cols());
-            for (r, c, v) in s.iter() {
-                coo.push(r, c, u.apply(v)).expect("indices in range");
-            }
-            return Val::Matrix(Arc::new(Matrix::Sparse(coo.to_csr())));
+            return Val::Matrix(Arc::new(Matrix::Sparse(s.map_stored(|v| u.apply(v)))));
         }
         // A dense value this step holds the only reference to (its last
-        // reader's, see `read`) is mapped in place.
-        let mut d = match Arc::try_unwrap(m) {
-            Ok(Matrix::Dense(d)) => d,
-            Ok(m) => dense(&m).into_owned(),
-            Err(m) => dense(&m).into_owned(),
+        // reader's, see `read`, or the copy its row densified) is mapped in
+        // place.
+        let Matrix::Dense(mut d) = Arc::unwrap_or_clone(m) else {
+            unreachable!("a dense row reads a dense operand")
         };
         self.stats.flops += (d.rows() * d.cols()) as u64;
         u.map(d.data_mut());
         dense_val(d)
     }
 
-    fn aggregate(&mut self, id: NodeId, aop: AggOp, v: &Val) -> Result<Val, ExecError> {
+    fn aggregate(
+        &mut self,
+        id: NodeId,
+        aop: AggOp,
+        sparse: bool,
+        v: &Val,
+    ) -> Result<Val, ExecError> {
         let m = match v {
             Val::Scalar(s) => return Ok(Val::Scalar(*s)),
             Val::Matrix(m) => &**m,
         };
-        // Dense aggregates read every cell; sparse ones only stored entries.
-        self.stats.flops += match m {
-            Matrix::Dense(d) => (d.rows() * d.cols()) as u64,
-            Matrix::Sparse(s) => s.nnz() as u64,
-        };
+        // Sparse aggregates read only the stored entries, dense ones every
+        // cell.
+        if sparse {
+            let s = csr(m);
+            self.stats.flops += s.nnz() as u64;
+            return Ok(match aop {
+                AggOp::Sum => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
+                AggOp::ColSums => row_val(sparse::spvm(&vec![1.0; s.rows()], s)),
+                AggOp::RowSums => column_val(sparse::spmv(s, &vec![1.0; s.cols()])),
+                AggOp::Min => Val::Scalar(sparse_extreme(s, f64::min)),
+                AggOp::Max => Val::Scalar(sparse_extreme(s, f64::max)),
+            });
+        }
+        let d = dense(m);
+        self.stats.flops += (d.rows() * d.cols()) as u64;
         Ok(match aop {
-            AggOp::Sum => match m {
-                Matrix::Dense(d) => Val::Scalar(ops::sum(d)),
-                Matrix::Sparse(s) => Val::Scalar(s.iter().map(|(_, _, v)| v).sum()),
-            },
-            AggOp::ColSums => {
-                let cs = match m {
-                    Matrix::Dense(d) => self.run(
-                        id,
-                        &[d],
-                        d.cols(),
-                        |deg| par::col_sums(d, deg),
-                        |t, deg| ooc::col_sums(&t[0], deg),
-                    )?,
-                    Matrix::Sparse(s) => {
-                        let ones = vec![1.0; s.rows()];
-                        sparse::spvm(&ones, s)
-                    }
-                };
-                dense_val(Dense::from_vec(1, cs.len(), cs).expect("1 x n holds n values"))
-            }
-            AggOp::RowSums => column_val(match m {
-                Matrix::Dense(d) => ops::row_sums(d),
-                Matrix::Sparse(s) => {
-                    let ones = vec![1.0; s.cols()];
-                    sparse::spmv(s, &ones)
-                }
-            }),
-            AggOp::Min => Val::Scalar(min_of(m)),
-            AggOp::Max => Val::Scalar(max_of(m)),
+            AggOp::Sum => Val::Scalar(ops::sum(d)),
+            AggOp::ColSums => row_val(self.run(
+                id,
+                &[d],
+                d.cols(),
+                |deg| par::col_sums(d, deg),
+                |t, deg| ooc::col_sums(&t[0], deg),
+            )?),
+            AggOp::RowSums => column_val(ops::row_sums(d)),
+            AggOp::Min => Val::Scalar(ops::min(d)),
+            AggOp::Max => Val::Scalar(ops::max(d)),
         })
     }
 
     /// `sum(f(A))` for the `sum` node `id` over the fused `fa = f(A)`, in one
-    /// pass that never materializes `f(A)`.
-    ///
-    /// `A` is read as usual, then `f` is folded over its cells into one sum
-    /// from [`Iterator::sum`]'s identity ([`map_sum`]): the adds of
-    /// `ops::sum` over the mapped `A`, so the bits are the same. When `A` is a fused
-    /// matmul of two dense matrices, not even `A` is materialized:
-    /// [`par::gemm_map_sum`] streams it in `ROW_BLOCK`-row panels with the
-    /// same fold. The stats count the fused nodes as evaluated and charge
-    /// their flops, as the unfused path would.
+    /// pass that never materializes `f(A)`: `f` is folded over the dense `A`
+    /// into one sum from [`Iterator::sum`]'s identity ([`map_sum`]), the adds
+    /// of `ops::sum` over the mapped `A`. A fused product of dense operands is
+    /// not materialized either: [`par::gemm_map_sum`] streams it in
+    /// `ROW_BLOCK`-row panels with the same fold. The stats count the fused
+    /// nodes as evaluated and charge their flops, as the unfused path would.
     fn fused_sum(
         &mut self,
         id: NodeId,
         fa: NodeId,
         table: &mut ValueTable,
     ) -> Result<Val, ExecError> {
+        let type_err = |message: String| ExecError::Type { node: id, message };
         let Op::Unary(u, a) = *self.graph.op(fa) else { unreachable!("only f(A) is fused") };
         self.stats.nodes_evaluated += 1;
-        let v = match *self.graph.op(a) {
-            Op::MatMul(x, w) if table.fused[a] => {
+        if let Op::MatMul(x, w) = *self.graph.op(a) {
+            if table.fused[a] {
                 let (vx, vw) = (self.read(table, x), self.read(table, w));
                 self.stats.nodes_evaluated += 1;
-                // The plan fused a dense product wider than one column;
-                // values that are not one (a sparse binding, mismatched
-                // shapes) take the matmul's own path.
-                if let (Some(x), Some(w)) = (dense_of(&vx), dense_of(&vw)) {
-                    if x.cols() == w.rows() && w.cols() > 1 {
-                        let (m, k, n) = (x.rows(), x.cols(), w.cols());
-                        // The matmul's flops, then the unary's and the sum's.
-                        self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
-                        let degree = self.in_memory_degree(a);
-                        return Ok(Val::Scalar(par::gemm_map_sum(x, w, |p| u.map(p), degree)));
-                    }
+                let (Val::Matrix(x), Val::Matrix(w)) = (&vx, &vw) else {
+                    return Err(type_err("matmul requires matrix operands".into()));
+                };
+                if x.cols() != w.rows() {
+                    return Err(type_err(format!(
+                        "matmul inner dims {} vs {}",
+                        x.cols(),
+                        w.rows()
+                    )));
                 }
-                self.matmul(a, &vx, &vw)?
+                let (x, w) = (dense(x), dense(w));
+                let (m, k, n) = (x.rows(), x.cols(), w.cols());
+                // The matmul's flops, then the unary's and the sum's.
+                self.stats.flops += (2 * m * k * n + 2 * m * n) as u64;
+                let degree = self.in_memory_degree(a);
+                return Ok(Val::Scalar(par::gemm_map_sum(x, w, |p| u.map(p), degree)));
             }
-            _ => self.read(table, a),
-        };
-        if let Some(d) = dense_of(&v) {
-            self.stats.flops += 2 * d.data().len() as u64;
-            return Ok(Val::Scalar(map_sum(u, d.data())));
         }
-        let fv = self.unary(u, v);
-        self.aggregate(id, AggOp::Sum, &fv)
+        let Val::Matrix(m) = self.read(table, a) else {
+            return Err(type_err("a fused sum reads a matrix".into()));
+        };
+        let d = dense(&m);
+        self.stats.flops += 2 * d.data().len() as u64;
+        Ok(Val::Scalar(map_sum(u, d.data())))
     }
 
     fn ewise(&mut self, id: NodeId, e: EwiseOp, va: &Val, vb: &Val) -> Result<Val, ExecError> {
@@ -1183,30 +1148,23 @@ impl<'g> Executor<'g> {
         };
         match (va, vb) {
             (&Val::Scalar(a), &Val::Scalar(b)) => Ok(Val::Scalar(f(a, b))),
-            (Val::Matrix(m), &Val::Scalar(s)) => self.broadcast(id, m, move |v| f(v, s)),
-            (&Val::Scalar(s), Val::Matrix(m)) => self.broadcast(id, m, move |v| f(s, v)),
+            (Val::Matrix(m), &Val::Scalar(s)) => self.broadcast(id, dense(m), move |v| f(v, s)),
+            (&Val::Scalar(s), Val::Matrix(m)) => self.broadcast(id, dense(m), move |v| f(s, v)),
             (Val::Matrix(ma), Val::Matrix(mb)) => {
-                if ma.rows() != mb.rows() || ma.cols() != mb.cols() {
-                    return Err(ExecError::Type {
-                        node: id,
-                        message: format!(
-                            "elementwise {}x{} vs {}x{}",
-                            ma.rows(),
-                            ma.cols(),
-                            mb.rows(),
-                            mb.cols()
-                        ),
-                    });
-                }
                 let (da, db) = (dense(ma), dense(mb));
+                if da.shape() != db.shape() {
+                    let [(r1, c1), (r2, c2)] = [da.shape(), db.shape()];
+                    let message = format!("elementwise {r1}x{c1} vs {r2}x{c2}");
+                    return Err(ExecError::Type { node: id, message });
+                }
                 self.stats.flops += (da.rows() * da.cols()) as u64;
                 let in_memory = |_| match e {
-                    EwiseOp::Add => ops::add(&da, &db),
-                    EwiseOp::Sub => ops::sub(&da, &db),
-                    EwiseOp::Mul => ops::mul(&da, &db),
-                    EwiseOp::Div => ops::div(&da, &db),
+                    EwiseOp::Add => ops::add(da, db),
+                    EwiseOp::Sub => ops::sub(da, db),
+                    EwiseOp::Mul => ops::mul(da, db),
+                    EwiseOp::Div => ops::div(da, db),
                 };
-                let out = self.run(id, &[&da, &db], da.cols(), in_memory, |t, deg| {
+                let out = self.run(id, &[da, db], da.cols(), in_memory, |t, deg| {
                     collect(ooc::ewise(&t[0], &t[1], f, deg)?)
                 })?;
                 Ok(dense_val(out))
@@ -1214,18 +1172,17 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// Matrix-scalar broadcast: `f` over every element of `m`.
+    /// Matrix-scalar broadcast: `f` over every element of `d`.
     fn broadcast(
         &mut self,
         id: NodeId,
-        m: &Matrix,
+        d: &Dense,
         f: impl Fn(f64) -> f64 + Sync,
     ) -> Result<Val, ExecError> {
-        let d = dense(m);
         self.stats.flops += (d.rows() * d.cols()) as u64;
         let out = self.run(
             id,
-            &[&d],
+            &[d],
             d.cols(),
             |_| d.map(&f),
             |t, deg| collect(ooc::map(&t[0], &f, deg)?),
@@ -1313,67 +1270,42 @@ fn dims(v: &Val) -> (usize, usize) {
     }
 }
 
-/// The dense matrix a value holds, if it holds one.
-fn dense_of(v: &Val) -> Option<&Dense> {
-    let Val::Matrix(m) = v else { return None };
-    match &**m {
-        Matrix::Dense(d) => Some(d),
-        Matrix::Sparse(_) => None,
+/// The representation a value is stored in.
+fn repr(v: &Val) -> Repr {
+    match v {
+        Val::Scalar(_) => Repr::Scalar,
+        Val::Matrix(m) if m.is_dense() => Repr::Dense,
+        Val::Matrix(_) => Repr::Csr,
     }
 }
 
-/// True for a sparse matrix value.
-fn is_sparse(v: &Val) -> bool {
-    matches!(v, Val::Matrix(m) if !m.is_dense())
+/// The dense matrix a dense row reads: the row densified a CSR operand.
+fn dense(m: &Matrix) -> &Dense {
+    let Matrix::Dense(d) = m else { unreachable!("a dense row densifies its CSR operands") };
+    d
 }
 
-/// Borrow a dense matrix, densify a sparse one.
-fn dense(m: &Matrix) -> Cow<'_, Dense> {
-    match m {
-        Matrix::Dense(d) => Cow::Borrowed(d),
-        Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
-    }
+/// The CSR matrix a sparse row reads as stored.
+fn csr(m: &Matrix) -> &Csr {
+    let Matrix::Sparse(s) = m else { unreachable!("a sparse row reads a CSR operand") };
+    s
 }
 
-/// The values of an n x 1 operand: a dense column's contiguous storage is
-/// borrowed, a sparse one is materialised.
-fn column(m: &Matrix) -> Cow<'_, [f64]> {
-    match m {
-        Matrix::Dense(d) => Cow::Borrowed(d.data()),
-        Matrix::Sparse(s) => Cow::Owned((0..s.rows()).map(|r| s.get(r, 0)).collect()),
-    }
+/// A row-pass member whose operands do not fit the `X` of its pass: a
+/// binding that disagrees with the sizes the plan was made for.
+fn pass_err(node: NodeId) -> ExecError {
+    ExecError::Type { node, message: "row pass operands do not fit the matrix it reads".into() }
 }
 
 fn ooc_err(node: NodeId, e: PoolError) -> ExecError {
     ExecError::OutOfCore { node, message: e.to_string() }
 }
 
-fn min_of(m: &Matrix) -> f64 {
-    match m {
-        Matrix::Dense(d) => ops::min(d),
-        Matrix::Sparse(s) => {
-            let stored = s.iter().map(|(_, _, v)| v).fold(f64::NAN, f64::min);
-            if s.nnz() < s.rows() * s.cols() {
-                stored.min(0.0)
-            } else {
-                stored
-            }
-        }
-    }
-}
-
-fn max_of(m: &Matrix) -> f64 {
-    match m {
-        Matrix::Dense(d) => ops::max(d),
-        Matrix::Sparse(s) => {
-            let stored = s.iter().map(|(_, _, v)| v).fold(f64::NAN, f64::max);
-            if s.nnz() < s.rows() * s.cols() {
-                stored.max(0.0)
-            } else {
-                stored
-            }
-        }
-    }
+/// The least (`pick` = `f64::min`) or greatest (`f64::max`) value of a CSR
+/// matrix, an implicit zero included.
+fn sparse_extreme(s: &Csr, pick: fn(f64, f64) -> f64) -> f64 {
+    let zero = if s.nnz() < s.rows() * s.cols() { 0.0 } else { f64::NAN };
+    s.iter().map(|(_, _, v)| v).fold(zero, pick)
 }
 
 #[cfg(test)]
@@ -1781,12 +1713,12 @@ mod tests {
     #[test]
     fn sparse_min_max_account_for_implicit_zeros() {
         let d = Dense::from_rows(&[&[0.0, 5.0], &[0.0, 0.0]]);
-        let m = Matrix::Sparse(Csr::from_dense(&d));
-        assert_eq!(min_of(&m), 0.0);
-        assert_eq!(max_of(&m), 5.0);
+        let m = Csr::from_dense(&d);
+        assert_eq!(sparse_extreme(&m, f64::min), 0.0);
+        assert_eq!(sparse_extreme(&m, f64::max), 5.0);
         let neg = Dense::from_rows(&[&[0.0, -5.0], &[0.0, 0.0]]);
-        let m = Matrix::Sparse(Csr::from_dense(&neg));
-        assert_eq!(min_of(&m), -5.0);
-        assert_eq!(max_of(&m), 0.0);
+        let m = Csr::from_dense(&neg);
+        assert_eq!(sparse_extreme(&m, f64::min), -5.0);
+        assert_eq!(sparse_extreme(&m, f64::max), 0.0);
     }
 }

@@ -59,7 +59,12 @@ pub fn op_site(graph: &Graph, id: NodeId) -> std::borrow::Cow<'static, str> {
     })
 }
 
-fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan) -> String {
+fn annotation(
+    graph: &Graph,
+    id: NodeId,
+    sizes: &HashMap<NodeId, SizeInfo>,
+    plan: &PhysicalPlan,
+) -> String {
     let mut parts: Vec<String> = Vec::new();
     if let Some(info) = sizes.get(&id) {
         match info.shape {
@@ -71,6 +76,10 @@ fn annotation(id: NodeId, sizes: &HashMap<NodeId, SizeInfo>, plan: &PhysicalPlan
         }
     }
     parts.push(format!("{}", plan.kernel(id)));
+    if let Some(row) = plan.row(id).filter(|r| r.densify != [false; 2]) {
+        let operands = graph.op(id).children().into_iter().zip(row.densify);
+        parts.extend(operands.filter(|&(_, d)| d).map(|(c, _)| format!("densify %{c}")));
+    }
     if let Some(sum) = plan.fused_into(id) {
         parts.push(format!("fused into %{sum}"));
     }
@@ -104,7 +113,7 @@ fn render_tree(
         let _ = writeln!(out, "{connector}%{id} {label} (shared, printed above)");
         return;
     }
-    let note = annotation(id, &prog.sizes, &prog.plan);
+    let note = annotation(graph, id, &prog.sizes, &prog.plan);
     let _ = writeln!(out, "{connector}%{id} {label}{note}");
     let children = graph.op(id).children();
     let child_prefix = if is_root {
@@ -123,7 +132,9 @@ fn render_tree(
 /// Render the program's DAG as a text tree, one node per line, shared
 /// subtrees printed once and referenced thereafter, each node annotated with
 /// its propagated shape, sparsity estimate and kernel (`parallel` and
-/// `blocked` included); a node the plan fused names the `sum` that computes
+/// `blocked` included); a node that reads a dense copy of a CSR operand
+/// names it (`densify %0`, once per operand it densifies); a node the plan
+/// fused names the `sum` that computes
 /// it (`fused into %7`), and a member of a row pass the member whose step
 /// runs the pass (`row pass at %1`). Nodes without propagated sizes show their kernel
 /// only. Two sections follow from what the program was planned with:

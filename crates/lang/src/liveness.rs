@@ -15,47 +15,37 @@
 //!
 //! The certificate models an executor that materializes each value at the
 //! step that produces it and frees it after its last consumer — which is
-//! how [`Executor::eval`](crate::exec::Executor::eval) runs a plan, and the
-//! admission-control contract for ROADMAP #2. Per step, resident bytes are:
+//! how [`Executor::eval`](crate::exec::Executor::eval) runs a plan. Per
+//! step, resident bytes are:
 //!
-//! * every live non-streaming value, at its representation's footprint
-//!   (dense cells, CSR triples for sparse-planned producers, 8 bytes for
-//!   scalars);
+//! * every live non-streaming value, at the footprint of the representation
+//!   its row of the representation table ([`row`](crate::physical::row))
+//!   gives it (dense cells, CSR triples, 8 bytes for scalars);
+//! * at a node's own step, the **dense copy** of each CSR operand its row
+//!   densifies (a unary op maps its copy into its output in place, so that
+//!   copy is the output's bytes);
 //! * **streaming values** — values whose every consumer is
 //!   [`Kernel::Blocked`] — contribute nothing outside their consumers'
 //!   steps: they live in the spill pool, on disk, or in the source the
-//!   blocked kernel reads panel-by-panel;
+//!   blocked kernel reads panel-by-panel. (A derived value is held whole
+//!   until its blocked readers tile it, uncharged: ROADMAP item 13(a).) A
+//!   row that densifies runs in memory and never blocks: its output is held;
 //! * **fused nodes** run inside their `sum`'s step
-//!   ([`PlanOptions`](crate::physical::PlanOptions), step 3), and their operands stay live
-//!   until it: a fused `f(A)` is never materialized (over a sparse-planned
-//!   `A` it is charged as built, since that step maps `A` first), and a
-//!   fused `X %*% W` holds only its `degree` streamed `ROW_BLOCK`-row
+//!   ([`PlanOptions`](crate::physical::PlanOptions), step 3), and their
+//!   operands stay live until it: a fused `f(A)` is never materialized, and
+//!   a fused `X %*% W` holds only its `degree` streamed `ROW_BLOCK`-row
 //!   panels, at that step;
 //! * the members of a **row pass** (step 4) all run at the step of its first
 //!   member, so each member's value is charged from that step and its
 //!   operands stay live until it;
 //! * at a blocked node's own step, a **pool term**: the bytes its operand
 //!   and output [`BlockStore`](dm_buffer::BlockStore)s would charge the
-//!   pool (dense cells plus [`FRAME_OVERHEAD`](dm_buffer::FRAME_OVERHEAD)
-//!   per panel), capped at
-//!   [`crate::memory::spill_pool_capacity`] — the pool
-//!   never holds more than its capacity, evicting to disk instead.
-//!
-//! The pool term is an upper bound on the executor's
-//! `buffer.pool.lru.used_bytes` gauge by construction (same panel math, same
-//! capacity clamp), which is what the upper-bound property test in
-//! `tests/certify.rs` exercises across random DAGs and budgets. The
-//! materialized terms are as good as the size estimates driving them.
-//!
-//! [`min_peak_order`] is the schedule half of the story: a Sethi–Ullman
-//! style reordering that evaluates high-transient-peak subtrees before
-//! high-hold siblings, often fitting a budget in memory that the default
-//! depth-first order could only meet by spilling. Under a bounded budget
-//! the planner fits both orders and keeps the better.
+//!   pool, capped at [`crate::memory::spill_pool_capacity`], which the
+//!   pool never exceeds (DESIGN.md, "Plan-time liveness").
 
 use crate::expr::{AggOp, Graph, NodeId, Op};
 use crate::memory::{spill_pool_capacity, MemoryBudget, OOC_PANEL_DENOM};
-use crate::physical::{Kernel, PhysicalPlan};
+use crate::physical::{Kernel, PhysicalPlan, Repr};
 use crate::size::{Shape, SizeInfo};
 use dm_buffer::{panel_rows_for, store_bytes};
 use dm_matrix::par::ROW_BLOCK;
@@ -101,7 +91,7 @@ impl Schedule {
         // A schedule ending at a planned node reads each node at most as
         // often as the plan's own does, so a fused node keeps its `sum` as
         // only reader whenever that `sum` is scheduled.
-        let covered = order.last().is_some_and(|&root| plan.covers(root));
+        let covered = order.last().is_some_and(|&root| plan.row(root).is_some());
         let mut pass = vec![None; graph.len()];
         if covered {
             // Per matrix read: the first member's step and the members.
@@ -189,27 +179,19 @@ impl Schedule {
     }
 }
 
-fn dense_value_bytes(rows: usize, cols: usize) -> usize {
-    rows.saturating_mul(cols).saturating_mul(8)
-}
-
-/// CSR bytes: 8-byte value + 8-byte column index per stored non-zero, plus
-/// the `rows + 1` row-offset array.
-fn sparse_value_bytes(rows: usize, cols: usize, sparsity: f64) -> usize {
-    let nnz = ((rows as f64) * (cols as f64) * sparsity.clamp(0.0, 1.0)).ceil() as usize;
-    nnz.saturating_mul(16).saturating_add((rows + 1).saturating_mul(8))
-}
-
-/// Bytes a value keeps resident while live, per its producer's kernel:
-/// sparse producers hold CSR, everything else holds dense (blocked kernels
-/// densify their outputs for non-blocked consumers).
-pub fn materialized_bytes(kernel: Kernel, info: &SizeInfo) -> usize {
-    match info.shape {
-        Shape::Scalar => 8,
-        Shape::Matrix { rows, cols } => match kernel {
-            Kernel::Sparse => sparse_value_bytes(rows, cols, info.sparsity),
-            _ => dense_value_bytes(rows, cols),
-        },
+/// Bytes a value keeps resident while live in representation `repr`: CSR
+/// (an 8-byte value and column index per estimated non-zero, plus `rows + 1`
+/// row offsets), anything else dense (blocked kernels densify their outputs
+/// for non-blocked consumers).
+pub fn materialized_bytes(repr: Repr, info: &SizeInfo) -> usize {
+    match (info.shape, repr) {
+        (Shape::Scalar, _) => 8,
+        (Shape::Matrix { rows, cols }, Repr::Csr) => {
+            let cells = (rows as f64) * (cols as f64) * info.sparsity.clamp(0.0, 1.0);
+            let nnz = cells.ceil() as usize;
+            nnz.saturating_mul(16).saturating_add((rows + 1).saturating_mul(8))
+        }
+        (Shape::Matrix { rows, cols }, _) => rows.saturating_mul(cols).saturating_mul(8),
     }
 }
 
@@ -277,6 +259,9 @@ pub struct StepUsage {
     pub pool_bytes: usize,
     /// The live materialized values and their individual contributions.
     pub live: Vec<(NodeId, usize)>,
+    /// The dense copies this step's node makes of its CSR operands, by
+    /// operand, each with its bytes.
+    pub densified: Vec<(NodeId, usize)>,
 }
 
 /// The certifier's verdict.
@@ -368,6 +353,9 @@ impl PlanCertificate {
                 let vals: Vec<String> = su.live.iter().map(|(v, b)| format!("%{v}:{b}")).collect();
                 let _ = write!(out, "  [{}]", vals.join(" "));
             }
+            for (v, b) in &su.densified {
+                let _ = write!(out, "  densify %{v}:{b}");
+            }
             let _ = writeln!(out);
         }
         out
@@ -424,7 +412,19 @@ pub fn certify_schedule(
         live_set.extend(enters[step].iter().map(|&pos| (pos, (order[pos], resident[pos]))));
         let live: Vec<(NodeId, usize)> = live_set.values().copied().collect();
         live_set.retain(|_, &mut (v, _)| sched.last_use[v] > step);
-        let mut total = live.iter().fold(0usize, |t, &(_, b)| t.saturating_add(b));
+        // The dense copies this step's row makes of its CSR operands; a
+        // unary op maps its copy into its output in place, charged as such.
+        let densified: Vec<(NodeId, usize)> = match plan.row(n) {
+            Some(r) if r.densify != [false; 2] && !matches!(graph.op(n), Op::Unary(..)) => {
+                let bytes =
+                    |c: NodeId| sizes.get(&c).map_or(0, |i| materialized_bytes(Repr::Dense, i));
+                let operands = graph.op(n).children().into_iter().zip(r.densify);
+                operands.filter(|&(_, d)| d).map(|(c, _)| (c, bytes(c))).collect()
+            }
+            _ => Vec::new(),
+        };
+        let mut total =
+            live.iter().chain(&densified).fold(0usize, |t, &(_, b)| t.saturating_add(b));
         let pool = match limit {
             Some(l) if plan.kernel(n) == Kernel::Blocked => {
                 blocked_io_bytes(graph, n, sizes, l).min(spill_pool_capacity(l))
@@ -438,7 +438,14 @@ pub fn certify_schedule(
         if first_exceed.is_none() && limit.is_some_and(|l| total > l) {
             first_exceed = Some((step, n, total));
         }
-        timeline.push(StepUsage { step, node: n, live_bytes: total, pool_bytes: pool, live });
+        timeline.push(StepUsage {
+            step,
+            node: n,
+            live_bytes: total,
+            pool_bytes: pool,
+            live,
+            densified,
+        });
     }
     let verdict = match first_exceed {
         Some((step, node, live_bytes)) => Verdict::Exceeds { step, node, live_bytes },
@@ -457,7 +464,9 @@ fn resident_bytes(
     let order = sched.order();
     // Streaming values — every consumer reads them panel-by-panel through
     // the pool — are never materialized; their bytes are the consumers'
-    // pool terms. A value any in-memory consumer reads is held.
+    // pool terms. A value any in-memory consumer reads is held, and so is
+    // the output of a row that densifies: that row runs in memory, over
+    // whole dense copies, and never blocks.
     let mut held = vec![false; graph.len()];
     for &n in order.iter().filter(|&&n| plan.kernel(n) != Kernel::Blocked) {
         for c in graph.op(n).children() {
@@ -467,20 +476,18 @@ fn resident_bytes(
     order
         .iter()
         .map(|&v| {
-            let streams = sched.reads[v] > 0 && !held[v];
+            let densifies = plan.row(v).is_some_and(|r| r.densify != [false; 2]);
+            let streams = sched.reads[v] > 0 && !held[v] && !densifies;
             match (sizes.get(&v), sched.fused[v], graph.op(v)) {
-                (Some(info), false, _) if !streams => materialized_bytes(plan.kernel(v), info),
-                // A fused `f(A)` is never built, unless its `sum` step meets a
-                // sparse `A` and maps it first.
-                (Some(info), true, &Op::Unary(_, a)) if plan.kernel(a) == Kernel::Sparse => {
-                    materialized_bytes(plan.kernel(v), info)
+                (Some(info), false, _) if !streams => {
+                    materialized_bytes(plan.row(v).map_or(Repr::Dense, |r| r.out), info)
                 }
                 // A fused product is streamed `degree` row panels at a time,
                 // what `par::gemm_map_sum` holds.
                 (Some(info), true, Op::MatMul(..)) => {
                     let degree = if plan.kernel(v) == Kernel::Parallel { plan.degree() } else { 1 };
                     let rows = info.shape.rows().min(degree.saturating_mul(ROW_BLOCK));
-                    dense_value_bytes(rows, info.shape.cols())
+                    rows.saturating_mul(info.shape.cols()).saturating_mul(8)
                 }
                 _ => 0,
             }
@@ -504,7 +511,9 @@ pub fn min_peak_order(
     // children before parents.
     let mut memo: HashMap<NodeId, (usize, usize)> = HashMap::new();
     for id in graph.reachable(root) {
-        let hold = sizes.get(&id).map_or(0, |info| materialized_bytes(plan.kernel(id), info));
+        let hold = sizes.get(&id).map_or(0, |info| {
+            materialized_bytes(plan.row(id).map_or(Repr::Dense, |r| r.out), info)
+        });
         let mut children: Vec<(usize, usize)> =
             graph.op(id).children().into_iter().map(|c| memo[&c]).collect();
         children.sort_by_key(|&(p, h)| std::cmp::Reverse(p.saturating_sub(h)));
@@ -648,8 +657,9 @@ mod tests {
     }
 
     #[test]
-    fn a_fused_map_over_a_sparse_operand_is_charged_as_built() {
-        // sum(exp(S)) over a CSR S: the sum step maps S before summing it.
+    fn a_map_over_a_csr_operand_is_not_fused_and_its_copy_is_its_output() {
+        // sum(exp(S)) over a CSR S: exp reads a dense copy of S and maps it in
+        // place, so the copy is exp(S)'s own bytes, charged once.
         let mut inputs = InputSizes::new();
         inputs.declare("S", 1000, 100, 0.01);
         let mut g = Graph::new();
@@ -658,11 +668,30 @@ mod tests {
         let root = g.agg(AggOp::Sum, e);
         let sizes = propagate(&g, root, &inputs).unwrap();
         let plan = planned(&g, root, &PlanOptions::new(&inputs));
-        assert_eq!((plan.kernel(s), plan.fused_into(e)), (Kernel::Sparse, Some(root)));
+        assert_eq!((plan.kernel(s), plan.fused_into(e)), (Kernel::Sparse, None));
         let cert = certify_plan(&g, root, &plan, &sizes, MemoryBudget::unbounded());
-        let built = materialized_bytes(plan.kernel(e), &sizes[&e]);
-        assert!(!cert.timeline[1].live.iter().any(|&(v, _)| v == e), "{}", cert.render(&g));
-        assert!(cert.timeline[2].live.contains(&(e, built)), "{}", cert.render(&g));
+        let exp = &cert.timeline[1];
+        assert!(exp.live.contains(&(e, 1000 * 100 * 8)), "{}", cert.render(&g));
+        assert!(exp.densified.is_empty(), "{}", cert.render(&g));
+    }
+
+    #[test]
+    fn each_densified_operand_is_charged_at_its_readers_step() {
+        // S * S reads two dense copies of S beside its dense output.
+        let mut inputs = InputSizes::new();
+        inputs.declare("S", 200, 100, 0.01);
+        let mut g = Graph::new();
+        let s = g.input("S");
+        let had = g.ewise(EwiseOp::Mul, s, s);
+        let sizes = propagate(&g, had, &inputs).unwrap();
+        let plan = planned(&g, had, &PlanOptions::new(&inputs));
+        let cert = certify_plan(&g, had, &plan, &sizes, MemoryBudget::unbounded());
+        let (csr, dense) = (materialized_bytes(Repr::Csr, &sizes[&s]), 200 * 100 * 8);
+        let step = &cert.timeline[1];
+        assert_eq!(step.densified, [(s, dense), (s, dense)]);
+        assert_eq!(step.live, [(s, csr), (had, dense)]);
+        assert_eq!(cert.peak_bytes, csr + 3 * dense);
+        assert!(cert.render(&g).contains(&format!("densify %{s}:{dense}")));
     }
 
     #[test]
@@ -738,7 +767,9 @@ mod tests {
             if let Some(&c) = memo.get(&id) {
                 return c;
             }
-            let hold = s.get(&id).map_or(0, |info| materialized_bytes(plan.kernel(id), info));
+            let hold = s.get(&id).map_or(0, |info| {
+                materialized_bytes(plan.row(id).map_or(Repr::Dense, |r| r.out), info)
+            });
             let mut children: Vec<(usize, usize)> =
                 g.op(id).children().into_iter().map(|c| costs(g, c, s, plan, memo)).collect();
             children.sort_by_key(|&(p, h)| std::cmp::Reverse(p.saturating_sub(h)));
@@ -917,8 +948,10 @@ mod tests {
                     assert_eq!(cert.timeline.len(), want.len());
                     for (su, live) in cert.timeline.iter().zip(&want) {
                         assert_eq!(&su.live, live, "step {} of {g}", su.step);
-                        let bytes =
-                            live.iter().fold(su.pool_bytes, |t, &(_, b)| t.saturating_add(b));
+                        let bytes = live
+                            .iter()
+                            .chain(&su.densified)
+                            .fold(su.pool_bytes, |t, &(_, b)| t.saturating_add(b));
                         assert_eq!(su.live_bytes, bytes, "step {} of {g}", su.step);
                     }
                     checked += 1;

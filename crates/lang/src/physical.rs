@@ -1,22 +1,16 @@
 //! Physical operator selection: the planner assigns a kernel to every
 //! logical op of a program, and
 //! [`CompiledProgram::new`](crate::cache::CompiledProgram::new) is its one
-//! entry point.
-//!
-//! The selection mirrors the surveyed compilers' LOP assignment and runs as
-//! one pipeline: propagated sparsity estimates pick the dense or sparse
-//! family (crossover calibrated by experiment E6), dense nodes with a
-//! multi-threaded kernel upgrade to [`Kernel::Parallel`] where that pays,
-//! `sum(f(A))` patterns fuse into their `sum`, reductions of one dense
-//! matrix share a row pass over it, and under a bounded
-//! [`MemoryBudget`] the liveness certifier downgrades nodes to
-//! [`Kernel::Blocked`] until the plan's peak live set fits.
-//! [`PlanOptions`] carries everything the pipeline is parameterized by.
+//! entry point. It mirrors the surveyed compilers' LOP assignment as one
+//! pipeline, from the representation table ([`row`]) through parallelism,
+//! fusion and row passes to the memory fit; [`PlanOptions`] describes the
+//! steps and carries everything they are parameterized by.
 
 use crate::cost::CostModel;
-use crate::expr::{AggOp, Graph, NodeId, Op};
+use crate::expr::{AggOp, Graph, NodeId, Op, UnaryOp};
 use crate::liveness::{
-    certify_plan, certify_schedule, min_peak_order, PlanCertificate, Schedule, Verdict,
+    certify_plan, certify_schedule, materialized_bytes, min_peak_order, PlanCertificate, Schedule,
+    Verdict,
 };
 use crate::memory::MemoryBudget;
 use crate::size::{InputSizes, SizeInfo};
@@ -56,10 +50,112 @@ impl fmt::Display for Kernel {
     }
 }
 
-/// The per-node physical plan.
+/// How a value is stored, in the representation table ([`row`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Repr {
+    /// Row-major dense cells.
+    Dense,
+    /// Compressed sparse rows: the stored non-zeros.
+    Csr,
+    /// One number.
+    Scalar,
+}
+
+/// One row of the representation table ([`row`]): what runs for one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// [`Kernel::Dense`], [`Kernel::Sparse`] or [`Kernel::Scalar`]; the
+    /// planner may move a dense row to [`Kernel::Parallel`] or
+    /// [`Kernel::Blocked`].
+    pub kernel: Kernel,
+    /// The representation of the node's output.
+    pub out: Repr,
+    /// Per operand, in [`Op::children`] order: whether the kernel reads a
+    /// dense copy of it, made at the node's step.
+    pub densify: [bool; 2],
+}
+
+impl Row {
+    /// The row of a value held as it is stored: an input's.
+    pub fn holding(out: Repr) -> Row {
+        let kernel = match out {
+            Repr::Dense => Kernel::Dense,
+            Repr::Csr => Kernel::Sparse,
+            Repr::Scalar => Kernel::Scalar,
+        };
+        Row { kernel, out, densify: [false; 2] }
+    }
+
+    /// True for a dense in-memory kernel reading every operand as stored:
+    /// what a fused product, a row pass and a blocked kernel run.
+    fn streams(self) -> bool {
+        matches!(self.kernel, Kernel::Dense | Kernel::Parallel) && self.densify == [false; 2]
+    }
+}
+
+/// The representation table: the row of node `id` over operands whose
+/// representations `of` gives (for an `Input`, `of(id)` is what it is held
+/// as). DESIGN.md's "Representation table" section lists the rows. Outputs
+/// are dense or scalar except where their non-zeros are the operand's (`t`,
+/// `sqrt`, `abs` of a CSR value); a kernel without a CSR form reads a dense
+/// copy of each CSR operand.
+pub fn row(graph: &Graph, id: NodeId, of: impl Fn(NodeId) -> Repr) -> Row {
+    use Repr::{Csr, Dense, Scalar};
+    let sparse = |out, b: Repr| Row { kernel: Kernel::Sparse, out, densify: [false, b == Csr] };
+    let dense =
+        |out, [a, b]: [Repr; 2]| Row { kernel: Kernel::Dense, out, densify: [a == Csr, b == Csr] };
+    // A CSR operand's own kernel, else a dense one; scalars stay scalar.
+    let follow = |a: NodeId, out| match of(a) {
+        Scalar => Row::holding(Scalar),
+        Csr => sparse(out, Dense),
+        Dense => dense(out, [Dense; 2]),
+    };
+    match *graph.op(id) {
+        Op::Input(_) => Row::holding(of(id)),
+        Op::Const(_) => Row::holding(Scalar),
+        Op::Transpose(a) | Op::Unary(UnaryOp::Sqrt | UnaryOp::Abs, a) => follow(a, of(a)),
+        // exp(0) = 1, log(0) = -inf: the dense copy is mapped in place.
+        Op::Unary(_, a) if of(a) == Csr => dense(Dense, [Csr, Dense]),
+        Op::Unary(_, a) => follow(a, of(a)),
+        Op::Ewise(_, a, b) => match (of(a), of(b)) {
+            (Scalar, Scalar) => Row::holding(Scalar),
+            (ra, rb) => dense(Dense, [ra, rb]),
+        },
+        Op::MatMul(a, b) | Op::Tmv(a, b) => match (graph.op(id), of(a), of(b)) {
+            (_, Scalar, _) => Row::holding(Scalar),
+            (Op::Tmv(..), Csr, rb) | (_, Csr, rb @ Dense) => sparse(Dense, rb),
+            (_, ra, rb) => dense(Dense, [ra, rb]),
+        },
+        Op::Agg(AggOp::ColSums | AggOp::RowSums, a) | Op::CrossProd(a) => follow(a, Dense),
+        Op::Agg(_, a) | Op::SumSq(a) => follow(a, Scalar),
+    }
+}
+
+/// The table's row of every node of `nodes` (children before parents), an
+/// input held as CSR below [`SPARSE_THRESHOLD`] declared sparsity.
+pub(crate) fn rows(
+    graph: &Graph,
+    nodes: &[NodeId],
+    sizes: &HashMap<NodeId, SizeInfo>,
+) -> HashMap<NodeId, Row> {
+    let declared = |n: NodeId| match sizes.get(&n) {
+        Some(i) if matches!(i.shape, crate::size::Shape::Scalar) => Repr::Scalar,
+        Some(i) if i.sparsity < SPARSE_THRESHOLD => Repr::Csr,
+        _ => Repr::Dense,
+    };
+    let mut rows: HashMap<NodeId, Row> = HashMap::with_capacity(nodes.len());
+    for &id in nodes {
+        let r = row(graph, id, |n| rows.get(&n).map_or_else(|| declared(n), |r| r.out));
+        rows.insert(id, r);
+    }
+    rows
+}
+
+/// The per-node physical plan: each planned node's row of the
+/// representation table, with the planner's placement of its dense kernel.
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalPlan {
-    kernels: HashMap<NodeId, Kernel>,
+    rows: HashMap<NodeId, Row>,
     /// Each fused node, mapped to the `sum` whose step computes it.
     fused: HashMap<NodeId, NodeId>,
     /// Each member of a row pass, mapped to the matrix the pass reads.
@@ -71,10 +167,17 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// The kernel chosen for a node (defaults to dense for nodes the planner
-    /// never saw — e.g. when sizes were unavailable).
+    /// The kernel chosen for a node: its [`row`]'s, as the planner placed it.
+    /// A node the plan does not cover runs the table's row over the values
+    /// it reads; this reports [`Kernel::Dense`] for it.
     pub fn kernel(&self, id: NodeId) -> Kernel {
-        self.kernels.get(&id).copied().unwrap_or(Kernel::Dense)
+        self.rows.get(&id).map_or(Kernel::Dense, |r| r.kernel)
+    }
+
+    /// The planned row of the representation table for a node, `None` for
+    /// a node the plan does not cover.
+    pub fn row(&self, id: NodeId) -> Option<Row> {
+        self.rows.get(&id).copied()
     }
 
     /// Degree of parallelism the plan was built for (at least 1); the
@@ -129,11 +232,11 @@ impl PhysicalPlan {
     /// The matrix `X` node `id` would read in a row pass and its other
     /// operands, when it may join one: `crossprod(X)`, `tmv(X, v)` and
     /// `colSums(X)` on [`Kernel::Dense`] or [`Kernel::Parallel`], and a
-    /// `sum` that fused `f(X %*% W)`, whose product is on one of those. `X`
-    /// must not be planned sparse. `sumSq` never joins: its fold runs over
-    /// `ELEM_BLOCK`-element blocks, not rows.
+    /// `sum` that fused `f(X %*% W)`, whose product is on one of those, each
+    /// reading every operand as stored: a CSR operand is not passed.
+    /// `sumSq` never joins: its fold runs over `ELEM_BLOCK`-element blocks,
+    /// not rows.
     fn pass_operands(&self, graph: &Graph, id: NodeId) -> Option<(NodeId, Vec<NodeId>)> {
-        let in_memory = |n: NodeId| matches!(self.kernel(n), Kernel::Dense | Kernel::Parallel);
         let (on, x, others) = match *graph.op(id) {
             Op::CrossProd(x) | Op::Agg(AggOp::ColSums, x) => (id, x, vec![]),
             Op::Tmv(x, v) => (id, x, vec![v]),
@@ -147,7 +250,7 @@ impl PhysicalPlan {
             }
             _ => return None,
         };
-        (in_memory(on) && self.kernel(x) != Kernel::Sparse).then_some((x, others))
+        self.row(on).is_some_and(Row::streams).then_some((x, others))
     }
 
     /// Whether node `id` runs at the plan's degree: a node on
@@ -163,27 +266,10 @@ impl PhysicalPlan {
         self.kernel(on) == Kernel::Parallel && self.degree() > 1
     }
 
-    /// True when `root` is a planned node. A schedule ending there reads
-    /// each node at most as often as the plan's own does, so a fused node
-    /// keeps its `sum` as only reader whenever that `sum` is scheduled.
-    pub(crate) fn covers(&self, root: NodeId) -> bool {
-        self.kernels.contains_key(&root)
-    }
-
-    /// Number of planned nodes.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// True when no nodes were planned.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
     /// The planned nodes assigned kernel `k`, in ascending node order.
     pub fn nodes_with(&self, k: Kernel) -> Vec<NodeId> {
         let mut v: Vec<NodeId> =
-            self.kernels.iter().filter(|&(_, &kk)| kk == k).map(|(&n, _)| n).collect();
+            self.rows.iter().filter(|&(_, r)| r.kernel == k).map(|(&n, _)| n).collect();
         v.sort_unstable();
         v
     }
@@ -209,47 +295,45 @@ impl PhysicalPlan {
 /// The planner runs one pipeline over the sizes propagated from
 /// [`sizes`](Self::sizes):
 ///
-/// 1. **Representation.** Propagated sparsity picks [`Kernel::Sparse`] below
-///    [`SPARSE_THRESHOLD`], [`Kernel::Dense`] otherwise; aggregates and
-///    multiplies follow their (first) operand, scalars are
-///    [`Kernel::Scalar`].
+/// 1. **Representation.** The representation table ([`row`], DESIGN.md's
+///    "Representation table") gives each node its kernel, its output
+///    representation and the operands it densifies, from each input's
+///    declared sparsity: an input below [`SPARSE_THRESHOLD`] is held as CSR.
 /// 2. **Parallelism**, at a [`degree`](Self::degree) above one: a dense node
 ///    with a multi-threaded kernel upgrades to [`Kernel::Parallel`] when the
 ///    cost model's measured parallel price beats its serial one, or — where
 ///    the model cannot price both — when its estimated flops clear
 ///    [`PAR_FLOP_THRESHOLD`]. Sparse and scalar choices never upgrade, so
 ///    small inputs keep the exact serial dispatch at any degree.
-/// 3. **Fusion**: in a `sum(f(A))` whose unary `f(A)` has no other reader,
-///    `f(A)` fuses into the `sum`, which folds `f` over `A` in one pass.
-///    When `A` is an unshared `X %*% W` on
-///    [`Kernel::Dense`] or [`Kernel::Parallel`], over a non-sparse `W` and
-///    wider than one column, it fuses too: the `sum` streams it in row
+/// 3. **Fusion**: in a `sum(f(A))` whose unary `f(A)` has no other reader
+///    and whose `A` is dense, `f(A)` fuses into the `sum`, which folds `f`
+///    over `A` in one pass. When `A` is an unshared `X %*% W` on
+///    [`Kernel::Dense`] or [`Kernel::Parallel`], over a dense `X` and `W`
+///    and wider than one column, it fuses too: the `sum` streams it in row
 ///    panels at the matmul's degree (`dm_matrix::par::gemm_map_sum`). A fused
 ///    node keeps its kernel.
-/// 4. **Row passes**: the nodes that reduce the same dense `X` row block by
-///    row block — `crossprod(X)`, `tmv(X, v)`, `colSums(X)` and a `sum`
+/// 4. **Row passes**: `crossprod(X)`, `tmv(X, v)`, `colSums(X)` and a `sum`
 ///    that fused `f(X %*% W)`, on [`Kernel::Dense`] or [`Kernel::Parallel`]
-///    — form one pass over `X` (`dm_matrix::par::row_pass`) that runs at
-///    the step of the first of them, at the degree when one is parallel. A
-///    node joins when its other operand (`v`, `W`) is an input or a
-///    constant, which moves up to before that step, or is scheduled before
-///    it already. `sumSq` stays out: it folds `ELEM_BLOCK`-element blocks,
-///    and a row-block fold would change its bits. A member that goes
-///    [`Kernel::Blocked`] in step 5 leaves its pass, and a pass left with
-///    one member dissolves.
-/// 5. **Memory**, under a bounded [`budget`](Self::budget): the liveness
-///    certifier ([`certify_schedule`]) accounts for composite peaks — several
-///    individually-fitting values live at one step — and each round the
-///    blockable node at the peak whose downgrade to [`Kernel::Blocked`]
-///    shrinks the certified peak the most is taken, until the plan fits.
-///    When no downgrade helps, every blockable node with an operand or
-///    output larger than the budget streams, and the certificate honestly
-///    reports `Exceeds`. Sparse and scalar choices are never touched, and a
-///    blocked matmul no longer fuses. The plan is fitted twice, to the
-///    depth-first order and to the peak-minimizing [`min_peak_order`]; the
-///    second fit is kept only when it blocks fewer nodes, or as many at a
-///    strictly lower certified peak. An unbounded plan keeps the
-///    depth-first order.
+///    over dense operands, form one pass over the `X` they share
+///    (`dm_matrix::par::row_pass`) at the step of the first of them, at the
+///    degree when one is parallel. A node joins when its other operand
+///    (`v`, `W`) is an input or a constant, moved up to before that step, or
+///    is scheduled before it already. `sumSq` stays out: a row-block fold
+///    would change the bits of its `ELEM_BLOCK`-element one. A member that
+///    goes blocked in step 5
+///    leaves its pass, and a pass left with one member dissolves.
+/// 5. **Memory**, under a bounded [`budget`](Self::budget): each round the
+///    liveness certifier ([`certify_schedule`]) finds the peak step, and the
+///    candidate there whose move to [`Kernel::Blocked`] shrinks the
+///    certified peak the most is taken, until the plan fits; when none
+///    helps, every candidate with an operand or output larger than the
+///    budget streams and the certificate reports `Exceeds`. A candidate is
+///    a dense row that reads its operands as stored (a row that densifies
+///    holds its whole dense copies anyway); a blocked matmul no longer
+///    fuses. The plan is fitted to the depth-first order and to
+///    [`min_peak_order`], and the second fit is kept only when it blocks
+///    fewer nodes, or as many at a strictly lower certified peak. An
+///    unbounded plan keeps the depth-first order.
 ///
 /// The plan comes back with the certificate of its own schedule under the
 /// budget, which the program keeps as
@@ -322,9 +406,8 @@ pub(crate) fn plan(
     opts: &PlanOptions,
 ) -> (PhysicalPlan, PlanCertificate) {
     let reachable = graph.reachable(root);
-    let kernels = reachable.iter().map(|&id| (id, representation(graph, id, sizes))).collect();
     let mut p = PhysicalPlan {
-        kernels,
+        rows: rows(graph, &reachable, sizes),
         fused: HashMap::new(),
         passes: HashMap::new(),
         degree: opts.degree.max(1),
@@ -337,7 +420,7 @@ pub(crate) fn plan(
             if p.kernel(id) != Kernel::Dense || !parallelizable(graph.op(id)) {
                 continue;
             }
-            let flops = node_flops(graph, id, sizes);
+            let flops = node_flops(graph, id, sizes, Kernel::Dense);
             let measured = opts.cost.and_then(|model| {
                 let op = crate::explain::op_label(graph, id);
                 // The serial price is what dispatch would classify this node
@@ -349,7 +432,7 @@ pub(crate) fn plan(
                 )
             });
             if measured.unwrap_or(flops >= PAR_FLOP_THRESHOLD) {
-                p.kernels.insert(id, Kernel::Parallel);
+                p.rows.entry(id).and_modify(|r| r.kernel = Kernel::Parallel);
             }
         }
     }
@@ -385,13 +468,12 @@ fn fuse(graph: &Graph, sizes: &HashMap<NodeId, SizeInfo>, p: &mut PhysicalPlan) 
     for &sum in sched.order() {
         let Op::Agg(AggOp::Sum, fa) = *graph.op(sum) else { continue };
         let Op::Unary(_, a) = *graph.op(fa) else { continue };
-        if reads[fa] != 1 {
+        if reads[fa] != 1 || p.row(a).is_none_or(|r| r.out != Repr::Dense) {
             continue;
         }
         p.fused.insert(fa, sum);
-        if let Op::MatMul(_, w) = *graph.op(a) {
-            let streams = matches!(p.kernel(a), Kernel::Dense | Kernel::Parallel)
-                && p.kernel(w) != Kernel::Sparse
+        if let Op::MatMul(..) = *graph.op(a) {
+            let streams = p.row(a).is_some_and(Row::streams)
                 && sizes.get(&a).is_some_and(|i| i.shape.cols() > 1);
             if reads[a] == 1 && streams {
                 p.fused.insert(a, sum);
@@ -461,7 +543,7 @@ fn group_passes(graph: &Graph, p: &mut PhysicalPlan) {
 /// and a blocked node joins no row pass, so a pass left with one member
 /// dissolves; either change reschedules the plan.
 fn block(graph: &Graph, p: &mut PhysicalPlan, id: NodeId) {
-    p.kernels.insert(id, Kernel::Blocked);
+    p.rows.entry(id).and_modify(|r| r.kernel = Kernel::Blocked);
     let unfused = p.fused.remove(&id).is_some();
     let left: Vec<NodeId> =
         p.passes.keys().copied().filter(|&m| p.pass_operands(graph, m).is_none()).collect();
@@ -478,66 +560,42 @@ fn block(graph: &Graph, p: &mut PhysicalPlan, id: NodeId) {
     }
 }
 
-fn representation(graph: &Graph, id: NodeId, sizes: &HashMap<NodeId, SizeInfo>) -> Kernel {
-    let of = |n: NodeId| match sizes.get(&n) {
-        Some(i) if matches!(i.shape, crate::size::Shape::Scalar) => Kernel::Scalar,
-        Some(i) if i.sparsity < SPARSE_THRESHOLD => Kernel::Sparse,
-        _ => Kernel::Dense,
-    };
-    match graph.op(id) {
-        Op::Const(_) => Kernel::Scalar,
-        // Aggregates produce small outputs and multiplies are driven by
-        // their left operand: the kernel follows the *input* representation.
-        Op::Agg(_, a) | Op::SumSq(a) | Op::MatMul(a, _) | Op::Tmv(a, _) | Op::CrossProd(a) => {
-            of(*a)
-        }
-        Op::Input(_) | Op::Transpose(_) | Op::Ewise(_, _, _) | Op::Unary(_, _) => of(id),
-    }
-}
-
-/// Estimated flops executed by a single node given propagated sizes — the
-/// per-node term of [`estimated_cost`](crate::rewrite::estimated_cost), also
-/// what the planner weighs against [`PAR_FLOP_THRESHOLD`]. Nodes with no size
-/// information estimate 0.
-pub fn node_flops(graph: &Graph, id: NodeId, infos: &HashMap<NodeId, SizeInfo>) -> u128 {
-    use crate::size::Shape;
-    let nnz = |id: NodeId| -> u128 {
-        match infos.get(&id) {
-            Some(info) => match info.shape {
-                Shape::Scalar => 1,
-                Shape::Matrix { rows, cols } => {
-                    ((rows as f64) * (cols as f64) * info.sparsity).ceil() as u128
-                }
-            },
-            None => 0,
-        }
-    };
-    let cells = |id: NodeId| -> u128 {
-        match infos.get(&id) {
-            Some(info) => match info.shape {
-                Shape::Scalar => 1,
-                Shape::Matrix { rows, cols } => (rows as u128) * (cols as u128),
-            },
-            None => 0,
-        }
+/// Estimated flops executed by a single node on `kernel` given propagated
+/// sizes — the per-node term of
+/// [`estimated_cost`](crate::rewrite::estimated_cost), also what the planner
+/// weighs against [`PAR_FLOP_THRESHOLD`]. A [`Kernel::Sparse`] node reads its
+/// operand's estimated non-zeros, any other every cell, as the executor
+/// counts them. Nodes with no size information estimate 0.
+pub fn node_flops(
+    graph: &Graph,
+    id: NodeId,
+    infos: &HashMap<NodeId, SizeInfo>,
+    kernel: Kernel,
+) -> u128 {
+    let sparse = kernel == Kernel::Sparse;
+    let cells =
+        |id: NodeId| infos.get(&id).map_or(0, |i| i.shape.rows() as u128 * i.shape.cols() as u128);
+    // A sparse kernel reads its operand's estimated non-zeros.
+    let read = |id: NodeId| match infos.get(&id) {
+        Some(i) if sparse => (cells(id) as f64 * i.sparsity).ceil() as u128,
+        _ => cells(id),
     };
     match graph.op(id) {
         Op::Input(_) | Op::Const(_) => 0,
-        Op::Transpose(a) => nnz(*a),
+        Op::Transpose(a) => read(*a),
         Op::MatMul(a, b) => {
             let b_cols = infos.get(b).map_or(0, |i| i.shape.cols()) as u128;
-            2 * nnz(*a) * b_cols
+            2 * read(*a) * b_cols
         }
         Op::Ewise(_, _, _) => cells(id),
-        Op::Unary(_, a) | Op::Agg(_, a) => nnz(*a),
+        Op::Unary(_, a) | Op::Agg(_, a) => read(*a),
         Op::CrossProd(a) => {
             let a_cols = infos.get(a).map_or(0, |i| i.shape.cols()) as u128;
             // The dense kernel computes the upper triangle: half the
             // products of the sparse kernel's full pass.
-            let sparse = infos.get(a).is_some_and(|i| i.sparsity < SPARSE_THRESHOLD);
-            (if sparse { 2 } else { 1 }) * nnz(*a) * a_cols
+            (if sparse { 2 } else { 1 }) * read(*a) * a_cols
         }
-        Op::Tmv(a, _) | Op::SumSq(a) => 2 * nnz(*a),
+        Op::Tmv(a, _) | Op::SumSq(a) => 2 * read(*a),
     }
 }
 
@@ -549,23 +607,17 @@ fn parallelizable(op: &Op) -> bool {
     )
 }
 
-/// True for ops with a blocked out-of-core kernel in `dm_buffer::ooc`.
-fn blockable(op: &Op) -> bool {
-    matches!(op, Op::MatMul(..) | Op::CrossProd(_) | Op::Ewise(..) | Op::Agg(AggOp::ColSums, _))
-}
-
-/// Dense in-memory footprint of a node's value in bytes, per propagated
-/// shape. Sparsity is deliberately ignored: the blocked kernels stream dense
-/// row panels, and sparse-planned nodes are never upgraded anyway.
-fn dense_bytes(info: Option<&SizeInfo>) -> usize {
-    use crate::size::Shape;
-    match info {
-        Some(i) => match i.shape {
-            Shape::Scalar => 8,
-            Shape::Matrix { rows, cols } => rows.saturating_mul(cols).saturating_mul(8),
-        },
-        None => 0,
-    }
+/// True for a node the planner may move to [`Kernel::Blocked`]: an op with
+/// a blocked out-of-core kernel in `dm_buffer::ooc`, on a dense in-memory
+/// kernel that reads its operands as stored. A row that densifies a CSR
+/// operand holds the whole dense copy at its step, which streaming it
+/// through the pool would not shrink.
+fn blockable(graph: &Graph, p: &PhysicalPlan, id: NodeId) -> bool {
+    let op = matches!(
+        graph.op(id),
+        Op::MatMul(..) | Op::CrossProd(_) | Op::Ewise(..) | Op::Agg(AggOp::ColSums, _)
+    );
+    op && p.row(id).is_some_and(Row::streams)
 }
 
 /// The local blocking rule: a blockable node goes [`Kernel::Blocked`] when
@@ -581,12 +633,12 @@ fn apply_per_node_blocking(
 ) {
     let sched = Arc::clone(&p.schedule);
     for &id in sched.order() {
-        if !matches!(p.kernel(id), Kernel::Dense | Kernel::Parallel) || !blockable(graph.op(id)) {
+        if !blockable(graph, p, id) {
             continue;
         }
         let oversized = std::iter::once(id)
             .chain(graph.op(id).children().iter().copied())
-            .any(|n| dense_bytes(sizes.get(&n)) > limit);
+            .any(|n| sizes.get(&n).is_some_and(|i| materialized_bytes(Repr::Dense, i) > limit));
         if oversized {
             block(graph, p, id);
         }
@@ -619,7 +671,7 @@ fn fit_plan_to_schedule(
         let exec_at_peak = peak.node;
         let mut best: Option<(usize, NodeId)> = None;
         for &c in p.schedule.order() {
-            if !matches!(p.kernel(c), Kernel::Dense | Kernel::Parallel) || !blockable(graph.op(c)) {
+            if !blockable(graph, &p, c) {
                 continue;
             }
             let relevant =
@@ -727,20 +779,47 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_product_of_sparse_goes_sparse() {
-        // S * S has sparsity 0.0001 -> sparse kernel.
+    fn elementwise_product_of_sparse_densifies_both_operands() {
+        // No element-wise kernel reads CSR: S * S runs dense over a dense
+        // copy of each operand, and its output is dense.
         let mut g = Graph::new();
         let s = g.input("S");
         let had = g.ewise(crate::expr::EwiseOp::Mul, s, s);
         let p = plan_with(&g, had, &PlanOptions::new(&inputs()));
-        assert_eq!(p.kernel(had), Kernel::Sparse);
+        assert_eq!(p.kernel(s), Kernel::Sparse);
+        let want = Row { kernel: Kernel::Dense, out: Repr::Dense, densify: [true, true] };
+        assert_eq!(p.row(had), Some(want));
+    }
+
+    #[test]
+    fn a_zero_preserving_map_keeps_csr_and_exp_densifies() {
+        let mut g = Graph::new();
+        let s = g.input("S");
+        let t = g.transpose(s);
+        let root = g.unary(UnaryOp::Sqrt, t);
+        let e = g.unary(UnaryOp::Exp, root);
+        let p = plan_with(&g, e, &PlanOptions::new(&inputs()));
+        let csr = Row { kernel: Kernel::Sparse, out: Repr::Csr, densify: [false; 2] };
+        assert_eq!((p.row(t), p.row(root)), (Some(csr), Some(csr)));
+        let dense = Row { kernel: Kernel::Dense, out: Repr::Dense, densify: [true, false] };
+        assert_eq!(p.row(e), Some(dense));
+    }
+
+    #[test]
+    fn crossprod_of_a_value_stored_dense_runs_dense() {
+        // S * S is estimated far below the threshold but stored dense.
+        let mut g = Graph::new();
+        let s = g.input("S");
+        let had = g.ewise(crate::expr::EwiseOp::Mul, s, s);
+        let cp = g.push(crate::expr::Op::CrossProd(had));
+        let p = plan_with(&g, cp, &PlanOptions::new(&inputs()));
+        assert_eq!(p.row(cp), Some(Row::holding(Repr::Dense)));
     }
 
     #[test]
     fn unknown_nodes_default_dense() {
         let p = PhysicalPlan::default();
-        assert_eq!(p.kernel(42), Kernel::Dense);
-        assert!(p.is_empty());
+        assert_eq!((p.kernel(42), p.row(42)), (Kernel::Dense, None));
         assert_eq!(p.degree(), 1);
     }
 
@@ -991,7 +1070,7 @@ mod tests {
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
         let sizes = crate::size::propagate(&g, cp, &s).unwrap();
-        let flops = node_flops(&g, cp, &sizes) as u64;
+        let flops = node_flops(&g, cp, &sizes, Kernel::Dense) as u64;
 
         let serial_wins = model_with(&[
             ("crossprod", "fused", flops, 4.0),
@@ -1024,7 +1103,7 @@ mod tests {
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
         let sizes = crate::size::propagate(&g, cp, &s).unwrap();
-        let flops = node_flops(&g, cp, &sizes) as u64;
+        let flops = node_flops(&g, cp, &sizes, Kernel::Dense) as u64;
         let m = model_with(&[
             ("crossprod", "fused", flops, 1.0),
             ("crossprod", "parallel", flops, 3.0),
@@ -1044,7 +1123,7 @@ mod tests {
         let x = g.input("X");
         let cp = g.push(crate::expr::Op::CrossProd(x));
         let sizes = crate::size::propagate(&g, cp, &s).unwrap();
-        let flops = node_flops(&g, cp, &sizes) as u64;
+        let flops = node_flops(&g, cp, &sizes, Kernel::Dense) as u64;
         let serial_wins = model_with(&[
             ("crossprod", "fused", flops, 4.0),
             ("crossprod", "parallel", flops, 2.0),
@@ -1078,8 +1157,12 @@ mod tests {
         let mm = g.matmul(x, v);
         let sum = g.agg(crate::expr::AggOp::Sum, mm);
         let infos = crate::size::propagate(&g, sum, &s).unwrap();
-        let per_node: u128 =
-            g.reachable(sum).into_iter().map(|id| node_flops(&g, id, &infos)).sum();
+        let plan = plan_with(&g, sum, &PlanOptions::new(&s));
+        let per_node: u128 = g
+            .reachable(sum)
+            .into_iter()
+            .map(|id| node_flops(&g, id, &infos, plan.kernel(id)))
+            .sum();
         assert_eq!(per_node, crate::rewrite::estimated_cost(&g, sum, &s).unwrap());
     }
 }

@@ -255,12 +255,14 @@ pub fn optimize(
 pub fn estimated_cost(graph: &Graph, root: NodeId, sizes: &InputSizes) -> Result<u128, SizeError> {
     let infos = propagate(graph, root, sizes)?;
     // Per-node flop estimates live in `physical::node_flops` so the physical
-    // planner's serial-vs-parallel threshold uses the same cost model.
-    let mut total: u128 = 0;
-    for id in graph.reachable(root) {
-        total += crate::physical::node_flops(graph, id, &infos);
-    }
-    Ok(total)
+    // planner's serial-vs-parallel threshold uses the same cost model, each
+    // node priced on the kernel the representation table gives it.
+    let reachable = graph.reachable(root);
+    let rows = crate::physical::rows(graph, &reachable, &infos);
+    Ok(reachable
+        .iter()
+        .map(|id| crate::physical::node_flops(graph, *id, &infos, rows[id].kernel))
+        .sum())
 }
 
 /// What one [`optimize_traced`] call did: the per-rule counts, the estimated
@@ -745,19 +747,22 @@ mod tests {
     }
 
     #[test]
-    fn estimated_cost_tracks_sparsity() {
-        // A 50% sparse input should cost about half the dense estimate.
-        let mut dense_sizes = InputSizes::new();
-        dense_sizes.declare("X", 100, 100, 1.0);
-        let mut sparse_sizes = InputSizes::new();
-        sparse_sizes.declare("X", 100, 100, 0.5);
+    fn estimated_cost_prices_the_kernel_that_runs() {
+        // An input held as CSR runs the sparse kernels, which read its
+        // non-zeros; one at 50 % is held dense and costs what a full one does.
+        let declared = |sparsity| {
+            let mut sizes = InputSizes::new();
+            sizes.declare("X", 100, 100, sparsity).declare("v", 100, 1, 1.0);
+            sizes
+        };
         let mut g = Graph::new();
         let x = g.input("X");
-        let t = g.transpose(x);
-        let mm = g.matmul(t, x);
-        let dense = estimated_cost(&g, mm, &dense_sizes).unwrap();
-        let sparse = estimated_cost(&g, mm, &sparse_sizes).unwrap();
-        assert!(sparse < dense, "{sparse} vs {dense}");
+        let v = g.input("v");
+        let mm = g.matmul(x, v);
+        let cost = |sparsity| estimated_cost(&g, mm, &declared(sparsity)).unwrap();
+        assert_eq!(cost(1.0), 2 * 100 * 100);
+        assert_eq!(cost(0.5), cost(1.0), "a dense kernel reads every cell");
+        assert_eq!(cost(0.05), 2 * 500, "the sparse kernel reads the non-zeros");
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn flipping_model(s: &Scenario, sizes: &HashMap<NodeId, SizeInfo>) -> CostModel 
                 | Op::SumSq(_)
                 | Op::Agg(AggOp::ColSums, _)
         );
-        let flops = node_flops(&s.graph, id, sizes);
+        let flops = node_flops(&s.graph, id, sizes, serial_plan.kernel(id));
         if !parallelizable || flops == 0 {
             continue;
         }

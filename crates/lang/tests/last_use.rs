@@ -15,12 +15,16 @@
 //!   partials, at most three are live at once;
 //! - the `inproc_dense` program, whose crossprod, fused `sum(exp(X %*% W))`
 //!   and tmv share one row pass over `X`: the certificate charges every
-//!   member's value and the streamed panels at the pass's step.
+//!   member's value and the streamed panels at the pass's step;
+//! - six programs over CSR inputs, and generated programs over dense and
+//!   CSR inputs, at degrees 1 and 2, unbounded and under a quarter of that
+//!   budget: each eval holds at most what its certificate charges, the dense
+//!   copies of CSR operands included.
 //!
 //! The counter is process-wide, so the tests serialize through one lock.
 
 use dm_lang::exec::{Env, Executor, Val};
-use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, UnaryOp};
+use dm_lang::expr::{AggOp, EwiseOp, Graph, NodeId, Op, UnaryOp};
 use dm_lang::liveness::certify_plan;
 use dm_lang::memory::MemoryBudget;
 use dm_lang::physical::{Kernel, PlanOptions};
@@ -28,7 +32,7 @@ use dm_lang::size::{propagate, InputSizes};
 use dm_lang::CompiledProgram;
 use dm_matrix::pack::{KC, NC};
 use dm_matrix::par::ROW_BLOCK;
-use dm_matrix::{Dense, Matrix};
+use dm_matrix::{Csr, Dense, Matrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -340,4 +344,235 @@ fn a_row_pass_is_certified_at_its_members_and_panels() {
         "observed {high_water} B over the certified {} B and {slack} B of partials and scratch",
         certified - inputs
     );
+}
+
+/// What one eval of `prog` over `env` held and what its certificate charged,
+/// both above the inputs bound before the eval: the high-water mark of live
+/// bytes, and the certified peak less, at each step, the bytes charged to
+/// inputs bound in the representation the plan holds them in (`bound`).
+fn held_and_charged(
+    prog: &CompiledProgram,
+    env: &Env,
+    bound: impl Fn(&str) -> bool,
+) -> (usize, usize) {
+    let input = |v: NodeId| matches!(prog.graph.op(v), Op::Input(name) if bound(name));
+    let charged = prog
+        .certificate
+        .timeline
+        .iter()
+        .map(|su| {
+            let inputs: usize = su.live.iter().filter(|&&(v, _)| input(v)).map(|&(_, b)| b).sum();
+            su.live_bytes - inputs
+        })
+        .max()
+        .unwrap_or(0);
+    let mut ex = Executor::with_plan(&prog.graph, prog.plan.clone());
+    let (_, held) = measure(|| ex.eval(prog.root, env).unwrap());
+    (held, charged)
+}
+
+/// The bytes of the values the certificate charges to no step: derived
+/// values that only blocked kernels read, which it models as streamed
+/// through the spill pool while the executor holds them whole (ROADMAP item
+/// 13(a)). Zero for every plan without a blocked node.
+fn streamed(prog: &CompiledProgram) -> usize {
+    let (g, plan) = (&prog.graph, &prog.plan);
+    let nodes = g.reachable(prog.root);
+    let readers = |v: NodeId| nodes.iter().filter(move |&&n| g.op(n).children().contains(&v));
+    nodes
+        .iter()
+        .filter(|&&v| !matches!(g.op(v), Op::Input(_)))
+        .filter(|&&v| plan.row(v).is_some_and(|r| r.densify == [false; 2]))
+        .filter(|&&v| {
+            readers(v).count() > 0 && readers(v).all(|&n| plan.kernel(n) == Kernel::Blocked)
+        })
+        .map(|&v| bytes(prog.sizes[&v].shape.rows(), prog.sizes[&v].shape.cols()))
+        .sum()
+}
+
+/// Plan `g` at degrees 1 and 2, unbounded and under a quarter of the
+/// unbounded certificate, run each plan over `env` and check that the eval
+/// held at most what the certificate charged, plus each worker's pack
+/// scratch and the [`streamed`] values. Returns the largest such allowance.
+fn check_charged(
+    what: &str,
+    (g, root): (&Graph, NodeId),
+    sizes: &InputSizes,
+    env: &Env,
+    bound: &dyn Fn(&str) -> bool,
+) -> usize {
+    let mut most_streamed = 0;
+    for degree in [1, 2] {
+        let opts = PlanOptions { degree, ..PlanOptions::new(sizes) };
+        let unbounded = CompiledProgram::new(g.clone(), root, &opts).unwrap();
+        let quarter = MemoryBudget::bytes(unbounded.certificate.peak_bytes / 4);
+        for budget in [MemoryBudget::unbounded(), quarter] {
+            let prog =
+                CompiledProgram::new(g.clone(), root, &PlanOptions { budget, ..opts }).unwrap();
+            let (held, charged) = held_and_charged(&prog, env, bound);
+            let streamed = streamed(&prog);
+            most_streamed = most_streamed.max(streamed);
+            println!(
+                "{what} at degree {degree}, budget {:?} ({} blocked): held {held} B, certified \
+                 {charged} B above the inputs, {streamed} B streamed",
+                budget.get(),
+                prog.blocked_nodes
+            );
+            assert!(
+                held <= charged + degree * PACK_SCRATCH + streamed,
+                "{what} at degree {degree}, budget {:?}: held {held} B over the certified \
+                 {charged} B, {degree} x {PACK_SCRATCH} B of pack scratch and {streamed} B \
+                 streamed\n{}",
+                budget.get(),
+                prog.certificate.render(&prog.graph)
+            );
+        }
+    }
+    most_streamed
+}
+
+/// A `rows x cols` matrix with a non-zero wherever `pattern(r, c)`, each
+/// positive and below 1.6, stored as CSR.
+fn sparse(rows: usize, cols: usize, pattern: impl Fn(usize, usize) -> bool) -> Csr {
+    let value = |r: usize, c: usize| 0.5 + ((r * 7 + c * 3) % 11) as f64 * 0.1;
+    Csr::from_dense(&Dense::from_fn(
+        rows,
+        cols,
+        |r, c| if pattern(r, c) { value(r, c) } else { 0.0 },
+    ))
+}
+
+#[test]
+fn every_probe_program_holds_at_most_what_it_is_charged() {
+    // S is 2000 x 2000 at 1 % non-zero, 32 MB dense; X is 50 000 x 8 at
+    // 1/12. Both are bound as CSR, as the plan holds them, and W dense.
+    let _guard = lock();
+    let s = sparse(2000, 2000, |r, c| (r * 7 + c * 13) % 100 == 0);
+    let x = sparse(50_000, 8, |r, c| (r * 8 + c) % 12 == 0);
+    let mut sizes = InputSizes::new();
+    sizes.declare("S", 2000, 2000, s.sparsity());
+    sizes.declare("X", 50_000, 8, x.sparsity());
+    sizes.declare("W", 8, 64, 1.0);
+    let mut env = Env::new();
+    env.bind("S", Matrix::Sparse(s));
+    env.bind("X", Matrix::Sparse(x));
+    env.bind("W", Matrix::Dense(input(8, 64, 3)));
+    for src in ["S * S", "colSums(S + S)", "sqrt(S) * 2", "t(S) - S", "sum(exp(S))", "X %*% W"] {
+        let (g, root) = dm_lang::parser::parse(src).unwrap();
+        let streamed = check_charged(src, (&g, root), &sizes, &env, &|_| true);
+        assert_eq!(streamed, 0, "{src}: every value it holds is charged");
+    }
+}
+
+/// Rows and columns of the generated programs' tall inputs: 8192 x 48 is
+/// 3 MiB dense, more than a worker's pack scratch, so one uncharged dense
+/// copy shows.
+const TALL: (usize, usize) = (8192, 48);
+
+/// A pseudo-random hash of a cell and a salt.
+fn hash(r: usize, c: usize, salt: u64) -> u64 {
+    let h =
+        (r as u64).wrapping_mul(6_364_136_223_846_793_005) ^ (c as u64).wrapping_add(salt << 20);
+    h.wrapping_mul(1_442_695_040_888_963_407) >> 11
+}
+
+/// A matrix whose cells are non-zero with probability `density`, drawn from
+/// `pattern` alone (so two matrices of one pattern align), valued in
+/// [0.1, 1.1) from `seed`.
+fn generated(rows: usize, cols: usize, density: f64, pattern: u64, seed: u64) -> Dense {
+    Dense::from_fn(rows, cols, |r, c| {
+        let on = (hash(r, c, pattern) % 1_000_000) as f64 / 1e6 < density;
+        if on {
+            0.1 + (hash(r, c, seed) % 1000) as f64 * 1e-3
+        } else {
+            0.0
+        }
+    })
+}
+
+/// A program over tall inputs `A` and `B` and a square `Q`, one op per
+/// code, summed at the root through `sum`, `colSums` and a square value.
+/// Two codes naming one value make a self-product.
+fn generated_program(codes: &[(u8, u8, u8)]) -> (Graph, NodeId) {
+    let mut g = Graph::new();
+    let (a, b, q) = (g.input("A"), g.input("B"), g.input("Q"));
+    let (mut tall, mut square) = (vec![a, b], vec![q]);
+    for &(op, i, j) in codes {
+        let x = tall[i as usize % tall.len()];
+        let y = tall[j as usize % tall.len()];
+        let next = match op {
+            0 => g.ewise(EwiseOp::Add, x, y),
+            1 => g.ewise(EwiseOp::Sub, x, y),
+            2 => g.ewise(EwiseOp::Mul, x, y),
+            3 => g.unary(UnaryOp::Sqrt, x),
+            4 => g.unary(UnaryOp::Exp, x),
+            5 => g.matmul(x, square[j as usize % square.len()]),
+            6 => {
+                let two = g.constant(2.0);
+                g.ewise(EwiseOp::Mul, x, two)
+            }
+            7 => {
+                square.push(g.push(Op::CrossProd(x)));
+                continue;
+            }
+            _ => {
+                let t = g.transpose(x);
+                square.push(g.matmul(t, y));
+                continue;
+            }
+        };
+        tall.push(next);
+    }
+    let (last, first) = (*tall.last().unwrap(), tall[codes.len() % tall.len()]);
+    let cols = g.agg(AggOp::ColSums, first);
+    let sums = [g.agg(AggOp::Sum, last), g.agg(AggOp::Sum, cols)];
+    let square_sum = g.agg(AggOp::Sum, *square.last().unwrap());
+    let partial = g.ewise(EwiseOp::Add, sums[0], sums[1]);
+    let root = g.ewise(EwiseOp::Add, partial, square_sum);
+    (g, root)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+    /// Generated programs over dense and CSR inputs of random sparsity
+    /// hold at most what they are charged, at degrees 1 and 2, unbounded
+    /// and under a quarter of that budget. An input is bound as the plan
+    /// holds it or, when its flip is 0, in the other representation, which
+    /// its `Input` step converts.
+    #[test]
+    fn generated_programs_hold_at_most_what_they_are_charged(
+        codes in proptest::collection::vec((0u8..9, 0u8..8, 0u8..8), 1..6),
+        density in (0usize..5, 0usize..5, 0usize..5),
+        flip in (0u8..4, 0u8..4, 0u8..4),
+        aligned in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        const DENSITY: [f64; 5] = [1.0, 0.5, 0.15, 0.04, 0.005];
+        let _guard = lock();
+        let (graph, root) = generated_program(&codes);
+        let (n, d) = TALL;
+        let b_pattern = if aligned == 1 { seed } else { seed + 1 };
+        let inputs = [
+            ("A", generated(n, d, DENSITY[density.0], seed, seed + 2), flip.0),
+            ("B", generated(n, d, DENSITY[density.1], b_pattern, seed + 3), flip.1),
+            ("Q", generated(d, d, DENSITY[density.2], seed + 4, seed + 5), flip.2),
+        ];
+        let (mut sizes, mut env, mut converted) = (InputSizes::new(), Env::new(), Vec::new());
+        for (name, m, flip) in inputs {
+            let sparsity = m.nnz() as f64 / (m.rows() * m.cols()) as f64;
+            sizes.declare(name, m.rows(), m.cols(), sparsity);
+            let planned_csr = sparsity < dm_lang::physical::SPARSE_THRESHOLD;
+            if flip == 0 {
+                converted.push(name);
+            }
+            if planned_csr != (flip == 0) {
+                env.bind(name, Matrix::Sparse(Csr::from_dense(&m)));
+            } else {
+                env.bind(name, Matrix::Dense(m));
+            }
+        }
+        let what = format!("{} over {density:?}", graph.render(root));
+        check_charged(&what, (&graph, root), &sizes, &env, &|name| !converted.contains(&name));
+    }
 }

@@ -143,16 +143,36 @@ fn every_evaluation_of_the_passed_program_has_the_same_bits() {
 }
 
 #[test]
-fn members_whose_values_the_pass_cannot_run_run_alone() {
-    // The plan expects a dense X; a CSR binding sends every member to its
-    // own operator at the pass's step, with the bits of the unplanned eval.
+fn a_csr_binding_of_a_dense_planned_x_is_densified_at_its_input() {
+    // The plan holds X dense; a CSR binding is densified at its input, so
+    // every member still runs in the pass, with the dense binding's bits.
     let (sizes, mut env) = (sizes(), env());
-    env.bind("X", Matrix::Sparse(dm_matrix::Csr::from_dense(&x())));
     let prog = program(&PlanOptions { degree: 2, ..PlanOptions::new(&sizes) });
     let (g, root) = (&prog.graph, prog.root);
+    let dense_bits =
+        scalar_bits(Executor::with_plan(g, prog.plan.clone()).eval(root, &env).unwrap());
+    env.bind("X", Matrix::Sparse(dm_matrix::Csr::from_dense(&x())));
     let mut ex = Executor::with_plan(g, prog.plan.clone()).profiled();
-    let got = scalar_bits(ex.eval(root, &env).unwrap());
-    assert_eq!(got, scalar_bits(Executor::new(g).eval(root, &env).unwrap()));
-    let cp = node(g, root, |op| matches!(op, Op::CrossProd(_)));
-    assert_eq!(ex.profile().unwrap().node(cp).unwrap().evals, 1, "the crossprod ran alone");
+    assert_eq!(scalar_bits(ex.eval(root, &env).unwrap()), dense_bits);
+    let (cp, tmv) = (
+        node(g, root, |op| matches!(op, Op::CrossProd(_))),
+        node(g, root, |op| matches!(op, Op::Tmv(..))),
+    );
+    let sum = node(
+        g,
+        root,
+        |op| matches!(op, Op::Agg(AggOp::Sum, a) if matches!(g.op(*a), Op::Unary(UnaryOp::Exp, _))),
+    );
+    let profile = ex.profile().unwrap();
+    for (member, kernel) in
+        [(cp, KernelChoice::Parallel), (sum, KernelChoice::Fused), (tmv, KernelChoice::Fused)]
+    {
+        assert_eq!(prog.plan.schedule().pass_of(member), Some(cp), "%{member} is passed");
+        assert_eq!(profile.node(member).unwrap().kernel, Some(kernel), "%{member} ran in the pass");
+    }
+    // A pass at degree 2 counts each member as a parallel dispatch; run
+    // alone, the tmv would run serially.
+    assert_eq!(ex.stats().par_nodes, 3, "the three members ran in one parallel pass");
+    let x = node(g, root, |op| *op == Op::Input("X".into()));
+    assert_eq!(profile.node(x).unwrap().kernel, Some(KernelChoice::Dense), "X was densified");
 }

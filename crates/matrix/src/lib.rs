@@ -122,28 +122,6 @@ impl Matrix {
     pub fn is_dense(&self) -> bool {
         matches!(self, Matrix::Dense(_))
     }
-
-    /// Matrix-vector product dispatching on representation.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn gemv(&self, v: &[f64]) -> Vec<f64> {
-        match self {
-            Matrix::Dense(d) => ops::gemv(d, v),
-            Matrix::Sparse(s) => sparse::spmv(s, v),
-        }
-    }
-
-    /// Vector-matrix product (`v^T * M`) dispatching on representation.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.rows()`.
-    pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        match self {
-            Matrix::Dense(d) => ops::gevm(v, d),
-            Matrix::Sparse(s) => sparse::spvm(v, s),
-        }
-    }
 }
 
 impl From<Dense> for Matrix {
@@ -174,9 +152,6 @@ mod tests {
         assert_eq!(m_dense.get(1, 1), 2.0);
         assert_eq!(m_sparse.get(1, 1), 2.0);
         assert!((m_dense.sparsity() - 0.5).abs() < 1e-12);
-        let v = [3.0, 4.0];
-        assert_eq!(m_dense.gemv(&v), m_sparse.gemv(&v));
-        assert_eq!(m_dense.vecmat(&v), m_sparse.vecmat(&v));
     }
 
     #[test]

@@ -151,11 +151,13 @@ impl Csr {
         Ok(Csr { rows, cols, indptr, indices, values })
     }
 
-    /// Convert a dense matrix to CSR, dropping zeros.
+    /// Convert a dense matrix to CSR, dropping zeros. Counts the non-zeros
+    /// first, so the arrays are allocated once at their final size.
     pub fn from_dense(d: &Dense) -> Self {
+        let nnz = d.nnz();
         let mut indptr = Vec::with_capacity(d.rows() + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         indptr.push(0);
         for r in 0..d.rows() {
             for (c, &v) in d.row(r).iter().enumerate() {
@@ -258,6 +260,16 @@ impl Csr {
             }
         }
         Csr { rows: self.cols, cols: self.rows, indptr, indices, values }
+    }
+
+    /// The matrix with `f` applied to every stored value, on the same
+    /// pattern. `f` must map no non-zero to zero (as `sqrt` and `abs` do),
+    /// or the result would store a zero.
+    pub fn map_stored(&self, f: impl Fn(f64) -> f64) -> Csr {
+        let values: Vec<f64> = self.values.iter().map(|&v| f(v)).collect();
+        debug_assert!(values.iter().all(|&v| v != 0.0), "map_stored mapped a non-zero to zero");
+        let (indptr, indices) = (self.indptr.clone(), self.indices.clone());
+        Csr { rows: self.rows, cols: self.cols, indptr, indices, values }
     }
 
     /// Iterate over all stored `(row, col, value)` triplets in row-major order.

@@ -15,7 +15,6 @@
 //! * [`logreg::LogisticRegression`] — batch gradient descent with L2.
 //! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding.
 //! * [`naive_bayes`] — Gaussian and Multinomial NB.
-//! * [`tree::DecisionTree`] — CART with Gini impurity.
 //!
 //! ```
 //! use dm_matrix::Dense;
@@ -29,15 +28,11 @@
 
 #![warn(missing_docs)]
 
-pub mod forest;
 pub mod glm;
 pub mod kmeans;
 pub mod linreg;
 pub mod logreg;
 pub mod naive_bayes;
-pub mod sgd;
-pub mod softmax;
-pub mod tree;
 
 /// Errors surfaced by model fitting.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,7 +6,6 @@ use dm_ml::glm::Family;
 use dm_ml::kmeans::{self, KMeansConfig};
 use dm_ml::linreg::{LinearRegression, Solver};
 use dm_ml::naive_bayes::GaussianNb;
-use dm_ml::tree::{DecisionTree, TreeConfig};
 use proptest::prelude::*;
 
 /// Well-conditioned regression data: random features in [-1,1], labels from a
@@ -82,27 +81,5 @@ proptest! {
         let m1 = GaussianNb::fit(&x, &y).unwrap();
         let m2 = GaussianNb::fit(&shifted, &y).unwrap();
         prop_assert_eq!(m1.predict(&x), m2.predict(&shifted));
-    }
-
-    #[test]
-    fn tree_training_accuracy_nondecreasing_in_depth(seed in 0u64..100) {
-        let (x, y) = dm_data::labeled::blobs(60, 2, 3, 4.0, seed);
-        let mut prev = 0.0;
-        for depth in [1usize, 2, 4, 8] {
-            let t = DecisionTree::fit(&x, &y, &TreeConfig { max_depth: depth, ..Default::default() }).unwrap();
-            let acc = t.accuracy(&x, &y);
-            prop_assert!(acc >= prev - 1e-9, "depth {depth}: {acc} < {prev}");
-            prev = acc;
-        }
-    }
-
-    #[test]
-    fn tree_predictions_are_seen_labels(seed in 0u64..100) {
-        let (x, y) = dm_data::labeled::blobs(40, 2, 3, 2.0, seed);
-        let t = DecisionTree::fit(&x, &y, &TreeConfig::default()).unwrap();
-        let labels: std::collections::HashSet<i64> = y.iter().copied().collect();
-        for p in t.predict(&x) {
-            prop_assert!(labels.contains(&p));
-        }
     }
 }

@@ -1,14 +1,11 @@
 //! Integration coverage for the extension round: a key–foreign-key query
-//! feeding training as a normalized matrix, polynomial features feeding SGD,
-//! softmax + forest on shared data, compressed-matrix serialization through
-//! the buffer codec path, and forward selection end to end.
+//! feeding training as a normalized matrix, compressed-matrix serialization
+//! through the buffer codec path, and forward selection over polynomial
+//! features end to end.
 
 use dmml::compress::planner::CompressionConfig;
 use dmml::compress::serial;
 use dmml::matrix::solve::solve_spd;
-use dmml::ml::forest::{ForestConfig, RandomForest};
-use dmml::ml::sgd::{train_sgd, SgdConfig};
-use dmml::ml::softmax::{SoftmaxConfig, SoftmaxRegression};
 use dmml::modelsel::columbus::{forward_select, SharedGram};
 use dmml::pipeline::transform::{PolynomialFeatures, Transformer};
 use dmml::prelude::*;
@@ -52,42 +49,6 @@ fn query_pipeline_feeds_model_training() {
     let ss_tot: f64 = labels.iter().map(|y| (y - mean) * (y - mean)).sum();
     let r2 = 1.0 - ss_res / ss_tot;
     assert!(r2 > 0.999, "r2 {r2}");
-}
-
-/// Polynomial expansion lets SGD learn a quadratic function.
-#[test]
-fn polynomial_sgd_learns_quadratic() {
-    let x = Dense::from_fn(300, 1, |r, _| (r as f64) / 150.0 - 1.0);
-    let y: Vec<f64> = (0..300)
-        .map(|r| {
-            let v = (r as f64) / 150.0 - 1.0;
-            2.0 * v * v - v + 0.5
-        })
-        .collect();
-    let mut poly = PolynomialFeatures::new();
-    poly.fit(&x).unwrap();
-    let z = poly.transform(&x).unwrap(); // [v, v^2]
-    let za = Dense::filled(z.rows(), 1, 1.0).hcat(&z); // intercept column
-    let cfg = SgdConfig { learning_rate: 0.3, epochs: 400, decay: 1.0, ..Default::default() };
-    let fit = train_sgd(&za, &y, Family::Gaussian, &cfg).unwrap();
-    // weights: [intercept, v, v^2] ≈ [0.5, -1, 2]
-    assert!((fit.weights[0] - 0.5).abs() < 0.05, "{:?}", fit.weights);
-    assert!((fit.weights[1] + 1.0).abs() < 0.05);
-    assert!((fit.weights[2] - 2.0).abs() < 0.05);
-}
-
-/// Softmax and random forest agree on well-separated multi-class data.
-#[test]
-fn softmax_and_forest_agree_on_blobs() {
-    let (x, y) = dmml::data::labeled::blobs(240, 3, 4, 1.0, 11);
-    let sm = SoftmaxRegression::fit(&x, &y, &SoftmaxConfig::default()).unwrap();
-    let rf = RandomForest::fit(&x, &y, &ForestConfig::default()).unwrap();
-    assert!(sm.accuracy(&x, &y) > 0.97, "softmax {}", sm.accuracy(&x, &y));
-    assert!(rf.accuracy(&x, &y) > 0.97, "forest {}", rf.accuracy(&x, &y));
-    // They disagree on at most a small fraction of points.
-    let disagreements =
-        sm.predict(&x).iter().zip(rf.predict(&x)).filter(|(a, b)| **a != *b).count();
-    assert!(disagreements < 24, "{disagreements} disagreements");
 }
 
 /// Compressed matrices survive a serialize/deserialize hop and still train.

@@ -535,3 +535,34 @@ fn live_exposition_matches_the_runbook() {
         assert_eq!(types.get(name.as_str()), Some(&kind.as_str()), "runbook {name}:\n{text}");
     }
 }
+
+/// A served sparse request is charged what it runs. `S * S` over a 2000 x
+/// 2000 slab at 1 % non-zero holds `S` as CSR, densifies both operands of
+/// the product and builds it dense: the flight record's certified peak
+/// counts those copies and the product, not the CSR estimate of about
+/// 1.3 MB it was once charged.
+#[test]
+fn a_served_sparse_product_is_charged_its_dense_copies() {
+    let server =
+        ScoringServer::start(ServeConfig::for_tests(), Arc::new(StatsRegistry::new())).unwrap();
+    let n = 2000;
+    let data: Vec<f64> =
+        (0..n * n).map(|i| if i % 100 == 7 { (i % 13) as f64 + 1.0 } else { 0.0 }).collect();
+    let req = Request::score("sparse", "S * S").matrix("S", n, n, data);
+    let mut c = ScoringClient::connect(server.addr()).unwrap();
+    let (resp, rid) = c.request_with_rid(&req).unwrap();
+    let Response::Score { result: ScoreResult::Matrix { rows, cols, .. }, .. } = resp else {
+        panic!("expected a matrix result, got {resp:?}");
+    };
+    assert_eq!((rows, cols), (n, n));
+    let rec = recorded(&server, rid.unwrap());
+    let dense = (n * n * 8) as u64;
+    assert!(
+        rec.certified_peak >= 2 * dense,
+        "certified {} B: not a densified copy and the {dense}-byte product ({})",
+        rec.certified_peak,
+        rec.kernel_summary
+    );
+    assert!(rec.kernel_summary.contains("ewise */dense"), "{}", rec.kernel_summary);
+    server.shutdown();
+}
